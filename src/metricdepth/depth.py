@@ -6,8 +6,13 @@ least empirical mass over all halfspaces containing y; searching only
 halfspaces anchored at a finite anchor set gives a computable upper bound
 that tightens as anchors densify. With anchors equal to the n sample
 points, evaluating m queries costs O(m n^2 + n^3) distance comparisons:
-an n x n_A distance matrix feeds an n_A x n_A table of halfspace masses,
-and each query takes a masked minimum over ordered anchor pairs.
+an n x n_A distance matrix feeds an n_A x n_A table of halfspace masses.
+The table's off-diagonal ordered pairs are sorted once by (count,
+row-major index); each query scans them in that order and stops at its
+first admissible pair, so its work grows with the number of pairs whose
+count lies below its depth rather than with n_A^2. The stable sort keeps
+the tie-break of a masked minimum over the row-major table: the least
+count, and among equal counts the first pair in row-major order.
 
 Depth values are kept as exact integer counts over n; ties on the
 equidistance boundary are counted on both sides (membership uses <=), so
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +32,7 @@ from .errors import GeometryError
 from .rng import NS_JIGGLE, NS_REFINE, derive_rng
 from .spaces import Space
 
-# Cap on transient boolean/int temporaries in the vectorized kernels.
+# Cap on the size of transient temporaries in the vectorized kernels.
 _CHUNK_ELEMS = 8_000_000
 
 
@@ -55,8 +61,9 @@ class AnchorSet:
 class HalfspaceProbTable:
     """counts[a1, a2] = #{i : d(X_i, a1) <= d(X_i, a2)}.
 
-    Diagonal entries equal n by construction; the query kernels lean on
-    that as the empty-admissible-pair fallback (depth 1).
+    Diagonal entries equal n by construction. ``counts`` must not be
+    modified after :attr:`sorted_pairs` is first read, which caches its
+    order.
     """
 
     counts: np.ndarray
@@ -64,6 +71,23 @@ class HalfspaceProbTable:
 
     def prob(self, a1: int, a2: int) -> Fraction:
         return Fraction(int(self.counts[a1, a2]), self.n)
+
+    @cached_property
+    def sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Off-diagonal ordered pairs ``(a1, a2)`` as two index arrays,
+        ascending by count, equal counts in row-major order.
+
+        Sorted once per table and shared by every query against it. The
+        key is cast to the narrowest dtype that holds n, so numpy's stable
+        sort runs as a radix sort on the usual sample sizes.
+        """
+        n_anchors = len(self.counts)
+        key = self.counts.astype(np.min_scalar_type(self.n)).ravel()
+        order = np.argsort(key, kind="stable").astype(np.min_scalar_type(key.size))
+        a1, a2 = np.divmod(order, n_anchors)
+        off_diagonal = a1 != a2
+        index = np.min_scalar_type(n_anchors)
+        return a1[off_diagonal].astype(index), a2[off_diagonal].astype(index)
 
 
 @dataclass(frozen=True)
@@ -110,53 +134,39 @@ def _prob_counts(dist_sample_anchors: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _min_count_values(counts: np.ndarray, dist_query_anchors: np.ndarray) -> np.ndarray:
-    """Per-query minimum table count over admissible ordered anchor pairs.
-
-    Diagonal pairs stay in: counts[a, a] = n, which never undercuts a real
-    admissible pair and doubles as the empty-set convention (depth 1).
-    """
-    n_queries, n_anchors = dist_query_anchors.shape
-    sentinel = np.int32(counts[0, 0] + 1)  # diagonal value is n
-    best = np.empty(n_queries, dtype=np.int32)
-    block = max(1, _CHUNK_ELEMS // max(n_anchors * n_anchors, 1))
-    for lo in range(0, n_queries, block):
-        hi = min(lo + block, n_queries)
-        dq = dist_query_anchors[lo:hi]
-        admissible = dq[:, :, None] <= dq[:, None, :]
-        np.min(np.where(admissible, counts[None, :, :], sentinel),
-               axis=(1, 2), out=best[lo:hi])
-    return best
-
-
-def _min_counts(counts: np.ndarray, n: int, dist_query_anchors: np.ndarray):
-    """Like :func:`_min_count_values` but also reporting a minimizing pair.
+def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
+    """Per-query least table count over admissible ordered anchor pairs.
 
     A pair (a1, a2) is admissible for query y when d(y, a1) <= d(y, a2) and
-    a1 != a2. An empty admissible set yields count n (depth 1 by
-    convention) and indices -1.
+    a1 != a2. Queries scan ``table.sorted_pairs`` in blocks that double in
+    length, and each retires at its first admissible pair: the least count,
+    and among equal counts the first pair in row-major order, which is the
+    pair an argmin over the masked, flattened table would return. An empty
+    admissible set yields count n (depth 1 by convention) and indices -1.
+    Returns ``(counts, a1, a2)``, one entry per query.
     """
-    n_queries, n_anchors = dist_query_anchors.shape
-    sentinel = np.int32(n + 1)
-    best = np.empty(n_queries, dtype=np.int64)
-    best_a1 = np.empty(n_queries, dtype=np.int64)
-    best_a2 = np.empty(n_queries, dtype=np.int64)
-    diag = np.eye(n_anchors, dtype=bool)
-    block = max(1, _CHUNK_ELEMS // max(n_anchors * n_anchors, 1))
-    for lo in range(0, n_queries, block):
-        hi = min(lo + block, n_queries)
-        dq = dist_query_anchors[lo:hi]
-        admissible = dq[:, :, None] <= dq[:, None, :]
-        admissible &= ~diag
-        candidate = np.where(admissible, counts[None, :, :], sentinel)
-        flat = candidate.reshape(hi - lo, -1)
-        arg = flat.argmin(axis=1)
-        best[lo:hi] = flat[np.arange(hi - lo), arg]
-        best_a1[lo:hi], best_a2[lo:hi] = np.unravel_index(arg, (n_anchors, n_anchors))
-    empty = best == n + 1
-    best[empty] = n
-    best_a1[empty] = -1
-    best_a2[empty] = -1
+    a1s, a2s = table.sorted_pairs
+    n_queries = len(dist_query_anchors)
+    best = np.full(n_queries, table.n, dtype=np.int64)
+    best_a1 = np.full(n_queries, -1, dtype=np.int64)
+    best_a2 = np.full(n_queries, -1, dtype=np.int64)
+    active = np.arange(n_queries)
+    dist = dist_query_anchors
+    lo, block = 0, len(table.counts)
+    while len(active) and lo < len(a1s):
+        # Each float64 gather stays under _CHUNK_ELEMS bytes.
+        step = max(1, min(block, _CHUNK_ELEMS // 8 // len(active)))
+        hi = min(lo + step, len(a1s))
+        admissible = np.take(dist, a1s[lo:hi], axis=1) <= np.take(dist, a2s[lo:hi], axis=1)
+        hit = admissible.any(axis=1)
+        if hit.any():
+            first = lo + admissible[hit].argmax(axis=1)
+            done = active[hit]
+            best_a1[done] = a1s[first]
+            best_a2[done] = a2s[first]
+            best[done] = table.counts[best_a1[done], best_a2[done]]
+            active, dist = active[~hit], dist[~hit]
+        lo, block = hi, 2 * block
     return best, best_a1, best_a2
 
 
@@ -190,7 +200,7 @@ def approx_depth(
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
     dist_q = space.distance_matrix(queries, anchor_points)
-    nums, a1, a2 = _min_counts(table.counts, table.n, dist_q)
+    nums, a1, a2 = _min_counts(table, dist_q)
     n = table.n
     return [
         DepthReport(query_index=j, depth_num=int(nums[j]), depth_den=n,
@@ -296,7 +306,7 @@ def refine_deepest(
 
     def depth_of(point):
         dist = space.distance_matrix([point], anchor_points)
-        return int(_min_count_values(table.counts, dist)[0])
+        return int(_min_counts(table, dist)[0][0])
 
     current = start
     current_num = depth_of(current)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .depth import _min_count_values, _prob_counts
+from .depth import HalfspaceProbTable, _min_counts, _prob_counts
 from .errors import DataError
 from .rng import NS_PERMUTATION, derive_rng
 from .spaces import Space
@@ -66,8 +66,8 @@ def _depth_counts(dist_pool: np.ndarray, reference_idx: np.ndarray) -> np.ndarra
     """Depth counts of every pooled observation w.r.t. one reference group,
     all read off a precomputed pooled distance matrix."""
     sub = dist_pool[np.ix_(reference_idx, reference_idx)]
-    counts = _prob_counts(sub)
-    return _min_count_values(counts, dist_pool[:, reference_idx])
+    table = HalfspaceProbTable(counts=_prob_counts(sub), n=len(reference_idx))
+    return _min_counts(table, dist_pool[:, reference_idx])[0]
 
 
 def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.ndarray:

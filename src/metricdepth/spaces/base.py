@@ -91,9 +91,6 @@ class Space(ABC):
     def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
         pass
 
-    def zero_tangent(self, x) -> TangentVector:
-        return self.tangent_from_coords(x, np.zeros(self.intrinsic_dim))
-
     def random_tangent(self, x, scatter, rng: np.random.Generator) -> TangentVector:
         """Zero-mean Gaussian tangent vector in the orthonormal chart at ``x``.
 
@@ -114,9 +111,6 @@ class Space(ABC):
         for wi, p in zip(w, points):
             acc += wi * self.tangent_coords(self.log(x, p))
         return self.tangent_from_coords(x, acc)
-
-    def points_equal(self, x, y, tol: float = 1e-12) -> bool:
-        return self.distance(x, y) <= tol
 
     @abstractmethod
     def encode_point(self, x) -> str:

@@ -1,0 +1,166 @@
+"""The sorted early-exit query kernel against a dense brute-force reference.
+
+``dense_min_counts`` is the masked argmin over the row-major flattened
+table that the kernel replaces; every check demands equal counts and
+equal minimizing anchor pairs, tie-break included.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from metricdepth import depth, inference
+from metricdepth.depth import (
+    HalfspaceProbTable,
+    _min_counts,
+    _prob_counts,
+    approx_depth,
+    halfspace_prob_table,
+    in_sample_deepest,
+    jiggle_anchors,
+    refine_deepest,
+)
+from metricdepth.spaces import Euclidean, Sphere
+
+from conftest import random_points
+
+
+def dense_min_counts(counts, n, dist_query_anchors):
+    """Least count over admissible off-diagonal pairs by a masked argmin;
+    count n and anchors -1 when no pair is admissible."""
+    n_queries, n_anchors = dist_query_anchors.shape
+    dq = dist_query_anchors
+    admissible = dq[:, :, None] <= dq[:, None, :]
+    admissible &= ~np.eye(n_anchors, dtype=bool)
+    flat = np.where(admissible, counts[None, :, :], n + 1).reshape(n_queries, n_anchors**2)
+    arg = flat.argmin(axis=1)
+    best = flat[np.arange(n_queries), arg].astype(np.int64)
+    a1, a2 = np.unravel_index(arg, (n_anchors, n_anchors))
+    empty = best == n + 1
+    return np.where(empty, n, best), np.where(empty, -1, a1), np.where(empty, -1, a2)
+
+
+def assert_same(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w), (got, want)
+
+
+def line_space(values):
+    space = Euclidean(1)
+    return space, [space.validate_point([float(v)]) for v in values]
+
+
+@st.composite
+def tables_and_distances(draw):
+    """Arbitrary tables with few distinct counts and few distinct distances,
+    so that both the sort key and the admissibility test tie heavily."""
+    n = draw(st.integers(1, 6))
+    n_anchors = draw(st.integers(1, 7))
+    n_queries = draw(st.integers(0, 6))
+    counts = draw(hnp.arrays(np.int32, (n_anchors, n_anchors),
+                             elements=st.integers(0, min(n, 2))))
+    np.fill_diagonal(counts, n)
+    dist = draw(hnp.arrays(np.float64, (n_queries, n_anchors),
+                           elements=st.sampled_from([0.0, 1.0, 2.0])))
+    return HalfspaceProbTable(counts=counts, n=n), dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_distances())
+def test_kernel_matches_dense_on_tied_tables(case):
+    table, dist = case
+    assert_same(_min_counts(table, dist), dense_min_counts(table.counts, table.n, dist))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_and_distances(), st.integers(8, 64))
+def test_kernel_matches_dense_with_one_pair_blocks(case, cap):
+    # A tiny element cap forces blocks of a pair or a few pairs per query.
+    table, dist = case
+    saved = depth._CHUNK_ELEMS
+    depth._CHUNK_ELEMS = cap
+    try:
+        got = _min_counts(table, dist)
+    finally:
+        depth._CHUNK_ELEMS = saved
+    assert_same(got, dense_min_counts(table.counts, table.n, dist))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=9),
+    st.lists(st.integers(-4, 4), min_size=0, max_size=4),
+)
+def test_real_tables_with_duplicate_anchors_and_anchor_queries(values, extra):
+    # Integer points on a line repeat, so anchors duplicate and distances
+    # tie; the sample itself is queried, so queries equal anchors.
+    space, sample = line_space(values)
+    _, others = line_space(extra)
+    queries = sample + others
+    table = halfspace_prob_table(space, sample, sample)
+    dist = space.distance_matrix(queries, sample)
+    want = dense_min_counts(table.counts, table.n, dist)
+    reports = approx_depth(space, sample, sample, queries, table=table)
+    got = tuple(np.array([getattr(r, f) for r in reports], dtype=np.int64)
+                for f in ("depth_num", "anchor1", "anchor2"))
+    assert_same(got, want)
+
+
+def test_single_anchor_gives_full_count_and_no_pair():
+    space, sample = line_space([0, 1, 5])
+    anchor = sample[:1]
+    table = halfspace_prob_table(space, sample, anchor)
+    dist = space.distance_matrix(sample, anchor)
+    assert_same(_min_counts(table, dist), (np.full(3, 3), np.full(3, -1), np.full(3, -1)))
+    assert_same(_min_counts(table, dist), dense_min_counts(table.counts, table.n, dist))
+
+
+def test_two_anchors_pick_the_near_side():
+    space, sample = line_space([0, 1, 2, 10])
+    anchors = [sample[0], sample[3]]
+    queries = line_space([-1, 5, 11])[1]
+    table = halfspace_prob_table(space, sample, anchors)
+    dist = space.distance_matrix(queries, anchors)
+    got = _min_counts(table, dist)
+    assert_same(got, dense_min_counts(table.counts, table.n, dist))
+    # counts[0, 1] = 3 (0, 1, 2 are nearer 0); counts[1, 0] = 1 (only 10).
+    # y = 5 is equidistant, so both pairs are admissible and (1, 0) wins.
+    assert_same(got, ([3, 1, 1], [0, 1, 1], [1, 0, 0]))
+
+
+def test_sort_is_cached_per_table():
+    space, sample = line_space([0, 1, 2, 4])
+    table = halfspace_prob_table(space, sample, sample)
+    assert table.sorted_pairs is table.sorted_pairs
+    a1, a2 = table.sorted_pairs
+    assert len(a1) == 4 * 3 and not np.any(a1 == a2)
+    keys = table.counts[a1, a2].astype(np.int64) * 16 + a1.astype(np.int64) * 4 + a2
+    assert np.all(np.diff(keys) > 0)
+
+
+def dense_kernel(table, dist):
+    return tuple(np.asarray(a) for a in dense_min_counts(table.counts, table.n, dist))
+
+
+def test_refine_deepest_matches_dense_reference(rng, monkeypatch):
+    space = Euclidean(2)
+    sample = random_points(space, 25, rng)
+    anchors = jiggle_anchors(space, sample, 2, seed=3)
+    table = halfspace_prob_table(space, sample, anchors)
+    start, _, _ = in_sample_deepest(space, sample, anchors, table=table)
+    got = refine_deepest(space, sample, anchors, start, budget=40, seed=5, table=table)
+    monkeypatch.setattr(depth, "_min_counts", dense_kernel)
+    want = refine_deepest(space, sample, anchors, start, budget=40, seed=5, table=table)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_permutation_depth_counts_match_dense_reference(rng):
+    space = Sphere(2)
+    pool = random_points(space, 24, rng)
+    dist = space.distance_matrix(pool, pool)
+    for _ in range(5):
+        reference = rng.permutation(24)[:8]
+        counts = _prob_counts(dist[np.ix_(reference, reference)])
+        want = dense_min_counts(counts, len(reference), dist[:, reference])[0]
+        assert np.array_equal(inference._depth_counts(dist, reference), want)
