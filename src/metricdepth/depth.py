@@ -218,6 +218,13 @@ def median_pairwise_distance(space: Space, sample: Sequence) -> float:
     return float(np.median(dist[iu]))
 
 
+def _check_radius_frac(radius_frac: float) -> None:
+    # A negative fraction would jiggle like its absolute value but stop
+    # refinement; NaN would yield NaN anchors.
+    if not (radius_frac >= 0 and np.isfinite(radius_frac)):
+        raise GeometryError(f"radius_frac must be finite and >= 0, got {radius_frac}")
+
+
 def jiggle_anchors(
     space: Space,
     sample: Sequence,
@@ -238,6 +245,7 @@ def jiggle_anchors(
         raise GeometryError("sample must be non-empty")
     if k < 0:
         raise GeometryError("jiggle count must be >= 0")
+    _check_radius_frac(radius_frac)
     points = list(sample)
     provenance = [("sample", i) for i in range(len(sample))]
     if k > 0:
@@ -300,6 +308,7 @@ def refine_deepest(
     sample = tuple(sample)
     if budget < 0:
         raise GeometryError("budget must be >= 0")
+    _check_radius_frac(radius_frac)
     anchor_points = _as_points(anchors)
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)

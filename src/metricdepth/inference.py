@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .depth import HalfspaceProbTable, _min_counts, _prob_counts
 from .errors import DataError
@@ -62,6 +61,21 @@ class TestResult:
     depth_ranks: np.ndarray = field(repr=False)
 
 
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ranks from 1, tied values sharing the mean of their ranks,
+    and the size of each tie group in ascending order of value."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.r_[starts, len(values)])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(starts + 0.5 * (sizes + 1), sizes)
+    return ranks, sizes
+
+
 def _depth_counts(dist_pool: np.ndarray, reference_idx: np.ndarray) -> np.ndarray:
     """Depth counts of every pooled observation w.r.t. one reference group,
     all read off a precomputed pooled distance matrix."""
@@ -81,7 +95,7 @@ def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.
     pool = reference + evaluate_on
     dist = space.distance_matrix(pool, pool)
     nums = _depth_counts(dist, np.arange(len(reference)))
-    return rankdata(nums[len(reference):])
+    return _average_ranks(nums[len(reference):])[0]
 
 
 def wilcoxon_depth_test(
@@ -113,7 +127,7 @@ def wilcoxon_depth_test(
     def rank_sum(order: np.ndarray) -> tuple[float, np.ndarray]:
         # Depth counts (and hence ranks) are indexed by pooled position;
         # the permuted second group is order[n1:].
-        ranks = rankdata(_depth_counts(dist, order[:n1]))
+        ranks = _average_ranks(_depth_counts(dist, order[:n1]))[0]
         return float(np.sum(ranks[order[n1:]])), ranks
 
     identity = np.arange(total)
@@ -141,12 +155,11 @@ def wilcoxon_depth_test(
 def _kw_statistic(values: np.ndarray, slices: list[np.ndarray]) -> float:
     """Classical Kruskal-Wallis H with tie correction; 0 when all tied."""
     total = len(values)
-    ranks = rankdata(values)
+    ranks, tie_counts = _average_ranks(values)
     mean_rank = (total + 1) / 2.0
     h = 12.0 / (total * (total + 1)) * sum(
         len(idx) * (ranks[idx].mean() - mean_rank) ** 2 for idx in slices
     )
-    _, tie_counts = np.unique(values, return_counts=True)
     correction = 1.0 - np.sum(tie_counts**3 - tie_counts) / (total**3 - total)
     if correction <= 0.0:
         return 0.0
@@ -201,7 +214,7 @@ def kruskal_wallis_depth_test(
         if stat >= observed:
             hits += 1
     p_value = (1 + hits) / (1 + n_permutations)
-    observed_ranks = np.vstack([rankdata(row) for row in observed_counts])
+    observed_ranks = np.vstack([_average_ranks(row)[0] for row in observed_counts])
     return TestResult(
         test="kruskal-wallis",
         statistic=observed,

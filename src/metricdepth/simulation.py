@@ -103,6 +103,8 @@ class SimulationConfig:
             raise DataError("reps must be >= 1")
         if not 0.0 <= self.contamination < 1.0:
             raise DataError("contamination fraction must lie in [0, 1)")
+        if not (self.radius_frac >= 0 and np.isfinite(self.radius_frac)):
+            raise DataError(f"radius_frac must be finite and >= 0, got {self.radius_frac}")
         if not self.estimators:
             raise DataError("estimator list must be non-empty")
         unknown = set(self.estimators) - set(ESTIMATORS)

@@ -6,6 +6,11 @@ interpolation, point validation, tangent sampling, and CSV point encoding.
 Concrete geometries live in sibling modules; all of them are immutable and
 all operations are pure functions of their inputs (RNG state is passed in
 explicitly).
+
+Each geometry has one distance implementation, :meth:`Space.distance_matrix`;
+:meth:`Space.distance` is its single-pair entry. Depth counts are exact
+because every comparison ``d(X_i, a1) <= d(X_i, a2)`` sees the same float
+whichever path computed it, so no geometry overrides ``distance``.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ class Space(ABC):
         """All pairwise distances, shape ``(len(xs), len(ys))``."""
 
     def distance(self, x, y) -> float:
+        """Distance of one pair, read off :meth:`distance_matrix`."""
         return float(self.distance_matrix([x], [y])[0, 0])
 
     @abstractmethod
@@ -100,17 +106,13 @@ class Space(ABC):
         z = gaussian_chart_sample(scatter, self.intrinsic_dim, rng)
         return self.tangent_from_coords(x, z)
 
+    @abstractmethod
     def mean_log(self, x, points: Sequence, weights=None) -> TangentVector:
         """Weighted mean of ``log(x, p)`` over ``points`` (weights normalized).
 
         This is the update direction of intrinsic gradient-descent and
         Weiszfeld iterations.
         """
-        w = _normalized_weights(weights, len(points))
-        acc = np.zeros(self.intrinsic_dim)
-        for wi, p in zip(w, points):
-            acc += wi * self.tangent_coords(self.log(x, p))
-        return self.tangent_from_coords(x, acc)
 
     @abstractmethod
     def encode_point(self, x) -> str:

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import GeometryError, PointValidationError
-from .base import Space, TangentVector, readonly
+from .base import Space, TangentVector, _normalized_weights, readonly
 
 
 @dataclass(frozen=True, repr=False)
@@ -43,22 +42,27 @@ class Euclidean(Space):
         return np.asarray(points, dtype=float).reshape(len(points), self.dim)
 
     def distance_matrix(self, xs, ys):
-        return cdist(self._stack(xs), self._stack(ys))
-
-    def distance(self, x, y) -> float:
-        return float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
+        # Squared differences summed one coordinate at a time, in order, so
+        # every pair sees the same float operations whatever the matrix
+        # shape: the result is exactly symmetric with an exact zero
+        # diagonal, and bit-identical to scipy's cdist. A broadcast
+        # (n, m, dim) sum would round differently at dim >= 8 (numpy sums
+        # pairwise) and hold dim times the memory.
+        a = self._stack(xs)
+        b = self._stack(ys)
+        total = np.zeros((len(a), len(b)))
+        diff = np.empty_like(total)
+        for k in range(self.dim):
+            np.subtract.outer(a[:, k], b[:, k], out=diff)
+            np.multiply(diff, diff, out=diff)
+            total += diff
+        return np.sqrt(total, out=total)
 
     def exp(self, x, v: TangentVector):
         return readonly(np.asarray(x, float) + v.coords)
 
     def log(self, x, y) -> TangentVector:
         return TangentVector(base=x, coords=np.asarray(y, float) - np.asarray(x, float))
-
-    def geodesic_point(self, x, y, t: float):
-        if not 0.0 <= t <= 1.0:
-            raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
-        x = np.asarray(x, float)
-        return readonly(x + t * (np.asarray(y, float) - x))
 
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         return np.asarray(v.coords, dtype=float)
@@ -71,8 +75,6 @@ class Euclidean(Space):
         return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
 
     def mean_log(self, x, points, weights=None):
-        from .base import _normalized_weights
-
         w = _normalized_weights(weights, len(points))
         diff = self._stack(points) - np.asarray(x, float)
         return TangentVector(base=x, coords=w @ diff)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GeometryError, NumericalError, PointValidationError
-from .base import Space, TangentVector, readonly
+from .base import Space, TangentVector, _normalized_weights, readonly
 
 SYMMETRY_TOL = 1e-6
 # Eigenvalues of congruence-whitened products are clipped here before log;
@@ -176,8 +176,6 @@ class SPD(Space):
         return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
 
     def mean_log(self, x, points, weights=None):
-        from .base import _normalized_weights
-
         w = _normalized_weights(weights, len(points))
         root, inv_root = self.sqrt_and_inv_sqrt(x)
         whitened = _sym(np.einsum("ij,njk,kl->nil", inv_root, self._stack(points), inv_root))

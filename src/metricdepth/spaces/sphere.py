@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GeometryError, PointValidationError, UndefinedLogError
-from .base import ANTIPODAL_TOL, Space, TangentVector, readonly
+from .base import ANTIPODAL_TOL, Space, TangentVector, _normalized_weights, readonly
 
 UNIT_NORM_TOL = 1e-6
 
@@ -114,8 +114,6 @@ class Sphere(Space):
         return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
 
     def mean_log(self, x, points, weights=None):
-        from .base import _normalized_weights
-
         w = _normalized_weights(weights, len(points))
         x = np.asarray(x, float)
         pts = self._stack(points)

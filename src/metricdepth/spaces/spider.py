@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GeometryError, PointValidationError
-from .base import Space, TangentVector
+from .base import Space, TangentVector, _normalized_weights
 
 BRANCHES = (1, 2, 3)
 
@@ -88,11 +88,6 @@ class Spider3(Space):
         same = ba[:, None] == bb[None, :]
         return np.where(same, np.abs(ra[:, None] - rb[None, :]), ra[:, None] + rb[None, :])
 
-    def distance(self, x, y) -> float:
-        if x.branch == y.branch:
-            return abs(x.radius - y.radius)
-        return x.radius + y.radius
-
     def exp(self, x, v: TangentVector):
         step = v.coords
         if x.radius == 0.0:
@@ -151,8 +146,6 @@ class Spider3(Space):
         mean step crosses the origin (or the base is the origin), the
         continuation branch is the one with maximal weighted pull.
         """
-        from .base import _normalized_weights
-
         w = _normalized_weights(weights, len(points))
         radii, branches = self._stack(points)
         pull = {b: float(np.sum(w[branches == b] * radii[branches == b])) for b in BRANCHES}

@@ -199,6 +199,13 @@ def test_jiggle_needs_scale():
         jiggle_anchors(space, pts, 2, radius_frac=0.1)
 
 
+@pytest.mark.parametrize("radius_frac", [-0.1, float("nan"), float("inf")])
+def test_jiggle_rejects_bad_radius_frac(radius_frac):
+    space, pts = points_1d([1, 2, 3])
+    with pytest.raises(GeometryError, match="radius_frac"):
+        jiggle_anchors(space, pts, 2, radius_frac=radius_frac)
+
+
 # ----------------------------------------------------------- deepest point
 
 def test_in_sample_deepest_three_points():
@@ -233,6 +240,13 @@ def test_refine_never_loses_depth(rng):
     start, depth, _ = in_sample_deepest(space, pts, anchors)
     _, refined = refine_deepest(space, pts, anchors, start, budget=50, seed=1)
     assert refined >= depth
+
+
+@pytest.mark.parametrize("radius_frac", [-0.1, float("nan"), float("inf")])
+def test_refine_rejects_bad_radius_frac(radius_frac):
+    space, pts = points_1d([1, 2, 3, 4])
+    with pytest.raises(GeometryError, match="radius_frac"):
+        refine_deepest(space, pts, pts, pts[1], budget=5, radius_frac=radius_frac)
 
 
 def test_refine_respects_depth_ceiling():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from scipy.stats import ortho_group
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.stats import ortho_group, rankdata
 
 from metricdepth.errors import DataError
 from metricdepth.inference import (
     GroupedSample,
+    _average_ranks,
     depth_ranks,
     kruskal_wallis_depth_test,
     wilcoxon_depth_test,
@@ -27,6 +30,18 @@ def sphere_groups(n_groups, n_per_group, seed):
         tuple(sample_population(spec, n_per_group, seed=seed * 100 + g))
         for g in range(n_groups)
     ]
+
+
+# ------------------------------------------------------------ average ranks
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
+@example([7])
+@example([3] * 25)
+def test_average_ranks_match_scipy(values):
+    values = np.array(values)
+    ranks, tie_sizes = _average_ranks(values)
+    assert np.array_equal(ranks, rankdata(values))
+    assert np.array_equal(tie_sizes, np.unique(values, return_counts=True)[1])
 
 
 # -------------------------------------------------------------- depth ranks

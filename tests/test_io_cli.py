@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import metricdepth
 from metricdepth.cli import main
 from metricdepth.depth import DepthReport, approx_depth
 from metricdepth.errors import DataError
@@ -348,3 +351,16 @@ def test_exit_codes_via_subprocess(tmp_path):
     usage = subprocess.run([sys.executable, "-m", "metricdepth.cli", "depth"],
                            capture_output=True, text=True)
     assert usage.returncode == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: the library and the CLI must run
+    # on numpy and click alone.
+    code = ("import sys, metricdepth, metricdepth.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(metricdepth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -101,6 +101,9 @@ def test_config_validation():
         config(contamination=1.0)
     with pytest.raises(DataError):
         config(estimators=("bogus",))
+    for radius_frac in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(DataError, match="radius_frac"):
+            config(radius_frac=radius_frac)
 
 
 # ------------------------------------------------------------- the harness

@@ -68,10 +68,23 @@ def test_distance_matrix_matches_scalar(rng):
         mat = space.distance_matrix(pts, pts)
         for i in range(6):
             for j in range(6):
-                assert mat[i, j] == pytest.approx(space.distance(pts[i], pts[j]), abs=1e-12)
+                assert mat[i, j] == space.distance(pts[i], pts[j])
         assert np.allclose(mat, mat.T, atol=1e-12)
         assert np.all(mat >= 0)
         assert np.allclose(np.diag(mat), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8, 12, 30, 100])
+def test_euclidean_distance_matrix_matches_cdist_bitwise(dim, rng):
+    # Inputs span seven orders of magnitude; at dim >= 8 a pairwise
+    # (numpy sum) reduction would round differently from cdist's loop.
+    from scipy.spatial.distance import cdist
+
+    a = rng.standard_normal((40, dim)) * 10.0 ** rng.uniform(-3, 4, (40, 1))
+    b = rng.standard_normal((30, dim)) * 10.0 ** rng.uniform(-3, 4, (30, 1))
+    space = Euclidean(dim)
+    assert np.array_equal(space.distance_matrix(list(a), list(b)), cdist(a, b))
+    assert np.array_equal(space.distance_matrix(list(a), list(a)), cdist(a, a))
 
 
 def test_triangle_inequality(rng):
