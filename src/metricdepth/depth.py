@@ -7,6 +7,16 @@ halfspaces anchored at a finite anchor set gives a computable upper bound
 that tightens as anchors densify. With anchors equal to the n sample
 points, evaluating m queries costs O(m n^2 + n^3) distance comparisons:
 an n x n_A distance matrix feeds an n_A x n_A table of halfspace masses.
+Membership only compares two distances from the same sample point, so the
+table is built from per-row dense rank codes rather than the distances:
+equal distances share a code and each row keeps its order, so every
+comparison, and hence every count, is exact. Codes take the narrowest
+unsigned dtype that holds n_A - 1 (uint8 up to 256 anchors); member flags
+are summed as uint8 over chunks of at most 255 sample rows, then added
+into the int32 table. A column subset of a row's codes keeps that row's
+order and ties, so the permutation tests rank their pooled distance
+matrix once and read every reference group's table off it. A NaN
+distance has no place in that order and is rejected.
 The table's off-diagonal ordered pairs are sorted once by (count,
 row-major index); each query scans them in that order and stops at its
 first admissible pair, so its work grows with the number of pairs whose
@@ -122,15 +132,41 @@ def halfspace_membership(space: Space, y, x1, x2) -> bool:
     return space.distance(y, x1) <= space.distance(y, x2)
 
 
-def _prob_counts(dist_sample_anchors: np.ndarray) -> np.ndarray:
-    """Table of halfspace member counts from an (n, n_A) distance matrix."""
-    n, n_anchors = dist_sample_anchors.shape
-    counts = np.empty((n_anchors, n_anchors), dtype=np.int32)
-    block = max(1, _CHUNK_ELEMS // max(n * n_anchors, 1))
+def _row_ranks(dist: np.ndarray) -> np.ndarray:
+    """Dense per-row ranks of an (n, n_A) matrix, as the narrowest unsigned
+    integer dtype that holds n_A - 1.
+
+    Equal entries share a rank and the order within each row is kept, so
+    ``<=`` between two entries of a row has the same truth value on the
+    ranks. NaN has no such rank; callers reject it first.
+    """
+    code = np.min_scalar_type(dist.shape[1] - 1)
+    order = np.argsort(dist, axis=1)
+    ordered = np.take_along_axis(dist, order, axis=1)
+    step = np.zeros(dist.shape, dtype=code)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=step[:, 1:])
+    ranks = np.empty_like(step)
+    np.put_along_axis(ranks, order, np.cumsum(step, axis=1, dtype=code), axis=1)
+    return ranks
+
+
+def _prob_counts(codes: np.ndarray) -> np.ndarray:
+    """Table of halfspace member counts from an (n, n_A) matrix of distances
+    or of any per-row order-preserving codes, such as :func:`_row_ranks`.
+
+    Only entries of one row are compared. Sample rows are taken in chunks
+    of at most 255, so each chunk's member count fits a uint8 sum.
+    """
+    n, n_anchors = codes.shape
+    counts = np.zeros((n_anchors, n_anchors), dtype=np.int32)
+    rows = min(n, 255)
+    block = max(1, _CHUNK_ELEMS // max(rows * n_anchors, 1))
     for lo in range(0, n_anchors, block):
         hi = min(lo + block, n_anchors)
-        member = dist_sample_anchors[:, lo:hi, None] <= dist_sample_anchors[:, None, :]
-        counts[lo:hi] = member.sum(axis=0, dtype=np.int32)
+        for start in range(0, n, rows):
+            chunk = codes[start:start + rows]
+            member = chunk[:, lo:hi, None] <= chunk[:, None, :]
+            counts[lo:hi] += member.view(np.uint8).sum(axis=0, dtype=np.uint8)
     return counts
 
 
@@ -138,7 +174,9 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
     """Per-query least table count over admissible ordered anchor pairs.
 
     A pair (a1, a2) is admissible for query y when d(y, a1) <= d(y, a2) and
-    a1 != a2. Queries scan ``table.sorted_pairs`` in blocks that double in
+    a1 != a2. ``dist_query_anchors`` holds distances or any per-row
+    order-preserving codes of them, since only entries of one row are
+    compared. Queries scan ``table.sorted_pairs`` in blocks that double in
     length, and each retires at its first admissible pair: the least count,
     and among equal counts the first pair in row-major order, which is the
     pair an argmin over the masked, flattened table would return. An empty
@@ -154,7 +192,7 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
     dist = dist_query_anchors
     lo, block = 0, len(table.counts)
     while len(active) and lo < len(a1s):
-        # Each float64 gather stays under _CHUNK_ELEMS bytes.
+        # Each gather, float64 at widest, stays under _CHUNK_ELEMS bytes.
         step = max(1, min(block, _CHUNK_ELEMS // 8 // len(active)))
         hi = min(lo + step, len(a1s))
         admissible = np.take(dist, a1s[lo:hi], axis=1) <= np.take(dist, a2s[lo:hi], axis=1)
@@ -177,7 +215,9 @@ def halfspace_prob_table(space: Space, sample: Sequence, anchors) -> HalfspacePr
         raise GeometryError("sample must be non-empty")
     anchor_points = _as_points(anchors)
     dist = space.distance_matrix(sample, anchor_points)
-    return HalfspaceProbTable(counts=_prob_counts(dist), n=len(sample))
+    if np.isnan(dist).any():
+        raise GeometryError("sample-anchor distance matrix contains NaN")
+    return HalfspaceProbTable(counts=_prob_counts(_row_ranks(dist)), n=len(sample))
 
 
 def approx_depth(

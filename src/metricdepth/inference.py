@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .depth import HalfspaceProbTable, _min_counts, _prob_counts
+from .depth import HalfspaceProbTable, _min_counts, _prob_counts, _row_ranks
 from .errors import DataError
 from .rng import NS_PERMUTATION, derive_rng
 from .spaces import Space
@@ -76,12 +76,24 @@ def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, sizes
 
 
-def _depth_counts(dist_pool: np.ndarray, reference_idx: np.ndarray) -> np.ndarray:
+def _pooled_codes(space: Space, pool: tuple) -> np.ndarray:
+    """Per-row rank codes of the pooled distance matrix, ranked once per test.
+
+    Any column subset of a row keeps that row's order and ties, so every
+    reference group's table and queries can be read off these codes.
+    """
+    dist = space.distance_matrix(pool, pool)
+    if np.isnan(dist).any():
+        raise DataError("pooled distance matrix contains NaN")
+    return _row_ranks(dist)
+
+
+def _depth_counts(codes_pool: np.ndarray, reference_idx: np.ndarray) -> np.ndarray:
     """Depth counts of every pooled observation w.r.t. one reference group,
-    all read off a precomputed pooled distance matrix."""
-    sub = dist_pool[np.ix_(reference_idx, reference_idx)]
+    all read off the pooled distances or their per-row rank codes."""
+    sub = codes_pool[np.ix_(reference_idx, reference_idx)]
     table = HalfspaceProbTable(counts=_prob_counts(sub), n=len(reference_idx))
-    return _min_counts(table, dist_pool[:, reference_idx])[0]
+    return _min_counts(table, codes_pool[:, reference_idx])[0]
 
 
 def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.ndarray:
@@ -92,9 +104,8 @@ def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.
         raise DataError("reference sample must be non-empty")
     if len(evaluate_on) == 0:
         return np.array([])
-    pool = reference + evaluate_on
-    dist = space.distance_matrix(pool, pool)
-    nums = _depth_counts(dist, np.arange(len(reference)))
+    codes = _pooled_codes(space, reference + evaluate_on)
+    nums = _depth_counts(codes, np.arange(len(reference)))
     return _average_ranks(nums[len(reference):])[0]
 
 
@@ -120,14 +131,13 @@ def wilcoxon_depth_test(
         raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
     n1, n2 = len(g1), len(g2)
     total = n1 + n2
-    pool = g1 + g2
-    dist = space.distance_matrix(pool, pool)
+    codes = _pooled_codes(space, g1 + g2)
     center = n2 * (total + 1) / 2.0
 
     def rank_sum(order: np.ndarray) -> tuple[float, np.ndarray]:
         # Depth counts (and hence ranks) are indexed by pooled position;
         # the permuted second group is order[n1:].
-        ranks = _average_ranks(_depth_counts(dist, order[:n1]))[0]
+        ranks = _average_ranks(_depth_counts(codes, order[:n1]))[0]
         return float(np.sum(ranks[order[n1:]])), ranks
 
     identity = np.arange(total)
@@ -189,7 +199,7 @@ def kruskal_wallis_depth_test(
         raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
     pool = groups.pooled()
     total = len(pool)
-    dist = space.distance_matrix(pool, pool)
+    codes = _pooled_codes(space, pool)
     bounds = np.cumsum((0,) + sizes)
     member_slices = [np.arange(bounds[g], bounds[g + 1]) for g in range(len(sizes))]
 
@@ -200,7 +210,7 @@ def kruskal_wallis_depth_test(
         stat = 0.0
         permuted_slices = [order[s] for s in member_slices]
         for g in range(len(sizes)):
-            counts = _depth_counts(dist, permuted_slices[g])
+            counts = _depth_counts(codes, permuted_slices[g])
             all_counts[g] = counts
             stat += _kw_statistic(counts, permuted_slices)
         return stat, all_counts

@@ -1,0 +1,117 @@
+"""The rank-code table kernel against a brute-force float comparison.
+
+``brute_counts`` compares the distances themselves, as the halfspace
+definition reads; every check demands equal integer tables. Distances are
+drawn from a few values, ``0.0``, ``-0.0`` and ``inf`` among them, so rows
+tie heavily, and sizes straddle the 255-row uint8 chunk and the 256-anchor
+switch of the code dtype from uint8 to uint16.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metricdepth import inference
+from metricdepth.depth import _prob_counts, _row_ranks, halfspace_prob_table
+from metricdepth.errors import DataError, GeometryError
+from metricdepth.inference import depth_ranks, kruskal_wallis_depth_test, wilcoxon_depth_test
+
+from test_query_kernel import dense_min_counts
+
+VALUES = [0.0, -0.0, 0.5, 1.0, 2.0, np.inf]
+
+
+def brute_counts(dist):
+    return (dist[:, :, None] <= dist[:, None, :]).sum(axis=0)
+
+
+@st.composite
+def tied_distances(draw, sizes, anchor_counts):
+    """An (n, n_A) matrix whose entries come from a small palette."""
+    n = draw(sizes)
+    n_anchors = draw(anchor_counts)
+    palette = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(palette), size=(n, n_anchors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_distances(st.integers(1, 12), st.integers(1, 12)))
+def test_codes_order_like_distances(dist):
+    codes = _row_ranks(dist)
+    assert codes.dtype == np.min_scalar_type(dist.shape[1] - 1)
+    assert np.array_equal(codes[:, :, None] <= codes[:, None, :],
+                          dist[:, :, None] <= dist[:, None, :])
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_distances(st.sampled_from([1, 2, 254, 255, 256, 257, 510, 511, 512]),
+                      st.integers(1, 6)))
+def test_table_across_the_row_chunk_boundary(dist):
+    assert np.array_equal(_prob_counts(_row_ranks(dist)), brute_counts(dist))
+
+
+@settings(max_examples=12, deadline=None)
+@given(tied_distances(st.sampled_from([3, 255, 256]), st.sampled_from([255, 256, 257, 258])))
+def test_table_across_the_code_dtype_switch(dist):
+    codes = _row_ranks(dist)
+    assert codes.dtype == (np.uint8 if dist.shape[1] <= 256 else np.uint16)
+    assert np.array_equal(_prob_counts(codes), brute_counts(dist))
+
+
+def test_single_anchor_table_is_n():
+    dist = np.array([[np.inf], [0.0], [-0.0], [3.0]])
+    assert _row_ranks(dist).tolist() == [[0]] * 4
+    assert _prob_counts(_row_ranks(dist)).tolist() == [[4]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pooled_codes_restrict_to_reference_exactly(data):
+    # One square pooled matrix, ranked once; the reference group is an
+    # arbitrary subset of its indices in arbitrary order.
+    total = data.draw(st.integers(2, 40))
+    dist = data.draw(tied_distances(st.just(total), st.just(total)))
+    codes = _row_ranks(dist)
+    size = data.draw(st.integers(1, total))
+    reference = np.array(data.draw(st.permutations(range(total)))[:size])
+    sub = dist[np.ix_(reference, reference)]
+    want_counts = brute_counts(sub)
+    assert np.array_equal(_prob_counts(codes[np.ix_(reference, reference)]), want_counts)
+    want = dense_min_counts(want_counts, len(reference), dist[:, reference])[0]
+    assert np.array_equal(inference._depth_counts(codes, reference), want)
+
+
+class FixedDistances:
+    """A stand-in space whose every distance matrix is one given matrix."""
+
+    def __init__(self, dist):
+        self.dist = np.asarray(dist, dtype=float)
+
+    def distance_matrix(self, xs, ys):
+        return self.dist[:len(xs), :len(ys)]
+
+
+def test_nan_distance_rejected_by_the_table():
+    space = FixedDistances([[0.0, np.nan], [1.0, 0.0]])
+    with pytest.raises(GeometryError, match="NaN"):
+        halfspace_prob_table(space, [0, 1], [0, 1])
+
+
+def test_infinite_distance_accepted_by_the_table():
+    space = FixedDistances([[0.0, np.inf, 1.0], [np.inf, 0.0, np.inf], [1.0, 2.0, 0.0]])
+    table = halfspace_prob_table(space, [0, 1, 2], [0, 1, 2])
+    assert np.array_equal(table.counts, brute_counts(space.dist))
+
+
+def test_nan_distance_rejected_by_the_permutation_tests():
+    dist = np.zeros((6, 6))
+    dist[4, 1] = np.nan
+    space = FixedDistances(dist)
+    with pytest.raises(DataError, match="NaN"):
+        depth_ranks(space, range(3), range(3))
+    with pytest.raises(DataError, match="NaN"):
+        wilcoxon_depth_test(space, range(3), range(3), n_permutations=99)
+    with pytest.raises(DataError, match="NaN"):
+        kruskal_wallis_depth_test(space, [range(2), range(2), range(2)], n_permutations=99)
