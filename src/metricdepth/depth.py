@@ -151,22 +151,23 @@ def _row_ranks(dist: np.ndarray) -> np.ndarray:
 
 
 def _prob_counts(codes: np.ndarray) -> np.ndarray:
-    """Table of halfspace member counts from an (n, n_A) matrix of distances
-    or of any per-row order-preserving codes, such as :func:`_row_ranks`.
+    """Table of halfspace member counts from an (..., n, n_A) stack of
+    distance matrices or of any per-row order-preserving codes, such as
+    :func:`_row_ranks`; leading axes are batch axes, one table each.
 
     Only entries of one row are compared. Sample rows are taken in chunks
     of at most 255, so each chunk's member count fits a uint8 sum.
     """
-    n, n_anchors = codes.shape
-    counts = np.zeros((n_anchors, n_anchors), dtype=np.int32)
+    *batch, n, n_anchors = codes.shape
+    counts = np.zeros((*batch, n_anchors, n_anchors), dtype=np.int32)
     rows = min(n, 255)
-    block = max(1, _CHUNK_ELEMS // max(rows * n_anchors, 1))
+    block = max(1, _CHUNK_ELEMS // max(int(np.prod(batch)) * rows * n_anchors, 1))
     for lo in range(0, n_anchors, block):
         hi = min(lo + block, n_anchors)
         for start in range(0, n, rows):
-            chunk = codes[start:start + rows]
-            member = chunk[:, lo:hi, None] <= chunk[:, None, :]
-            counts[lo:hi] += member.view(np.uint8).sum(axis=0, dtype=np.uint8)
+            chunk = codes[..., start:start + rows, :]
+            member = chunk[..., lo:hi, None] <= chunk[..., None, :]
+            counts[..., lo:hi, :] += member.view(np.uint8).sum(axis=-3, dtype=np.uint8)
     return counts
 
 
@@ -220,6 +221,15 @@ def halfspace_prob_table(space: Space, sample: Sequence, anchors) -> HalfspacePr
     return HalfspaceProbTable(counts=_prob_counts(_row_ranks(dist)), n=len(sample))
 
 
+def _query_distances(space: Space, queries: Sequence, anchor_points: tuple) -> np.ndarray:
+    # A NaN distance would read as never admissible, so the query would
+    # silently get depth 1 with no minimizing pair.
+    dist = space.distance_matrix(queries, anchor_points)
+    if np.isnan(dist).any():
+        raise GeometryError("query-anchor distance matrix contains NaN")
+    return dist
+
+
 def approx_depth(
     space: Space,
     sample: Sequence,
@@ -239,8 +249,7 @@ def approx_depth(
         return []
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
-    dist_q = space.distance_matrix(queries, anchor_points)
-    nums, a1, a2 = _min_counts(table, dist_q)
+    nums, a1, a2 = _min_counts(table, _query_distances(space, queries, anchor_points))
     n = table.n
     return [
         DepthReport(query_index=j, depth_num=int(nums[j]), depth_den=n,
@@ -354,8 +363,7 @@ def refine_deepest(
         table = halfspace_prob_table(space, sample, anchor_points)
 
     def depth_of(point):
-        dist = space.distance_matrix([point], anchor_points)
-        return int(_min_counts(table, dist)[0][0])
+        return int(_min_counts(table, _query_distances(space, [point], anchor_points))[0][0])
 
     current = start
     current_num = depth_of(current)

@@ -7,16 +7,28 @@ aggregates a classical Kruskal-Wallis statistic over every choice of
 reference group. Null distributions come from relabeling permutations with
 depths recomputed against each permuted reference, and p-values use the
 add-one estimator, which is valid at any permutation count.
+
+A test evaluates all its orders at once: the identity, whose statistic is
+the observed one, then one permutation per rep. The pooled distance matrix
+is ranked once per test; for a batch of orders, each permuted reference
+group's block of those codes yields its halfspace table, and every pooled
+observation's depth count is a dense masked minimum of that table over the
+anchor pairs the observation admits. Counts are ranked per row from a
+histogram, and the statistics are formed across the batch with each row's
+floating-point operations in the order of the one-order formulas, so the
+statistics and p-values do not depend on the batching. Batches keep every
+temporary at or under ``depth._CHUNK_ELEMS // 8`` elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .depth import HalfspaceProbTable, _min_counts, _prob_counts, _row_ranks
+from . import depth
+from .depth import _prob_counts, _row_ranks
 from .errors import DataError
 from .rng import NS_PERMUTATION, derive_rng
 from .spaces import Space
@@ -62,18 +74,33 @@ class TestResult:
 
 
 def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending ranks from 1, tied values sharing the mean of their ranks,
-    and the size of each tie group in ascending order of value."""
+    """Per-row ascending ranks from 1 of a 2-D array of non-negative
+    integers, tied values sharing the mean of their ranks, and each row's
+    histogram of values, which holds the tie group sizes in ascending order
+    of value (with zeros for absent values).
+
+    A value's rank is the number of smaller values in its row plus
+    ``0.5 * (ties + 1)``, the arithmetic of a sort-based average rank.
+    """
     values = np.asarray(values)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.r_[starts, len(values)])
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat(starts + 0.5 * (sizes + 1), sizes)
-    return ranks, sizes
+    n_rows = len(values)
+    width = int(values.max()) + 1
+    offsets = (np.arange(n_rows) * width)[:, None]
+    hist = np.bincount((values + offsets).ravel(), minlength=n_rows * width)
+    hist = hist.reshape(n_rows, width)
+    less = np.cumsum(hist, axis=1) - hist
+    ranks = np.take_along_axis(less + 0.5 * (hist + 1), values, axis=1)
+    return ranks, hist
+
+
+def _scalar_squares(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` for each float, squared one at a time as a scalar is.
+
+    The C library's ``pow`` can round a square differently from the
+    product ``v * v`` that an array ``** 2`` computes, so the statistics
+    would drift by an ulp from those of the one-order formula.
+    """
+    return (values.astype(object) ** 2).astype(float)
 
 
 def _pooled_codes(space: Space, pool: tuple) -> np.ndarray:
@@ -88,12 +115,72 @@ def _pooled_codes(space: Space, pool: tuple) -> np.ndarray:
     return _row_ranks(dist)
 
 
-def _depth_counts(codes_pool: np.ndarray, reference_idx: np.ndarray) -> np.ndarray:
-    """Depth counts of every pooled observation w.r.t. one reference group,
-    all read off the pooled distances or their per-row rank codes."""
-    sub = codes_pool[np.ix_(reference_idx, reference_idx)]
-    table = HalfspaceProbTable(counts=_prob_counts(sub), n=len(reference_idx))
-    return _min_counts(table, codes_pool[:, reference_idx])[0]
+def _batched_depth_counts(codes: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """Depth counts of every pooled observation w.r.t. each reference group.
+
+    ``codes`` is the (total, total) pooled distance matrix or any per-row
+    order-preserving codes of it; ``references`` is an (R, m) array of
+    pooled indices, one reference group per row. Returns (R, total) counts
+    in the narrowest unsigned dtype that holds m.
+
+    Each count is the least table entry over the off-diagonal anchor pairs
+    (a1, a2) with code[a1] <= code[a2] in the observation's row. Flags of
+    admissible pairs minus 1 are 0 and of the others the dtype maximum, so
+    OR-ing them with the table and taking the minimum reads the admissible
+    entries only. The diagonal needs no mask: it holds m, which bounds
+    every count, and a single-member group, with no admissible pair, keeps
+    count m (depth 1) by convention. Temporaries are laid out anchor pair
+    first, so every elementwise pass runs over all references and queries
+    of a chunk at once. References, then queries, then first anchors are
+    taken in chunks so that no temporary exceeds ``depth._CHUNK_ELEMS // 8``
+    elements.
+    """
+    n_refs, m = references.shape
+    total = len(codes)
+    cap = depth._CHUNK_ELEMS // 8
+    count = np.min_scalar_type(m)
+    batch = max(1, cap // (total * m * m))
+    queries = max(1, min(total, cap // (m * m)))
+    anchors = max(1, min(m, cap // m))
+    out = np.full((n_refs, total), m, dtype=count)
+    for lo in range(0, n_refs, batch):
+        ref = references[lo:lo + batch]
+        table = _prob_counts(codes[ref[:, :, None], ref[:, None, :]]).astype(count)
+        table = table.transpose(1, 2, 0)[..., None]  # table[a1, a2, b, 0]
+        for q0 in range(0, total, queries):
+            # q[j, b, y] = codes[q0 + y, ref[b, j]]
+            q = np.ascontiguousarray(codes[q0:q0 + queries][:, ref].transpose(2, 1, 0))
+            best = out[lo:lo + batch, q0:q0 + queries]
+            for a0 in range(0, m, anchors):
+                admissible = q[a0:a0 + anchors, None] <= q[None]
+                masked = np.subtract(admissible, 1, dtype=count)
+                masked |= table[a0:a0 + anchors]
+                np.minimum(best, masked.min(axis=(0, 1)), out=best)
+    return out
+
+
+def _permutation_statistics(
+    statistic: Callable, total: int, n_permutations: int, seed: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``statistic`` over every order of a test, in batches of orders.
+
+    Order 0 is the identity and order ``rep + 1`` is the permutation of
+    stream ``(seed, NS_PERMUTATION, rep)``. ``statistic`` maps a (B, total)
+    batch of orders to B statistics and B depth-rank arrays of ``width``
+    rows each. Returns all P + 1 statistics and the identity's ranks.
+    """
+    batch = max(1, depth._CHUNK_ELEMS // 8 // (width * total))
+    values, observed_ranks = [], None
+    for lo in range(0, n_permutations + 1, batch):
+        orders = np.stack([
+            derive_rng(seed, NS_PERMUTATION, i - 1).permutation(total) if i else np.arange(total)
+            for i in range(lo, min(lo + batch, n_permutations + 1))
+        ])
+        stats, ranks = statistic(orders)
+        values.append(stats)
+        if observed_ranks is None:
+            observed_ranks = ranks[0]
+    return np.concatenate(values), observed_ranks
 
 
 def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.ndarray:
@@ -105,8 +192,8 @@ def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.
     if len(evaluate_on) == 0:
         return np.array([])
     codes = _pooled_codes(space, reference + evaluate_on)
-    nums = _depth_counts(codes, np.arange(len(reference)))
-    return _average_ranks(nums[len(reference):])[0]
+    nums = _batched_depth_counts(codes, np.arange(len(reference))[None])
+    return _average_ranks(nums[:, len(reference):])[0][0]
 
 
 def wilcoxon_depth_test(
@@ -134,25 +221,19 @@ def wilcoxon_depth_test(
     codes = _pooled_codes(space, g1 + g2)
     center = n2 * (total + 1) / 2.0
 
-    def rank_sum(order: np.ndarray) -> tuple[float, np.ndarray]:
+    def rank_sums(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Depth counts (and hence ranks) are indexed by pooled position;
-        # the permuted second group is order[n1:].
-        ranks = _average_ranks(_depth_counts(codes, order[:n1]))[0]
-        return float(np.sum(ranks[order[n1:]])), ranks
+        # the permuted second group is orders[:, n1:].
+        ranks = _average_ranks(_batched_depth_counts(codes, orders[:, :n1]))[0]
+        return np.take_along_axis(ranks, orders[:, n1:], axis=1).sum(axis=1), ranks
 
-    identity = np.arange(total)
-    observed, observed_ranks = rank_sum(identity)
-    observed_dev = abs(observed - center)
-    hits = 0
-    for rep in range(n_permutations):
-        rng = derive_rng(seed, NS_PERMUTATION, rep)
-        stat, _ = rank_sum(rng.permutation(total))
-        if abs(stat - center) >= observed_dev:
-            hits += 1
+    stats, observed_ranks = _permutation_statistics(rank_sums, total, n_permutations, seed, 1)
+    deviations = np.abs(stats - center)
+    hits = int(np.count_nonzero(deviations[1:] >= deviations[0]))
     p_value = (1 + hits) / (1 + n_permutations)
     return TestResult(
         test="wilcoxon",
-        statistic=observed,
+        statistic=float(stats[0]),
         p_value=p_value,
         n_permutations=n_permutations,
         seed=seed,
@@ -160,20 +241,6 @@ def wilcoxon_depth_test(
         group_sizes=(n1, n2),
         depth_ranks=observed_ranks,
     )
-
-
-def _kw_statistic(values: np.ndarray, slices: list[np.ndarray]) -> float:
-    """Classical Kruskal-Wallis H with tie correction; 0 when all tied."""
-    total = len(values)
-    ranks, tie_counts = _average_ranks(values)
-    mean_rank = (total + 1) / 2.0
-    h = 12.0 / (total * (total + 1)) * sum(
-        len(idx) * (ranks[idx].mean() - mean_rank) ** 2 for idx in slices
-    )
-    correction = 1.0 - np.sum(tie_counts**3 - tie_counts) / (total**3 - total)
-    if correction <= 0.0:
-        return 0.0
-    return float(h / correction)
 
 
 def kruskal_wallis_depth_test(
@@ -187,6 +254,8 @@ def kruskal_wallis_depth_test(
     For each group taken as the reference, the depths of all pooled
     observations are ranked and a Kruskal-Wallis statistic is formed over
     the group labels; the reported statistic sums over reference groups.
+    Each statistic is the classical H with tie correction, 0 when all
+    depths tie.
     """
     if not isinstance(groups, GroupedSample):
         groups = GroupedSample(tuple(
@@ -201,33 +270,36 @@ def kruskal_wallis_depth_test(
     total = len(pool)
     codes = _pooled_codes(space, pool)
     bounds = np.cumsum((0,) + sizes)
-    member_slices = [np.arange(bounds[g], bounds[g + 1]) for g in range(len(sizes))]
+    member_slices = [slice(bounds[g], bounds[g + 1]) for g in range(len(sizes))]
+    mean_rank = (total + 1) / 2.0
+    scale = 12.0 / (total * (total + 1))
+    ties_max = total**3 - total
 
-    def statistic(order: np.ndarray) -> tuple[float, np.ndarray]:
+    def statistics(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Depth counts are indexed by pooled position; permuted group g
-        # holds the observations order[member_slices[g]].
-        all_counts = np.empty((len(sizes), total))
+        # holds the observations orders[:, member_slices[g]].
+        members = [orders[:, s] for s in member_slices]
         stat = 0.0
-        permuted_slices = [order[s] for s in member_slices]
-        for g in range(len(sizes)):
-            counts = _depth_counts(codes, permuted_slices[g])
-            all_counts[g] = counts
-            stat += _kw_statistic(counts, permuted_slices)
-        return stat, all_counts
+        all_ranks = []
+        for reference in members:
+            ranks, ties = _average_ranks(_batched_depth_counts(codes, reference))
+            h = 0
+            for idx in members:
+                deviation = np.take_along_axis(ranks, idx, axis=1).mean(axis=1) - mean_rank
+                h = h + idx.shape[1] * _scalar_squares(deviation)
+            h = scale * h
+            correction = 1.0 - np.sum(ties**3 - ties, axis=1) / ties_max
+            stat = stat + np.divide(h, correction, out=np.zeros_like(h), where=correction > 0.0)
+            all_ranks.append(ranks)
+        return stat, np.stack(all_ranks, axis=1)
 
-    identity = np.arange(total)
-    observed, observed_counts = statistic(identity)
-    hits = 0
-    for rep in range(n_permutations):
-        rng = derive_rng(seed, NS_PERMUTATION, rep)
-        stat, _ = statistic(rng.permutation(total))
-        if stat >= observed:
-            hits += 1
+    stats, observed_ranks = _permutation_statistics(
+        statistics, total, n_permutations, seed, len(sizes))
+    hits = int(np.count_nonzero(stats[1:] >= stats[0]))
     p_value = (1 + hits) / (1 + n_permutations)
-    observed_ranks = np.vstack([_average_ranks(row)[0] for row in observed_counts])
     return TestResult(
         test="kruskal-wallis",
-        statistic=observed,
+        statistic=float(stats[0]),
         p_value=p_value,
         n_permutations=n_permutations,
         seed=seed,

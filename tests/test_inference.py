@@ -8,10 +8,13 @@ from metricdepth.errors import DataError
 from metricdepth.inference import (
     GroupedSample,
     _average_ranks,
+    _batched_depth_counts,
+    _pooled_codes,
     depth_ranks,
     kruskal_wallis_depth_test,
     wilcoxon_depth_test,
 )
+from metricdepth.rng import NS_PERMUTATION, derive_rng
 from metricdepth.simulation import PopulationSpec, canonical_center, sample_population
 from metricdepth.spaces import Euclidean, Sphere
 
@@ -34,14 +37,17 @@ def sphere_groups(n_groups, n_per_group, seed):
 
 # ------------------------------------------------------------ average ranks
 
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
-@example([7])
-@example([3] * 25)
-def test_average_ranks_match_scipy(values):
-    values = np.array(values)
+@given(st.integers(1, 60).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=4)))
+@example([[7]])
+@example([[3] * 25])
+def test_average_ranks_match_scipy(rows):
+    values = np.array(rows)
     ranks, tie_sizes = _average_ranks(values)
-    assert np.array_equal(ranks, rankdata(values))
-    assert np.array_equal(tie_sizes, np.unique(values, return_counts=True)[1])
+    assert ranks.shape == values.shape
+    for row, row_ranks, row_ties in zip(values, ranks, tie_sizes):
+        assert np.array_equal(row_ranks, rankdata(row))
+        assert np.array_equal(row_ties[row_ties > 0], np.unique(row, return_counts=True)[1])
 
 
 # -------------------------------------------------------------- depth ranks
@@ -159,3 +165,84 @@ def test_grouped_sample_validation():
         GroupedSample((("only", tuple(pts)),))
     with pytest.raises(DataError):
         GroupedSample((("a", tuple(pts)), ("b", ())))
+
+
+# ---------------------------------------------------------- pinned outputs
+# Statistics and p-values as computed when every permutation was evaluated
+# on its own; batching the orders must not move a single bit of them.
+
+def pinned_sphere_group(n, seed, lift=0.0):
+    space = Sphere(2)
+    raw = np.random.default_rng(seed).standard_normal((n, 3))
+    raw[:, 2] += lift
+    return tuple(space.validate_point(r / np.linalg.norm(r)) for r in raw)
+
+
+def test_pinned_wilcoxon():
+    result = wilcoxon_depth_test(Sphere(2), pinned_sphere_group(15, 1),
+                                 pinned_sphere_group(12, 2, 0.8), n_permutations=199, seed=7)
+    assert (result.statistic, result.p_value) == (180.0, 0.805)
+    _, g1 = euclid_points([0, 1, 1, 2, 3, 3, 4])
+    _, g2 = euclid_points([1, 2, 2, 5, 6])
+    result = wilcoxon_depth_test(Euclidean(1), g1, g2, n_permutations=99, seed=3)
+    assert (result.statistic, result.p_value) == (34.0, 0.88)
+
+
+def test_pinned_kruskal_wallis_two_groups():
+    groups = [pinned_sphere_group(10, 3), pinned_sphere_group(10, 4, 0.5)]
+    result = kruskal_wallis_depth_test(Sphere(2), groups, n_permutations=99, seed=5)
+    assert (result.statistic, result.p_value) == (4.511111111111113, 0.62)
+
+
+def test_pinned_kruskal_wallis_three_unequal_groups():
+    groups = [pinned_sphere_group(8, 5), pinned_sphere_group(11, 6, 0.6),
+              pinned_sphere_group(14, 7)]
+    result = kruskal_wallis_depth_test(Sphere(2), groups, n_permutations=149, seed=9)
+    assert (result.statistic, result.p_value) == (19.211425348962294, 0.2866666666666667)
+
+
+def test_pinned_kruskal_wallis_all_tied_is_zero():
+    # Every depth ties, so the tie correction is 0 and each H reads 0.
+    space, pts = euclid_points([2] * 9)
+    groups = [pts[:3], pts[3:7], pts[7:]]
+    result = kruskal_wallis_depth_test(space, groups, n_permutations=99, seed=1)
+    assert (result.statistic, result.p_value) == (0.0, 1.0)
+
+
+def one_order_kruskal_wallis(space, groups, n_permutations, seed):
+    """The k-sample test one order at a time, with scipy ranks and each
+    H formed from scalars, as the statistic is defined."""
+    pool = tuple(p for g in groups for p in g)
+    total = len(pool)
+    codes = _pooled_codes(space, pool)
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+
+    def statistic(order):
+        slices = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        stat = 0.0
+        for reference in slices:
+            counts = _batched_depth_counts(codes, reference[None])[0]
+            ranks = rankdata(counts)
+            ties = np.unique(counts, return_counts=True)[1]
+            h = 12.0 / (total * (total + 1)) * sum(
+                len(idx) * (ranks[idx].mean() - (total + 1) / 2.0) ** 2 for idx in slices)
+            correction = 1.0 - np.sum(ties**3 - ties) / (total**3 - total)
+            stat += 0.0 if correction <= 0.0 else float(h / correction)
+        return stat
+
+    observed = statistic(np.arange(total))
+    hits = sum(statistic(derive_rng(seed, NS_PERMUTATION, rep).permutation(total)) >= observed
+               for rep in range(n_permutations))
+    return observed, (1 + hits) / (1 + n_permutations)
+
+
+def test_kruskal_wallis_matches_one_order_at_a_time():
+    # With groups of 27, 21 and 15 some squared rank deviations round
+    # differently under the C library's pow than as a product v * v; on
+    # such a platform an array square would move the statistic's last bit.
+    rng = np.random.default_rng(550)
+    groups = [tuple(Sphere(2).validate_point(r / np.linalg.norm(r))
+                    for r in rng.standard_normal((n, 3))) for n in (27, 21, 15)]
+    result = kruskal_wallis_depth_test(Sphere(2), groups, n_permutations=99, seed=550)
+    want = one_order_kruskal_wallis(Sphere(2), groups, 99, 550)
+    assert (result.statistic, result.p_value) == want

@@ -163,4 +163,4 @@ def test_permutation_depth_counts_match_dense_reference(rng):
         reference = rng.permutation(24)[:8]
         counts = _prob_counts(dist[np.ix_(reference, reference)])
         want = dense_min_counts(counts, len(reference), dist[:, reference])[0]
-        assert np.array_equal(inference._depth_counts(dist, reference), want)
+        assert np.array_equal(inference._batched_depth_counts(dist, reference[None])[0], want)

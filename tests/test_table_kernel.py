@@ -13,9 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricdepth import inference
-from metricdepth.depth import _prob_counts, _row_ranks, halfspace_prob_table
+from metricdepth.depth import (
+    _prob_counts,
+    _row_ranks,
+    approx_depth,
+    halfspace_prob_table,
+    refine_deepest,
+)
 from metricdepth.errors import DataError, GeometryError
 from metricdepth.inference import depth_ranks, kruskal_wallis_depth_test, wilcoxon_depth_test
+from metricdepth.spaces import Euclidean
 
 from test_query_kernel import dense_min_counts
 
@@ -80,7 +87,7 @@ def test_pooled_codes_restrict_to_reference_exactly(data):
     want_counts = brute_counts(sub)
     assert np.array_equal(_prob_counts(codes[np.ix_(reference, reference)]), want_counts)
     want = dense_min_counts(want_counts, len(reference), dist[:, reference])[0]
-    assert np.array_equal(inference._depth_counts(codes, reference), want)
+    assert np.array_equal(inference._batched_depth_counts(codes, reference[None])[0], want)
 
 
 class FixedDistances:
@@ -115,3 +122,28 @@ def test_nan_distance_rejected_by_the_permutation_tests():
         wilcoxon_depth_test(space, range(3), range(3), n_permutations=99)
     with pytest.raises(DataError, match="NaN"):
         kruskal_wallis_depth_test(space, [range(2), range(2), range(2)], n_permutations=99)
+
+
+def test_nan_query_distance_rejected_by_approx_depth():
+    space = Euclidean(1)
+    sample = [np.array([float(v)]) for v in range(4)]
+    with pytest.raises(GeometryError, match="query-anchor"):
+        approx_depth(space, sample, sample, [np.array([np.nan])])
+
+
+def test_nan_query_distance_rejected_by_refine_deepest():
+    space = Euclidean(1)
+    sample = [np.array([float(v)]) for v in range(4)]
+    with pytest.raises(GeometryError, match="query-anchor"):
+        refine_deepest(space, sample, sample, np.array([np.nan]), budget=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_stacked_tables_match_one_at_a_time(data):
+    # Leading axes are batch axes: one table per stacked distance matrix.
+    n = data.draw(st.sampled_from([1, 2, 254, 255, 256, 257]))
+    stack = [data.draw(tied_distances(st.just(n), st.just(5))) for _ in range(6)]
+    got = _prob_counts(np.stack(stack).reshape(2, 3, n, 5))
+    want = np.stack([brute_counts(dist) for dist in stack]).reshape(2, 3, 5, 5)
+    assert np.array_equal(got, want)
