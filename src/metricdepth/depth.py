@@ -301,12 +301,11 @@ def jiggle_anchors(
         if radius_frac > 0 and len(sample) < 2:
             raise GeometryError("jiggling needs >= 2 points to set a distance scale")
         sigma = 0.0 if radius_frac == 0 else radius_frac * median_pairwise_distance(space, sample)
-        for i, x in enumerate(sample):
-            for j in range(k):
-                rng = derive_rng(seed, NS_JIGGLE, i, j)
-                v = space.random_tangent(x, sigma**2, rng)
-                points.append(space.exp(x, v))
-                provenance.append(("jiggled", i))
+        bases = [x for x in sample for _ in range(k)]
+        rngs = [derive_rng(seed, NS_JIGGLE, i, j) for i in range(len(sample)) for j in range(k)]
+        tangents = space.random_tangents(bases, [sigma**2] * len(bases), rngs)
+        points += space.exp_many(bases, tangents)
+        provenance += [("jiggled", i) for i in range(len(sample)) for _ in range(k)]
     return AnchorSet(points=tuple(points), provenance=tuple(provenance))
 
 

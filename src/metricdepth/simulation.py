@@ -39,13 +39,18 @@ class PopulationSpec:
     label: str = ""
 
 
+def _draw_points(space: Space, specs: Sequence[PopulationSpec], rng) -> list:
+    """One draw exp_center(V) per entry of ``specs``, all reading ``rng`` in
+    order, as one stacked pass."""
+    centers = [spec.center for spec in specs]
+    scatters = [spec.scatter for spec in specs]
+    tangents = space.random_tangents(centers, scatters, [rng] * len(specs))
+    return space.exp_many(centers, tangents)
+
+
 def sample_population(spec: PopulationSpec, n: int, seed: int = 0) -> list:
     """n i.i.d. draws exp_center(V), V Gaussian in the chart at the center."""
-    rng = derive_rng(seed, NS_SAMPLING)
-    return [
-        spec.space.exp(spec.center, spec.space.random_tangent(spec.center, spec.scatter, rng))
-        for _ in range(n)
-    ]
+    return _draw_points(spec.space, [spec] * n, derive_rng(seed, NS_SAMPLING))
 
 
 def canonical_center(space: Space):
@@ -138,16 +143,12 @@ def sample_contaminated(config: SimulationConfig, rep_seed: int):
     population). Outlier membership is Bernoulli(contamination) per point."""
     inlier, outlier = _populations(config)
     rng = derive_rng(rep_seed, NS_SAMPLING)
-    space = config.space
     if outlier is None:
         mask = np.ones(config.n, dtype=bool)
     else:
         mask = rng.random(config.n) >= config.contamination
-    points = []
-    for is_inlier in mask:
-        spec = inlier if is_inlier else outlier
-        points.append(space.exp(spec.center, space.random_tangent(spec.center, spec.scatter, rng)))
-    return points, mask
+    specs = [inlier if is_inlier else outlier for is_inlier in mask]
+    return _draw_points(config.space, specs, rng), mask
 
 
 def _fit_estimator(name: str, config: SimulationConfig, sample, rep_seed: int):

@@ -11,6 +11,18 @@ Each geometry has one distance implementation, :meth:`Space.distance_matrix`;
 :meth:`Space.distance` is its single-pair entry. Depth counts are exact
 because every comparison ``d(X_i, a1) <= d(X_i, a2)`` sees the same float
 whichever path computed it, so no geometry overrides ``distance``.
+
+Likewise each geometry has one stacked exponential map,
+:meth:`Space.exp_many`, and one stacked chart-to-tangent map,
+:meth:`Space.tangents_from_coords`; :meth:`Space.random_tangents` draws
+through the latter. They work on N bases at once, and the one-point
+methods :meth:`Space.exp`, :meth:`Space.tangent_from_coords` and
+:meth:`Space.random_tangent` are their N = 1 entries, so a point jiggled
+or sampled in a batch is bit-identical to the same point made alone.
+A stack of N tangents is the geometry's tangent payload with a leading
+axis of length N: an (N, ...) array for the vector and matrix geometries,
+a tuple of N steps for the spider, and a tuple of component stacks for
+products.
 """
 
 from __future__ import annotations
@@ -68,8 +80,13 @@ class Space(ABC):
         return float(self.distance_matrix([x], [y])[0, 0])
 
     @abstractmethod
+    def exp_many(self, bases: Sequence, tangents) -> list:
+        """Endpoints of the geodesics leaving ``bases[i]`` with initial
+        vectors ``tangents[i]``, for a stack of N tangents at N bases."""
+
     def exp(self, x, v: TangentVector):
         """Endpoint of the geodesic leaving ``x`` with initial vector ``v``."""
+        return self.exp_many([x], self._stack_one(v.coords))[0]
 
     @abstractmethod
     def log(self, x, y) -> TangentVector:
@@ -86,8 +103,14 @@ class Space(ABC):
         """Coordinates of ``v`` in a fixed orthonormal chart at its base."""
 
     @abstractmethod
+    def tangents_from_coords(self, bases: Sequence, coords: np.ndarray):
+        """Stack of N tangents from (N, intrinsic_dim) chart coordinates,
+        row ``i`` in the chart at ``bases[i]``."""
+
     def tangent_from_coords(self, x, coords: np.ndarray) -> TangentVector:
         """Inverse of :meth:`tangent_coords` (deterministic conventions)."""
+        coords = np.asarray(coords, dtype=float).reshape(1, self.intrinsic_dim)
+        return self._unstack_one(x, self.tangents_from_coords([x], coords))
 
     def tangent_norm(self, v: TangentVector) -> float:
         """Riemannian norm; equals geodesic distance for ``v = log(x, y)``."""
@@ -97,14 +120,40 @@ class Space(ABC):
     def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
         pass
 
-    def random_tangent(self, x, scatter, rng: np.random.Generator) -> TangentVector:
-        """Zero-mean Gaussian tangent vector in the orthonormal chart at ``x``.
+    def random_tangents(self, bases: Sequence, scatters: Sequence, rngs: Sequence):
+        """Stack of zero-mean Gaussian tangents, one per base.
 
-        ``scatter`` is either an isotropic variance (scalar, may be 0) or a
-        full covariance matrix over the chart coordinates.
+        Tangent ``i`` lies in the orthonormal chart at ``bases[i]`` and reads
+        ``rngs[i]`` with scatter ``scatters[i]``: an isotropic variance
+        (scalar, may be 0) or a full covariance matrix over the chart
+        coordinates. Streams are read in base order, so one generator passed
+        for every base gives the draws of N :meth:`random_tangent` calls.
         """
-        z = gaussian_chart_sample(scatter, self.intrinsic_dim, rng)
-        return self.tangent_from_coords(x, z)
+        draws = [self._draw(x, s, rng) for x, s, rng in zip(bases, scatters, rngs)]
+        return self._tangents_from_draws(bases, draws)
+
+    def random_tangent(self, x, scatter, rng: np.random.Generator) -> TangentVector:
+        """Zero-mean Gaussian tangent vector in the orthonormal chart at ``x``
+        (``scatter`` as in :meth:`random_tangents`)."""
+        return self._unstack_one(x, self.random_tangents([x], [scatter], [rng]))
+
+    def _draw(self, x, scatter, rng: np.random.Generator):
+        """What one tangent at ``x`` reads from its stream: chart normals."""
+        return gaussian_chart_sample(scatter, self.intrinsic_dim, rng)
+
+    def _tangents_from_draws(self, bases: Sequence, draws: list):
+        """Stack of tangents at ``bases`` from one :meth:`_draw` per base."""
+        return self.tangents_from_coords(
+            bases, np.array(draws, dtype=float).reshape(len(bases), self.intrinsic_dim)
+        )
+
+    def _stack_one(self, coords):
+        """Stack of one tangent from its payload."""
+        return np.asarray(coords, dtype=float)[None]
+
+    def _unstack_one(self, x, tangents) -> TangentVector:
+        """The single tangent, at ``x``, in a stack of one."""
+        return TangentVector(base=x, coords=tangents[0])
 
     @abstractmethod
     def mean_log(self, x, points: Sequence, weights=None) -> TangentVector:

@@ -58,8 +58,8 @@ class Euclidean(Space):
             total += diff
         return np.sqrt(total, out=total)
 
-    def exp(self, x, v: TangentVector):
-        return readonly(np.asarray(x, float) + v.coords)
+    def exp_many(self, bases, tangents):
+        return list(readonly(self._stack(bases) + tangents))
 
     def log(self, x, y) -> TangentVector:
         return TangentVector(base=x, coords=np.asarray(y, float) - np.asarray(x, float))
@@ -67,9 +67,8 @@ class Euclidean(Space):
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         return np.asarray(v.coords, dtype=float)
 
-    def tangent_from_coords(self, x, coords) -> TangentVector:
-        coords = np.asarray(coords, dtype=float).reshape(self.dim)
-        return TangentVector(base=x, coords=coords)
+    def tangents_from_coords(self, bases, coords):
+        return np.asarray(coords, dtype=float).reshape(len(bases), self.dim)
 
     def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
         return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))

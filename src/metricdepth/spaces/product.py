@@ -47,10 +47,15 @@ class Product(Space):
             total = d**2 if total is None else total + d**2
         return np.sqrt(total)
 
-    def exp(self, x, v: TangentVector):
-        return tuple(
-            comp.exp(xc, vc) for comp, xc, vc in zip(self.components, x, v.coords)
-        )
+    def _component_bases(self, bases, idx: int) -> list:
+        return [x[idx] for x in bases]
+
+    def exp_many(self, bases, tangents):
+        parts = [
+            comp.exp_many(self._component_bases(bases, idx), tc)
+            for idx, (comp, tc) in enumerate(zip(self.components, tangents))
+        ]
+        return list(zip(*parts))
 
     def log(self, x, y) -> TangentVector:
         parts = tuple(
@@ -63,14 +68,15 @@ class Product(Space):
             [comp.tangent_coords(vc) for comp, vc in zip(self.components, v.coords)]
         )
 
-    def tangent_from_coords(self, x, coords) -> TangentVector:
-        coords = np.asarray(coords, dtype=float).reshape(self.intrinsic_dim)
+    def tangents_from_coords(self, bases, coords):
+        coords = np.asarray(coords, dtype=float).reshape(len(bases), self.intrinsic_dim)
         parts = []
         offset = 0
-        for comp, xc in zip(self.components, x):
-            parts.append(comp.tangent_from_coords(xc, coords[offset:offset + comp.intrinsic_dim]))
+        for idx, comp in enumerate(self.components):
+            block = np.ascontiguousarray(coords[:, offset:offset + comp.intrinsic_dim])
+            parts.append(comp.tangents_from_coords(self._component_bases(bases, idx), block))
             offset += comp.intrinsic_dim
-        return TangentVector(base=x, coords=tuple(parts))
+        return tuple(parts)
 
     def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
         parts = tuple(
@@ -78,20 +84,36 @@ class Product(Space):
         )
         return TangentVector(base=v.base, coords=parts)
 
-    def random_tangent(self, x, scatter, rng: np.random.Generator) -> TangentVector:
+    def _draw(self, x, scatter, rng: np.random.Generator) -> tuple:
         # Scatter: one scalar variance for all components, or one entry
-        # (scalar or covariance) per component.
-        if np.ndim(scatter) == 0:
-            per_comp = [scatter] * len(self.components)
-        else:
+        # (scalar or covariance) per component. The components read the
+        # stream in turn, so for Gaussian components one draw of
+        # ``intrinsic_dim`` normals is split across them.
+        if isinstance(scatter, (list, tuple)) or np.ndim(scatter) > 0:
             per_comp = list(scatter)
             if len(per_comp) != len(self.components):
                 raise GeometryError(
                     f"expected {len(self.components)} scatter entries, got {len(per_comp)}"
                 )
+        else:
+            per_comp = [scatter] * len(self.components)
+        return tuple(
+            comp._draw(xc, sc, rng) for comp, xc, sc in zip(self.components, x, per_comp)
+        )
+
+    def _tangents_from_draws(self, bases, draws):
+        return tuple(
+            comp._tangents_from_draws(self._component_bases(bases, idx), [d[idx] for d in draws])
+            for idx, comp in enumerate(self.components)
+        )
+
+    # A product tangent's payload is a tuple of component tangent vectors.
+    def _stack_one(self, coords):
+        return tuple(comp._stack_one(vc.coords) for comp, vc in zip(self.components, coords))
+
+    def _unstack_one(self, x, tangents) -> TangentVector:
         parts = tuple(
-            comp.random_tangent(xc, sc, rng)
-            for comp, xc, sc in zip(self.components, x, per_comp)
+            comp._unstack_one(xc, t) for comp, xc, t in zip(self.components, x, tangents)
         )
         return TangentVector(base=x, coords=parts)
 

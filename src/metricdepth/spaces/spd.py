@@ -8,6 +8,7 @@ numerical stability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,10 +27,21 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
+@functools.cache
+def _chart_indices(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Diagonal and strict upper-triangle indices of a k x k matrix, in
+    chart order; computed once per size and shared read-only."""
+    diag = np.arange(k)
+    iu = np.triu_indices(k, 1)
+    for arr in (diag, *iu):
+        arr.flags.writeable = False
+    return diag, iu
+
+
 def _sym_apply(p: np.ndarray, fn) -> np.ndarray:
-    """Apply ``fn`` to the eigenvalues of a symmetric matrix."""
+    """Apply ``fn`` to the eigenvalues of a symmetric matrix or a stack."""
     eigval, eigvec = np.linalg.eigh(_sym(p))
-    return (eigvec * fn(eigval)) @ eigvec.T
+    return (eigvec * fn(eigval)[..., None, :]) @ np.swapaxes(eigvec, -1, -2)
 
 
 def _eigvalsh_batch(mats: np.ndarray) -> np.ndarray:
@@ -117,18 +129,24 @@ class SPD(Space):
             out[lo:hi] = np.sqrt(np.sum(logs**2, axis=-1))
         return out
 
-    def sqrt_and_inv_sqrt(self, p):
-        eigval, eigvec = np.linalg.eigh(_sym(np.asarray(p, float)))
-        if eigval[0] <= 0.0:
+    def _roots(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Square roots and inverse square roots of a (N, k, k) stack."""
+        eigval, eigvec = np.linalg.eigh(_sym(mats))
+        if np.min(eigval[..., 0], initial=np.inf) <= 0.0:
             raise GeometryError("matrix is not positive definite")
-        root = (eigvec * np.sqrt(eigval)) @ eigvec.T
-        inv_root = (eigvec * (1.0 / np.sqrt(eigval))) @ eigvec.T
+        vt = np.swapaxes(eigvec, -1, -2)
+        root = (eigvec * np.sqrt(eigval)[..., None, :]) @ vt
+        inv_root = (eigvec * (1.0 / np.sqrt(eigval))[..., None, :]) @ vt
         return root, inv_root
 
-    def exp(self, x, v: TangentVector):
-        root, inv_root = self.sqrt_and_inv_sqrt(x)
-        inner = _sym(inv_root @ np.asarray(v.coords, float) @ inv_root)
-        return readonly(root @ _sym_apply(inner, np.exp) @ root)
+    def sqrt_and_inv_sqrt(self, p):
+        root, inv_root = self._roots(np.asarray(p, float)[None])
+        return root[0], inv_root[0]
+
+    def exp_many(self, bases, tangents):
+        root, inv_root = self._roots(self._stack(bases))
+        inner = inv_root @ np.asarray(tangents, float) @ inv_root
+        return list(readonly(root @ _sym_apply(inner, np.exp) @ root))
 
     def log(self, x, y) -> TangentVector:
         root, inv_root = self.sqrt_and_inv_sqrt(x)
@@ -148,29 +166,30 @@ class SPD(Space):
         return readonly(root @ powered @ root)
 
     def _chart_to_sym(self, coords: np.ndarray) -> np.ndarray:
-        """Orthonormal chart coords -> symmetric matrix (Frobenius-orthonormal
-        basis: diagonal units and (E_ij + E_ji)/sqrt(2))."""
+        """Orthonormal chart coords (..., d) -> symmetric matrices (..., k, k)
+        (Frobenius-orthonormal basis: diagonal units and (E_ij + E_ji)/sqrt(2))."""
         k = self.size
-        s = np.zeros((k, k))
-        s[np.diag_indices(k)] = coords[:k]
-        iu = np.triu_indices(k, 1)
-        s[iu] = coords[k:] / np.sqrt(2.0)
-        s[(iu[1], iu[0])] = s[iu]
+        diag, iu = _chart_indices(k)
+        s = np.zeros(coords.shape[:-1] + (k, k))
+        s[..., diag, diag] = coords[..., :k]
+        s[..., iu[0], iu[1]] = coords[..., k:] / np.sqrt(2.0)
+        s[..., iu[1], iu[0]] = s[..., iu[0], iu[1]]
         return s
 
     def _sym_to_chart(self, s: np.ndarray) -> np.ndarray:
-        k = self.size
-        iu = np.triu_indices(k, 1)
-        return np.concatenate([np.diagonal(s), np.sqrt(2.0) * s[iu]])
+        _, iu = _chart_indices(self.size)
+        return np.concatenate(
+            [np.diagonal(s, axis1=-2, axis2=-1), np.sqrt(2.0) * s[..., iu[0], iu[1]]], axis=-1
+        )
 
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         _, inv_root = self.sqrt_and_inv_sqrt(v.base)
         return self._sym_to_chart(_sym(inv_root @ np.asarray(v.coords, float) @ inv_root))
 
-    def tangent_from_coords(self, x, coords) -> TangentVector:
-        coords = np.asarray(coords, dtype=float).reshape(self.intrinsic_dim)
-        root, _ = self.sqrt_and_inv_sqrt(x)
-        return TangentVector(base=x, coords=_sym(root @ self._chart_to_sym(coords) @ root))
+    def tangents_from_coords(self, bases, coords):
+        coords = np.asarray(coords, dtype=float).reshape(len(bases), self.intrinsic_dim)
+        root, _ = self._roots(self._stack(bases))
+        return _sym(root @ self._chart_to_sym(coords) @ root)
 
     def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
         return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))

@@ -13,6 +13,12 @@ from .base import ANTIPODAL_TOL, Space, TangentVector, _normalized_weights, read
 UNIT_NORM_TOL = 1e-6
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, the same float as ``np.linalg.norm(row)``
+    (both take the BLAS dot product; an ``axis=`` norm sums in another order)."""
+    return np.sqrt(np.vecdot(a, a))
+
+
 @dataclass(frozen=True, repr=False)
 class Sphere(Space):
     """S^m: unit vectors in R^(m+1); d(x, y) = arccos(x . y)."""
@@ -58,14 +64,15 @@ class Sphere(Space):
         grams = self._stack(xs) @ self._stack(ys).T
         return np.arccos(np.clip(grams, -1.0, 1.0))
 
-    def exp(self, x, v: TangentVector):
-        x = np.asarray(x, float)
-        coords = np.asarray(v.coords, float)
-        norm = np.linalg.norm(coords)
-        if norm == 0.0:
-            return readonly(x)
+    def exp_many(self, bases, tangents):
+        x = self._stack(bases)
+        coords = np.asarray(tangents, dtype=float).reshape(x.shape)
+        norm = _row_norms(coords)[:, None]
+        still = norm == 0.0
+        norm = np.where(still, 1.0, norm)
         out = np.cos(norm) * x + np.sin(norm) * coords / norm
-        return readonly(out / np.linalg.norm(out))
+        out = np.where(still, x, out / _row_norms(out)[:, None])
+        return list(readonly(out))
 
     def log(self, x, y) -> TangentVector:
         x = np.asarray(x, float)
@@ -81,30 +88,33 @@ class Sphere(Space):
             return TangentVector(base=x, coords=np.zeros(self.ambient_dim))
         return TangentVector(base=x, coords=theta * residual / rnorm)
 
-    def tangent_basis(self, x) -> np.ndarray:
-        """Deterministic orthonormal basis of the tangent hyperplane at ``x``.
+    def _tangent_bases(self, bases) -> np.ndarray:
+        """Deterministic orthonormal bases of the tangent hyperplanes.
 
-        Columns of the returned ``(m+1, m)`` matrix complete ``x`` to an
-        orthonormal frame (Householder reflection mapping e1 to x).
+        Slice ``i`` of the returned ``(N, m+1, m)`` stack completes
+        ``bases[i]`` to an orthonormal frame (the Householder reflection
+        mapping e1 to it; the identity at e1 itself).
         """
-        x = np.asarray(x, float)
-        e1 = np.zeros(self.ambient_dim)
-        e1[0] = 1.0
-        w = x - e1
-        wnorm = np.linalg.norm(w)
-        if wnorm < 1e-14:
-            frame = np.eye(self.ambient_dim)
-        else:
-            w = w / wnorm
-            frame = np.eye(self.ambient_dim) - 2.0 * np.outer(w, w)
-        return frame[:, 1:]
+        eye = np.eye(self.ambient_dim)
+        w = self._stack(bases) - eye[0]
+        wnorm = _row_norms(w)[:, None]
+        at_e1 = wnorm < 1e-14
+        w = w / np.where(at_e1, 1.0, wnorm)
+        frame = eye - 2.0 * (w[:, :, None] * w[:, None, :])
+        frame = np.where(at_e1[:, :, None], eye, frame)
+        return frame[:, :, 1:]
+
+    def tangent_basis(self, x) -> np.ndarray:
+        """Deterministic orthonormal basis of the tangent hyperplane at ``x``:
+        the ``(m+1, m)`` slice of :meth:`_tangent_bases`."""
+        return self._tangent_bases([x])[0]
 
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         return self.tangent_basis(v.base).T @ np.asarray(v.coords, float)
 
-    def tangent_from_coords(self, x, coords) -> TangentVector:
-        coords = np.asarray(coords, dtype=float).reshape(self.dim)
-        return TangentVector(base=x, coords=self.tangent_basis(x) @ coords)
+    def tangents_from_coords(self, bases, coords):
+        coords = np.asarray(coords, dtype=float).reshape(len(bases), self.dim, 1)
+        return np.matmul(self._tangent_bases(bases), coords)[:, :, 0]
 
     def tangent_norm(self, v: TangentVector) -> float:
         # Ambient representation is already orthonormal.

@@ -88,8 +88,10 @@ class Spider3(Space):
         same = ba[:, None] == bb[None, :]
         return np.where(same, np.abs(ra[:, None] - rb[None, :]), ra[:, None] + rb[None, :])
 
-    def exp(self, x, v: TangentVector):
-        step = v.coords
+    def exp_many(self, bases, tangents):
+        return [self._exp_step(x, step) for x, step in zip(bases, tangents)]
+
+    def _exp_step(self, x: SpiderPoint, step: SpiderStep) -> SpiderPoint:
         if x.radius == 0.0:
             return self.validate_point((abs(step.delta), step.cross_branch))
         s = x.radius + step.delta
@@ -110,9 +112,11 @@ class Spider3(Space):
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         return np.array([v.coords.delta])
 
-    def tangent_from_coords(self, x, coords) -> TangentVector:
-        delta = float(np.asarray(coords, dtype=float).reshape(1)[0])
-        return TangentVector(base=x, coords=SpiderStep(delta, _alternate_branch(x.branch)))
+    def tangents_from_coords(self, bases, coords):
+        deltas = np.asarray(coords, dtype=float).reshape(len(bases))
+        return tuple(
+            SpiderStep(float(d), _alternate_branch(x.branch)) for x, d in zip(bases, deltas)
+        )
 
     def tangent_norm(self, v: TangentVector) -> float:
         return abs(v.coords.delta)
@@ -122,7 +126,9 @@ class Spider3(Space):
             base=v.base, coords=SpiderStep(s * v.coords.delta, v.coords.cross_branch)
         )
 
-    def random_tangent(self, x, scatter, rng: np.random.Generator) -> TangentVector:
+    def _draw(self, x, scatter, rng: np.random.Generator) -> SpiderStep:
+        # Each stream also picks the branch a step crossing the origin
+        # continues on, right after its normal.
         scatter = np.asarray(scatter, dtype=float)
         if scatter.shape not in ((), (1,), (1, 1)):
             raise GeometryError(
@@ -137,7 +143,13 @@ class Spider3(Space):
         else:
             others = [b for b in BRANCHES if b != x.branch]
             cross = int(others[rng.integers(2)])
-        return TangentVector(base=x, coords=SpiderStep(delta, cross))
+        return SpiderStep(delta, cross)
+
+    def _tangents_from_draws(self, bases, draws):
+        return tuple(draws)
+
+    def _stack_one(self, coords):
+        return (coords,)
 
     def mean_log(self, x, points, weights=None):
         """Descent direction for intrinsic means/medians on the spider.
