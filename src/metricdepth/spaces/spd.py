@@ -104,10 +104,15 @@ class SPD(Space):
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.size, self.size)
 
-    def _inv_sqrt_stack(self, mats: np.ndarray) -> np.ndarray:
+    def _eigh_pd(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of a (N, k, k) stack, checked positive definite."""
         eigval, eigvec = np.linalg.eigh(_sym(mats))
-        if np.min(eigval) <= 0.0:
+        if np.min(eigval[..., 0], initial=np.inf) <= 0.0:
             raise GeometryError("matrix is not positive definite")
+        return eigval, eigvec
+
+    def _inv_sqrt_stack(self, mats: np.ndarray) -> np.ndarray:
+        eigval, eigvec = self._eigh_pd(mats)
         inv_root = eigvec * (eigval ** -0.5)[..., None, :]
         return inv_root @ np.swapaxes(eigvec, -1, -2)
 
@@ -131,9 +136,7 @@ class SPD(Space):
 
     def _roots(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Square roots and inverse square roots of a (N, k, k) stack."""
-        eigval, eigvec = np.linalg.eigh(_sym(mats))
-        if np.min(eigval[..., 0], initial=np.inf) <= 0.0:
-            raise GeometryError("matrix is not positive definite")
+        eigval, eigvec = self._eigh_pd(mats)
         vt = np.swapaxes(eigvec, -1, -2)
         root = (eigvec * np.sqrt(eigval)[..., None, :]) @ vt
         inv_root = (eigvec * (1.0 / np.sqrt(eigval))[..., None, :]) @ vt

@@ -113,8 +113,19 @@ class Sphere(Space):
         return self.tangent_basis(v.base).T @ np.asarray(v.coords, float)
 
     def tangents_from_coords(self, bases, coords):
-        coords = np.asarray(coords, dtype=float).reshape(len(bases), self.dim, 1)
-        return np.matmul(self._tangent_bases(bases), coords)[:, :, 0]
+        # Each row needs its own (m+1, m+1) frame, so rows are taken in chunks
+        # that keep every frame temporary under depth._CHUNK_ELEMS // 8
+        # elements; rows do not interact, so the chunking changes no bit.
+        from ..depth import _CHUNK_ELEMS
+
+        x = self._stack(bases)
+        coords = np.asarray(coords, dtype=float).reshape(len(x), self.dim, 1)
+        out = np.empty((len(x), self.ambient_dim))
+        step = max(1, _CHUNK_ELEMS // 8 // self.ambient_dim**2)
+        for lo in range(0, len(x), step):
+            frames = self._tangent_bases(x[lo:lo + step])
+            out[lo:lo + step] = np.matmul(frames, coords[lo:lo + step])[:, :, 0]
+        return out
 
     def tangent_norm(self, v: TangentVector) -> float:
         # Ambient representation is already orthonormal.

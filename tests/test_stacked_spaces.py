@@ -119,6 +119,19 @@ def test_sphere_row_norms_equal_one_row_norms(dim, rng):
     assert np.array_equal(_row_norms(rows), [np.linalg.norm(r) for r in rows])
 
 
+@pytest.mark.parametrize("dim", [2, 7])
+def test_sphere_tangent_chunks_leave_rows_unchanged(dim, rng, monkeypatch):
+    import metricdepth.depth as depth
+
+    space = Sphere(dim)
+    bases = _bases(space, rng) + random_points(space, 3, rng)
+    coords = rng.standard_normal((len(bases), dim))
+    whole = space.tangents_from_coords(bases, coords)
+    # Three rows' frames per chunk: 13 rows end in a partial chunk of one.
+    monkeypatch.setattr(depth, "_CHUNK_ELEMS", 8 * 3 * (dim + 1) ** 2)
+    assert np.array_equal(space.tangents_from_coords(bases, coords), whole)
+
+
 def test_product_scatter_entries_may_mix_matrices_and_scalars():
     space = Product((SPD(2), Euclidean(3)))
     cov = np.array([[0.4, 0.1, 0.0], [0.1, 0.3, -0.05], [0.0, -0.05, 0.2]])
