@@ -23,6 +23,11 @@ first admissible pair, so its work grows with the number of pairs whose
 count lies below its depth rather than with n_A^2. The stable sort keeps
 the tie-break of a masked minimum over the row-major table: the least
 count, and among equal counts the first pair in row-major order.
+The table keeps its rank codes. When the queries are the sample itself
+(the same object), the scan reads those codes in place of a second
+sample-to-anchor distance matrix: admissibility compares two entries of
+one row, so codes and distances give the same counts and the same pairs,
+and a self-depth run computes each sample-to-anchor distance once.
 
 Depth values are kept as exact integer counts over n; ties on the
 equidistance boundary are counted on both sides (membership uses <=), so
@@ -71,16 +76,18 @@ class AnchorSet:
 class HalfspaceProbTable:
     """counts[a1, a2] = #{i : d(X_i, a1) <= d(X_i, a2)}.
 
-    Diagonal entries equal n by construction. ``counts`` must not be
-    modified after :attr:`sorted_pairs` is first read, which caches its
-    order.
+    Diagonal entries equal n by construction. ``codes`` holds the (n, n_A)
+    per-row dense rank codes of the sample-to-anchor distances that the
+    counts were built from (see :func:`_row_ranks`), or ``None`` for a
+    table given by its counts alone; :func:`approx_depth` scans them when
+    the queries are the sample. Neither ``counts`` nor ``codes`` may be
+    modified: queries trust the codes to match the counts, and
+    :attr:`sorted_pairs` caches the order of the counts when first read.
     """
 
     counts: np.ndarray
     n: int
-
-    def prob(self, a1: int, a2: int) -> Fraction:
-        return Fraction(int(self.counts[a1, a2]), self.n)
+    codes: np.ndarray | None = None
 
     @cached_property
     def sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +225,8 @@ def halfspace_prob_table(space: Space, sample: Sequence, anchors) -> HalfspacePr
     dist = space.distance_matrix(sample, anchor_points)
     if np.isnan(dist).any():
         raise GeometryError("sample-anchor distance matrix contains NaN")
-    return HalfspaceProbTable(counts=_prob_counts(_row_ranks(dist)), n=len(sample))
+    codes = _row_ranks(dist)
+    return HalfspaceProbTable(counts=_prob_counts(codes), n=len(sample), codes=codes)
 
 
 def _query_distances(space: Space, queries: Sequence, anchor_points: tuple) -> np.ndarray:
@@ -240,16 +248,23 @@ def approx_depth(
     """Anchored halfspace depth of each query with respect to the sample.
 
     ``table`` may carry a precomputed :func:`halfspace_prob_table` for these
-    (sample, anchors); passing it skips the O(n n_A^2) rebuild.
+    (sample, anchors); passing it skips the O(n n_A^2) rebuild. When
+    ``queries`` is ``sample`` (the same object), the table's rank codes
+    stand in for the query distances, which are then not computed again.
     """
+    self_query = queries is sample
     sample = tuple(sample)
-    queries = tuple(queries)
+    queries = sample if self_query else tuple(queries)
     anchor_points = _as_points(anchors)
     if len(queries) == 0:
         return []
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
-    nums, a1, a2 = _min_counts(table, _query_distances(space, queries, anchor_points))
+    if self_query and table.codes is not None:
+        query_codes = table.codes
+    else:
+        query_codes = _query_distances(space, queries, anchor_points)
+    nums, a1, a2 = _min_counts(table, query_codes)
     n = table.n
     return [
         DepthReport(query_index=j, depth_num=int(nums[j]), depth_den=n,

@@ -21,7 +21,7 @@ from metricdepth.io import (
     write_depth_reports_csv,
     write_points,
 )
-from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
+from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3, parse_space
 
 from conftest import random_points
 
@@ -102,6 +102,24 @@ def test_cmd_depth_json_and_reproducibility(tmp_path, runner):
     invoke(runner, args + ["--out", str(out2)])
     assert sha256_file(out1) == sha256_file(out2)
     assert json.loads(out1.read_text())[0]["depth_den"] == 9
+
+
+@pytest.mark.parametrize("spec", ["euclidean:3", "sphere:2", "spd:2", "spider3",
+                                  "product:sphere:2+euclidean:1"])
+@pytest.mark.parametrize("anchors", ["sample", "jiggle:2"])
+def test_cmd_depth_self_equals_query_of_the_data(tmp_path, runner, rng, spec, anchors):
+    # --self scans the table's rank codes; --query on the same file reads
+    # freshly computed query distances. The CSVs must be the same bytes.
+    space = parse_space(spec)
+    data = tmp_path / "data.csv"
+    write_points(data, space, random_points(space, 40, rng) * 2)
+    outs = {}
+    for mode in (["--self"], ["--query", str(data)]):
+        out = tmp_path / f"{mode[0][2:]}.csv"
+        invoke(runner, ["depth", "--space", spec, "--data", str(data), *mode,
+                        "--anchors", anchors, "--seed", "3", "--out", str(out)])
+        outs[mode[0]] = out.read_bytes()
+    assert outs["--self"] == outs["--query"]
 
 
 def test_cmd_depth_requires_query_choice(tmp_path, runner):
