@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .rng import NS_JIGGLE, NS_REFINE, derive_rng
+from .rng import NS_JIGGLE, NS_REFINE, derive_rngs
 from .spaces import Space
 
 # Cap on the size of transient temporaries in the vectorized kernels.
@@ -317,7 +317,7 @@ def jiggle_anchors(
             raise GeometryError("jiggling needs >= 2 points to set a distance scale")
         sigma = 0.0 if radius_frac == 0 else radius_frac * median_pairwise_distance(space, sample)
         bases = [x for x in sample for _ in range(k)]
-        rngs = [derive_rng(seed, NS_JIGGLE, i, j) for i in range(len(sample)) for j in range(k)]
+        rngs = derive_rngs(seed, NS_JIGGLE, shape=(len(sample), k))
         tangents = space.random_tangents(bases, [sigma**2] * len(bases), rngs)
         points += space.exp_many(bases, tangents)
         provenance += [("jiggled", i) for i in range(len(sample)) for _ in range(k)]
@@ -375,15 +375,18 @@ def refine_deepest(
     anchor_points = _as_points(anchors)
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
+    # Every step reads the same anchors and sample, so each is stacked once.
+    anchor_stack = space.stack(anchor_points)
+    sample_stack = space.stack(sample)
 
     def depth_of(point):
-        return int(_min_counts(table, _query_distances(space, [point], anchor_points))[0][0])
+        return int(_min_counts(table, _query_distances(space, [point], anchor_stack))[0][0])
 
     current = start
     current_num = depth_of(current)
     if budget == 0:
         return current, Fraction(current_num, table.n)
-    current_sum = float(_distance_sums(space, sample, [current])[0])
+    current_sum = float(_distance_sums(space, sample_stack, [current])[0])
 
     if len(sample) >= 2 and radius_frac > 0:
         scale = radius_frac * median_pairwise_distance(space, sample)
@@ -391,15 +394,14 @@ def refine_deepest(
         scale = 0.0
     decay = 0.01 ** (1.0 / budget)
     radius = scale
-    for step in range(budget):
-        rng = derive_rng(seed, NS_REFINE, step)
+    for rng in derive_rngs(seed, NS_REFINE, shape=(budget,)):
         proposal = space.exp(current, space.random_tangent(current, radius**2, rng))
         num = depth_of(proposal)
         if num > current_num:
             current, current_num = proposal, num
-            current_sum = float(_distance_sums(space, sample, [current])[0])
+            current_sum = float(_distance_sums(space, sample_stack, [current])[0])
         elif num == current_num:
-            prop_sum = float(_distance_sums(space, sample, [proposal])[0])
+            prop_sum = float(_distance_sums(space, sample_stack, [proposal])[0])
             if prop_sum < current_sum:
                 current, current_sum = proposal, prop_sum
         radius *= decay

@@ -45,14 +45,14 @@ def _mean_objective(space, x, sample):
     return float(np.mean(space.distance_matrix([x], sample)))
 
 
-def _descent(space, sample, tol, max_iter, objective, direction):
+def _descent(space, sample, points, tol, max_iter, objective, direction):
     """Shared loop for the mean and median: step along ``direction`` with
     halving on objective increase; ``converged`` means the last applied
-    update was shorter than ``tol``."""
-    sample = tuple(sample)
+    update was shorter than ``tol``. ``points`` is ``space.stack(sample)``,
+    which every distance call reads."""
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
-    dist = space.distance_matrix(sample, sample)
+    dist = space.distance_matrix(points, points)
     objs = objective(dist)
     x = sample[int(np.argmin(objs))]
     current = float(objs.min())
@@ -60,7 +60,7 @@ def _descent(space, sample, tol, max_iter, objective, direction):
     iterations = 0
     for iterations in range(1, max_iter + 1):
         try:
-            v = direction(x, dist=space.distance_matrix([x], sample)[0])
+            v = direction(x, dist=space.distance_matrix([x], points)[0])
         except MetricDepthError as exc:
             raise NumericalError(
                 f"{exc}; try an initial point deeper inside the data"
@@ -70,7 +70,7 @@ def _descent(space, sample, tol, max_iter, objective, direction):
         accepted = False
         for _ in range(MAX_STEP_HALVINGS):
             trial = space.exp(x, space.scale_tangent(v, step))
-            trial_obj = float(objective(space.distance_matrix([trial], sample))[0])
+            trial_obj = float(objective(space.distance_matrix([trial], points))[0])
             if trial_obj <= current:
                 x, current = trial, trial_obj
                 last_update = step * vnorm
@@ -93,11 +93,13 @@ def frechet_mean(space: Space, sample: Sequence, tol: float = 1e-8,
         return np.mean(np.asarray(dist) ** 2, axis=-1)
 
     def direction(x, dist):
-        return space.mean_log(x, sample)
+        return space.mean_log(x, points)
 
     sample = tuple(sample)
-    x, obj, iters, converged = _descent(space, sample, tol, max_iter, objective, direction)
-    grad_norm = space.tangent_norm(space.mean_log(x, sample))
+    points = space.stack(sample)
+    x, obj, iters, converged = _descent(space, sample, points, tol, max_iter, objective,
+                                        direction)
+    grad_norm = space.tangent_norm(space.mean_log(x, points))
     return EstimatorResult(point=x, objective=obj, iterations=iters,
                            converged=converged, extras={"grad_norm": grad_norm})
 
@@ -109,13 +111,14 @@ def frechet_median(space: Space, sample: Sequence, tol: float = 1e-8,
     def objective(dist):
         return np.mean(np.asarray(dist), axis=-1)
 
-    sample = tuple(sample)
-
     def direction(x, dist):
         weights = 1.0 / np.maximum(dist, WEISZFELD_GUARD)
-        return space.mean_log(x, sample, weights=weights)
+        return space.mean_log(x, points, weights=weights)
 
-    x, obj, iters, converged = _descent(space, sample, tol, max_iter, objective, direction)
+    sample = tuple(sample)
+    points = space.stack(sample)
+    x, obj, iters, converged = _descent(space, sample, points, tol, max_iter, objective,
+                                        direction)
     return EstimatorResult(point=x, objective=obj, iterations=iters, converged=converged)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import depth
 from .depth import _prob_counts, _row_ranks
 from .errors import DataError
-from .rng import NS_PERMUTATION, derive_rng
+from .rng import NS_PERMUTATION, derive_rngs
 from .spaces import Space
 
 MIN_PERMUTATIONS = 99
@@ -170,10 +170,11 @@ def _permutation_statistics(
     rows each. Returns all P + 1 statistics and the identity's ranks.
     """
     batch = max(1, depth._CHUNK_ELEMS // 8 // (width * total))
+    rngs = derive_rngs(seed, NS_PERMUTATION, shape=(n_permutations,))
     values, observed_ranks = [], None
     for lo in range(0, n_permutations + 1, batch):
         orders = np.stack([
-            derive_rng(seed, NS_PERMUTATION, i - 1).permutation(total) if i else np.arange(total)
+            next(rngs).permutation(total) if i else np.arange(total)
             for i in range(lo, min(lo + batch, n_permutations + 1))
         ])
         stats, ranks = statistic(orders)

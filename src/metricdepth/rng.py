@@ -1,11 +1,25 @@
 """Deterministic RNG derivation.
 
 Every stochastic routine takes an integer seed and derives independent
-streams through ``SeedSequence`` paths, so results do not depend on
-execution order or degree of parallelism.
+streams from integer paths ``(seed, *path)``, so results do not depend on
+execution order or degree of parallelism. Stream ``(seed, *path)`` is
+numpy's ``default_rng(SeedSequence([seed, *path]))`` bit for bit, with
+every path entry masked to 64 bits.
+
+Streams are derived in batches. :func:`derive_rngs` runs the
+``SeedSequence`` entropy mix once over the uint32 words of N paths as
+array columns, then seeds one ``PCG64`` per row from its state words, so
+a stream costs a generator's construction rather than a Python-level hash
+(counter-based derivation in the sense of Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011). :func:`derive_rng` and
+:func:`derive_seed` read the same mix for one path. ``numpy.random`` is
+imported on the first derivation, not with this module.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -18,14 +32,126 @@ NS_REPLICATE = 4
 NS_BOOTSTRAP = 5
 NS_SAMPLING = 6
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    """Little-endian uint32 words of a path entry masked to 64 bits, as
+    ``SeedSequence`` reads an int: one word for values below 2**32."""
+    value = int(value) & _MASK64
+    return [value & _MASK32, value >> 32] if value >> 32 else [value]
+
+
+def _entropy(seed: int, path: tuple) -> list[int]:
+    return [w for value in (seed, *path) for w in _words(value)]
+
+
+@functools.cache
+def _hash_consts(start: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) constant pairs of ``count`` successive hash
+    steps; the multiplier of one step is the xor constant of the next."""
+    consts = [start]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return tuple(zip(consts, consts[1:]))
+
+
+def _seed_state(entropy: list) -> list:
+    """PCG64 seed of ``SeedSequence(entropy)``: ``generate_state(4, uint64)``.
+
+    Each entropy word is a Python int, or a uint64 array that holds the
+    word of one path per entry. The hash constants advance the same way for
+    every path, so they are Python ints fixed by the entropy length, and a
+    step of the mix is one operation on all paths at once. Products of two
+    32-bit words fit in 64 bits, so masking after each step gives uint32
+    arithmetic on either type.
+    """
+    n_steps = _POOL_SIZE * (max(len(entropy), _POOL_SIZE) + _POOL_SIZE - 1)
+    steps = iter(_hash_consts(_INIT_A, _MULT_A, n_steps))
+
+    def hashmix(value):
+        xor, mult = next(steps)
+        value = ((value ^ xor) * mult) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = []
+    for i, (xor, mult) in enumerate(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)):
+        value = ((pool[i % _POOL_SIZE] ^ xor) * mult) & _MASK32
+        state.append(value ^ (value >> _XSHIFT))
+    # Little-endian word pairs, as generate_state(4, uint64) views them.
+    return [state[i] | (state[i + 1] << 32) for i in range(0, len(state), 2)]
+
+
+class _StateWords:
+    """Seed source of one ``PCG64``: its four uint64 seed words. It is
+    registered as numpy's ``ISeedSequence`` when ``numpy.random`` is first
+    imported, and lives at module level so that generators pickle."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 seeds itself from generate_state(4, uint64) alone.
+        return self.words
+
+
+@functools.cache
+def _stream_factory():
+    """Maker of a ``Generator`` from a row of :func:`_seed_state` words;
+    imports ``numpy.random`` on first use."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StateWords)
+    return lambda words: Generator(PCG64(_StateWords(words)))
+
+
+def derive_rngs(seed: int, *prefix: int, shape: tuple) -> Iterator[np.random.Generator]:
+    """Generators of streams ``(seed, *prefix, *idx)`` for every index
+    ``idx`` of ``shape``, in C order; stream for stream the same as
+    :func:`derive_rng`. Indices must stay below 2**32.
+
+    The seeds of all streams are mixed at once; each generator is made
+    when the iterator reaches it, so a caller that uses one stream at a
+    time holds one generator, not N.
+    """
+    shape = tuple(int(s) for s in shape)
+    count = int(np.prod(shape, dtype=np.int64))
+    head = [np.full(count, w, np.uint64) for w in _entropy(seed, prefix)]
+    idx = np.indices(shape, dtype=np.uint64).reshape(len(shape), count)
+    state = np.stack(_seed_state(head + list(idx)), axis=1)
+    return map(_stream_factory(), state)
+
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for stream ``(seed, *path)``; stable across runs and platforms."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [int(p) & 0xFFFFFFFFFFFFFFFF for p in path]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return _stream_factory()(np.array(_seed_state(_entropy(seed, path)), dtype=np.uint64))
 
 
 def derive_seed(seed: int, *path: int) -> int:
-    """Collapse a stream path into a single integer seed."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [int(p) & 0xFFFFFFFFFFFFFFFF for p in path]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    """Collapse a stream path into a single integer seed: the first uint32
+    word of the stream's state."""
+    return _seed_state(_entropy(seed, path))[0] & _MASK32

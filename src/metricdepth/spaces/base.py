@@ -23,13 +23,21 @@ A stack of N tangents is the geometry's tangent payload with a leading
 axis of length N: an (N, ...) array for the vector and matrix geometries,
 a tuple of N steps for the spider, and a tuple of component stacks for
 products.
+
+:meth:`Space.stack` turns a sequence of points into the form its
+geometry's kernels read without another copy: a read-only (N, ...) array
+for the vector and matrix geometries, a tuple of the points otherwise.
+Every method that takes a sequence of points accepts it, and the values
+it computes are the same as from the points, bit for bit. Callers that
+pass one point set to many calls, such as refinement and the intrinsic
+mean and median, stack it once.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -70,6 +78,10 @@ class Space(ABC):
     @abstractmethod
     def validate_point(self, raw) -> Any:
         """Normalize raw input into a point, or raise ``PointValidationError``."""
+
+    def stack(self, points: Sequence) -> Sequence:
+        """``points`` in the form the kernels read; see the module docstring."""
+        return tuple(points)
 
     @abstractmethod
     def distance_matrix(self, xs: Sequence, ys: Sequence) -> np.ndarray:
@@ -120,14 +132,15 @@ class Space(ABC):
     def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
         pass
 
-    def random_tangents(self, bases: Sequence, scatters: Sequence, rngs: Sequence):
+    def random_tangents(self, bases: Sequence, scatters: Sequence, rngs: Iterable):
         """Stack of zero-mean Gaussian tangents, one per base.
 
         Tangent ``i`` lies in the orthonormal chart at ``bases[i]`` and reads
-        ``rngs[i]`` with scatter ``scatters[i]``: an isotropic variance
-        (scalar, may be 0) or a full covariance matrix over the chart
-        coordinates. Streams are read in base order, so one generator passed
-        for every base gives the draws of N :meth:`random_tangent` calls.
+        the ``i``-th generator of ``rngs`` (a sequence or an iterator) with
+        scatter ``scatters[i]``: an isotropic variance (scalar, may be 0) or
+        a full covariance matrix over the chart coordinates. Streams are read
+        in base order, so one generator passed for every base gives the
+        draws of N :meth:`random_tangent` calls.
         """
         draws = [self._draw(x, s, rng) for x, s, rng in zip(bases, scatters, rngs)]
         return self._tangents_from_draws(bases, draws)
@@ -215,5 +228,12 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
 def readonly(arr: np.ndarray) -> np.ndarray:
     """Own and freeze an array; validated points are immutable by contract."""
     out = np.array(arr, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def frozen_view(arr: np.ndarray) -> np.ndarray:
+    """Read-only view of an array, leaving the array itself writeable."""
+    out = arr.view()
     out.flags.writeable = False
     return out

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GeometryError, PointValidationError
-from .base import Space, TangentVector, _normalized_weights, readonly
+from .base import Space, TangentVector, _normalized_weights, frozen_view, readonly
 
 
 @dataclass(frozen=True, repr=False)
@@ -40,6 +40,9 @@ class Euclidean(Space):
 
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.dim)
+
+    def stack(self, points):
+        return frozen_view(self._stack(points))
 
     def distance_matrix(self, xs, ys):
         # Squared differences summed one coordinate at a time, in order, so

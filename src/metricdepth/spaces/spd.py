@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GeometryError, NumericalError, PointValidationError
-from .base import Space, TangentVector, _normalized_weights, readonly
+from .base import Space, TangentVector, _normalized_weights, frozen_view, readonly
 
 SYMMETRY_TOL = 1e-6
 # Eigenvalues of congruence-whitened products are clipped here before log;
@@ -104,6 +104,9 @@ class SPD(Space):
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.size, self.size)
 
+    def stack(self, points):
+        return frozen_view(self._stack(points))
+
     def _eigh_pd(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of a (N, k, k) stack, checked positive definite."""
         eigval, eigvec = np.linalg.eigh(_sym(mats))
@@ -122,13 +125,27 @@ class SPD(Space):
         s = self._inv_sqrt_stack(left)  # (na, k, k)
         # Whitened products s_a @ q_b @ s_a for every pair, chunked over rows
         # to bound the (chunk, nb, k, k) temporaries.
-        na, nb = len(left), len(right)
+        na, nb, k = len(left), len(right), self.size
         out = np.empty((na, nb))
-        chunk = max(1, int(4e6 // max(nb * self.size * self.size, 1)))
+        chunk = max(1, int(4e6 // max(nb * k * k, 1)))
+        # Two BLAS products, s_a q_b and then (s_a q_b) s_a, in the operand
+        # order and memory layout that einsum's optimize=True path gives
+        # "aij,bjk->abik" and "abik,akl->abil": operands swapped, kept and
+        # contracted axes fused. Each entry is then summed exactly as the
+        # einsum calls summed it, so distances keep their bits without a
+        # contraction-path search per call. Associating the other way,
+        # s_a (q_b s_a), rounds differently.
+        right_t = np.swapaxes(right, 1, 2).reshape(nb * k, k)
         for lo in range(0, na, chunk):
             hi = min(lo + chunk, na)
-            mid = np.einsum("aij,bjk->abik", s[lo:hi], right, optimize=True)
-            whitened = np.einsum("abik,akl->abil", mid, s[lo:hi], optimize=True)
+            rows, block = hi - lo, s[lo:hi]
+            # Each step rebinds mid, so at most two (rows, nb, k, k) arrays
+            # are alive at once.
+            mid = right_t @ block.transpose(2, 0, 1).reshape(k, rows * k)
+            mid = mid.reshape(nb, k, rows, k).transpose(2, 0, 3, 1)  # [a, b] = s_a q_b
+            mid = mid.transpose(0, 3, 1, 2).reshape(rows, k, nb * k)
+            whitened = np.swapaxes(block, 1, 2) @ mid
+            whitened = whitened.reshape(rows, k, nb, k).transpose(0, 2, 3, 1)
             eig = _eigvalsh_batch(whitened)
             logs = np.log(np.maximum(eig, EIG_FLOOR))
             out[lo:hi] = np.sqrt(np.sum(logs**2, axis=-1))

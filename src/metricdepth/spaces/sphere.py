@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GeometryError, PointValidationError, UndefinedLogError
-from .base import ANTIPODAL_TOL, Space, TangentVector, _normalized_weights, readonly
+from .base import ANTIPODAL_TOL, Space, TangentVector, _normalized_weights, frozen_view, readonly
 
 UNIT_NORM_TOL = 1e-6
 
@@ -59,6 +59,9 @@ class Sphere(Space):
 
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.ambient_dim)
+
+    def stack(self, points):
+        return frozen_view(self._stack(points))
 
     def distance_matrix(self, xs, ys):
         grams = self._stack(xs) @ self._stack(ys).T

@@ -1,0 +1,220 @@
+"""Stacked operands, batched streams and the SPD matmul kernel against
+test-local references.
+
+Refinement stacks its anchors and sample once and derives all its step
+streams in one batch; the intrinsic mean and median stack their sample
+once; the SPD distance kernel runs two matmuls where it ran two
+``einsum(optimize=True)`` calls. None of this may move a bit, so each is
+checked for exact equality against the form it replaced: a loop that
+derives one stream per step and passes tuples, and the einsum kernel.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from metricdepth.depth import (
+    _min_counts,
+    halfspace_prob_table,
+    in_sample_deepest,
+    jiggle_anchors,
+    median_pairwise_distance,
+    refine_deepest,
+)
+from metricdepth.errors import MetricDepthError, NumericalError
+from metricdepth.estimators import (
+    MAX_STEP_HALVINGS,
+    WEISZFELD_GUARD,
+    frechet_mean,
+    frechet_median,
+)
+from metricdepth.rng import NS_REFINE, derive_rng
+from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
+from metricdepth.spaces.base import TangentVector
+from metricdepth.spaces.spd import EIG_FLOOR, _eigvalsh_batch
+
+from conftest import random_points
+
+SPACES = [
+    Euclidean(3),
+    Sphere(2),
+    SPD(2),
+    SPD(3),
+    Spider3(),
+    Product((SPD(2), Sphere(2))),
+]
+
+
+def _same(a, b) -> bool:
+    """Bit-for-bit equality of points, tangents and their payloads."""
+    if isinstance(a, TangentVector):
+        return _same(a.base, b.base) and _same(a.coords, b.coords)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def reference_refine(space, sample, anchors, start, budget, seed, radius_frac, table):
+    """Refinement as one stream per step, with tuples passed to every call."""
+    sample = tuple(sample)
+    anchor_points = tuple(anchors.points)
+
+    def depth_of(point):
+        dist = space.distance_matrix([point], anchor_points)
+        return int(_min_counts(table, dist)[0][0])
+
+    def dist_sum(point):
+        return float(space.distance_matrix([point], sample).sum(axis=1)[0])
+
+    current, current_num = start, depth_of(start)
+    if budget == 0:
+        return current, Fraction(current_num, table.n)
+    current_sum = dist_sum(current)
+    radius = radius_frac * median_pairwise_distance(space, sample)
+    decay = 0.01 ** (1.0 / budget)
+    for step in range(budget):
+        rng = derive_rng(seed, NS_REFINE, step)
+        proposal = space.exp(current, space.random_tangent(current, radius**2, rng))
+        num = depth_of(proposal)
+        if num > current_num:
+            current, current_num, current_sum = proposal, num, dist_sum(proposal)
+        elif num == current_num:
+            prop_sum = dist_sum(proposal)
+            if prop_sum < current_sum:
+                current, current_sum = proposal, prop_sum
+        radius *= decay
+    return current, Fraction(current_num, table.n)
+
+
+def reference_descent(space, sample, tol, max_iter, objective, direction):
+    """The intrinsic mean / median loop with the sample passed as a tuple."""
+    sample = tuple(sample)
+    dist = space.distance_matrix(sample, sample)
+    objs = objective(dist)
+    x, current = sample[int(np.argmin(objs))], float(objs.min())
+    last_update, iterations = np.inf, 0
+    for iterations in range(1, max_iter + 1):
+        try:
+            v = direction(x, space.distance_matrix([x], sample)[0])
+        except MetricDepthError as exc:
+            raise NumericalError(str(exc)) from exc
+        vnorm, step, accepted = space.tangent_norm(v), 1.0, False
+        for _ in range(MAX_STEP_HALVINGS):
+            trial = space.exp(x, space.scale_tangent(v, step))
+            trial_obj = float(objective(space.distance_matrix([trial], sample))[0])
+            if trial_obj <= current:
+                x, current, last_update, accepted = trial, trial_obj, step * vnorm, True
+                break
+            step *= 0.5
+        if not accepted:
+            last_update = step * vnorm
+            break
+        if last_update < tol:
+            break
+    return x, current, iterations, last_update < tol
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
+@pytest.mark.parametrize("budget", [0, 1, 12])
+def test_refine_deepest_equals_per_step_stream_loop(space, budget, rng):
+    sample = random_points(space, 14, rng)
+    anchors = jiggle_anchors(space, sample, 2, 0.2, seed=5)
+    table = halfspace_prob_table(space, sample, anchors)
+    start, _, _ = in_sample_deepest(space, sample, anchors, table=table)
+    got = refine_deepest(space, sample, anchors, start, budget, seed=11,
+                         radius_frac=0.3, table=table)
+    want = reference_refine(space, sample, anchors, start, budget, 11, 0.3, table)
+    assert got[1] == want[1]
+    assert _same(got[0], want[0])
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
+def test_frechet_mean_and_median_equal_tuple_loop(space, rng):
+    sample = tuple(random_points(space, 12, rng))
+    tol, max_iter = 1e-8, 25
+
+    def mean_objective(dist):
+        return np.mean(np.asarray(dist) ** 2, axis=-1)
+
+    def median_objective(dist):
+        return np.mean(np.asarray(dist), axis=-1)
+
+    def mean_direction(x, dist):
+        return space.mean_log(x, sample)
+
+    def median_direction(x, dist):
+        return space.mean_log(x, sample, weights=1.0 / np.maximum(dist, WEISZFELD_GUARD))
+
+    for fit, objective, direction in ((frechet_mean, mean_objective, mean_direction),
+                                      (frechet_median, median_objective, median_direction)):
+        try:
+            want = reference_descent(space, sample, tol, max_iter, objective, direction)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                fit(space, sample, tol=tol, max_iter=max_iter)
+            continue
+        got = fit(space, sample, tol=tol, max_iter=max_iter)
+        assert _same(got.point, want[0])
+        assert (got.objective, got.iterations, got.converged) == want[1:]
+        if fit is frechet_mean:
+            grad = space.tangent_norm(space.mean_log(want[0], sample))
+            assert got.extras["grad_norm"] == grad
+
+
+def einsum_distance_matrix(space, xs, ys):
+    """The SPD kernel as two ``einsum(optimize=True)`` calls per row chunk."""
+    left, right = space._stack(xs), space._stack(ys)
+    s = space._inv_sqrt_stack(left)
+    na, nb = len(left), len(right)
+    out = np.empty((na, nb))
+    chunk = max(1, int(4e6 // max(nb * space.size * space.size, 1)))
+    for lo in range(0, na, chunk):
+        hi = min(lo + chunk, na)
+        mid = np.einsum("aij,bjk->abik", s[lo:hi], right, optimize=True)
+        whitened = np.einsum("abik,akl->abil", mid, s[lo:hi], optimize=True)
+        logs = np.log(np.maximum(_eigvalsh_batch(whitened), EIG_FLOOR))
+        out[lo:hi] = np.sqrt(np.sum(logs**2, axis=-1))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_spd_kernel_equals_einsum_reference(k, rng):
+    space = SPD(k)
+    nb = 400
+    chunk = max(1, int(4e6 // (nb * k * k)))
+    # Row counts 1 and one past the chunk size (two chunks, the last of one row).
+    raw = rng.standard_normal((chunk + 1, k, k))
+    points = list(raw @ np.swapaxes(raw, 1, 2) + 0.5 * np.eye(k))
+    for xs, ys in ((points[:1], points[:1]), (points[:1], points[:nb]),
+                   (points[:nb], points[:1]), (points[:7], points[:nb]),
+                   (points, points[:nb])):
+        got = space.distance_matrix(xs, ys)
+        assert np.array_equal(got, einsum_distance_matrix(space, xs, ys))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
+def test_stack_reads_like_the_points(space, rng):
+    points = random_points(space, 9, rng)
+    others = random_points(space, 4, rng)
+    stacked = space.stack(points)
+    assert len(stacked) == len(points)
+    if isinstance(stacked, np.ndarray):
+        assert not stacked.flags.writeable
+    else:
+        assert stacked == tuple(points)
+    assert np.array_equal(space.distance_matrix(stacked, others),
+                          space.distance_matrix(points, others))
+    assert np.array_equal(space.distance_matrix(others, stacked),
+                          space.distance_matrix(others, points))
+    assert _same(space.mean_log(others[0], stacked), space.mean_log(others[0], points))
+
+
+def test_stack_leaves_a_caller_array_writeable(rng):
+    space = Euclidean(3)
+    raw = rng.standard_normal((5, 3))
+    stacked = space.stack(raw)
+    assert not stacked.flags.writeable
+    assert raw.flags.writeable
