@@ -69,7 +69,8 @@ def handles_errors(fn):
 
 def _default_threads() -> int:
     env = os.environ.get("MHD_THREADS", "").strip()
-    if env.isdigit() and int(env) > 0:
+    # str.isdigit() also accepts non-ASCII digits such as '²', which int() rejects.
+    if env.isascii() and env.isdigit() and int(env) > 0:
         return int(env)
     return 1
 
@@ -79,7 +80,7 @@ def _parse_anchor_spec(text: str) -> int:
     if text == "sample":
         return 0
     name, sep, param = text.partition(":")
-    if name == "jiggle" and sep and param.isdigit():
+    if name == "jiggle" and sep and param.isascii() and param.isdigit():
         return int(param)
     raise click.BadParameter("--anchors must be 'sample' or 'jiggle:K'")
 

@@ -17,12 +17,21 @@ into the int32 table. A column subset of a row's codes keeps that row's
 order and ties, so the permutation tests rank their pooled distance
 matrix once and read every reference group's table off it. A NaN
 distance has no place in that order and is rejected.
+When no row ties two anchors, each row puts every pair of distinct
+anchors on exactly one side, so counts[a1, a2] + counts[a2, a1] = n and
+only the upper triangle is compared; the lower one is n minus its
+transpose. One duplicate anchor ties every row, so whether a table may
+take this path is decided once per table, from its codes, and a tied
+table counts both halves.
 The table's off-diagonal ordered pairs are sorted once by (count,
 row-major index); each query scans them in that order and stops at its
 first admissible pair, so its work grows with the number of pairs whose
 count lies below its depth rather than with n_A^2. The stable sort keeps
 the tie-break of a masked minimum over the row-major table: the least
-count, and among equal counts the first pair in row-major order.
+count, and among equal counts the first pair in row-major order. A query
+admits one of (a1, a2) and (a2, a1) for every pair, so no scan passes
+the least pair maximum max(counts[a1, a2], counts[a2, a1]); the sort
+keeps only the pairs up to that bound, the prefix that scans can reach.
 The table keeps its rank codes. When the queries are the sample itself
 (the same object), the scan reads those codes in place of a second
 sample-to-anchor distance matrix: admissibility compares two entries of
@@ -31,7 +40,7 @@ and a self-depth run computes each sample-to-anchor distance once.
 
 Depth values are kept as exact integer counts over n; ties on the
 equidistance boundary are counted on both sides (membership uses <=), so
-counts[a1, a2] + counts[a2, a1] >= n always holds.
+counts[a1, a2] + counts[a2, a1] = n + #ties >= n always holds.
 """
 
 from __future__ import annotations
@@ -91,20 +100,35 @@ class HalfspaceProbTable:
 
     @cached_property
     def sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Off-diagonal ordered pairs ``(a1, a2)`` as two index arrays,
-        ascending by count, equal counts in row-major order.
+        """Off-diagonal ordered pairs ``(a1, a2)`` that a query can reach,
+        as two index arrays, ascending by count, equal counts in row-major
+        order.
+
+        Every query admits (a1, a2) or (a2, a1) for each pair of distinct
+        anchors, so its least admissible count is at most
+        ``bound = min over a1 != a2 of max(counts[a1, a2], counts[a2, a1])``
+        and its scan retires at or below it. Only the pairs with
+        ``count <= bound`` are kept: in the order of all off-diagonal
+        pairs they form a prefix, and every scan stops inside it.
 
         Sorted once per table and shared by every query against it. The
         key is cast to the narrowest dtype that holds n, so numpy's stable
         sort runs as a radix sort on the usual sample sizes.
         """
         n_anchors = len(self.counts)
-        key = self.counts.astype(np.min_scalar_type(self.n)).ravel()
-        order = np.argsort(key, kind="stable").astype(np.min_scalar_type(key.size))
+        key = self.counts.astype(np.min_scalar_type(self.n))
+        # The diagonal holds n, the largest count, so it leaves the bound
+        # alone; with one anchor the bound is n and no pair is kept.
+        bound = np.maximum(key, key.T).min()
+        key = key.ravel()
+        keep = key <= bound
+        keep[::n_anchors + 1] = False
+        index = np.flatnonzero(keep)
+        order = index[np.argsort(key[index], kind="stable")]
+        order = order.astype(np.min_scalar_type(key.size))
         a1, a2 = np.divmod(order, n_anchors)
-        off_diagonal = a1 != a2
-        index = np.min_scalar_type(n_anchors)
-        return a1[off_diagonal].astype(index), a2[off_diagonal].astype(index)
+        dtype = np.min_scalar_type(n_anchors)
+        return a1.astype(dtype), a2.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -157,13 +181,27 @@ def _row_ranks(dist: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _prob_counts(codes: np.ndarray) -> np.ndarray:
+def _distinct_rows(codes: np.ndarray) -> bool:
+    """Whether no row of dense rank codes (:func:`_row_ranks`) holds two
+    equal entries: a row of n_A distinct values ranks up to n_A - 1."""
+    return bool((codes.max(axis=-1) == codes.shape[-1] - 1).all())
+
+
+def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
     """Table of halfspace member counts from an (..., n, n_A) stack of
     distance matrices or of any per-row order-preserving codes, such as
     :func:`_row_ranks`; leading axes are batch axes, one table each.
 
     Only entries of one row are compared. Sample rows are taken in chunks
-    of at most 255, so each chunk's member count fits a uint8 sum.
+    of at most 255, so each chunk's member count fits a uint8 sum. Anchors
+    are taken in blocks of first anchors [lo:hi]. ``distinct`` states that
+    no row of ``codes`` holds two equal entries; then each row puts every
+    pair of distinct anchors on exactly one side, so
+    ``counts[a2, a1] = n - counts[a1, a2]``, and a block compares only
+    against the anchors from ``lo`` on and fills the columns [lo:hi] of
+    the later rows from that identity. One duplicate anchor ties every
+    row, so ties are a property of the whole table, and a tied table
+    counts every block against all anchors.
     """
     *batch, n, n_anchors = codes.shape
     counts = np.zeros((*batch, n_anchors, n_anchors), dtype=np.int32)
@@ -171,10 +209,17 @@ def _prob_counts(codes: np.ndarray) -> np.ndarray:
     block = max(1, _CHUNK_ELEMS // max(int(np.prod(batch)) * rows * n_anchors, 1))
     for lo in range(0, n_anchors, block):
         hi = min(lo + block, n_anchors)
+        first = lo if distinct else 0
         for start in range(0, n, rows):
             chunk = codes[..., start:start + rows, :]
-            member = chunk[..., lo:hi, None] <= chunk[..., None, :]
-            counts[..., lo:hi, :] += member.view(np.uint8).sum(axis=-3, dtype=np.uint8)
+            member = chunk[..., lo:hi, None] <= chunk[..., None, first:]
+            counts[..., lo:hi, first:] += member.view(np.uint8).sum(axis=-3, dtype=np.uint8)
+            # Free the flags before the next chunk's are made: the triangle's
+            # flag arrays vary in size, and keeping two alive raised the peak
+            # resident set of 400 x 400 self-depth runs by about 4.5 MB.
+            del member
+        if distinct and hi < n_anchors:
+            counts[..., hi:, lo:hi] = n - counts[..., lo:hi, hi:].swapaxes(-1, -2)
     return counts
 
 
@@ -226,7 +271,8 @@ def halfspace_prob_table(space: Space, sample: Sequence, anchors) -> HalfspacePr
     if np.isnan(dist).any():
         raise GeometryError("sample-anchor distance matrix contains NaN")
     codes = _row_ranks(dist)
-    return HalfspaceProbTable(counts=_prob_counts(codes), n=len(sample), codes=codes)
+    counts = _prob_counts(codes, _distinct_rows(codes))
+    return HalfspaceProbTable(counts=counts, n=len(sample), codes=codes)
 
 
 def _query_distances(space: Space, queries: Sequence, anchor_points: tuple) -> np.ndarray:

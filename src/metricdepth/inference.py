@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import depth
-from .depth import _prob_counts, _row_ranks
+from .depth import _distinct_rows, _prob_counts, _row_ranks
 from .errors import DataError
 from .rng import NS_PERMUTATION, derive_rngs
 from .spaces import Space
@@ -103,25 +103,30 @@ def _scalar_squares(values: np.ndarray) -> np.ndarray:
     return (values.astype(object) ** 2).astype(float)
 
 
-def _pooled_codes(space: Space, pool: tuple) -> np.ndarray:
-    """Per-row rank codes of the pooled distance matrix, ranked once per test.
+def _pooled_codes(space: Space, pool: tuple) -> tuple[np.ndarray, bool]:
+    """Per-row rank codes of the pooled distance matrix, ranked once per
+    test, and whether no row ties two entries.
 
     Any column subset of a row keeps that row's order and ties, so every
-    reference group's table and queries can be read off these codes.
+    reference group's table and queries can be read off these codes, and
+    tie-free pooled rows give tie-free tables.
     """
     dist = space.distance_matrix(pool, pool)
     if np.isnan(dist).any():
         raise DataError("pooled distance matrix contains NaN")
-    return _row_ranks(dist)
+    codes = _row_ranks(dist)
+    return codes, _distinct_rows(codes)
 
 
-def _batched_depth_counts(codes: np.ndarray, references: np.ndarray) -> np.ndarray:
+def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
+                          distinct: bool) -> np.ndarray:
     """Depth counts of every pooled observation w.r.t. each reference group.
 
     ``codes`` is the (total, total) pooled distance matrix or any per-row
     order-preserving codes of it; ``references`` is an (R, m) array of
-    pooled indices, one reference group per row. Returns (R, total) counts
-    in the narrowest unsigned dtype that holds m.
+    pooled indices, one reference group per row; ``distinct`` states that
+    no row of ``codes`` ties two entries (see :func:`depth._prob_counts`).
+    Returns (R, total) counts in the narrowest unsigned dtype that holds m.
 
     Each count is the least table entry over the off-diagonal anchor pairs
     (a1, a2) with code[a1] <= code[a2] in the observation's row. Flags of
@@ -145,7 +150,7 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray) -> np.ndarr
     out = np.full((n_refs, total), m, dtype=count)
     for lo in range(0, n_refs, batch):
         ref = references[lo:lo + batch]
-        table = _prob_counts(codes[ref[:, :, None], ref[:, None, :]]).astype(count)
+        table = _prob_counts(codes[ref[:, :, None], ref[:, None, :]], distinct).astype(count)
         table = table.transpose(1, 2, 0)[..., None]  # table[a1, a2, b, 0]
         for q0 in range(0, total, queries):
             # q[j, b, y] = codes[q0 + y, ref[b, j]]
@@ -192,8 +197,8 @@ def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.
         raise DataError("reference sample must be non-empty")
     if len(evaluate_on) == 0:
         return np.array([])
-    codes = _pooled_codes(space, reference + evaluate_on)
-    nums = _batched_depth_counts(codes, np.arange(len(reference))[None])
+    codes, distinct = _pooled_codes(space, reference + evaluate_on)
+    nums = _batched_depth_counts(codes, np.arange(len(reference))[None], distinct)
     return _average_ranks(nums[:, len(reference):])[0][0]
 
 
@@ -219,13 +224,13 @@ def wilcoxon_depth_test(
         raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
     n1, n2 = len(g1), len(g2)
     total = n1 + n2
-    codes = _pooled_codes(space, g1 + g2)
+    codes, distinct = _pooled_codes(space, g1 + g2)
     center = n2 * (total + 1) / 2.0
 
     def rank_sums(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Depth counts (and hence ranks) are indexed by pooled position;
         # the permuted second group is orders[:, n1:].
-        ranks = _average_ranks(_batched_depth_counts(codes, orders[:, :n1]))[0]
+        ranks = _average_ranks(_batched_depth_counts(codes, orders[:, :n1], distinct))[0]
         return np.take_along_axis(ranks, orders[:, n1:], axis=1).sum(axis=1), ranks
 
     stats, observed_ranks = _permutation_statistics(rank_sums, total, n_permutations, seed, 1)
@@ -269,7 +274,7 @@ def kruskal_wallis_depth_test(
         raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
     pool = groups.pooled()
     total = len(pool)
-    codes = _pooled_codes(space, pool)
+    codes, distinct = _pooled_codes(space, pool)
     bounds = np.cumsum((0,) + sizes)
     member_slices = [slice(bounds[g], bounds[g + 1]) for g in range(len(sizes))]
     mean_rank = (total + 1) / 2.0
@@ -283,7 +288,7 @@ def kruskal_wallis_depth_test(
         stat = 0.0
         all_ranks = []
         for reference in members:
-            ranks, ties = _average_ranks(_batched_depth_counts(codes, reference))
+            ranks, ties = _average_ranks(_batched_depth_counts(codes, reference, distinct))
             h = 0
             for idx in members:
                 deviation = np.take_along_axis(ranks, idx, axis=1).mean(axis=1) - mean_rank

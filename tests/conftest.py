@@ -27,6 +27,13 @@ def random_points(space, n, rng):
     raise NotImplementedError(type(space))
 
 
+def distinct_rows(values):
+    """Whether no row of an (..., n, n_A) array holds two equal entries,
+    the ``distinct`` flag of the table kernel for any per-row values."""
+    ordered = np.sort(values, axis=-1)
+    return bool((ordered[..., 1:] != ordered[..., :-1]).all())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from metricdepth import depth
 from metricdepth.inference import _batched_depth_counts
 
+from conftest import distinct_rows
 from test_query_kernel import dense_min_counts
 from test_table_kernel import brute_counts
 
@@ -42,12 +43,19 @@ def random_references(rng, total, size, n_orders):
     return np.stack([rng.permutation(total)[:size] for _ in range(n_orders)])
 
 
+def distinct_codes(rng, total):
+    return np.argsort(rng.random((total, total)), axis=1).astype(np.uint8)
+
+
 @st.composite
-def pooled_cases(draw):
+def pooled_cases(draw, distinct=False):
     total = draw(st.integers(2, 14))
     size = draw(st.integers(1, total))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    codes = tied_codes(rng, total, draw(st.integers(1, 4)))
+    if distinct:
+        codes = distinct_codes(rng, total)
+    else:
+        codes = tied_codes(rng, total, draw(st.integers(1, 4)))
     return codes, random_references(rng, total, size, draw(st.integers(1, 5)))
 
 
@@ -55,8 +63,24 @@ def pooled_cases(draw):
 @given(pooled_cases())
 def test_batched_counts_match_dense_on_tied_codes(case):
     codes, references = case
-    got = _batched_depth_counts(codes, references)
+    got = _batched_depth_counts(codes, references, distinct_rows(codes))
     assert got.dtype == np.min_scalar_type(references.shape[1])
+    assert np.array_equal(got, reference_counts(codes, references))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pooled_cases(distinct=True), st.integers(0, 400))
+def test_batched_counts_match_dense_on_distinct_codes(case, cap):
+    # Tie-free pooled rows give tie-free reference tables, which take the
+    # upper-triangle path; the cap splits it into blocks of a few anchors.
+    codes, references = case
+    assert distinct_rows(codes)
+    saved = depth._CHUNK_ELEMS
+    depth._CHUNK_ELEMS = cap
+    try:
+        got = _batched_depth_counts(codes, references, True)
+    finally:
+        depth._CHUNK_ELEMS = saved
     assert np.array_equal(got, reference_counts(codes, references))
 
 
@@ -66,13 +90,14 @@ def test_smallest_groups_match_dense():
         for palette in (1, 2, 5):
             codes = tied_codes(rng, 9, palette)
             references = random_references(rng, 9, size, 6)
-            assert np.array_equal(_batched_depth_counts(codes, references),
-                                  reference_counts(codes, references))
+            got = _batched_depth_counts(codes, references, distinct_rows(codes))
+            assert np.array_equal(got, reference_counts(codes, references))
 
 
 def test_single_member_group_has_full_count():
     codes = tied_codes(np.random.default_rng(1), 5, 3)
-    assert _batched_depth_counts(codes, np.array([[2], [4]])).tolist() == [[1] * 5] * 2
+    got = _batched_depth_counts(codes, np.array([[2], [4]]), distinct_rows(codes))
+    assert got.tolist() == [[1] * 5] * 2
 
 
 def test_group_sizes_across_the_count_dtype_switch():
@@ -81,7 +106,7 @@ def test_group_sizes_across_the_count_dtype_switch():
         total = size + 3
         codes = tied_codes(rng, total, 3)
         references = random_references(rng, total, size, 2)
-        got = _batched_depth_counts(codes, references)
+        got = _batched_depth_counts(codes, references, distinct_rows(codes))
         assert got.dtype == (np.uint8 if size <= 255 else np.uint16)
         assert np.array_equal(got, reference_counts(codes, references))
 
@@ -95,7 +120,7 @@ def test_batched_counts_match_dense_across_chunk_boundaries(case, cap):
     saved = depth._CHUNK_ELEMS
     depth._CHUNK_ELEMS = cap
     try:
-        got = _batched_depth_counts(codes, references)
+        got = _batched_depth_counts(codes, references, distinct_rows(codes))
     finally:
         depth._CHUNK_ELEMS = saved
     assert np.array_equal(got, reference_counts(codes, references))

@@ -214,14 +214,14 @@ def one_order_kruskal_wallis(space, groups, n_permutations, seed):
     H formed from scalars, as the statistic is defined."""
     pool = tuple(p for g in groups for p in g)
     total = len(pool)
-    codes = _pooled_codes(space, pool)
+    codes, distinct = _pooled_codes(space, pool)
     bounds = np.cumsum([0] + [len(g) for g in groups])
 
     def statistic(order):
         slices = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         stat = 0.0
         for reference in slices:
-            counts = _batched_depth_counts(codes, reference[None])[0]
+            counts = _batched_depth_counts(codes, reference[None], distinct)[0]
             ranks = rankdata(counts)
             ties = np.unique(counts, return_counts=True)[1]
             h = 12.0 / (total * (total + 1)) * sum(

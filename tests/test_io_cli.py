@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import metricdepth
-from metricdepth.cli import main
+from metricdepth.cli import _default_threads, main
 from metricdepth.depth import DepthReport, approx_depth
 from metricdepth.errors import DataError
 from metricdepth.io import (
@@ -120,6 +120,35 @@ def test_cmd_depth_self_equals_query_of_the_data(tmp_path, runner, rng, spec, an
                         "--anchors", anchors, "--seed", "3", "--out", str(out)])
         outs[mode[0]] = out.read_bytes()
     assert outs["--self"] == outs["--query"]
+
+
+@pytest.mark.parametrize("spec", ["jiggle:\u00b2", "jiggle:\u0663", "jiggle:", "jiggle:-1",
+                                  "jiggle:+3", "jiggle: 3", "jiggle"])
+def test_cmd_depth_rejects_anchor_counts_that_are_not_ascii_digits(tmp_path, runner, spec):
+    # '²' passes str.isdigit() but not int(); '٣' (Arabic-Indic three)
+    # passes both and would run as K = 3.
+    data = tmp_path / "data.csv"
+    data.write_text("1\n2\n3\n")
+    result = runner.invoke(main, ["depth", "--space", "euclidean:1", "--data", str(data),
+                                  "--self", "--anchors", spec, "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert "--anchors must be 'sample' or 'jiggle:K'" in result.output
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value, threads", [("3", 3), (" 2 ", 2), ("\u00b2", 1),
+                                            ("\u0663", 1), ("0", 1), ("-2", 1), ("", 1)])
+def test_default_threads_reads_ascii_digits_only(monkeypatch, value, threads):
+    monkeypatch.setenv("MHD_THREADS", value)
+    assert _default_threads() == threads
+
+
+def test_cmd_simulate_with_non_ascii_thread_count_falls_back(tmp_path, runner, monkeypatch):
+    monkeypatch.setenv("MHD_THREADS", "\u00b2")
+    invoke(runner, ["simulate", "--space", "euclidean:2", "--case", "1", "--n", "10",
+                    "--reps", "2", "--jiggle", "1", "--budget", "2", "--estimators", "fm",
+                    "--out-dir", str(tmp_path / "out")])
+    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_cmd_depth_requires_query_choice(tmp_path, runner):

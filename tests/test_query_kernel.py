@@ -6,7 +6,7 @@ equal minimizing anchor pairs, tie-break included.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,7 +23,7 @@ from metricdepth.depth import (
 )
 from metricdepth.spaces import Euclidean, Sphere
 
-from conftest import random_points
+from conftest import distinct_rows, random_points
 
 
 def dense_min_counts(counts, n, dist_query_anchors):
@@ -129,14 +129,61 @@ def test_two_anchors_pick_the_near_side():
     assert_same(got, ([3, 1, 1], [0, 1, 1], [1, 0, 0]))
 
 
+def full_pair_order(counts):
+    """Every off-diagonal pair by a full stable sort of the row-major table."""
+    a1, a2 = np.divmod(np.argsort(counts.ravel(), kind="stable"), len(counts))
+    off_diagonal = a1 != a2
+    return a1[off_diagonal], a2[off_diagonal]
+
+
+def assert_reachable_prefix(table):
+    """The sorted pairs are the prefix of the full order that holds exactly
+    the off-diagonal pairs with a count at most the least pair maximum."""
+    counts = table.counts
+    n_anchors = len(counts)
+    a1, a2 = table.sorted_pairs
+    full_a1, full_a2 = full_pair_order(counts)
+    assert np.array_equal(a1, full_a1[:len(a1)]) and np.array_equal(a2, full_a2[:len(a2)])
+    pairs = [(i, j) for i in range(n_anchors) for j in range(n_anchors) if i != j]
+    if not pairs:
+        assert len(a1) == 0
+        return
+    bound = min(max(counts[i, j], counts[j, i]) for i, j in pairs)
+    reachable = {(i, j) for i, j in pairs if counts[i, j] <= bound}
+    assert set(zip(a1.tolist(), a2.tolist())) == reachable
+
+
 def test_sort_is_cached_per_table():
     space, sample = line_space([0, 1, 2, 4])
     table = halfspace_prob_table(space, sample, sample)
     assert table.sorted_pairs is table.sorted_pairs
     a1, a2 = table.sorted_pairs
-    assert len(a1) == 4 * 3 and not np.any(a1 == a2)
+    assert not np.any(a1 == a2)
     keys = table.counts[a1, a2].astype(np.int64) * 16 + a1.astype(np.int64) * 4 + a2
     assert np.all(np.diff(keys) > 0)
+    assert_reachable_prefix(table)
+
+
+def tied_table(rows, n):
+    return HalfspaceProbTable(counts=np.array(rows, dtype=np.int32), n=n), np.zeros((0, len(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_distances())
+@example(tied_table([[3]], 3))
+@example(tied_table([[2, 1], [1, 2]], 2))
+@example(tied_table([[2, 2], [2, 2]], 2))
+@example(tied_table([[2, 0, 1], [1, 2, 1], [1, 1, 2]], 2))
+def test_sorted_pairs_are_the_reachable_prefix_of_tied_tables(case):
+    # n_A runs from 1 (no pair) and 2 (one pair each way) up to 7.
+    assert_reachable_prefix(case[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=9))
+def test_sorted_pairs_are_the_reachable_prefix_of_real_tables(values):
+    space, sample = line_space(values)
+    assert_reachable_prefix(halfspace_prob_table(space, sample, sample))
 
 
 def dense_kernel(table, dist):
@@ -161,6 +208,8 @@ def test_permutation_depth_counts_match_dense_reference(rng):
     dist = space.distance_matrix(pool, pool)
     for _ in range(5):
         reference = rng.permutation(24)[:8]
-        counts = _prob_counts(dist[np.ix_(reference, reference)])
+        sub = dist[np.ix_(reference, reference)]
+        counts = _prob_counts(sub, distinct_rows(sub))
         want = dense_min_counts(counts, len(reference), dist[:, reference])[0]
-        assert np.array_equal(inference._batched_depth_counts(dist, reference[None])[0], want)
+        got = inference._batched_depth_counts(dist, reference[None], distinct_rows(dist))
+        assert np.array_equal(got[0], want)

@@ -121,7 +121,8 @@ def test_table_keeps_the_codes_it_counted(rng):
     anchors = jiggle_anchors(space, sample, 3, seed=2)
     table = halfspace_prob_table(space, sample, anchors)
     assert table.codes.shape == (30, len(anchors))
-    assert np.array_equal(table.counts, depth._prob_counts(table.codes))
+    distinct = depth._distinct_rows(table.codes)
+    assert np.array_equal(table.counts, depth._prob_counts(table.codes, distinct))
 
 
 def test_self_query_skips_the_query_distances(rng, monkeypatch):

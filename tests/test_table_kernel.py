@@ -4,16 +4,22 @@
 definition reads; every check demands equal integer tables. Distances are
 drawn from a few values, ``0.0``, ``-0.0`` and ``inf`` among them, so rows
 tie heavily, and sizes straddle the 255-row uint8 chunk and the 256-anchor
-switch of the code dtype from uint8 to uint16.
+switch of the code dtype from uint8 to uint16. Tie-free rows take the
+kernel's upper-triangle path and tied rows its full-square path; a lowered
+element cap splits either into anchor blocks down to one anchor each.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from metricdepth import inference
+from metricdepth import depth, inference
 from metricdepth.depth import (
+    _distinct_rows,
     _prob_counts,
     _row_ranks,
     approx_depth,
@@ -24,6 +30,7 @@ from metricdepth.errors import DataError, GeometryError
 from metricdepth.inference import depth_ranks, kruskal_wallis_depth_test, wilcoxon_depth_test
 from metricdepth.spaces import Euclidean
 
+from conftest import distinct_rows, random_points
 from test_query_kernel import dense_min_counts
 
 VALUES = [0.0, -0.0, 0.5, 1.0, 2.0, np.inf]
@@ -56,7 +63,8 @@ def test_codes_order_like_distances(dist):
 @given(tied_distances(st.sampled_from([1, 2, 254, 255, 256, 257, 510, 511, 512]),
                       st.integers(1, 6)))
 def test_table_across_the_row_chunk_boundary(dist):
-    assert np.array_equal(_prob_counts(_row_ranks(dist)), brute_counts(dist))
+    codes = _row_ranks(dist)
+    assert np.array_equal(_prob_counts(codes, _distinct_rows(codes)), brute_counts(dist))
 
 
 @settings(max_examples=12, deadline=None)
@@ -64,13 +72,14 @@ def test_table_across_the_row_chunk_boundary(dist):
 def test_table_across_the_code_dtype_switch(dist):
     codes = _row_ranks(dist)
     assert codes.dtype == (np.uint8 if dist.shape[1] <= 256 else np.uint16)
-    assert np.array_equal(_prob_counts(codes), brute_counts(dist))
+    assert np.array_equal(_prob_counts(codes, _distinct_rows(codes)), brute_counts(dist))
 
 
 def test_single_anchor_table_is_n():
     dist = np.array([[np.inf], [0.0], [-0.0], [3.0]])
-    assert _row_ranks(dist).tolist() == [[0]] * 4
-    assert _prob_counts(_row_ranks(dist)).tolist() == [[4]]
+    codes = _row_ranks(dist)
+    assert codes.tolist() == [[0]] * 4 and _distinct_rows(codes)
+    assert _prob_counts(codes, True).tolist() == [[4]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -85,9 +94,13 @@ def test_pooled_codes_restrict_to_reference_exactly(data):
     reference = np.array(data.draw(st.permutations(range(total)))[:size])
     sub = dist[np.ix_(reference, reference)]
     want_counts = brute_counts(sub)
-    assert np.array_equal(_prob_counts(codes[np.ix_(reference, reference)]), want_counts)
+    # The flag of the pooled rows holds for every column subset of them.
+    distinct = _distinct_rows(codes)
+    assert np.array_equal(_prob_counts(codes[np.ix_(reference, reference)], distinct),
+                          want_counts)
     want = dense_min_counts(want_counts, len(reference), dist[:, reference])[0]
-    assert np.array_equal(inference._batched_depth_counts(codes, reference[None])[0], want)
+    got = inference._batched_depth_counts(codes, reference[None], distinct)
+    assert np.array_equal(got[0], want)
 
 
 class FixedDistances:
@@ -144,6 +157,121 @@ def test_stacked_tables_match_one_at_a_time(data):
     # Leading axes are batch axes: one table per stacked distance matrix.
     n = data.draw(st.sampled_from([1, 2, 254, 255, 256, 257]))
     stack = [data.draw(tied_distances(st.just(n), st.just(5))) for _ in range(6)]
-    got = _prob_counts(np.stack(stack).reshape(2, 3, n, 5))
+    stacked = np.stack(stack).reshape(2, 3, n, 5)
+    got = _prob_counts(stacked, distinct_rows(stacked))
     want = np.stack([brute_counts(dist) for dist in stack]).reshape(2, 3, 5, 5)
     assert np.array_equal(got, want)
+
+
+# ------------------------------------------------- triangle and square paths
+
+@contextmanager
+def chunk_cap(cap):
+    """Lower the kernel's element cap, so the table spans many anchor blocks."""
+    saved = depth._CHUNK_ELEMS
+    depth._CHUNK_ELEMS = cap
+    try:
+        yield
+    finally:
+        depth._CHUNK_ELEMS = saved
+
+
+@st.composite
+def distinct_distances(draw, sizes, anchor_counts):
+    """An (n, n_A) matrix with no tie in any row."""
+    n = draw(sizes)
+    n_anchors = draw(anchor_counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((n, n_anchors))
+
+
+# cap // (rows * n_A) anchors per block: one anchor for a cap below
+# 2 rows * n_A, every anchor in one block for the largest caps drawn.
+CAPS = st.integers(0, 12 * 12 * 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_distances(st.integers(1, 12), st.integers(1, 12)), CAPS)
+def test_tied_tables_match_brute_in_anchor_blocks(dist, cap):
+    codes = _row_ranks(dist)
+    with chunk_cap(cap):
+        got = _prob_counts(codes, _distinct_rows(codes))
+    assert np.array_equal(got, brute_counts(dist))
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_distances(st.integers(1, 12), st.integers(1, 12)), CAPS)
+def test_distinct_tables_match_brute_in_anchor_blocks(dist, cap):
+    codes = _row_ranks(dist)
+    assert _distinct_rows(codes)
+    with chunk_cap(cap):
+        triangle = _prob_counts(codes, True)
+        square = _prob_counts(codes, False)
+    want = brute_counts(dist)
+    assert np.array_equal(triangle, want)
+    assert np.array_equal(square, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(distinct_distances(st.sampled_from([254, 255, 256, 257]), st.integers(2, 9)),
+       st.integers(0, 3 * 255 * 9))
+def test_distinct_tables_across_the_row_chunk_boundary(dist, cap):
+    # The mirror reads n, not the 255-row chunk it was counted in.
+    codes = _row_ranks(dist)
+    with chunk_cap(cap):
+        assert np.array_equal(_prob_counts(codes, True), brute_counts(dist))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data(), st.integers(0, 6 * 8 * 8 * 8))
+def test_stacked_distinct_tables_in_anchor_blocks(data, cap):
+    n = data.draw(st.integers(1, 8))
+    n_anchors = data.draw(st.integers(1, 8))
+    stack = [data.draw(distinct_distances(st.just(n), st.just(n_anchors)))
+             for _ in range(6)]
+    stacked = np.stack([_row_ranks(dist) for dist in stack]).reshape(2, 3, n, n_anchors)
+    with chunk_cap(cap):
+        got = _prob_counts(stacked, True)
+    want = np.stack([brute_counts(dist) for dist in stack])
+    assert np.array_equal(got, want.reshape(2, 3, n_anchors, n_anchors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tied_distances(st.integers(1, 8), st.integers(1, 8)),
+                 distinct_distances(st.integers(1, 8), st.integers(1, 8))))
+def test_distinct_rows_of_rank_codes(dist):
+    assert _distinct_rows(_row_ranks(dist)) == distinct_rows(dist)
+
+
+@pytest.mark.parametrize("duplicates", [0, 1, 7])
+def test_public_table_with_and_without_duplicate_points(rng, duplicates):
+    # One duplicated anchor ties every row, so the table counts both halves.
+    space = Euclidean(2)
+    sample = random_points(space, 40, rng)
+    sample += sample[:duplicates]
+    dist = space.distance_matrix(sample, sample)
+    with chunk_cap(3 * len(sample) ** 2):
+        table = halfspace_prob_table(space, sample, sample)
+    assert _distinct_rows(table.codes) == (duplicates == 0)
+    assert np.array_equal(table.counts, brute_counts(dist))
+
+
+@pytest.mark.parametrize("duplicates", [0, 1, 5])
+def test_permutation_depths_with_and_without_duplicate_points(rng, duplicates):
+    # A permutation test decides the table path once, from its pooled
+    # codes; one duplicated point ties every pooled row.
+    space = Euclidean(2)
+    reference = random_points(space, 12, rng)
+    reference += reference[:duplicates]
+    others = random_points(space, 6, rng)
+    pool = tuple(reference + others)
+    codes, distinct = inference._pooled_codes(space, pool)
+    assert distinct == (duplicates == 0)
+    m = len(reference)
+    dist = space.distance_matrix(pool, pool)
+    want = dense_min_counts(brute_counts(dist[:m, :m]), m, dist[:, :m])[0]
+    with chunk_cap(3 * m * m):  # blocks of three anchors
+        got = inference._batched_depth_counts(codes, np.arange(m)[None], distinct)
+        ranks = depth_ranks(space, reference, others)
+    assert np.array_equal(got[0], want)
+    assert np.array_equal(ranks, rankdata(want[m:]))
