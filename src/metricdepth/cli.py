@@ -255,6 +255,33 @@ def _read_config_file(path: Path) -> dict:
     return values
 
 
+def _estimator_names(value) -> tuple:
+    """'mhd,fm' (or a list of names) -> ('mhd', 'fm')."""
+    if isinstance(value, str):
+        return tuple(tok.strip() for tok in value.split(",") if tok.strip())
+    return tuple(value)
+
+
+# ``simulate`` setting (flag or config-file key) -> SimulationConfig field and
+# its conversion. Settings left unset take the field's default.
+_SIMULATE_FIELDS = {
+    "space": ("space", lambda value: parse_space(str(value))),
+    "case": ("case", int),
+    "n": ("n", int),
+    "reps": ("reps", int),
+    "estimators": ("estimators", _estimator_names),
+    "contamination": ("contamination", float),
+    "offset": ("offset", float),
+    "scale_factor": ("scale_factor", float),
+    "variance": ("base_variance", float),
+    "jiggle": ("jiggle_k", int),
+    "budget": ("refine_budget", int),
+    "radius_frac": ("radius_frac", float),
+    "seed": ("seed", int),
+    "threads": ("n_jobs", int),
+}
+
+
 @main.command("simulate")
 @click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False,
               path_type=Path), default=None,
@@ -289,28 +316,19 @@ def cmd_simulate(config_file, space_text, case, n_obs, reps, estimators, contami
         "budget": budget, "radius_frac": radius_frac, "seed": seed, "threads": threads,
     }
     settings.update({k: v for k, v in flags.items() if v is not None})
-    missing = [key for key in ("space", "case", "n") if key not in settings]
+    missing = [key for key in ("space", "case", "n") if settings.get(key) is None]
     if missing:
         raise click.UsageError(f"missing required settings: {', '.join(missing)}")
-    est = settings.get("estimators", "mhd,fm,gdd")
-    if isinstance(est, str):
-        est = tuple(tok.strip() for tok in est.split(",") if tok.strip())
-    config = SimulationConfig(
-        case=int(settings["case"]),
-        space=parse_space(str(settings["space"])),
-        n=int(settings["n"]),
-        reps=int(settings.get("reps", 128)),
-        estimators=tuple(est),
-        contamination=float(settings.get("contamination", 0.1)),
-        offset=None if settings.get("offset") is None else float(settings["offset"]),
-        scale_factor=float(settings.get("scale_factor", 4.0)),
-        base_variance=float(settings.get("variance", 0.5)),
-        jiggle_k=int(settings.get("jiggle", 10)),
-        radius_frac=float(settings.get("radius_frac", 0.1)),
-        refine_budget=int(settings.get("budget", 64)),
-        seed=int(settings.get("seed", 0)),
-        n_jobs=int(settings.get("threads", _default_threads())),
-    )
+    fields = {"n_jobs": _default_threads()}
+    for key, (name, convert) in _SIMULATE_FIELDS.items():
+        value = settings.get(key)
+        if value is None:
+            continue
+        try:
+            fields[name] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"bad simulate setting {key} = {value!r}: {exc}") from exc
+    config = SimulationConfig(**fields)
     timer = ManifestTimer(
         command=sys.argv[1:] or ["simulate"],
         config={**settings, "resolved_offset": config.resolved_offset(),

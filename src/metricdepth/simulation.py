@@ -89,7 +89,7 @@ class SimulationConfig:
     case: int
     space: Space
     n: int
-    reps: int
+    reps: int = 128
     estimators: tuple = ESTIMATORS
     contamination: float = 0.1
     offset: float | None = None  # None resolves per space
@@ -104,8 +104,18 @@ class SimulationConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise DataError(f"case must be one of {CASES}, got {self.case}")
+        if self.n < 1:
+            raise DataError(f"n must be >= 1, got {self.n}")
         if self.reps < 1:
             raise DataError("reps must be >= 1")
+        if self.jiggle_k < 0:
+            raise DataError(f"jiggle_k must be >= 0, got {self.jiggle_k}")
+        if self.refine_budget < 0:
+            raise DataError(f"refine_budget must be >= 0, got {self.refine_budget}")
+        if not (self.base_variance >= 0 and np.isfinite(self.base_variance)):
+            raise DataError(
+                f"base_variance must be finite and >= 0, got {self.base_variance}"
+            )
         if not 0.0 <= self.contamination < 1.0:
             raise DataError("contamination fraction must lie in [0, 1)")
         if not (self.radius_frac >= 0 and np.isfinite(self.radius_frac)):

@@ -19,10 +19,16 @@ through the latter. They work on N bases at once, and the one-point
 methods :meth:`Space.exp`, :meth:`Space.tangent_from_coords` and
 :meth:`Space.random_tangent` are their N = 1 entries, so a point jiggled
 or sampled in a batch is bit-identical to the same point made alone.
+In the same way :meth:`Space.log` is the one-point entry of
+:meth:`Space.mean_log`, the weighted mean of logs that the intrinsic mean
+and median descend along.
 A stack of N tangents is the geometry's tangent payload with a leading
 axis of length N: an (N, ...) array for the vector and matrix geometries,
 a tuple of N steps for the spider, and a tuple of component stacks for
-products.
+products. The defaults on :class:`Space` that touch a point or tangent
+payload (stacking and unstacking one tangent, the chart draw, scaling, and
+the CSV encoding) assume arrays; only the spider and products override
+them.
 
 :meth:`Space.stack` turns a sequence of points into the form its
 geometry's kernels read without another copy: a read-only (N, ...) array
@@ -41,7 +47,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import GeometryError
+from ..errors import GeometryError, PointValidationError
 
 ANTIPODAL_TOL = 1e-9
 
@@ -100,9 +106,10 @@ class Space(ABC):
         """Endpoint of the geodesic leaving ``x`` with initial vector ``v``."""
         return self.exp_many([x], self._stack_one(v.coords))[0]
 
-    @abstractmethod
     def log(self, x, y) -> TangentVector:
-        """Initial vector of the geodesic from ``x`` to ``y`` (inverse of exp)."""
+        """Initial vector of the geodesic from ``x`` to ``y`` (inverse of exp),
+        read off :meth:`mean_log` of the single point ``y``."""
+        return self.mean_log(x, [y])
 
     def geodesic_point(self, x, y, t: float):
         """Point at fraction ``t`` along the geodesic from ``x`` to ``y``."""
@@ -128,9 +135,9 @@ class Space(ABC):
         """Riemannian norm; equals geodesic distance for ``v = log(x, y)``."""
         return float(np.linalg.norm(self.tangent_coords(v)))
 
-    @abstractmethod
     def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
-        pass
+        """``v`` stretched by ``s``."""
+        return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
 
     def random_tangents(self, bases: Sequence, scatters: Sequence, rngs: Iterable):
         """Stack of zero-mean Gaussian tangents, one per base.
@@ -176,13 +183,17 @@ class Space(ABC):
         Weiszfeld iterations.
         """
 
-    @abstractmethod
     def encode_point(self, x) -> str:
-        """CSV row encoding of a point."""
+        """CSV row encoding of a point: its entries in row-major order."""
+        return ",".join(repr(float(c)) for c in np.asarray(x, float).reshape(-1))
 
-    @abstractmethod
     def decode_point(self, text: str) -> Any:
         """Parse :meth:`encode_point` output back into a validated point."""
+        try:
+            values = [float(tok) for tok in text.split(",")]
+        except ValueError as exc:
+            raise PointValidationError(f"bad {self.kind} row: {text!r}") from exc
+        return self.validate_point(values)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.spec_string!r})"

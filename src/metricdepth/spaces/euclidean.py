@@ -64,29 +64,13 @@ class Euclidean(Space):
     def exp_many(self, bases, tangents):
         return list(readonly(self._stack(bases) + tangents))
 
-    def log(self, x, y) -> TangentVector:
-        return TangentVector(base=x, coords=np.asarray(y, float) - np.asarray(x, float))
-
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         return np.asarray(v.coords, dtype=float)
 
     def tangents_from_coords(self, bases, coords):
         return np.asarray(coords, dtype=float).reshape(len(bases), self.dim)
 
-    def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
-        return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
-
     def mean_log(self, x, points, weights=None):
         w = _normalized_weights(weights, len(points))
         diff = self._stack(points) - np.asarray(x, float)
         return TangentVector(base=x, coords=w @ diff)
-
-    def encode_point(self, x) -> str:
-        return ",".join(repr(float(c)) for c in np.asarray(x, float))
-
-    def decode_point(self, text: str):
-        try:
-            values = [float(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise PointValidationError(f"bad euclidean row: {text!r}") from exc
-        return self.validate_point(values)

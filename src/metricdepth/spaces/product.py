@@ -57,12 +57,6 @@ class Product(Space):
         ]
         return list(zip(*parts))
 
-    def log(self, x, y) -> TangentVector:
-        parts = tuple(
-            comp.log(xc, yc) for comp, xc, yc in zip(self.components, x, y)
-        )
-        return TangentVector(base=x, coords=parts)
-
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         return np.concatenate(
             [comp.tangent_coords(vc) for comp, vc in zip(self.components, v.coords)]

@@ -168,15 +168,6 @@ class SPD(Space):
         inner = inv_root @ np.asarray(tangents, float) @ inv_root
         return list(readonly(root @ _sym_apply(inner, np.exp) @ root))
 
-    def log(self, x, y) -> TangentVector:
-        root, inv_root = self.sqrt_and_inv_sqrt(x)
-        inner = _sym(inv_root @ np.asarray(y, float) @ inv_root)
-        eigval, eigvec = np.linalg.eigh(inner)
-        if eigval[0] <= 0.0:
-            raise GeometryError("log target is not positive definite")
-        logm = (eigvec * np.log(eigval)) @ eigvec.T
-        return TangentVector(base=x, coords=_sym(root @ logm @ root))
-
     def geodesic_point(self, x, y, t: float):
         if not 0.0 <= t <= 1.0:
             raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
@@ -211,9 +202,6 @@ class SPD(Space):
         root, _ = self._roots(self._stack(bases))
         return _sym(root @ self._chart_to_sym(coords) @ root)
 
-    def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
-        return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
-
     def mean_log(self, x, points, weights=None):
         w = _normalized_weights(weights, len(points))
         root, inv_root = self.sqrt_and_inv_sqrt(x)
@@ -224,13 +212,3 @@ class SPD(Space):
         logs = (eigvec * np.log(eigval)[..., None, :]) @ np.swapaxes(eigvec, -1, -2)
         mean_inner = np.einsum("n,nij->ij", w, logs)
         return TangentVector(base=x, coords=_sym(root @ mean_inner @ root))
-
-    def encode_point(self, x) -> str:
-        return ",".join(repr(float(c)) for c in np.asarray(x, float).reshape(-1))
-
-    def decode_point(self, text: str):
-        try:
-            values = [float(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise PointValidationError(f"bad spd row: {text!r}") from exc
-        return self.validate_point(values)

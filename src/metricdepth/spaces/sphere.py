@@ -77,20 +77,6 @@ class Sphere(Space):
         out = np.where(still, x, out / _row_norms(out)[:, None])
         return list(readonly(out))
 
-    def log(self, x, y) -> TangentVector:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        theta = float(np.arccos(np.clip(x @ y, -1.0, 1.0)))
-        if theta > np.pi - ANTIPODAL_TOL:
-            raise UndefinedLogError(
-                "log map undefined for (nearly) antipodal points on the sphere"
-            )
-        residual = y - (x @ y) * x
-        rnorm = np.linalg.norm(residual)
-        if rnorm == 0.0:
-            return TangentVector(base=x, coords=np.zeros(self.ambient_dim))
-        return TangentVector(base=x, coords=theta * residual / rnorm)
-
     def _tangent_bases(self, bases) -> np.ndarray:
         """Deterministic orthonormal bases of the tangent hyperplanes.
 
@@ -107,13 +93,8 @@ class Sphere(Space):
         frame = np.where(at_e1[:, :, None], eye, frame)
         return frame[:, :, 1:]
 
-    def tangent_basis(self, x) -> np.ndarray:
-        """Deterministic orthonormal basis of the tangent hyperplane at ``x``:
-        the ``(m+1, m)`` slice of :meth:`_tangent_bases`."""
-        return self._tangent_bases([x])[0]
-
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
-        return self.tangent_basis(v.base).T @ np.asarray(v.coords, float)
+        return self._tangent_bases([v.base])[0].T @ np.asarray(v.coords, float)
 
     def tangents_from_coords(self, bases, coords):
         # Each row needs its own (m+1, m+1) frame, so rows are taken in chunks
@@ -134,9 +115,6 @@ class Sphere(Space):
         # Ambient representation is already orthonormal.
         return float(np.linalg.norm(v.coords))
 
-    def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
-        return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
-
     def mean_log(self, x, points, weights=None):
         w = _normalized_weights(weights, len(points))
         x = np.asarray(x, float)
@@ -151,13 +129,3 @@ class Sphere(Space):
         rnorm = np.linalg.norm(residual, axis=1)
         scale = np.where(rnorm > 0, theta / np.maximum(rnorm, 1e-300), 0.0)
         return TangentVector(base=x, coords=(w * scale) @ residual)
-
-    def encode_point(self, x) -> str:
-        return ",".join(repr(float(c)) for c in np.asarray(x, float))
-
-    def decode_point(self, text: str):
-        try:
-            values = [float(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise PointValidationError(f"bad sphere row: {text!r}") from exc
-        return self.validate_point(values)

@@ -99,16 +99,6 @@ class Spider3(Space):
             return self.validate_point((s, x.branch))
         return self.validate_point((-s, step.cross_branch))
 
-    def log(self, x, y) -> TangentVector:
-        if x.radius == 0.0:
-            step = SpiderStep(delta=y.radius, cross_branch=y.branch)
-        elif y.radius == 0.0 or x.branch == y.branch:
-            step = SpiderStep(delta=y.radius - x.radius if x.branch == y.branch else -x.radius,
-                              cross_branch=_alternate_branch(x.branch))
-        else:
-            step = SpiderStep(delta=-(x.radius + y.radius), cross_branch=y.branch)
-        return TangentVector(base=x, coords=step)
-
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         return np.array([v.coords.delta])
 

@@ -59,6 +59,18 @@ def test_read_points_reports_row(tmp_path):
         read_points(path, Euclidean(1))
 
 
+@pytest.mark.parametrize("space, good", [
+    (Euclidean(2), "1.0,2.0"),
+    (Sphere(2), "1.0,0.0,0.0"),
+    (SPD(2), "1.0,0.0,0.0,1.0"),
+])
+def test_read_points_names_the_geometry_of_a_bad_token(tmp_path, space, good):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{good}\n{good.replace('0', 'x', 1)}\n")
+    with pytest.raises(DataError, match=f"row 2: bad {space.kind} row: "):
+        read_points(path, space)
+
+
 def test_depth_report_round_trip(tmp_path):
     reports = [DepthReport(0, 1, 3, 0, 1), DepthReport(1, 2, 3, 0, 2)]
     path = tmp_path / "depths.csv"
@@ -322,6 +334,35 @@ def test_cmd_simulate_config_file(tmp_path, runner):
     invoke(runner, ["simulate", "--config", str(cfg), "--out-dir", str(out)])
     rows = (out / "summary.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("mhd,1,euclidean:2,2,15")
+
+
+@pytest.mark.parametrize("bad", [
+    ["--n", "0"],
+    ["--jiggle", "-1"],
+    ["--budget", "-3"],
+    ["--variance", "-1"],
+    ["--variance", "nan"],
+    ["--variance", "inf"],
+])
+def test_cmd_simulate_rejects_bad_settings_before_writing(tmp_path, runner, bad):
+    out = tmp_path / "out"
+    args = ["simulate", "--space", "euclidean:2", "--case", "2", "--n", "20",
+            "--reps", "2", "--estimators", "mhd,fm", "--out-dir", str(out)]
+    result = runner.invoke(main, args + bad)
+    assert result.exit_code == 3, result.output
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("line, cause", [("reps = many", "invalid literal"),
+                                         ("space = bogus:2", "unknown space kind")])
+def test_cmd_simulate_bad_config_value_is_data_error(tmp_path, runner, line, cause):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"space = euclidean:2\ncase = 1\nn = 15\n{line}\n")
+    result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 3, result.output
+    assert line.split(" = ")[0] in result.output and cause in result.output
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_cmd_simulate_missing_required(tmp_path, runner):

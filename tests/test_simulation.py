@@ -104,6 +104,12 @@ def test_config_validation():
     for radius_frac in (-0.1, float("nan"), float("inf")):
         with pytest.raises(DataError, match="radius_frac"):
             config(radius_frac=radius_frac)
+    for field, value in [("n", 0), ("jiggle_k", -1), ("refine_budget", -3),
+                         ("base_variance", -1.0), ("base_variance", float("nan")),
+                         ("base_variance", float("inf"))]:
+        with pytest.raises(DataError, match=field):
+            config(**{field: value})
+    assert SimulationConfig(case=1, space=Euclidean(2), n=12).reps == 128
 
 
 # ------------------------------------------------------------- the harness

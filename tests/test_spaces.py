@@ -11,6 +11,7 @@ from metricdepth.spaces import (
     Sphere,
     Spider3,
     SpiderPoint,
+    SpiderStep,
     parse_space,
 )
 
@@ -128,6 +129,32 @@ def test_log_examples():
 
     with pytest.raises(UndefinedLogError):
         s2.log(s2.validate_point(E1), s2.validate_point(-E1))
+
+    # Spider: from the origin the step leaves on the target's branch (branch 1
+    # when the target is the origin too); a step to the origin runs down the
+    # base's branch; a step to another branch runs through the origin, so it
+    # is as long as the distance.
+    sp = Spider3()
+    origin = sp.validate_point((0.0, 1))
+    on2, on3 = sp.validate_point((1.5, 2)), sp.validate_point((2.0, 3))
+    for x, y, step in [
+        (origin, on3, SpiderStep(2.0, 3)),
+        (origin, origin, SpiderStep(0.0, 1)),
+        (on2, origin, SpiderStep(-1.5, 1)),
+        (on2, on3, SpiderStep(-3.5, 3)),
+        (on3, sp.validate_point((0.5, 3)), SpiderStep(-1.5, 1)),
+    ]:
+        v = sp.log(x, y)
+        assert v.base == x and v.coords == step
+        assert sp.exp(x, v) == y
+
+    prod = Product((Euclidean(2), Spider3()))
+    x = prod.validate_point(([0, 1], (1.0, 1)))
+    y = prod.validate_point(([2, 5], (0.5, 2)))
+    v = prod.log(x, y)
+    assert v.coords[1].coords == SpiderStep(-1.5, 2)
+    assert np.allclose(prod.tangent_coords(v), [2, 4, -1.5])
+    assert prod.distance(prod.exp(x, v), y) <= 1e-12
 
 
 def test_exp_log_roundtrip(rng):
