@@ -32,6 +32,9 @@ count, and among equal counts the first pair in row-major order. A query
 admits one of (a1, a2) and (a2, a1) for every pair, so no scan passes
 the least pair maximum max(counts[a1, a2], counts[a2, a1]); the sort
 keeps only the pairs up to that bound, the prefix that scans can reach.
+Queries are scanned anchor-major: their distances or codes are
+transposed once to (n_A, m), so each block of pairs gathers whole anchor
+rows with ``np.take`` rather than single codes per query.
 The table keeps its rank codes. When the queries are the sample itself
 (the same object), the scan reads those codes in place of a second
 sample-to-anchor distance matrix: admissibility compares two entries of
@@ -235,6 +238,14 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
     pair an argmin over the masked, flattened table would return. An empty
     admissible set yields count n (depth 1 by convention) and indices -1.
     Returns ``(counts, a1, a2)``, one entry per query.
+
+    The scan holds the query entries anchor-major, as an (n_A, active)
+    array, so gathering a block's anchors copies whole rows of all active
+    queries rather than one 1- or 2-byte code at a time; the admissible
+    flags come out as (block, active) and each query's first hit is read
+    down its column. Rows are gathered with ``np.take``: fancy indexing
+    gives the same pairs but took about 44 against 35 us per one-query
+    scan (spd:2, n = 100, n_A = 300), a cost every refinement step pays.
     """
     a1s, a2s = table.sorted_pairs
     n_queries = len(dist_query_anchors)
@@ -242,21 +253,21 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
     best_a1 = np.full(n_queries, -1, dtype=np.int64)
     best_a2 = np.full(n_queries, -1, dtype=np.int64)
     active = np.arange(n_queries)
-    dist = dist_query_anchors
+    dist = np.ascontiguousarray(dist_query_anchors.T)
     lo, block = 0, len(table.counts)
     while len(active) and lo < len(a1s):
         # Each gather, float64 at widest, stays under _CHUNK_ELEMS bytes.
         step = max(1, min(block, _CHUNK_ELEMS // 8 // len(active)))
         hi = min(lo + step, len(a1s))
-        admissible = np.take(dist, a1s[lo:hi], axis=1) <= np.take(dist, a2s[lo:hi], axis=1)
-        hit = admissible.any(axis=1)
+        admissible = np.take(dist, a1s[lo:hi], axis=0) <= np.take(dist, a2s[lo:hi], axis=0)
+        hit = admissible.any(axis=0)
         if hit.any():
-            first = lo + admissible[hit].argmax(axis=1)
+            first = lo + admissible.T[hit].argmax(axis=1)
             done = active[hit]
             best_a1[done] = a1s[first]
             best_a2[done] = a2s[first]
             best[done] = table.counts[best_a1[done], best_a2[done]]
-            active, dist = active[~hit], dist[~hit]
+            active, dist = active[~hit], dist[:, ~hit]
         lo, block = hi, 2 * block
     return best, best_a1, best_a2
 
@@ -351,6 +362,14 @@ def jiggle_anchors(
     (per point) of those for larger k.
     """
     sample = tuple(sample)
+    return _jiggle_anchors(space, sample, k, radius_frac, seed,
+                           lambda: median_pairwise_distance(space, sample))
+
+
+def _jiggle_anchors(space: Space, sample: tuple, k: int, radius_frac: float, seed: int,
+                    spread) -> AnchorSet:
+    """:func:`jiggle_anchors`, reading the median pairwise distance from
+    ``spread()`` when it needs it."""
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
     if k < 0:
@@ -361,7 +380,7 @@ def jiggle_anchors(
     if k > 0:
         if radius_frac > 0 and len(sample) < 2:
             raise GeometryError("jiggling needs >= 2 points to set a distance scale")
-        sigma = 0.0 if radius_frac == 0 else radius_frac * median_pairwise_distance(space, sample)
+        sigma = 0.0 if radius_frac == 0 else radius_frac * spread()
         bases = [x for x in sample for _ in range(k)]
         rngs = derive_rngs(seed, NS_JIGGLE, shape=(len(sample), k))
         tangents = space.random_tangents(bases, [sigma**2] * len(bases), rngs)
@@ -415,6 +434,14 @@ def refine_deepest(
     the depth never falls below the starting point's.
     """
     sample = tuple(sample)
+    return _refine_deepest(space, sample, anchors, start, budget, seed, radius_frac, table,
+                           lambda: median_pairwise_distance(space, sample))
+
+
+def _refine_deepest(space: Space, sample: tuple, anchors, start, budget: int, seed: int,
+                    radius_frac: float, table: HalfspaceProbTable | None, spread):
+    """:func:`refine_deepest`, reading the median pairwise distance from
+    ``spread()`` when it needs it."""
     if budget < 0:
         raise GeometryError("budget must be >= 0")
     _check_radius_frac(radius_frac)
@@ -435,7 +462,7 @@ def refine_deepest(
     current_sum = float(_distance_sums(space, sample_stack, [current])[0])
 
     if len(sample) >= 2 and radius_frac > 0:
-        scale = radius_frac * median_pairwise_distance(space, sample)
+        scale = radius_frac * spread()
     else:
         scale = 0.0
     decay = 0.01 ** (1.0 / budget)

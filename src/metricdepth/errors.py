@@ -10,7 +10,15 @@ class GeometryError(MetricDepthError, ValueError):
 
 
 class PointValidationError(GeometryError):
-    """Raw input could not be normalized into a valid point."""
+    """Raw input could not be normalized into a valid point.
+
+    ``row`` is the index of the offending point when a stacked check
+    (``Space.validate_points`` or ``Space.decode_points``) raised it.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class UndefinedLogError(GeometryError):

@@ -12,6 +12,7 @@ point, and stochastic refinement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -19,10 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .depth import (
+    _jiggle_anchors,
+    _refine_deepest,
     halfspace_prob_table,
     in_sample_deepest,
-    jiggle_anchors,
-    refine_deepest,
+    median_pairwise_distance,
 )
 from .errors import GeometryError, MetricDepthError, NumericalError
 from .rng import NS_REFINE, derive_rng
@@ -54,8 +56,13 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
         raise GeometryError("sample must be non-empty")
     dist = space.distance_matrix(points, points)
     objs = objective(dist)
-    x = sample[int(np.argmin(objs))]
     current = float(objs.min())
+    if not np.isfinite(current):
+        # Every objective is NaN when a sample point is: argmin would pick
+        # the first point and no step would ever be accepted.
+        raise NumericalError(f"objective is not finite ({current}) on the sample; "
+                             "its distances hold NaN or inf")
+    x = sample[int(np.argmin(objs))]
     last_update = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -147,13 +154,15 @@ def mhd_median(
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
     effective_k = jiggle_k if len(sample) >= 2 else 0
-    anchors = jiggle_anchors(space, sample, effective_k, radius_frac, seed)
+    # Jiggling and refinement both scale their steps by the median pairwise
+    # distance; it takes a full n x n distance matrix, so it is made once.
+    spread = functools.cache(lambda: median_pairwise_distance(space, sample))
+    anchors = _jiggle_anchors(space, sample, effective_k, radius_frac, seed, spread)
     table = halfspace_prob_table(space, sample, anchors)
     start, _, start_idx = in_sample_deepest(space, sample, anchors, table=table)
-    point, depth = refine_deepest(
+    point, depth = _refine_deepest(
         space, sample, anchors, start, budget,
-        seed=derive_rng(seed, NS_REFINE).integers(2**32).item(),
-        radius_frac=radius_frac, table=table,
+        derive_rng(seed, NS_REFINE).integers(2**32).item(), radius_frac, table, spread,
     )
     return EstimatorResult(
         point=point,

@@ -34,24 +34,28 @@ SUMMARY_CSV_COLUMNS = ("estimator", "case", "space", "k", "n", "median_error", "
 
 
 def read_points(path, space: Space) -> list:
-    """Parse one point per non-empty row, reporting row numbers on failure."""
+    """Parse one point per non-empty row, reporting row numbers on failure.
+
+    The rows are decoded and validated as one stack; a failure names the
+    line of the first bad row, the one a row-by-row read would stop at.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    points = []
+    rows, linenos = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         row = line.strip()
-        if not row or row.startswith("#"):
-            continue
-        try:
-            points.append(space.decode_point(row))
-        except PointValidationError as exc:
-            raise DataError(f"{path}: row {lineno}: {exc}") from exc
-    if not points:
+        if row and not row.startswith("#"):
+            rows.append(row)
+            linenos.append(lineno)
+    if not rows:
         raise DataError(f"{path}: no points found")
-    return points
+    try:
+        return space.decode_points(rows)
+    except PointValidationError as exc:
+        raise DataError(f"{path}: row {linenos[exc.row]}: {exc}") from exc
 
 
 def write_points(path, space: Space, points) -> None:

@@ -116,6 +116,10 @@ class SimulationConfig:
             raise DataError(
                 f"base_variance must be finite and >= 0, got {self.base_variance}"
             )
+        if self.offset is not None and not np.isfinite(self.offset):
+            raise DataError(f"offset must be finite, got {self.offset}")
+        if not np.isfinite(self.scale_factor):
+            raise DataError(f"scale_factor must be finite, got {self.scale_factor}")
         if not 0.0 <= self.contamination < 1.0:
             raise DataError("contamination fraction must lie in [0, 1)")
         if not (self.radius_frac >= 0 and np.isfinite(self.radius_frac)):

@@ -37,6 +37,16 @@ Every method that takes a sequence of points accepts it, and the values
 it computes are the same as from the points, bit for bit. Callers that
 pass one point set to many calls, such as refinement and the intrinsic
 mean and median, stack it once.
+
+Points are checked the same way. :meth:`Space.validate_points` checks N
+raw points in one pass and :meth:`Space.validate_point` is its N = 1
+entry; :meth:`Space.decode_points` parses N CSV rows and validates them
+together, and :meth:`Space.decode_point` is its N = 1 entry. A stacked
+check reports the first point a one-point loop would reject, with the
+same message, and tags the error with that point's index (``row``). The
+vector and matrix geometries run each check over the whole stack at once
+(:class:`StackCheck`); the spider checks its points one at a time, and a
+product runs each component's stacked check on its column.
 """
 
 from __future__ import annotations
@@ -82,8 +92,13 @@ class Space(ABC):
         """``kind:param`` form understood by :func:`metricdepth.spaces.parse_space`."""
 
     @abstractmethod
+    def validate_points(self, rows: Sequence) -> list:
+        """Normalize N raw points, or raise ``PointValidationError`` for the
+        first bad one, its index in ``row``."""
+
     def validate_point(self, raw) -> Any:
         """Normalize raw input into a point, or raise ``PointValidationError``."""
+        return self.validate_points([raw])[0]
 
     def stack(self, points: Sequence) -> Sequence:
         """``points`` in the form the kernels read; see the module docstring."""
@@ -187,13 +202,34 @@ class Space(ABC):
         """CSV row encoding of a point: its entries in row-major order."""
         return ",".join(repr(float(c)) for c in np.asarray(x, float).reshape(-1))
 
-    def decode_point(self, text: str) -> Any:
-        """Parse :meth:`encode_point` output back into a validated point."""
+    def _parse(self, text: str):
+        """Raw point of one CSV row, for :meth:`validate_points`."""
         try:
-            values = [float(tok) for tok in text.split(",")]
+            return [float(tok) for tok in text.split(",")]
         except ValueError as exc:
             raise PointValidationError(f"bad {self.kind} row: {text!r}") from exc
-        return self.validate_point(values)
+
+    def decode_points(self, texts: Sequence[str]) -> list:
+        """Parse N :meth:`encode_point` rows into validated points, or raise
+        ``PointValidationError`` for the first bad row, its index in ``row``.
+
+        Rows are parsed up to the first that does not parse; the rows before
+        it are validated in one stacked check, which reports any bad row
+        among them first.
+        """
+        raws = []
+        for i, text in enumerate(texts):
+            try:
+                raws.append(self._parse(text))
+            except PointValidationError as exc:
+                exc.row = i
+                self.validate_points(raws)
+                raise
+        return self.validate_points(raws)
+
+    def decode_point(self, text: str) -> Any:
+        """Parse :meth:`encode_point` output back into a validated point."""
+        return self.decode_points([text])[0]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.spec_string!r})"
@@ -241,6 +277,51 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
+
+
+class StackCheck:
+    """A stacked point check that keeps the first failing row.
+
+    ``rows`` starts as the raw points as one float array of shape
+    ``(N, *shape)``; ``fits(raw_shape)`` tells whether a raw point can be
+    reshaped to ``shape``, and ``describe(raw_shape)`` words the error for
+    one that cannot. Each :meth:`reject` cuts ``rows`` at its first flagged
+    row, so a later check sees only rows that passed every earlier one and
+    the last error recorded is the one a one-point loop meets first.
+    """
+
+    def __init__(self, rows: Sequence, shape: tuple, fits, describe):
+        self.error = None
+        try:
+            stack = np.asarray(rows, dtype=float)
+        except ValueError:  # points of different shapes
+            stack = None
+        if stack is not None and fits(stack.shape[1:]):
+            self.rows = stack.reshape(len(stack), *shape)
+            return
+        good = []
+        for i, raw in enumerate(rows):
+            point = np.asarray(raw, dtype=float)
+            if not fits(point.shape):
+                self.error = PointValidationError(describe(np.shape(raw)), row=i)
+                break
+            good.append(point.reshape(shape))
+        self.rows = np.array(good, dtype=float).reshape(len(good), *shape)
+
+    def reject(self, bad: np.ndarray, message) -> None:
+        """Cut ``rows`` at the first row flagged in ``bad``, recording
+        ``message(i)`` for it."""
+        hits = np.flatnonzero(bad)
+        if len(hits):
+            i = int(hits[0])
+            self.rows = self.rows[:i]
+            self.error = PointValidationError(message(i), row=i)
+
+    def points(self) -> list:
+        """The checked points, read-only, or the first failing row's error."""
+        if self.error is not None:
+            raise self.error
+        return list(readonly(self.rows))
 
 
 def frozen_view(arr: np.ndarray) -> np.ndarray:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import GeometryError, PointValidationError
-from .base import Space, TangentVector, _normalized_weights, frozen_view, readonly
+from ..errors import GeometryError
+from .base import (
+    Space,
+    StackCheck,
+    TangentVector,
+    _normalized_weights,
+    frozen_view,
+    readonly,
+)
 
 
 @dataclass(frozen=True, repr=False)
@@ -28,15 +36,14 @@ class Euclidean(Space):
     def spec_string(self) -> str:
         return f"euclidean:{self.dim}"
 
-    def validate_point(self, raw):
-        x = np.asarray(raw, dtype=float).reshape(-1)
-        if x.shape != (self.dim,):
-            raise PointValidationError(
-                f"expected vector of length {self.dim}, got shape {np.shape(raw)}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise PointValidationError("point has non-finite entries")
-        return readonly(x)
+    def validate_points(self, rows):
+        check = StackCheck(
+            rows, (self.dim,), lambda shape: math.prod(shape) == self.dim,
+            lambda shape: f"expected vector of length {self.dim}, got shape {shape}",
+        )
+        check.reject(~np.isfinite(check.rows).all(axis=1),
+                     lambda i: "point has non-finite entries")
+        return check.points()
 
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.dim)

@@ -32,13 +32,37 @@ class Product(Space):
     def spec_string(self) -> str:
         return "product:" + "+".join(c.spec_string for c in self.components)
 
-    def validate_point(self, raw):
-        parts = tuple(raw)
-        if len(parts) != len(self.components):
-            raise PointValidationError(
-                f"expected {len(self.components)} components, got {len(parts)}"
-            )
-        return tuple(c.validate_point(p) for c, p in zip(self.components, parts))
+    def _by_component(self, rows, split, describe, check) -> list:
+        """Points from ``rows``, each split into one part per component, and
+        the parts of each component checked as one column by ``check(comp,
+        column)``. The first failing row raises; within a row, the first
+        failing component, as a one-point loop would meet them. A row that
+        splits into the wrong number of parts fails with ``describe(count)``
+        and ends the columns."""
+        columns, error = [], None
+        for i, row in enumerate(rows):
+            parts = split(row)
+            if len(parts) != len(self.components):
+                error = PointValidationError(describe(len(parts)), row=i)
+                break
+            columns.append(parts)
+        checked = []
+        for comp, column in zip(self.components, zip(*columns)):
+            try:
+                checked.append(check(comp, column))
+            except PointValidationError as exc:
+                if error is None or exc.row < error.row:
+                    error = exc
+        if error is not None:
+            raise error
+        return list(zip(*checked))
+
+    def validate_points(self, rows):
+        return self._by_component(
+            rows, tuple,
+            lambda count: f"expected {len(self.components)} components, got {count}",
+            lambda comp, column: comp.validate_points(column),
+        )
 
     def distance_matrix(self, xs, ys):
         total = None
@@ -123,12 +147,10 @@ class Product(Space):
             comp.encode_point(xc) for comp, xc in zip(self.components, x)
         )
 
-    def decode_point(self, text: str):
-        parts = text.split("|")
-        if len(parts) != len(self.components):
-            raise PointValidationError(
-                f"expected {len(self.components)} '|'-separated components, got {len(parts)}"
-            )
-        return tuple(
-            comp.decode_point(p) for comp, p in zip(self.components, parts)
+    def decode_points(self, texts):
+        return self._by_component(
+            texts, lambda text: text.split("|"),
+            lambda count: f"expected {len(self.components)} '|'-separated components, "
+                          f"got {count}",
+            lambda comp, column: comp.decode_points(column),
         )

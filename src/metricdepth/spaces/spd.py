@@ -14,8 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import GeometryError, NumericalError, PointValidationError
-from .base import Space, TangentVector, _normalized_weights, frozen_view, readonly
+from ..errors import GeometryError, NumericalError
+from .base import (
+    Space,
+    StackCheck,
+    TangentVector,
+    _normalized_weights,
+    frozen_view,
+    readonly,
+)
 
 SYMMETRY_TOL = 1e-6
 # Eigenvalues of congruence-whitened products are clipped here before log;
@@ -74,32 +81,26 @@ class SPD(Space):
     def spec_string(self) -> str:
         return f"spd:{self.size}"
 
-    def validate_point(self, raw):
+    def validate_points(self, rows):
         k = self.size
-        p = np.asarray(raw, dtype=float)
-        if p.shape == (k * k,):
-            p = p.reshape(k, k)
-        if p.shape != (k, k):
-            raise PointValidationError(
-                f"expected {k}x{k} matrix (or flat length {k * k}), got shape "
-                f"{np.shape(raw)}"
-            )
-        if not np.all(np.isfinite(p)):
-            raise PointValidationError("matrix has non-finite entries")
-        asym = np.max(np.abs(p - p.T))
-        if asym > SYMMETRY_TOL:
-            raise PointValidationError(f"matrix asymmetry {asym:.3g} exceeds "
-                                       f"{SYMMETRY_TOL:g}")
-        p = _sym(p)
+        check = StackCheck(
+            rows, (k, k), lambda shape: shape in ((k * k,), (k, k)),
+            lambda shape: f"expected {k}x{k} matrix (or flat length {k * k}), got shape {shape}",
+        )
+        check.reject(~np.isfinite(check.rows).all(axis=(1, 2)),
+                     lambda i: "matrix has non-finite entries")
+        asym = np.abs(check.rows - np.swapaxes(check.rows, 1, 2)).max(axis=(1, 2))
+        check.reject(asym > SYMMETRY_TOL,
+                     lambda i: f"matrix asymmetry {asym[i]:.3g} exceeds {SYMMETRY_TOL:g}")
+        check.rows = _sym(check.rows)
         try:
-            smallest = float(np.linalg.eigvalsh(p)[0])
+            smallest = np.linalg.eigvalsh(check.rows)[:, 0]
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise NumericalError("eigendecomposition failed") from exc
-        if smallest <= 0.0:
-            raise PointValidationError(
-                f"matrix is not positive definite (min eigenvalue {smallest:.3g})"
-            )
-        return readonly(p)
+        check.reject(smallest <= 0.0,
+                     lambda i: f"matrix is not positive definite "
+                               f"(min eigenvalue {smallest[i]:.3g})")
+        return check.points()
 
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.size, self.size)

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import GeometryError, PointValidationError, UndefinedLogError
-from .base import ANTIPODAL_TOL, Space, TangentVector, _normalized_weights, frozen_view, readonly
+from ..errors import GeometryError, UndefinedLogError
+from .base import (
+    ANTIPODAL_TOL,
+    Space,
+    StackCheck,
+    TangentVector,
+    _normalized_weights,
+    frozen_view,
+    readonly,
+)
 
 UNIT_NORM_TOL = 1e-6
 
@@ -42,20 +51,20 @@ class Sphere(Space):
     def spec_string(self) -> str:
         return f"sphere:{self.dim}"
 
-    def validate_point(self, raw):
-        x = np.asarray(raw, dtype=float).reshape(-1)
-        if x.shape != (self.ambient_dim,):
-            raise PointValidationError(
-                f"expected ambient vector of length {self.ambient_dim}, "
-                f"got shape {np.shape(raw)}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise PointValidationError("point has non-finite entries")
-        norm = np.linalg.norm(x)
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise PointValidationError(f"vector norm {norm:.9g} is not within "
-                                       f"{UNIT_NORM_TOL:g} of 1")
-        return readonly(x / norm)
+    def validate_points(self, rows):
+        size = self.ambient_dim
+        check = StackCheck(
+            rows, (size,), lambda shape: math.prod(shape) == size,
+            lambda shape: f"expected ambient vector of length {size}, got shape {shape}",
+        )
+        check.reject(~np.isfinite(check.rows).all(axis=1),
+                     lambda i: "point has non-finite entries")
+        norms = _row_norms(check.rows)
+        check.reject(np.abs(norms - 1.0) > UNIT_NORM_TOL,
+                     lambda i: f"vector norm {norms[i]:.9g} is not within "
+                               f"{UNIT_NORM_TOL:g} of 1")
+        check.rows = check.rows / norms[:len(check.rows), None]
+        return check.points()
 
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.ambient_dim)

@@ -57,7 +57,17 @@ class Spider3(Space):
     def spec_string(self) -> str:
         return "spider3"
 
-    def validate_point(self, raw):
+    def validate_points(self, rows):
+        points = []
+        for i, raw in enumerate(rows):
+            try:
+                points.append(self._validated(raw))
+            except PointValidationError as exc:
+                exc.row = i
+                raise
+        return points
+
+    def _validated(self, raw) -> SpiderPoint:
         if isinstance(raw, SpiderPoint):
             radius, branch = raw.radius, raw.branch
         else:
@@ -93,11 +103,11 @@ class Spider3(Space):
 
     def _exp_step(self, x: SpiderPoint, step: SpiderStep) -> SpiderPoint:
         if x.radius == 0.0:
-            return self.validate_point((abs(step.delta), step.cross_branch))
+            return self._validated((abs(step.delta), step.cross_branch))
         s = x.radius + step.delta
         if s >= 0.0:
-            return self.validate_point((s, x.branch))
-        return self.validate_point((-s, step.cross_branch))
+            return self._validated((s, x.branch))
+        return self._validated((-s, step.cross_branch))
 
     def tangent_coords(self, v: TangentVector) -> np.ndarray:
         return np.array([v.coords.delta])
@@ -165,7 +175,7 @@ class Spider3(Space):
     def encode_point(self, x) -> str:
         return f"{x.branch},{repr(float(x.radius))}"
 
-    def decode_point(self, text: str):
+    def _parse(self, text: str):
         parts = text.split(",")
         if len(parts) != 2:
             raise PointValidationError(f"bad spider3 row (want 'branch,radius'): {text!r}")
@@ -174,4 +184,4 @@ class Spider3(Space):
             radius = float(parts[1])
         except ValueError as exc:
             raise PointValidationError(f"bad spider3 row: {text!r}") from exc
-        return self.validate_point((radius, branch))
+        return radius, branch

@@ -4,6 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from metricdepth import estimators
+from metricdepth.depth import (
+    halfspace_prob_table,
+    in_sample_deepest,
+    jiggle_anchors,
+    median_pairwise_distance,
+    refine_deepest,
+)
 from metricdepth.errors import NumericalError
 from metricdepth.estimators import (
     breakdown_lower_bound,
@@ -12,6 +20,7 @@ from metricdepth.estimators import (
     geodesic_distance_depth,
     mhd_median,
 )
+from metricdepth.rng import NS_REFINE, derive_rng
 from metricdepth.spaces import SPD, Euclidean, Sphere
 
 from conftest import random_points
@@ -63,6 +72,15 @@ def test_mean_antipodal_failure_advises():
     pts = [space.validate_point(E1), space.validate_point(-E1)]
     with pytest.raises(NumericalError, match="initial point"):
         frechet_mean(space, pts)
+
+
+@pytest.mark.parametrize("estimator", [frechet_mean, frechet_median])
+def test_intrinsic_estimators_reject_a_nan_sample(estimator):
+    # Every objective is NaN, so no start point or step can be judged; the
+    # estimators must fail rather than report the first sample point.
+    pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([np.nan, 0.0])]
+    with pytest.raises(NumericalError, match="not finite"):
+        estimator(Euclidean(2), pts)
 
 
 # ---------------------------------------------------------- intrinsic median
@@ -151,6 +169,30 @@ def test_mhd_median_deterministic(rng):
     r2 = mhd_median(space, pts, jiggle_k=3, budget=20, seed=42)
     assert np.array_equal(r1.point, r2.point)
     assert r1.objective == r2.objective
+
+
+def test_mhd_median_takes_the_distance_scale_once(rng, monkeypatch):
+    # Jiggling and refinement share one median pairwise distance; the
+    # result is the one the public steps give, each taking its own.
+    space = SPD(2)
+    pts = random_points(space, 20, rng)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return median_pairwise_distance(*args)
+
+    monkeypatch.setattr(estimators, "median_pairwise_distance", counted)
+    got = mhd_median(space, pts, jiggle_k=2, budget=12, seed=9)
+    assert len(calls) == 1
+    anchors = jiggle_anchors(space, pts, 2, 0.1, 9)
+    table = halfspace_prob_table(space, pts, anchors)
+    start, _, start_idx = in_sample_deepest(space, pts, anchors, table=table)
+    point, depth = refine_deepest(space, pts, anchors, start, 12,
+                                  seed=derive_rng(9, NS_REFINE).integers(2**32).item(),
+                                  table=table)
+    assert np.array_equal(got.point, point) and got.objective == float(depth)
+    assert got.extras["start_index"] == start_idx
 
 
 # ------------------------------------------------------------ breakdown bound

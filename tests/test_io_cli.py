@@ -343,6 +343,8 @@ def test_cmd_simulate_config_file(tmp_path, runner):
     ["--variance", "-1"],
     ["--variance", "nan"],
     ["--variance", "inf"],
+    ["--offset", "nan"],
+    ["--scale-factor", "inf"],
 ])
 def test_cmd_simulate_rejects_bad_settings_before_writing(tmp_path, runner, bad):
     out = tmp_path / "out"

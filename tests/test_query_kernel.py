@@ -6,6 +6,7 @@ equal minimizing anchor pairs, tie-break included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -213,3 +214,33 @@ def test_permutation_depth_counts_match_dense_reference(rng):
         want = dense_min_counts(counts, len(reference), dist[:, reference])[0]
         got = inference._batched_depth_counts(dist, reference[None], distinct_rows(dist))
         assert np.array_equal(got[0], want)
+
+
+def scan_case(ties, seed):
+    """A sample table and its self distances, on a line of integers with
+    repeats (tied rows and anchors) or on continuous points in the plane."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        space, sample = line_space(rng.integers(-4, 5, size=30))
+    else:
+        space = Euclidean(2)
+        sample = random_points(space, 30, rng)
+    table = halfspace_prob_table(space, sample, sample)
+    return table, space.distance_matrix(sample, sample)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 30])
+def test_anchor_major_scan_matches_dense_for_any_query_count(ties, m):
+    table, dist = scan_case(ties, seed=m)
+    for queries in (dist[:m], table.codes[:m]):
+        assert_same(_min_counts(table, queries), dense_min_counts(table.counts, table.n, dist[:m]))
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_one_query_alone_equals_its_row_in_a_batch(ties):
+    table, dist = scan_case(ties, seed=7)
+    batch = _min_counts(table, dist)
+    for j in range(len(dist)):
+        alone = _min_counts(table, dist[j:j + 1])
+        assert_same(alone, tuple(part[j:j + 1] for part in batch))

@@ -106,7 +106,9 @@ def test_config_validation():
             config(radius_frac=radius_frac)
     for field, value in [("n", 0), ("jiggle_k", -1), ("refine_budget", -3),
                          ("base_variance", -1.0), ("base_variance", float("nan")),
-                         ("base_variance", float("inf"))]:
+                         ("base_variance", float("inf")), ("offset", float("nan")),
+                         ("offset", float("inf")), ("scale_factor", float("nan")),
+                         ("scale_factor", float("-inf"))]:
         with pytest.raises(DataError, match=field):
             config(**{field: value})
     assert SimulationConfig(case=1, space=Euclidean(2), n=12).reps == 128
