@@ -61,6 +61,8 @@ from .spaces import Space
 
 # Cap on the size of transient temporaries in the vectorized kernels.
 _CHUNK_ELEMS = 8_000_000
+# Side of the square tiles that the sorted-pairs bound reads a table in.
+_BOUND_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,23 @@ class AnchorSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _least_pair_max(key: np.ndarray) -> np.generic:
+    """``np.maximum(key, key.T).min()`` of a square table, read tile by tile.
+
+    Each tile on or above the diagonal meets its mirror tile, so the
+    transposed read stays inside two cache-sized tiles instead of striding
+    across the whole table. The diagonal holds n, the largest count, so it
+    leaves the bound alone; with one anchor the bound is n.
+    """
+    n_anchors = len(key)
+    return min(
+        np.maximum(key[lo:lo + _BOUND_TILE, col:col + _BOUND_TILE],
+                   key[col:col + _BOUND_TILE, lo:lo + _BOUND_TILE].T).min()
+        for lo in range(0, n_anchors, _BOUND_TILE)
+        for col in range(lo, n_anchors, _BOUND_TILE)
+    )
 
 
 @dataclass(frozen=True)
@@ -120,9 +139,7 @@ class HalfspaceProbTable:
         """
         n_anchors = len(self.counts)
         key = self.counts.astype(np.min_scalar_type(self.n))
-        # The diagonal holds n, the largest count, so it leaves the bound
-        # alone; with one anchor the bound is n and no pair is kept.
-        bound = np.maximum(key, key.T).min()
+        bound = _least_pair_max(key)
         key = key.ravel()
         keep = key <= bound
         keep[::n_anchors + 1] = False

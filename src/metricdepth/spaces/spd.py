@@ -51,17 +51,46 @@ def _sym_apply(p: np.ndarray, fn) -> np.ndarray:
     return (eigvec * fn(eigval)[..., None, :]) @ np.swapaxes(eigvec, -1, -2)
 
 
-def _eigvalsh_batch(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a batch of symmetric matrices, closed form for k = 2."""
-    k = mats.shape[-1]
-    if k == 2:
-        a = mats[..., 0, 0]
-        b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
-        c = mats[..., 1, 1]
-        mid = 0.5 * (a + c)
-        rad = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b**2, 0.0))
-        return np.stack([mid - rad, mid + rad], axis=-1)
-    return np.linalg.eigvalsh(_sym(mats))
+def _log_eig_norms(planes: np.ndarray, out: np.ndarray) -> None:
+    """Write ``||log(max(eig(W_ab), EIG_FLOOR))||_2`` into ``out[a, b]``.
+
+    ``planes[a, l, i, b] = W_ab[i, l]`` holds a (rows, k, k, nb) batch of
+    symmetric matrices, so each entry (i, l) of every W_ab sits in its own
+    (rows, nb) plane with contiguous rows. For k = 2 the eigenvalues take
+    the closed form ``mid -+ sqrt(max(0.25 (w00 - w11)^2 + off^2, 0))``,
+    with ``mid = 0.5 (w00 + w11)`` and ``off = 0.5 (w01 + w10)``, and every
+    step runs plane by plane in place, with ``planes`` as scratch; the two
+    squared logs add as ``l0^2 + l1^2``, which is how numpy sums two
+    entries. Other sizes go through ``eigvalsh``.
+    """
+    k = planes.shape[1]
+    if k != 2:
+        eig = np.linalg.eigvalsh(_sym(planes.transpose(0, 3, 2, 1)))
+        logs = np.log(np.maximum(eig, EIG_FLOOR))
+        out[...] = np.sqrt(np.sum(logs**2, axis=-1))
+        return
+    w00, w01, w10, w11 = planes[:, 0, 0], planes[:, 1, 0], planes[:, 0, 1], planes[:, 1, 1]
+    off = np.add(w01, w10, out=w01)
+    np.multiply(off, 0.5, out=off)
+    diff = np.subtract(w00, w11, out=w10)
+    mid = np.add(w00, w11, out=w00)
+    np.multiply(mid, 0.5, out=mid)
+    np.square(diff, out=diff)
+    np.multiply(diff, 0.25, out=diff)
+    np.square(off, out=off)
+    rad = np.add(diff, off, out=diff)
+    np.maximum(rad, 0.0, out=rad)
+    np.sqrt(rad, out=rad)
+    # Both eigenvalue planes are contiguous, so log runs the same vector loop
+    # on them as on a contiguous stack of eigenvalue pairs.
+    upper = np.add(mid, rad)
+    lower = np.subtract(mid, rad, out=out)
+    for logs in (lower, upper):
+        np.maximum(logs, EIG_FLOOR, out=logs)
+        np.log(logs, out=logs)
+        np.square(logs, out=logs)
+    np.add(lower, upper, out=out)
+    np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True, repr=False)
@@ -130,12 +159,14 @@ class SPD(Space):
         out = np.empty((na, nb))
         chunk = max(1, int(4e6 // max(nb * k * k, 1)))
         # Two BLAS products, s_a q_b and then (s_a q_b) s_a, in the operand
-        # order and memory layout that einsum's optimize=True path gives
-        # "aij,bjk->abik" and "abik,akl->abil": operands swapped, kept and
-        # contracted axes fused. Each entry is then summed exactly as the
-        # einsum calls summed it, so distances keep their bits without a
-        # contraction-path search per call. Associating the other way,
-        # s_a (q_b s_a), rounds differently.
+        # order that einsum's optimize=True path gives "aij,bjk->abik" and
+        # "abik,akl->abil": operands swapped, kept and contracted axes fused.
+        # Each entry is summed exactly as the einsum calls summed it, so
+        # distances keep their bits without a contraction-path search per
+        # call. Associating the other way, s_a (q_b s_a), rounds differently.
+        # The second product's columns run i-major, [i*nb + b], so each entry
+        # (i, l) of the whitened matrices comes out as one (rows, nb) plane
+        # for _log_eig_norms to read with contiguous rows.
         right_t = np.swapaxes(right, 1, 2).reshape(nb * k, k)
         for lo in range(0, na, chunk):
             hi = min(lo + chunk, na)
@@ -143,13 +174,10 @@ class SPD(Space):
             # Each step rebinds mid, so at most two (rows, nb, k, k) arrays
             # are alive at once.
             mid = right_t @ block.transpose(2, 0, 1).reshape(k, rows * k)
-            mid = mid.reshape(nb, k, rows, k).transpose(2, 0, 3, 1)  # [a, b] = s_a q_b
-            mid = mid.transpose(0, 3, 1, 2).reshape(rows, k, nb * k)
-            whitened = np.swapaxes(block, 1, 2) @ mid
-            whitened = whitened.reshape(rows, k, nb, k).transpose(0, 2, 3, 1)
-            eig = _eigvalsh_batch(whitened)
-            logs = np.log(np.maximum(eig, EIG_FLOOR))
-            out[lo:hi] = np.sqrt(np.sum(logs**2, axis=-1))
+            # [b*k + j, a*k + i] = (s_a q_b)[i, j] -> [a, j, i*nb + b]
+            mid = mid.reshape(nb, k, rows, k).transpose(2, 1, 3, 0).reshape(rows, k, k * nb)
+            mid = np.swapaxes(block, 1, 2) @ mid  # [a, l, i*nb + b] = W_ab[i, l]
+            _log_eig_norms(mid.reshape(rows, k, k, nb), out[lo:hi])
         return out
 
     def _roots(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

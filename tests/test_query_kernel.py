@@ -187,6 +187,51 @@ def test_sorted_pairs_are_the_reachable_prefix_of_real_tables(values):
     assert_reachable_prefix(halfspace_prob_table(space, sample, sample))
 
 
+def dense_sorted_pairs(counts, n):
+    """The pruned sort with its bound read as one pass over the whole key
+    and its transpose."""
+    n_anchors = len(counts)
+    key = counts.astype(np.min_scalar_type(n))
+    bound = np.maximum(key, key.T).min()
+    key = key.ravel()
+    keep = key <= bound
+    keep[::n_anchors + 1] = False
+    index = np.flatnonzero(keep)
+    return np.divmod(index[np.argsort(key[index], kind="stable")], n_anchors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_distances(), st.integers(1, 5))
+def test_tiled_pair_bound_matches_dense_with_small_tiles(case, tile):
+    # Tiles of 1-5 anchors on tables of 1-7 split them at every offset.
+    table = case[0]
+    saved = depth._BOUND_TILE
+    depth._BOUND_TILE = tile
+    try:
+        got = table.sorted_pairs
+    finally:
+        depth._BOUND_TILE = saved
+    assert_same(got, dense_sorted_pairs(table.counts, table.n))
+
+
+@pytest.mark.parametrize("n_anchors", [300, 557])
+@pytest.mark.parametrize("tied", [False, True])
+def test_tiled_pair_bound_matches_dense_on_real_tables(n_anchors, tied, rng):
+    # Neither size is a multiple of the tile, so the last row and column of
+    # tiles are partial. Duplicated anchors tie every sample row, which
+    # keeps both halves of the table.
+    space = Euclidean(2)
+    sample = random_points(space, 40, rng)
+    anchors = random_points(space, n_anchors, rng)
+    if tied:
+        anchors[-30:] = anchors[:30]
+    table = halfspace_prob_table(space, sample, anchors)
+    assert depth._distinct_rows(table.codes) is not tied
+    key = table.counts.astype(np.min_scalar_type(table.n))
+    assert depth._least_pair_max(key) == np.maximum(key, key.T).min()
+    assert_same(table.sorted_pairs, dense_sorted_pairs(table.counts, table.n))
+
+
 def dense_kernel(table, dist):
     return tuple(np.asarray(a) for a in dense_min_counts(table.counts, table.n, dist))
 

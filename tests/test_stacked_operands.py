@@ -4,11 +4,13 @@ test-local references.
 Refinement stacks its anchors and sample once and derives all its step
 streams in one batch; the intrinsic mean and median stack their sample
 once; the SPD distance kernel runs two matmuls where it ran two
-``einsum(optimize=True)`` calls. None of this may move a bit, so each is
-checked for exact equality against the form it replaced: a loop that
-derives one stream per step and passes tuples, and the einsum kernel.
+``einsum(optimize=True)`` calls, and takes its 2 x 2 eigenvalues plane by
+plane in place. None of this may move a bit, so each is checked for exact
+equality against the form it replaced: a loop that derives one stream per
+step and passes tuples, and the einsum kernel with the closed form it fed.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +34,7 @@ from metricdepth.estimators import (
 from metricdepth.rng import NS_REFINE, derive_rng
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
 from metricdepth.spaces.base import TangentVector
-from metricdepth.spaces.spd import EIG_FLOOR, _eigvalsh_batch
+from metricdepth.spaces.spd import EIG_FLOOR, _sym
 
 from conftest import random_points
 
@@ -164,6 +166,20 @@ def test_frechet_mean_and_median_equal_tuple_loop(space, rng):
             assert got.extras["grad_norm"] == grad
 
 
+def reference_eigvalsh(mats):
+    """Eigenvalues of a batch of symmetric matrices, closed form for k = 2,
+    read through strided (..., 2, 2) views and stacked into pairs."""
+    k = mats.shape[-1]
+    if k == 2:
+        a = mats[..., 0, 0]
+        b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
+        c = mats[..., 1, 1]
+        mid = 0.5 * (a + c)
+        rad = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b**2, 0.0))
+        return np.stack([mid - rad, mid + rad], axis=-1)
+    return np.linalg.eigvalsh(_sym(mats))
+
+
 def einsum_distance_matrix(space, xs, ys):
     """The SPD kernel as two ``einsum(optimize=True)`` calls per row chunk."""
     left, right = space._stack(xs), space._stack(ys)
@@ -175,9 +191,14 @@ def einsum_distance_matrix(space, xs, ys):
         hi = min(lo + chunk, na)
         mid = np.einsum("aij,bjk->abik", s[lo:hi], right, optimize=True)
         whitened = np.einsum("abik,akl->abil", mid, s[lo:hi], optimize=True)
-        logs = np.log(np.maximum(_eigvalsh_batch(whitened), EIG_FLOOR))
+        logs = np.log(np.maximum(reference_eigvalsh(whitened), EIG_FLOOR))
         out[lo:hi] = np.sqrt(np.sum(logs**2, axis=-1))
     return out
+
+
+def spd_points(k, n, rng, scale=1.0):
+    raw = rng.standard_normal((n, k, k))
+    return list(scale * (raw @ np.swapaxes(raw, 1, 2) + 0.5 * np.eye(k)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -185,14 +206,43 @@ def test_spd_kernel_equals_einsum_reference(k, rng):
     space = SPD(k)
     nb = 400
     chunk = max(1, int(4e6 // (nb * k * k)))
-    # Row counts 1 and one past the chunk size (two chunks, the last of one row).
-    raw = rng.standard_normal((chunk + 1, k, k))
-    points = list(raw @ np.swapaxes(raw, 1, 2) + 0.5 * np.eye(k))
-    for xs, ys in ((points[:1], points[:1]), (points[:1], points[:nb]),
-                   (points[:nb], points[:1]), (points[:7], points[:nb]),
-                   (points, points[:nb])):
+    # Row counts 1 and one past the chunk size (two chunks, the last of one
+    # row), and empty sides.
+    points = spd_points(k, chunk + 1, rng)
+    cases = [(points[:1], points[:1]), (points[:1], points[:nb]),
+             (points[:nb], points[:1]), (points[:7], points[:nb]),
+             (points, points[:nb]), (points[:0], points[:nb]),
+             (points[:nb], points[:0]), (points[:0], points[:0])]
+    # Each side mixes its own scale with the other's, so whitened
+    # eigenvalues run from about 1e-6 to 1e6; points on both sides give
+    # whitened matrices at the identity, with logs at or next to 0.
+    for scale in (1e-3, 1e-1, 1e1, 1e3):
+        xs = spd_points(k, 9, rng, scale)
+        ys = spd_points(k, 31, rng, 1.0 / scale) + xs[:4]
+        cases += [(xs, ys), (ys, xs), (xs[:1], ys), (ys, xs[:1]), (xs, xs)]
+    for xs, ys in cases:
         got = space.distance_matrix(xs, ys)
+        assert got.shape == (len(xs), len(ys))
         assert np.array_equal(got, einsum_distance_matrix(space, xs, ys))
+
+
+def test_spd_kernel_peak_memory_is_bounded_by_its_chunk():
+    # 2000 x 2000 on spd:2 takes four row chunks of 500. The bound of five
+    # (500, 2000, 2, 2) chunk temporaries beyond the output is the einsum
+    # kernel's measured 4.75 rounded up; the planes kernel reads 2.0.
+    space = SPD(2)
+    n, k = 2000, 2
+    points = space.stack(spd_points(k, n, np.random.default_rng(0)))
+    chunk = int(4e6 // (n * k * k))
+    chunk_bytes = chunk * n * k * k * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dist = space.distance_matrix(points, points)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= dist.nbytes + 5 * chunk_bytes
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
