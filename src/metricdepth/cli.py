@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .depth import approx_depth, jiggle_anchors
+from .depth import _check_radius_frac, approx_depth, jiggle_anchors
 from .errors import DataError, GeometryError, NumericalError, PointValidationError
 from .estimators import frechet_mean, frechet_median, mhd_median
 from .inference import GroupedSample, kruskal_wallis_depth_test, wilcoxon_depth_test
@@ -85,10 +85,21 @@ def _parse_anchor_spec(text: str) -> int:
     raise click.BadParameter("--anchors must be 'sample' or 'jiggle:K'")
 
 
+def _radius_frac_argument(ctx, param, value):
+    try:
+        _check_radius_frac(value)
+    except GeometryError as exc:
+        raise click.BadParameter(str(exc), ctx=ctx, param=param)
+    return value
+
+
 space_option = click.option("--space", "space", required=True, callback=_space_argument,
                             help="Geometry, e.g. euclidean:2, sphere:2, spd:3, spider3, "
                                  "product:spd:2+euclidean:3.")
 seed_option = click.option("--seed", type=int, default=0, show_default=True)
+radius_frac_option = click.option(
+    "--radius-frac", type=float, default=0.1, show_default=True, callback=_radius_frac_argument,
+    help="Jiggle radius as a fraction of the median pairwise distance.")
 out_option = click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
                           required=True, help="Output file; a manifest JSON is written "
                                               "alongside it.")
@@ -110,8 +121,7 @@ def main():
               help="Evaluate depth at the data points themselves.")
 @click.option("--anchors", default="sample", show_default=True,
               help="'sample' or 'jiggle:K' for K perturbed copies per point.")
-@click.option("--radius-frac", type=float, default=0.1, show_default=True,
-              help="Jiggle radius as a fraction of the median pairwise distance.")
+@radius_frac_option
 @seed_option
 @out_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -152,9 +162,9 @@ def cmd_depth(space, data, query, self_query, anchors, radius_frac, seed, out, f
 @click.option("--estimator", type=click.Choice(["mhd", "fm", "gdd"]), default="mhd",
               show_default=True, help="mhd = depth median, fm = intrinsic mean, "
                                       "gdd = intrinsic median.")
-@click.option("--jiggle", type=int, default=10, show_default=True)
-@click.option("--budget", type=int, default=64, show_default=True)
-@click.option("--radius-frac", type=float, default=0.1, show_default=True)
+@click.option("--jiggle", type=click.IntRange(min=0), default=10, show_default=True)
+@click.option("--budget", type=click.IntRange(min=0), default=64, show_default=True)
+@radius_frac_option
 @seed_option
 @out_option
 @handles_errors

@@ -13,7 +13,10 @@ equal distances share a code and each row keeps its order, so every
 comparison, and hence every count, is exact. Codes take the narrowest
 unsigned dtype that holds n_A - 1 (uint8 up to 256 anchors); member flags
 are summed as uint8 over chunks of at most 255 sample rows, then added
-into the int32 table. A column subset of a row's codes keeps that row's
+into the table, whose counts take the narrowest unsigned dtype that holds
+n (uint8 up to n = 255). :func:`_prob_counts` alone sets that dtype and
+the layout, and every reader uses the counts as built, widening before
+any arithmetic. A column subset of a row's codes keeps that row's
 order and ties, so the permutation tests rank their pooled distance
 matrix once and read every reference group's table off it. A NaN
 distance has no place in that order and is rejected.
@@ -107,7 +110,10 @@ def _least_pair_max(key: np.ndarray) -> np.generic:
 class HalfspaceProbTable:
     """counts[a1, a2] = #{i : d(X_i, a1) <= d(X_i, a2)}.
 
-    Diagonal entries equal n by construction. ``codes`` holds the (n, n_A)
+    Diagonal entries equal n by construction. ``counts`` is the (n_A, n_A)
+    table as :func:`_prob_counts` builds it, in the narrowest unsigned
+    dtype that holds n; widen it before arithmetic such as ``n + 1`` or
+    ``counts + counts.T``, which can wrap. ``codes`` holds the (n, n_A)
     per-row dense rank codes of the sample-to-anchor distances that the
     counts were built from (see :func:`_row_ranks`), or ``None`` for a
     table given by its counts alone; :func:`approx_depth` scans them when
@@ -134,13 +140,14 @@ class HalfspaceProbTable:
         pairs they form a prefix, and every scan stops inside it.
 
         Sorted once per table and shared by every query against it. The
-        key is cast to the narrowest dtype that holds n, so numpy's stable
-        sort runs as a radix sort on the usual sample sizes.
+        bound and the sort key are read from ``counts`` as built, with no
+        copy: :func:`_prob_counts` stores them in the narrowest dtype that
+        holds n, so numpy's stable sort runs as a radix sort on the usual
+        sample sizes. A table given wider counts sorts to the same pairs.
         """
         n_anchors = len(self.counts)
-        key = self.counts.astype(np.min_scalar_type(self.n))
-        bound = _least_pair_max(key)
-        key = key.ravel()
+        bound = _least_pair_max(self.counts)
+        key = self.counts.ravel()
         keep = key <= bound
         keep[::n_anchors + 1] = False
         index = np.flatnonzero(keep)
@@ -208,9 +215,17 @@ def _distinct_rows(codes: np.ndarray) -> bool:
 
 
 def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
-    """Table of halfspace member counts from an (..., n, n_A) stack of
+    """Table of halfspace member counts from an (n, n_A, *batch) stack of
     distance matrices or of any per-row order-preserving codes, such as
-    :func:`_row_ranks`; leading axes are batch axes, one table each.
+    :func:`_row_ranks`: sample rows first, anchors second, and trailing
+    batch axes, one table each.
+
+    This is the one place that sets the table format: counts come out as
+    (n_A, n_A, *batch), ``table[a1, a2, *b]``, in ``np.min_scalar_type(n)``
+    (uint8 up to n = 255), the narrowest dtype that holds the diagonal n.
+    Readers use the table as built and widen before any arithmetic that
+    could leave [0, n]. With batch axes last, a stacked build hands its
+    tables to the permutation tests anchor pair first, with no transpose.
 
     Only entries of one row are compared. Sample rows are taken in chunks
     of at most 255, so each chunk's member count fits a uint8 sum. Anchors
@@ -223,23 +238,23 @@ def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
     row, so ties are a property of the whole table, and a tied table
     counts every block against all anchors.
     """
-    *batch, n, n_anchors = codes.shape
-    counts = np.zeros((*batch, n_anchors, n_anchors), dtype=np.int32)
+    n, n_anchors, *batch = codes.shape
+    counts = np.zeros((n_anchors, n_anchors, *batch), dtype=np.min_scalar_type(n))
     rows = min(n, 255)
     block = max(1, _CHUNK_ELEMS // max(int(np.prod(batch)) * rows * n_anchors, 1))
     for lo in range(0, n_anchors, block):
         hi = min(lo + block, n_anchors)
         first = lo if distinct else 0
         for start in range(0, n, rows):
-            chunk = codes[..., start:start + rows, :]
-            member = chunk[..., lo:hi, None] <= chunk[..., None, first:]
-            counts[..., lo:hi, first:] += member.view(np.uint8).sum(axis=-3, dtype=np.uint8)
+            chunk = codes[start:start + rows]
+            member = chunk[:, lo:hi, None] <= chunk[:, None, first:]
+            counts[lo:hi, first:] += member.view(np.uint8).sum(axis=0, dtype=np.uint8)
             # Free the flags before the next chunk's are made: the triangle's
             # flag arrays vary in size, and keeping two alive raised the peak
             # resident set of 400 x 400 self-depth runs by about 4.5 MB.
             del member
         if distinct and hi < n_anchors:
-            counts[..., hi:, lo:hi] = n - counts[..., lo:hi, hi:].swapaxes(-1, -2)
+            counts[hi:, lo:hi] = n - counts[lo:hi, hi:].swapaxes(0, 1)
     return counts
 
 

@@ -197,14 +197,6 @@ class SPD(Space):
         inner = inv_root @ np.asarray(tangents, float) @ inv_root
         return list(readonly(root @ _sym_apply(inner, np.exp) @ root))
 
-    def geodesic_point(self, x, y, t: float):
-        if not 0.0 <= t <= 1.0:
-            raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
-        root, inv_root = self.sqrt_and_inv_sqrt(x)
-        inner = _sym(inv_root @ np.asarray(y, float) @ inv_root)
-        powered = _sym_apply(inner, lambda lam: np.power(lam, t))
-        return readonly(root @ powered @ root)
-
     def _chart_to_sym(self, coords: np.ndarray) -> np.ndarray:
         """Orthonormal chart coords (..., d) -> symmetric matrices (..., k, k)
         (Frobenius-orthonormal basis: diagonal units and (E_ij + E_ji)/sqrt(2))."""

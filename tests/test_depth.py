@@ -68,7 +68,7 @@ def test_prob_table_tie_inequality(rng):
     for space in (Euclidean(2), Sphere(2), SPD(2)):
         pts = random_points(space, 15, rng)
         table = halfspace_prob_table(space, pts, pts)
-        counts = table.counts
+        counts = table.counts.astype(np.int64)
         assert np.all(counts + counts.T >= table.n)
         assert counts.min() >= 0 and counts.max() <= table.n
 

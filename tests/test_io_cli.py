@@ -243,6 +243,29 @@ def test_cmd_median_gdd_fm_agree_on_symmetric_pair(tmp_path, runner):
         payloads["gdd"]["objective"])
 
 
+@pytest.mark.parametrize("args", [
+    ["median", "--jiggle", "-1"],
+    ["median", "--budget", "-2"],
+    ["median", "--radius-frac", "nan"],
+    ["median", "--radius-frac", "-0.5"],
+    ["depth", "--self", "--radius-frac", "-1", "--anchors", "jiggle:2"],
+    ["depth", "--self", "--radius-frac", "nan"],
+    ["depth", "--self", "--radius-frac", "inf", "--anchors", "sample"],
+])
+def test_cmd_bad_settings_are_usage_errors_before_writing(tmp_path, runner, args):
+    # Bad settings are bad input, not a numerical failure: they stop at the
+    # option with exit 2, as simulate stops them with exit 3, and no output
+    # file or manifest is written.
+    data = tmp_path / "data.csv"
+    data.write_text("1\n2\n3\n5\n")
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [*args, "--space", "euclidean:1", "--data", str(data),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "numerical failure" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 def test_cmd_median_numerical_failure_exit_code(tmp_path, runner):
     data = tmp_path / "data.csv"
     data.write_text("1,0,0\n-1,0,0\n")  # antipodal pair on the sphere

@@ -29,7 +29,9 @@ from conftest import distinct_rows, random_points
 
 def dense_min_counts(counts, n, dist_query_anchors):
     """Least count over admissible off-diagonal pairs by a masked argmin;
-    count n and anchors -1 when no pair is admissible."""
+    count n and anchors -1 when no pair is admissible. Counts are widened
+    first: a uint8 table cannot hold the sentinel n + 1 at n = 255."""
+    counts = np.asarray(counts, dtype=np.int64)
     n_queries, n_anchors = dist_query_anchors.shape
     dq = dist_query_anchors
     admissible = dq[:, :, None] <= dq[:, None, :]
@@ -227,7 +229,8 @@ def test_tiled_pair_bound_matches_dense_on_real_tables(n_anchors, tied, rng):
         anchors[-30:] = anchors[:30]
     table = halfspace_prob_table(space, sample, anchors)
     assert depth._distinct_rows(table.codes) is not tied
-    key = table.counts.astype(np.min_scalar_type(table.n))
+    key = table.counts
+    assert key.dtype == np.min_scalar_type(table.n)
     assert depth._least_pair_max(key) == np.maximum(key, key.T).min()
     assert_same(table.sorted_pairs, dense_sorted_pairs(table.counts, table.n))
 

@@ -151,14 +151,24 @@ def test_nan_query_distance_rejected_by_refine_deepest():
         refine_deepest(space, sample, sample, np.array([np.nan]), budget=3)
 
 
+def batch_last(stack):
+    """A (B1, B2, n, n_A) stack as the kernel takes it, (n, n_A, B1, B2)."""
+    return np.moveaxis(stack, (0, 1), (2, 3))
+
+
+def batch_first(tables):
+    """(n_A, n_A, B1, B2) tables back as (B1, B2, n_A, n_A)."""
+    return np.moveaxis(tables, (2, 3), (0, 1))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_stacked_tables_match_one_at_a_time(data):
-    # Leading axes are batch axes: one table per stacked distance matrix.
+    # Trailing axes are batch axes: one table per stacked distance matrix.
     n = data.draw(st.sampled_from([1, 2, 254, 255, 256, 257]))
     stack = [data.draw(tied_distances(st.just(n), st.just(5))) for _ in range(6)]
     stacked = np.stack(stack).reshape(2, 3, n, 5)
-    got = _prob_counts(stacked, distinct_rows(stacked))
+    got = batch_first(_prob_counts(batch_last(stacked), distinct_rows(stacked)))
     want = np.stack([brute_counts(dist) for dist in stack]).reshape(2, 3, 5, 5)
     assert np.array_equal(got, want)
 
@@ -231,7 +241,7 @@ def test_stacked_distinct_tables_in_anchor_blocks(data, cap):
              for _ in range(6)]
     stacked = np.stack([_row_ranks(dist) for dist in stack]).reshape(2, 3, n, n_anchors)
     with chunk_cap(cap):
-        got = _prob_counts(stacked, True)
+        got = batch_first(_prob_counts(batch_last(stacked), True))
     want = np.stack([brute_counts(dist) for dist in stack])
     assert np.array_equal(got, want.reshape(2, 3, n_anchors, n_anchors))
 
@@ -275,3 +285,49 @@ def test_permutation_depths_with_and_without_duplicate_points(rng, duplicates):
         ranks = depth_ranks(space, reference, others)
     assert np.array_equal(got[0], want)
     assert np.array_equal(ranks, rankdata(want[m:]))
+
+
+# ------------------------------------------------------------- table format
+
+@pytest.mark.parametrize("n", [1, 255, 256])
+def test_counts_take_the_narrowest_dtype_that_holds_n(n, rng):
+    # n = 255 is the widest uint8 table and n = 256 the first uint16 one.
+    space = Euclidean(2)
+    sample = random_points(space, n, rng)
+    table = halfspace_prob_table(space, sample, sample[:9])
+    assert table.counts.dtype == np.min_scalar_type(n) == (np.uint8 if n < 256 else np.uint16)
+    assert np.array_equal(table.counts, brute_counts(space.distance_matrix(sample, sample[:9])))
+
+
+@pytest.mark.parametrize("cap", [0, 2 * 255 * 6, 8_000_000])
+def test_tie_free_mirror_reaches_0_and_n_without_wrapping(cap):
+    # Every row orders the anchors alike, so each pair holds all 255 rows
+    # one way and none the other: the mirror writes n - 0 and n - n into
+    # uint8, in anchor blocks of one, two or all six anchors.
+    dist = np.tile(np.arange(6.0), (255, 1))
+    codes = _row_ranks(dist)
+    with chunk_cap(cap):
+        got = _prob_counts(codes, _distinct_rows(codes))
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.where(np.triu(np.ones((6, 6), bool)), 255, 0))
+    assert np.array_equal(got, brute_counts(dist))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(0, 4 * 8 * 8 * 5))
+def test_batch_axis_last_equals_one_table_at_a_time(data, cap):
+    # An (n, n_A, B) stack gives table[a1, a2, b], the table of codes[..., b].
+    n = data.draw(st.integers(1, 8))
+    n_anchors = data.draw(st.integers(1, 8))
+    distances = st.one_of(tied_distances(st.just(n), st.just(n_anchors)),
+                          distinct_distances(st.just(n), st.just(n_anchors)))
+    stack = [_row_ranks(data.draw(distances)) for _ in range(data.draw(st.integers(1, 5)))]
+    stacked = np.stack(stack, axis=-1)
+    distinct = all(_distinct_rows(codes) for codes in stack)
+    with chunk_cap(cap):
+        got = _prob_counts(stacked, distinct)
+        want = [_prob_counts(codes, distinct) for codes in stack]
+    assert got.shape == (n_anchors, n_anchors, len(stack))
+    assert got.dtype == np.min_scalar_type(n)
+    for b, table in enumerate(want):
+        assert np.array_equal(got[..., b], table)
