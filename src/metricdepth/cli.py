@@ -11,7 +11,6 @@ manifest JSON next to its output.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from .depth import _check_radius_frac, approx_depth, jiggle_anchors
 from .errors import DataError, GeometryError, NumericalError, PointValidationError
-from .estimators import frechet_mean, frechet_median, mhd_median
+from .estimators import ESTIMATORS, fit_estimator
 from .inference import GroupedSample, kruskal_wallis_depth_test, wilcoxon_depth_test
 from .io import (
     LONG_CSV_COLUMNS,
@@ -50,21 +49,6 @@ def _space_argument(ctx, param, value):
         return parse_space(value)
     except GeometryError as exc:
         raise click.BadParameter(str(exc), ctx=ctx, param=param)
-
-
-def handles_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (DataError, PointValidationError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DATA_ERROR)
-        except (NumericalError, GeometryError) as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL_ERROR)
-
-    return wrapper
 
 
 def _default_threads() -> int:
@@ -103,9 +87,43 @@ radius_frac_option = click.option(
 out_option = click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
                           required=True, help="Output file; a manifest JSON is written "
                                               "alongside it.")
+INPUT_PATH = click.Path(exists=True, dir_okay=False, path_type=Path)
+data_option = click.option("--data", type=INPUT_PATH, required=True,
+                           help="Point file (one encoded point per row).")
+_ARGV = "metricdepth.argv"
 
 
-@click.group()
+class CommandGroup(click.Group):
+    """Keeps the argument list it parsed for the manifests, and maps library
+    errors to exit codes for every command."""
+
+    def parse_args(self, ctx, args):
+        ctx.meta[_ARGV] = list(args)
+        return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (DataError, PointValidationError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_DATA_ERROR)
+        except (NumericalError, GeometryError) as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL_ERROR)
+
+
+def _manifest_timer(config: dict, seed) -> ManifestTimer:
+    """Times the running command; its manifest records the invoked arguments."""
+    return ManifestTimer(click.get_current_context().meta[_ARGV], config, seed)
+
+
+def _read_input(timer: ManifestTimer, path: Path, space) -> list:
+    points = read_points(path, space)
+    timer.add_input(path)
+    return points
+
+
+@click.group(cls=CommandGroup)
 @click.version_option(__version__)
 def main():
     """Halfspace depth, depth medians, and depth-rank tests on metric spaces."""
@@ -113,10 +131,9 @@ def main():
 
 @main.command("depth")
 @space_option
-@click.option("--data", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True, help="Point file (one encoded point per row).")
-@click.option("--query", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              default=None, help="Query point file; mutually exclusive with --self.")
+@data_option
+@click.option("--query", type=INPUT_PATH, default=None,
+              help="Query point file; mutually exclusive with --self.")
 @click.option("--self", "self_query", is_flag=True,
               help="Evaluate depth at the data points themselves.")
 @click.option("--anchors", default="sample", show_default=True,
@@ -126,25 +143,16 @@ def main():
 @out_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@handles_errors
 def cmd_depth(space, data, query, self_query, anchors, radius_frac, seed, out, fmt):
     """Evaluate anchored halfspace depth of query points w.r.t. a sample."""
     if self_query == (query is not None):
         raise click.UsageError("exactly one of --query and --self is required")
     jiggles = _parse_anchor_spec(anchors)
-    timer = ManifestTimer(
-        command=sys.argv[1:] or ["depth"],
-        config={"space": space.spec_string, "anchors": anchors,
-                "radius_frac": radius_frac, "format": fmt, "self": self_query},
-        seed=seed,
-    )
-    sample = read_points(data, space)
-    timer.add_input(data)
-    if self_query:
-        queries = sample
-    else:
-        queries = read_points(query, space)
-        timer.add_input(query)
+    timer = _manifest_timer({"space": space.spec_string, "anchors": anchors,
+                             "radius_frac": radius_frac, "format": fmt, "self": self_query},
+                            seed)
+    sample = _read_input(timer, data, space)
+    queries = sample if self_query else _read_input(timer, query, space)
     anchor_set = jiggle_anchors(space, sample, jiggles, radius_frac, seed)
     reports = approx_depth(space, sample, anchor_set, queries)
     if fmt == "csv":
@@ -157,9 +165,8 @@ def cmd_depth(space, data, query, self_query, anchors, radius_frac, seed, out, f
 
 @main.command("median")
 @space_option
-@click.option("--data", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@click.option("--estimator", type=click.Choice(["mhd", "fm", "gdd"]), default="mhd",
+@data_option
+@click.option("--estimator", type=click.Choice(ESTIMATORS), default="mhd",
               show_default=True, help="mhd = depth median, fm = intrinsic mean, "
                                       "gdd = intrinsic median.")
 @click.option("--jiggle", type=click.IntRange(min=0), default=10, show_default=True)
@@ -167,24 +174,13 @@ def cmd_depth(space, data, query, self_query, anchors, radius_frac, seed, out, f
 @radius_frac_option
 @seed_option
 @out_option
-@handles_errors
 def cmd_median(space, data, estimator, jiggle, budget, radius_frac, seed, out):
     """Fit a location estimator and write its result JSON."""
-    timer = ManifestTimer(
-        command=sys.argv[1:] or ["median"],
-        config={"space": space.spec_string, "estimator": estimator, "jiggle": jiggle,
-                "budget": budget, "radius_frac": radius_frac},
-        seed=seed,
-    )
-    sample = read_points(data, space)
-    timer.add_input(data)
-    if estimator == "mhd":
-        result = mhd_median(space, sample, jiggle_k=jiggle, radius_frac=radius_frac,
-                            budget=budget, seed=seed)
-    elif estimator == "fm":
-        result = frechet_mean(space, sample)
-    else:
-        result = frechet_median(space, sample)
+    timer = _manifest_timer({"space": space.spec_string, "estimator": estimator,
+                             "jiggle": jiggle, "budget": budget, "radius_frac": radius_frac},
+                            seed)
+    sample = _read_input(timer, data, space)
+    result = fit_estimator(estimator, space, sample, jiggle, radius_frac, budget, seed)
     payload = estimator_result_to_json(space, result)
     payload["estimator"] = estimator
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -194,31 +190,22 @@ def cmd_median(space, data, estimator, jiggle, budget, radius_frac, seed, out):
 
 @main.command("test")
 @space_option
-@click.option("--groups", "group_files", multiple=True, required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
+@click.option("--groups", "group_files", multiple=True, required=True, type=INPUT_PATH,
               help="One point file per group (repeat the flag).")
 @click.option("--test", "test_name", type=click.Choice(["wilcoxon", "kw"]), default="kw",
               show_default=True)
 @click.option("--permutations", type=int, default=999, show_default=True)
 @seed_option
 @out_option
-@handles_errors
 def cmd_test(space, group_files, test_name, permutations, seed, out):
     """Depth-rank permutation test across group files."""
     if len(group_files) < 2:
         raise click.UsageError("--groups needs at least 2 files")
-    timer = ManifestTimer(
-        command=sys.argv[1:] or ["test"],
-        config={"space": space.spec_string, "test": test_name,
-                "permutations": permutations,
-                "groups": [str(g) for g in group_files]},
-        seed=seed,
-    )
+    timer = _manifest_timer({"space": space.spec_string, "test": test_name,
+                             "permutations": permutations,
+                             "groups": [str(g) for g in group_files]}, seed)
     labels = [Path(g).stem for g in group_files]
-    groups = []
-    for path in group_files:
-        groups.append(tuple(read_points(path, space)))
-        timer.add_input(path)
+    groups = [tuple(_read_input(timer, path, space)) for path in group_files]
     if test_name == "wilcoxon":
         if len(group_files) != 2:
             raise click.UsageError("wilcoxon takes exactly 2 groups")
@@ -293,13 +280,11 @@ _SIMULATE_FIELDS = {
 
 
 @main.command("simulate")
-@click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False,
-              path_type=Path), default=None,
+@click.option("--config", "config_file", type=INPUT_PATH, default=None,
               help="key=value file mirroring the flags below; flags override it.")
-@click.option("--space", "space_text", default=None,
-              help="Geometry (see 'depth --help').")
+@click.option("--space", default=None, help="Geometry (see 'depth --help').")
 @click.option("--case", type=click.IntRange(1, 4), default=None)
-@click.option("--n", "n_obs", type=int, default=None)
+@click.option("--n", type=int, default=None)
 @click.option("--reps", type=int, default=None)
 @click.option("--estimators", default=None, help="Comma list from {mhd,fm,gdd}.")
 @click.option("--contamination", type=float, default=None)
@@ -313,18 +298,9 @@ _SIMULATE_FIELDS = {
 @click.option("--threads", type=int, default=None,
               help="Worker processes for replicates (MHD_THREADS env fallback).")
 @click.option("--out-dir", type=click.Path(file_okay=False, path_type=Path), required=True)
-@handles_errors
-def cmd_simulate(config_file, space_text, case, n_obs, reps, estimators, contamination,
-                 offset, scale_factor, variance, jiggle, budget, radius_frac, seed,
-                 threads, out_dir):
+def cmd_simulate(config_file, out_dir, **flags):
     """Run the Monte Carlo comparison and write long + summary CSVs."""
     settings = _read_config_file(config_file) if config_file else {}
-    flags = {
-        "space": space_text, "case": case, "n": n_obs, "reps": reps,
-        "estimators": estimators, "contamination": contamination, "offset": offset,
-        "scale_factor": scale_factor, "variance": variance, "jiggle": jiggle,
-        "budget": budget, "radius_frac": radius_frac, "seed": seed, "threads": threads,
-    }
     settings.update({k: v for k, v in flags.items() if v is not None})
     missing = [key for key in ("space", "case", "n") if settings.get(key) is None]
     if missing:
@@ -339,12 +315,8 @@ def cmd_simulate(config_file, space_text, case, n_obs, reps, estimators, contami
         except (TypeError, ValueError) as exc:
             raise DataError(f"bad simulate setting {key} = {value!r}: {exc}") from exc
     config = SimulationConfig(**fields)
-    timer = ManifestTimer(
-        command=sys.argv[1:] or ["simulate"],
-        config={**settings, "resolved_offset": config.resolved_offset(),
-                "space": config.space.spec_string},
-        seed=config.seed,
-    )
+    timer = _manifest_timer({**settings, "resolved_offset": config.resolved_offset(),
+                             "space": config.space.spec_string}, config.seed)
     if config_file:
         timer.add_input(config_file)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,26 +333,22 @@ def cmd_simulate(config_file, space_text, case, n_obs, reps, estimators, contami
 
 @main.command("plotdata")
 @space_option
-@click.option("--data", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@click.option("--depths", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True, help="Depth CSV produced by the 'depth' command.")
+@data_option
+@click.option("--depths", type=INPUT_PATH, required=True,
+              help="Depth CSV produced by the 'depth' command.")
 @out_option
-@handles_errors
 def cmd_plotdata(space, data, depths, out):
     """Join point coordinates with depth values into a plot-ready CSV."""
-    timer = ManifestTimer(
-        command=sys.argv[1:] or ["plotdata"],
-        config={"space": space.spec_string}, seed=None,
-    )
-    points = read_points(data, space)
-    reports = read_depth_reports_csv(depths)
-    timer.add_input(data)
+    timer = _manifest_timer({"space": space.spec_string}, None)
+    points = _read_input(timer, data, space)
+    reports = sorted(read_depth_reports_csv(depths), key=lambda r: r.query_index)
     timer.add_input(depths)
     if len(points) != len(reports):
         raise DataError(
             f"row count mismatch: {len(points)} points vs {len(reports)} depths"
         )
+    if [r.query_index for r in reports] != list(range(len(points))):
+        raise DataError(f"{depths}: query indices must be 0..{len(points) - 1}, each once")
     if space.spec_string == "spider3":
         coord_names = ["branch", "radius"]
     else:
@@ -388,7 +356,7 @@ def cmd_plotdata(space, data, depths, out):
         coord_names = [f"c{i + 1}" for i in range(width)]
     columns = coord_names + ["depth_num", "depth_den", "depth"]
     rows = []
-    for point, report in zip(points, sorted(reports, key=lambda r: r.query_index)):
+    for point, report in zip(points, reports):
         coords = space.encode_point(point).replace("|", ",").split(",")
         row = dict(zip(coord_names, coords))
         row.update(depth_num=report.depth_num, depth_den=report.depth_den,
@@ -401,11 +369,8 @@ def cmd_plotdata(space, data, depths, out):
 
 @main.command("oracle", hidden=True)
 @click.option("--dim", type=click.IntRange(1, 2), required=True)
-@click.option("--data", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@click.option("--query", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@handles_errors
+@data_option
+@click.option("--query", type=INPUT_PATH, required=True)
 def cmd_oracle(dim, data, query):
     """Exact Euclidean reference depths (debugging aid)."""
     from .spaces import Euclidean

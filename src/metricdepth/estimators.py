@@ -26,12 +26,13 @@ from .depth import (
     in_sample_deepest,
     median_pairwise_distance,
 )
-from .errors import GeometryError, MetricDepthError, NumericalError
+from .errors import DataError, GeometryError, MetricDepthError, NumericalError
 from .rng import NS_REFINE, derive_rng
 from .spaces import Space
 
 WEISZFELD_GUARD = 1e-9
 MAX_STEP_HALVINGS = 40
+ESTIMATORS = ("mhd", "fm", "gdd")
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,21 @@ def mhd_median(
             "breakdown_lower_bound": float(breakdown_lower_bound(depth)),
         },
     )
+
+
+def fit_estimator(name: str, space: Space, sample: Sequence, jiggle_k: int,
+                  radius_frac: float, budget: int, seed: int) -> EstimatorResult:
+    """Fit the estimator named in ``ESTIMATORS``: mhd = depth median,
+    fm = intrinsic mean, gdd = intrinsic median. Only the depth median
+    reads the jiggle, budget and seed settings."""
+    if name == "mhd":
+        return mhd_median(space, sample, jiggle_k=jiggle_k, radius_frac=radius_frac,
+                          budget=budget, seed=seed)
+    if name == "fm":
+        return frechet_mean(space, sample)
+    if name == "gdd":
+        return frechet_median(space, sample)
+    raise DataError(f"unknown estimator {name!r}")
 
 
 def breakdown_lower_bound(depth_at_median):

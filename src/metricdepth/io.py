@@ -89,6 +89,9 @@ def read_depth_reports_csv(path) -> list[DepthReport]:
             q, num, den, a1, a2 = (int(v) for v in row)
         except ValueError as exc:
             raise DataError(f"{path}: row {lineno}: bad depth row {row!r}") from exc
+        if den < 1 or not 0 <= num <= den:
+            raise DataError(f"{path}: row {lineno}: depth {num}/{den} needs "
+                            "depth_den >= 1 and 0 <= depth_num <= depth_den")
         reports.append(DepthReport(q, num, den, a1, a2))
     if not reports:
         raise DataError(f"{path}: no depth rows found")

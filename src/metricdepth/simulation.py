@@ -18,11 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, GeometryError, MetricDepthError
-from .estimators import frechet_mean, frechet_median, mhd_median
+from .estimators import ESTIMATORS, fit_estimator, frechet_mean, mhd_median
 from .rng import NS_BOOTSTRAP, NS_REPLICATE, NS_SAMPLING, derive_rng, derive_seed
 from .spaces import SPD, Euclidean, Space, Sphere, Spider3
 
-ESTIMATORS = ("mhd", "fm", "gdd")
 CASES = (1, 2, 3, 4)
 
 
@@ -112,6 +111,8 @@ class SimulationConfig:
             raise DataError(f"jiggle_k must be >= 0, got {self.jiggle_k}")
         if self.refine_budget < 0:
             raise DataError(f"refine_budget must be >= 0, got {self.refine_budget}")
+        if self.n_jobs < 1:
+            raise DataError(f"n_jobs must be >= 1, got {self.n_jobs}")
         if not (self.base_variance >= 0 and np.isfinite(self.base_variance)):
             raise DataError(
                 f"base_variance must be finite and >= 0, got {self.base_variance}"
@@ -165,31 +166,16 @@ def sample_contaminated(config: SimulationConfig, rep_seed: int):
     return _draw_points(config.space, specs, rng), mask
 
 
-def _fit_estimator(name: str, config: SimulationConfig, sample, rep_seed: int):
-    space = config.space
-    if name == "mhd":
-        return mhd_median(
-            space, sample,
-            jiggle_k=config.jiggle_k,
-            radius_frac=config.radius_frac,
-            budget=config.refine_budget,
-            seed=derive_seed(rep_seed, 1),
-        )
-    if name == "fm":
-        return frechet_mean(space, sample)
-    if name == "gdd":
-        return frechet_median(space, sample)
-    raise DataError(f"unknown estimator {name!r}")
-
-
 def _run_replicate(config: SimulationConfig, rep: int) -> dict:
     rep_seed = derive_seed(config.seed, NS_REPLICATE, rep)
     sample, _ = sample_contaminated(config, rep_seed)
     center = canonical_center(config.space)
+    mhd_seed = derive_seed(rep_seed, 1)
     out = {}
     for name in config.estimators:
         try:
-            result = _fit_estimator(name, config, sample, rep_seed)
+            result = fit_estimator(name, config.space, sample, config.jiggle_k,
+                                   config.radius_frac, config.refine_budget, mhd_seed)
             out[name] = config.space.distance(result.point, center)
         except MetricDepthError as exc:
             out[name] = float("nan")

@@ -368,6 +368,8 @@ def test_cmd_simulate_config_file(tmp_path, runner):
     ["--variance", "inf"],
     ["--offset", "nan"],
     ["--scale-factor", "inf"],
+    ["--threads", "0"],
+    ["--threads", "-2"],
 ])
 def test_cmd_simulate_rejects_bad_settings_before_writing(tmp_path, runner, bad):
     out = tmp_path / "out"
@@ -437,6 +439,25 @@ def test_cmd_plotdata_row_mismatch(tmp_path, runner):
     assert "mismatch" in result.output
 
 
+@pytest.mark.parametrize("rows, cause", [
+    (["0,1,3,0,1", "1,0,0,0,1", "2,1,3,0,1"], "row 3: depth 0/0"),
+    (["0,1,3,0,1", "1,4,3,0,1", "2,1,3,0,1"], "row 3: depth 4/3"),
+    (["0,1,3,0,1", "0,2,3,0,1", "2,1,3,0,1"], "query indices must be 0..2"),
+], ids=["zero-denominator", "count-above-denominator", "repeated-query-index"])
+def test_cmd_plotdata_rejects_bad_depth_rows(tmp_path, runner, rows, cause):
+    data = tmp_path / "data.csv"
+    data.write_text("1\n2\n3\n")
+    depths = tmp_path / "depths.csv"
+    depths.write_text("query_index,depth_num,depth_den,anchor1_index,anchor2_index\n"
+                      + "\n".join(rows) + "\n")
+    result = runner.invoke(main, ["plotdata", "--space", "euclidean:1", "--data",
+                                  str(data), "--depths", str(depths),
+                                  "--out", str(tmp_path / "plot.csv")])
+    assert result.exit_code == 3, result.output
+    assert cause in result.output and "Traceback" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "depths.csv"]
+
+
 # ------------------------------------------------------------- cmd: oracle
 
 def test_cmd_oracle_hidden_subcommand(tmp_path, runner):
@@ -453,17 +474,49 @@ def test_cmd_oracle_hidden_subcommand(tmp_path, runner):
 
 # ----------------------------------------------------------- exit codes e2e
 
+def test_manifest_records_the_invoked_arguments(tmp_path, runner, monkeypatch):
+    # In process (a test runner, the benchmark), sys.argv belongs to the host.
+    monkeypatch.setattr(sys, "argv", ["host", "--unrelated", "flag"])
+    data = tmp_path / "data.csv"
+    data.write_text("1\n2\n3\n")
+    out = tmp_path / "d.csv"
+    depth_args = ["depth", "--space", "euclidean:1", "--data", str(data), "--self",
+                  "--out", str(out)]
+    simulate_args = ["simulate", "--space", "euclidean:1", "--case", "1", "--n", "5",
+                     "--reps", "2", "--estimators", "fm", "--out-dir", str(tmp_path / "sim")]
+    invoke(runner, depth_args)
+    invoke(runner, simulate_args)
+    assert json.loads(manifest_path_for(out).read_text())["command"] == depth_args
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert manifest["command"] == simulate_args
+
+
 def test_exit_codes_via_subprocess(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("1\n2\n3\n")
-    ok = subprocess.run(
-        [sys.executable, "-m", "metricdepth.cli", "depth", "--space", "euclidean:1",
-         "--data", str(data), "--self", "--out", str(tmp_path / "d.csv")],
-        capture_output=True, text=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1\ntwo\n3\n")
+    antipodal = tmp_path / "antipodal.csv"
+    antipodal.write_text("1,0,0\n-1,0,0\n")
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "metricdepth.cli", *args],
+                              capture_output=True, text=True)
+
+    ok = run("depth", "--space", "euclidean:1", "--data", str(data), "--self",
+             "--out", str(tmp_path / "d.csv"))
     assert ok.returncode == 0
-    usage = subprocess.run([sys.executable, "-m", "metricdepth.cli", "depth"],
-                           capture_output=True, text=True)
-    assert usage.returncode == 2
+    manifest = json.loads(manifest_path_for(tmp_path / "d.csv").read_text())
+    assert manifest["command"] == ["depth", "--space", "euclidean:1", "--data", str(data),
+                                   "--self", "--out", str(tmp_path / "d.csv")]
+    assert run("depth").returncode == 2
+    unparseable = run("depth", "--space", "euclidean:1", "--data", str(bad), "--self",
+                      "--out", str(tmp_path / "e.csv"))
+    assert unparseable.returncode == 3 and "row 2" in unparseable.stderr
+    failure = run("median", "--space", "sphere:2", "--data", str(antipodal),
+                  "--estimator", "fm", "--out", str(tmp_path / "m.json"))
+    assert failure.returncode == 4 and "numerical failure" in failure.stderr
+    assert "Traceback" not in unparseable.stderr + failure.stderr
 
 
 def test_import_leaves_scipy_unloaded():

@@ -149,14 +149,14 @@ def test_run_simulation_rows_schema():
 def test_failed_replicates_recorded(monkeypatch):
     import metricdepth.simulation as sim
 
-    real = sim._fit_estimator
+    real = sim.fit_estimator
 
-    def flaky(name, cfg, sample, rep_seed):
-        if name == "fm" and rep_seed % 2 == 0:
+    def flaky(name, space, sample, jiggle_k, radius_frac, budget, seed):
+        if name == "fm" and seed % 2 == 0:
             raise NumericalError("synthetic failure")
-        return real(name, cfg, sample, rep_seed)
+        return real(name, space, sample, jiggle_k, radius_frac, budget, seed)
 
-    monkeypatch.setattr(sim, "_fit_estimator", flaky)
+    monkeypatch.setattr(sim, "fit_estimator", flaky)
     result = run_simulation(config(reps=8))
     n_failed = int(np.isnan(result.errors["fm"]).sum())
     assert n_failed == result.failures.get("fm", 0)
