@@ -301,6 +301,9 @@ _SIMULATE_FIELDS = {
 def cmd_simulate(config_file, out_dir, **flags):
     """Run the Monte Carlo comparison and write long + summary CSVs."""
     settings = _read_config_file(config_file) if config_file else {}
+    unknown = sorted(set(settings) - set(_SIMULATE_FIELDS))
+    if unknown:
+        raise DataError(f"{config_file}: unknown simulate settings: {', '.join(unknown)}")
     settings.update({k: v for k, v in flags.items() if v is not None})
     missing = [key for key in ("space", "case", "n") if settings.get(key) is None]
     if missing:

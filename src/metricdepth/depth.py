@@ -384,24 +384,17 @@ def jiggle_anchors(
     k: int,
     radius_frac: float = 0.1,
     seed: int = 0,
+    spread: float | None = None,
 ) -> AnchorSet:
     """Sample points plus k independently perturbed copies of each.
 
     Perturbations are isotropic Gaussian tangent steps with standard
-    deviation ``radius_frac`` times the median pairwise distance, pushed
-    through the exponential map. Each copy draws from its own
-    (seed, point, copy) stream, so anchor sets for smaller k are prefixes
-    (per point) of those for larger k.
+    deviation ``radius_frac`` times ``spread``, the median pairwise
+    distance (computed when None), pushed through the exponential map.
+    Each copy draws from its own (seed, point, copy) stream, so anchor sets
+    for smaller k are prefixes (per point) of those for larger k.
     """
     sample = tuple(sample)
-    return _jiggle_anchors(space, sample, k, radius_frac, seed,
-                           lambda: median_pairwise_distance(space, sample))
-
-
-def _jiggle_anchors(space: Space, sample: tuple, k: int, radius_frac: float, seed: int,
-                    spread) -> AnchorSet:
-    """:func:`jiggle_anchors`, reading the median pairwise distance from
-    ``spread()`` when it needs it."""
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
     if k < 0:
@@ -412,7 +405,8 @@ def _jiggle_anchors(space: Space, sample: tuple, k: int, radius_frac: float, see
     if k > 0:
         if radius_frac > 0 and len(sample) < 2:
             raise GeometryError("jiggling needs >= 2 points to set a distance scale")
-        sigma = 0.0 if radius_frac == 0 else radius_frac * spread()
+        sigma = 0.0 if radius_frac == 0 else radius_frac * (
+            median_pairwise_distance(space, sample) if spread is None else spread)
         bases = [x for x in sample for _ in range(k)]
         rngs = derive_rngs(seed, NS_JIGGLE, shape=(len(sample), k))
         tangents = space.random_tangents(bases, [sigma**2] * len(bases), rngs)
@@ -456,24 +450,18 @@ def refine_deepest(
     seed: int = 0,
     radius_frac: float = 0.1,
     table: HalfspaceProbTable | None = None,
+    spread: float | None = None,
 ):
     """Stochastic local search for a deeper (possibly off-sample) point.
 
     Proposes exponential-map steps whose radius shrinks geometrically from
-    the jiggle scale down to 1% of it across the budget. A proposal is
-    accepted on a strictly larger depth count, or an equal count with a
-    smaller sum of distances to the sample. Returns ``(point, Fraction)``;
-    the depth never falls below the starting point's.
+    the jiggle scale (``radius_frac`` times ``spread``, the median pairwise
+    distance, computed when None) down to 1% of it across the budget. A
+    proposal is accepted on a strictly larger depth count, or an equal
+    count with a smaller sum of distances to the sample. Returns
+    ``(point, Fraction)``; the depth never falls below the starting point's.
     """
     sample = tuple(sample)
-    return _refine_deepest(space, sample, anchors, start, budget, seed, radius_frac, table,
-                           lambda: median_pairwise_distance(space, sample))
-
-
-def _refine_deepest(space: Space, sample: tuple, anchors, start, budget: int, seed: int,
-                    radius_frac: float, table: HalfspaceProbTable | None, spread):
-    """:func:`refine_deepest`, reading the median pairwise distance from
-    ``spread()`` when it needs it."""
     if budget < 0:
         raise GeometryError("budget must be >= 0")
     _check_radius_frac(radius_frac)
@@ -494,7 +482,8 @@ def _refine_deepest(space: Space, sample: tuple, anchors, start, budget: int, se
     current_sum = float(_distance_sums(space, sample_stack, [current])[0])
 
     if len(sample) >= 2 and radius_frac > 0:
-        scale = radius_frac * spread()
+        scale = radius_frac * (median_pairwise_distance(space, sample)
+                               if spread is None else spread)
     else:
         scale = 0.0
     decay = 0.01 ** (1.0 / budget)

@@ -12,7 +12,6 @@ point, and stochastic refinement.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -20,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .depth import (
-    _jiggle_anchors,
-    _refine_deepest,
     halfspace_prob_table,
     in_sample_deepest,
+    jiggle_anchors,
     median_pairwise_distance,
+    refine_deepest,
 )
 from .errors import DataError, GeometryError, MetricDepthError, NumericalError
 from .rng import NS_REFINE, derive_rng
@@ -156,12 +155,15 @@ def mhd_median(
         raise GeometryError("sample must be non-empty")
     effective_k = jiggle_k if len(sample) >= 2 else 0
     # Jiggling and refinement both scale their steps by the median pairwise
-    # distance; it takes a full n x n distance matrix, so it is made once.
-    spread = functools.cache(lambda: median_pairwise_distance(space, sample))
-    anchors = _jiggle_anchors(space, sample, effective_k, radius_frac, seed, spread)
+    # distance; it takes a full n x n distance matrix, so it is made once,
+    # and only when a step reads it.
+    spread = None
+    if len(sample) >= 2 and radius_frac > 0 and (effective_k > 0 or budget > 0):
+        spread = median_pairwise_distance(space, sample)
+    anchors = jiggle_anchors(space, sample, effective_k, radius_frac, seed, spread=spread)
     table = halfspace_prob_table(space, sample, anchors)
     start, _, start_idx = in_sample_deepest(space, sample, anchors, table=table)
-    point, depth = _refine_deepest(
+    point, depth = refine_deepest(
         space, sample, anchors, start, budget,
         derive_rng(seed, NS_REFINE).integers(2**32).item(), radius_frac, table, spread,
     )

@@ -22,7 +22,7 @@ temporary at or under ``depth._CHUNK_ELEMS // 8`` elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,13 +53,6 @@ class GroupedSample:
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.groups)
 
-    @property
-    def sizes(self) -> tuple:
-        return tuple(len(pts) for _, pts in self.groups)
-
-    def pooled(self) -> tuple:
-        return tuple(p for _, pts in self.groups for p in pts)
-
 
 @dataclass(frozen=True)
 class TestResult:
@@ -70,7 +63,6 @@ class TestResult:
     seed: int
     group_labels: tuple
     group_sizes: tuple
-    depth_ranks: np.ndarray = field(repr=False)
 
 
 def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,31 +158,6 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     return out
 
 
-def _permutation_statistics(
-    statistic: Callable, total: int, n_permutations: int, seed: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``statistic`` over every order of a test, in batches of orders.
-
-    Order 0 is the identity and order ``rep + 1`` is the permutation of
-    stream ``(seed, NS_PERMUTATION, rep)``. ``statistic`` maps a (B, total)
-    batch of orders to B statistics and B depth-rank arrays of ``width``
-    rows each. Returns all P + 1 statistics and the identity's ranks.
-    """
-    batch = max(1, depth._CHUNK_ELEMS // 8 // (width * total))
-    rngs = derive_rngs(seed, NS_PERMUTATION, shape=(n_permutations,))
-    values, observed_ranks = [], None
-    for lo in range(0, n_permutations + 1, batch):
-        orders = np.stack([
-            next(rngs).permutation(total) if i else np.arange(total)
-            for i in range(lo, min(lo + batch, n_permutations + 1))
-        ])
-        stats, ranks = statistic(orders)
-        values.append(stats)
-        if observed_ranks is None:
-            observed_ranks = ranks[0]
-    return np.concatenate(values), observed_ranks
-
-
 def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.ndarray:
     """Average ranks (ascending) of anchored depths w.r.t. the reference."""
     reference = tuple(reference)
@@ -202,6 +169,78 @@ def depth_ranks(space: Space, reference: Sequence, evaluate_on: Sequence) -> np.
     codes, distinct = _pooled_codes(space, reference + evaluate_on)
     nums = _batched_depth_counts(codes, np.arange(len(reference))[None], distinct)
     return _average_ranks(nums[:, len(reference):])[0][0]
+
+
+def _rank_sum(orders: np.ndarray, codes: np.ndarray, distinct: bool,
+              slices: list) -> np.ndarray:
+    """Rank sum of each order's second group, with the depths of all pooled
+    observations taken against its first group."""
+    first, second = (orders[:, s] for s in slices)
+    ranks = _average_ranks(_batched_depth_counts(codes, first, distinct))[0]
+    return np.take_along_axis(ranks, second, axis=1).sum(axis=1)
+
+
+def _summed_h(orders: np.ndarray, codes: np.ndarray, distinct: bool,
+              slices: list) -> np.ndarray:
+    """Tie-corrected Kruskal-Wallis H of each order, summed over the choice
+    of reference group; an H whose depths all tie reads 0."""
+    total = orders.shape[1]
+    members = [orders[:, s] for s in slices]
+    mean_rank = (total + 1) / 2.0
+    scale = 12.0 / (total * (total + 1))
+    ties_max = total**3 - total
+    stat = 0.0
+    for reference in members:
+        ranks, ties = _average_ranks(_batched_depth_counts(codes, reference, distinct))
+        h = 0
+        for idx in members:
+            deviation = np.take_along_axis(ranks, idx, axis=1).mean(axis=1) - mean_rank
+            h = h + idx.shape[1] * _scalar_squares(deviation)
+        h = scale * h
+        correction = 1.0 - np.sum(ties**3 - ties, axis=1) / ties_max
+        stat = stat + np.divide(h, correction, out=np.zeros_like(h), where=correction > 0.0)
+    return stat
+
+
+def _depth_rank_test(test: str, space: Space, labels: tuple, groups: tuple,
+                     n_permutations: int, seed: int, statistic: Callable,
+                     extremity: Callable | None = None) -> TestResult:
+    """A permutation test of ``statistic`` over relabelings of the pooled
+    groups.
+
+    ``statistic(orders, codes, distinct, slices)`` maps a (B, total) batch
+    of orders to B values, where an order's entries at ``slices[g]`` are
+    the pooled indices of permuted group g. Order 0 is the identity and
+    order ``rep + 1`` the permutation of stream
+    ``(seed, NS_PERMUTATION, rep)``. A permutation is a hit when its
+    ``extremity`` (by default the value itself) is at least the observed
+    one, and the p-value is the add-one estimate.
+    """
+    sizes = tuple(len(g) for g in groups)
+    if min(sizes) < 2:
+        raise DataError("each group needs at least 2 observations")
+    if n_permutations < MIN_PERMUTATIONS:
+        raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
+    total = sum(sizes)
+    codes, distinct = _pooled_codes(space, tuple(p for g in groups for p in g))
+    bounds = np.cumsum((0,) + sizes)
+    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    batch = max(1, depth._CHUNK_ELEMS // 8 // (len(groups) * total))
+    rngs = derive_rngs(seed, NS_PERMUTATION, shape=(n_permutations,))
+    values = []
+    for lo in range(0, n_permutations + 1, batch):
+        orders = np.stack([
+            next(rngs).permutation(total) if i else np.arange(total)
+            for i in range(lo, min(lo + batch, n_permutations + 1))
+        ])
+        values.append(statistic(orders, codes, distinct, slices))
+    stats = np.concatenate(values)
+    extreme = stats if extremity is None else extremity(stats)
+    hits = int(np.count_nonzero(extreme[1:] >= extreme[0]))
+    return TestResult(test=test, statistic=float(stats[0]),
+                      p_value=(1 + hits) / (1 + n_permutations),
+                      n_permutations=n_permutations, seed=seed,
+                      group_labels=labels, group_sizes=sizes)
 
 
 def wilcoxon_depth_test(
@@ -218,37 +257,10 @@ def wilcoxon_depth_test(
     two-sided (absolute deviation from its null mean) against relabeling
     permutations.
     """
-    g1 = tuple(group1)
-    g2 = tuple(group2)
-    if len(g1) < 2 or len(g2) < 2:
-        raise DataError("each group needs at least 2 observations")
-    if n_permutations < MIN_PERMUTATIONS:
-        raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
-    n1, n2 = len(g1), len(g2)
-    total = n1 + n2
-    codes, distinct = _pooled_codes(space, g1 + g2)
-    center = n2 * (total + 1) / 2.0
-
-    def rank_sums(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Depth counts (and hence ranks) are indexed by pooled position;
-        # the permuted second group is orders[:, n1:].
-        ranks = _average_ranks(_batched_depth_counts(codes, orders[:, :n1], distinct))[0]
-        return np.take_along_axis(ranks, orders[:, n1:], axis=1).sum(axis=1), ranks
-
-    stats, observed_ranks = _permutation_statistics(rank_sums, total, n_permutations, seed, 1)
-    deviations = np.abs(stats - center)
-    hits = int(np.count_nonzero(deviations[1:] >= deviations[0]))
-    p_value = (1 + hits) / (1 + n_permutations)
-    return TestResult(
-        test="wilcoxon",
-        statistic=float(stats[0]),
-        p_value=p_value,
-        n_permutations=n_permutations,
-        seed=seed,
-        group_labels=("1", "2"),
-        group_sizes=(n1, n2),
-        depth_ranks=observed_ranks,
-    )
+    groups = (tuple(group1), tuple(group2))
+    n2, total = len(groups[1]), len(groups[0]) + len(groups[1])
+    return _depth_rank_test("wilcoxon", space, ("1", "2"), groups, n_permutations, seed,
+                            _rank_sum, lambda s: np.abs(s - n2 * (total + 1) / 2.0))
 
 
 def kruskal_wallis_depth_test(
@@ -269,49 +281,6 @@ def kruskal_wallis_depth_test(
         groups = GroupedSample(tuple(
             (str(i + 1), tuple(pts)) for i, pts in enumerate(groups)
         ))
-    sizes = groups.sizes
-    if min(sizes) < 2:
-        raise DataError("each group needs at least 2 observations")
-    if n_permutations < MIN_PERMUTATIONS:
-        raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
-    pool = groups.pooled()
-    total = len(pool)
-    codes, distinct = _pooled_codes(space, pool)
-    bounds = np.cumsum((0,) + sizes)
-    member_slices = [slice(bounds[g], bounds[g + 1]) for g in range(len(sizes))]
-    mean_rank = (total + 1) / 2.0
-    scale = 12.0 / (total * (total + 1))
-    ties_max = total**3 - total
-
-    def statistics(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Depth counts are indexed by pooled position; permuted group g
-        # holds the observations orders[:, member_slices[g]].
-        members = [orders[:, s] for s in member_slices]
-        stat = 0.0
-        all_ranks = []
-        for reference in members:
-            ranks, ties = _average_ranks(_batched_depth_counts(codes, reference, distinct))
-            h = 0
-            for idx in members:
-                deviation = np.take_along_axis(ranks, idx, axis=1).mean(axis=1) - mean_rank
-                h = h + idx.shape[1] * _scalar_squares(deviation)
-            h = scale * h
-            correction = 1.0 - np.sum(ties**3 - ties, axis=1) / ties_max
-            stat = stat + np.divide(h, correction, out=np.zeros_like(h), where=correction > 0.0)
-            all_ranks.append(ranks)
-        return stat, np.stack(all_ranks, axis=1)
-
-    stats, observed_ranks = _permutation_statistics(
-        statistics, total, n_permutations, seed, len(sizes))
-    hits = int(np.count_nonzero(stats[1:] >= stats[0]))
-    p_value = (1 + hits) / (1 + n_permutations)
-    return TestResult(
-        test="kruskal-wallis",
-        statistic=float(stats[0]),
-        p_value=p_value,
-        n_permutations=n_permutations,
-        seed=seed,
-        group_labels=groups.labels,
-        group_sizes=sizes,
-        depth_ranks=observed_ranks,
-    )
+    return _depth_rank_test("kruskal-wallis", space, groups.labels,
+                            tuple(pts for _, pts in groups.groups), n_permutations, seed,
+                            _summed_h)

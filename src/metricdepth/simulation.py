@@ -127,6 +127,8 @@ class SimulationConfig:
             raise DataError(f"radius_frac must be finite and >= 0, got {self.radius_frac}")
         if not self.estimators:
             raise DataError("estimator list must be non-empty")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise DataError(f"estimator list repeats a name: {','.join(self.estimators)}")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise DataError(f"unknown estimators: {sorted(unknown)}")

@@ -195,6 +195,25 @@ def test_mhd_median_takes_the_distance_scale_once(rng, monkeypatch):
     assert got.extras["start_index"] == start_idx
 
 
+def test_mhd_median_runs_the_public_stages_once_each(rng, monkeypatch):
+    # The median chains the public jiggling and refinement steps, so a
+    # wrapper on either (a tracing span, say) sees each call.
+    space = SPD(2)
+    pts = random_points(space, 20, rng)
+    calls = []
+
+    def counting(name, stage):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return stage(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(estimators, "jiggle_anchors", counting("jiggle", jiggle_anchors))
+    monkeypatch.setattr(estimators, "refine_deepest", counting("refine", refine_deepest))
+    mhd_median(space, pts, jiggle_k=2, budget=12, seed=9)
+    assert calls == ["jiggle", "refine"]
+
+
 # ------------------------------------------------------------ breakdown bound
 
 def test_breakdown_bound_values():

@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import ortho_group, rankdata
 
+from metricdepth import depth, inference
 from metricdepth.errors import DataError
 from metricdepth.inference import (
     GroupedSample,
@@ -101,11 +102,14 @@ def test_wilcoxon_add_one_floor():
 
 
 def test_wilcoxon_argument_validation():
+    # Both tests check their arguments in one place, with one message each.
     space, pts = euclid_points([1, 2, 3])
-    with pytest.raises(DataError):
-        wilcoxon_depth_test(space, pts[:1], pts, n_permutations=99)
-    with pytest.raises(DataError):
-        wilcoxon_depth_test(space, pts, pts, n_permutations=10)
+    for run in (lambda a, b, p: wilcoxon_depth_test(space, a, b, n_permutations=p),
+                lambda a, b, p: kruskal_wallis_depth_test(space, [a, b], n_permutations=p)):
+        with pytest.raises(DataError, match="each group needs at least 2 observations"):
+            run(pts[:1], pts, 99)
+        with pytest.raises(DataError, match="need at least 99 permutations"):
+            run(pts, pts, 98)
 
 
 def test_wilcoxon_reproducible():
@@ -246,3 +250,29 @@ def test_kruskal_wallis_matches_one_order_at_a_time():
     result = kruskal_wallis_depth_test(Sphere(2), groups, n_permutations=99, seed=550)
     want = one_order_kruskal_wallis(Sphere(2), groups, 99, 550)
     assert (result.statistic, result.p_value) == want
+
+
+def test_statistics_do_not_depend_on_the_batching(monkeypatch):
+    # A batch of B orders holds B * k * total elements (k groups, total
+    # pooled points), so this chunk fits three orders: 100 orders span 34
+    # batches, the last one short. Every bit must match the one-batch run.
+    g1, g2, g3 = (pinned_sphere_group(8, 5), pinned_sphere_group(11, 6, 0.6),
+                  pinned_sphere_group(14, 7))
+    counts = inference._batched_depth_counts
+    for width, run in [
+        (2 * 19, lambda: wilcoxon_depth_test(Sphere(2), g1, g2, 99, seed=4)),
+        (3 * 33, lambda: kruskal_wallis_depth_test(Sphere(2), [g1, g2, g3], 99, seed=4)),
+    ]:
+        whole = run()
+        batches = []
+
+        def counted(codes, references, distinct):
+            batches.append(len(references))
+            return counts(codes, references, distinct)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(depth, "_CHUNK_ELEMS", 8 * 3 * width)
+            patch.setattr(inference, "_batched_depth_counts", counted)
+            split = run()
+        assert max(batches) == 3 and batches[-1] == 1
+        assert (split.statistic, split.p_value) == (whole.statistic, whole.p_value)

@@ -370,6 +370,7 @@ def test_cmd_simulate_config_file(tmp_path, runner):
     ["--scale-factor", "inf"],
     ["--threads", "0"],
     ["--threads", "-2"],
+    ["--estimators", "mhd,mhd"],
 ])
 def test_cmd_simulate_rejects_bad_settings_before_writing(tmp_path, runner, bad):
     out = tmp_path / "out"
@@ -381,7 +382,8 @@ def test_cmd_simulate_rejects_bad_settings_before_writing(tmp_path, runner, bad)
 
 
 @pytest.mark.parametrize("line, cause", [("reps = many", "invalid literal"),
-                                         ("space = bogus:2", "unknown space kind")])
+                                         ("space = bogus:2", "unknown space kind"),
+                                         ("rep = 2", "unknown simulate settings")])
 def test_cmd_simulate_bad_config_value_is_data_error(tmp_path, runner, line, cause):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"space = euclidean:2\ncase = 1\nn = 15\n{line}\n")
