@@ -1,0 +1,126 @@
+"""Loader of the compiled integer kernels in ``_core.c``.
+
+The kernels are built with the system ``gcc`` the first time one is
+called, once per user, into ``$XDG_CACHE_HOME/metricdepth`` (by default
+``~/.cache/metricdepth``, created with mode 0700). The file name is keyed
+by the SHA-256 of the source and the compiler flags, so an edited source
+builds anew. A build is written under a temporary name and moved into
+place with ``os.replace``, so processes that build at once (such as the
+workers of ``simulate``) each end with a complete file. The library ends
+in the SHA-256 of what precedes it; a cached file whose digest does not
+match, such as a truncated one, is rebuilt rather than loaded.
+
+When gcc is missing, the build fails or the cache is not writable,
+:func:`library` logs one warning through this module's logger and returns
+None, and the numpy kernels in :mod:`metricdepth.depth` run instead, with
+the same results.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import os
+from pathlib import Path
+
+import numpy as np
+
+logger = logging.getLogger(__name__)
+
+SOURCE = Path(__file__).with_name("_core.c")
+COMPILER = "gcc"
+# No -march=native: a cached library must run on any x86-64 host, and the
+# source selects its AVX2 clones at load time. No -ffast-math: the
+# comparisons must stay IEEE <=.
+FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
+# Array dtypes the kernels take, by their suffix in the kernel names.
+_SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.uint8): "u8", np.dtype(np.uint16): "u16"}
+_DIGEST = hashlib.sha256().digest_size
+_UNSET = object()
+_kernels = _UNSET
+
+
+def cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "metricdepth"
+
+
+def library_path() -> Path:
+    """Where the library built from the current source and flags is cached."""
+    key = hashlib.sha256(SOURCE.read_bytes() + "\0".join((COMPILER, *FLAGS)).encode())
+    return cache_dir() / f"core-{key.hexdigest()[:32]}.so"
+
+
+def library() -> dict | None:
+    """The compiled kernels by name (``ctypes`` functions), or None when they
+    cannot be built; tried once per process."""
+    global _kernels
+    if _kernels is _UNSET:
+        try:
+            _kernels = _load()
+        except (OSError, RuntimeError) as exc:
+            logger.warning("compiled kernels unavailable, using numpy: %s", exc)
+            _kernels = None
+    return _kernels
+
+
+def kernels() -> str:
+    """``"native"`` when the compiled kernels load, else ``"numpy"``."""
+    return "numpy" if library() is None else "native"
+
+
+def kernel(name: str, *dtypes):
+    """The compiled kernel ``name`` for arrays of ``dtypes`` (such as
+    ``kernel("scan", query.dtype, pairs.dtype)``), or None when the library
+    does not load or has no kernel for those dtypes."""
+    suffixes = [_SUFFIXES.get(np.dtype(d)) for d in dtypes]
+    if None in suffixes or library() is None:
+        return None
+    return _kernels.get("_".join([name, *suffixes]))
+
+
+def _load() -> dict:
+    import ctypes
+
+    target = library_path()
+    if not _intact(target):
+        _build(target)
+    lib = ctypes.CDLL(str(target))
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    signatures = {f"table_{code}": [ptr, i64, i64, ctypes.c_int, ptr, ctypes.c_int]
+                  for code in ("u8", "u16")}
+    signatures.update({f"scan_{query}_{pair}": [ptr, i64, i64, ptr, ptr, i64, ptr]
+                       for query in ("f64", "u8", "u16") for pair in ("u8", "u16")})
+    functions = {}
+    for name, argtypes in signatures.items():
+        function = functions[name] = getattr(lib, name)
+        function.argtypes, function.restype = argtypes, None
+    return functions
+
+
+def _intact(path: Path) -> bool:
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return False
+    return len(data) > _DIGEST and hashlib.sha256(data[:-_DIGEST]).digest() == data[-_DIGEST:]
+
+
+def _build(target: Path) -> None:
+    import subprocess
+    import tempfile
+
+    target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=target.stem + "-", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{COMPILER} exited {proc.returncode}: {proc.stderr.strip()}")
+        with open(tmp, "rb+") as handle:
+            handle.write(hashlib.sha256(handle.read()).digest())
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

@@ -3,8 +3,7 @@
 Subcommands: ``depth`` (evaluate depths to CSV/JSON), ``median`` (location
 estimators), ``test`` (depth-rank permutation tests), ``simulate`` (the
 Monte Carlo harness), ``plotdata`` (join coordinates with depths for
-external plotting), and a hidden ``oracle`` for the exact R^1/R^2
-reference. Exit codes: 0 success, 2 usage error, 3 data error,
+external plotting). Exit codes: 0 success, 2 usage error, 3 data error,
 4 numerical failure. Every command honors ``--seed`` and writes a
 manifest JSON next to its output.
 """
@@ -17,7 +16,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .depth import _check_radius_frac, approx_depth, jiggle_anchors
@@ -38,7 +36,6 @@ from .io import (
 )
 from .simulation import SimulationConfig, run_simulation
 from .spaces import parse_space
-from .tukey import tukey_depth_1d, tukey_depth_2d
 
 EXIT_DATA_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
@@ -368,25 +365,6 @@ def cmd_plotdata(space, data, depths, out):
     write_csv_rows(out, columns, rows)
     timer.finish(out)
     click.echo(f"wrote {len(rows)} plot rows to {out}")
-
-
-@main.command("oracle", hidden=True)
-@click.option("--dim", type=click.IntRange(1, 2), required=True)
-@data_option
-@click.option("--query", type=INPUT_PATH, required=True)
-def cmd_oracle(dim, data, query):
-    """Exact Euclidean reference depths (debugging aid)."""
-    from .spaces import Euclidean
-
-    space = Euclidean(dim)
-    sample = np.array(read_points(data, space))
-    queries = np.array(read_points(query, space))
-    for q in queries:
-        if dim == 1:
-            frac = tukey_depth_1d(sample[:, 0], float(q[0]))
-        else:
-            frac = tukey_depth_2d(sample, q)
-        click.echo(f"{frac.numerator}/{frac.denominator}")
 
 
 if __name__ == "__main__":

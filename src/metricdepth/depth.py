@@ -11,12 +11,10 @@ Membership only compares two distances from the same sample point, so the
 table is built from per-row dense rank codes rather than the distances:
 equal distances share a code and each row keeps its order, so every
 comparison, and hence every count, is exact. Codes take the narrowest
-unsigned dtype that holds n_A - 1 (uint8 up to 256 anchors); member flags
-are summed as uint8 over chunks of at most 255 sample rows, then added
-into the table, whose counts take the narrowest unsigned dtype that holds
-n (uint8 up to n = 255). :func:`_prob_counts` alone sets that dtype and
-the layout, and every reader uses the counts as built, widening before
-any arithmetic. A column subset of a row's codes keeps that row's
+unsigned dtype that holds n_A - 1 (uint8 up to 256 anchors), and counts
+the narrowest unsigned dtype that holds n (uint8 up to n = 255).
+:func:`_prob_counts` alone sets that dtype and the layout, and every
+reader uses the counts as built, widening before any arithmetic. A column subset of a row's codes keeps that row's
 order and ties, so the permutation tests rank their pooled distance
 matrix once and read every reference group's table off it. A NaN
 distance has no place in that order and is rejected.
@@ -35,9 +33,21 @@ count, and among equal counts the first pair in row-major order. A query
 admits one of (a1, a2) and (a2, a1) for every pair, so no scan passes
 the least pair maximum max(counts[a1, a2], counts[a2, a1]); the sort
 keeps only the pairs up to that bound, the prefix that scans can reach.
-Queries are scanned anchor-major: their distances or codes are
-transposed once to (n_A, m), so each block of pairs gathers whole anchor
-rows with ``np.take`` rather than single codes per query.
+
+Both steps run in a small compiled core (``_core.c``, built and loaded by
+:mod:`metricdepth._native`) when it can be built. Its table build takes
+blocks of 16 first anchors against tiles of 512 columns, with uint16
+accumulators that stay in L1 while the sample rows stream past; its scan
+reads each kept pair's two indices and the query's two entries, and stops
+at the first admissible pair. The numpy kernels, :func:`_prob_counts_numpy`
+and :func:`_min_counts_numpy`, are the reference the compiled ones must
+equal in every count, dtype, layout and pair. They run everything else:
+stacked tables, other dtypes, and every call where no compiler is found.
+The numpy table sums member flags as uint8 over chunks of at most 255
+sample rows. The numpy scan holds its queries anchor-major, transposed
+once to (n_A, m), so each block of pairs gathers whole anchor rows with
+``np.take`` rather than single codes per query.
+
 The table keeps its rank codes. When the queries are the sample itself
 (the same object), the scan reads those codes in place of a second
 sample-to-anchor distance matrix: admissibility compares two entries of
@@ -58,6 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .errors import GeometryError
 from .rng import NS_JIGGLE, NS_REFINE, derive_rngs
 from .spaces import Space
@@ -216,6 +227,28 @@ def _distinct_rows(codes: np.ndarray) -> bool:
 
 def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
     """Table of halfspace member counts from an (n, n_A, *batch) stack of
+    codes; see :func:`_prob_counts_numpy`, which it equals bit for bit.
+
+    One table of uint8 or uint16 codes is built by the compiled kernel when
+    it loads, if n < 65536 (its uint16 sums hold counts up to n); anything
+    else, including the stacked tables of the permutation tests, by the
+    numpy kernel.
+    """
+    kernel = None
+    if codes.ndim == 2 and codes.shape[0] < 65536:
+        kernel = _native.kernel("table", codes.dtype)
+    if kernel is None:
+        return _prob_counts_numpy(codes, distinct)
+    n, n_anchors = codes.shape
+    codes = np.ascontiguousarray(codes)
+    counts = np.empty((n_anchors, n_anchors), dtype=np.min_scalar_type(n))
+    kernel(codes.ctypes.data, n, n_anchors, distinct, counts.ctypes.data,
+           counts.dtype == np.uint16)
+    return counts
+
+
+def _prob_counts_numpy(codes: np.ndarray, distinct: bool) -> np.ndarray:
+    """Table of halfspace member counts from an (n, n_A, *batch) stack of
     distance matrices or of any per-row order-preserving codes, such as
     :func:`_row_ranks`: sample rows first, anchors second, and trailing
     batch axes, one table each.
@@ -259,6 +292,35 @@ def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
 
 
 def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
+    """Per-query least table count over admissible ordered anchor pairs;
+    see :func:`_min_counts_numpy`, which it equals.
+
+    Float64 distances and uint8 or uint16 codes are scanned by the compiled
+    kernel when it loads, other dtypes by the numpy kernel.
+    """
+    a1s, a2s = table.sorted_pairs
+    n_anchors = len(table.counts)
+    kernel = _native.kernel("scan", dist_query_anchors.dtype, a1s.dtype)
+    # The compiled scan indexes each query row by the pairs unchecked, so it
+    # only takes rows of all n_A entries; numpy raises on any other shape.
+    if kernel is None or dist_query_anchors.shape[1:] != (n_anchors,):
+        return _min_counts_numpy(table, dist_query_anchors)
+    query = np.ascontiguousarray(dist_query_anchors)
+    n_queries = len(query)
+    first = np.empty(n_queries, dtype=np.int64)
+    kernel(query.ctypes.data, n_queries, n_anchors, a1s.ctypes.data, a2s.ctypes.data,
+           len(a1s), first.ctypes.data)
+    hit = first >= 0
+    best = np.full(n_queries, table.n, dtype=np.int64)
+    best_a1 = np.full(n_queries, -1, dtype=np.int64)
+    best_a2 = np.full(n_queries, -1, dtype=np.int64)
+    best_a1[hit] = a1s[first[hit]]
+    best_a2[hit] = a2s[first[hit]]
+    best[hit] = table.counts[best_a1[hit], best_a2[hit]]
+    return best, best_a1, best_a2
+
+
+def _min_counts_numpy(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
     """Per-query least table count over admissible ordered anchor pairs.
 
     A pair (a1, a2) is admissible for query y when d(y, a1) <= d(y, a2) and

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import depth
-from .depth import _distinct_rows, _prob_counts, _row_ranks
+from .depth import _distinct_rows, _prob_counts_numpy, _row_ranks
 from .errors import DataError
 from .rng import NS_PERMUTATION, derive_rngs
 from .spaces import Space
@@ -126,35 +126,44 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     OR-ing them with the table and taking the minimum reads the admissible
     entries only. The diagonal needs no mask: it holds m, which bounds
     every count, and a single-member group, with no admissible pair, keeps
-    count m (depth 1) by convention. Each batch's member codes are gathered
-    rows first and references last, the layout :func:`depth._prob_counts`
-    takes, so its tables are read as built: anchor pair first, in the
-    narrowest dtype that holds m. Every temporary keeps the anchor pair
-    axes first, so each elementwise pass runs over all references and
-    queries of a chunk at once. References, then queries, then first
-    anchors are taken in chunks so that no temporary exceeds
-    ``depth._CHUNK_ELEMS // 8`` elements.
+    count m (depth 1) by convention.
+
+    Tables are built in batches of references whose member codes, gathered
+    rows first and references last, fill one (m, m, batch) stack of at most
+    ``depth._CHUNK_ELEMS // 8`` elements: the layout the numpy table kernel
+    :func:`depth._prob_counts_numpy` takes, so its tables are read as
+    built, anchor pair first, in the narrowest dtype that holds m. The
+    tables of a build batch are then scanned in smaller batches, sized so
+    that each scan temporary, which keeps the anchor pair axes first and
+    runs each elementwise pass over all references and queries of a chunk
+    at once, stays under the same cap; queries, then first anchors, are
+    taken in chunks for the same reason.
     """
     n_refs, m = references.shape
     total = len(codes)
     cap = depth._CHUNK_ELEMS // 8
+    build = max(1, cap // (m * m))
     batch = max(1, cap // (total * m * m))
     queries = max(1, min(total, cap // (m * m)))
     anchors = max(1, min(m, cap // m))
     out = np.full((n_refs, total), m, dtype=np.min_scalar_type(m))
-    for lo in range(0, n_refs, batch):
-        ref = references[lo:lo + batch]
-        # Member codes [i, j, b] = codes[ref[b, i], ref[b, j]] give table[a1, a2, b, 0].
-        table = _prob_counts(codes[ref.T[:, None, :], ref.T[None, :, :]], distinct)[..., None]
-        for q0 in range(0, total, queries):
-            # q[j, b, y] = codes[q0 + y, ref[b, j]]
-            q = np.ascontiguousarray(codes[q0:q0 + queries][:, ref].transpose(2, 1, 0))
-            best = out[lo:lo + batch, q0:q0 + queries]
-            for a0 in range(0, m, anchors):
-                admissible = q[a0:a0 + anchors, None] <= q[None]
-                masked = np.subtract(admissible, 1, dtype=table.dtype)
-                masked |= table[a0:a0 + anchors]
-                np.minimum(best, masked.min(axis=(0, 1)), out=best)
+    for start in range(0, n_refs, build):
+        built = references[start:start + build]
+        # Member codes [i, j, b] = codes[ref[b, i], ref[b, j]] give tables[a1, a2, b].
+        tables = _prob_counts_numpy(codes[built.T[:, None, :], built.T[None, :, :]], distinct)
+        for b0 in range(0, len(built), batch):
+            ref = built[b0:b0 + batch]
+            table = np.ascontiguousarray(tables[:, :, b0:b0 + batch])[..., None]
+            lo = start + b0
+            for q0 in range(0, total, queries):
+                # q[j, b, y] = codes[q0 + y, ref[b, j]]
+                q = np.ascontiguousarray(codes[q0:q0 + queries][:, ref].transpose(2, 1, 0))
+                best = out[lo:lo + batch, q0:q0 + queries]
+                for a0 in range(0, m, anchors):
+                    admissible = q[a0:a0 + anchors, None] <= q[None]
+                    masked = np.subtract(admissible, 1, dtype=table.dtype)
+                    masked |= table[a0:a0 + anchors]
+                    np.minimum(best, masked.min(axis=(0, 1)), out=best)
     return out
 
 

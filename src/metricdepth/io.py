@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from .depth import DepthReport
 from .errors import DataError, PointValidationError
 from .estimators import EstimatorResult
@@ -156,12 +156,19 @@ def sha256_file(path) -> str:
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written alongside every command output."""
+    """Reproducibility record written alongside every command output.
+
+    ``kernels`` names the kernels that build halfspace tables and scan
+    queries in this process: ``"native"`` for the compiled core,
+    ``"numpy"`` when it could not be built (the permutation tests' stacked
+    tables run in numpy either way). Outputs are the same bytes with both.
+    """
 
     command: list
     config: dict
     seed: int | None
     inputs: dict = field(default_factory=dict)
+    kernels: str = "numpy"
     version: str = __version__
     schema: str = MANIFEST_SCHEMA
     wall_time_s: float = 0.0
@@ -191,4 +198,5 @@ class ManifestTimer:
 
     def finish(self, output_path) -> Path:
         self.manifest.wall_time_s = round(time.perf_counter() - self._start, 6)
+        self.manifest.kernels = _native.kernels()
         return self.manifest.write(output_path)

@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from metricdepth import _native
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
 
 
@@ -32,6 +35,18 @@ def distinct_rows(values):
     the ``distinct`` flag of the table kernel for any per-row values."""
     ordered = np.sort(values, axis=-1)
     return bool((ordered[..., 1:] != ordered[..., :-1]).all())
+
+
+@contextmanager
+def numpy_kernels():
+    """Run the numpy table and scan kernels, as where the compiled ones
+    cannot be built."""
+    saved = _native._kernels
+    _native._kernels = None
+    try:
+        yield
+    finally:
+        _native._kernels = saved
 
 
 @pytest.fixture

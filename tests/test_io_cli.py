@@ -460,20 +460,6 @@ def test_cmd_plotdata_rejects_bad_depth_rows(tmp_path, runner, rows, cause):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "depths.csv"]
 
 
-# ------------------------------------------------------------- cmd: oracle
-
-def test_cmd_oracle_hidden_subcommand(tmp_path, runner):
-    data = tmp_path / "data.csv"
-    data.write_text("1\n2\n3\n")
-    query = tmp_path / "q.csv"
-    query.write_text("2\n100\n")
-    result = invoke(runner, ["oracle", "--dim", "1", "--data", str(data),
-                             "--query", str(query)])
-    assert result.output.splitlines() == ["2/3", "0/1"]
-    help_text = runner.invoke(main, ["--help"]).output
-    assert "oracle" not in help_text
-
-
 # ----------------------------------------------------------- exit codes e2e
 
 def test_manifest_records_the_invoked_arguments(tmp_path, runner, monkeypatch):

@@ -1,0 +1,286 @@
+"""The compiled table and scan kernels against the numpy kernels, and the
+loader that builds them.
+
+The numpy kernels are the oracle: every check demands the same counts, in
+the same dtype and layout, and the same ``(count, a1, a2)`` per query.
+Sizes straddle the uint8/uint16 switches of the codes (n_A = 256, 257),
+of the counts (n = 255, 256) and of the pair indices, and the compiled
+build's tiles of 512 columns and blocks of 16 first anchors.
+"""
+
+import json
+import logging
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metricdepth import _native
+from metricdepth.cli import main
+from metricdepth.depth import (
+    HalfspaceProbTable,
+    _distinct_rows,
+    _min_counts,
+    _min_counts_numpy,
+    _prob_counts,
+    _prob_counts_numpy,
+    _row_ranks,
+    halfspace_prob_table,
+)
+from metricdepth.io import write_points
+from metricdepth.spaces import Euclidean, Sphere
+
+from conftest import random_points
+from test_query_kernel import dense_min_counts
+from test_table_kernel import VALUES, brute_counts
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def native():
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+
+
+def same_table(codes, distinct):
+    """The compiled build's table, checked against the numpy kernel's."""
+    assert _native.kernel("table", codes.dtype) is not None
+    got = _prob_counts(codes, distinct)
+    want = _prob_counts_numpy(codes, distinct)
+    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+    assert np.array_equal(got, want)
+    return got
+
+
+def same_scan(table, query):
+    """The compiled scan's ``(count, a1, a2)``, checked against numpy's."""
+    assert _native.kernel("scan", query.dtype, table.sorted_pairs[0].dtype) is not None
+    got = _min_counts(table, query)
+    want = _min_counts_numpy(table, query)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got
+
+
+def distances(rng, n, n_anchors, tied):
+    """An (n, n_A) distance matrix; a tied one repeats anchor columns, which
+    ties every row."""
+    dist = rng.standard_normal((n, n_anchors))
+    if tied and n_anchors > 1:
+        dist[:, n_anchors // 2:] = dist[:, :n_anchors - n_anchors // 2]
+    return dist
+
+
+# ------------------------------------------------------------------ table
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 300])
+@pytest.mark.parametrize("n_anchors", [1, 17, 256, 257])
+@pytest.mark.parametrize("tied", [False, True])
+def test_table_equals_numpy(native, n, n_anchors, tied):
+    codes = _row_ranks(distances(np.random.default_rng(n * n_anchors), n, n_anchors, tied))
+    assert codes.dtype == (np.uint8 if n_anchors <= 256 else np.uint16)
+    distinct = _distinct_rows(codes)
+    assert distinct == (not tied or n_anchors == 1)
+    got = same_table(codes, distinct)
+    assert got.dtype == (np.uint8 if n <= 255 else np.uint16)
+    if distinct:
+        # A tie-free table also takes the full square.
+        same_table(codes, False)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_table_across_column_tiles(native, tied):
+    # 1100 anchors span three tiles, the last one partial, and end in a
+    # partial block of first anchors.
+    codes = _row_ranks(distances(np.random.default_rng(3), 40, 1100, tied))
+    same_table(codes, _distinct_rows(codes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_equals_brute_on_heavily_tied_codes(data):
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    n = data.draw(st.integers(1, 12))
+    n_anchors = data.draw(st.integers(1, 40))
+    dist = np.array(data.draw(st.lists(st.sampled_from(VALUES), min_size=n * n_anchors,
+                                       max_size=n * n_anchors))).reshape(n, n_anchors)
+    codes = _row_ranks(dist)
+    assert np.array_equal(same_table(codes, _distinct_rows(codes)), brute_counts(dist))
+
+
+def test_mirror_reaches_0_and_n_in_uint8(native):
+    # Every row orders the anchors alike: the mirror writes 255 - 0 and
+    # 255 - 255 into uint8 counts.
+    dist = np.tile(np.arange(40.0), (255, 1))
+    got = same_table(_row_ranks(dist), True)
+    assert np.array_equal(got, np.where(np.triu(np.ones((40, 40), bool)), 255, 0))
+
+
+def test_public_table_uses_the_compiled_build(native, rng):
+    space = Euclidean(2)
+    sample = random_points(space, 60, rng)
+    table = halfspace_prob_table(space, sample, sample + sample[:3])
+    assert np.array_equal(table.counts, _prob_counts_numpy(table.codes, False))
+
+
+# ------------------------------------------------------------------- scan
+
+@pytest.mark.parametrize("n_anchors", [40, 256, 257])
+@pytest.mark.parametrize("tied", [False, True])
+def test_scan_equals_numpy_on_codes_and_distances(native, n_anchors, tied):
+    # 256 anchors take uint8 codes and uint16 pair indices, 40 anchors
+    # uint8 for both, 257 uint16 for both. The sample queries its own
+    # codes; fresh points query float64 distances, many at once and one
+    # at a time.
+    rng = np.random.default_rng(n_anchors)
+    n = 70
+    dist = distances(rng, n + 9, n_anchors, tied)
+    table = HalfspaceProbTable(counts=_prob_counts(_row_ranks(dist[:n]), not tied),
+                               n=n, codes=_row_ranks(dist[:n]))
+    same_scan(table, table.codes)
+    batch = same_scan(table, dist[n:])
+    for j in range(9):
+        alone = same_scan(table, dist[n + j:n + j + 1])
+        assert [int(a[0]) for a in alone] == [int(b[j]) for b in batch]
+    want = dense_min_counts(table.counts, n, dist)
+    assert all(np.array_equal(g, w) for g, w in zip(same_scan(table, dist), want))
+
+
+def test_scan_past_the_first_span_of_pairs(native, rng):
+    # 150 anchors keep about 11 000 pairs, so deep queries scan past the
+    # compiled scan's first span of 4096 pairs.
+    space = Sphere(2)
+    sample = random_points(space, 150, rng)
+    table = halfspace_prob_table(space, sample, sample)
+    assert len(table.sorted_pairs[0]) > 2 * 4096
+    nums = same_scan(table, table.codes)[0]
+    dist = space.distance_matrix(sample, sample)
+    same_scan(table, dist)
+    assert np.array_equal(nums, dense_min_counts(table.counts, table.n, dist)[0])
+
+
+def test_single_anchor_has_no_pair(native):
+    table = HalfspaceProbTable(counts=np.array([[3]], dtype=np.uint8), n=3)
+    got = same_scan(table, np.array([[0.5], [2.0]]))
+    assert [a.tolist() for a in got] == [[3, 3], [-1, -1], [-1, -1]]
+
+
+def test_query_admitting_only_the_last_kept_pair(native):
+    # Pair maxima 3, 2, 3 bound the scan at 2, which keeps (0, 1) and
+    # (1, 2) at count 1, then (0, 2) and (2, 0) at count 2; the query
+    # q = (3, 2, 1) admits only (2, 0), the last of them.
+    counts = np.array([[4, 1, 2], [3, 4, 1], [2, 3, 4]], dtype=np.uint8)
+    table = HalfspaceProbTable(counts=counts, n=4)
+    assert [a.tolist() for a in table.sorted_pairs] == [[0, 1, 0, 2], [1, 2, 2, 0]]
+    for query in (np.array([[3.0, 2.0, 1.0]]), np.array([[2, 1, 0]], dtype=np.uint8)):
+        assert [a.tolist() for a in same_scan(table, query)] == [[2], [2], [0]]
+
+
+def test_scan_leaves_rows_of_another_width_to_numpy(native):
+    # The compiled scan would read past a short row; numpy raises on it.
+    counts = np.array([[4, 1, 2], [3, 4, 1], [2, 3, 4]], dtype=np.uint8)
+    table = HalfspaceProbTable(counts=counts, n=4)
+    with pytest.raises(IndexError):
+        _min_counts(table, np.array([[3.0, 2.0]]))
+    wide = np.array([[3.0, 2.0, 1.0, 0.0]])
+    for g, w in zip(_min_counts(table, wide), _min_counts_numpy(table, wide)):
+        assert np.array_equal(g, w)
+
+
+# ------------------------------------------------------- fallback and cache
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """A loader that has not run yet in this process, with an empty cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "_kernels", _native._UNSET)
+    return tmp_path / "metricdepth"
+
+
+def run_commands(tmp_path, name):
+    """``depth --self`` and ``median --estimator mhd`` on one sample; the
+    output bytes and the manifests' ``kernels`` fields."""
+    data = tmp_path / "sample.csv"
+    if not data.exists():
+        space = Sphere(2)
+        write_points(data, space, random_points(space, 80, np.random.default_rng(5)))
+    outputs, kernels = [], set()
+    for args in (["depth", "--space", "sphere:2", "--data", str(data), "--self",
+                  "--anchors", "jiggle:2"],
+                 ["median", "--space", "sphere:2", "--data", str(data), "--estimator", "mhd",
+                  "--jiggle", "2", "--budget", "8"]):
+        out = tmp_path / f"{name}-{args[0]}"
+        result = CliRunner().invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+        kernels.add(_manifest_kernels(out))
+    return outputs, kernels
+
+
+def _manifest_kernels(out):
+    return json.loads(out.with_name(out.name + ".manifest.json").read_text())["kernels"]
+
+
+def test_fallback_writes_the_same_bytes_and_logs_once(native, tmp_path, monkeypatch, caplog):
+    outputs, kernels = run_commands(tmp_path, "native")
+    assert kernels == {"native"}
+    monkeypatch.setattr(_native, "_kernels", _native._UNSET)
+    monkeypatch.setattr(_native, "COMPILER", "metricdepth-no-such-compiler")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty-cache"))
+    with caplog.at_level(logging.WARNING, logger=_native.logger.name):
+        fallback, kernels = run_commands(tmp_path, "numpy")
+    assert kernels == {"numpy"}
+    assert fallback == outputs
+    records = [r for r in caplog.records if r.name == _native.logger.name]
+    assert len(records) == 1 and "using numpy" in records[0].getMessage()
+
+
+needs_gcc = pytest.mark.skipif(shutil.which(_native.COMPILER) is None,
+                               reason="no compiler to build the kernels")
+
+
+@needs_gcc
+def test_processes_building_at_once_share_one_cache(tmp_path):
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(SRC))
+    code = "import sys; from metricdepth import _native; sys.exit(_native.library() is None)"
+    # More builders than the two cores of the reference host.
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
+    cache = tmp_path / "metricdepth"
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
+    assert cache.stat().st_mode & 0o777 == 0o700
+
+
+@needs_gcc
+def test_truncated_library_is_rebuilt(fresh_loader):
+    target = _native.library_path()
+    _native._build(target)
+    whole = target.read_bytes()
+    target.write_bytes(whole[:len(whole) // 2])
+    assert not _native._intact(target)
+    assert _native.library() is not None
+    assert _native._intact(target) and len(target.read_bytes()) == len(whole)
+    codes = _row_ranks(distances(np.random.default_rng(0), 30, 50, False))
+    same_table(codes, True)
+
+
+def test_unusable_cache_falls_back(fresh_loader, caplog):
+    # A file where the cache directory should be: nothing can be written
+    # there, whatever the user's permissions.
+    fresh_loader.write_text("")
+    with caplog.at_level(logging.WARNING, logger=_native.logger.name):
+        assert _native.library() is None
+        assert _native.kernels() == "numpy"
+        assert _native.kernel("scan", np.float64, np.uint16) is None
+    assert len(caplog.records) == 1
+    codes = _row_ranks(distances(np.random.default_rng(0), 30, 50, False))
+    assert np.array_equal(_prob_counts(codes, True), _prob_counts_numpy(codes, True))

@@ -15,6 +15,7 @@ from metricdepth import depth, inference
 from metricdepth.depth import (
     HalfspaceProbTable,
     _min_counts,
+    _min_counts_numpy,
     _prob_counts,
     approx_depth,
     halfspace_prob_table,
@@ -79,12 +80,13 @@ def test_kernel_matches_dense_on_tied_tables(case):
 @settings(max_examples=100, deadline=None)
 @given(tables_and_distances(), st.integers(8, 64))
 def test_kernel_matches_dense_with_one_pair_blocks(case, cap):
-    # A tiny element cap forces blocks of a pair or a few pairs per query.
+    # A tiny element cap forces the numpy kernel's blocks down to a pair or
+    # a few pairs per query.
     table, dist = case
     saved = depth._CHUNK_ELEMS
     depth._CHUNK_ELEMS = cap
     try:
-        got = _min_counts(table, dist)
+        got = _min_counts_numpy(table, dist)
     finally:
         depth._CHUNK_ELEMS = saved
     assert_same(got, dense_min_counts(table.counts, table.n, dist))

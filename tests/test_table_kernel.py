@@ -6,7 +6,8 @@ drawn from a few values, ``0.0``, ``-0.0`` and ``inf`` among them, so rows
 tie heavily, and sizes straddle the 255-row uint8 chunk and the 256-anchor
 switch of the code dtype from uint8 to uint16. Tie-free rows take the
 kernel's upper-triangle path and tied rows its full-square path; a lowered
-element cap splits either into anchor blocks down to one anchor each.
+element cap splits either into anchor blocks down to one anchor each, so
+those checks call the numpy kernel, the only one that reads the cap.
 """
 
 from contextlib import contextmanager
@@ -21,6 +22,7 @@ from metricdepth import depth, inference
 from metricdepth.depth import (
     _distinct_rows,
     _prob_counts,
+    _prob_counts_numpy,
     _row_ranks,
     approx_depth,
     halfspace_prob_table,
@@ -30,7 +32,7 @@ from metricdepth.errors import DataError, GeometryError
 from metricdepth.inference import depth_ranks, kruskal_wallis_depth_test, wilcoxon_depth_test
 from metricdepth.spaces import Euclidean
 
-from conftest import distinct_rows, random_points
+from conftest import distinct_rows, numpy_kernels, random_points
 from test_query_kernel import dense_min_counts
 
 VALUES = [0.0, -0.0, 0.5, 1.0, 2.0, np.inf]
@@ -205,7 +207,7 @@ CAPS = st.integers(0, 12 * 12 * 12)
 def test_tied_tables_match_brute_in_anchor_blocks(dist, cap):
     codes = _row_ranks(dist)
     with chunk_cap(cap):
-        got = _prob_counts(codes, _distinct_rows(codes))
+        got = _prob_counts_numpy(codes, _distinct_rows(codes))
     assert np.array_equal(got, brute_counts(dist))
 
 
@@ -215,8 +217,8 @@ def test_distinct_tables_match_brute_in_anchor_blocks(dist, cap):
     codes = _row_ranks(dist)
     assert _distinct_rows(codes)
     with chunk_cap(cap):
-        triangle = _prob_counts(codes, True)
-        square = _prob_counts(codes, False)
+        triangle = _prob_counts_numpy(codes, True)
+        square = _prob_counts_numpy(codes, False)
     want = brute_counts(dist)
     assert np.array_equal(triangle, want)
     assert np.array_equal(square, want)
@@ -229,7 +231,7 @@ def test_distinct_tables_across_the_row_chunk_boundary(dist, cap):
     # The mirror reads n, not the 255-row chunk it was counted in.
     codes = _row_ranks(dist)
     with chunk_cap(cap):
-        assert np.array_equal(_prob_counts(codes, True), brute_counts(dist))
+        assert np.array_equal(_prob_counts_numpy(codes, True), brute_counts(dist))
 
 
 @settings(max_examples=50, deadline=None)
@@ -241,7 +243,7 @@ def test_stacked_distinct_tables_in_anchor_blocks(data, cap):
              for _ in range(6)]
     stacked = np.stack([_row_ranks(dist) for dist in stack]).reshape(2, 3, n, n_anchors)
     with chunk_cap(cap):
-        got = batch_first(_prob_counts(batch_last(stacked), True))
+        got = batch_first(_prob_counts_numpy(batch_last(stacked), True))
     want = np.stack([brute_counts(dist) for dist in stack])
     assert np.array_equal(got, want.reshape(2, 3, n_anchors, n_anchors))
 
@@ -260,7 +262,7 @@ def test_public_table_with_and_without_duplicate_points(rng, duplicates):
     sample = random_points(space, 40, rng)
     sample += sample[:duplicates]
     dist = space.distance_matrix(sample, sample)
-    with chunk_cap(3 * len(sample) ** 2):
+    with chunk_cap(3 * len(sample) ** 2), numpy_kernels():
         table = halfspace_prob_table(space, sample, sample)
     assert _distinct_rows(table.codes) == (duplicates == 0)
     assert np.array_equal(table.counts, brute_counts(dist))
@@ -307,7 +309,7 @@ def test_tie_free_mirror_reaches_0_and_n_without_wrapping(cap):
     dist = np.tile(np.arange(6.0), (255, 1))
     codes = _row_ranks(dist)
     with chunk_cap(cap):
-        got = _prob_counts(codes, _distinct_rows(codes))
+        got = _prob_counts_numpy(codes, _distinct_rows(codes))
     assert got.dtype == np.uint8
     assert np.array_equal(got, np.where(np.triu(np.ones((6, 6), bool)), 255, 0))
     assert np.array_equal(got, brute_counts(dist))
@@ -325,8 +327,8 @@ def test_batch_axis_last_equals_one_table_at_a_time(data, cap):
     stacked = np.stack(stack, axis=-1)
     distinct = all(_distinct_rows(codes) for codes in stack)
     with chunk_cap(cap):
-        got = _prob_counts(stacked, distinct)
-        want = [_prob_counts(codes, distinct) for codes in stack]
+        got = _prob_counts_numpy(stacked, distinct)
+        want = [_prob_counts_numpy(codes, distinct) for codes in stack]
     assert got.shape == (n_anchors, n_anchors, len(stack))
     assert got.dtype == np.min_scalar_type(n)
     for b, table in enumerate(want):
