@@ -1,9 +1,11 @@
 /* Integer kernels of the anchored halfspace depth: the table build over
- * per-row rank codes and the first-hit scan over sorted anchor pairs.
+ * per-row rank codes, the first-hit scan over sorted anchor pairs, and the
+ * permutation tests' depth counts against many small reference groups.
  *
- * Both compute exactly what the numpy kernels in depth.py compute: every
- * comparison is an IEEE `<=` between two entries of one row, so the build
- * must never run under -ffast-math. Arrays are C-contiguous and row-major.
+ * Each computes exactly what its numpy kernel in depth.py or inference.py
+ * computes: every comparison is an IEEE `<=` between two entries of one
+ * row, so the build must never run under -ffast-math. Arrays are
+ * C-contiguous and row-major, and every scratch buffer is the caller's.
  */
 #include <stdint.h>
 #include <string.h>
@@ -120,3 +122,68 @@ SCAN(scan_u8_u8, uint8_t, uint8_t)
 SCAN(scan_u8_u16, uint8_t, uint16_t)
 SCAN(scan_u16_u8, uint16_t, uint8_t)
 SCAN(scan_u16_u16, uint16_t, uint16_t)
+
+/* out[r, y] = the least entry of reference group r's table over the anchor
+ * pairs (a1, a2) that pooled observation y admits,
+ * codes[y, ref[a1]] <= codes[y, ref[a2]], for a (total, total) matrix of
+ * pooled codes and an (n_refs, m) array of pooled indices, one group per
+ * row; counts are uint16 (COUNT wide) or uint8, and m <= 65535.
+ *
+ * Each group's members' (m, m) codes go to `members` and their table, built
+ * by BUILD, to `table`. It is copied into the rows of `padded`, (m, width)
+ * with width a multiple of LANES, whose tails hold the count maximum, and
+ * each observation's codes at the members go to `query`, of width entries.
+ * The minimum runs over whole padded rows into LANES running minima, one
+ * per column modulo LANES, that stay in registers until the observation's
+ * last row: a pair's admissibility flag minus 1 is 0 or the count maximum,
+ * so OR-ing it with the entry reads the admissible entries only, with no
+ * branch, and a padded entry stays the maximum whatever its flag. The
+ * diagonal is admissible and holds m, which bounds every count, so a
+ * single-member group keeps count m. */
+#define DEPTHS(NAME, CODE, COUNT, BUILD)                                       \
+    CLONES void NAME(const CODE *codes, int64_t total, const int64_t *refs,    \
+                     int64_t n_refs, int64_t m, int distinct, CODE *members,   \
+                     COUNT *table, COUNT *padded, CODE *query, COUNT *out)     \
+    {                                                                          \
+        int64_t width = (m + LANES - 1) / LANES * LANES;                       \
+        for (int64_t a = 0; a < m; a++)                                        \
+            for (int64_t b = m; b < width; b++)                                \
+                padded[a * width + b] = (COUNT)-1;                             \
+        for (int64_t b = m; b < width; b++)                                    \
+            query[b] = 0;                                                      \
+        for (int64_t r = 0; r < n_refs; r++) {                                 \
+            const int64_t *ref = refs + r * m;                                 \
+            for (int64_t i = 0; i < m; i++)                                    \
+                for (int64_t j = 0; j < m; j++)                                \
+                    members[i * m + j] = codes[ref[i] * total + ref[j]];       \
+            BUILD(members, m, m, distinct, table, sizeof(COUNT) == 2);         \
+            for (int64_t a = 0; a < m; a++)                                    \
+                memcpy(padded + a * width, table + a * m, m * sizeof(COUNT)); \
+            for (int64_t y = 0; y < total; y++) {                              \
+                const CODE *row = codes + y * total;                           \
+                for (int64_t j = 0; j < m; j++)                                \
+                    query[j] = row[ref[j]];                                    \
+                COUNT least[LANES];                                            \
+                for (int64_t k = 0; k < LANES; k++)                            \
+                    least[k] = (COUNT)m;                                       \
+                for (int64_t a = 0; a < m; a++) {                              \
+                    CODE first = query[a];                                     \
+                    const COUNT *t = padded + a * width;                       \
+                    for (int64_t b = 0; b < width; b += LANES)                 \
+                        for (int64_t k = 0; k < LANES; k++) {                  \
+                            COUNT v = t[b + k]                                 \
+                                | (COUNT)((first <= query[b + k]) - 1);        \
+                            least[k] = v < least[k] ? v : least[k];            \
+                        }                                                      \
+                }                                                              \
+                for (int64_t k = 1; k < LANES; k++)                            \
+                    least[0] = least[k] < least[0] ? least[k] : least[0];      \
+                out[r * total + y] = least[0];                                 \
+            }                                                                  \
+        }                                                                      \
+    }
+
+DEPTHS(depths_u8_u8, uint8_t, uint8_t, table_u8)
+DEPTHS(depths_u8_u16, uint8_t, uint16_t, table_u8)
+DEPTHS(depths_u16_u8, uint16_t, uint8_t, table_u16)
+DEPTHS(depths_u16_u16, uint16_t, uint16_t, table_u16)

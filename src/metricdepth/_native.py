@@ -12,8 +12,8 @@ match, such as a truncated one, is rebuilt rather than loaded.
 
 When gcc is missing, the build fails or the cache is not writable,
 :func:`library` logs one warning through this module's logger and returns
-None, and the numpy kernels in :mod:`metricdepth.depth` run instead, with
-the same results.
+None, and the numpy kernels in :mod:`metricdepth.depth` and
+:mod:`metricdepth.inference` run instead, with the same results.
 """
 
 from __future__ import annotations
@@ -31,8 +31,11 @@ SOURCE = Path(__file__).with_name("_core.c")
 COMPILER = "gcc"
 # No -march=native: a cached library must run on any x86-64 host, and the
 # source selects its AVX2 clones at load time. No -ffast-math: the
-# comparisons must stay IEEE <=.
-FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
+# comparisons must stay IEEE <=. Loops start on 32-byte boundaries, so a
+# kernel's speed does not hang on where the code before it ends: under the
+# default alignment, moving the table build by 32 bytes slowed its
+# 400 x 400 uint16 build from 1.75 to 2.00 ms on an x86-64 Xeon.
+FLAGS = ("-O3", "-falign-loops=32", "-std=c99", "-shared", "-fPIC")
 # Array dtypes the kernels take, by their suffix in the kernel names.
 _SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.uint8): "u8", np.dtype(np.uint16): "u16"}
 _DIGEST = hashlib.sha256().digest_size
@@ -91,6 +94,9 @@ def _load() -> dict:
                   for code in ("u8", "u16")}
     signatures.update({f"scan_{query}_{pair}": [ptr, i64, i64, ptr, ptr, i64, ptr]
                        for query in ("f64", "u8", "u16") for pair in ("u8", "u16")})
+    signatures.update({f"depths_{code}_{count}": [ptr, i64, ptr, i64, i64, ctypes.c_int,
+                                                  ptr, ptr, ptr, ptr, ptr]
+                       for code in ("u8", "u16") for count in ("u8", "u16")})
     functions = {}
     for name, argtypes in signatures.items():
         function = functions[name] = getattr(lib, name)

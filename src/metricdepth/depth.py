@@ -35,14 +35,17 @@ the least pair maximum max(counts[a1, a2], counts[a2, a1]); the sort
 keeps only the pairs up to that bound, the prefix that scans can reach.
 
 Both steps run in a small compiled core (``_core.c``, built and loaded by
-:mod:`metricdepth._native`) when it can be built. Its table build takes
-blocks of 16 first anchors against tiles of 512 columns, with uint16
-accumulators that stay in L1 while the sample rows stream past; its scan
-reads each kept pair's two indices and the query's two entries, and stops
-at the first admissible pair. The numpy kernels, :func:`_prob_counts_numpy`
-and :func:`_min_counts_numpy`, are the reference the compiled ones must
-equal in every count, dtype, layout and pair. They run everything else:
-stacked tables, other dtypes, and every call where no compiler is found.
+:mod:`metricdepth._native`) when it can be built, and so do the
+permutation tests' depth counts (:mod:`metricdepth.inference`), which
+build each reference group's table with the same compiled build. Its
+table build takes blocks of 16 first anchors against tiles of 512
+columns, with uint16 accumulators that stay in L1 while the sample rows
+stream past; its scan reads each kept pair's two indices and the query's
+two entries, and stops at the first admissible pair. The numpy kernels,
+:func:`_prob_counts_numpy` and :func:`_min_counts_numpy`, are the
+reference the compiled ones must equal in every count, dtype, layout and
+pair. They run everything else: other dtypes, the stacked tables of the
+numpy permutation kernel, and every call where no compiler is found.
 The numpy table sums member flags as uint8 over chunks of at most 255
 sample rows. The numpy scan holds its queries anchor-major, transposed
 once to (n_A, m), so each block of pairs gathers whole anchor rows with
@@ -231,8 +234,7 @@ def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
 
     One table of uint8 or uint16 codes is built by the compiled kernel when
     it loads, if n < 65536 (its uint16 sums hold counts up to n); anything
-    else, including the stacked tables of the permutation tests, by the
-    numpy kernel.
+    else, such as a stack of tables, by the numpy kernel.
     """
     kernel = None
     if codes.ndim == 2 and codes.shape[0] < 65536:

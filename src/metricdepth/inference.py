@@ -13,11 +13,14 @@ the observed one, then one permutation per rep. The pooled distance matrix
 is ranked once per test; for a batch of orders, each permuted reference
 group's block of those codes yields its halfspace table, and every pooled
 observation's depth count is a dense masked minimum of that table over the
-anchor pairs the observation admits. Counts are ranked per row from a
-histogram, and the statistics are formed across the batch with each row's
-floating-point operations in the order of the one-order formulas, so the
-statistics and p-values do not depend on the batching. Batches keep every
-temporary at or under ``depth._CHUNK_ELEMS // 8`` elements.
+anchor pairs the observation admits. The compiled core (``_core.c``) runs
+this for the whole batch in one call, table by table; the numpy kernel,
+which stacks the tables, is its fallback and test oracle, with the same
+counts. Counts are ranked per row from a histogram, and the statistics
+are formed across the batch with each row's floating-point operations in
+the order of the one-order formulas, so the statistics and p-values do not
+depend on the batching. Batches keep every temporary at or under
+``depth._CHUNK_ELEMS // 8`` elements.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import depth
+from . import _native, depth
 from .depth import _distinct_rows, _prob_counts_numpy, _row_ranks
 from .errors import DataError
 from .rng import NS_PERMUTATION, derive_rngs
@@ -112,7 +115,44 @@ def _pooled_codes(space: Space, pool: tuple) -> tuple[np.ndarray, bool]:
 
 def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
                           distinct: bool) -> np.ndarray:
-    """Depth counts of every pooled observation w.r.t. each reference group.
+    """Depth counts of every pooled observation w.r.t. each reference group;
+    see :func:`_batched_depth_counts_numpy`, which it equals bit for bit.
+
+    Uint8 or uint16 codes with groups of m < 65536 run in the compiled
+    kernel when it loads: for each group it gathers the members' codes,
+    builds their table with the compiled table build and takes each
+    observation's dense masked minimum over table rows padded to whole
+    vector registers, with every buffer allocated here. Anything else runs
+    in numpy.
+    """
+    n_refs, m = references.shape
+    total = len(codes)
+    count = np.min_scalar_type(m)
+    kernel = _native.kernel("depths", codes.dtype, count)
+    # The kernel reads the codes at the references unchecked, so it takes
+    # only a square matrix and indices inside it; numpy raises on the rest.
+    inside = codes.shape == (total, total) and (
+        references.size == 0 or 0 <= references.min() <= references.max() < total)
+    if kernel is None or not inside:
+        return _batched_depth_counts_numpy(codes, references, distinct)
+    codes = np.ascontiguousarray(codes)
+    references = np.ascontiguousarray(references, dtype=np.int64)
+    width = -(-m // 32) * 32  # whole runs of the kernel's 32 lanes
+    members = np.empty((m, m), dtype=codes.dtype)
+    table = np.empty((m, m), dtype=count)
+    padded = np.empty((m, width), dtype=count)
+    query = np.empty(width, dtype=codes.dtype)
+    out = np.empty((n_refs, total), dtype=count)
+    kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct,
+           members.ctypes.data, table.ctypes.data, padded.ctypes.data, query.ctypes.data,
+           out.ctypes.data)
+    return out
+
+
+def _batched_depth_counts_numpy(codes: np.ndarray, references: np.ndarray,
+                                distinct: bool) -> np.ndarray:
+    """Depth counts of every pooled observation w.r.t. each reference group,
+    in numpy: the fallback of :func:`_batched_depth_counts` and its oracle.
 
     ``codes`` is the (total, total) pooled distance matrix or any per-row
     order-preserving codes of it; ``references`` is an (R, m) array of
@@ -158,7 +198,7 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
             for q0 in range(0, total, queries):
                 # q[j, b, y] = codes[q0 + y, ref[b, j]]
                 q = np.ascontiguousarray(codes[q0:q0 + queries][:, ref].transpose(2, 1, 0))
-                best = out[lo:lo + batch, q0:q0 + queries]
+                best = out[lo:lo + len(ref), q0:q0 + queries]
                 for a0 in range(0, m, anchors):
                     admissible = q[a0:a0 + anchors, None] <= q[None]
                     masked = np.subtract(admissible, 1, dtype=table.dtype)

@@ -158,10 +158,10 @@ def sha256_file(path) -> str:
 class RunManifest:
     """Reproducibility record written alongside every command output.
 
-    ``kernels`` names the kernels that build halfspace tables and scan
-    queries in this process: ``"native"`` for the compiled core,
-    ``"numpy"`` when it could not be built (the permutation tests' stacked
-    tables run in numpy either way). Outputs are the same bytes with both.
+    ``kernels`` names the kernels that build halfspace tables, scan
+    queries and count the permutation tests' depths in this process:
+    ``"native"`` for the compiled core, ``"numpy"`` when it could not be
+    built. Outputs are the same bytes with both.
     """
 
     command: list

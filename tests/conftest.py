@@ -39,8 +39,7 @@ def distinct_rows(values):
 
 @contextmanager
 def numpy_kernels():
-    """Run the numpy table and scan kernels, as where the compiled ones
-    cannot be built."""
+    """Run the numpy kernels, as where the compiled ones cannot be built."""
     saved = _native._kernels
     _native._kernels = None
     try:

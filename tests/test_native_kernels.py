@@ -1,11 +1,13 @@
-"""The compiled table and scan kernels against the numpy kernels, and the
-loader that builds them.
+"""The compiled table, scan and permutation depth-count kernels against
+the numpy kernels, and the loader that builds them.
 
 The numpy kernels are the oracle: every check demands the same counts, in
 the same dtype and layout, and the same ``(count, a1, a2)`` per query.
 Sizes straddle the uint8/uint16 switches of the codes (n_A = 256, 257),
 of the counts (n = 255, 256) and of the pair indices, and the compiled
-build's tiles of 512 columns and blocks of 16 first anchors.
+build's tiles of 512 columns and blocks of 16 first anchors; reference
+groups straddle the count switch (m = 255, 256) and the padding of table
+rows to 32 entries.
 """
 
 import json
@@ -34,6 +36,7 @@ from metricdepth.depth import (
     _row_ranks,
     halfspace_prob_table,
 )
+from metricdepth.inference import _batched_depth_counts, _batched_depth_counts_numpy
 from metricdepth.io import write_points
 from metricdepth.spaces import Euclidean, Sphere
 
@@ -194,6 +197,50 @@ def test_scan_leaves_rows_of_another_width_to_numpy(native):
     wide = np.array([[3.0, 2.0, 1.0, 0.0]])
     for g, w in zip(_min_counts(table, wide), _min_counts_numpy(table, wide)):
         assert np.array_equal(g, w)
+
+
+# ----------------------------------------------------- permutation depths
+
+def same_depths(codes, references, distinct):
+    """The compiled depth counts, checked against the numpy kernel's."""
+    count = np.min_scalar_type(references.shape[1])
+    assert _native.kernel("depths", codes.dtype, count) is not None
+    got = _batched_depth_counts(codes, references, distinct)
+    want = _batched_depth_counts_numpy(codes, references, distinct)
+    assert got.dtype == want.dtype == count and np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("total", [256, 257])
+@pytest.mark.parametrize("m", [1, 2, 33, 255, 256])
+@pytest.mark.parametrize("tied", [False, True])
+def test_depths_equal_numpy(native, total, m, tied):
+    # 256 pooled points take uint8 codes and 257 uint16; groups of 255 take
+    # uint8 counts and 256 uint16, and groups of 33 pad their table rows to
+    # two runs of 32. References are column slices of the orders, as the
+    # tests pass them, so not contiguous. Tied rows draw from four distances,
+    # so that members tie on some rows and not on others.
+    rng = np.random.default_rng(total * m)
+    dist = rng.integers(0, 4, size=(total, total)) if tied else rng.random((total, total))
+    codes = _row_ranks(dist)
+    assert codes.dtype == (np.uint8 if total == 256 else np.uint16)
+    distinct = _distinct_rows(codes)
+    assert distinct == (not tied)
+    orders = np.stack([rng.permutation(total) for _ in range(3)])
+    got = same_depths(codes, orders[:, total - m:], distinct)
+    if m == 1:
+        assert (got == 1).all()
+
+
+def test_depths_leave_references_outside_the_pool_to_numpy(native):
+    # The compiled kernel would read past the codes; numpy raises, or reads
+    # a negative index from the end.
+    codes = _row_ranks(distances(np.random.default_rng(0), 6, 6, False))
+    for references, square in (([[0, 6]], codes), ([[0, 5]], codes[:, :5])):
+        with pytest.raises(IndexError):
+            _batched_depth_counts(square, np.array(references), True)
+    got = _batched_depth_counts(codes, np.array([[-1, 2]]), True)
+    assert np.array_equal(got, _batched_depth_counts_numpy(codes, np.array([[5, 2]]), True))
 
 
 # ------------------------------------------------------- fallback and cache

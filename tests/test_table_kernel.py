@@ -282,10 +282,13 @@ def test_permutation_depths_with_and_without_duplicate_points(rng, duplicates):
     m = len(reference)
     dist = space.distance_matrix(pool, pool)
     want = dense_min_counts(brute_counts(dist[:m, :m]), m, dist[:, :m])[0]
-    with chunk_cap(3 * m * m):  # blocks of three anchors
-        got = inference._batched_depth_counts(codes, np.arange(m)[None], distinct)
+    got = inference._batched_depth_counts(codes, np.arange(m)[None], distinct)
+    # The compiled kernel ignores the cap, so the blocks run in numpy.
+    with chunk_cap(3 * m * m), numpy_kernels():  # blocks of three anchors
+        blocked = inference._batched_depth_counts(codes, np.arange(m)[None], distinct)
         ranks = depth_ranks(space, reference, others)
     assert np.array_equal(got[0], want)
+    assert np.array_equal(blocked[0], want)
     assert np.array_equal(ranks, rankdata(want[m:]))
 
 
