@@ -14,10 +14,11 @@ comparison, and hence every count, is exact. Codes take the narrowest
 unsigned dtype that holds n_A - 1 (uint8 up to 256 anchors), and counts
 the narrowest unsigned dtype that holds n (uint8 up to n = 255).
 :func:`_prob_counts` alone sets that dtype and the layout, and every
-reader uses the counts as built, widening before any arithmetic. A column subset of a row's codes keeps that row's
-order and ties, so the permutation tests rank their pooled distance
-matrix once and read every reference group's table off it. A NaN
-distance has no place in that order and is rejected.
+reader uses the counts as built, widening before any arithmetic. A column
+subset of a row's codes keeps that row's order and ties, so the
+permutation tests rank their pooled distance matrix once and read every
+reference group's table off it. A NaN distance has no place in that order
+and is rejected.
 When no row ties two anchors, each row puts every pair of distinct
 anchors on exactly one side, so counts[a1, a2] + counts[a2, a1] = n and
 only the upper triangle is compared; the lower one is n minus its
@@ -44,8 +45,8 @@ stream past; its scan reads each kept pair's two indices and the query's
 two entries, and stops at the first admissible pair. The numpy kernels,
 :func:`_prob_counts_numpy` and :func:`_min_counts_numpy`, are the
 reference the compiled ones must equal in every count, dtype, layout and
-pair. They run everything else: other dtypes, the stacked tables of the
-numpy permutation kernel, and every call where no compiler is found.
+pair. They run everything else: other dtypes, and every call where no
+compiler is found.
 The numpy table sums member flags as uint8 over chunks of at most 255
 sample rows. The numpy scan holds its queries anchor-major, transposed
 once to (n_A, m), so each block of pairs gathers whole anchor rows with
@@ -229,15 +230,15 @@ def _distinct_rows(codes: np.ndarray) -> bool:
 
 
 def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
-    """Table of halfspace member counts from an (n, n_A, *batch) stack of
-    codes; see :func:`_prob_counts_numpy`, which it equals bit for bit.
+    """Table of halfspace member counts from an (n, n_A) matrix of codes;
+    see :func:`_prob_counts_numpy`, which it equals bit for bit.
 
-    One table of uint8 or uint16 codes is built by the compiled kernel when
-    it loads, if n < 65536 (its uint16 sums hold counts up to n); anything
-    else, such as a stack of tables, by the numpy kernel.
+    Uint8 or uint16 codes are built by the compiled kernel when it loads,
+    if n < 65536 (its uint16 sums hold counts up to n); anything else by
+    the numpy kernel.
     """
     kernel = None
-    if codes.ndim == 2 and codes.shape[0] < 65536:
+    if codes.shape[0] < 65536:
         kernel = _native.kernel("table", codes.dtype)
     if kernel is None:
         return _prob_counts_numpy(codes, distinct)
@@ -250,17 +251,15 @@ def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
 
 
 def _prob_counts_numpy(codes: np.ndarray, distinct: bool) -> np.ndarray:
-    """Table of halfspace member counts from an (n, n_A, *batch) stack of
-    distance matrices or of any per-row order-preserving codes, such as
-    :func:`_row_ranks`: sample rows first, anchors second, and trailing
-    batch axes, one table each.
+    """Table of halfspace member counts from an (n, n_A) distance matrix or
+    any per-row order-preserving codes of it, such as :func:`_row_ranks`:
+    sample rows first, anchors second.
 
     This is the one place that sets the table format: counts come out as
-    (n_A, n_A, *batch), ``table[a1, a2, *b]``, in ``np.min_scalar_type(n)``
-    (uint8 up to n = 255), the narrowest dtype that holds the diagonal n.
-    Readers use the table as built and widen before any arithmetic that
-    could leave [0, n]. With batch axes last, a stacked build hands its
-    tables to the permutation tests anchor pair first, with no transpose.
+    (n_A, n_A), ``table[a1, a2]``, in ``np.min_scalar_type(n)`` (uint8 up
+    to n = 255), the narrowest dtype that holds the diagonal n. Readers use
+    the table as built and widen before any arithmetic that could leave
+    [0, n].
 
     Only entries of one row are compared. Sample rows are taken in chunks
     of at most 255, so each chunk's member count fits a uint8 sum. Anchors
@@ -273,10 +272,10 @@ def _prob_counts_numpy(codes: np.ndarray, distinct: bool) -> np.ndarray:
     row, so ties are a property of the whole table, and a tied table
     counts every block against all anchors.
     """
-    n, n_anchors, *batch = codes.shape
-    counts = np.zeros((n_anchors, n_anchors, *batch), dtype=np.min_scalar_type(n))
+    n, n_anchors = codes.shape
+    counts = np.zeros((n_anchors, n_anchors), dtype=np.min_scalar_type(n))
     rows = min(n, 255)
-    block = max(1, _CHUNK_ELEMS // max(int(np.prod(batch)) * rows * n_anchors, 1))
+    block = max(1, _CHUNK_ELEMS // max(rows * n_anchors, 1))
     for lo in range(0, n_anchors, block):
         hi = min(lo + block, n_anchors)
         first = lo if distinct else 0
@@ -289,7 +288,7 @@ def _prob_counts_numpy(codes: np.ndarray, distinct: bool) -> np.ndarray:
             # resident set of 400 x 400 self-depth runs by about 4.5 MB.
             del member
         if distinct and hi < n_anchors:
-            counts[hi:, lo:hi] = n - counts[lo:hi, hi:].swapaxes(0, 1)
+            counts[hi:, lo:hi] = n - counts[lo:hi, hi:].T
     return counts
 
 

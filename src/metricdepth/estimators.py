@@ -36,10 +36,15 @@ ESTIMATORS = ("mhd", "fm", "gdd")
 
 @dataclass(frozen=True)
 class EstimatorResult:
+    """A fitted location estimate. ``converged`` is whether an iterative
+    fit met its stopping test, or None for a fit that has no such test,
+    such as the depth median, whose refinement always runs its whole
+    budget (``iterations``)."""
+
     point: object
     objective: float
     iterations: int
-    converged: bool
+    converged: bool | None
     extras: dict = field(default_factory=dict)
 
 
@@ -171,7 +176,7 @@ def mhd_median(
         point=point,
         objective=float(depth),
         iterations=budget,
-        converged=True,
+        converged=None,
         extras={
             "depth_num": depth.numerator * (table.n // depth.denominator),
             "depth_den": table.n,

@@ -12,15 +12,15 @@ A test evaluates all its orders at once: the identity, whose statistic is
 the observed one, then one permutation per rep. The pooled distance matrix
 is ranked once per test; for a batch of orders, each permuted reference
 group's block of those codes yields its halfspace table, and every pooled
-observation's depth count is a dense masked minimum of that table over the
+observation's depth count is the least entry of that table over the
 anchor pairs the observation admits. The compiled core (``_core.c``) runs
-this for the whole batch in one call, table by table; the numpy kernel,
-which stacks the tables, is its fallback and test oracle, with the same
-counts. Counts are ranked per row from a histogram, and the statistics
-are formed across the batch with each row's floating-point operations in
-the order of the one-order formulas, so the statistics and p-values do not
-depend on the batching. Batches keep every temporary at or under
-``depth._CHUNK_ELEMS // 8`` elements.
+this for the whole batch in one call, table by table; without it, each
+table goes through the depth module's table build and first-hit scan, one
+reference group at a time, to the same counts. Counts are ranked per row
+from a histogram, and the statistics are formed across the batch with each
+row's floating-point operations in the order of the one-order formulas, so
+the statistics and p-values do not depend on the batching. A batch of
+orders holds at most ``depth._CHUNK_ELEMS // 8`` pooled indices.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _native, depth
-from .depth import _distinct_rows, _prob_counts_numpy, _row_ranks
+from .depth import HalfspaceProbTable, _distinct_rows, _min_counts, _prob_counts, _row_ranks
 from .errors import DataError
 from .rng import NS_PERMUTATION, derive_rngs
 from .spaces import Space
@@ -115,15 +115,25 @@ def _pooled_codes(space: Space, pool: tuple) -> tuple[np.ndarray, bool]:
 
 def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
                           distinct: bool) -> np.ndarray:
-    """Depth counts of every pooled observation w.r.t. each reference group;
-    see :func:`_batched_depth_counts_numpy`, which it equals bit for bit.
+    """Depth counts of every pooled observation w.r.t. each reference group.
+
+    ``codes`` is the (total, total) pooled distance matrix or any per-row
+    order-preserving codes of it; ``references`` is an (R, m) array of
+    pooled indices, one reference group per row; ``distinct`` states that
+    no row of ``codes`` ties two entries (see :func:`depth._prob_counts`).
+    Returns (R, total) counts in the narrowest unsigned dtype that holds m:
+    each the least table entry over the off-diagonal anchor pairs (a1, a2)
+    with code[a1] <= code[a2] in the observation's row, or m (depth 1) for
+    a single-member group, which admits no pair.
 
     Uint8 or uint16 codes with groups of m < 65536 run in the compiled
     kernel when it loads: for each group it gathers the members' codes,
     builds their table with the compiled table build and takes each
     observation's dense masked minimum over table rows padded to whole
-    vector registers, with every buffer allocated here. Anything else runs
-    in numpy.
+    vector registers, with every buffer allocated here. Anything else
+    builds each group's table with :func:`depth._prob_counts` and scans it
+    with :func:`depth._min_counts`, whose first hit in the sorted pairs is
+    the same least count.
     """
     n_refs, m = references.shape
     total = len(codes)
@@ -134,7 +144,11 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     inside = codes.shape == (total, total) and (
         references.size == 0 or 0 <= references.min() <= references.max() < total)
     if kernel is None or not inside:
-        return _batched_depth_counts_numpy(codes, references, distinct)
+        out = np.full((n_refs, total), m, dtype=count)
+        for row, ref in zip(out, references):
+            table = HalfspaceProbTable(_prob_counts(codes[np.ix_(ref, ref)], distinct), n=m)
+            row[:] = _min_counts(table, codes[:, ref])[0]
+        return out
     codes = np.ascontiguousarray(codes)
     references = np.ascontiguousarray(references, dtype=np.int64)
     width = -(-m // 32) * 32  # whole runs of the kernel's 32 lanes
@@ -146,64 +160,6 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct,
            members.ctypes.data, table.ctypes.data, padded.ctypes.data, query.ctypes.data,
            out.ctypes.data)
-    return out
-
-
-def _batched_depth_counts_numpy(codes: np.ndarray, references: np.ndarray,
-                                distinct: bool) -> np.ndarray:
-    """Depth counts of every pooled observation w.r.t. each reference group,
-    in numpy: the fallback of :func:`_batched_depth_counts` and its oracle.
-
-    ``codes`` is the (total, total) pooled distance matrix or any per-row
-    order-preserving codes of it; ``references`` is an (R, m) array of
-    pooled indices, one reference group per row; ``distinct`` states that
-    no row of ``codes`` ties two entries (see :func:`depth._prob_counts`).
-    Returns (R, total) counts in the narrowest unsigned dtype that holds m.
-
-    Each count is the least table entry over the off-diagonal anchor pairs
-    (a1, a2) with code[a1] <= code[a2] in the observation's row. Flags of
-    admissible pairs minus 1 are 0 and of the others the dtype maximum, so
-    OR-ing them with the table and taking the minimum reads the admissible
-    entries only. The diagonal needs no mask: it holds m, which bounds
-    every count, and a single-member group, with no admissible pair, keeps
-    count m (depth 1) by convention.
-
-    Tables are built in batches of references whose member codes, gathered
-    rows first and references last, fill one (m, m, batch) stack of at most
-    ``depth._CHUNK_ELEMS // 8`` elements: the layout the numpy table kernel
-    :func:`depth._prob_counts_numpy` takes, so its tables are read as
-    built, anchor pair first, in the narrowest dtype that holds m. The
-    tables of a build batch are then scanned in smaller batches, sized so
-    that each scan temporary, which keeps the anchor pair axes first and
-    runs each elementwise pass over all references and queries of a chunk
-    at once, stays under the same cap; queries, then first anchors, are
-    taken in chunks for the same reason.
-    """
-    n_refs, m = references.shape
-    total = len(codes)
-    cap = depth._CHUNK_ELEMS // 8
-    build = max(1, cap // (m * m))
-    batch = max(1, cap // (total * m * m))
-    queries = max(1, min(total, cap // (m * m)))
-    anchors = max(1, min(m, cap // m))
-    out = np.full((n_refs, total), m, dtype=np.min_scalar_type(m))
-    for start in range(0, n_refs, build):
-        built = references[start:start + build]
-        # Member codes [i, j, b] = codes[ref[b, i], ref[b, j]] give tables[a1, a2, b].
-        tables = _prob_counts_numpy(codes[built.T[:, None, :], built.T[None, :, :]], distinct)
-        for b0 in range(0, len(built), batch):
-            ref = built[b0:b0 + batch]
-            table = np.ascontiguousarray(tables[:, :, b0:b0 + batch])[..., None]
-            lo = start + b0
-            for q0 in range(0, total, queries):
-                # q[j, b, y] = codes[q0 + y, ref[b, j]]
-                q = np.ascontiguousarray(codes[q0:q0 + queries][:, ref].transpose(2, 1, 0))
-                best = out[lo:lo + len(ref), q0:q0 + queries]
-                for a0 in range(0, m, anchors):
-                    admissible = q[a0:a0 + anchors, None] <= q[None]
-                    masked = np.subtract(admissible, 1, dtype=table.dtype)
-                    masked |= table[a0:a0 + anchors]
-                    np.minimum(best, masked.min(axis=(0, 1)), out=best)
     return out
 
 

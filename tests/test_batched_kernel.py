@@ -2,12 +2,13 @@
 brute-force reference, one reference group at a time.
 
 ``dense_min_counts`` takes a table built by comparing the codes directly
-(``brute_counts``), so each check covers the batched table build and the
-masked minimum together. Codes come from a small palette so rows tie
-heavily; group sizes cover the smallest groups and the switch of the
-count dtype from uint8 to uint16, and a lowered element cap forces every
-chunk boundary. The compiled kernel ignores the cap, so those checks call
-the numpy kernel by name.
+(``brute_counts``), so each check covers the table build and the depth
+count together, on the compiled kernel or the numpy fallback. Codes come
+from a small palette so rows tie heavily; group sizes cover the smallest
+groups and the switch of the count dtype from uint8 to uint16, and a
+lowered element cap forces every chunk boundary of the numpy table build
+and scan. The compiled kernel ignores the cap, so those checks run on the
+numpy kernels.
 """
 
 import numpy as np
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricdepth import depth
-from metricdepth.inference import _batched_depth_counts, _batched_depth_counts_numpy
+from metricdepth.inference import _batched_depth_counts
 
-from conftest import distinct_rows
+from conftest import distinct_rows, numpy_kernels
 from test_query_kernel import dense_min_counts
 from test_table_kernel import brute_counts
 
@@ -57,8 +58,6 @@ def pooled_cases(draw, distinct=False):
         codes = distinct_codes(rng, total)
     else:
         codes = tied_codes(rng, total, draw(st.integers(1, 4)))
-    # Up to 30 orders, so that a lowered cap can end a build batch of
-    # tables inside a scan batch.
     return codes, random_references(rng, total, size, draw(st.integers(1, 30)))
 
 
@@ -81,7 +80,8 @@ def test_batched_counts_match_dense_on_distinct_codes(case, cap):
     saved = depth._CHUNK_ELEMS
     depth._CHUNK_ELEMS = cap
     try:
-        got = _batched_depth_counts_numpy(codes, references, True)
+        with numpy_kernels():
+            got = _batched_depth_counts(codes, references, True)
     finally:
         depth._CHUNK_ELEMS = saved
     assert np.array_equal(got, reference_counts(codes, references))
@@ -117,26 +117,15 @@ def test_group_sizes_across_the_count_dtype_switch():
 @settings(max_examples=100, deadline=None)
 @given(pooled_cases(), st.integers(0, 400))
 def test_batched_counts_match_dense_across_chunk_boundaries(case, cap):
-    # A tiny element cap splits references, queries and first anchors
-    # into chunks down to a single element each.
+    # A tiny element cap splits first anchors and scanned pairs into
+    # chunks down to a single element each.
     codes, references = case
     saved = depth._CHUNK_ELEMS
     depth._CHUNK_ELEMS = cap
     try:
-        got = _batched_depth_counts_numpy(codes, references, distinct_rows(codes))
+        with numpy_kernels():
+            got = _batched_depth_counts(codes, references, distinct_rows(codes))
     finally:
         depth._CHUNK_ELEMS = saved
     assert np.array_equal(got, reference_counts(codes, references))
 
-
-def test_build_batch_ending_in_a_short_scan_batch(monkeypatch):
-    # Five pooled points, groups of three and a cap of 99 elements: tables
-    # are built 11 at a time and scanned 2 at a time, so each build batch
-    # ends in a scan batch of one table, whose counts belong to its own row
-    # alone and not also to the first row of the next build batch.
-    rng = np.random.default_rng(3)
-    codes = tied_codes(rng, 5, 4)
-    references = random_references(rng, 5, 3, 23)
-    monkeypatch.setattr(depth, "_CHUNK_ELEMS", 8 * 99)
-    got = _batched_depth_counts_numpy(codes, references, distinct_rows(codes))
-    assert np.array_equal(got, reference_counts(codes, references))

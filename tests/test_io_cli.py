@@ -210,6 +210,22 @@ def test_cmd_median_mhd_with_bound(tmp_path, runner):
     assert payload["breakdown_lower_bound"] == pytest.approx(0.4)
 
 
+def test_cmd_median_converged_is_null_for_mhd_only(tmp_path, runner):
+    # Refinement runs its whole budget with no stopping test, so the depth
+    # median reports no convergence; the intrinsic mean and median report
+    # the outcome of theirs.
+    data = tmp_path / "data.csv"
+    data.write_text("1\n2\n4\n")
+    converged = {}
+    for est in ("mhd", "fm", "gdd"):
+        out = tmp_path / f"{est}.json"
+        invoke(runner, ["median", "--space", "euclidean:1", "--data", str(data),
+                        "--estimator", est, "--jiggle", "1", "--budget", "3",
+                        "--out", str(out)])
+        converged[est] = json.loads(out.read_text())["converged"]
+    assert converged == {"mhd": None, "fm": True, "gdd": True}
+
+
 def test_cmd_median_fm_is_mean(tmp_path, runner, rng):
     values = rng.standard_normal((10, 2))
     data = tmp_path / "data.csv"

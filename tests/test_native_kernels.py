@@ -7,7 +7,10 @@ Sizes straddle the uint8/uint16 switches of the codes (n_A = 256, 257),
 of the counts (n = 255, 256) and of the pair indices, and the compiled
 build's tiles of 512 columns and blocks of 16 first anchors; reference
 groups straddle the count switch (m = 255, 256) and the padding of table
-rows to 32 entries.
+rows to 32 entries, and include the paper's groups of 60 among 240. The
+permutation depth counts' oracle is a different algorithm: the numpy
+fallback scans each group's sorted pairs to the first hit, where the
+compiled kernel takes a dense masked minimum.
 """
 
 import json
@@ -36,11 +39,11 @@ from metricdepth.depth import (
     _row_ranks,
     halfspace_prob_table,
 )
-from metricdepth.inference import _batched_depth_counts, _batched_depth_counts_numpy
+from metricdepth.inference import _batched_depth_counts
 from metricdepth.io import write_points
 from metricdepth.spaces import Euclidean, Sphere
 
-from conftest import random_points
+from conftest import numpy_kernels, random_points
 from test_query_kernel import dense_min_counts
 from test_table_kernel import VALUES, brute_counts
 
@@ -202,11 +205,13 @@ def test_scan_leaves_rows_of_another_width_to_numpy(native):
 # ----------------------------------------------------- permutation depths
 
 def same_depths(codes, references, distinct):
-    """The compiled depth counts, checked against the numpy kernel's."""
+    """The compiled depth counts, checked against the numpy fallback's, which
+    builds and scans one table per reference group."""
     count = np.min_scalar_type(references.shape[1])
     assert _native.kernel("depths", codes.dtype, count) is not None
     got = _batched_depth_counts(codes, references, distinct)
-    want = _batched_depth_counts_numpy(codes, references, distinct)
+    with numpy_kernels():
+        want = _batched_depth_counts(codes, references, distinct)
     assert got.dtype == want.dtype == count and np.array_equal(got, want)
     return got
 
@@ -217,19 +222,32 @@ def same_depths(codes, references, distinct):
 def test_depths_equal_numpy(native, total, m, tied):
     # 256 pooled points take uint8 codes and 257 uint16; groups of 255 take
     # uint8 counts and 256 uint16, and groups of 33 pad their table rows to
-    # two runs of 32. References are column slices of the orders, as the
-    # tests pass them, so not contiguous. Tied rows draw from four distances,
-    # so that members tie on some rows and not on others.
+    # two runs of 32.
+    got = depths_of_three_orders(total, m, tied)
+    if m == 1:
+        assert (got == 1).all()
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_depths_equal_numpy_on_the_paper_shape(native, tied):
+    # Four groups of 60, as in the Alzheimer's analysis: each permuted
+    # reference group of 60 against all 240 pooled points.
+    depths_of_three_orders(240, 60, tied)
+
+
+def depths_of_three_orders(total, m, tied):
+    """``same_depths`` for the last m members of three random orders of
+    ``total`` pooled points. References are column slices of the orders,
+    as the tests pass them, so not contiguous. Tied rows draw from four
+    distances, so that members tie on some rows and not on others."""
     rng = np.random.default_rng(total * m)
     dist = rng.integers(0, 4, size=(total, total)) if tied else rng.random((total, total))
     codes = _row_ranks(dist)
-    assert codes.dtype == (np.uint8 if total == 256 else np.uint16)
+    assert codes.dtype == (np.uint8 if total <= 256 else np.uint16)
     distinct = _distinct_rows(codes)
     assert distinct == (not tied)
     orders = np.stack([rng.permutation(total) for _ in range(3)])
-    got = same_depths(codes, orders[:, total - m:], distinct)
-    if m == 1:
-        assert (got == 1).all()
+    return same_depths(codes, orders[:, total - m:], distinct)
 
 
 def test_depths_leave_references_outside_the_pool_to_numpy(native):
@@ -240,7 +258,9 @@ def test_depths_leave_references_outside_the_pool_to_numpy(native):
         with pytest.raises(IndexError):
             _batched_depth_counts(square, np.array(references), True)
     got = _batched_depth_counts(codes, np.array([[-1, 2]]), True)
-    assert np.array_equal(got, _batched_depth_counts_numpy(codes, np.array([[5, 2]]), True))
+    with numpy_kernels():
+        want = _batched_depth_counts(codes, np.array([[5, 2]]), True)
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------- fallback and cache

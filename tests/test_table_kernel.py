@@ -153,28 +153,6 @@ def test_nan_query_distance_rejected_by_refine_deepest():
         refine_deepest(space, sample, sample, np.array([np.nan]), budget=3)
 
 
-def batch_last(stack):
-    """A (B1, B2, n, n_A) stack as the kernel takes it, (n, n_A, B1, B2)."""
-    return np.moveaxis(stack, (0, 1), (2, 3))
-
-
-def batch_first(tables):
-    """(n_A, n_A, B1, B2) tables back as (B1, B2, n_A, n_A)."""
-    return np.moveaxis(tables, (2, 3), (0, 1))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.data())
-def test_stacked_tables_match_one_at_a_time(data):
-    # Trailing axes are batch axes: one table per stacked distance matrix.
-    n = data.draw(st.sampled_from([1, 2, 254, 255, 256, 257]))
-    stack = [data.draw(tied_distances(st.just(n), st.just(5))) for _ in range(6)]
-    stacked = np.stack(stack).reshape(2, 3, n, 5)
-    got = batch_first(_prob_counts(batch_last(stacked), distinct_rows(stacked)))
-    want = np.stack([brute_counts(dist) for dist in stack]).reshape(2, 3, 5, 5)
-    assert np.array_equal(got, want)
-
-
 # ------------------------------------------------- triangle and square paths
 
 @contextmanager
@@ -232,20 +210,6 @@ def test_distinct_tables_across_the_row_chunk_boundary(dist, cap):
     codes = _row_ranks(dist)
     with chunk_cap(cap):
         assert np.array_equal(_prob_counts_numpy(codes, True), brute_counts(dist))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data(), st.integers(0, 6 * 8 * 8 * 8))
-def test_stacked_distinct_tables_in_anchor_blocks(data, cap):
-    n = data.draw(st.integers(1, 8))
-    n_anchors = data.draw(st.integers(1, 8))
-    stack = [data.draw(distinct_distances(st.just(n), st.just(n_anchors)))
-             for _ in range(6)]
-    stacked = np.stack([_row_ranks(dist) for dist in stack]).reshape(2, 3, n, n_anchors)
-    with chunk_cap(cap):
-        got = batch_first(_prob_counts_numpy(batch_last(stacked), True))
-    want = np.stack([brute_counts(dist) for dist in stack])
-    assert np.array_equal(got, want.reshape(2, 3, n_anchors, n_anchors))
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,22 +281,3 @@ def test_tie_free_mirror_reaches_0_and_n_without_wrapping(cap):
     assert np.array_equal(got, np.where(np.triu(np.ones((6, 6), bool)), 255, 0))
     assert np.array_equal(got, brute_counts(dist))
 
-
-@settings(max_examples=30, deadline=None)
-@given(st.data(), st.integers(0, 4 * 8 * 8 * 5))
-def test_batch_axis_last_equals_one_table_at_a_time(data, cap):
-    # An (n, n_A, B) stack gives table[a1, a2, b], the table of codes[..., b].
-    n = data.draw(st.integers(1, 8))
-    n_anchors = data.draw(st.integers(1, 8))
-    distances = st.one_of(tied_distances(st.just(n), st.just(n_anchors)),
-                          distinct_distances(st.just(n), st.just(n_anchors)))
-    stack = [_row_ranks(data.draw(distances)) for _ in range(data.draw(st.integers(1, 5)))]
-    stacked = np.stack(stack, axis=-1)
-    distinct = all(_distinct_rows(codes) for codes in stack)
-    with chunk_cap(cap):
-        got = _prob_counts_numpy(stacked, distinct)
-        want = [_prob_counts_numpy(codes, distinct) for codes in stack]
-    assert got.shape == (n_anchors, n_anchors, len(stack))
-    assert got.dtype == np.min_scalar_type(n)
-    for b, table in enumerate(want):
-        assert np.array_equal(got[..., b], table)
