@@ -2,10 +2,12 @@
  * per-row rank codes, the first-hit scan over sorted anchor pairs, and the
  * permutation tests' depth counts against many small reference groups.
  *
- * Each computes exactly what its numpy kernel in depth.py or inference.py
- * computes: every comparison is an IEEE `<=` between two entries of one
- * row, so the build must never run under -ffast-math. Arrays are
- * C-contiguous and row-major, and every scratch buffer is the caller's.
+ * Each computes exactly what the numpy body of its entry point computes
+ * (`_prob_counts` and `_min_counts` in depth.py, `_batched_depth_counts` in
+ * inference.py): every comparison is an IEEE `<=` between two entries of
+ * one row, so the build must never run under -ffast-math. Kernels are
+ * chosen by the dtypes of their arrays alone, named by those dtypes. Arrays
+ * are C-contiguous and row-major, and every scratch buffer is the caller's.
  */
 #include <stdint.h>
 #include <string.h>
@@ -25,20 +27,19 @@
  * the strip's padding are never stored. */
 enum { FIRST = 16, TILE = 512, LANES = 32 };
 
-/* counts[a1, a2] = #{i : codes[i, a1] <= codes[i, a2]} for an (n, n_anchors)
- * code matrix, into an (n_anchors, n_anchors) table of uint16 (wide) or
- * uint8 entries; n <= 65535, and n <= 255 when not wide. With `distinct`
- * no row holds two equal codes, so counts[a2, a1] = n - counts[a1, a2]:
- * each block compares only the tiles that reach its own first anchor, and
- * writes the columns past the block into the mirrored rows. */
-#define TABLE(NAME, CODE)                                                      \
+/* counts[a1 * stride + a2] = #{i : codes[i, a1] <= codes[i, a2]} for an
+ * (n, n_anchors) code matrix, into the first n_anchors entries of
+ * n_anchors rows of COUNT, stride entries apart; n <= 65535, and n <= 255
+ * for uint8 counts. With `distinct` no row holds two equal codes, so
+ * counts[a2, a1] = n - counts[a1, a2]: each block compares only the tiles
+ * that reach its own first anchor, and writes the columns past the block
+ * into the mirrored rows. */
+#define TABLE(NAME, CODE, COUNT)                                               \
     CLONES void NAME(const CODE *codes, int64_t n, int64_t n_anchors,          \
-                     int distinct, void *counts, int wide)                     \
+                     int distinct, COUNT *counts, int64_t stride)              \
     {                                                                          \
         uint16_t acc[FIRST][TILE] __attribute__((aligned(32)));                \
         CODE strip[TILE] __attribute__((aligned(32)));                         \
-        uint16_t *wide_out = counts;                                           \
-        uint8_t *narrow_out = counts;                                          \
         memset(strip, 0, sizeof strip);                                        \
         for (int64_t c0 = 0; c0 < n_anchors; c0 += TILE) {                     \
             int64_t width = n_anchors - c0 < TILE ? n_anchors - c0 : TILE;     \
@@ -62,28 +63,22 @@ enum { FIRST = 16, TILE = 512, LANES = 32 };
                     }                                                          \
                 }                                                              \
                 for (int64_t a = lo; a < hi; a++)                              \
-                    for (int64_t c = from; c < width; c++) {                   \
-                        if (wide)                                              \
-                            wide_out[a * n_anchors + c0 + c] = acc[a - lo][c]; \
-                        else                                                   \
-                            narrow_out[a * n_anchors + c0 + c] = acc[a - lo][c]; \
-                    }                                                          \
+                    for (int64_t c = from; c < width; c++)                     \
+                        counts[a * stride + c0 + c] = (COUNT)acc[a - lo][c];   \
                 if (!distinct)                                                 \
                     continue;                                                  \
                 for (int64_t c = hi > c0 ? hi - c0 : 0; c < width; c++)        \
-                    for (int64_t a = lo; a < hi; a++) {                        \
-                        uint16_t mirror = (uint16_t)(n - acc[a - lo][c]);      \
-                        if (wide)                                              \
-                            wide_out[(c0 + c) * n_anchors + a] = mirror;       \
-                        else                                                   \
-                            narrow_out[(c0 + c) * n_anchors + a] = mirror;     \
-                    }                                                          \
+                    for (int64_t a = lo; a < hi; a++)                          \
+                        counts[(c0 + c) * stride + a] =                        \
+                            (COUNT)(n - acc[a - lo][c]);                       \
             }                                                                  \
         }                                                                      \
     }
 
-TABLE(table_u8, uint8_t)
-TABLE(table_u16, uint16_t)
+TABLE(table_u8_u8, uint8_t, uint8_t)
+TABLE(table_u8_u16, uint8_t, uint16_t)
+TABLE(table_u16_u8, uint16_t, uint8_t)
+TABLE(table_u16_u16, uint16_t, uint16_t)
 
 /* Pairs scanned per query before moving on to the next query: the span's
  * pair indices stay in L1 while every query still scanning reads them. */
@@ -116,23 +111,20 @@ enum { SPAN = 4096 };
         }                                                                      \
     }
 
-SCAN(scan_f64_u8, double, uint8_t)
 SCAN(scan_f64_u16, double, uint16_t)
-SCAN(scan_u8_u8, uint8_t, uint8_t)
 SCAN(scan_u8_u16, uint8_t, uint16_t)
-SCAN(scan_u16_u8, uint16_t, uint8_t)
 SCAN(scan_u16_u16, uint16_t, uint16_t)
 
 /* out[r, y] = the least entry of reference group r's table over the anchor
  * pairs (a1, a2) that pooled observation y admits,
  * codes[y, ref[a1]] <= codes[y, ref[a2]], for a (total, total) matrix of
  * pooled codes and an (n_refs, m) array of pooled indices, one group per
- * row; counts are uint16 (COUNT wide) or uint8, and m <= 65535.
+ * row; counts are uint8 or uint16, and m <= 65535.
  *
- * Each group's members' (m, m) codes go to `members` and their table, built
- * by BUILD, to `table`. It is copied into the rows of `padded`, (m, width)
- * with width a multiple of LANES, whose tails hold the count maximum, and
- * each observation's codes at the members go to `query`, of width entries.
+ * Each group's members' (m, m) codes go to `members`, and BUILD writes
+ * their table straight into the rows of `padded`, (m, width) with width a
+ * multiple of LANES, whose tails hold the count maximum; each
+ * observation's codes at the members go to `query`, of width entries.
  * The minimum runs over whole padded rows into LANES running minima, one
  * per column modulo LANES, that stay in registers until the observation's
  * last row: a pair's admissibility flag minus 1 is 0 or the count maximum,
@@ -143,7 +135,7 @@ SCAN(scan_u16_u16, uint16_t, uint16_t)
 #define DEPTHS(NAME, CODE, COUNT, BUILD)                                       \
     CLONES void NAME(const CODE *codes, int64_t total, const int64_t *refs,    \
                      int64_t n_refs, int64_t m, int distinct, CODE *members,   \
-                     COUNT *table, COUNT *padded, CODE *query, COUNT *out)     \
+                     COUNT *padded, CODE *query, COUNT *out)                   \
     {                                                                          \
         int64_t width = (m + LANES - 1) / LANES * LANES;                       \
         for (int64_t a = 0; a < m; a++)                                        \
@@ -156,9 +148,7 @@ SCAN(scan_u16_u16, uint16_t, uint16_t)
             for (int64_t i = 0; i < m; i++)                                    \
                 for (int64_t j = 0; j < m; j++)                                \
                     members[i * m + j] = codes[ref[i] * total + ref[j]];       \
-            BUILD(members, m, m, distinct, table, sizeof(COUNT) == 2);         \
-            for (int64_t a = 0; a < m; a++)                                    \
-                memcpy(padded + a * width, table + a * m, m * sizeof(COUNT)); \
+            BUILD(members, m, m, distinct, padded, width);                     \
             for (int64_t y = 0; y < total; y++) {                              \
                 const CODE *row = codes + y * total;                           \
                 for (int64_t j = 0; j < m; j++)                                \
@@ -183,7 +173,7 @@ SCAN(scan_u16_u16, uint16_t, uint16_t)
         }                                                                      \
     }
 
-DEPTHS(depths_u8_u8, uint8_t, uint8_t, table_u8)
-DEPTHS(depths_u8_u16, uint8_t, uint16_t, table_u8)
-DEPTHS(depths_u16_u8, uint16_t, uint8_t, table_u16)
-DEPTHS(depths_u16_u16, uint16_t, uint16_t, table_u16)
+DEPTHS(depths_u8_u8, uint8_t, uint8_t, table_u8_u8)
+DEPTHS(depths_u8_u16, uint8_t, uint16_t, table_u8_u16)
+DEPTHS(depths_u16_u8, uint16_t, uint8_t, table_u16_u8)
+DEPTHS(depths_u16_u16, uint16_t, uint16_t, table_u16_u16)

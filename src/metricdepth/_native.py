@@ -1,19 +1,23 @@
 """Loader of the compiled integer kernels in ``_core.c``.
 
 The kernels are built with the system ``gcc`` the first time one is
-called, once per user, into ``$XDG_CACHE_HOME/metricdepth`` (by default
-``~/.cache/metricdepth``, created with mode 0700). The file name is keyed
-by the SHA-256 of the source and the compiler flags, so an edited source
-builds anew. A build is written under a temporary name and moved into
-place with ``os.replace``, so processes that build at once (such as the
-workers of ``simulate``) each end with a complete file. The library ends
-in the SHA-256 of what precedes it; a cached file whose digest does not
-match, such as a truncated one, is rebuilt rather than loaded.
+called, once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with
+mode 0700. An unset, empty or relative ``XDG_CACHE_HOME``, which the XDG
+Base Directory Specification makes invalid, means ``~/.cache``. The file
+name is keyed by the SHA-256 of the source and the compiler flags, so an
+edited source builds anew. A build is written under a temporary name and
+moved into place with ``os.replace``, so processes that build at once
+(such as the workers of ``simulate``) each end with a complete file. The
+library ends in the SHA-256 of what precedes it; a cached file whose
+digest does not match, such as a truncated one, is rebuilt rather than
+loaded.
 
 When gcc is missing, the build fails or the cache is not writable,
 :func:`library` logs one warning through this module's logger and returns
-None, and the numpy kernels in :mod:`metricdepth.depth` and
-:mod:`metricdepth.inference` run instead, with the same results.
+None, and the numpy bodies of the entry points in :mod:`metricdepth.depth`
+and :mod:`metricdepth.inference` run instead, with the same results. A
+kernel is named by its task and the dtypes of its arrays, and takes no
+flag that a dtype could state.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ _kernels = _UNSET
 
 
 def cache_dir() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = Path.home() / ".cache"
     return Path(root) / "metricdepth"
 
 
@@ -74,8 +80,8 @@ def kernels() -> str:
 
 def kernel(name: str, *dtypes):
     """The compiled kernel ``name`` for arrays of ``dtypes`` (such as
-    ``kernel("scan", query.dtype, pairs.dtype)``), or None when the library
-    does not load or has no kernel for those dtypes."""
+    ``kernel("table", codes.dtype, counts.dtype)``), or None when the
+    library does not load or has no kernel for those dtypes."""
     suffixes = [_SUFFIXES.get(np.dtype(d)) for d in dtypes]
     if None in suffixes or library() is None:
         return None
@@ -90,13 +96,14 @@ def _load() -> dict:
         _build(target)
     lib = ctypes.CDLL(str(target))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    signatures = {f"table_{code}": [ptr, i64, i64, ctypes.c_int, ptr, ctypes.c_int]
-                  for code in ("u8", "u16")}
-    signatures.update({f"scan_{query}_{pair}": [ptr, i64, i64, ptr, ptr, i64, ptr]
-                       for query in ("f64", "u8", "u16") for pair in ("u8", "u16")})
+    integers = ("u8", "u16")
+    signatures = {f"table_{code}_{count}": [ptr, i64, i64, ctypes.c_int, ptr, i64]
+                  for code in integers for count in integers}
+    signatures.update({f"scan_{query}_u16": [ptr, i64, i64, ptr, ptr, i64, ptr]
+                       for query in ("f64", *integers)})
     signatures.update({f"depths_{code}_{count}": [ptr, i64, ptr, i64, i64, ctypes.c_int,
-                                                  ptr, ptr, ptr, ptr, ptr]
-                       for code in ("u8", "u16") for count in ("u8", "u16")})
+                                                  ptr, ptr, ptr, ptr]
+                       for code in integers for count in integers})
     functions = {}
     for name, argtypes in signatures.items():
         function = functions[name] = getattr(lib, name)

@@ -42,15 +42,11 @@ build each reference group's table with the same compiled build. Its
 table build takes blocks of 16 first anchors against tiles of 512
 columns, with uint16 accumulators that stay in L1 while the sample rows
 stream past; its scan reads each kept pair's two indices and the query's
-two entries, and stops at the first admissible pair. The numpy kernels,
-:func:`_prob_counts_numpy` and :func:`_min_counts_numpy`, are the
-reference the compiled ones must equal in every count, dtype, layout and
-pair. They run everything else: other dtypes, and every call where no
-compiler is found.
-The numpy table sums member flags as uint8 over chunks of at most 255
-sample rows. The numpy scan holds its queries anchor-major, transposed
-once to (n_A, m), so each block of pairs gathers whole anchor rows with
-``np.take`` rather than single codes per query.
+two entries, and stops at the first admissible pair. Each step has one
+entry point, :func:`_prob_counts` and :func:`_min_counts`, whose numpy
+body is the reference the compiled kernel must equal in every count,
+dtype, layout and first-hit position. The numpy body runs everything
+else: other dtypes, and every call where no compiler is found.
 
 The table keeps its rank codes. When the queries are the sample itself
 (the same object), the scan reads those codes in place of a second
@@ -159,6 +155,8 @@ class HalfspaceProbTable:
         copy: :func:`_prob_counts` stores them in the narrowest dtype that
         holds n, so numpy's stable sort runs as a radix sort on the usual
         sample sizes. A table given wider counts sorts to the same pairs.
+        Indices are uint16 up to 65 536 anchors, the one pair dtype the
+        compiled scan takes, and uint32 beyond.
         """
         n_anchors = len(self.counts)
         bound = _least_pair_max(self.counts)
@@ -169,7 +167,7 @@ class HalfspaceProbTable:
         order = index[np.argsort(key[index], kind="stable")]
         order = order.astype(np.min_scalar_type(key.size))
         a1, a2 = np.divmod(order, n_anchors)
-        dtype = np.min_scalar_type(n_anchors)
+        dtype = np.uint16 if n_anchors <= 1 << 16 else np.uint32
         return a1.astype(dtype), a2.astype(dtype)
 
 
@@ -230,27 +228,6 @@ def _distinct_rows(codes: np.ndarray) -> bool:
 
 
 def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
-    """Table of halfspace member counts from an (n, n_A) matrix of codes;
-    see :func:`_prob_counts_numpy`, which it equals bit for bit.
-
-    Uint8 or uint16 codes are built by the compiled kernel when it loads,
-    if n < 65536 (its uint16 sums hold counts up to n); anything else by
-    the numpy kernel.
-    """
-    kernel = None
-    if codes.shape[0] < 65536:
-        kernel = _native.kernel("table", codes.dtype)
-    if kernel is None:
-        return _prob_counts_numpy(codes, distinct)
-    n, n_anchors = codes.shape
-    codes = np.ascontiguousarray(codes)
-    counts = np.empty((n_anchors, n_anchors), dtype=np.min_scalar_type(n))
-    kernel(codes.ctypes.data, n, n_anchors, distinct, counts.ctypes.data,
-           counts.dtype == np.uint16)
-    return counts
-
-
-def _prob_counts_numpy(codes: np.ndarray, distinct: bool) -> np.ndarray:
     """Table of halfspace member counts from an (n, n_A) distance matrix or
     any per-row order-preserving codes of it, such as :func:`_row_ranks`:
     sample rows first, anchors second.
@@ -261,19 +238,27 @@ def _prob_counts_numpy(codes: np.ndarray, distinct: bool) -> np.ndarray:
     the table as built and widen before any arithmetic that could leave
     [0, n].
 
-    Only entries of one row are compared. Sample rows are taken in chunks
-    of at most 255, so each chunk's member count fits a uint8 sum. Anchors
-    are taken in blocks of first anchors [lo:hi]. ``distinct`` states that
-    no row of ``codes`` holds two equal entries; then each row puts every
-    pair of distinct anchors on exactly one side, so
-    ``counts[a2, a1] = n - counts[a1, a2]``, and a block compares only
-    against the anchors from ``lo`` on and fills the columns [lo:hi] of
-    the later rows from that identity. One duplicate anchor ties every
-    row, so ties are a property of the whole table, and a tied table
-    counts every block against all anchors.
+    ``distinct`` states that no row of ``codes`` holds two equal entries;
+    then each row puts every pair of distinct anchors on exactly one side,
+    so ``counts[a2, a1] = n - counts[a1, a2]`` and only the upper triangle
+    is compared. One duplicate anchor ties every row, so ties are a
+    property of the whole table, and a tied table counts both halves.
+
+    Uint8 or uint16 codes into uint8 or uint16 counts are built by the
+    compiled kernel when it loads. The numpy body, which builds the same
+    table bit for bit, runs everything else. It compares only entries of
+    one row, in chunks of at most 255 sample rows, so each chunk's member
+    count fits a uint8 sum, and in blocks of first anchors [lo:hi]; a
+    distinct block compares only against the anchors from ``lo`` on and
+    fills the columns [lo:hi] of the later rows from the identity above.
     """
     n, n_anchors = codes.shape
     counts = np.zeros((n_anchors, n_anchors), dtype=np.min_scalar_type(n))
+    kernel = _native.kernel("table", codes.dtype, counts.dtype)
+    if kernel is not None:
+        codes = np.ascontiguousarray(codes)
+        kernel(codes.ctypes.data, n, n_anchors, distinct, counts.ctypes.data, n_anchors)
+        return counts
     rows = min(n, 255)
     block = max(1, _CHUNK_ELEMS // max(rows * n_anchors, 1))
     for lo in range(0, n_anchors, block):
@@ -293,24 +278,55 @@ def _prob_counts_numpy(codes: np.ndarray, distinct: bool) -> np.ndarray:
 
 
 def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
-    """Per-query least table count over admissible ordered anchor pairs;
-    see :func:`_min_counts_numpy`, which it equals.
+    """Per-query least table count over admissible ordered anchor pairs.
 
-    Float64 distances and uint8 or uint16 codes are scanned by the compiled
-    kernel when it loads, other dtypes by the numpy kernel.
+    A pair (a1, a2) is admissible for query y when d(y, a1) <= d(y, a2) and
+    a1 != a2. ``dist_query_anchors`` holds distances or any per-row
+    order-preserving codes of them, since only entries of one row are
+    compared. Each query scans ``table.sorted_pairs`` in order and stops at
+    its first admissible pair: the least count, and among equal counts the
+    first pair in row-major order, which is the pair an argmin over the
+    masked, flattened table would return. An empty admissible set yields
+    count n (depth 1 by convention) and indices -1. Returns
+    ``(counts, a1, a2)``, one entry per query.
+
+    Either body finds each query's first-hit position in the sorted pairs,
+    or -1. Float64 distances and uint8 or uint16 codes in rows of all n_A
+    entries are scanned by the compiled kernel when it loads; it indexes
+    each row by the pairs unchecked, so other shapes go to the numpy body,
+    which raises on a short row. The numpy body scans in blocks that double
+    in length, with its queries held anchor-major, as an (n_A, active)
+    array, so gathering a block's anchors copies whole rows of all active
+    queries rather than one 1- or 2-byte code at a time; the admissible
+    flags come out as (block, active) and each query's first hit is read
+    down its column. Rows are gathered with ``np.take``: fancy indexing
+    gives the same pairs but took about 44 against 35 us per one-query scan
+    (spd:2, n = 100, n_A = 300), a cost every refinement step pays.
     """
     a1s, a2s = table.sorted_pairs
     n_anchors = len(table.counts)
+    n_queries = len(dist_query_anchors)
     kernel = _native.kernel("scan", dist_query_anchors.dtype, a1s.dtype)
-    # The compiled scan indexes each query row by the pairs unchecked, so it
-    # only takes rows of all n_A entries; numpy raises on any other shape.
-    if kernel is None or dist_query_anchors.shape[1:] != (n_anchors,):
-        return _min_counts_numpy(table, dist_query_anchors)
-    query = np.ascontiguousarray(dist_query_anchors)
-    n_queries = len(query)
-    first = np.empty(n_queries, dtype=np.int64)
-    kernel(query.ctypes.data, n_queries, n_anchors, a1s.ctypes.data, a2s.ctypes.data,
-           len(a1s), first.ctypes.data)
+    if kernel is not None and dist_query_anchors.shape[1:] == (n_anchors,):
+        query = np.ascontiguousarray(dist_query_anchors)
+        first = np.empty(n_queries, dtype=np.int64)
+        kernel(query.ctypes.data, n_queries, n_anchors, a1s.ctypes.data, a2s.ctypes.data,
+               len(a1s), first.ctypes.data)
+    else:
+        first = np.full(n_queries, -1, dtype=np.int64)
+        active = np.arange(n_queries)
+        dist = np.ascontiguousarray(dist_query_anchors.T)
+        lo, block = 0, n_anchors
+        while len(active) and lo < len(a1s):
+            # Each gather, float64 at widest, stays under _CHUNK_ELEMS bytes.
+            step = max(1, min(block, _CHUNK_ELEMS // 8 // len(active)))
+            hi = min(lo + step, len(a1s))
+            admissible = np.take(dist, a1s[lo:hi], axis=0) <= np.take(dist, a2s[lo:hi], axis=0)
+            hit = admissible.any(axis=0)
+            if hit.any():
+                first[active[hit]] = lo + admissible.T[hit].argmax(axis=1)
+                active, dist = active[~hit], dist[:, ~hit]
+            lo, block = hi, 2 * block
     hit = first >= 0
     best = np.full(n_queries, table.n, dtype=np.int64)
     best_a1 = np.full(n_queries, -1, dtype=np.int64)
@@ -318,52 +334,6 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
     best_a1[hit] = a1s[first[hit]]
     best_a2[hit] = a2s[first[hit]]
     best[hit] = table.counts[best_a1[hit], best_a2[hit]]
-    return best, best_a1, best_a2
-
-
-def _min_counts_numpy(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
-    """Per-query least table count over admissible ordered anchor pairs.
-
-    A pair (a1, a2) is admissible for query y when d(y, a1) <= d(y, a2) and
-    a1 != a2. ``dist_query_anchors`` holds distances or any per-row
-    order-preserving codes of them, since only entries of one row are
-    compared. Queries scan ``table.sorted_pairs`` in blocks that double in
-    length, and each retires at its first admissible pair: the least count,
-    and among equal counts the first pair in row-major order, which is the
-    pair an argmin over the masked, flattened table would return. An empty
-    admissible set yields count n (depth 1 by convention) and indices -1.
-    Returns ``(counts, a1, a2)``, one entry per query.
-
-    The scan holds the query entries anchor-major, as an (n_A, active)
-    array, so gathering a block's anchors copies whole rows of all active
-    queries rather than one 1- or 2-byte code at a time; the admissible
-    flags come out as (block, active) and each query's first hit is read
-    down its column. Rows are gathered with ``np.take``: fancy indexing
-    gives the same pairs but took about 44 against 35 us per one-query
-    scan (spd:2, n = 100, n_A = 300), a cost every refinement step pays.
-    """
-    a1s, a2s = table.sorted_pairs
-    n_queries = len(dist_query_anchors)
-    best = np.full(n_queries, table.n, dtype=np.int64)
-    best_a1 = np.full(n_queries, -1, dtype=np.int64)
-    best_a2 = np.full(n_queries, -1, dtype=np.int64)
-    active = np.arange(n_queries)
-    dist = np.ascontiguousarray(dist_query_anchors.T)
-    lo, block = 0, len(table.counts)
-    while len(active) and lo < len(a1s):
-        # Each gather, float64 at widest, stays under _CHUNK_ELEMS bytes.
-        step = max(1, min(block, _CHUNK_ELEMS // 8 // len(active)))
-        hi = min(lo + step, len(a1s))
-        admissible = np.take(dist, a1s[lo:hi], axis=0) <= np.take(dist, a2s[lo:hi], axis=0)
-        hit = admissible.any(axis=0)
-        if hit.any():
-            first = lo + admissible.T[hit].argmax(axis=1)
-            done = active[hit]
-            best_a1[done] = a1s[first]
-            best_a2[done] = a2s[first]
-            best[done] = table.counts[best_a1[done], best_a2[done]]
-            active, dist = active[~hit], dist[:, ~hit]
-        lo, block = hi, 2 * block
     return best, best_a1, best_a2
 
 

@@ -56,7 +56,10 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
     """Shared loop for the mean and median: step along ``direction`` with
     halving on objective increase; ``converged`` means the last applied
     update was shorter than ``tol``. ``points`` is ``space.stack(sample)``,
-    which every distance call reads."""
+    which every distance call reads. ``direction`` gets the distances from
+    the current point to the sample: the accepted trial's row, or on the
+    first iteration a one-row call of its own, since sphere and SPD entries
+    of the n x n start matrix can differ in their last bits from it."""
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
     dist = space.distance_matrix(points, points)
@@ -68,11 +71,12 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
         raise NumericalError(f"objective is not finite ({current}) on the sample; "
                              "its distances hold NaN or inf")
     x = sample[int(np.argmin(objs))]
+    row = space.distance_matrix([x], points)
     last_update = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         try:
-            v = direction(x, dist=space.distance_matrix([x], points)[0])
+            v = direction(x, dist=row[0])
         except MetricDepthError as exc:
             raise NumericalError(
                 f"{exc}; try an initial point deeper inside the data"
@@ -82,9 +86,10 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
         accepted = False
         for _ in range(MAX_STEP_HALVINGS):
             trial = space.exp(x, space.scale_tangent(v, step))
-            trial_obj = float(objective(space.distance_matrix([trial], points))[0])
+            trial_row = space.distance_matrix([trial], points)
+            trial_obj = float(objective(trial_row)[0])
             if trial_obj <= current:
-                x, current = trial, trial_obj
+                x, current, row = trial, trial_obj, trial_row
                 last_update = step * vnorm
                 accepted = True
                 break

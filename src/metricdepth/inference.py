@@ -128,12 +128,12 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
 
     Uint8 or uint16 codes with groups of m < 65536 run in the compiled
     kernel when it loads: for each group it gathers the members' codes,
-    builds their table with the compiled table build and takes each
-    observation's dense masked minimum over table rows padded to whole
-    vector registers, with every buffer allocated here. Anything else
-    builds each group's table with :func:`depth._prob_counts` and scans it
-    with :func:`depth._min_counts`, whose first hit in the sorted pairs is
-    the same least count.
+    builds their table with the compiled table build straight into rows
+    padded to whole vector registers, and takes each observation's dense
+    masked minimum over those rows, with every buffer allocated here.
+    Anything else builds each group's table with :func:`depth._prob_counts`
+    and scans it with :func:`depth._min_counts`, whose first hit in the
+    sorted pairs is the same least count.
     """
     n_refs, m = references.shape
     total = len(codes)
@@ -153,13 +153,11 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     references = np.ascontiguousarray(references, dtype=np.int64)
     width = -(-m // 32) * 32  # whole runs of the kernel's 32 lanes
     members = np.empty((m, m), dtype=codes.dtype)
-    table = np.empty((m, m), dtype=count)
     padded = np.empty((m, width), dtype=count)
     query = np.empty(width, dtype=codes.dtype)
     out = np.empty((n_refs, total), dtype=count)
     kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct,
-           members.ctypes.data, table.ctypes.data, padded.ctypes.data, query.ctypes.data,
-           out.ctypes.data)
+           members.ctypes.data, padded.ctypes.data, query.ctypes.data, out.ctypes.data)
     return out
 
 

@@ -39,7 +39,8 @@ def distinct_rows(values):
 
 @contextmanager
 def numpy_kernels():
-    """Run the numpy kernels, as where the compiled ones cannot be built."""
+    """Run the numpy bodies of the kernel entry points, as where the compiled
+    kernels cannot be built."""
     saved = _native._kernels
     _native._kernels = None
     try:

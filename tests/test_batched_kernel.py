@@ -7,8 +7,8 @@ count together, on the compiled kernel or the numpy fallback. Codes come
 from a small palette so rows tie heavily; group sizes cover the smallest
 groups and the switch of the count dtype from uint8 to uint16, and a
 lowered element cap forces every chunk boundary of the numpy table build
-and scan. The compiled kernel ignores the cap, so those checks run on the
-numpy kernels.
+and scan. The compiled kernel ignores the cap, so those checks run the
+numpy bodies.
 """
 
 import numpy as np

@@ -115,6 +115,26 @@ def test_objectives_never_increase(rng):
     assert frechet_median(space, pts).objective <= init_abs + 1e-12
 
 
+@pytest.mark.parametrize("space", [SPD(2), Sphere(2)], ids=str)
+def test_descent_computes_each_distance_row_once(rng, monkeypatch, space):
+    # Each iteration's direction reads the row that its accepted step
+    # computed, so no point's distances to the sample are computed twice.
+    # The mean and median share the loop; the mean takes many steps here.
+    pts = random_points(space, 20, rng)
+    rows = []
+    distance_matrix = type(space).distance_matrix
+
+    def counted(self, xs, ys):
+        if len(xs) == 1:
+            rows.append(np.asarray(xs[0]).tobytes())
+        return distance_matrix(self, xs, ys)
+
+    monkeypatch.setattr(type(space), "distance_matrix", counted)
+    result = frechet_mean(space, pts)
+    assert result.iterations > 2
+    assert len(rows) == len(set(rows))
+
+
 # ------------------------------------------------------------------ GDD
 
 def test_gdd_values():

@@ -1,12 +1,12 @@
 """The compiled table, scan and permutation depth-count kernels against
-the numpy kernels, and the loader that builds them.
+the numpy bodies of their entry points, and the loader that builds them.
 
-The numpy kernels are the oracle: every check demands the same counts, in
-the same dtype and layout, and the same ``(count, a1, a2)`` per query.
-Sizes straddle the uint8/uint16 switches of the codes (n_A = 256, 257),
-of the counts (n = 255, 256) and of the pair indices, and the compiled
-build's tiles of 512 columns and blocks of 16 first anchors; reference
-groups straddle the count switch (m = 255, 256) and the padding of table
+The numpy bodies are the oracle, run by the same entry points under
+``numpy_kernels()``: every check demands the same counts, in the same dtype
+and layout, and the same ``(count, a1, a2)`` per query.
+Sizes straddle the uint8/uint16 switches of the codes (n_A = 256, 257)
+and of the counts (n = 255, 256), and the compiled build's tiles of 512
+columns and blocks of 16 first anchors; reference groups straddle the count switch (m = 255, 256) and the padding of table
 rows to 32 entries, and include the paper's groups of 60 among 240. The
 permutation depth counts' oracle is a different algorithm: the numpy
 fallback scans each group's sorted pairs to the first hit, where the
@@ -33,9 +33,7 @@ from metricdepth.depth import (
     HalfspaceProbTable,
     _distinct_rows,
     _min_counts,
-    _min_counts_numpy,
     _prob_counts,
-    _prob_counts_numpy,
     _row_ranks,
     halfspace_prob_table,
 )
@@ -57,10 +55,11 @@ def native():
 
 
 def same_table(codes, distinct):
-    """The compiled build's table, checked against the numpy kernel's."""
-    assert _native.kernel("table", codes.dtype) is not None
+    """The compiled build's table, checked against the numpy body's."""
+    assert _native.kernel("table", codes.dtype, np.min_scalar_type(len(codes))) is not None
     got = _prob_counts(codes, distinct)
-    want = _prob_counts_numpy(codes, distinct)
+    with numpy_kernels():
+        want = _prob_counts(codes, distinct)
     assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
     assert np.array_equal(got, want)
     return got
@@ -70,7 +69,8 @@ def same_scan(table, query):
     """The compiled scan's ``(count, a1, a2)``, checked against numpy's."""
     assert _native.kernel("scan", query.dtype, table.sorted_pairs[0].dtype) is not None
     got = _min_counts(table, query)
-    want = _min_counts_numpy(table, query)
+    with numpy_kernels():
+        want = _min_counts(table, query)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     return got
@@ -131,11 +131,19 @@ def test_mirror_reaches_0_and_n_in_uint8(native):
     assert np.array_equal(got, np.where(np.triu(np.ones((40, 40), bool)), 255, 0))
 
 
+def test_counts_past_uint16_fall_to_numpy(native):
+    # 65 536 rows need uint32 counts, which no compiled build writes.
+    dist = distances(np.random.default_rng(1), 65536, 3, False)
+    counts = _prob_counts(_row_ranks(dist), True)
+    assert counts.dtype == np.uint32 and np.array_equal(counts, brute_counts(dist))
+
+
 def test_public_table_uses_the_compiled_build(native, rng):
     space = Euclidean(2)
     sample = random_points(space, 60, rng)
     table = halfspace_prob_table(space, sample, sample + sample[:3])
-    assert np.array_equal(table.counts, _prob_counts_numpy(table.codes, False))
+    with numpy_kernels():
+        assert np.array_equal(table.counts, _prob_counts(table.codes, False))
 
 
 # ------------------------------------------------------------------- scan
@@ -143,8 +151,8 @@ def test_public_table_uses_the_compiled_build(native, rng):
 @pytest.mark.parametrize("n_anchors", [40, 256, 257])
 @pytest.mark.parametrize("tied", [False, True])
 def test_scan_equals_numpy_on_codes_and_distances(native, n_anchors, tied):
-    # 256 anchors take uint8 codes and uint16 pair indices, 40 anchors
-    # uint8 for both, 257 uint16 for both. The sample queries its own
+    # 40 and 256 anchors take uint8 codes and 257 uint16 ones; pair
+    # indices are uint16 throughout. The sample queries its own
     # codes; fresh points query float64 distances, many at once and one
     # at a time.
     rng = np.random.default_rng(n_anchors)
@@ -176,8 +184,9 @@ def test_scan_past_the_first_span_of_pairs(native, rng):
 
 def test_single_anchor_has_no_pair(native):
     table = HalfspaceProbTable(counts=np.array([[3]], dtype=np.uint8), n=3)
-    got = same_scan(table, np.array([[0.5], [2.0]]))
-    assert [a.tolist() for a in got] == [[3, 3], [-1, -1], [-1, -1]]
+    for query in (np.array([[0.5], [2.0]]), np.zeros((2, 1), dtype=np.uint8)):
+        got = same_scan(table, query)
+        assert [a.tolist() for a in got] == [[3, 3], [-1, -1], [-1, -1]]
 
 
 def test_query_admitting_only_the_last_kept_pair(native):
@@ -198,8 +207,10 @@ def test_scan_leaves_rows_of_another_width_to_numpy(native):
     with pytest.raises(IndexError):
         _min_counts(table, np.array([[3.0, 2.0]]))
     wide = np.array([[3.0, 2.0, 1.0, 0.0]])
-    for g, w in zip(_min_counts(table, wide), _min_counts_numpy(table, wide)):
-        assert np.array_equal(g, w)
+    got = _min_counts(table, wide)
+    with numpy_kernels():
+        want = _min_counts(table, wide)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # ----------------------------------------------------- permutation depths
@@ -264,6 +275,33 @@ def test_depths_leave_references_outside_the_pool_to_numpy(native):
 
 
 # ------------------------------------------------------- fallback and cache
+
+def test_kernels_are_chosen_by_dtype_alone(native):
+    # Tables by (code, count), scans by (query, pair), permutation depths by
+    # (code, count) dtype; no kernel takes a width flag.
+    assert sorted(_native.library()) == [
+        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8",
+        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16",
+        "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8"]
+    assert _native.kernel("table", np.uint8, np.uint16) is not None
+    assert _native.kernel("scan", np.float64, np.uint8) is None
+    assert _native.kernel("table", np.uint16, np.uint32) is None
+
+
+@pytest.mark.parametrize("value", ["", "relcache", "./relcache"])
+def test_empty_or_relative_cache_home_is_ignored(monkeypatch, tmp_path, value):
+    # The XDG Base Directory Specification makes a relative path invalid:
+    # honouring one would build a copy of the core in every working directory.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", value)
+    assert _native.cache_dir() == tmp_path / ".cache" / "metricdepth"
+
+
+@pytest.mark.parametrize("value", ["/dev/null", "/tmp/metricdepth-cache"])
+def test_absolute_cache_home_is_used(monkeypatch, value):
+    monkeypatch.setenv("XDG_CACHE_HOME", value)
+    assert _native.cache_dir() == Path(value) / "metricdepth"
+
 
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
@@ -349,5 +387,5 @@ def test_unusable_cache_falls_back(fresh_loader, caplog):
         assert _native.kernels() == "numpy"
         assert _native.kernel("scan", np.float64, np.uint16) is None
     assert len(caplog.records) == 1
-    codes = _row_ranks(distances(np.random.default_rng(0), 30, 50, False))
-    assert np.array_equal(_prob_counts(codes, True), _prob_counts_numpy(codes, True))
+    dist = distances(np.random.default_rng(0), 30, 50, False)
+    assert np.array_equal(_prob_counts(_row_ranks(dist), True), brute_counts(dist))

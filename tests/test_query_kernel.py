@@ -15,7 +15,6 @@ from metricdepth import depth, inference
 from metricdepth.depth import (
     HalfspaceProbTable,
     _min_counts,
-    _min_counts_numpy,
     _prob_counts,
     approx_depth,
     halfspace_prob_table,
@@ -25,7 +24,7 @@ from metricdepth.depth import (
 )
 from metricdepth.spaces import Euclidean, Sphere
 
-from conftest import distinct_rows, random_points
+from conftest import distinct_rows, numpy_kernels, random_points
 
 
 def dense_min_counts(counts, n, dist_query_anchors):
@@ -80,13 +79,14 @@ def test_kernel_matches_dense_on_tied_tables(case):
 @settings(max_examples=100, deadline=None)
 @given(tables_and_distances(), st.integers(8, 64))
 def test_kernel_matches_dense_with_one_pair_blocks(case, cap):
-    # A tiny element cap forces the numpy kernel's blocks down to a pair or
+    # A tiny element cap forces the numpy body's blocks down to a pair or
     # a few pairs per query.
     table, dist = case
     saved = depth._CHUNK_ELEMS
     depth._CHUNK_ELEMS = cap
     try:
-        got = _min_counts_numpy(table, dist)
+        with numpy_kernels():
+            got = _min_counts(table, dist)
     finally:
         depth._CHUNK_ELEMS = saved
     assert_same(got, dense_min_counts(table.counts, table.n, dist))
@@ -113,12 +113,18 @@ def test_real_tables_with_duplicate_anchors_and_anchor_queries(values, extra):
 
 
 def test_single_anchor_gives_full_count_and_no_pair():
+    # One anchor keeps no pair, so both bodies of the scan find no first
+    # hit, on distances and on the table's own codes.
     space, sample = line_space([0, 1, 5])
     anchor = sample[:1]
     table = halfspace_prob_table(space, sample, anchor)
     dist = space.distance_matrix(sample, anchor)
-    assert_same(_min_counts(table, dist), (np.full(3, 3), np.full(3, -1), np.full(3, -1)))
-    assert_same(_min_counts(table, dist), dense_min_counts(table.counts, table.n, dist))
+    want = (np.full(3, 3), np.full(3, -1), np.full(3, -1))
+    assert_same(dense_min_counts(table.counts, table.n, dist), want)
+    for query in (dist, table.codes):
+        assert_same(_min_counts(table, query), want)
+        with numpy_kernels():
+            assert_same(_min_counts(table, query), want)
 
 
 def test_two_anchors_pick_the_near_side():
@@ -163,6 +169,7 @@ def test_sort_is_cached_per_table():
     table = halfspace_prob_table(space, sample, sample)
     assert table.sorted_pairs is table.sorted_pairs
     a1, a2 = table.sorted_pairs
+    assert a1.dtype == a2.dtype == np.uint16
     assert not np.any(a1 == a2)
     keys = table.counts[a1, a2].astype(np.int64) * 16 + a1.astype(np.int64) * 4 + a2
     assert np.all(np.diff(keys) > 0)

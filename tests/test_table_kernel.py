@@ -7,7 +7,8 @@ tie heavily, and sizes straddle the 255-row uint8 chunk and the 256-anchor
 switch of the code dtype from uint8 to uint16. Tie-free rows take the
 kernel's upper-triangle path and tied rows its full-square path; a lowered
 element cap splits either into anchor blocks down to one anchor each, so
-those checks call the numpy kernel, the only one that reads the cap.
+those checks run the numpy body of :func:`_prob_counts`, the only one that
+reads the cap.
 """
 
 from contextlib import contextmanager
@@ -22,7 +23,6 @@ from metricdepth import depth, inference
 from metricdepth.depth import (
     _distinct_rows,
     _prob_counts,
-    _prob_counts_numpy,
     _row_ranks,
     approx_depth,
     halfspace_prob_table,
@@ -157,11 +157,13 @@ def test_nan_query_distance_rejected_by_refine_deepest():
 
 @contextmanager
 def chunk_cap(cap):
-    """Lower the kernel's element cap, so the table spans many anchor blocks."""
+    """Lower the element cap and run the numpy bodies, which alone read it,
+    so the table spans many anchor blocks."""
     saved = depth._CHUNK_ELEMS
     depth._CHUNK_ELEMS = cap
     try:
-        yield
+        with numpy_kernels():
+            yield
     finally:
         depth._CHUNK_ELEMS = saved
 
@@ -185,7 +187,7 @@ CAPS = st.integers(0, 12 * 12 * 12)
 def test_tied_tables_match_brute_in_anchor_blocks(dist, cap):
     codes = _row_ranks(dist)
     with chunk_cap(cap):
-        got = _prob_counts_numpy(codes, _distinct_rows(codes))
+        got = _prob_counts(codes, _distinct_rows(codes))
     assert np.array_equal(got, brute_counts(dist))
 
 
@@ -195,8 +197,8 @@ def test_distinct_tables_match_brute_in_anchor_blocks(dist, cap):
     codes = _row_ranks(dist)
     assert _distinct_rows(codes)
     with chunk_cap(cap):
-        triangle = _prob_counts_numpy(codes, True)
-        square = _prob_counts_numpy(codes, False)
+        triangle = _prob_counts(codes, True)
+        square = _prob_counts(codes, False)
     want = brute_counts(dist)
     assert np.array_equal(triangle, want)
     assert np.array_equal(square, want)
@@ -209,7 +211,7 @@ def test_distinct_tables_across_the_row_chunk_boundary(dist, cap):
     # The mirror reads n, not the 255-row chunk it was counted in.
     codes = _row_ranks(dist)
     with chunk_cap(cap):
-        assert np.array_equal(_prob_counts_numpy(codes, True), brute_counts(dist))
+        assert np.array_equal(_prob_counts(codes, True), brute_counts(dist))
 
 
 @settings(max_examples=200, deadline=None)
@@ -226,7 +228,7 @@ def test_public_table_with_and_without_duplicate_points(rng, duplicates):
     sample = random_points(space, 40, rng)
     sample += sample[:duplicates]
     dist = space.distance_matrix(sample, sample)
-    with chunk_cap(3 * len(sample) ** 2), numpy_kernels():
+    with chunk_cap(3 * len(sample) ** 2):
         table = halfspace_prob_table(space, sample, sample)
     assert _distinct_rows(table.codes) == (duplicates == 0)
     assert np.array_equal(table.counts, brute_counts(dist))
@@ -248,7 +250,7 @@ def test_permutation_depths_with_and_without_duplicate_points(rng, duplicates):
     want = dense_min_counts(brute_counts(dist[:m, :m]), m, dist[:, :m])[0]
     got = inference._batched_depth_counts(codes, np.arange(m)[None], distinct)
     # The compiled kernel ignores the cap, so the blocks run in numpy.
-    with chunk_cap(3 * m * m), numpy_kernels():  # blocks of three anchors
+    with chunk_cap(3 * m * m):  # blocks of three anchors
         blocked = inference._batched_depth_counts(codes, np.arange(m)[None], distinct)
         ranks = depth_ranks(space, reference, others)
     assert np.array_equal(got[0], want)
@@ -276,7 +278,7 @@ def test_tie_free_mirror_reaches_0_and_n_without_wrapping(cap):
     dist = np.tile(np.arange(6.0), (255, 1))
     codes = _row_ranks(dist)
     with chunk_cap(cap):
-        got = _prob_counts_numpy(codes, _distinct_rows(codes))
+        got = _prob_counts(codes, _distinct_rows(codes))
     assert got.dtype == np.uint8
     assert np.array_equal(got, np.where(np.triu(np.ones((6, 6), bool)), 255, 0))
     assert np.array_equal(got, brute_counts(dist))
