@@ -203,9 +203,10 @@ def halfspace_membership(space: Space, y, x1, x2) -> bool:
     return space.distance(y, x1) <= space.distance(y, x2)
 
 
-def _row_ranks(dist: np.ndarray) -> np.ndarray:
+def _row_ranks(dist: np.ndarray) -> tuple[np.ndarray, bool]:
     """Dense per-row ranks of an (n, n_A) matrix, as the narrowest unsigned
-    integer dtype that holds n_A - 1.
+    integer dtype that holds n_A - 1, and whether no row holds two equal
+    entries (a row of n_A distinct values ranks up to n_A - 1).
 
     Equal entries share a rank and the order within each row is kept, so
     ``<=`` between two entries of a row has the same truth value on the
@@ -217,14 +218,9 @@ def _row_ranks(dist: np.ndarray) -> np.ndarray:
     step = np.zeros(dist.shape, dtype=code)
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=step[:, 1:])
     ranks = np.empty_like(step)
-    np.put_along_axis(ranks, order, np.cumsum(step, axis=1, dtype=code), axis=1)
-    return ranks
-
-
-def _distinct_rows(codes: np.ndarray) -> bool:
-    """Whether no row of dense rank codes (:func:`_row_ranks`) holds two
-    equal entries: a row of n_A distinct values ranks up to n_A - 1."""
-    return bool((codes.max(axis=-1) == codes.shape[-1] - 1).all())
+    dense = np.cumsum(step, axis=1, dtype=code)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks, bool((dense[:, -1] == dist.shape[1] - 1).all())
 
 
 def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
@@ -346,8 +342,8 @@ def halfspace_prob_table(space: Space, sample: Sequence, anchors) -> HalfspacePr
     dist = space.distance_matrix(sample, anchor_points)
     if np.isnan(dist).any():
         raise GeometryError("sample-anchor distance matrix contains NaN")
-    codes = _row_ranks(dist)
-    counts = _prob_counts(codes, _distinct_rows(codes))
+    codes, distinct = _row_ranks(dist)
+    counts = _prob_counts(codes, distinct)
     return HalfspaceProbTable(counts=counts, n=len(sample), codes=codes)
 
 

@@ -57,9 +57,10 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
     halving on objective increase; ``converged`` means the last applied
     update was shorter than ``tol``. ``points`` is ``space.stack(sample)``,
     which every distance call reads. ``direction`` gets the distances from
-    the current point to the sample: the accepted trial's row, or on the
-    first iteration a one-row call of its own, since sphere and SPD entries
-    of the n x n start matrix can differ in their last bits from it."""
+    the current point to the sample: the accepted trial's row, or None on
+    the first iteration, where a direction that reads them makes a one-row
+    call of its own, since sphere and SPD entries of the n x n start matrix
+    can differ in their last bits from it."""
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
     dist = space.distance_matrix(points, points)
@@ -71,12 +72,12 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
         raise NumericalError(f"objective is not finite ({current}) on the sample; "
                              "its distances hold NaN or inf")
     x = sample[int(np.argmin(objs))]
-    row = space.distance_matrix([x], points)
+    row = None
     last_update = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         try:
-            v = direction(x, dist=row[0])
+            v = direction(x, dist=row)
         except MetricDepthError as exc:
             raise NumericalError(
                 f"{exc}; try an initial point deeper inside the data"
@@ -89,7 +90,7 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
             trial_row = space.distance_matrix([trial], points)
             trial_obj = float(objective(trial_row)[0])
             if trial_obj <= current:
-                x, current, row = trial, trial_obj, trial_row
+                x, current, row = trial, trial_obj, trial_row[0]
                 last_update = step * vnorm
                 accepted = True
                 break
@@ -123,13 +124,23 @@ def frechet_mean(space: Space, sample: Sequence, tol: float = 1e-8,
 
 def frechet_median(space: Space, sample: Sequence, tol: float = 1e-8,
                    max_iter: int = 200) -> EstimatorResult:
-    """Minimizer of the mean geodesic distance (manifold Weiszfeld)."""
+    """Minimizer of the mean geodesic distance (manifold Weiszfeld).
+
+    Sample points within ``WEISZFELD_GUARD`` of the current point get
+    weight 0, the modified Weiszfeld step of Vardi and Zhang (2000): the
+    fit starts at a sample point, whose own weight would otherwise swamp
+    the step. The step is zero when every sample point is that close."""
 
     def objective(dist):
         return np.mean(np.asarray(dist), axis=-1)
 
     def direction(x, dist):
-        weights = 1.0 / np.maximum(dist, WEISZFELD_GUARD)
+        if dist is None:
+            dist = space.distance_matrix([x], points)[0]
+        far = dist > WEISZFELD_GUARD
+        if not far.any():
+            return space.tangent_from_coords(x, np.zeros(space.intrinsic_dim))
+        weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=far)
         return space.mean_log(x, points, weights=weights)
 
     sample = tuple(sample)

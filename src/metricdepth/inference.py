@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _native, depth
-from .depth import HalfspaceProbTable, _distinct_rows, _min_counts, _prob_counts, _row_ranks
+from .depth import HalfspaceProbTable, _min_counts, _prob_counts, _row_ranks
 from .errors import DataError
 from .rng import NS_PERMUTATION, derive_rngs
 from .spaces import Space
@@ -109,8 +109,7 @@ def _pooled_codes(space: Space, pool: tuple) -> tuple[np.ndarray, bool]:
     dist = space.distance_matrix(pool, pool)
     if np.isnan(dist).any():
         raise DataError("pooled distance matrix contains NaN")
-    codes = _row_ranks(dist)
-    return codes, _distinct_rows(codes)
+    return _row_ranks(dist)
 
 
 def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,

@@ -38,15 +38,17 @@ it computes are the same as from the points, bit for bit. Callers that
 pass one point set to many calls, such as refinement and the intrinsic
 mean and median, stack it once.
 
-Points are checked the same way. :meth:`Space.validate_points` checks N
-raw points in one pass and :meth:`Space.validate_point` is its N = 1
-entry; :meth:`Space.decode_points` parses N CSV rows and validates them
-together, and :meth:`Space.decode_point` is its N = 1 entry. A stacked
-check reports the first point a one-point loop would reject, with the
-same message, and tags the error with that point's index (``row``). The
-vector and matrix geometries run each check over the whole stack at once
-(:class:`StackCheck`); the spider checks its points one at a time, and a
-product runs each component's stacked check on its column.
+Points are checked the same way. Each geometry states its checks once,
+as one stacked check (``_check_stack``) that normalizes N raw points or
+raises at the first problem it sees. :meth:`Space.validate_points` runs
+it on the whole stack, and :meth:`Space.decode_points` parses N CSV rows
+(``_parse``) and runs it on them; :meth:`Space.validate_point` and
+:meth:`Space.decode_point` are their N = 1 entries. Only a stack that
+fails is checked again, in halves, the first half first
+(:func:`checked_in_halves`), so the error raised is the one the first bad
+point gets alone, with the same message, tagged with that point's index
+(``row``). A valid stack costs one check; a failing one about three
+stacked passes and about 2 log2(N) + 1 checks.
 """
 
 from __future__ import annotations
@@ -92,9 +94,14 @@ class Space(ABC):
         """``kind:param`` form understood by :func:`metricdepth.spaces.parse_space`."""
 
     @abstractmethod
+    def _check_stack(self, rows: Sequence) -> list:
+        """Normalize N raw points, or raise ``PointValidationError`` for a
+        bad one (not necessarily the first)."""
+
     def validate_points(self, rows: Sequence) -> list:
         """Normalize N raw points, or raise ``PointValidationError`` for the
         first bad one, its index in ``row``."""
+        return checked_in_halves(rows, self._check_stack)
 
     def validate_point(self, raw) -> Any:
         """Normalize raw input into a point, or raise ``PointValidationError``."""
@@ -203,29 +210,20 @@ class Space(ABC):
         return ",".join(repr(float(c)) for c in np.asarray(x, float).reshape(-1))
 
     def _parse(self, text: str):
-        """Raw point of one CSV row, for :meth:`validate_points`."""
+        """Raw point of one CSV row, for :meth:`_check_stack`."""
         try:
             return [float(tok) for tok in text.split(",")]
         except ValueError as exc:
             raise PointValidationError(f"bad {self.kind} row: {text!r}") from exc
 
+    def _decode_stack(self, texts: Sequence[str]) -> list:
+        """Points of N CSV rows, checked as :meth:`_check_stack` checks."""
+        return self._check_stack([self._parse(text) for text in texts])
+
     def decode_points(self, texts: Sequence[str]) -> list:
         """Parse N :meth:`encode_point` rows into validated points, or raise
-        ``PointValidationError`` for the first bad row, its index in ``row``.
-
-        Rows are parsed up to the first that does not parse; the rows before
-        it are validated in one stacked check, which reports any bad row
-        among them first.
-        """
-        raws = []
-        for i, text in enumerate(texts):
-            try:
-                raws.append(self._parse(text))
-            except PointValidationError as exc:
-                exc.row = i
-                self.validate_points(raws)
-                raise
-        return self.validate_points(raws)
+        ``PointValidationError`` for the first bad row, its index in ``row``."""
+        return checked_in_halves(texts, self._decode_stack)
 
     def decode_point(self, text: str) -> Any:
         """Parse :meth:`encode_point` output back into a validated point."""
@@ -279,49 +277,47 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-class StackCheck:
-    """A stacked point check that keeps the first failing row.
+def checked_in_halves(rows: Sequence, check, offset: int = 0) -> list:
+    """``check(rows)``, or if that raises, ``check`` run on each half of
+    ``rows`` in turn, recursively, so that a failure raises from a check of
+    the first bad row alone, with its index (plus ``offset``) in ``row``.
 
-    ``rows`` starts as the raw points as one float array of shape
-    ``(N, *shape)``; ``fits(raw_shape)`` tells whether a raw point can be
-    reshaped to ``shape``, and ``describe(raw_shape)`` words the error for
-    one that cannot. Each :meth:`reject` cuts ``rows`` at its first flagged
-    row, so a later check sees only rows that passed every earlier one and
-    the last error recorded is the one a one-point loop meets first.
+    A ``ValueError`` that is not a ``PointValidationError`` (raw points of
+    different shapes, which do not stack) is split the same way, and the
+    pieces that stack are checked together.
     """
+    if len(rows) == 0:
+        return []
+    try:
+        return check(rows)
+    except ValueError as exc:
+        if len(rows) == 1:
+            if isinstance(exc, PointValidationError):
+                exc.row = offset
+            raise
+    mid = len(rows) // 2
+    return (checked_in_halves(rows[:mid], check, offset)
+            + checked_in_halves(rows[mid:], check, offset + mid))
 
-    def __init__(self, rows: Sequence, shape: tuple, fits, describe):
-        self.error = None
-        try:
-            stack = np.asarray(rows, dtype=float)
-        except ValueError:  # points of different shapes
-            stack = None
-        if stack is not None and fits(stack.shape[1:]):
-            self.rows = stack.reshape(len(stack), *shape)
-            return
-        good = []
-        for i, raw in enumerate(rows):
-            point = np.asarray(raw, dtype=float)
-            if not fits(point.shape):
-                self.error = PointValidationError(describe(np.shape(raw)), row=i)
-                break
-            good.append(point.reshape(shape))
-        self.rows = np.array(good, dtype=float).reshape(len(good), *shape)
 
-    def reject(self, bad: np.ndarray, message) -> None:
-        """Cut ``rows`` at the first row flagged in ``bad``, recording
-        ``message(i)`` for it."""
-        hits = np.flatnonzero(bad)
-        if len(hits):
-            i = int(hits[0])
-            self.rows = self.rows[:i]
-            self.error = PointValidationError(message(i), row=i)
+def float_stack(rows: Sequence, shape: tuple, fits, describe) -> np.ndarray:
+    """The raw points as one float array of shape ``(N, *shape)``.
 
-    def points(self) -> list:
-        """The checked points, read-only, or the first failing row's error."""
-        if self.error is not None:
-            raise self.error
-        return list(readonly(self.rows))
+    ``fits(raw_shape)`` tells whether a raw point can be reshaped to
+    ``shape``, and ``describe(raw_shape)`` words the error for one that
+    cannot. Raw points of different shapes raise ``ValueError``.
+    """
+    stack = np.asarray(rows, dtype=float)
+    if not fits(stack.shape[1:]):
+        raise PointValidationError(describe(stack.shape[1:]))
+    return stack.reshape(len(stack), *shape)
+
+
+def reject_flagged(bad: np.ndarray, message) -> None:
+    """Raise ``PointValidationError(message(i))`` for the first row ``i``
+    flagged in ``bad``."""
+    if bad.any():
+        raise PointValidationError(message(int(np.argmax(bad))))
 
 
 def frozen_view(arr: np.ndarray) -> np.ndarray:

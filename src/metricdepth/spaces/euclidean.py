@@ -11,11 +11,12 @@ import numpy as np
 from ..errors import GeometryError
 from .base import (
     Space,
-    StackCheck,
     TangentVector,
     _normalized_weights,
+    float_stack,
     frozen_view,
     readonly,
+    reject_flagged,
 )
 
 
@@ -36,14 +37,14 @@ class Euclidean(Space):
     def spec_string(self) -> str:
         return f"euclidean:{self.dim}"
 
-    def validate_points(self, rows):
-        check = StackCheck(
+    def _check_stack(self, rows):
+        stack = float_stack(
             rows, (self.dim,), lambda shape: math.prod(shape) == self.dim,
             lambda shape: f"expected vector of length {self.dim}, got shape {shape}",
         )
-        check.reject(~np.isfinite(check.rows).all(axis=1),
-                     lambda i: "point has non-finite entries")
-        return check.points()
+        reject_flagged(~np.isfinite(stack).all(axis=1),
+                       lambda i: "point has non-finite entries")
+        return list(readonly(stack))
 
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.dim)

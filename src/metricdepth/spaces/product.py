@@ -32,37 +32,21 @@ class Product(Space):
     def spec_string(self) -> str:
         return "product:" + "+".join(c.spec_string for c in self.components)
 
-    def _by_component(self, rows, split, describe, check) -> list:
-        """Points from ``rows``, each split into one part per component, and
-        the parts of each component checked as one column by ``check(comp,
-        column)``. The first failing row raises; within a row, the first
-        failing component, as a one-point loop would meet them. A row that
-        splits into the wrong number of parts fails with ``describe(count)``
-        and ends the columns."""
-        columns, error = [], None
-        for i, row in enumerate(rows):
-            parts = split(row)
-            if len(parts) != len(self.components):
-                error = PointValidationError(describe(len(parts)), row=i)
-                break
-            columns.append(parts)
-        checked = []
-        for comp, column in zip(self.components, zip(*columns)):
-            try:
-                checked.append(check(comp, column))
-            except PointValidationError as exc:
-                if error is None or exc.row < error.row:
-                    error = exc
-        if error is not None:
-            raise error
-        return list(zip(*checked))
+    def _by_component(self, rows, parts: str, check) -> list:
+        """Points from ``rows``, each a sequence of one part per component,
+        with the parts of each component checked as one column by
+        ``check(comp, column)``. A row with the wrong number of parts
+        raises before any column is checked."""
+        for row in rows:
+            if len(row) != len(self.components):
+                raise PointValidationError(
+                    f"expected {len(self.components)} {parts}, got {len(row)}")
+        columns = zip(self.components, zip(*rows))
+        return list(zip(*(check(comp, column) for comp, column in columns)))
 
-    def validate_points(self, rows):
-        return self._by_component(
-            rows, tuple,
-            lambda count: f"expected {len(self.components)} components, got {count}",
-            lambda comp, column: comp.validate_points(column),
-        )
+    def _check_stack(self, rows):
+        return self._by_component(rows, "components",
+                                  lambda comp, column: comp._check_stack(column))
 
     def distance_matrix(self, xs, ys):
         total = None
@@ -147,10 +131,7 @@ class Product(Space):
             comp.encode_point(xc) for comp, xc in zip(self.components, x)
         )
 
-    def decode_points(self, texts):
-        return self._by_component(
-            texts, lambda text: text.split("|"),
-            lambda count: f"expected {len(self.components)} '|'-separated components, "
-                          f"got {count}",
-            lambda comp, column: comp.decode_points(column),
-        )
+    def _decode_stack(self, texts):
+        return self._by_component([text.split("|") for text in texts],
+                                  "'|'-separated components",
+                                  lambda comp, column: comp._decode_stack(column))

@@ -17,11 +17,12 @@ import numpy as np
 from ..errors import GeometryError, NumericalError
 from .base import (
     Space,
-    StackCheck,
     TangentVector,
     _normalized_weights,
+    float_stack,
     frozen_view,
     readonly,
+    reject_flagged,
 )
 
 SYMMETRY_TOL = 1e-6
@@ -110,26 +111,26 @@ class SPD(Space):
     def spec_string(self) -> str:
         return f"spd:{self.size}"
 
-    def validate_points(self, rows):
+    def _check_stack(self, rows):
         k = self.size
-        check = StackCheck(
+        stack = float_stack(
             rows, (k, k), lambda shape: shape in ((k * k,), (k, k)),
             lambda shape: f"expected {k}x{k} matrix (or flat length {k * k}), got shape {shape}",
         )
-        check.reject(~np.isfinite(check.rows).all(axis=(1, 2)),
-                     lambda i: "matrix has non-finite entries")
-        asym = np.abs(check.rows - np.swapaxes(check.rows, 1, 2)).max(axis=(1, 2))
-        check.reject(asym > SYMMETRY_TOL,
-                     lambda i: f"matrix asymmetry {asym[i]:.3g} exceeds {SYMMETRY_TOL:g}")
-        check.rows = _sym(check.rows)
+        reject_flagged(~np.isfinite(stack).all(axis=(1, 2)),
+                       lambda i: "matrix has non-finite entries")
+        asym = np.abs(stack - np.swapaxes(stack, 1, 2)).max(axis=(1, 2))
+        reject_flagged(asym > SYMMETRY_TOL,
+                       lambda i: f"matrix asymmetry {asym[i]:.3g} exceeds {SYMMETRY_TOL:g}")
+        stack = _sym(stack)
         try:
-            smallest = np.linalg.eigvalsh(check.rows)[:, 0]
+            smallest = np.linalg.eigvalsh(stack)[:, 0]
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise NumericalError("eigendecomposition failed") from exc
-        check.reject(smallest <= 0.0,
-                     lambda i: f"matrix is not positive definite "
-                               f"(min eigenvalue {smallest[i]:.3g})")
-        return check.points()
+        reject_flagged(smallest <= 0.0,
+                       lambda i: f"matrix is not positive definite "
+                                 f"(min eigenvalue {smallest[i]:.3g})")
+        return list(readonly(stack))
 
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.size, self.size)

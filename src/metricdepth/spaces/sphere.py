@@ -12,11 +12,12 @@ from ..errors import GeometryError, UndefinedLogError
 from .base import (
     ANTIPODAL_TOL,
     Space,
-    StackCheck,
     TangentVector,
     _normalized_weights,
+    float_stack,
     frozen_view,
     readonly,
+    reject_flagged,
 )
 
 UNIT_NORM_TOL = 1e-6
@@ -51,20 +52,19 @@ class Sphere(Space):
     def spec_string(self) -> str:
         return f"sphere:{self.dim}"
 
-    def validate_points(self, rows):
+    def _check_stack(self, rows):
         size = self.ambient_dim
-        check = StackCheck(
+        stack = float_stack(
             rows, (size,), lambda shape: math.prod(shape) == size,
             lambda shape: f"expected ambient vector of length {size}, got shape {shape}",
         )
-        check.reject(~np.isfinite(check.rows).all(axis=1),
-                     lambda i: "point has non-finite entries")
-        norms = _row_norms(check.rows)
-        check.reject(np.abs(norms - 1.0) > UNIT_NORM_TOL,
-                     lambda i: f"vector norm {norms[i]:.9g} is not within "
-                               f"{UNIT_NORM_TOL:g} of 1")
-        check.rows = check.rows / norms[:len(check.rows), None]
-        return check.points()
+        reject_flagged(~np.isfinite(stack).all(axis=1),
+                       lambda i: "point has non-finite entries")
+        norms = _row_norms(stack)
+        reject_flagged(np.abs(norms - 1.0) > UNIT_NORM_TOL,
+                       lambda i: f"vector norm {norms[i]:.9g} is not within "
+                                 f"{UNIT_NORM_TOL:g} of 1")
+        return list(readonly(stack / norms[:, None]))
 
     def _stack(self, points: Sequence) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(len(points), self.ambient_dim)

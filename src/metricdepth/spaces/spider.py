@@ -57,15 +57,8 @@ class Spider3(Space):
     def spec_string(self) -> str:
         return "spider3"
 
-    def validate_points(self, rows):
-        points = []
-        for i, raw in enumerate(rows):
-            try:
-                points.append(self._validated(raw))
-            except PointValidationError as exc:
-                exc.row = i
-                raise
-        return points
+    def _check_stack(self, rows):
+        return [self._validated(raw) for raw in rows]
 
     def _validated(self, raw) -> SpiderPoint:
         if isinstance(raw, SpiderPoint):

@@ -106,6 +106,29 @@ def test_median_sphere_arc_middle():
     assert np.allclose(result.point, pts[1], atol=1e-8)
 
 
+def test_median_steps_off_its_start_point():
+    # The fit starts at the sample medoid. Weighting the medoid by
+    # 1 / WEISZFELD_GUARD would shrink the first step to about the guard
+    # and stop the fit there; with its weight 0 the fit reaches the
+    # geometric median that plain Weiszfeld finds from the mean.
+    space = Euclidean(2)
+    pts = np.array(random_points(space, 50, np.random.default_rng(1)))
+    y = pts.mean(axis=0)
+    for _ in range(2000):
+        w = 1.0 / np.linalg.norm(pts - y, axis=1)
+        y = w @ pts / w.sum()
+    result = frechet_median(space, list(pts))
+    assert result.converged
+    assert result.objective == pytest.approx(np.linalg.norm(pts - y, axis=1).mean(), abs=1e-9)
+
+
+def test_median_of_coincident_points_takes_a_zero_step():
+    space = SPD(2)
+    pts = [space.validate_point(np.eye(2))] * 3
+    result = frechet_median(space, pts)
+    assert result.converged and result.objective == 0.0
+
+
 def test_objectives_never_increase(rng):
     space = SPD(2)
     pts = random_points(space, 20, rng)
@@ -129,10 +152,20 @@ def test_descent_computes_each_distance_row_once(rng, monkeypatch, space):
             rows.append(np.asarray(xs[0]).tobytes())
         return distance_matrix(self, xs, ys)
 
+    trials = []
+    exp = type(space).exp
+
+    def counted_exp(self, x, v):
+        trials.append(None)
+        return exp(self, x, v)
+
     monkeypatch.setattr(type(space), "distance_matrix", counted)
+    monkeypatch.setattr(type(space), "exp", counted_exp)
     result = frechet_mean(space, pts)
     assert result.iterations > 2
     assert len(rows) == len(set(rows))
+    # The mean's direction reads no distances, so only trials make a row.
+    assert len(rows) == len(trials)
 
 
 # ------------------------------------------------------------------ GDD

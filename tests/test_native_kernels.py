@@ -31,7 +31,6 @@ from metricdepth import _native
 from metricdepth.cli import main
 from metricdepth.depth import (
     HalfspaceProbTable,
-    _distinct_rows,
     _min_counts,
     _prob_counts,
     _row_ranks,
@@ -41,7 +40,7 @@ from metricdepth.inference import _batched_depth_counts
 from metricdepth.io import write_points
 from metricdepth.spaces import Euclidean, Sphere
 
-from conftest import numpy_kernels, random_points
+from conftest import distinct_rows, numpy_kernels, random_points
 from test_query_kernel import dense_min_counts
 from test_table_kernel import VALUES, brute_counts
 
@@ -91,10 +90,10 @@ def distances(rng, n, n_anchors, tied):
 @pytest.mark.parametrize("n_anchors", [1, 17, 256, 257])
 @pytest.mark.parametrize("tied", [False, True])
 def test_table_equals_numpy(native, n, n_anchors, tied):
-    codes = _row_ranks(distances(np.random.default_rng(n * n_anchors), n, n_anchors, tied))
+    codes, distinct = _row_ranks(
+        distances(np.random.default_rng(n * n_anchors), n, n_anchors, tied))
     assert codes.dtype == (np.uint8 if n_anchors <= 256 else np.uint16)
-    distinct = _distinct_rows(codes)
-    assert distinct == (not tied or n_anchors == 1)
+    assert distinct == distinct_rows(codes) == (not tied or n_anchors == 1)
     got = same_table(codes, distinct)
     assert got.dtype == (np.uint8 if n <= 255 else np.uint16)
     if distinct:
@@ -106,8 +105,9 @@ def test_table_equals_numpy(native, n, n_anchors, tied):
 def test_table_across_column_tiles(native, tied):
     # 1100 anchors span three tiles, the last one partial, and end in a
     # partial block of first anchors.
-    codes = _row_ranks(distances(np.random.default_rng(3), 40, 1100, tied))
-    same_table(codes, _distinct_rows(codes))
+    codes, distinct = _row_ranks(distances(np.random.default_rng(3), 40, 1100, tied))
+    assert distinct == distinct_rows(codes)
+    same_table(codes, distinct)
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,22 +119,23 @@ def test_table_equals_brute_on_heavily_tied_codes(data):
     n_anchors = data.draw(st.integers(1, 40))
     dist = np.array(data.draw(st.lists(st.sampled_from(VALUES), min_size=n * n_anchors,
                                        max_size=n * n_anchors))).reshape(n, n_anchors)
-    codes = _row_ranks(dist)
-    assert np.array_equal(same_table(codes, _distinct_rows(codes)), brute_counts(dist))
+    codes, distinct = _row_ranks(dist)
+    assert distinct == distinct_rows(dist)
+    assert np.array_equal(same_table(codes, distinct), brute_counts(dist))
 
 
 def test_mirror_reaches_0_and_n_in_uint8(native):
     # Every row orders the anchors alike: the mirror writes 255 - 0 and
     # 255 - 255 into uint8 counts.
     dist = np.tile(np.arange(40.0), (255, 1))
-    got = same_table(_row_ranks(dist), True)
+    got = same_table(_row_ranks(dist)[0], True)
     assert np.array_equal(got, np.where(np.triu(np.ones((40, 40), bool)), 255, 0))
 
 
 def test_counts_past_uint16_fall_to_numpy(native):
     # 65 536 rows need uint32 counts, which no compiled build writes.
     dist = distances(np.random.default_rng(1), 65536, 3, False)
-    counts = _prob_counts(_row_ranks(dist), True)
+    counts = _prob_counts(_row_ranks(dist)[0], True)
     assert counts.dtype == np.uint32 and np.array_equal(counts, brute_counts(dist))
 
 
@@ -158,8 +159,9 @@ def test_scan_equals_numpy_on_codes_and_distances(native, n_anchors, tied):
     rng = np.random.default_rng(n_anchors)
     n = 70
     dist = distances(rng, n + 9, n_anchors, tied)
-    table = HalfspaceProbTable(counts=_prob_counts(_row_ranks(dist[:n]), not tied),
-                               n=n, codes=_row_ranks(dist[:n]))
+    codes, distinct = _row_ranks(dist[:n])
+    assert distinct == distinct_rows(codes) == (not tied)
+    table = HalfspaceProbTable(counts=_prob_counts(codes, distinct), n=n, codes=codes)
     same_scan(table, table.codes)
     batch = same_scan(table, dist[n:])
     for j in range(9):
@@ -253,10 +255,9 @@ def depths_of_three_orders(total, m, tied):
     distances, so that members tie on some rows and not on others."""
     rng = np.random.default_rng(total * m)
     dist = rng.integers(0, 4, size=(total, total)) if tied else rng.random((total, total))
-    codes = _row_ranks(dist)
+    codes, distinct = _row_ranks(dist)
     assert codes.dtype == (np.uint8 if total <= 256 else np.uint16)
-    distinct = _distinct_rows(codes)
-    assert distinct == (not tied)
+    assert distinct == distinct_rows(codes) == (not tied)
     orders = np.stack([rng.permutation(total) for _ in range(3)])
     return same_depths(codes, orders[:, total - m:], distinct)
 
@@ -264,7 +265,7 @@ def depths_of_three_orders(total, m, tied):
 def test_depths_leave_references_outside_the_pool_to_numpy(native):
     # The compiled kernel would read past the codes; numpy raises, or reads
     # a negative index from the end.
-    codes = _row_ranks(distances(np.random.default_rng(0), 6, 6, False))
+    codes = _row_ranks(distances(np.random.default_rng(0), 6, 6, False))[0]
     for references, square in (([[0, 6]], codes), ([[0, 5]], codes[:, :5])):
         with pytest.raises(IndexError):
             _batched_depth_counts(square, np.array(references), True)
@@ -374,7 +375,7 @@ def test_truncated_library_is_rebuilt(fresh_loader):
     assert not _native._intact(target)
     assert _native.library() is not None
     assert _native._intact(target) and len(target.read_bytes()) == len(whole)
-    codes = _row_ranks(distances(np.random.default_rng(0), 30, 50, False))
+    codes = _row_ranks(distances(np.random.default_rng(0), 30, 50, False))[0]
     same_table(codes, True)
 
 
@@ -388,4 +389,4 @@ def test_unusable_cache_falls_back(fresh_loader, caplog):
         assert _native.kernel("scan", np.float64, np.uint16) is None
     assert len(caplog.records) == 1
     dist = distances(np.random.default_rng(0), 30, 50, False)
-    assert np.array_equal(_prob_counts(_row_ranks(dist), True), brute_counts(dist))
+    assert np.array_equal(_prob_counts(_row_ranks(dist)[0], True), brute_counts(dist))

@@ -237,7 +237,7 @@ def test_tiled_pair_bound_matches_dense_on_real_tables(n_anchors, tied, rng):
     if tied:
         anchors[-30:] = anchors[:30]
     table = halfspace_prob_table(space, sample, anchors)
-    assert depth._distinct_rows(table.codes) is not tied
+    assert distinct_rows(table.codes) is not tied
     key = table.counts
     assert key.dtype == np.min_scalar_type(table.n)
     assert depth._least_pair_max(key) == np.maximum(key, key.T).min()

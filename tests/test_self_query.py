@@ -28,7 +28,7 @@ from metricdepth.estimators import mhd_median
 from metricdepth.rng import NS_REFINE, derive_rng
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
 
-from conftest import random_points
+from conftest import distinct_rows, random_points
 
 SPACES = [
     Euclidean(2),
@@ -121,8 +121,8 @@ def test_table_keeps_the_codes_it_counted(rng):
     anchors = jiggle_anchors(space, sample, 3, seed=2)
     table = halfspace_prob_table(space, sample, anchors)
     assert table.codes.shape == (30, len(anchors))
-    distinct = depth._distinct_rows(table.codes)
-    assert np.array_equal(table.counts, depth._prob_counts(table.codes, distinct))
+    assert np.array_equal(table.counts,
+                          depth._prob_counts(table.codes, distinct_rows(table.codes)))
 
 
 def test_self_query_skips_the_query_distances(rng, monkeypatch):

@@ -148,7 +148,11 @@ def test_frechet_mean_and_median_equal_tuple_loop(space, rng):
         return space.mean_log(x, sample)
 
     def median_direction(x, dist):
-        return space.mean_log(x, sample, weights=1.0 / np.maximum(dist, WEISZFELD_GUARD))
+        far = dist > WEISZFELD_GUARD
+        if not far.any():
+            return space.tangent_from_coords(x, np.zeros(space.intrinsic_dim))
+        weights = np.where(far, 1.0 / np.where(far, dist, 1.0), 0.0)
+        return space.mean_log(x, sample, weights=weights)
 
     for fit, objective, direction in ((frechet_mean, mean_objective, mean_direction),
                                       (frechet_median, median_objective, median_direction)):

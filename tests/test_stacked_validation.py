@@ -227,6 +227,32 @@ def test_wrong_shape_after_a_bad_value_reports_the_earlier_row():
     with pytest.raises(PointValidationError, match="length 2") as caught:
         space.validate_points([[0.0, 1.0], [1.0], [np.nan, 1.0]])
     assert caught.value.row == 1
+    # Accepted shapes that do not stack together, then a bad value.
+    with pytest.raises(PointValidationError, match="non-finite") as caught:
+        space.validate_points([[0.0, 1.0], [[2.0, 3.0]], [np.nan, 1.0], [1.0]])
+    assert caught.value.row == 2
+
+
+def test_a_failing_stack_is_checked_again_in_halves(monkeypatch):
+    # A valid stack is checked once. A stack whose last row is bad is
+    # checked whole, then in two halves at each level down to that row.
+    calls = []
+    check = Euclidean._check_stack
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return check(self, rows)
+
+    monkeypatch.setattr(Euclidean, "_check_stack", counted)
+    space = Euclidean(2)
+    rows = [[float(i), 1.0] for i in range(1023)] + [[np.nan, 1.0]]
+    with pytest.raises(PointValidationError, match="non-finite") as caught:
+        space.validate_points(rows)
+    assert caught.value.row == 1023
+    assert len(calls) <= 21 and sum(calls) <= 3 * 1024
+    calls.clear()
+    assert len(space.validate_points(rows[:-1])) == 1023
+    assert calls == [1023]
 
 
 @pytest.mark.parametrize("spec", SPECS)

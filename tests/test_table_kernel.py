@@ -21,7 +21,6 @@ from scipy.stats import rankdata
 
 from metricdepth import depth, inference
 from metricdepth.depth import (
-    _distinct_rows,
     _prob_counts,
     _row_ranks,
     approx_depth,
@@ -55,7 +54,7 @@ def tied_distances(draw, sizes, anchor_counts):
 @settings(max_examples=200, deadline=None)
 @given(tied_distances(st.integers(1, 12), st.integers(1, 12)))
 def test_codes_order_like_distances(dist):
-    codes = _row_ranks(dist)
+    codes, _ = _row_ranks(dist)
     assert codes.dtype == np.min_scalar_type(dist.shape[1] - 1)
     assert np.array_equal(codes[:, :, None] <= codes[:, None, :],
                           dist[:, :, None] <= dist[:, None, :])
@@ -65,22 +64,21 @@ def test_codes_order_like_distances(dist):
 @given(tied_distances(st.sampled_from([1, 2, 254, 255, 256, 257, 510, 511, 512]),
                       st.integers(1, 6)))
 def test_table_across_the_row_chunk_boundary(dist):
-    codes = _row_ranks(dist)
-    assert np.array_equal(_prob_counts(codes, _distinct_rows(codes)), brute_counts(dist))
+    assert np.array_equal(_prob_counts(*_row_ranks(dist)), brute_counts(dist))
 
 
 @settings(max_examples=12, deadline=None)
 @given(tied_distances(st.sampled_from([3, 255, 256]), st.sampled_from([255, 256, 257, 258])))
 def test_table_across_the_code_dtype_switch(dist):
-    codes = _row_ranks(dist)
+    codes, distinct = _row_ranks(dist)
     assert codes.dtype == (np.uint8 if dist.shape[1] <= 256 else np.uint16)
-    assert np.array_equal(_prob_counts(codes, _distinct_rows(codes)), brute_counts(dist))
+    assert np.array_equal(_prob_counts(codes, distinct), brute_counts(dist))
 
 
 def test_single_anchor_table_is_n():
     dist = np.array([[np.inf], [0.0], [-0.0], [3.0]])
-    codes = _row_ranks(dist)
-    assert codes.tolist() == [[0]] * 4 and _distinct_rows(codes)
+    codes, distinct = _row_ranks(dist)
+    assert codes.tolist() == [[0]] * 4 and distinct
     assert _prob_counts(codes, True).tolist() == [[4]]
 
 
@@ -91,13 +89,12 @@ def test_pooled_codes_restrict_to_reference_exactly(data):
     # arbitrary subset of its indices in arbitrary order.
     total = data.draw(st.integers(2, 40))
     dist = data.draw(tied_distances(st.just(total), st.just(total)))
-    codes = _row_ranks(dist)
+    codes, distinct = _row_ranks(dist)
     size = data.draw(st.integers(1, total))
     reference = np.array(data.draw(st.permutations(range(total)))[:size])
     sub = dist[np.ix_(reference, reference)]
     want_counts = brute_counts(sub)
     # The flag of the pooled rows holds for every column subset of them.
-    distinct = _distinct_rows(codes)
     assert np.array_equal(_prob_counts(codes[np.ix_(reference, reference)], distinct),
                           want_counts)
     want = dense_min_counts(want_counts, len(reference), dist[:, reference])[0]
@@ -185,17 +182,17 @@ CAPS = st.integers(0, 12 * 12 * 12)
 @settings(max_examples=200, deadline=None)
 @given(tied_distances(st.integers(1, 12), st.integers(1, 12)), CAPS)
 def test_tied_tables_match_brute_in_anchor_blocks(dist, cap):
-    codes = _row_ranks(dist)
+    codes, distinct = _row_ranks(dist)
     with chunk_cap(cap):
-        got = _prob_counts(codes, _distinct_rows(codes))
+        got = _prob_counts(codes, distinct)
     assert np.array_equal(got, brute_counts(dist))
 
 
 @settings(max_examples=200, deadline=None)
 @given(distinct_distances(st.integers(1, 12), st.integers(1, 12)), CAPS)
 def test_distinct_tables_match_brute_in_anchor_blocks(dist, cap):
-    codes = _row_ranks(dist)
-    assert _distinct_rows(codes)
+    codes, distinct = _row_ranks(dist)
+    assert distinct
     with chunk_cap(cap):
         triangle = _prob_counts(codes, True)
         square = _prob_counts(codes, False)
@@ -209,7 +206,7 @@ def test_distinct_tables_match_brute_in_anchor_blocks(dist, cap):
        st.integers(0, 3 * 255 * 9))
 def test_distinct_tables_across_the_row_chunk_boundary(dist, cap):
     # The mirror reads n, not the 255-row chunk it was counted in.
-    codes = _row_ranks(dist)
+    codes, _ = _row_ranks(dist)
     with chunk_cap(cap):
         assert np.array_equal(_prob_counts(codes, True), brute_counts(dist))
 
@@ -218,7 +215,7 @@ def test_distinct_tables_across_the_row_chunk_boundary(dist, cap):
 @given(st.one_of(tied_distances(st.integers(1, 8), st.integers(1, 8)),
                  distinct_distances(st.integers(1, 8), st.integers(1, 8))))
 def test_distinct_rows_of_rank_codes(dist):
-    assert _distinct_rows(_row_ranks(dist)) == distinct_rows(dist)
+    assert _row_ranks(dist)[1] == distinct_rows(dist)
 
 
 @pytest.mark.parametrize("duplicates", [0, 1, 7])
@@ -230,7 +227,7 @@ def test_public_table_with_and_without_duplicate_points(rng, duplicates):
     dist = space.distance_matrix(sample, sample)
     with chunk_cap(3 * len(sample) ** 2):
         table = halfspace_prob_table(space, sample, sample)
-    assert _distinct_rows(table.codes) == (duplicates == 0)
+    assert distinct_rows(table.codes) == (duplicates == 0)
     assert np.array_equal(table.counts, brute_counts(dist))
 
 
@@ -276,9 +273,9 @@ def test_tie_free_mirror_reaches_0_and_n_without_wrapping(cap):
     # one way and none the other: the mirror writes n - 0 and n - n into
     # uint8, in anchor blocks of one, two or all six anchors.
     dist = np.tile(np.arange(6.0), (255, 1))
-    codes = _row_ranks(dist)
+    codes, distinct = _row_ranks(dist)
     with chunk_cap(cap):
-        got = _prob_counts(codes, _distinct_rows(codes))
+        got = _prob_counts(codes, distinct)
     assert got.dtype == np.uint8
     assert np.array_equal(got, np.where(np.triu(np.ones((6, 6), bool)), 255, 0))
     assert np.array_equal(got, brute_counts(dist))
