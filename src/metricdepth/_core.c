@@ -1,14 +1,18 @@
-/* Integer kernels of the anchored halfspace depth: the table build over
- * per-row rank codes, the first-hit scan over sorted anchor pairs, and the
+/* Kernels of the anchored halfspace depth: the per-row rank codes of a
+ * distance matrix, the table build over them, the counting sort of the
+ * table's anchor pairs, the first-hit scan over those pairs, and the
  * permutation tests' depth counts against many small reference groups.
  *
  * Each computes exactly what the numpy body of its entry point computes
- * (`_prob_counts` and `_min_counts` in depth.py, `_batched_depth_counts` in
- * inference.py): every comparison is an IEEE `<=` between two entries of
- * one row, so the build must never run under -ffast-math. Kernels are
- * chosen by the dtypes of their arrays alone, named by those dtypes. Arrays
- * are C-contiguous and row-major, and every scratch buffer is the caller's.
+ * (`_row_ranks`, `_prob_counts`, `HalfspaceProbTable.sorted_pairs` and
+ * `_min_counts` in depth.py, `_batched_depth_counts` in inference.py):
+ * every comparison is an IEEE comparison between two entries of one row,
+ * and the ranks' bucket map needs IEEE rounding to keep the order, so the
+ * build must never run under -ffast-math. Kernels are chosen by the dtypes
+ * of their arrays alone, named by those dtypes. Arrays are C-contiguous and
+ * row-major, and every scratch buffer is the caller's.
  */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -17,6 +21,166 @@
 #else
 #define CLONES
 #endif
+
+/* Pieces of at most SMALL values are sorted by insertion. A row is spread
+ * over buckets at most LEVELS times, its own and one more for each
+ * bucket of more than SMALL values, before merge sort takes the rest. */
+enum { SMALL = 16, LEVELS = 2 };
+
+/* Sorts the pairs (value[k], index[k]), k < len, ascending by value. */
+static void insertion_sort(double *value, uint32_t *index, int64_t len)
+{
+    for (int64_t k = 1; k < len; k++) {
+        double v = value[k];
+        uint32_t i = index[k];
+        int64_t j = k;
+        for (; j > 0 && value[j - 1] > v; j--) {
+            value[j] = value[j - 1];
+            index[j] = index[j - 1];
+        }
+        value[j] = v;
+        index[j] = i;
+    }
+}
+
+/* The same order by a bottom-up merge sort over runs of SMALL, in
+ * O(len log len) whatever the values; the spare arrays hold len pairs. */
+static void merge_sort(double *value, uint32_t *index, int64_t len, double *spare_value,
+                       uint32_t *spare_index)
+{
+    for (int64_t lo = 0; lo < len; lo += SMALL)
+        insertion_sort(value + lo, index + lo, len - lo < SMALL ? len - lo : SMALL);
+    double *from = value, *to = spare_value;
+    uint32_t *from_index = index, *to_index = spare_index;
+    for (int64_t width = SMALL; width < len; width *= 2) {
+        for (int64_t lo = 0; lo < len; lo += 2 * width) {
+            int64_t mid = len - lo < width ? len : lo + width;
+            int64_t hi = len - mid < width ? len : mid + width;
+            int64_t a = lo, b = mid, k = lo;
+            for (; a < mid && b < hi; k++) {
+                /* Both heads are loaded first, so the pick takes no branch. */
+                double x = from[a], y = from[b];
+                uint32_t i = from_index[a], j = from_index[b];
+                int left = x <= y;
+                to[k] = left ? x : y;
+                to_index[k] = left ? i : j;
+                a += left;
+                b += !left;
+            }
+            for (; a < mid; a++, k++) {
+                to[k] = from[a];
+                to_index[k] = from_index[a];
+            }
+            for (; b < hi; b++, k++) {
+                to[k] = from[b];
+                to_index[k] = from_index[b];
+            }
+        }
+        double *swap = from;
+        from = to;
+        to = swap;
+        uint32_t *swap_index = from_index;
+        from_index = to_index;
+        to_index = swap_index;
+    }
+    if (from != value) {
+        memcpy(value, from, len * sizeof *value);
+        memcpy(index, from_index, len * sizeof *index);
+    }
+}
+
+/* The bucket of v among len buckets, by linear interpolation from the
+ * least value lo at `scale` buckets per unit: a map that never reverses
+ * two values. A rounded product can pass len - 1, and an infinite scale
+ * (a subnormal spread) makes 0 * inf, NaN, at the least value. */
+static inline int64_t bucket_of(double v, double lo, double scale, int64_t len)
+{
+    double at = (v - lo) * scale;
+    return at > 0 ? (at < (double)(len - 1) ? (int64_t)at : len - 1) : 0;
+}
+
+/* The same order by a distribution sort: one pass spreads the pairs over
+ * len buckets between the least and the greatest value, each bucket of
+ * more than SMALL pairs is sorted on its own, `levels` - 1 deep, so a
+ * bucket that one far value crowded is spread again over its own range,
+ * and one insertion pass then orders the small buckets. Merge sort takes
+ * a piece with no levels left, or without a positive finite spread (all
+ * equal, or holding an infinity), so a row costs O(len log len) whatever
+ * its values. The spare arrays hold len pairs and start levels * (len + 1)
+ * entries. */
+static void bucket_sort(double *value, uint32_t *index, int64_t len, double *spare_value,
+                        uint32_t *spare_index, uint32_t *start, int levels)
+{
+    if (len <= SMALL) {
+        insertion_sort(value, index, len);
+        return;
+    }
+    double lo = value[0], hi = value[0];
+    for (int64_t k = 1; k < len; k++) {
+        lo = value[k] < lo ? value[k] : lo;
+        hi = value[k] > hi ? value[k] : hi;
+    }
+    double spread = hi - lo;
+    if (levels == 0 || !(spread > 0 && spread < INFINITY)) {
+        merge_sort(value, index, len, spare_value, spare_index);
+        return;
+    }
+    double scale = (double)(len - 1) / spread;
+    memset(start, 0, (len + 1) * sizeof *start);
+    for (int64_t k = 0; k < len; k++)
+        start[bucket_of(value[k], lo, scale, len) + 1]++;
+    for (int64_t b = 0; b < len; b++)
+        start[b + 1] += start[b];
+    for (int64_t k = 0; k < len; k++) {
+        uint32_t at = start[bucket_of(value[k], lo, scale, len)]++;
+        spare_value[at] = value[k];
+        spare_index[at] = index[k];
+    }
+    /* Bucket b now ends at start[b] and begins where bucket b - 1 ends. */
+    for (int64_t b = 0, first = 0; b < len; first = start[b++])
+        if (start[b] - first > SMALL)
+            bucket_sort(spare_value + first, spare_index + first, start[b] - first,
+                        value + first, index + first, start + len + 1, levels - 1);
+    memcpy(value, spare_value, len * sizeof *value);
+    memcpy(index, spare_index, len * sizeof *index);
+    /* Each pair is now within its bucket, so insertion moves it no farther. */
+    insertion_sort(value, index, len);
+}
+
+/* codes[i, a] = the number of distinct values below dist[i, a] in row i of
+ * an (n, n_anchors) matrix, n_anchors <= 256 for uint8 codes and <= 65536
+ * for uint16; returns whether no row holds two equal values. -0.0 equals
+ * +0.0 and +inf equals +inf under `!=`, as in numpy. NaN has no rank;
+ * callers reject it first. values holds 2 * n_anchors entries and scratch
+ * (2 + LEVELS) * (n_anchors + 1). */
+#define RANKS(NAME, CODE)                                                      \
+    int NAME(const double *dist, int64_t n, int64_t n_anchors, CODE *codes,    \
+             double *values, uint32_t *scratch)                                \
+    {                                                                          \
+        uint32_t *index = scratch, *spare = scratch + n_anchors + 1;           \
+        int distinct = 1;                                                      \
+        for (int64_t i = 0; i < n; i++) {                                      \
+            const double *row = dist + i * n_anchors;                          \
+            CODE *code = codes + i * n_anchors;                                \
+            for (int64_t a = 0; a < n_anchors; a++) {                          \
+                values[a] = row[a];                                            \
+                index[a] = (uint32_t)a;                                        \
+            }                                                                  \
+            bucket_sort(values, index, n_anchors, values + n_anchors, spare,   \
+                        spare + n_anchors + 1, LEVELS);                        \
+            CODE rank = 0;                                                     \
+            code[index[0]] = 0;                                                \
+            for (int64_t k = 1; k < n_anchors; k++) {                          \
+                rank += values[k] != values[k - 1];                            \
+                code[index[k]] = rank;                                         \
+            }                                                                  \
+            distinct &= rank == n_anchors - 1;                                 \
+        }                                                                      \
+        return distinct;                                                       \
+    }
+
+RANKS(ranks_f64_u8, uint8_t)
+RANKS(ranks_f64_u16, uint16_t)
 
 /* A block of FIRST first anchors against a tile of TILE columns: its
  * uint16 accumulators take 16 KiB and stay in L1 while every sample row
@@ -79,6 +243,80 @@ TABLE(table_u8_u8, uint8_t, uint8_t)
 TABLE(table_u8_u16, uint8_t, uint16_t)
 TABLE(table_u16_u8, uint16_t, uint8_t)
 TABLE(table_u16_u16, uint16_t, uint16_t)
+
+/* Side of the square tiles in which a table meets its transpose: a tile
+ * and its mirror, 64 rows of 64 uint16 counts each, stay in L1. */
+enum { MIRROR = 64 };
+
+/* hist[c] += the number of off-diagonal entries equal to c in an
+ * (n_anchors, n_anchors) table, whose hist spans every value of COUNT;
+ * returns the least pair maximum, the least over a1 < a2 of
+ * max(counts[a1, a2], counts[a2, a1]), or the COUNT maximum when there is
+ * no pair. Each tile on or above the diagonal is read with its mirror. */
+#define TALLY(NAME, COUNT)                                                     \
+    int64_t NAME(const COUNT *counts, int64_t n_anchors, int64_t *hist)        \
+    {                                                                          \
+        COUNT bound = (COUNT)-1;                                               \
+        for (int64_t r0 = 0; r0 < n_anchors; r0 += MIRROR) {                   \
+            int64_t r1 = n_anchors - r0 < MIRROR ? n_anchors : r0 + MIRROR;    \
+            for (int64_t c0 = r0; c0 < n_anchors; c0 += MIRROR) {              \
+                int64_t c1 = n_anchors - c0 < MIRROR ? n_anchors : c0 + MIRROR;\
+                for (int64_t a = r0; a < r1; a++)                              \
+                    for (int64_t b = a < c0 ? c0 : a + 1; b < c1; b++) {       \
+                        COUNT x = counts[a * n_anchors + b];                   \
+                        COUNT y = counts[b * n_anchors + a];                   \
+                        hist[x]++;                                             \
+                        hist[y]++;                                             \
+                        COUNT most = x > y ? x : y;                            \
+                        bound = most < bound ? most : bound;                   \
+                    }                                                          \
+            }                                                                  \
+        }                                                                      \
+        return bound;                                                          \
+    }
+
+TALLY(tally_u8, uint8_t)
+TALLY(tally_u16, uint16_t)
+
+/* Columns of a table row whose kept entries are listed before placing:
+ * listing every column and advancing past the kept ones only takes no
+ * branch on the count, which about half the entries pass. */
+enum { CHUNK = 256 };
+
+/* The off-diagonal pairs (a1, a2) with counts[a1, a2] <= bound, ascending
+ * by count and in row-major order within a count: a distribution counting
+ * sort, whose hist from TALLY becomes each count's next free position. a1
+ * and a2 hold exactly the hist[0..bound] total. */
+#define PAIRS(NAME, COUNT, PAIR)                                               \
+    void NAME(const COUNT *counts, int64_t n_anchors, int64_t bound,           \
+              int64_t *hist, PAIR *a1, PAIR *a2)                               \
+    {                                                                          \
+        for (int64_t c = 0, next = 0; c <= bound; c++) {                       \
+            int64_t size = hist[c];                                            \
+            hist[c] = next;                                                    \
+            next += size;                                                      \
+        }                                                                      \
+        for (int64_t a = 0; a < n_anchors; a++) {                              \
+            const COUNT *row = counts + a * n_anchors;                         \
+            for (int64_t b0 = 0; b0 < n_anchors; b0 += CHUNK) {                \
+                int64_t b1 = n_anchors - b0 < CHUNK ? n_anchors : b0 + CHUNK;  \
+                uint32_t kept[CHUNK];                                          \
+                int64_t m = 0;                                                 \
+                for (int64_t b = b0; b < b1; b++) {                            \
+                    kept[m] = (uint32_t)b;                                     \
+                    m += (row[b] <= bound) & (b != a);                         \
+                }                                                              \
+                for (int64_t j = 0; j < m; j++) {                              \
+                    int64_t k = hist[row[kept[j]]]++;                          \
+                    a1[k] = (PAIR)a;                                           \
+                    a2[k] = (PAIR)kept[j];                                     \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+    }
+
+PAIRS(pairs_u8_u16, uint8_t, uint16_t)
+PAIRS(pairs_u16_u16, uint16_t, uint16_t)
 
 /* Pairs scanned per query before moving on to the next query: the span's
  * pair indices stay in L1 while every query still scanning reads them. */

@@ -1,8 +1,12 @@
-"""Loader of the compiled integer kernels in ``_core.c``.
+"""Loader of the compiled kernels in ``_core.c``.
 
-The kernels are built with the system ``gcc`` the first time one is
-called, once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with
-mode 0700. An unset, empty or relative ``XDG_CACHE_HOME``, which the XDG
+The kernels are ``ranks`` (per-row rank codes of a distance matrix),
+``table`` (the halfspace count table), ``tally`` and ``pairs`` (the
+counting sort of the table's anchor pairs), ``scan`` (each query's first
+admissible pair) and ``depths`` (the permutation tests' depth counts).
+They are built with the system ``gcc`` the first time one is called,
+once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with mode
+0700. An unset, empty or relative ``XDG_CACHE_HOME``, which the XDG
 Base Directory Specification makes invalid, means ``~/.cache``. The file
 name is keyed by the SHA-256 of the source and the compiler flags, so an
 edited source builds anew. A build is written under a temporary name and
@@ -95,19 +99,24 @@ def _load() -> dict:
     if not _intact(target):
         _build(target)
     lib = ctypes.CDLL(str(target))
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     integers = ("u8", "u16")
-    signatures = {f"table_{code}_{count}": [ptr, i64, i64, ctypes.c_int, ptr, i64]
-                  for code in integers for count in integers}
-    signatures.update({f"scan_{query}_u16": [ptr, i64, i64, ptr, ptr, i64, ptr]
+    # name: (argument types, return type)
+    signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr, ptr, ptr], flag) for code in integers}
+    signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], None)
+                       for code in integers for count in integers})
+    signatures.update({f"tally_{count}": ([ptr, i64, ptr], i64) for count in integers})
+    signatures.update({f"pairs_{count}_u16": ([ptr, i64, i64, ptr, ptr, ptr], None)
+                       for count in integers})
+    signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr], None)
                        for query in ("f64", *integers)})
-    signatures.update({f"depths_{code}_{count}": [ptr, i64, ptr, i64, i64, ctypes.c_int,
-                                                  ptr, ptr, ptr, ptr]
+    signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag,
+                                                   ptr, ptr, ptr, ptr], None)
                        for code in integers for count in integers})
     functions = {}
-    for name, argtypes in signatures.items():
+    for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)
-        function.argtypes, function.restype = argtypes, None
+        function.argtypes, function.restype = argtypes, restype
     return functions
 
 

@@ -28,25 +28,33 @@ table counts both halves.
 The table's off-diagonal ordered pairs are sorted once by (count,
 row-major index); each query scans them in that order and stops at its
 first admissible pair, so its work grows with the number of pairs whose
-count lies below its depth rather than with n_A^2. The stable sort keeps
-the tie-break of a masked minimum over the row-major table: the least
-count, and among equal counts the first pair in row-major order. A query
-admits one of (a1, a2) and (a2, a1) for every pair, so no scan passes
-the least pair maximum max(counts[a1, a2], counts[a2, a1]); the sort
-keeps only the pairs up to that bound, the prefix that scans can reach.
+count lies below its depth rather than with n_A^2. That order keeps the
+tie-break of a masked minimum over the row-major table: the least count,
+and among equal counts the first pair in row-major order. A query admits
+one of (a1, a2) and (a2, a1) for every pair, so no scan passes the least
+pair maximum max(counts[a1, a2], counts[a2, a1]); the sort keeps only
+the pairs up to that bound, the prefix that scans can reach. Counts lie
+in [0, n], so the order is a distribution counting sort (Knuth, TAOCP
+vol. 3, section 5.2): one pass over the table histograms the counts and
+finds the bound, and a second places each kept pair, row by row, at its
+count's next free position.
 
-Both steps run in a small compiled core (``_core.c``, built and loaded by
-:mod:`metricdepth._native`) when it can be built, and so do the
+Every step runs in a small compiled core (``_core.c``, built and loaded
+by :mod:`metricdepth._native`) when it can be built, and so do the
 permutation tests' depth counts (:mod:`metricdepth.inference`), which
 build each reference group's table with the same compiled build. Its
-table build takes blocks of 16 first anchors against tiles of 512
-columns, with uint16 accumulators that stay in L1 while the sample rows
-stream past; its scan reads each kept pair's two indices and the query's
-two entries, and stops at the first admissible pair. Each step has one
-entry point, :func:`_prob_counts` and :func:`_min_counts`, whose numpy
-body is the reference the compiled kernel must equal in every count,
-dtype, layout and first-hit position. The numpy body runs everything
-else: other dtypes, and every call where no compiler is found.
+ranks sort each row by a bucket pass and per-bucket sorts; its table
+build takes blocks of 16 first anchors against tiles of 512 columns,
+with uint16 accumulators that stay in L1 while the sample rows stream
+past; its pair sort is the counting sort above, whose only temporary is
+the histogram; its scan reads each kept pair's two indices and the
+query's two entries, and stops at the first admissible pair. Each step
+has one entry point, :func:`_row_ranks`, :func:`_prob_counts`,
+:attr:`HalfspaceProbTable.sorted_pairs` and :func:`_min_counts`, whose
+numpy body is the reference the compiled kernel must equal in every
+code, count, pair, dtype, layout and first-hit position. The numpy body
+runs everything else: other dtypes, and every call where no compiler is
+found.
 
 The table keeps its rank codes. When the queries are the sample itself
 (the same object), the scan reads those codes in place of a second
@@ -150,15 +158,34 @@ class HalfspaceProbTable:
         ``count <= bound`` are kept: in the order of all off-diagonal
         pairs they form a prefix, and every scan stops inside it.
 
-        Sorted once per table and shared by every query against it. The
-        bound and the sort key are read from ``counts`` as built, with no
-        copy: :func:`_prob_counts` stores them in the narrowest dtype that
-        holds n, so numpy's stable sort runs as a radix sort on the usual
-        sample sizes. A table given wider counts sorts to the same pairs.
-        Indices are uint16 up to 65 536 anchors, the one pair dtype the
-        compiled scan takes, and uint32 beyond.
+        Sorted once per table and shared by every query against it, and
+        read from ``counts`` as built, with no copy. Indices are uint16 up
+        to 65 536 anchors, the one pair dtype the compiled scan takes, and
+        uint32 beyond. Uint8 or uint16 counts of up to 65 536 anchors are
+        sorted by the compiled counting sort when it loads: one pass
+        histograms the off-diagonal counts and finds the bound, reading
+        each tile of the table with its mirror, and a second writes the
+        kept pairs, row-major within each count, into arrays of exactly
+        their length. The numpy body sorts everything else, a table given
+        wider counts to the same pairs: it reads the bound tile by tile
+        (:func:`_least_pair_max`) and stable-sorts the kept entries' flat
+        indices by count.
         """
         n_anchors = len(self.counts)
+        dtype = np.uint16 if n_anchors <= 1 << 16 else np.uint32
+        tally = _native.kernel("tally", self.counts.dtype)
+        place = _native.kernel("pairs", self.counts.dtype, dtype)
+        if tally is not None and place is not None:
+            counts = np.ascontiguousarray(self.counts)
+            # A bin for every value of the dtype, so that no entry of any
+            # table indexes past the histogram.
+            hist = np.zeros(np.iinfo(counts.dtype).max + 1, dtype=np.int64)
+            bound = tally(counts.ctypes.data, n_anchors, hist.ctypes.data)
+            kept = int(hist[:bound + 1].sum())
+            a1, a2 = np.empty(kept, dtype=dtype), np.empty(kept, dtype=dtype)
+            place(counts.ctypes.data, n_anchors, bound, hist.ctypes.data,
+                  a1.ctypes.data, a2.ctypes.data)
+            return a1, a2
         bound = _least_pair_max(self.counts)
         key = self.counts.ravel()
         keep = key <= bound
@@ -167,7 +194,6 @@ class HalfspaceProbTable:
         order = index[np.argsort(key[index], kind="stable")]
         order = order.astype(np.min_scalar_type(key.size))
         a1, a2 = np.divmod(order, n_anchors)
-        dtype = np.uint16 if n_anchors <= 1 << 16 else np.uint32
         return a1.astype(dtype), a2.astype(dtype)
 
 
@@ -211,8 +237,26 @@ def _row_ranks(dist: np.ndarray) -> tuple[np.ndarray, bool]:
     Equal entries share a rank and the order within each row is kept, so
     ``<=`` between two entries of a row has the same truth value on the
     ranks. NaN has no such rank; callers reject it first.
+
+    Float64 rows of up to 65 536 entries are ranked by the compiled kernel
+    when it loads: it sorts each row's indices by a bucket pass and
+    per-bucket sorts, O(n_A log n_A) whatever the values, and walks them
+    once. The numpy body, two passes of ``argsort`` order, gives the same
+    codes and flag and ranks everything else.
     """
-    code = np.min_scalar_type(dist.shape[1] - 1)
+    n_anchors = dist.shape[1]
+    code = np.min_scalar_type(n_anchors - 1)
+    kernel = _native.kernel("ranks", dist.dtype, code)
+    if kernel is not None:
+        dist = np.ascontiguousarray(dist)
+        ranks = np.empty(dist.shape, dtype=code)
+        # One row's scratch, as RANKS in _core.c takes it: two value arrays,
+        # then two index arrays and one bucket-start array per level (2).
+        values = np.empty(2 * n_anchors)
+        scratch = np.empty(4 * (n_anchors + 1), dtype=np.uint32)
+        distinct = kernel(dist.ctypes.data, len(dist), n_anchors, ranks.ctypes.data,
+                          values.ctypes.data, scratch.ctypes.data)
+        return ranks, bool(distinct)
     order = np.argsort(dist, axis=1)
     ordered = np.take_along_axis(dist, order, axis=1)
     step = np.zeros(dist.shape, dtype=code)
@@ -220,7 +264,7 @@ def _row_ranks(dist: np.ndarray) -> tuple[np.ndarray, bool]:
     ranks = np.empty_like(step)
     dense = np.cumsum(step, axis=1, dtype=code)
     np.put_along_axis(ranks, order, dense, axis=1)
-    return ranks, bool((dense[:, -1] == dist.shape[1] - 1).all())
+    return ranks, bool((dense[:, -1] == n_anchors - 1).all())
 
 
 def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:

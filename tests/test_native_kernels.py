@@ -1,9 +1,11 @@
-"""The compiled table, scan and permutation depth-count kernels against
-the numpy bodies of their entry points, and the loader that builds them.
+"""The compiled rank, table, pair-sort, scan and permutation depth-count
+kernels against the numpy bodies of their entry points, and the loader
+that builds them.
 
 The numpy bodies are the oracle, run by the same entry points under
-``numpy_kernels()``: every check demands the same counts, in the same dtype
-and layout, and the same ``(count, a1, a2)`` per query.
+``numpy_kernels()``: every check demands the same codes and tie flag, the
+same counts, in the same dtype and layout, the same sorted pairs, in the
+same dtype and length, and the same ``(count, a1, a2)`` per query.
 Sizes straddle the uint8/uint16 switches of the codes (n_A = 256, 257)
 and of the counts (n = 255, 256), and the compiled build's tiles of 512
 columns and blocks of 16 first anchors; reference groups straddle the count switch (m = 255, 256) and the padding of table
@@ -19,6 +21,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from metricdepth import _native
 from metricdepth.cli import main
@@ -51,6 +55,29 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def native():
     if _native.library() is None:
         pytest.skip("the compiled kernels cannot be built here")
+
+
+def same_ranks(dist):
+    """The compiled rank codes and tie flag, checked against numpy's."""
+    assert _native.kernel("ranks", dist.dtype, np.min_scalar_type(dist.shape[1] - 1)) is not None
+    got = _row_ranks(dist)
+    with numpy_kernels():
+        want = _row_ranks(dist)
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    assert type(got[1]) is bool and got[1] == want[1]
+    return got
+
+
+def same_pairs(counts, n):
+    """The counting-sorted pairs of a table, checked against numpy's."""
+    assert _native.kernel("pairs", counts.dtype, np.uint16) is not None
+    got = HalfspaceProbTable(counts=counts, n=n).sorted_pairs
+    with numpy_kernels():
+        want = HalfspaceProbTable(counts=counts, n=n).sorted_pairs
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.uint16 and g.shape == w.shape
+        assert np.array_equal(g, w)
+    return got
 
 
 def same_table(codes, distinct):
@@ -82,6 +109,71 @@ def distances(rng, n, n_anchors, tied):
     if tied and n_anchors > 1:
         dist[:, n_anchors // 2:] = dist[:, :n_anchors - n_anchors // 2]
     return dist
+
+
+# ------------------------------------------------------------------ ranks
+
+@pytest.mark.parametrize("n_anchors", [1, 17, 256, 257, 920])
+@pytest.mark.parametrize("tied", [False, True])
+def test_ranks_equal_numpy(native, n_anchors, tied):
+    # 256 anchors take uint8 codes and 257 uint16 ones; rows of more than
+    # 16 entries are spread over buckets.
+    dist = distances(np.random.default_rng(n_anchors), 40, n_anchors, tied)
+    codes, distinct = same_ranks(dist)
+    assert codes.dtype == (np.uint8 if n_anchors <= 256 else np.uint16)
+    assert distinct == (not tied or n_anchors == 1)
+
+
+def edge_rows(rng, n_anchors):
+    """Rows that crowd the buckets or leave no finite spread."""
+    spread = rng.random(n_anchors)
+    outlier = spread.copy()
+    outlier[n_anchors // 3] = 1e12
+    signed_zeros = np.where(rng.random(n_anchors) < 0.5, -0.0, 0.0)
+    signed_zeros[::5] = spread[::5]
+    infinite = spread.copy()
+    infinite[::7] = np.inf
+    both_ends = spread.copy()
+    both_ends[[0, -1]] = -1e15, 1e15
+    return {
+        "all equal": np.full(n_anchors, 2.5),
+        "heavily tied": rng.integers(0, 3, n_anchors) * 0.5,
+        "-0.0 beside +0.0": signed_zeros,
+        "+inf": infinite,
+        "all +inf": np.full(n_anchors, np.inf),
+        "one far outlier": outlier,
+        "outliers at both ends": both_ends,
+        "powers of two": 2.0 ** -rng.integers(0, 200, n_anchors),
+        "subnormal spread": spread * 5e-324 * 1000,
+        "extremes": rng.choice([-1e308, 0.0, 1e308], n_anchors),
+    }
+
+
+@pytest.mark.parametrize("n_anchors", [1, 2, 256, 257, 2000])
+def test_ranks_equal_numpy_on_edge_rows(native, n_anchors):
+    rng = np.random.default_rng(n_anchors)
+    rows = edge_rows(rng, n_anchors)
+    for name, row in rows.items():
+        codes, _ = same_ranks(row[None])
+        if name == "-0.0 beside +0.0":
+            assert len(np.unique(codes[0, row == 0])) <= 1
+    # All rows at once: a row's scratch must not leak into the next.
+    same_ranks(np.stack(list(rows.values())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranks_equal_numpy_on_tied_floats(data):
+    # Few distinct values, with neighbours one ulp apart and subnormals,
+    # tie heavily; rows of up to 80 entries take the bucket pass.
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 80)))
+    values = st.one_of(st.sampled_from([*VALUES, 1.0 + 2.0**-52, 5e-324, 1e300]),
+                       st.floats(0, 4))
+    dist = data.draw(hnp.arrays(np.float64, shape, elements=values))
+    _, distinct = same_ranks(dist)
+    assert distinct == distinct_rows(dist)
 
 
 # ------------------------------------------------------------------ table
@@ -145,6 +237,63 @@ def test_public_table_uses_the_compiled_build(native, rng):
     table = halfspace_prob_table(space, sample, sample + sample[:3])
     with numpy_kernels():
         assert np.array_equal(table.counts, _prob_counts(table.codes, False))
+
+
+# -------------------------------------------------------------- pair sort
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 300])
+@pytest.mark.parametrize("tied", [False, True])
+def test_pairs_equal_numpy(native, n, tied):
+    # 255 sample rows take uint8 counts and 256 uint16 ones; 150 anchors
+    # span three tiles of the mirrored bound.
+    codes, distinct = _row_ranks(distances(np.random.default_rng(n), n, 150, tied))
+    counts = _prob_counts(codes, distinct)
+    a1, a2 = same_pairs(counts, n)
+    if distinct:
+        # The counts of a tie-free table sum to n across each pair, so at
+        # least one of (a1, a2) and (a2, a1) is kept for every pair.
+        assert len(a1) >= 150 * 149 // 2
+    assert not np.any(a1 == a2)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_pairs_of_one_anchor_and_of_one_count(native, dtype):
+    # One anchor keeps no pair. Every count equal to n: the bound is n, the
+    # diagonal's count, and every off-diagonal pair is kept in row-major
+    # order.
+    a1, a2 = same_pairs(np.array([[3]], dtype=dtype), 3)
+    assert len(a1) == len(a2) == 0
+    a1, a2 = same_pairs(np.full((5, 5), 4, dtype=dtype), 4)
+    assert [(int(i), int(j)) for i, j in zip(a1, a2)] == [
+        (i, j) for i in range(5) for j in range(5) if i != j]
+
+
+def test_wider_counts_sort_to_the_same_pairs(native):
+    # Counts wider than uint16 have no compiled sort; the numpy body gives
+    # the same pairs.
+    codes, distinct = _row_ranks(distances(np.random.default_rng(4), 30, 60, True))
+    counts = _prob_counts(codes, distinct)
+    want = same_pairs(counts, 30)
+    assert _native.kernel("tally", np.uint32) is None
+    got = HalfspaceProbTable(counts=counts.astype(np.uint32), n=30).sorted_pairs
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [60, 300])
+def test_pair_sort_allocates_only_its_output(native, n):
+    # The histogram, of 256 or 65 536 int64 entries by the count dtype, is
+    # the only temporary beside the two returned arrays.
+    codes, distinct = _row_ranks(distances(np.random.default_rng(n), n, 2000, False))
+    table = HalfspaceProbTable(counts=_prob_counts(codes, distinct), n=n)
+    hist = 8 * (int(np.iinfo(table.counts.dtype).max) + 1)
+    tracemalloc.start()
+    try:
+        a1, a2 = table.sorted_pairs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(a1) > 1_900_000
+    assert peak <= a1.nbytes + a2.nbytes + hist + 64 * 1024
 
 
 # ------------------------------------------------------------------- scan
@@ -278,15 +427,25 @@ def test_depths_leave_references_outside_the_pool_to_numpy(native):
 # ------------------------------------------------------- fallback and cache
 
 def test_kernels_are_chosen_by_dtype_alone(native):
-    # Tables by (code, count), scans by (query, pair), permutation depths by
-    # (code, count) dtype; no kernel takes a width flag.
+    # Ranks by (distance, code), tables by (code, count), tallies by count,
+    # pair sorts by (count, pair), scans by (query, pair), permutation
+    # depths by (code, count) dtype; no kernel takes a width flag.
     assert sorted(_native.library()) == [
         "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8",
+        "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
         "scan_f64_u16", "scan_u16_u16", "scan_u8_u16",
-        "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8"]
+        "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
+        "tally_u16", "tally_u8"]
     assert _native.kernel("table", np.uint8, np.uint16) is not None
+    assert _native.kernel("ranks", np.float64, np.uint16) is not None
     assert _native.kernel("scan", np.float64, np.uint8) is None
     assert _native.kernel("table", np.uint16, np.uint32) is None
+    # Codes past 65 536 anchors, integer distances, pair indices past
+    # 65 536 anchors and counts wider than uint16 stay with numpy.
+    assert _native.kernel("ranks", np.float64, np.uint32) is None
+    assert _native.kernel("ranks", np.int64, np.uint8) is None
+    assert _native.kernel("pairs", np.uint8, np.uint32) is None
+    assert _native.kernel("tally", np.uint32) is None
 
 
 @pytest.mark.parametrize("value", ["", "relcache", "./relcache"])
