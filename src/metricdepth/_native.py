@@ -22,6 +22,13 @@ None, and the numpy bodies of the entry points in :mod:`metricdepth.depth`
 and :mod:`metricdepth.inference` run instead, with the same results. A
 kernel is named by its task and the dtypes of its arrays, and takes no
 flag that a dtype could state.
+
+``depths`` spreads its reference groups over up to :func:`threads`
+threads, which it starts and joins within the one call: no thread outlives
+a kernel call, so a process forked after one inherits none, and calls made
+at once from several threads share nothing. Each group is counted by one
+thread with the same arithmetic, so the counts do not depend on the thread
+count. The other kernels run on the calling thread.
 """
 
 from __future__ import annotations
@@ -39,16 +46,33 @@ SOURCE = Path(__file__).with_name("_core.c")
 COMPILER = "gcc"
 # No -march=native: a cached library must run on any x86-64 host, and the
 # source selects its AVX2 clones at load time. No -ffast-math: the
-# comparisons must stay IEEE <=. Loops start on 32-byte boundaries, so a
-# kernel's speed does not hang on where the code before it ends: under the
-# default alignment, moving the table build by 32 bytes slowed its
-# 400 x 400 uint16 build from 1.75 to 2.00 ms on an x86-64 Xeon.
-FLAGS = ("-O3", "-falign-loops=32", "-std=c99", "-shared", "-fPIC")
+# comparisons must stay IEEE <=. Loops start on 64-byte boundaries, whole
+# cache lines, so a kernel's speed does not hang on where the code before
+# it ends. On an x86-64 Xeon, under the default alignment, moving the table
+# build by 32 bytes slowed its 400 x 400 uint16 build from 1.75 to 2.00 ms;
+# with loops on 32-byte boundaries, adding the threaded depth counts moved
+# it by 16 bytes and slowed its 230 x 920 build from 5.1 to 6.6 ms.
+FLAGS = ("-O3", "-falign-loops=64", "-std=c99", "-shared", "-fPIC", "-pthread")
 # Array dtypes the kernels take, by their suffix in the kernel names.
 _SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.uint8): "u8", np.dtype(np.uint16): "u16"}
 _DIGEST = hashlib.sha256().digest_size
 _UNSET = object()
 _kernels = _UNSET
+
+
+def threads(unset: int | None = None) -> int:
+    """The thread count that ``MHD_THREADS`` asks for when it holds a
+    positive integer in ASCII digits, else ``unset``, or every CPU this
+    process may run on when ``unset`` is None; never more than those CPUs."""
+    cpus = len(os.sched_getaffinity(0))
+    value = os.environ.get("MHD_THREADS", "").strip()
+    digits = value.lstrip("0")
+    # str.isdigit() also accepts non-ASCII digits such as '²', which int()
+    # rejects. A count with more digits than the CPU count asks for every
+    # CPU; int() would refuse one of over 4300 digits.
+    if value.isascii() and value.isdigit() and digits:
+        return cpus if len(digits) > len(str(cpus)) else min(int(digits), cpus)
+    return cpus if unset is None else min(unset, cpus)
 
 
 def cache_dir() -> Path:
@@ -110,7 +134,7 @@ def _load() -> dict:
                        for count in integers})
     signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr], None)
                        for query in ("f64", *integers)})
-    signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag,
+    signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, i64,
                                                    ptr, ptr, ptr, ptr], None)
                        for code in integers for count in integers})
     functions = {}

@@ -11,13 +11,12 @@ manifest JSON next to its output.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
 import click
 
-from . import __version__
+from . import __version__, _native
 from .depth import _check_radius_frac, approx_depth, jiggle_anchors
 from .errors import DataError, GeometryError, NumericalError, PointValidationError
 from .estimators import ESTIMATORS, fit_estimator
@@ -49,11 +48,7 @@ def _space_argument(ctx, param, value):
 
 
 def _default_threads() -> int:
-    env = os.environ.get("MHD_THREADS", "").strip()
-    # str.isdigit() also accepts non-ASCII digits such as '²', which int() rejects.
-    if env.isascii() and env.isdigit() and int(env) > 0:
-        return int(env)
-    return 1
+    return _native.threads(unset=1)
 
 
 def _parse_anchor_spec(text: str) -> int:

@@ -14,9 +14,10 @@ is ranked once per test; for a batch of orders, each permuted reference
 group's block of those codes yields its halfspace table, and every pooled
 observation's depth count is the least entry of that table over the
 anchor pairs the observation admits. The compiled core (``_core.c``) runs
-this for the whole batch in one call, table by table; without it, each
-table goes through the depth module's table build and first-hit scan, one
-reference group at a time, to the same counts. Counts are ranked per row
+this for the whole batch in one call, its tables spread over threads that
+start and end within the call; without it, each table goes through the
+depth module's table build and first-hit scan, one reference group at a
+time, to the same counts. Counts are ranked per row
 from a histogram, and the statistics are formed across the batch with each
 row's floating-point operations in the order of the one-order formulas, so
 the statistics and p-values do not depend on the batching. A batch of
@@ -129,10 +130,12 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     kernel when it loads: for each group it gathers the members' codes,
     builds their table with the compiled table build straight into rows
     padded to whole vector registers, and takes each observation's dense
-    masked minimum over those rows, with every buffer allocated here.
-    Anything else builds each group's table with :func:`depth._prob_counts`
-    and scans it with :func:`depth._min_counts`, whose first hit in the
-    sorted pairs is the same least count.
+    masked minimum over those rows. Its threads, at most
+    :func:`_native.threads` and at most one per group, each claim the next
+    group until none is left, each in its own block of the scratch buffers
+    allocated here. Anything else builds each group's table with
+    :func:`depth._prob_counts` and scans it with :func:`depth._min_counts`,
+    whose first hit in the sorted pairs is the same least count.
     """
     n_refs, m = references.shape
     total = len(codes)
@@ -150,12 +153,19 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
         return out
     codes = np.ascontiguousarray(codes)
     references = np.ascontiguousarray(references, dtype=np.int64)
+    threads = max(1, min(_native.threads(), n_refs))
     width = -(-m // 32) * 32  # whole runs of the kernel's 32 lanes
-    members = np.empty((m, m), dtype=codes.dtype)
-    padded = np.empty((m, width), dtype=count)
-    query = np.empty(width, dtype=codes.dtype)
+
+    def blocks(entries, dtype):
+        # One block per thread, each followed by a 64-byte cache line, so
+        # that no line holds two threads' entries.
+        return np.empty((threads, entries + 64 // np.dtype(dtype).itemsize), dtype=dtype)
+
+    members = blocks(m * m, codes.dtype)
+    padded = blocks(m * width, count)
+    query = blocks(width, codes.dtype)
     out = np.empty((n_refs, total), dtype=count)
-    kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct,
+    kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct, threads,
            members.ctypes.data, padded.ctypes.data, query.ctypes.data, out.ctypes.data)
     return out
 

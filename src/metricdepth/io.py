@@ -161,7 +161,9 @@ class RunManifest:
     ``kernels`` names the kernels that build halfspace tables, scan
     queries and count the permutation tests' depths in this process:
     ``"native"`` for the compiled core, ``"numpy"`` when it could not be
-    built. Outputs are the same bytes with both.
+    built. ``threads`` is the most threads the compiled depth counts may
+    run on (see :func:`metricdepth._native.threads`), 1 on numpy. Outputs
+    are the same bytes with both kernels and any thread count.
     """
 
     command: list
@@ -169,6 +171,7 @@ class RunManifest:
     seed: int | None
     inputs: dict = field(default_factory=dict)
     kernels: str = "numpy"
+    threads: int = 1
     version: str = __version__
     schema: str = MANIFEST_SCHEMA
     wall_time_s: float = 0.0
@@ -199,4 +202,5 @@ class ManifestTimer:
     def finish(self, output_path) -> Path:
         self.manifest.wall_time_s = round(time.perf_counter() - self._start, 6)
         self.manifest.kernels = _native.kernels()
+        self.manifest.threads = _native.threads() if self.manifest.kernels == "native" else 1
         return self.manifest.write(output_path)

@@ -1,3 +1,4 @@
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -47,6 +48,21 @@ def numpy_kernels():
         yield
     finally:
         _native._kernels = saved
+
+
+@contextmanager
+def kernel_threads(count):
+    """Set ``MHD_THREADS`` to ``count``, or unset it for None, which lets
+    the compiled depth counts use every CPU of the process."""
+    saved = os.environ.pop("MHD_THREADS", None)
+    if count is not None:
+        os.environ["MHD_THREADS"] = str(count)
+    try:
+        yield
+    finally:
+        os.environ.pop("MHD_THREADS", None)
+        if saved is not None:
+            os.environ["MHD_THREADS"] = saved
 
 
 @pytest.fixture

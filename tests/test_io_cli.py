@@ -149,10 +149,13 @@ def test_cmd_depth_rejects_anchor_counts_that_are_not_ascii_digits(tmp_path, run
 
 
 @pytest.mark.parametrize("value, threads", [("3", 3), (" 2 ", 2), ("\u00b2", 1),
-                                            ("\u0663", 1), ("0", 1), ("-2", 1), ("", 1)])
+                                            ("\u0663", 1), ("0", 1), ("-2", 1), ("", 1),
+                                            ("100000", 100000)])
 def test_default_threads_reads_ascii_digits_only(monkeypatch, value, threads):
+    # The count is capped at the CPUs the process may run on; computing it
+    # starts nothing.
     monkeypatch.setenv("MHD_THREADS", value)
-    assert _default_threads() == threads
+    assert _default_threads() == min(threads, len(os.sched_getaffinity(0)))
 
 
 def test_cmd_simulate_with_non_ascii_thread_count_falls_back(tmp_path, runner, monkeypatch):
@@ -335,6 +338,28 @@ def test_cmd_test_kw_pairwise_matrix(tmp_path, runner, rng):
     payload = json.loads(out.read_text())
     assert payload["test"] == "kruskal-wallis"
     assert len(payload["pairwise_wilcoxon"]) == 6  # upper triangle of 4x4
+
+
+def test_cmd_test_writes_the_same_bytes_at_any_thread_count(tmp_path, runner, monkeypatch,
+                                                           rng):
+    files = []
+    for i in range(3):
+        files += ["--groups", str(tmp_path / f"g{i}.csv")]
+        _write_group(tmp_path / f"g{i}.csv", rng, n=10)
+    outputs = []
+    for threads in ("1", None):
+        if threads is None:
+            monkeypatch.delenv("MHD_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MHD_THREADS", threads)
+        out = tmp_path / f"kw-{threads}.json"
+        invoke(runner, ["test", "--space", "euclidean:1", "--test", "kw", *files,
+                        "--permutations", "199", "--out", str(out)])
+        outputs.append(out.read_bytes())
+        manifest = json.loads(manifest_path_for(out).read_text())
+        cpus = len(os.sched_getaffinity(0)) if manifest["kernels"] == "native" else 1
+        assert manifest["threads"] == (1 if threads else cpus)
+    assert outputs[0] == outputs[1]
 
 
 def test_cmd_test_small_group_is_data_error(tmp_path, runner):

@@ -12,16 +12,21 @@ columns and blocks of 16 first anchors; reference groups straddle the count swit
 rows to 32 entries, and include the paper's groups of 60 among 240. The
 permutation depth counts' oracle is a different algorithm: the numpy
 fallback scans each group's sorted pairs to the first hit, where the
-compiled kernel takes a dense masked minimum.
+compiled kernel takes a dense masked minimum, and it is checked at 1
+thread, 2 threads and every CPU of the process, with calls made at once
+and in a forked child.
 """
 
 import json
 import logging
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +45,11 @@ from metricdepth.depth import (
     _row_ranks,
     halfspace_prob_table,
 )
-from metricdepth.inference import _batched_depth_counts
+from metricdepth.inference import _batched_depth_counts, kruskal_wallis_depth_test
 from metricdepth.io import write_points
 from metricdepth.spaces import Euclidean, Sphere
 
-from conftest import distinct_rows, numpy_kernels, random_points
+from conftest import distinct_rows, kernel_threads, numpy_kernels, random_points
 from test_query_kernel import dense_min_counts
 from test_table_kernel import VALUES, brute_counts
 
@@ -367,14 +372,17 @@ def test_scan_leaves_rows_of_another_width_to_numpy(native):
 # ----------------------------------------------------- permutation depths
 
 def same_depths(codes, references, distinct):
-    """The compiled depth counts, checked against the numpy fallback's, which
-    builds and scans one table per reference group."""
+    """The compiled depth counts at 1 thread, 2 threads and every CPU of the
+    process, each checked against the numpy fallback's, which builds and
+    scans one table per reference group."""
     count = np.min_scalar_type(references.shape[1])
     assert _native.kernel("depths", codes.dtype, count) is not None
-    got = _batched_depth_counts(codes, references, distinct)
     with numpy_kernels():
         want = _batched_depth_counts(codes, references, distinct)
-    assert got.dtype == want.dtype == count and np.array_equal(got, want)
+    for threads in (1, 2, None):
+        with kernel_threads(threads):
+            got = _batched_depth_counts(codes, references, distinct)
+        assert got.dtype == want.dtype == count and np.array_equal(got, want)
     return got
 
 
@@ -395,6 +403,17 @@ def test_depths_equal_numpy_on_the_paper_shape(native, tied):
     # Four groups of 60, as in the Alzheimer's analysis: each permuted
     # reference group of 60 against all 240 pooled points.
     depths_of_three_orders(240, 60, tied)
+
+
+@pytest.mark.parametrize("total, m", [(40, 1), (40, 33), (257, 256)])
+def test_depths_equal_numpy_with_fewer_groups_than_threads(native, total, m):
+    # One group, as depth_ranks passes it, and as many groups as CPUs: each
+    # call starts at most one thread per group.
+    rng = np.random.default_rng(total + m)
+    codes, distinct = _row_ranks(rng.integers(0, 4, size=(total, total)))
+    for n_refs in range(1, len(os.sched_getaffinity(0)) + 1):
+        orders = np.stack([rng.permutation(total) for _ in range(n_refs)])
+        same_depths(codes, orders[:, :m], distinct)
 
 
 def depths_of_three_orders(total, m, tied):
@@ -422,6 +441,64 @@ def test_depths_leave_references_outside_the_pool_to_numpy(native):
     with numpy_kernels():
         want = _batched_depth_counts(codes, np.array([[5, 2]]), True)
     assert np.array_equal(got, want)
+
+
+# ------------------------------------------------------------------ threads
+
+def test_thread_count_never_exceeds_the_cpus(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    for value, threads in (("", cpus), ("1", 1), ("01", 1), ("100000", cpus), ("1" * 5000, cpus),
+                           ("0", cpus), ("00", cpus), ("x", cpus)):
+        monkeypatch.setenv("MHD_THREADS", value)
+        assert _native.threads() == threads
+    monkeypatch.delenv("MHD_THREADS")
+    assert _native.threads() == cpus and _native.threads(unset=1) == 1
+
+
+def kw_test(seed):
+    """A Kruskal-Wallis test on three sphere:2 groups of 20; 199
+    permutations make several batches of orders, so several calls of the
+    depth counts."""
+    space = Sphere(2)
+    points = random_points(space, 60, np.random.default_rng(seed))
+    result = kruskal_wallis_depth_test(space, [points[:20], points[20:40], points[40:]],
+                                       n_permutations=199, seed=seed)
+    return result.statistic, result.p_value
+
+
+def task_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+def test_concurrent_tests_get_the_serial_result(native):
+    with kernel_threads(1):
+        want = [kw_test(seed) for seed in (1, 2)]
+    got = [None, None]
+
+    def run(i):
+        got[i] = kw_test(i + 1)
+
+    with kernel_threads(None):
+        runners = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=120)
+    assert not any(runner.is_alive() for runner in runners)
+    assert got == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-process task list")
+def test_no_thread_outlives_a_call_so_a_forked_child_runs_a_test(native):
+    # simulate's workers are forked on Linux: a kernel thread left running
+    # in the parent would be missing in the child, with whatever it held.
+    with kernel_threads(None):
+        before = task_count()
+        want = kw_test(3)
+        assert task_count() == before
+        with ProcessPoolExecutor(max_workers=1,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(kw_test, 3).result(timeout=120) == want
 
 
 # ------------------------------------------------------- fallback and cache
