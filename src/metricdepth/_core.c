@@ -10,14 +10,17 @@
  * and the ranks' bucket map needs IEEE rounding to keep the order, so the
  * build must never run under -ffast-math. Kernels are chosen by the dtypes
  * of their arrays alone, named by those dtypes. Arrays are C-contiguous and
- * row-major, and every scratch buffer is the caller's.
+ * row-major. A kernel that needs scratch allocates it, frees it before it
+ * returns, and returns -1 when it cannot allocate it.
  *
  * The depth counts alone run on several threads, which the call starts and
  * joins before it returns; every other kernel runs on the calling thread.
  */
+#define _POSIX_C_SOURCE 200112L /* posix_memalign */
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -155,13 +158,17 @@ static void bucket_sort(double *value, uint32_t *index, int64_t len, double *spa
  * an (n, n_anchors) matrix, n_anchors <= 256 for uint8 codes and <= 65536
  * for uint16; returns whether no row holds two equal values. -0.0 equals
  * +0.0 and +inf equals +inf under `!=`, as in numpy. NaN has no rank;
- * callers reject it first. values holds 2 * n_anchors entries and scratch
- * (2 + LEVELS) * (n_anchors + 1). */
+ * callers reject it first. One row's scratch holds 2 * n_anchors values
+ * and (2 + LEVELS) * (n_anchors + 1) indices. */
 #define RANKS(NAME, CODE)                                                      \
-    int NAME(const double *dist, int64_t n, int64_t n_anchors, CODE *codes,    \
-             double *values, uint32_t *scratch)                                \
+    int NAME(const double *dist, int64_t n, int64_t n_anchors, CODE *codes)    \
     {                                                                          \
-        uint32_t *index = scratch, *spare = scratch + n_anchors + 1;           \
+        double *values = malloc(2 * n_anchors * sizeof(double)                 \
+            + (2 + LEVELS) * (n_anchors + 1) * sizeof(uint32_t));              \
+        if (!values)                                                           \
+            return -1;                                                         \
+        uint32_t *index = (uint32_t *)(values + 2 * n_anchors);                \
+        uint32_t *spare = index + n_anchors + 1;                               \
         int distinct = 1;                                                      \
         for (int64_t i = 0; i < n; i++) {                                      \
             const double *row = dist + i * n_anchors;                          \
@@ -180,6 +187,7 @@ static void bucket_sort(double *value, uint32_t *index, int64_t len, double *spa
             }                                                                  \
             distinct &= rank == n_anchors - 1;                                 \
         }                                                                      \
+        free(values);                                                          \
         return distinct;                                                       \
     }
 
@@ -357,32 +365,28 @@ SCAN(scan_f64_u16, double, uint16_t)
 SCAN(scan_u8_u16, uint8_t, uint16_t)
 SCAN(scan_u16_u16, uint16_t, uint16_t)
 
-/* Bytes between two threads' blocks of a scratch array, one cache line,
- * so that no line holds both: with two threads' query rows in one line,
- * two threads took 1.6 times the CPU time of one for the same groups on a
- * 2-core x86-64 Xeon. */
-enum { LINE = 64 };
-
-/* Entries of TYPE from the start of one thread's block of a scratch array
- * to the next's, for blocks of `entries`. */
-#define SPACED(entries, TYPE) ((entries) + (int64_t)(LINE / sizeof(TYPE)))
+/* Bytes to which each thread's scratch block is aligned and rounded, one
+ * cache line, so that no line holds two threads' blocks: with two threads'
+ * query rows in one line, two threads took 1.6 times the CPU time of one
+ * for the same groups on a 2-core x86-64 Xeon. */
+enum { ALIGN = 64 };
 
 /* A call of the depth counts: its reference groups are claimed one at a
- * time through `next` by every thread of the call, and the thread of index
- * t works in the t-th block of each scratch array. */
+ * time through `next` by every thread of the call, each working in its own
+ * scratch block of `block_size` bytes. */
 struct depths_call {
-    void (*group)(const struct depths_call *call, int64_t r, int64_t t);
+    void (*group)(const struct depths_call *call, int64_t r, unsigned char *block);
     const void *codes;
     const int64_t *refs;
-    int64_t total, n_refs, m, width;
+    int64_t total, n_refs, m, width, block_size;
     int distinct;
-    void *members, *padded, *query, *out;
+    void *out;
     int64_t next;
 };
 
 struct depths_thread {
     struct depths_call *call;
-    int64_t t;
+    unsigned char *block;
 };
 
 static void *depths_claim(void *arg)
@@ -390,26 +394,35 @@ static void *depths_claim(void *arg)
     const struct depths_thread *self = arg;
     struct depths_call *call = self->call;
     for (int64_t r; (r = __atomic_fetch_add(&call->next, 1, __ATOMIC_RELAXED)) < call->n_refs;)
-        call->group(call, r, self->t);
+        call->group(call, r, self->block);
     return NULL;
 }
 
 /* Runs the call on the calling thread and up to threads - 1 more, started
- * here and joined before returning, so no thread outlives the call. A
- * thread that cannot be started leaves its groups to the others. */
-static void depths_run(struct depths_call *call, int64_t threads)
+ * here and joined before returning, so no thread outlives the call. The
+ * threads' blocks are allocated back to back before any thread starts, with
+ * every bit set: the padded tails then hold the count maximum, in uint8 or
+ * uint16, whatever the query's tail. A thread that cannot be started leaves
+ * its groups to the others. */
+static int depths_run(struct depths_call *call, int64_t threads)
 {
+    void *blocks;
+    if (posix_memalign(&blocks, ALIGN, threads * call->block_size) != 0)
+        return -1;
+    memset(blocks, 0xff, threads * call->block_size);
     struct depths_thread self[threads];
     pthread_t ids[threads];
     int64_t started = 1;
     for (int64_t t = 0; t < threads; t++)
-        self[t] = (struct depths_thread){call, t};
+        self[t] = (struct depths_thread){call, (unsigned char *)blocks + t * call->block_size};
     while (started < threads
            && pthread_create(&ids[started], NULL, depths_claim, &self[started]) == 0)
         started++;
     depths_claim(&self[0]);
     for (int64_t t = 1; t < started; t++)
         pthread_join(ids[t], NULL);
+    free(blocks);
+    return 0;
 }
 
 /* out[r, y] = the least entry of reference group r's table over the anchor
@@ -421,11 +434,11 @@ static void depths_run(struct depths_call *call, int64_t threads)
  * row of `out` is written by one thread with the same arithmetic, so the
  * counts do not depend on the thread count.
  *
- * Each group's members' (m, m) codes go to `members`, and BUILD writes
- * their table straight into the rows of `padded`, (m, width) with width a
- * multiple of LANES, whose tails hold the count maximum; each
- * observation's codes at the members go to `query`, of width entries. Each
- * scratch array holds one such block per thread, SPACED apart.
+ * A thread's block holds, in this order, the padded rows into which BUILD
+ * writes a group's table, (m, width) with width a multiple of LANES, whose
+ * tails hold the count maximum; the query, each observation's codes at the
+ * members, of width entries; and the members' (m, m) codes. The first two
+ * fill whole runs of LANES bytes, so each array starts aligned to its type.
  * The minimum runs over whole padded rows into LANES running minima, one
  * per column modulo LANES, that stay in registers until the observation's
  * last row: a pair's admissibility flag minus 1 is 0 or the count maximum,
@@ -435,14 +448,13 @@ static void depths_run(struct depths_call *call, int64_t threads)
  * single-member group keeps count m. */
 #define DEPTHS(NAME, CODE, COUNT, BUILD)                                       \
     CLONES static void NAME##_group(const struct depths_call *call, int64_t r, \
-                                    int64_t t)                                 \
+                                    unsigned char *block)                      \
     {                                                                          \
         const CODE *codes = call->codes;                                       \
         int64_t total = call->total, m = call->m, width = call->width;         \
         const int64_t *ref = call->refs + r * m;                               \
-        CODE *members = (CODE *)call->members + t * SPACED(m * m, CODE);       \
-        COUNT *padded = (COUNT *)call->padded + t * SPACED(m * width, COUNT);  \
-        CODE *query = (CODE *)call->query + t * SPACED(width, CODE);           \
+        COUNT *padded = (COUNT *)block;                                        \
+        CODE *query = (CODE *)(padded + m * width), *members = query + width;  \
         COUNT *out = (COUNT *)call->out + r * total;                           \
         for (int64_t i = 0; i < m; i++)                                        \
             for (int64_t j = 0; j < m; j++)                                    \
@@ -471,23 +483,18 @@ static void depths_run(struct depths_call *call, int64_t threads)
         }                                                                      \
     }                                                                          \
                                                                                \
-    void NAME(const CODE *codes, int64_t total, const int64_t *refs,           \
-              int64_t n_refs, int64_t m, int distinct, int64_t threads,        \
-              CODE *members, COUNT *padded, CODE *query, COUNT *out)           \
+    int NAME(const CODE *codes, int64_t total, const int64_t *refs,            \
+             int64_t n_refs, int64_t m, int distinct, int64_t threads,         \
+             COUNT *out)                                                       \
     {                                                                          \
         int64_t width = (m + LANES - 1) / LANES * LANES;                       \
-        for (int64_t t = 0; t < threads; t++) {                                \
-            COUNT *rows = padded + t * SPACED(m * width, COUNT);               \
-            for (int64_t a = 0; a < m; a++)                                    \
-                for (int64_t b = m; b < width; b++)                            \
-                    rows[a * width + b] = (COUNT)-1;                           \
-            for (int64_t b = m; b < width; b++)                                \
-                query[t * SPACED(width, CODE) + b] = 0;                        \
-        }                                                                      \
+        int64_t bytes = m * width * (int64_t)sizeof(COUNT)                     \
+                        + (width + m * m) * (int64_t)sizeof(CODE);             \
         struct depths_call call = {NAME##_group, codes, refs, total, n_refs,   \
-                                   m, width, distinct, members, padded,        \
-                                   query, out, 0};                             \
-        depths_run(&call, threads);                                            \
+                                   m, width,                                   \
+                                   (bytes + ALIGN - 1) / ALIGN * ALIGN,        \
+                                   distinct, out, 0};                          \
+        return depths_run(&call, threads);                                     \
     }
 
 DEPTHS(depths_u8_u8, uint8_t, uint8_t, table_u8_u8)

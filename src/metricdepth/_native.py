@@ -6,7 +6,7 @@ counting sort of the table's anchor pairs), ``scan`` (each query's first
 admissible pair) and ``depths`` (the permutation tests' depth counts).
 They are built with the system ``gcc`` the first time one is called,
 once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with mode
-0700. An unset, empty or relative ``XDG_CACHE_HOME``, which the XDG
+0700. A missing, empty or relative ``XDG_CACHE_HOME``, which the XDG
 Base Directory Specification makes invalid, means ``~/.cache``. The file
 name is keyed by the SHA-256 of the source and the compiler flags, so an
 edited source builds anew. A build is written under a temporary name and
@@ -22,6 +22,10 @@ None, and the numpy bodies of the entry points in :mod:`metricdepth.depth`
 and :mod:`metricdepth.inference` run instead, with the same results. A
 kernel is named by its task and the dtypes of its arrays, and takes no
 flag that a dtype could state.
+
+A call passes only arrays, sizes and, to ``depths``, a thread count: each
+kernel allocates its own scratch, and a failed allocation raises
+``MemoryError``.
 
 ``depths`` spreads its reference groups over up to :func:`threads`
 threads, which it starts and joins within the one call: no thread outlives
@@ -60,19 +64,11 @@ _UNSET = object()
 _kernels = _UNSET
 
 
-def threads(unset: int | None = None) -> int:
-    """The thread count that ``MHD_THREADS`` asks for when it holds a
-    positive integer in ASCII digits, else ``unset``, or every CPU this
-    process may run on when ``unset`` is None; never more than those CPUs."""
-    cpus = len(os.sched_getaffinity(0))
-    value = os.environ.get("MHD_THREADS", "").strip()
-    digits = value.lstrip("0")
-    # str.isdigit() also accepts non-ASCII digits such as '²', which int()
-    # rejects. A count with more digits than the CPU count asks for every
-    # CPU; int() would refuse one of over 4300 digits.
-    if value.isascii() and value.isdigit() and digits:
-        return cpus if len(digits) > len(str(cpus)) else min(int(digits), cpus)
-    return cpus if unset is None else min(unset, cpus)
+def threads() -> int:
+    """The number of CPUs this process may run on, the most threads the
+    compiled depth counts use; restricting the process's CPU affinity (as
+    ``taskset`` does) lowers it."""
+    return len(os.sched_getaffinity(0))
 
 
 def cache_dir() -> Path:
@@ -126,7 +122,7 @@ def _load() -> dict:
     i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     integers = ("u8", "u16")
     # name: (argument types, return type)
-    signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr, ptr, ptr], flag) for code in integers}
+    signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr], flag) for code in integers}
     signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], None)
                        for code in integers for count in integers})
     signatures.update({f"tally_{count}": ([ptr, i64, ptr], i64) for count in integers})
@@ -134,14 +130,23 @@ def _load() -> dict:
                        for count in integers})
     signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr], None)
                        for query in ("f64", *integers)})
-    signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, i64,
-                                                   ptr, ptr, ptr, ptr], None)
+    signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, i64, ptr],
+                                                  flag)
                        for code in integers for count in integers})
     functions = {}
     for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
+        if name.startswith(("ranks", "depths")):
+            function.errcheck = _allocated
     return functions
+
+
+def _allocated(result, function, args):
+    # A kernel that allocates scratch returns -1 when it cannot.
+    if result < 0:
+        raise MemoryError(f"{function.__name__}: cannot allocate its scratch")
+    return result
 
 
 def _intact(path: Path) -> bool:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, _native
+from . import __version__
 from .depth import _check_radius_frac, approx_depth, jiggle_anchors
 from .errors import DataError, GeometryError, NumericalError, PointValidationError
 from .estimators import ESTIMATORS, fit_estimator
@@ -45,10 +45,6 @@ def _space_argument(ctx, param, value):
         return parse_space(value)
     except GeometryError as exc:
         raise click.BadParameter(str(exc), ctx=ctx, param=param)
-
-
-def _default_threads() -> int:
-    return _native.threads(unset=1)
 
 
 def _parse_anchor_spec(text: str) -> int:
@@ -252,7 +248,7 @@ def _estimator_names(value) -> tuple:
 
 
 # ``simulate`` setting (flag or config-file key) -> SimulationConfig field and
-# its conversion. Settings left unset take the field's default.
+# its conversion. Settings not given take the field's default.
 _SIMULATE_FIELDS = {
     "space": ("space", lambda value: parse_space(str(value))),
     "case": ("case", int),
@@ -288,7 +284,8 @@ _SIMULATE_FIELDS = {
 @click.option("--radius-frac", type=float, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--threads", type=int, default=None,
-              help="Worker processes for replicates (MHD_THREADS env fallback).")
+              help="Worker processes for replicates (default 1); never more than "
+                   "the replicates or the CPUs the process may run on.")
 @click.option("--out-dir", type=click.Path(file_okay=False, path_type=Path), required=True)
 def cmd_simulate(config_file, out_dir, **flags):
     """Run the Monte Carlo comparison and write long + summary CSVs."""
@@ -300,7 +297,7 @@ def cmd_simulate(config_file, out_dir, **flags):
     missing = [key for key in ("space", "case", "n") if settings.get(key) is None]
     if missing:
         raise click.UsageError(f"missing required settings: {', '.join(missing)}")
-    fields = {"n_jobs": _default_threads()}
+    fields = {}
     for key, (name, convert) in _SIMULATE_FIELDS.items():
         value = settings.get(key)
         if value is None:

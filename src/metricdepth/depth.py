@@ -250,12 +250,7 @@ def _row_ranks(dist: np.ndarray) -> tuple[np.ndarray, bool]:
     if kernel is not None:
         dist = np.ascontiguousarray(dist)
         ranks = np.empty(dist.shape, dtype=code)
-        # One row's scratch, as RANKS in _core.c takes it: two value arrays,
-        # then two index arrays and one bucket-start array per level (2).
-        values = np.empty(2 * n_anchors)
-        scratch = np.empty(4 * (n_anchors + 1), dtype=np.uint32)
-        distinct = kernel(dist.ctypes.data, len(dist), n_anchors, ranks.ctypes.data,
-                          values.ctypes.data, scratch.ctypes.data)
+        distinct = kernel(dist.ctypes.data, len(dist), n_anchors, ranks.ctypes.data)
         return ranks, bool(distinct)
     order = np.argsort(dist, axis=1)
     ordered = np.take_along_axis(dist, order, axis=1)

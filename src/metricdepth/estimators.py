@@ -55,7 +55,9 @@ def _mean_objective(space, x, sample):
 def _descent(space, sample, points, tol, max_iter, objective, direction):
     """Shared loop for the mean and median: step along ``direction`` with
     halving on objective increase; ``converged`` means the last applied
-    update was shorter than ``tol``. ``points`` is ``space.stack(sample)``,
+    update was shorter than ``tol``, or that ``direction`` returned None,
+    which states that the current point is a minimizer and ends the loop
+    without a step. ``points`` is ``space.stack(sample)``,
     which every distance call reads. ``direction`` gets the distances from
     the current point to the sample: the accepted trial's row, or None on
     the first iteration, where a direction that reads them makes a one-row
@@ -82,6 +84,9 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
             raise NumericalError(
                 f"{exc}; try an initial point deeper inside the data"
             ) from exc
+        if v is None:
+            last_update = 0.0
+            break
         vnorm = space.tangent_norm(v)
         step = 1.0
         accepted = False
@@ -126,10 +131,12 @@ def frechet_median(space: Space, sample: Sequence, tol: float = 1e-8,
                    max_iter: int = 200) -> EstimatorResult:
     """Minimizer of the mean geodesic distance (manifold Weiszfeld).
 
-    Sample points within ``WEISZFELD_GUARD`` of the current point get
-    weight 0, the modified Weiszfeld step of Vardi and Zhang (2000): the
-    fit starts at a sample point, whose own weight would otherwise swamp
-    the step. The step is zero when every sample point is that close."""
+    Sample points within ``WEISZFELD_GUARD`` of the current point count as
+    coincident and get weight 0, the modified Weiszfeld step of Vardi and
+    Zhang (2000): the fit starts at a sample point, whose own weight would
+    otherwise swamp the step. By their rule the current point is the median,
+    and the fit stops there, when the coincident count is at least the norm
+    of the other points' pull, the sum of ``log_x(y) / d(x, y)``."""
 
     def objective(dist):
         return np.mean(np.asarray(dist), axis=-1)
@@ -139,9 +146,12 @@ def frechet_median(space: Space, sample: Sequence, tol: float = 1e-8,
             dist = space.distance_matrix([x], points)[0]
         far = dist > WEISZFELD_GUARD
         if not far.any():
-            return space.tangent_from_coords(x, np.zeros(space.intrinsic_dim))
+            return None
         weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=far)
-        return space.mean_log(x, points, weights=weights)
+        v = space.mean_log(x, points, weights=weights)
+        # mean_log divides the weighted sum of logs by the weights' sum.
+        pull = space.tangent_norm(v) * weights.sum()
+        return None if np.count_nonzero(~far) >= pull else v
 
     sample = tuple(sample)
     points = space.stack(sample)

@@ -132,8 +132,8 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     padded to whole vector registers, and takes each observation's dense
     masked minimum over those rows. Its threads, at most
     :func:`_native.threads` and at most one per group, each claim the next
-    group until none is left, each in its own block of the scratch buffers
-    allocated here. Anything else builds each group's table with
+    group until none is left, each in a scratch block that the kernel
+    allocates for it. Anything else builds each group's table with
     :func:`depth._prob_counts` and scans it with :func:`depth._min_counts`,
     whose first hit in the sorted pairs is the same least count.
     """
@@ -154,19 +154,9 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     codes = np.ascontiguousarray(codes)
     references = np.ascontiguousarray(references, dtype=np.int64)
     threads = max(1, min(_native.threads(), n_refs))
-    width = -(-m // 32) * 32  # whole runs of the kernel's 32 lanes
-
-    def blocks(entries, dtype):
-        # One block per thread, each followed by a 64-byte cache line, so
-        # that no line holds two threads' entries.
-        return np.empty((threads, entries + 64 // np.dtype(dtype).itemsize), dtype=dtype)
-
-    members = blocks(m * m, codes.dtype)
-    padded = blocks(m * width, count)
-    query = blocks(width, codes.dtype)
     out = np.empty((n_refs, total), dtype=count)
     kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct, threads,
-           members.ctypes.data, padded.ctypes.data, query.ctypes.data, out.ctypes.data)
+           out.ctypes.data)
     return out
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, GeometryError, MetricDepthError
 from .estimators import ESTIMATORS, fit_estimator, frechet_mean, mhd_median
 from .rng import NS_BOOTSTRAP, NS_REPLICATE, NS_SAMPLING, derive_rng, derive_seed
@@ -231,13 +232,16 @@ def _bootstrap_se_of_median(values: np.ndarray, rng, n_boot: int = 256) -> float
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Run every replicate, fit every estimator, aggregate medians with
     bootstrap standard errors. Failed replicates are excluded per estimator
-    and counted in ``failures``."""
+    and counted in ``failures``. Replicates run in at most ``n_jobs`` worker
+    processes, and never more than the replicates or the CPUs the process
+    may run on."""
     reps = range(config.reps)
-    if config.n_jobs > 1:
+    workers = min(config.n_jobs, config.reps, _native.threads())
+    if workers > 1:
         worker_config = replace(config, n_jobs=1)
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replicate, [worker_config] * config.reps, reps,
-                                    chunksize=max(1, config.reps // (config.n_jobs * 8))))
+                                    chunksize=max(1, config.reps // (workers * 8))))
     else:
         results = [_run_replicate(config, rep) for rep in reps]
 

@@ -1,4 +1,3 @@
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -52,17 +51,14 @@ def numpy_kernels():
 
 @contextmanager
 def kernel_threads(count):
-    """Set ``MHD_THREADS`` to ``count``, or unset it for None, which lets
-    the compiled depth counts use every CPU of the process."""
-    saved = os.environ.pop("MHD_THREADS", None)
-    if count is not None:
-        os.environ["MHD_THREADS"] = str(count)
+    """Run the compiled depth counts on ``count`` threads, as in a process
+    that may run on ``count`` CPUs, whatever this host has."""
+    saved = _native.threads
+    _native.threads = lambda: count
     try:
         yield
     finally:
-        os.environ.pop("MHD_THREADS", None)
-        if saved is not None:
-            os.environ["MHD_THREADS"] = saved
+        _native.threads = saved
 
 
 @pytest.fixture

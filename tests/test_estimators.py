@@ -91,6 +91,25 @@ def test_median_majority_point():
     assert np.allclose(result.point, [0.0], atol=1e-8)
 
 
+def test_median_stops_at_once_at_a_coincident_median(monkeypatch):
+    # Three points coincide with the start, and the fourth pulls with norm
+    # 1 < 3, so the start is the median (Vardi and Zhang's rule): one
+    # distance call ranks the start, one gives the pull, and no step is
+    # tried. Without the rule the fit tried all 40 halved steps.
+    space, pts = euclid([0.0, 0.0, 0.0, 10.0])
+    calls = []
+    real = Euclidean.distance_matrix
+
+    def counted(self, xs, ys):
+        calls.append(len(xs))
+        return real(self, xs, ys)
+
+    monkeypatch.setattr(Euclidean, "distance_matrix", counted)
+    result = frechet_median(space, pts)
+    assert len(calls) <= 3
+    assert result.point is pts[0] and result.converged and result.iterations == 1
+
+
 def test_median_collinear():
     space = Euclidean(2)
     pts = [space.validate_point(p) for p in [(0, 0), (1, 0), (5, 0)]]

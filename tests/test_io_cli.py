@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import metricdepth
-from metricdepth.cli import _default_threads, main
+from metricdepth.cli import main
 from metricdepth.depth import DepthReport, approx_depth
 from metricdepth.errors import DataError
 from metricdepth.io import (
@@ -23,7 +24,7 @@ from metricdepth.io import (
 )
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3, parse_space
 
-from conftest import random_points
+from conftest import kernel_threads, random_points
 
 
 @pytest.fixture
@@ -146,24 +147,6 @@ def test_cmd_depth_rejects_anchor_counts_that_are_not_ascii_digits(tmp_path, run
     assert result.exit_code == 2, result.output
     assert "--anchors must be 'sample' or 'jiggle:K'" in result.output
     assert not (tmp_path / "x.csv").exists()
-
-
-@pytest.mark.parametrize("value, threads", [("3", 3), (" 2 ", 2), ("\u00b2", 1),
-                                            ("\u0663", 1), ("0", 1), ("-2", 1), ("", 1),
-                                            ("100000", 100000)])
-def test_default_threads_reads_ascii_digits_only(monkeypatch, value, threads):
-    # The count is capped at the CPUs the process may run on; computing it
-    # starts nothing.
-    monkeypatch.setenv("MHD_THREADS", value)
-    assert _default_threads() == min(threads, len(os.sched_getaffinity(0)))
-
-
-def test_cmd_simulate_with_non_ascii_thread_count_falls_back(tmp_path, runner, monkeypatch):
-    monkeypatch.setenv("MHD_THREADS", "\u00b2")
-    invoke(runner, ["simulate", "--space", "euclidean:2", "--case", "1", "--n", "10",
-                    "--reps", "2", "--jiggle", "1", "--budget", "2", "--estimators", "fm",
-                    "--out-dir", str(tmp_path / "out")])
-    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_cmd_depth_requires_query_choice(tmp_path, runner):
@@ -340,26 +323,22 @@ def test_cmd_test_kw_pairwise_matrix(tmp_path, runner, rng):
     assert len(payload["pairwise_wilcoxon"]) == 6  # upper triangle of 4x4
 
 
-def test_cmd_test_writes_the_same_bytes_at_any_thread_count(tmp_path, runner, monkeypatch,
-                                                           rng):
+def test_cmd_test_writes_the_same_bytes_at_any_thread_count(tmp_path, runner, rng):
     files = []
     for i in range(3):
         files += ["--groups", str(tmp_path / f"g{i}.csv")]
         _write_group(tmp_path / f"g{i}.csv", rng, n=10)
     outputs = []
-    for threads in ("1", None):
-        if threads is None:
-            monkeypatch.delenv("MHD_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MHD_THREADS", threads)
+    for threads in (1, 3, None):
         out = tmp_path / f"kw-{threads}.json"
-        invoke(runner, ["test", "--space", "euclidean:1", "--test", "kw", *files,
-                        "--permutations", "199", "--out", str(out)])
+        with kernel_threads(threads) if threads else nullcontext():
+            invoke(runner, ["test", "--space", "euclidean:1", "--test", "kw", *files,
+                            "--permutations", "199", "--out", str(out)])
         outputs.append(out.read_bytes())
         manifest = json.loads(manifest_path_for(out).read_text())
-        cpus = len(os.sched_getaffinity(0)) if manifest["kernels"] == "native" else 1
-        assert manifest["threads"] == (1 if threads else cpus)
-    assert outputs[0] == outputs[1]
+        cpus = threads or len(os.sched_getaffinity(0))
+        assert manifest["threads"] == (cpus if manifest["kernels"] == "native" else 1)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_cmd_test_small_group_is_data_error(tmp_path, runner):

@@ -116,7 +116,11 @@ def test_config_validation():
 
 # ------------------------------------------------------------- the harness
 
-def test_run_simulation_parallel_determinism():
+def test_run_simulation_parallel_determinism(monkeypatch):
+    # Two workers even on a one-CPU host, whose CPU count caps them.
+    import metricdepth.simulation as sim
+
+    monkeypatch.setattr(sim._native, "threads", lambda: 2)
     cfg_serial = config(reps=6, n_jobs=1)
     cfg_parallel = config(reps=6, n_jobs=2)
     serial = run_simulation(cfg_serial)
@@ -125,6 +129,38 @@ def test_run_simulation_parallel_determinism():
         assert np.array_equal(serial.errors[name], parallel.errors[name])
         assert serial.medians[name] == parallel.medians[name]
         assert serial.std_errors[name] == parallel.std_errors[name]
+
+
+def test_run_simulation_caps_its_workers_at_the_reps_and_the_cpus(monkeypatch):
+    # The pool runs its map in this process and records its size, so the
+    # test starts no process, whatever n_jobs asks for.
+    import metricdepth.simulation as sim
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim._native, "threads", lambda: 3)
+    for n_jobs, reps, workers in ((100_000, 2, [2]), (100_000, 4, [3]), (2, 4, [2]),
+                                  (100_000, 1, [])):
+        sizes.clear()
+        got = run_simulation(config(reps=reps, n_jobs=n_jobs))
+        assert sizes == workers
+        want = run_simulation(config(reps=reps))
+        for name in want.errors:
+            assert np.array_equal(got.errors[name], want.errors[name])
 
 
 def test_run_simulation_seed_sensitivity():

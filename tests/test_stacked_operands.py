@@ -103,6 +103,9 @@ def reference_descent(space, sample, tol, max_iter, objective, direction):
             v = direction(x, space.distance_matrix([x], sample)[0])
         except MetricDepthError as exc:
             raise NumericalError(str(exc)) from exc
+        if v is None:  # the current point is a minimizer
+            last_update = 0.0
+            break
         vnorm, step, accepted = space.tangent_norm(v), 1.0, False
         for _ in range(MAX_STEP_HALVINGS):
             trial = space.exp(x, space.scale_tangent(v, step))
@@ -150,9 +153,10 @@ def test_frechet_mean_and_median_equal_tuple_loop(space, rng):
     def median_direction(x, dist):
         far = dist > WEISZFELD_GUARD
         if not far.any():
-            return space.tangent_from_coords(x, np.zeros(space.intrinsic_dim))
+            return None
         weights = np.where(far, 1.0 / np.where(far, dist, 1.0), 0.0)
-        return space.mean_log(x, sample, weights=weights)
+        v = space.mean_log(x, sample, weights=weights)
+        return None if (~far).sum() >= space.tangent_norm(v) * weights.sum() else v
 
     for fit, objective, direction in ((frechet_mean, mean_objective, mean_direction),
                                       (frechet_median, median_objective, median_direction)):
