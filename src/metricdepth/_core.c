@@ -1,7 +1,8 @@
 /* Kernels of the anchored halfspace depth: the per-row rank codes of a
  * distance matrix, the table build over them, the counting sort of the
  * table's anchor pairs, the first-hit scan over those pairs, and the
- * permutation tests' depth counts against many small reference groups.
+ * permutation tests' depth counts, which take the last three for each of
+ * many small reference groups.
  *
  * Each computes exactly what the numpy body of its entry point computes
  * (`_row_ranks`, `_prob_counts`, `HalfspaceProbTable.sorted_pairs` and
@@ -203,16 +204,15 @@ RANKS(ranks_f64_u16, uint16_t)
  * the strip's padding are never stored. */
 enum { FIRST = 16, TILE = 512, LANES = 32 };
 
-/* counts[a1 * stride + a2] = #{i : codes[i, a1] <= codes[i, a2]} for an
- * (n, n_anchors) code matrix, into the first n_anchors entries of
- * n_anchors rows of COUNT, stride entries apart; n <= 65535, and n <= 255
- * for uint8 counts. With `distinct` no row holds two equal codes, so
- * counts[a2, a1] = n - counts[a1, a2]: each block compares only the tiles
- * that reach its own first anchor, and writes the columns past the block
- * into the mirrored rows. */
+/* counts[a1, a2] = #{i : codes[i, a1] <= codes[i, a2]} for an
+ * (n, n_anchors) code matrix, into an (n_anchors, n_anchors) table of
+ * COUNT; n <= 65535, and n <= 255 for uint8 counts. With `distinct` no row
+ * holds two equal codes, so counts[a2, a1] = n - counts[a1, a2]: each block
+ * compares only the tiles that reach its own first anchor, and writes the
+ * columns past the block into the mirrored rows. */
 #define TABLE(NAME, CODE, COUNT)                                               \
     CLONES void NAME(const CODE *codes, int64_t n, int64_t n_anchors,          \
-                     int distinct, COUNT *counts, int64_t stride)              \
+                     int distinct, COUNT *counts)                              \
     {                                                                          \
         uint16_t acc[FIRST][TILE] __attribute__((aligned(32)));                \
         CODE strip[TILE] __attribute__((aligned(32)));                         \
@@ -240,12 +240,13 @@ enum { FIRST = 16, TILE = 512, LANES = 32 };
                 }                                                              \
                 for (int64_t a = lo; a < hi; a++)                              \
                     for (int64_t c = from; c < width; c++)                     \
-                        counts[a * stride + c0 + c] = (COUNT)acc[a - lo][c];   \
+                        counts[a * n_anchors + c0 + c] =                       \
+                            (COUNT)acc[a - lo][c];                             \
                 if (!distinct)                                                 \
                     continue;                                                  \
                 for (int64_t c = hi > c0 ? hi - c0 : 0; c < width; c++)        \
                     for (int64_t a = lo; a < hi; a++)                          \
-                        counts[(c0 + c) * stride + a] =                        \
+                        counts[(c0 + c) * n_anchors + a] =                     \
                             (COUNT)(n - acc[a - lo][c]);                       \
             }                                                                  \
         }                                                                      \
@@ -261,7 +262,7 @@ TABLE(table_u16_u16, uint16_t, uint16_t)
 enum { MIRROR = 64 };
 
 /* hist[c] += the number of off-diagonal entries equal to c in an
- * (n_anchors, n_anchors) table, whose hist spans every value of COUNT;
+ * (n_anchors, n_anchors) table, whose hist has a bin for each count in it;
  * returns the least pair maximum, the least over a1 < a2 of
  * max(counts[a1, a2], counts[a2, a1]), or the COUNT maximum when there is
  * no pair. Each tile on or above the diagonal is read with its mirror. */
@@ -373,131 +374,105 @@ enum { ALIGN = 64 };
 
 /* A call of the depth counts: its reference groups are claimed one at a
  * time through `next` by every thread of the call, each working in its own
- * scratch block of `block_size` bytes. */
+ * scratch block of `block_size` bytes, claimed through `thread`. */
 struct depths_call {
     void (*group)(const struct depths_call *call, int64_t r, unsigned char *block);
     const void *codes;
     const int64_t *refs;
-    int64_t total, n_refs, m, width, block_size;
+    int64_t total, n_refs, m, block_size;
     int distinct;
     void *out;
-    int64_t next;
-};
-
-struct depths_thread {
-    struct depths_call *call;
-    unsigned char *block;
+    void *blocks;
+    int64_t next, thread;
 };
 
 static void *depths_claim(void *arg)
 {
-    const struct depths_thread *self = arg;
-    struct depths_call *call = self->call;
+    struct depths_call *call = arg;
+    unsigned char *block = (unsigned char *)call->blocks
+        + __atomic_fetch_add(&call->thread, 1, __ATOMIC_RELAXED) * call->block_size;
     for (int64_t r; (r = __atomic_fetch_add(&call->next, 1, __ATOMIC_RELAXED)) < call->n_refs;)
-        call->group(call, r, self->block);
+        call->group(call, r, block);
     return NULL;
 }
 
 /* Runs the call on the calling thread and up to threads - 1 more, started
  * here and joined before returning, so no thread outlives the call. The
- * threads' blocks are allocated back to back before any thread starts, with
- * every bit set: the padded tails then hold the count maximum, in uint8 or
- * uint16, whatever the query's tail. A thread that cannot be started leaves
- * its groups to the others. */
+ * threads' blocks are allocated back to back before any thread starts. A
+ * thread that cannot be started leaves its groups to the others. */
 static int depths_run(struct depths_call *call, int64_t threads)
 {
-    void *blocks;
-    if (posix_memalign(&blocks, ALIGN, threads * call->block_size) != 0)
+    if (posix_memalign(&call->blocks, ALIGN, threads * call->block_size) != 0)
         return -1;
-    memset(blocks, 0xff, threads * call->block_size);
-    struct depths_thread self[threads];
     pthread_t ids[threads];
     int64_t started = 1;
-    for (int64_t t = 0; t < threads; t++)
-        self[t] = (struct depths_thread){call, (unsigned char *)blocks + t * call->block_size};
-    while (started < threads
-           && pthread_create(&ids[started], NULL, depths_claim, &self[started]) == 0)
+    while (started < threads && pthread_create(&ids[started], NULL, depths_claim, call) == 0)
         started++;
-    depths_claim(&self[0]);
+    depths_claim(call);
     for (int64_t t = 1; t < started; t++)
         pthread_join(ids[t], NULL);
-    free(blocks);
+    free(call->blocks);
     return 0;
 }
 
 /* out[r, y] = the least entry of reference group r's table over the anchor
  * pairs (a1, a2) that pooled observation y admits,
- * codes[y, ref[a1]] <= codes[y, ref[a2]], for a (total, total) matrix of
- * pooled codes and an (n_refs, m) array of pooled indices, one group per
- * row; counts are uint8 or uint16, and m <= 65535. The groups are spread
- * over `threads` >= 1 threads, at most one per group being useful, and each
- * row of `out` is written by one thread with the same arithmetic, so the
- * counts do not depend on the thread count.
+ * codes[y, ref[a1]] <= codes[y, ref[a2]], or m when it admits none, for a
+ * (total, total) matrix of pooled codes and an (n_refs, m) array of pooled
+ * indices, one group per row; counts are uint8 or uint16, and m <= 65535.
+ * Each row of `out` is written by one thread with the same arithmetic, so
+ * the counts do not depend on `threads` >= 1, of which one per group helps.
  *
- * A thread's block holds, in this order, the padded rows into which BUILD
- * writes a group's table, (m, width) with width a multiple of LANES, whose
- * tails hold the count maximum; the query, each observation's codes at the
- * members, of width entries; and the members' (m, m) codes. The first two
- * fill whole runs of LANES bytes, so each array starts aligned to its type.
- * The minimum runs over whole padded rows into LANES running minima, one
- * per column modulo LANES, that stay in registers until the observation's
- * last row: a pair's admissibility flag minus 1 is 0 or the count maximum,
- * so OR-ing it with the entry reads the admissible entries only, with no
- * branch, and a padded entry stays the maximum whatever its flag. The
- * diagonal is admissible and holds m, which bounds every count, so a
- * single-member group keeps count m. */
-#define DEPTHS(NAME, CODE, COUNT, BUILD)                                       \
-    CLONES static void NAME##_group(const struct depths_call *call, int64_t r, \
-                                    unsigned char *block)                      \
+ * A group's table is queried as depth.py queries any table: table_*, then
+ * tally_* and pairs_*, then scan_* over the query, the observations' codes
+ * at the members, (total, m). No count passes m, so the histogram has m + 1
+ * bins and a group with no pair has bound m. A thread's block holds the
+ * histogram and the first hits (int64), the pairs (uint16, m * m each),
+ * the table in m * m uint16 slots whatever its count type, the query, and
+ * the (m, m) copy of its member rows that table_* reads. */
+#define DEPTHS(C, K, CODE, COUNT)                                              \
+    static void depths_##C##_##K##_group(const struct depths_call *call,       \
+                                         int64_t r, unsigned char *block)      \
     {                                                                          \
         const CODE *codes = call->codes;                                       \
-        int64_t total = call->total, m = call->m, width = call->width;         \
+        int64_t total = call->total, m = call->m;                              \
         const int64_t *ref = call->refs + r * m;                               \
-        COUNT *padded = (COUNT *)block;                                        \
-        CODE *query = (CODE *)(padded + m * width), *members = query + width;  \
+        int64_t *hist = (int64_t *)block, *first = hist + m + 1;               \
+        uint16_t *a1 = (uint16_t *)(first + total), *a2 = a1 + m * m;          \
+        COUNT *table = (COUNT *)(a2 + m * m);                                  \
+        CODE *query = (CODE *)(a2 + 2 * m * m), *members = query + total * m;  \
         COUNT *out = (COUNT *)call->out + r * total;                           \
+        for (int64_t y = 0; y < total; y++)                                    \
+            for (int64_t j = 0; j < m; j++)                                    \
+                query[y * m + j] = codes[y * total + ref[j]];                  \
         for (int64_t i = 0; i < m; i++)                                        \
-            for (int64_t j = 0; j < m; j++)                                    \
-                members[i * m + j] = codes[ref[i] * total + ref[j]];           \
-        BUILD(members, m, m, call->distinct, padded, width);                   \
-        for (int64_t y = 0; y < total; y++) {                                  \
-            const CODE *row = codes + y * total;                               \
-            for (int64_t j = 0; j < m; j++)                                    \
-                query[j] = row[ref[j]];                                        \
-            COUNT least[LANES];                                                \
-            for (int64_t k = 0; k < LANES; k++)                                \
-                least[k] = (COUNT)m;                                           \
-            for (int64_t a = 0; a < m; a++) {                                  \
-                CODE first = query[a];                                         \
-                const COUNT *p = padded + a * width;                           \
-                for (int64_t b = 0; b < width; b += LANES)                     \
-                    for (int64_t k = 0; k < LANES; k++) {                      \
-                        COUNT v = p[b + k]                                     \
-                            | (COUNT)((first <= query[b + k]) - 1);            \
-                        least[k] = v < least[k] ? v : least[k];                \
-                    }                                                          \
-            }                                                                  \
-            for (int64_t k = 1; k < LANES; k++)                                \
-                least[0] = least[k] < least[0] ? least[k] : least[0];          \
-            out[y] = least[0];                                                 \
-        }                                                                      \
+            memcpy(members + i * m, query + ref[i] * m, m * sizeof(CODE));     \
+        table_##C##_##K(members, m, m, call->distinct, table);                 \
+        memset(hist, 0, (m + 1) * sizeof *hist);                               \
+        int64_t bound = tally_##K(table, m, hist);                             \
+        bound = bound < m ? bound : m;                                         \
+        pairs_##K##_u16(table, m, bound, hist, a1, a2);                        \
+        scan_##C##_u16(query, total, m, a1, a2, hist[bound], first);           \
+        for (int64_t y = 0; y < total; y++)                                    \
+            out[y] = first[y] < 0 ? (COUNT)m                                   \
+                                  : table[a1[first[y]] * m + a2[first[y]]];    \
     }                                                                          \
                                                                                \
-    int NAME(const CODE *codes, int64_t total, const int64_t *refs,            \
-             int64_t n_refs, int64_t m, int distinct, int64_t threads,         \
-             COUNT *out)                                                       \
+    int depths_##C##_##K(const CODE *codes, int64_t total,                     \
+                         const int64_t *refs, int64_t n_refs, int64_t m,       \
+                         int distinct, int64_t threads, COUNT *out)            \
     {                                                                          \
-        int64_t width = (m + LANES - 1) / LANES * LANES;                       \
-        int64_t bytes = m * width * (int64_t)sizeof(COUNT)                     \
-                        + (width + m * m) * (int64_t)sizeof(CODE);             \
-        struct depths_call call = {NAME##_group, codes, refs, total, n_refs,   \
-                                   m, width,                                   \
+        int64_t bytes = (m + 1 + total) * (int64_t)sizeof(int64_t)             \
+                        + 3 * m * m * (int64_t)sizeof(uint16_t)                \
+                        + (total + m) * m * (int64_t)sizeof(CODE);             \
+        struct depths_call call = {depths_##C##_##K##_group, codes, refs,      \
+                                   total, n_refs, m,                           \
                                    (bytes + ALIGN - 1) / ALIGN * ALIGN,        \
-                                   distinct, out, 0};                          \
+                                   distinct, out, NULL, 0, 0};                 \
         return depths_run(&call, threads);                                     \
     }
 
-DEPTHS(depths_u8_u8, uint8_t, uint8_t, table_u8_u8)
-DEPTHS(depths_u8_u16, uint8_t, uint16_t, table_u8_u16)
-DEPTHS(depths_u16_u8, uint16_t, uint8_t, table_u16_u8)
-DEPTHS(depths_u16_u16, uint16_t, uint16_t, table_u16_u16)
+DEPTHS(u8, u8, uint8_t, uint8_t)
+DEPTHS(u8, u16, uint8_t, uint16_t)
+DEPTHS(u16, u8, uint16_t, uint8_t)
+DEPTHS(u16, u16, uint16_t, uint16_t)

@@ -123,7 +123,7 @@ def _load() -> dict:
     integers = ("u8", "u16")
     # name: (argument types, return type)
     signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr], flag) for code in integers}
-    signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], None)
+    signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr], None)
                        for code in integers for count in integers})
     signatures.update({f"tally_{count}": ([ptr, i64, ptr], i64) for count in integers})
     signatures.update({f"pairs_{count}_u16": ([ptr, i64, i64, ptr, ptr, ptr], None)

@@ -42,9 +42,9 @@ count's next free position.
 Every step runs in a small compiled core (``_core.c``, built and loaded
 by :mod:`metricdepth._native`) when it can be built, and so do the
 permutation tests' depth counts (:mod:`metricdepth.inference`), which
-build each reference group's table with the same compiled build. Its
-ranks sort each row by a bucket pass and per-bucket sorts; its table
-build takes blocks of 16 first anchors against tiles of 512 columns,
+take each reference group's table through the same build, sort and
+scan. Its ranks sort each row by a bucket pass and per-bucket sorts; its
+table build takes blocks of 16 first anchors against tiles of 512 columns,
 with uint16 accumulators that stay in L1 while the sample rows stream
 past; its pair sort is the counting sort above, whose only temporary is
 the histogram; its scan reads each kept pair's two indices and the
@@ -292,7 +292,7 @@ def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
     kernel = _native.kernel("table", codes.dtype, counts.dtype)
     if kernel is not None:
         codes = np.ascontiguousarray(codes)
-        kernel(codes.ctypes.data, n, n_anchors, distinct, counts.ctypes.data, n_anchors)
+        kernel(codes.ctypes.data, n, n_anchors, distinct, counts.ctypes.data)
         return counts
     rows = min(n, 255)
     block = max(1, _CHUNK_ELEMS // max(rows * n_anchors, 1))

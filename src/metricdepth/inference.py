@@ -13,10 +13,12 @@ the observed one, then one permutation per rep. The pooled distance matrix
 is ranked once per test; for a batch of orders, each permuted reference
 group's block of those codes yields its halfspace table, and every pooled
 observation's depth count is the least entry of that table over the
-anchor pairs the observation admits. The compiled core (``_core.c``) runs
-this for the whole batch in one call, its tables spread over threads that
-start and end within the call; without it, each table goes through the
-depth module's table build and first-hit scan, one reference group at a
+anchor pairs the observation admits. Each table is queried as the depth
+module queries any table: its pairs are count-sorted once, and each
+observation scans them to its first admissible pair. The compiled core
+(``_core.c``) runs these steps for the whole batch in one call, its tables
+spread over threads that start and end within the call; without it, the
+depth module's table build and scan run them one reference group at a
 time, to the same counts. Counts are ranked per row
 from a histogram, and the statistics are formed across the batch with each
 row's floating-point operations in the order of the one-order formulas, so
@@ -126,16 +128,17 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     with code[a1] <= code[a2] in the observation's row, or m (depth 1) for
     a single-member group, which admits no pair.
 
-    Uint8 or uint16 codes with groups of m < 65536 run in the compiled
-    kernel when it loads: for each group it gathers the members' codes,
-    builds their table with the compiled table build straight into rows
-    padded to whole vector registers, and takes each observation's dense
-    masked minimum over those rows. Its threads, at most
+    Both bodies query each group's table as :func:`depth.approx_depth`
+    does: the table's pairs sorted by count up to the least pair maximum,
+    and each observation's first admissible pair in that order, whose
+    count is the least. Uint8 or uint16 codes with groups of m < 65536 run
+    in the compiled kernel when it loads: for each group it gathers every
+    observation's codes at the members and runs the compiled table build,
+    counting sort and scan over them. Its threads, at most
     :func:`_native.threads` and at most one per group, each claim the next
     group until none is left, each in a scratch block that the kernel
     allocates for it. Anything else builds each group's table with
-    :func:`depth._prob_counts` and scans it with :func:`depth._min_counts`,
-    whose first hit in the sorted pairs is the same least count.
+    :func:`depth._prob_counts` and scans it with :func:`depth._min_counts`.
     """
     n_refs, m = references.shape
     total = len(codes)

@@ -3,22 +3,25 @@ brute-force reference, one reference group at a time.
 
 ``dense_min_counts`` takes a table built by comparing the codes directly
 (``brute_counts``), so each check covers the table build and the depth
-count together, on the compiled kernel or the numpy fallback. Codes come
-from a small palette so rows tie heavily; group sizes cover the smallest
-groups and the switch of the count dtype from uint8 to uint16, and a
-lowered element cap forces every chunk boundary of the numpy table build
-and scan. The compiled kernel ignores the cap, so those checks run the
-numpy bodies.
+count together, on the compiled kernel or the numpy fallback. Both run
+one algorithm, the table's count-sorted pairs scanned to the first hit,
+so this masked minimum over the whole table is the oracle that shares no
+code with them. Codes come from a small palette so rows tie heavily;
+group sizes cover the smallest groups, the paper's shapes and the switch
+of the count dtype from uint8 to uint16, and a lowered element cap forces
+every chunk boundary of the numpy table build and scan. The compiled
+kernel ignores the cap, so those checks run the numpy bodies.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricdepth import depth
 from metricdepth.inference import _batched_depth_counts
 
-from conftest import distinct_rows, numpy_kernels
+from conftest import distinct_rows, kernel_threads, numpy_kernels
 from test_query_kernel import dense_min_counts
 from test_table_kernel import brute_counts
 
@@ -75,8 +78,10 @@ def test_batched_counts_match_dense_on_tied_codes(case):
 def test_batched_counts_match_dense_on_distinct_codes(case, cap):
     # Tie-free pooled rows give tie-free reference tables, which take the
     # upper-triangle path; the cap splits it into blocks of a few anchors.
+    # The compiled kernel, which ignores the cap, meets the same case.
     codes, references = case
     assert distinct_rows(codes)
+    want = reference_counts(codes, references)
     saved = depth._CHUNK_ELEMS
     depth._CHUNK_ELEMS = cap
     try:
@@ -84,7 +89,23 @@ def test_batched_counts_match_dense_on_distinct_codes(case, cap):
             got = _batched_depth_counts(codes, references, True)
     finally:
         depth._CHUNK_ELEMS = saved
-    assert np.array_equal(got, reference_counts(codes, references))
+    assert np.array_equal(got, want)
+    assert np.array_equal(_batched_depth_counts(codes, references, True), want)
+
+
+@pytest.mark.parametrize("total, m", [(240, 60), (120, 60)])
+@pytest.mark.parametrize("tied", [False, True])
+def test_paper_shapes_match_dense(total, m, tied):
+    # The paper's Kruskal-Wallis test (groups of 60 among 240) and its
+    # pairwise follow-ups (60 among 120), on one and three threads.
+    rng = np.random.default_rng(total + tied)
+    codes = tied_codes(rng, total, 4) if tied else distinct_codes(rng, total)
+    references = random_references(rng, total, m, 3)
+    want = reference_counts(codes, references)
+    for threads in (1, 3):
+        with kernel_threads(threads):
+            got = _batched_depth_counts(codes, references, distinct_rows(codes))
+        assert np.array_equal(got, want)
 
 
 def test_smallest_groups_match_dense():
