@@ -331,34 +331,19 @@ enum { CHUNK = 256 };
 PAIRS(pairs_u8_u16, uint8_t, uint16_t)
 PAIRS(pairs_u16_u16, uint16_t, uint16_t)
 
-/* Pairs scanned per query before moving on to the next query: the span's
- * pair indices stay in L1 while every query still scanning reads them. */
-enum { SPAN = 4096 };
-
 /* first[j] = the least k < n_pairs with query[j, a1[k]] <= query[j, a2[k]],
- * or -1, for an (m, n_anchors) query matrix. */
+ * or -1, for an (m, n_anchors) query matrix, one query at a time: the row
+ * stays in cache for its whole scan while the pairs stream past it in order. */
 #define SCAN(NAME, QUERY, PAIR)                                                \
     void NAME(const QUERY *query, int64_t m, int64_t n_anchors,                \
               const PAIR *a1, const PAIR *a2, int64_t n_pairs, int64_t *first) \
     {                                                                          \
-        for (int64_t j = 0; j < m; j++)                                        \
-            first[j] = -1;                                                     \
-        int64_t left = m;                                                      \
-        for (int64_t lo = 0; lo < n_pairs && left; lo += SPAN) {               \
-            int64_t hi = n_pairs - lo < SPAN ? n_pairs : lo + SPAN;            \
-            left = 0;                                                          \
-            for (int64_t j = 0; j < m; j++) {                                  \
-                if (first[j] >= 0)                                             \
-                    continue;                                                  \
-                const QUERY *row = query + j * n_anchors;                      \
-                int64_t k = lo;                                                \
-                while (k < hi && !(row[a1[k]] <= row[a2[k]]))                  \
-                    k++;                                                       \
-                if (k < hi)                                                    \
-                    first[j] = k;                                              \
-                else                                                           \
-                    left++;                                                    \
-            }                                                                  \
+        for (int64_t j = 0; j < m; j++) {                                      \
+            const QUERY *row = query + j * n_anchors;                          \
+            int64_t k = 0;                                                     \
+            while (k < n_pairs && !(row[a1[k]] <= row[a2[k]]))                 \
+                k++;                                                           \
+            first[j] = k < n_pairs ? k : -1;                                   \
         }                                                                      \
     }
 

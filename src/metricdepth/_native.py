@@ -67,8 +67,11 @@ _kernels = _UNSET
 def threads() -> int:
     """The number of CPUs this process may run on, the most threads the
     compiled depth counts use; restricting the process's CPU affinity (as
-    ``taskset`` does) lowers it."""
-    return len(os.sched_getaffinity(0))
+    ``taskset`` does) lowers it. Hosts without ``os.sched_getaffinity``
+    (macOS, Windows) count every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cache_dir() -> Path:

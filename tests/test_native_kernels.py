@@ -327,8 +327,9 @@ def test_scan_equals_numpy_on_codes_and_distances(native, n_anchors, tied):
 
 
 def test_scan_past_the_first_span_of_pairs(native, rng):
-    # 150 anchors keep about 11 000 pairs, so deep queries scan past the
-    # compiled scan's first span of 4096 pairs.
+    # 150 anchors keep about 11 000 pairs, so deep queries scan more than
+    # 4096 pairs before their first hit; the counts must still equal the
+    # dense minimum.
     space = Sphere(2)
     sample = random_points(space, 150, rng)
     table = halfspace_prob_table(space, sample, sample)

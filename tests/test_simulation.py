@@ -163,6 +163,24 @@ def test_run_simulation_caps_its_workers_at_the_reps_and_the_cpus(monkeypatch):
             assert np.array_equal(got.errors[name], want.errors[name])
 
 
+def test_run_simulation_on_a_host_without_cpu_affinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the thread count falls
+    # back to the CPU count, and a run still needs it to size its pool.
+    import os
+
+    from metricdepth import _native
+
+    want = run_simulation(config(reps=2))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _native.threads() == 3
+    got = run_simulation(config(reps=2))
+    for name in want.errors:
+        assert np.array_equal(got.errors[name], want.errors[name])
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _native.threads() == 1
+
+
 def test_run_simulation_seed_sensitivity():
     a = run_simulation(config(seed=1))
     b = run_simulation(config(seed=1))
