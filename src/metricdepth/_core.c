@@ -16,6 +16,11 @@
  *
  * The depth counts alone run on several threads, which the call starts and
  * joins before it returns; every other kernel runs on the calling thread.
+ *
+ * The last kernel draws the permutation tests' orders (`_order_batches` in
+ * inference.py): numpy's SeedSequence mix, PCG64 and Generator.shuffle,
+ * step for step, so each order is the one numpy's Generator draws for its
+ * stream, and the numpy body is that Generator.
  */
 #define _POSIX_C_SOURCE 200112L /* posix_memalign */
 #include <math.h>
@@ -461,3 +466,125 @@ DEPTHS(u8, u8, uint8_t, uint8_t)
 DEPTHS(u8, u16, uint8_t, uint16_t)
 DEPTHS(u16, u8, uint16_t, uint8_t)
 DEPTHS(u16, u16, uint16_t, uint16_t)
+
+/* PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+ * Statistically Good Algorithms for Random Number Generation", 2014) as
+ * numpy runs it: a 128-bit LCG whose 64-bit draw is the XSL-RR output of
+ * the state after each step. A 32-bit draw returns the low half of a 64-bit
+ * draw and keeps its high half for the next 32-bit draw. unsigned __int128
+ * is a GCC and Clang extension of 64-bit targets; where it is missing the
+ * core does not build, and numpy runs every kernel's body instead. */
+typedef unsigned __int128 u128;
+
+struct pcg64 {
+    u128 state, inc;
+    uint32_t high;
+    int has_high;
+};
+
+static uint64_t pcg64_next64(struct pcg64 *rng)
+{
+    const u128 mult = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+    rng->state = rng->state * mult + rng->inc;
+    uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rot = (unsigned)(rng->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+static uint32_t pcg64_next32(struct pcg64 *rng)
+{
+    if (rng->has_high) {
+        rng->has_high = 0;
+        return rng->high;
+    }
+    uint64_t x = pcg64_next64(rng);
+    rng->high = (uint32_t)(x >> 32);
+    rng->has_high = 1;
+    return (uint32_t)x;
+}
+
+/* numpy's SeedSequence constants (numpy/random/bit_generator.pyx), as
+ * rng.py names them; its pool holds POOL words. */
+enum { POOL = 4 };
+static const uint32_t INIT_A = 0x43B0D7E5, MULT_A = 0x931E8875, INIT_B = 0x8B51F9DD,
+                      MULT_B = 0x58F38DED, MIX_MULT_L = 0xCA01F9DD, MIX_MULT_R = 0x4973F715;
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= MULT_A;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+/* Seeds rng as PCG64(SeedSequence(entropy)) does: the entropy mix of
+ * rng._seed_state gives four uint64 words, the first two the initial state
+ * (high word first) and the last two the stream, which
+ * pcg_setseq_128_srandom_r sets as numpy's pcg64_set_seed calls it. */
+static void pcg64_seed(struct pcg64 *rng, const uint32_t *entropy, int64_t n_words)
+{
+    uint32_t pool[POOL], hash = INIT_A;
+    for (int i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < n_words ? entropy[i] : 0, &hash);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (int64_t src = POOL; src < n_words; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash));
+    uint64_t seed[POOL] = {0};
+    hash = INIT_B;
+    for (int i = 0; i < 2 * POOL; i++) {
+        uint32_t value = pool[i % POOL] ^ hash;
+        hash *= MULT_B;
+        value *= hash;
+        seed[i / 2] |= (uint64_t)(value ^ value >> 16) << (32 * (i % 2));
+    }
+    rng->inc = ((u128)seed[2] << 64 | seed[3]) << 1 | 1;
+    rng->state = 0;
+    pcg64_next64(rng);
+    rng->state += (u128)seed[0] << 64 | seed[1];
+    pcg64_next64(rng);
+    rng->has_high = 0;
+}
+
+/* out[r] = Generator(PCG64(SeedSequence([*head, first + r]))).permutation(total)
+ * for r < count, each an int64 row of an (count, total) array: the rep's
+ * words follow the n_head words of head, as rng._words splits them, and the
+ * shuffle is Generator.shuffle's Fisher-Yates loop over arange(total), each
+ * index drawn by numpy's random_interval, rejection under the least all-ones
+ * mask that covers it. Totals up to 2**32, whose every index numpy draws
+ * from 32 bits; a pooled sample of more could not hold its distances. */
+void orders(const uint32_t *head, int64_t n_head, int64_t first, int64_t count,
+            int64_t total, int64_t *out)
+{
+    uint32_t entropy[n_head + 2];
+    memcpy(entropy, head, n_head * sizeof *entropy);
+    for (int64_t r = 0; r < count; r++) {
+        uint64_t rep = (uint64_t)(first + r);
+        entropy[n_head] = (uint32_t)rep;
+        entropy[n_head + 1] = (uint32_t)(rep >> 32);
+        struct pcg64 rng;
+        pcg64_seed(&rng, entropy, n_head + 1 + (rep >> 32 != 0));
+        int64_t *order = out + r * total;
+        for (int64_t i = 0; i < total; i++)
+            order[i] = i;
+        for (int64_t i = total - 1; i > 0; i--) {
+            uint32_t mask = (uint32_t)i, j;
+            for (int shift = 1; shift < 32; shift *= 2)
+                mask |= mask >> shift;
+            while ((j = pcg64_next32(&rng) & mask) > (uint32_t)i)
+                ;
+            int64_t swap = order[i];
+            order[i] = order[j];
+            order[j] = swap;
+        }
+    }
+}

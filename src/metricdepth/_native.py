@@ -3,7 +3,9 @@
 The kernels are ``ranks`` (per-row rank codes of a distance matrix),
 ``table`` (the halfspace count table), ``tally`` and ``pairs`` (the
 counting sort of the table's anchor pairs), ``scan`` (each query's first
-admissible pair) and ``depths`` (the permutation tests' depth counts).
+admissible pair), ``depths`` (the permutation tests' depth counts) and
+``orders`` (the permutation tests' orders, numpy's ``Generator``
+permutations drawn in C).
 They are built with the system ``gcc`` the first time one is called,
 once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with mode
 0700. A missing, empty or relative ``XDG_CACHE_HOME``, which the XDG
@@ -136,6 +138,7 @@ def _load() -> dict:
     signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, i64, ptr],
                                                   flag)
                        for code in integers for count in integers})
+    signatures["orders"] = ([ptr, i64, i64, i64, i64, ptr], None)
     functions = {}
     for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)

@@ -9,8 +9,12 @@ depths recomputed against each permuted reference, and p-values use the
 add-one estimator, which is valid at any permutation count.
 
 A test evaluates all its orders at once: the identity, whose statistic is
-the observed one, then one permutation per rep. The pooled distance matrix
-is ranked once per test; for a batch of orders, each permuted reference
+the observed one, then one permutation per rep, numpy's
+``Generator.permutation`` of the rep's stream (see :mod:`metricdepth.rng`).
+The compiled core draws a batch of them in one call, with no
+``Generator``; without it, each comes from its own ``Generator``, to the
+same orders. The pooled distance matrix is ranked once per test; for a
+batch of orders, each permuted reference
 group's block of those codes yields its halfspace table, and every pooled
 observation's depth count is the least entry of that table over the
 anchor pairs the observation admits. Each table is queried as the depth
@@ -29,14 +33,14 @@ orders holds at most ``depth._CHUNK_ELEMS // 8`` pooled indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import _native, depth
 from .depth import HalfspaceProbTable, _min_counts, _prob_counts, _row_ranks
 from .errors import DataError
-from .rng import NS_PERMUTATION, derive_rngs
+from .rng import NS_PERMUTATION, _entropy, derive_rngs
 from .spaces import Space
 
 MIN_PERMUTATIONS = 99
@@ -207,6 +211,36 @@ def _summed_h(orders: np.ndarray, codes: np.ndarray, distinct: bool,
     return stat
 
 
+def _order_batches(seed: int, n_permutations: int, total: int,
+                   batch: int) -> Iterator[np.ndarray]:
+    """A test's orders of ``total`` pooled indices, in (B, total) int64
+    batches of at most ``batch``: the identity, then for each rep the
+    ``permutation(total)`` of stream ``(seed, NS_PERMUTATION, rep)``.
+
+    The compiled ``orders`` kernel fills a batch's permutations in one call,
+    from the stream's entropy words: it runs the ``SeedSequence`` mix,
+    seeds and draws PCG64 and shuffles as numpy's ``Generator`` does, so
+    the orders are numpy's, bit for bit. Without it, each permutation comes
+    from its own ``Generator``.
+    """
+    kernel = _native.kernel("orders")
+    if kernel is None:
+        rngs = derive_rngs(seed, NS_PERMUTATION, shape=(n_permutations,))
+    else:
+        head = np.array(_entropy(seed, (NS_PERMUTATION,)), dtype=np.uint32)
+    for lo in range(0, n_permutations + 1, batch):
+        orders = np.empty((min(batch, n_permutations + 1 - lo), total), dtype=np.int64)
+        start = 0 if lo else 1
+        orders[:start] = np.arange(total)
+        if kernel is None:
+            for order in orders[start:]:
+                order[:] = next(rngs).permutation(total)
+        else:
+            kernel(head.ctypes.data, len(head), lo + start - 1, len(orders) - start, total,
+                   orders[start:].ctypes.data)
+        yield orders
+
+
 def _depth_rank_test(test: str, space: Space, labels: tuple, groups: tuple,
                      n_permutations: int, seed: int, statistic: Callable,
                      extremity: Callable | None = None) -> TestResult:
@@ -231,15 +265,8 @@ def _depth_rank_test(test: str, space: Space, labels: tuple, groups: tuple,
     bounds = np.cumsum((0,) + sizes)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     batch = max(1, depth._CHUNK_ELEMS // 8 // (len(groups) * total))
-    rngs = derive_rngs(seed, NS_PERMUTATION, shape=(n_permutations,))
-    values = []
-    for lo in range(0, n_permutations + 1, batch):
-        orders = np.stack([
-            next(rngs).permutation(total) if i else np.arange(total)
-            for i in range(lo, min(lo + batch, n_permutations + 1))
-        ])
-        values.append(statistic(orders, codes, distinct, slices))
-    stats = np.concatenate(values)
+    stats = np.concatenate([statistic(orders, codes, distinct, slices)
+                            for orders in _order_batches(seed, n_permutations, total, batch)])
     extreme = stats if extremity is None else extremity(stats)
     hits = int(np.count_nonzero(extreme[1:] >= extreme[0]))
     return TestResult(test=test, statistic=float(stats[0]),

@@ -14,6 +14,14 @@ a stream costs a generator's construction rather than a Python-level hash
 numbers: as easy as 1, 2, 3", SC 2011). :func:`derive_rng` and
 :func:`derive_seed` read the same mix for one path. ``numpy.random`` is
 imported on the first derivation, not with this module.
+
+The permutation tests' streams ``(seed, NS_PERMUTATION, rep)`` have a
+compiled twin: the ``orders`` kernel of ``_core.c`` runs this mix, PCG64
+and ``Generator.shuffle`` itself, from the words of :func:`_entropy`, and
+its orders are tested bit for bit against numpy's ``SeedSequence`` and
+``PCG64``. On the compiled kernels a test's orders thus depend on its seed
+alone; the numpy fallback draws them from ``Generator``s, whose streams
+NEP 19 leaves free to change between numpy versions.
 """
 
 from __future__ import annotations

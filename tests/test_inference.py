@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import ortho_group, rankdata
 
-from metricdepth import depth, inference
+from metricdepth import _native, depth, inference
 from metricdepth.errors import DataError
 from metricdepth.inference import (
     GroupedSample,
@@ -19,7 +19,7 @@ from metricdepth.rng import NS_PERMUTATION, derive_rng
 from metricdepth.simulation import PopulationSpec, canonical_center, sample_population
 from metricdepth.spaces import Euclidean, Sphere
 
-from conftest import random_points
+from conftest import numpy_kernels, random_points
 
 
 def euclid_points(values):
@@ -211,6 +211,27 @@ def test_pinned_kruskal_wallis_all_tied_is_zero():
     groups = [pts[:3], pts[3:7], pts[7:]]
     result = kruskal_wallis_depth_test(space, groups, n_permutations=99, seed=1)
     assert (result.statistic, result.p_value) == (0.0, 1.0)
+
+
+def test_compiled_orders_build_no_generator(monkeypatch):
+    # On the compiled kernels the orders come from the orders kernel alone:
+    # a Generator stream per permutation would go through derive_rngs. A
+    # two-word seed and a negative one give the same statistics and p-values
+    # as the numpy orders.
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    g1, g2, g3 = (pinned_sphere_group(8, 5), pinned_sphere_group(11, 6, 0.6),
+                  pinned_sphere_group(14, 7))
+    runs = [lambda: wilcoxon_depth_test(Sphere(2), g1, g2, 199, seed=2**32 + 5),
+            lambda: kruskal_wallis_depth_test(Sphere(2), [g1, g2, g3], 199, seed=-1)]
+    with numpy_kernels():
+        want = [(r.statistic, r.p_value) for r in (run() for run in runs)]
+
+    def no_generators(*args, **kwargs):
+        raise AssertionError("derive_rngs called on the compiled kernels")
+
+    monkeypatch.setattr(inference, "derive_rngs", no_generators)
+    assert [(r.statistic, r.p_value) for r in (run() for run in runs)] == want
 
 
 def one_order_kruskal_wallis(space, groups, n_permutations, seed):

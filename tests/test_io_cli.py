@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import metricdepth
+from metricdepth import _native
 from metricdepth.cli import main
 from metricdepth.depth import DepthReport, approx_depth
 from metricdepth.errors import DataError
@@ -525,6 +526,28 @@ def test_exit_codes_via_subprocess(tmp_path):
                   "--estimator", "fm", "--out", str(tmp_path / "m.json"))
     assert failure.returncode == 4 and "numerical failure" in failure.stderr
     assert "Traceback" not in unparseable.stderr + failure.stderr
+
+
+def test_cli_test_leaves_numpy_random_unloaded(tmp_path, rng):
+    # On the compiled kernels a permutation test draws its orders in C, so a
+    # fresh `test` process never imports numpy.random (about 15 ms).
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    points, groups = random_points(Sphere(2), 30, rng), []
+    for g in range(3):
+        write_points(tmp_path / f"g{g}.csv", Sphere(2), points[10 * g:10 * g + 10])
+        groups += ["--groups", str(tmp_path / f"g{g}.csv")]
+    out = tmp_path / "kw.json"
+    code = ("import sys; from metricdepth.cli import main; "
+            "main(sys.argv[1:], standalone_mode=False); print('numpy.random' in sys.modules)")
+    src = str(Path(metricdepth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ran = subprocess.run([sys.executable, "-c", code, "test", "--space", "sphere:2", *groups,
+                          "--test", "kw", "--permutations", "99", "--out", str(out)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert json.loads(manifest_path_for(out).read_text())["kernels"] == "native"
+    assert ran.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_import_leaves_scipy_unloaded():

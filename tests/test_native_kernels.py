@@ -1,6 +1,7 @@
 """The compiled rank, table, pair-sort, scan and permutation depth-count
-kernels against the numpy bodies of their entry points, and the loader
-that builds them.
+kernels against the numpy bodies of their entry points, the compiled
+permutation orders against numpy's ``Generator.permutation``, and the
+loader that builds them.
 
 The numpy bodies are the oracle, run by the same entry points under
 ``numpy_kernels()``: every check demands the same codes and tie flag, the
@@ -46,12 +47,18 @@ from metricdepth.depth import (
     _row_ranks,
     halfspace_prob_table,
 )
-from metricdepth.inference import _batched_depth_counts, kruskal_wallis_depth_test
+from metricdepth.inference import (
+    _batched_depth_counts,
+    _order_batches,
+    kruskal_wallis_depth_test,
+)
 from metricdepth.io import write_points
+from metricdepth.rng import NS_PERMUTATION, _entropy, derive_rng
 from metricdepth.spaces import Euclidean, Sphere
 
 from conftest import distinct_rows, kernel_threads, numpy_kernels, random_points
 from test_query_kernel import dense_min_counts
+from test_rng import SEEDS
 from test_table_kernel import VALUES, brute_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -445,6 +452,60 @@ def test_depths_leave_references_outside_the_pool_to_numpy(native):
     assert np.array_equal(got, want)
 
 
+# ----------------------------------------------------- permutation orders
+
+# The shuffle draws an index up to each i < total under the least all-ones
+# mask that covers i, so a total crosses every mask width up to its own: one
+# pooled point draws nothing, 2 and 3 end on masks of one and two bits, and
+# 257 and 65 537 end on a power of two (nine and seventeen bits), which a
+# mask one bit short would never draw.
+ORDER_TOTALS = [1, 2, 3, 60, 90, 257, 1000, 65537]
+
+
+def numpy_orders(seed, reps, total):
+    return [derive_rng(seed, NS_PERMUTATION, rep).permutation(total) for rep in reps]
+
+
+def same_orders(seed, n_permutations, total, batch):
+    """A test's compiled orders, batch by batch: the identity, then each
+    rep's permutation checked against numpy's ``permutation`` of the rep's
+    stream. The second batch starts at rep ``batch - 1``."""
+    assert _native.kernel("orders") is not None
+    got = np.concatenate(list(_order_batches(seed, n_permutations, total, batch)))
+    assert got.dtype == np.int64 and got.shape == (n_permutations + 1, total)
+    assert np.array_equal(got[0], np.arange(total))
+    for order, want in zip(got[1:], numpy_orders(seed, range(n_permutations), total)):
+        assert np.array_equal(order, want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("total", ORDER_TOTALS)
+def test_orders_equal_numpy_permutations(native, seed, total):
+    same_orders(seed, 5, total, 3)
+
+
+def test_orders_of_reps_past_one_word(native):
+    # Reps from 2**32 on take two entropy words, as seeds do; the kernel
+    # reads the rep's words after the seed's and the namespace's.
+    kernel = _native.kernel("orders")
+    for seed in (7, 2**40 + 5, -1):
+        head = np.array(_entropy(seed, (NS_PERMUTATION,)), dtype=np.uint32)
+        got = np.empty((3, 257), dtype=np.int64)
+        kernel(head.ctypes.data, len(head), 2**32 - 1, 3, 257, got.ctypes.data)
+        want = numpy_orders(seed, range(2**32 - 1, 2**32 + 2), 257)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.one_of(st.sampled_from(SEEDS), st.integers(-(2**63), 2**64 - 1)),
+       total=st.one_of(st.sampled_from(ORDER_TOTALS), st.integers(1, 300)),
+       n_permutations=st.integers(0, 6), batch=st.integers(1, 4))
+def test_orders_equal_numpy_permutations_in_any_batching(seed, total, n_permutations, batch):
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    same_orders(seed, n_permutations, total, batch)
+
+
 # ------------------------------------------------------------------ threads
 
 def test_thread_count_never_exceeds_the_cpus():
@@ -516,9 +577,10 @@ def test_no_thread_outlives_a_call_so_a_forked_child_runs_a_test(native):
 def test_kernels_are_chosen_by_dtype_alone(native):
     # Ranks by (distance, code), tables by (code, count), tallies by count,
     # pair sorts by (count, pair), scans by (query, pair), permutation
-    # depths by (code, count) dtype; no kernel takes a width flag.
+    # depths by (code, count) dtype; no kernel takes a width flag. The
+    # permutation orders have one dtype of each array, so one kernel.
     assert sorted(_native.library()) == [
-        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8",
+        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "orders",
         "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
         "scan_f64_u16", "scan_u16_u16", "scan_u8_u16",
         "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
