@@ -17,10 +17,14 @@
  * The depth counts alone run on several threads, which the call starts and
  * joins before it returns; every other kernel runs on the calling thread.
  *
- * The last kernel draws the permutation tests' orders (`_order_batches` in
- * inference.py): numpy's SeedSequence mix, PCG64 and Generator.shuffle,
- * step for step, so each order is the one numpy's Generator draws for its
- * stream, and the numpy body is that Generator.
+ * The last two kernels draw random streams: the permutation tests' orders
+ * (`_order_batches` in inference.py) and the standard normals of
+ * `rng.derive_normals`, which jiggling and refinement turn into tangents.
+ * Both run numpy's SeedSequence mix and PCG64 step for step; the orders
+ * then run Generator.shuffle, and the normals numpy's own ziggurat, from
+ * numpy's static library libnpyrandom.a, linked into the core. So each
+ * order and each normal is the one numpy's Generator draws for its stream,
+ * and the numpy body is that Generator.
  */
 #define _POSIX_C_SOURCE 200112L /* posix_memalign */
 #include <math.h>
@@ -586,5 +590,61 @@ void orders(const uint32_t *head, int64_t n_head, int64_t first, int64_t count,
             order[i] = order[j];
             order[j] = swap;
         }
+    }
+}
+
+/* numpy's bit generator (numpy/random/bitgen.h), through which the
+ * distributions of numpy/random/lib/libnpyrandom.a read a stream, and the
+ * ziggurat fill of standard normals (Marsaglia and Tsang, 2000) that
+ * Generator.standard_normal runs; npy_intp is intptr_t. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
+
+void random_standard_normal_fill(bitgen_t *bitgen, intptr_t count, double *out);
+
+static uint64_t bitgen_next64(void *rng)
+{
+    return pcg64_next64(rng);
+}
+
+static uint32_t bitgen_next32(void *rng)
+{
+    return pcg64_next32(rng);
+}
+
+/* A double in [0, 1) from the top 53 bits of a 64-bit draw, as numpy's
+ * pcg64_next_double. */
+static double bitgen_next_double(void *rng)
+{
+    return (double)(pcg64_next64(rng) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* out[r] = Generator(PCG64(SeedSequence([*head, *idx]))).standard_normal(dim)
+ * for the r-th index idx of an ndim-dimensional shape in C order, each a
+ * float64 row of a (count, dim) array: each index entry is one word after
+ * the n_head words of head, so entries stay below 2**32. */
+void normals(const uint32_t *head, int64_t n_head, const int64_t *shape, int64_t ndim,
+             int64_t dim, double *out)
+{
+    uint32_t entropy[n_head + ndim];
+    memcpy(entropy, head, n_head * sizeof *entropy);
+    uint32_t *idx = entropy + n_head;
+    int64_t count = 1;
+    for (int64_t d = 0; d < ndim; d++) {
+        idx[d] = 0;
+        count *= shape[d];
+    }
+    for (int64_t r = 0; r < count; r++) {
+        struct pcg64 rng;
+        pcg64_seed(&rng, entropy, n_head + ndim);
+        bitgen_t bitgen = {&rng, bitgen_next64, bitgen_next32, bitgen_next_double, bitgen_next64};
+        random_standard_normal_fill(&bitgen, dim, out + r * dim);
+        for (int64_t d = ndim - 1; d >= 0 && ++idx[d] == (uint64_t)shape[d]; d--)
+            idx[d] = 0;
     }
 }

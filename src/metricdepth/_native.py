@@ -3,25 +3,35 @@
 The kernels are ``ranks`` (per-row rank codes of a distance matrix),
 ``table`` (the halfspace count table), ``tally`` and ``pairs`` (the
 counting sort of the table's anchor pairs), ``scan`` (each query's first
-admissible pair), ``depths`` (the permutation tests' depth counts) and
+admissible pair), ``depths`` (the permutation tests' depth counts),
 ``orders`` (the permutation tests' orders, numpy's ``Generator``
-permutations drawn in C).
+permutations drawn in C) and ``normals`` (the chart normals of
+:func:`metricdepth.rng.derive_normals`, numpy's
+``Generator.standard_normal`` drawn in C).
 They are built with the system ``gcc`` the first time one is called,
 once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with mode
-0700. A missing, empty or relative ``XDG_CACHE_HOME``, which the XDG
-Base Directory Specification makes invalid, means ``~/.cache``. The file
-name is keyed by the SHA-256 of the source and the compiler flags, so an
-edited source builds anew. A build is written under a temporary name and
-moved into place with ``os.replace``, so processes that build at once
-(such as the workers of ``simulate``) each end with a complete file. The
-library ends in the SHA-256 of what precedes it; a cached file whose
-digest does not match, such as a truncated one, is rebuilt rather than
-loaded.
+0700, by the command :func:`command` gives. It links numpy's static
+library of random distributions, ``numpy/random/lib/libnpyrandom.a``
+(:data:`ARCHIVE`), which numpy ships for C extensions, for the ziggurat
+that ``normals`` calls. A missing, empty or relative ``XDG_CACHE_HOME``,
+which the XDG Base Directory Specification makes invalid, means
+``~/.cache``. The file name is keyed by the SHA-256 of the source, the
+archive, the compiler and its flags, so an edited source or another numpy
+builds anew. A build is written under a temporary name and moved into
+place with ``os.replace``, so processes that build at once (such as the
+workers of ``simulate``) each end with a complete file; then every other
+``core-*.so`` in the directory, a build of another source or numpy, is
+removed, so that the cache holds one build rather than one per edit or
+numpy upgrade (two installs of different sources that share a cache thus
+rebuild in turn). The library ends in the SHA-256 of what
+precedes it; a cached file whose digest does not match, such as a
+truncated one, is rebuilt rather than loaded.
 
-When gcc is missing, the build fails or the cache is not writable,
-:func:`library` logs one warning through this module's logger and returns
-None, and the numpy bodies of the entry points in :mod:`metricdepth.depth`
-and :mod:`metricdepth.inference` run instead, with the same results. A
+When gcc or the archive is missing, the build fails or the cache is not
+writable, :func:`library` logs one warning through this module's logger
+and returns None, and the numpy bodies of the entry points in
+:mod:`metricdepth.depth`, :mod:`metricdepth.inference` and
+:mod:`metricdepth.rng` run instead, with the same results. A
 kernel is named by its task and the dtypes of its arrays, and takes no
 flag that a dtype could state.
 
@@ -59,6 +69,10 @@ COMPILER = "gcc"
 # with loops on 32-byte boundaries, adding the threaded depth counts moved
 # it by 16 bytes and slowed its 230 x 920 build from 5.1 to 6.6 ms.
 FLAGS = ("-O3", "-falign-loops=64", "-std=c99", "-shared", "-fPIC", "-pthread")
+# numpy's static library of its random distributions, and the C math
+# library that they call.
+ARCHIVE = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
+LIBS = ("-lm",)
 # Array dtypes the kernels take, by their suffix in the kernel names.
 _SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.uint8): "u8", np.dtype(np.uint16): "u16"}
 _DIGEST = hashlib.sha256().digest_size
@@ -83,9 +97,18 @@ def cache_dir() -> Path:
     return Path(root) / "metricdepth"
 
 
+def command(output) -> list:
+    """The compiler command that builds the core into ``output``: the
+    source, then numpy's archive and the libraries it needs."""
+    return [COMPILER, *FLAGS, "-o", str(output), str(SOURCE), str(ARCHIVE), *LIBS]
+
+
 def library_path() -> Path:
-    """Where the library built from the current source and flags is cached."""
-    key = hashlib.sha256(SOURCE.read_bytes() + "\0".join((COMPILER, *FLAGS)).encode())
+    """Where the library built from the current source, archive and flags
+    is cached."""
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update(hashlib.sha256(ARCHIVE.read_bytes()).digest())
+    key.update("\0".join((COMPILER, *FLAGS, *LIBS)).encode())
     return cache_dir() / f"core-{key.hexdigest()[:32]}.so"
 
 
@@ -120,6 +143,8 @@ def kernel(name: str, *dtypes):
 def _load() -> dict:
     import ctypes
 
+    if not ARCHIVE.is_file():
+        raise RuntimeError(f"numpy's random library {ARCHIVE} is missing")
     target = library_path()
     if not _intact(target):
         _build(target)
@@ -139,6 +164,7 @@ def _load() -> dict:
                                                   flag)
                        for code in integers for count in integers})
     signatures["orders"] = ([ptr, i64, i64, i64, i64, ptr], None)
+    signatures["normals"] = ([ptr, i64, ptr, i64, i64, ptr], None)
     functions = {}
     for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)
@@ -171,8 +197,7 @@ def _build(target: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=target.stem + "-", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
-        proc = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE)],
-                              capture_output=True, text=True)
+        proc = subprocess.run(command(tmp), capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{COMPILER} exited {proc.returncode}: {proc.stderr.strip()}")
         with open(tmp, "rb+") as handle:
@@ -181,3 +206,7 @@ def _build(target: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Builds under way in other processes are *.tmp files, left alone.
+    for stale in target.parent.glob("core-*.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)

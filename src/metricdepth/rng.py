@@ -15,13 +15,17 @@ numbers: as easy as 1, 2, 3", SC 2011). :func:`derive_rng` and
 :func:`derive_seed` read the same mix for one path. ``numpy.random`` is
 imported on the first derivation, not with this module.
 
-The permutation tests' streams ``(seed, NS_PERMUTATION, rep)`` have a
-compiled twin: the ``orders`` kernel of ``_core.c`` runs this mix, PCG64
-and ``Generator.shuffle`` itself, from the words of :func:`_entropy`, and
-its orders are tested bit for bit against numpy's ``SeedSequence`` and
-``PCG64``. On the compiled kernels a test's orders thus depend on its seed
-alone; the numpy fallback draws them from ``Generator``s, whose streams
-NEP 19 leaves free to change between numpy versions.
+Two uses of streams have a compiled twin, which runs this mix and PCG64
+itself from the words of :func:`_entropy`: the permutation tests' orders,
+streams ``(seed, NS_PERMUTATION, rep)``, which the ``orders`` kernel of
+``_core.c`` shuffles as ``Generator.shuffle`` does, and the chart normals
+of :func:`derive_normals`, which the ``normals`` kernel draws with numpy's
+own ziggurat from ``libnpyrandom.a``. Both are tested bit for bit against
+numpy's ``SeedSequence``, ``PCG64`` and ``Generator``. On the compiled
+kernels the orders thus depend on the seed alone; the numpy fallback
+draws them from ``Generator``s, whose streams NEP 19 leaves free to change
+between numpy versions. The normals come from the installed numpy's own
+ziggurat on either path, so both paths follow its ``Generator``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import functools
 from typing import Iterator
 
 import numpy as np
+
+from . import _native
 
 # Fixed namespaces for derived streams, so different subsystems that share a
 # user seed never collide.
@@ -163,3 +169,25 @@ def derive_seed(seed: int, *path: int) -> int:
     """Collapse a stream path into a single integer seed: the first uint32
     word of the stream's state."""
     return _seed_state(_entropy(seed, path))[0] & _MASK32
+
+
+def derive_normals(seed: int, *prefix: int, shape: tuple, dim: int) -> np.ndarray:
+    """Standard normals of streams ``(seed, *prefix, *idx)`` for every index
+    ``idx`` of ``shape``, in C order: an (N, dim) float64 array whose row
+    is ``standard_normal(dim)`` of the stream's :func:`derive_rngs`
+    generator. Indices must stay below 2**32.
+
+    The compiled ``normals`` kernel draws all N streams in one call; its
+    numpy body, the generators themselves, is its reference.
+    """
+    shape = tuple(int(s) for s in shape)
+    out = np.empty((int(np.prod(shape, dtype=np.int64)), dim))
+    kernel = _native.kernel("normals")
+    if kernel is None:
+        for row, rng in zip(out, derive_rngs(seed, *prefix, shape=shape)):
+            row[:] = rng.standard_normal(dim)
+    else:
+        head = np.array(_entropy(seed, prefix), dtype=np.uint32)
+        sizes = np.array(shape, dtype=np.int64)
+        kernel(head.ctypes.data, len(head), sizes.ctypes.data, len(sizes), dim, out.ctypes.data)
+    return out

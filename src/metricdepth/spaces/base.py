@@ -22,6 +22,13 @@ or sampled in a batch is bit-identical to the same point made alone.
 In the same way :meth:`Space.log` is the one-point entry of
 :meth:`Space.mean_log`, the weighted mean of logs that the intrinsic mean
 and median descend along.
+A Gaussian tangent's draw is its chart normals,
+``standard_normal(intrinsic_dim)`` of its stream, on every geometry but
+the spider, whose stream also picks a branch (:attr:`Space.chart_normals`
+tells which). N such draws are one (N, intrinsic_dim) array, which
+:meth:`Space.normal_tangents` scales (:func:`scaled_normals`, the one
+place where a scatter meets the normals) and maps to tangents, so callers
+can draw all N streams at once.
 A stack of N tangents is the geometry's tangent payload with a leading
 axis of length N: an (N, ...) array for the vector and matrix geometries,
 a tuple of N steps for the spider, and a tuple of component stacks for
@@ -82,6 +89,9 @@ class Space(ABC):
     """Common interface of all supported geometries."""
 
     kind: str
+    # Whether a tangent's draw is its chart normals alone; see the module
+    # docstring.
+    chart_normals = True
 
     @property
     @abstractmethod
@@ -179,6 +189,13 @@ class Space(ABC):
         (``scatter`` as in :meth:`random_tangents`)."""
         return self._unstack_one(x, self.random_tangents([x], [scatter], [rng]))
 
+    def normal_tangents(self, bases: Sequence, scatters: Sequence, normals: np.ndarray):
+        """Stack of the Gaussian tangents whose draws are the rows of
+        ``normals``, (N, intrinsic_dim) standard normals: what
+        :meth:`random_tangents` makes from streams that draw them, for a
+        space whose :attr:`chart_normals` holds."""
+        return self.tangents_from_coords(bases, scaled_normals(scatters, normals))
+
     def _draw(self, x, scatter, rng: np.random.Generator):
         """What one tangent at ``x`` reads from its stream: chart normals."""
         return gaussian_chart_sample(scatter, self.intrinsic_dim, rng)
@@ -234,28 +251,48 @@ class Space(ABC):
 
 
 def gaussian_chart_sample(scatter, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw N(0, scatter) in an orthonormal chart of the given dimension.
+    """Draw N(0, scatter) in an orthonormal chart of the given dimension,
+    from ``standard_normal(dim)`` of ``rng``, scaled by :func:`scaled_normals`."""
+    return scaled_normals([scatter], rng.standard_normal((1, dim)))[0]
 
-    Scalar scatter is a variance; matrix scatter is a covariance (symmetric
-    positive semi-definite, factored through an eigendecomposition so a zero
-    scatter degenerates cleanly to the zero vector).
+
+def scaled_normals(scatters: Sequence, normals: np.ndarray) -> np.ndarray:
+    """N(0, scatters[i]) chart coordinates from row i of (N, dim) standard
+    normals.
+
+    A scalar scatter is a variance, whose square root scales the row; a
+    matrix scatter is a covariance (symmetric positive semi-definite,
+    factored through an eigendecomposition so a zero scatter degenerates
+    cleanly to the zero vector), whose root multiplies it. Rows of
+    variances are scaled all at once, each row as it would be alone.
     """
-    scatter = np.asarray(scatter, dtype=float)
-    if scatter.ndim == 0:
-        var = float(scatter)
-        if var < 0:
+    normals = np.asarray(normals, dtype=float)
+    try:
+        var = np.asarray(scatters, dtype=float)
+    except ValueError:  # scatters of different shapes
+        var = None
+    if var is not None and var.shape == normals.shape[:1]:
+        if (var < 0).any():
             raise GeometryError("scatter variance must be nonnegative")
-        return np.sqrt(var) * rng.standard_normal(dim)
-    if scatter.shape != (dim, dim):
-        raise GeometryError(
-            f"scatter covariance must be {dim}x{dim}, got {scatter.shape}"
-        )
-    sym = 0.5 * (scatter + scatter.T)
-    eigval, eigvec = np.linalg.eigh(sym)
-    if np.min(eigval) < -1e-10:
-        raise GeometryError("scatter covariance must be positive semi-definite")
-    root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    return root @ rng.standard_normal(dim)
+        return np.sqrt(var)[:, None] * normals
+    dim = normals.shape[1]
+    rows = []
+    for scatter, z in zip(scatters, normals):
+        scatter = np.asarray(scatter, dtype=float)
+        if scatter.ndim == 0:
+            rows.append(scaled_normals([scatter], z[None])[0])
+            continue
+        if scatter.shape != (dim, dim):
+            raise GeometryError(
+                f"scatter covariance must be {dim}x{dim}, got {scatter.shape}"
+            )
+        sym = 0.5 * (scatter + scatter.T)
+        eigval, eigvec = np.linalg.eigh(sym)
+        if np.min(eigval) < -1e-10:
+            raise GeometryError("scatter covariance must be positive semi-definite")
+        root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+        rows.append(root @ z)
+    return np.array(rows, dtype=float).reshape(normals.shape)
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:

@@ -32,6 +32,10 @@ class Product(Space):
     def spec_string(self) -> str:
         return "product:" + "+".join(c.spec_string for c in self.components)
 
+    @property
+    def chart_normals(self) -> bool:
+        return all(c.chart_normals for c in self.components)
+
     def _by_component(self, rows, parts: str, check) -> list:
         """Points from ``rows``, each a sequence of one part per component,
         with the parts of each component checked as one column by
@@ -86,21 +90,39 @@ class Product(Space):
         )
         return TangentVector(base=v.base, coords=parts)
 
-    def _draw(self, x, scatter, rng: np.random.Generator) -> tuple:
+    def _component_scatters(self, scatter) -> list:
         # Scatter: one scalar variance for all components, or one entry
-        # (scalar or covariance) per component. The components read the
-        # stream in turn, so for Gaussian components one draw of
-        # ``intrinsic_dim`` normals is split across them.
-        if isinstance(scatter, (list, tuple)) or np.ndim(scatter) > 0:
-            per_comp = list(scatter)
-            if len(per_comp) != len(self.components):
-                raise GeometryError(
-                    f"expected {len(self.components)} scatter entries, got {len(per_comp)}"
-                )
-        else:
-            per_comp = [scatter] * len(self.components)
+        # (scalar or covariance) per component. A plain number is told
+        # apart first, without np.ndim, as jiggling passes one per base.
+        if isinstance(scatter, (int, float)) or (
+                not isinstance(scatter, (list, tuple)) and np.ndim(scatter) == 0):
+            return [scatter] * len(self.components)
+        per_comp = list(scatter)
+        if len(per_comp) != len(self.components):
+            raise GeometryError(
+                f"expected {len(self.components)} scatter entries, got {len(per_comp)}"
+            )
+        return per_comp
+
+    def normal_tangents(self, bases, scatters, normals):
+        # The components read a draw's normals in turn, as in _draw.
+        per_base = [self._component_scatters(s) for s in scatters]
+        normals = np.asarray(normals, dtype=float)
+        parts = []
+        offset = 0
+        for idx, comp in enumerate(self.components):
+            block = normals[:, offset:offset + comp.intrinsic_dim]
+            parts.append(comp.normal_tangents(self._component_bases(bases, idx),
+                                              [sc[idx] for sc in per_base], block))
+            offset += comp.intrinsic_dim
+        return tuple(parts)
+
+    def _draw(self, x, scatter, rng: np.random.Generator) -> tuple:
+        # The components read the stream in turn, so for Gaussian components
+        # one draw of ``intrinsic_dim`` normals is split across them.
         return tuple(
-            comp._draw(xc, sc, rng) for comp, xc, sc in zip(self.components, x, per_comp)
+            comp._draw(xc, sc, rng)
+            for comp, xc, sc in zip(self.components, x, self._component_scatters(scatter))
         )
 
     def _tangents_from_draws(self, bases, draws):

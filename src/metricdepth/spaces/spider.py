@@ -48,6 +48,8 @@ def _alternate_branch(branch: int) -> int:
 @dataclass(frozen=True, repr=False)
 class Spider3(Space):
     kind = "spider3"
+    # Each stream also picks a branch; see _draw.
+    chart_normals = False
 
     @property
     def intrinsic_dim(self) -> int:

@@ -1,7 +1,8 @@
 """The compiled rank, table, pair-sort, scan and permutation depth-count
 kernels against the numpy bodies of their entry points, the compiled
-permutation orders against numpy's ``Generator.permutation``, and the
-loader that builds them.
+permutation orders against numpy's ``Generator.permutation``, the compiled
+chart normals against ``Generator.standard_normal``, and the loader that
+builds them.
 
 The numpy bodies are the oracle, run by the same entry points under
 ``numpy_kernels()``: every check demands the same codes and tie flag, the
@@ -19,6 +20,8 @@ forked child, and against a dense masked minimum in
 ``test_batched_kernel.py``.
 """
 
+import contextlib
+import hashlib
 import json
 import logging
 import multiprocessing
@@ -46,6 +49,9 @@ from metricdepth.depth import (
     _prob_counts,
     _row_ranks,
     halfspace_prob_table,
+    in_sample_deepest,
+    jiggle_anchors,
+    refine_deepest,
 )
 from metricdepth.inference import (
     _batched_depth_counts,
@@ -53,8 +59,8 @@ from metricdepth.inference import (
     kruskal_wallis_depth_test,
 )
 from metricdepth.io import write_points
-from metricdepth.rng import NS_PERMUTATION, _entropy, derive_rng
-from metricdepth.spaces import Euclidean, Sphere
+from metricdepth.rng import NS_PERMUTATION, _entropy, derive_normals, derive_rng, derive_rngs
+from metricdepth.spaces import Euclidean, Sphere, parse_space
 
 from conftest import distinct_rows, kernel_threads, numpy_kernels, random_points
 from test_query_kernel import dense_min_counts
@@ -506,6 +512,67 @@ def test_orders_equal_numpy_permutations_in_any_batching(seed, total, n_permutat
     same_orders(seed, n_permutations, total, batch)
 
 
+# ------------------------------------------------------------ chart normals
+
+# The ziggurat's last normal before its tail: a draw beyond it takes the
+# tail path, log1p and exp, rather than the table alone.
+ZIGGURAT_EDGE = 3.6541528853610088
+
+
+def numpy_normals(seed, prefix, shape, dim):
+    count = int(np.prod(shape, dtype=np.int64))
+    rows = [rng.standard_normal(dim) for rng in derive_rngs(seed, *prefix, shape=shape)]
+    return np.array(rows, dtype=float).reshape(count, dim)
+
+
+def numpy_body_normals(seed, prefix, shape, dim):
+    with numpy_kernels():
+        return derive_normals(seed, *prefix, shape=shape, dim=dim)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, -1, 2**40 + 5])
+@pytest.mark.parametrize("prefix", [(1,), (2, 2**33)], ids=repr)
+@pytest.mark.parametrize("shape", [(0,), (1,), (257,), (230, 3)], ids=repr)
+@pytest.mark.parametrize("dim", [0, 1, 3, 300])
+def test_normals_equal_numpy_standard_normals(native, seed, prefix, shape, dim):
+    want = numpy_normals(seed, prefix, shape, dim)
+    assert _native.kernel("normals") is not None
+    for got in (derive_normals(seed, *prefix, shape=shape, dim=dim),
+                numpy_body_normals(seed, prefix, shape, dim)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if shape == (230, 3) and dim == 300:
+        assert np.abs(want).max() > ZIGGURAT_EDGE
+
+
+# Digests of jiggled anchors and of a refined point on the geometries whose
+# streams also pick a branch, which still draw one stream at a time: the
+# values pin what those streams give.
+BRANCH_DRAWS = {
+    "spider3": ("84e03ed57e297ea6", "04e195348591f77d"),
+    "product:spider3+euclidean:2": ("a9bbfd6c974fbf1a", "da560766890ae3fd"),
+}
+
+
+def digest(space, points):
+    text = "\n".join(space.encode_point(p) for p in points)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec", sorted(BRANCH_DRAWS))
+@pytest.mark.parametrize("compiled", [True, False])
+def test_branch_picking_draws_keep_their_streams(spec, compiled):
+    space = parse_space(spec)
+    assert not space.chart_normals
+    sample = random_points(space, 20, np.random.default_rng(8))
+    with contextlib.nullcontext() if compiled else numpy_kernels():
+        anchors = jiggle_anchors(space, sample, 3, seed=5).points
+        start, _, _ = in_sample_deepest(space, sample, anchors)
+        point, _ = refine_deepest(space, sample, anchors, start, 16, seed=5)
+    assert (digest(space, anchors), digest(space, [point])) == BRANCH_DRAWS[spec]
+    assert digest(space, [point]) != digest(space, [start])
+
+
 # ------------------------------------------------------------------ threads
 
 def test_thread_count_never_exceeds_the_cpus():
@@ -578,9 +645,10 @@ def test_kernels_are_chosen_by_dtype_alone(native):
     # Ranks by (distance, code), tables by (code, count), tallies by count,
     # pair sorts by (count, pair), scans by (query, pair), permutation
     # depths by (code, count) dtype; no kernel takes a width flag. The
-    # permutation orders have one dtype of each array, so one kernel.
+    # permutation orders and the chart normals have one dtype of each
+    # array, so one kernel each.
     assert sorted(_native.library()) == [
-        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "orders",
+        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "normals", "orders",
         "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
         "scan_f64_u16", "scan_u16_u16", "scan_u8_u16",
         "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
@@ -698,3 +766,36 @@ def test_unusable_cache_falls_back(fresh_loader, caplog):
     assert len(caplog.records) == 1
     dist = distances(np.random.default_rng(0), 30, 50, False)
     assert np.array_equal(_prob_counts(_row_ranks(dist)[0], True), brute_counts(dist))
+
+
+def test_missing_archive_falls_back(fresh_loader, monkeypatch, caplog):
+    archive = fresh_loader.parent / "numpy-random" / "libnpyrandom.a"
+    monkeypatch.setattr(_native, "ARCHIVE", archive)
+    with caplog.at_level(logging.WARNING, logger=_native.logger.name):
+        assert _native.library() is None
+        assert _native.kernel("normals") is None
+    assert len(caplog.records) == 1 and str(archive) in caplog.records[0].getMessage()
+    got = derive_normals(3, 1, shape=(4,), dim=2)
+    assert got.tobytes() == numpy_normals(3, (1,), (4,), 2).tobytes()
+
+
+@needs_gcc
+def test_a_build_removes_the_builds_of_other_sources(fresh_loader, monkeypatch, tmp_path):
+    text = _native.SOURCE.read_text()
+    builds = []
+    for name, extra in (("old", "/* an older source */\n"), ("new", "")):
+        source = tmp_path / f"{name}.c"
+        source.write_text(text + extra)
+        monkeypatch.setattr(_native, "SOURCE", source)
+        builds.append(_native.library_path())
+    # A build that another process has under way, of either source.
+    pending = [fresh_loader / f"{build.stem}-pending.tmp" for build in builds]
+    fresh_loader.mkdir(mode=0o700)
+    for path in pending:
+        path.write_bytes(b"")
+    monkeypatch.setattr(_native, "SOURCE", tmp_path / "old.c")
+    _native._build(builds[0])
+    assert builds[0].exists()
+    monkeypatch.setattr(_native, "SOURCE", tmp_path / "new.c")
+    assert _native.library() is not None
+    assert sorted(fresh_loader.iterdir()) == sorted([builds[1], *pending])

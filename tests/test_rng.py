@@ -65,3 +65,33 @@ def test_cli_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n, dim", [(0, 3), (1, 1), (50, 3), (200, 6)])
+def test_one_block_of_normals_is_the_successive_draws(n, dim):
+    # Simulated sampling reads its one stream, after the outlier mask, as a
+    # single standard_normal((n, dim)) for n successive draws of dim.
+    block, successive = derive_rng(9, 6), derive_rng(9, 6)
+    block.random(5)
+    successive.random(5)
+    got = block.standard_normal((n, dim))
+    want = np.array([successive.standard_normal(dim) for _ in range(n)]).reshape(n, dim)
+    assert got.tobytes() == want.tobytes()
+    assert block.bit_generator.state == successive.bit_generator.state
+
+
+def test_compiled_jiggled_depth_leaves_numpy_random_unloaded(tmp_path):
+    from metricdepth import _native
+
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    data = tmp_path / "points.csv"
+    data.write_text("".join(f"{t / 4!r},{t * t / 16!r}\n" for t in range(12)))
+    code = ("import sys\nfrom metricdepth.cli import main\n"
+            f"main(['depth', '--space', 'euclidean:2', '--data', {str(data)!r}, '--self', "
+            f"'--anchors', 'jiggle:2', '--out', {str(tmp_path / 'depth.csv')!r}], "
+            "standalone_mode=False)\nprint('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "False"
