@@ -17,7 +17,7 @@
  * The depth counts alone run on several threads, which the call starts and
  * joins before it returns; every other kernel runs on the calling thread.
  *
- * The last two kernels draw random streams: the permutation tests' orders
+ * Two more kernels draw random streams: the permutation tests' orders
  * (`_order_batches` in inference.py) and the standard normals of
  * `rng.derive_normals`, which jiggling and refinement turn into tangents.
  * Both run numpy's SeedSequence mix and PCG64 step for step; the orders
@@ -25,6 +25,11 @@
  * numpy's static library libnpyrandom.a, linked into the core. So each
  * order and each normal is the one numpy's Generator draws for its stream,
  * and the numpy body is that Generator.
+ *
+ * The last kernel, spd2, takes each pair of spd:2's distance matrix
+ * through one fixed sequence of IEEE operations up to its eigenvalues
+ * (`_whitened_eigs` in spaces/spd.py is its numpy body), so an entry does
+ * not depend on the call's shape or on a BLAS library's threads.
  */
 #define _POSIX_C_SOURCE 200112L /* posix_memalign */
 #include <math.h>
@@ -646,5 +651,43 @@ void normals(const uint32_t *head, int64_t n_head, const int64_t *shape, int64_t
         random_standard_normal_fill(&bitgen, dim, out + r * dim);
         for (int64_t d = ndim - 1; d >= 0 && ++idx[d] == (uint64_t)shape[d]; d--)
             idx[d] = 0;
+    }
+}
+
+/* The eigenvalues behind spd:2's affine-invariant distances, the step of
+ * SPD.distance_matrix (spaces/spd.py) before its logs. For the left
+ * matrices p[a] and their inverse square roots s[a], each row-major
+ * (a < rows), and nb right matrices q held as four planes q[e * nb + b],
+ * entry e = 2 i + j, it writes the eigenvalues of W = (s[a] q[b]) s[a],
+ *     mid -+ sqrt(0.25 (w00 - w11)^2 + off^2),
+ * mid = 0.5 (w00 + w11), off = 0.5 (w01 + w10), into lower[a * nb + b]
+ * and upper[a * nb + b], each raised to at least `least` as np.maximum
+ * raises it (NaN stays NaN). Every entry of s q and of W is one sum of two
+ * rounded products: the build's -ffp-contract=off fuses no product into
+ * its sum, so each pair takes the IEEE operations of the numpy body,
+ * whatever the call's shape. A pair with p[a] == q[b], entry for
+ * entry, has W = I, so both its eigenvalues are written as exactly 1. */
+CLONES void spd2_f64(const double *p, const double *s, int64_t rows, const double *q,
+                     int64_t nb, double least, double *lower, double *upper)
+{
+    const double *q00 = q, *q01 = q + nb, *q10 = q + 2 * nb, *q11 = q + 3 * nb;
+    for (int64_t a = 0; a < rows; a++) {
+        double p00 = p[4 * a], p01 = p[4 * a + 1], p10 = p[4 * a + 2], p11 = p[4 * a + 3];
+        double s00 = s[4 * a], s01 = s[4 * a + 1], s10 = s[4 * a + 2], s11 = s[4 * a + 3];
+        double *small = lower + a * nb, *large = upper + a * nb;
+        for (int64_t b = 0; b < nb; b++) {
+            double t00 = s00 * q00[b] + s01 * q10[b], t01 = s00 * q01[b] + s01 * q11[b];
+            double t10 = s10 * q00[b] + s11 * q10[b], t11 = s10 * q01[b] + s11 * q11[b];
+            double w00 = t00 * s00 + t01 * s10, w01 = t00 * s01 + t01 * s11;
+            double w10 = t10 * s00 + t11 * s10, w11 = t10 * s01 + t11 * s11;
+            double off = (w01 + w10) * 0.5, diff = w00 - w11, mid = (w00 + w11) * 0.5;
+            double rad = sqrt(diff * diff * 0.25 + off * off);
+            double lo = mid - rad, hi = mid + rad;
+            int same = (p00 == q00[b]) & (p01 == q01[b]) & (p10 == q10[b]) & (p11 == q11[b]);
+            lo = lo < least ? least : lo;
+            hi = hi < least ? least : hi;
+            small[b] = same ? 1.0 : lo;
+            large[b] = same ? 1.0 : hi;
+        }
     }
 }

@@ -5,9 +5,11 @@ The kernels are ``ranks`` (per-row rank codes of a distance matrix),
 counting sort of the table's anchor pairs), ``scan`` (each query's first
 admissible pair), ``depths`` (the permutation tests' depth counts),
 ``orders`` (the permutation tests' orders, numpy's ``Generator``
-permutations drawn in C) and ``normals`` (the chart normals of
+permutations drawn in C), ``normals`` (the chart normals of
 :func:`metricdepth.rng.derive_normals`, numpy's
-``Generator.standard_normal`` drawn in C).
+``Generator.standard_normal`` drawn in C) and ``spd2`` (the whitened
+eigenvalues behind ``SPD(2).distance_matrix``, one fixed sequence of IEEE
+operations per pair).
 They are built with the system ``gcc`` the first time one is called,
 once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with mode
 0700, by the command :func:`command` gives. It links numpy's static
@@ -68,7 +70,11 @@ COMPILER = "gcc"
 # build by 32 bytes slowed its 400 x 400 uint16 build from 1.75 to 2.00 ms;
 # with loops on 32-byte boundaries, adding the threaded depth counts moved
 # it by 16 bytes and slowed its 230 x 920 build from 5.1 to 6.6 ms.
-FLAGS = ("-O3", "-falign-loops=64", "-std=c99", "-shared", "-fPIC", "-pthread")
+# spd2 must round each product before its sum, as numpy does, so no
+# product fuses into a multiply-add (-ffp-contract=off); -fno-math-errno
+# lets its sqrt vectorize, still correctly rounded.
+FLAGS = ("-O3", "-falign-loops=64", "-std=c99", "-ffp-contract=off", "-fno-math-errno",
+         "-shared", "-fPIC", "-pthread")
 # numpy's static library of its random distributions, and the C math
 # library that they call.
 ARCHIVE = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
@@ -165,6 +171,7 @@ def _load() -> dict:
                        for code in integers for count in integers})
     signatures["orders"] = ([ptr, i64, i64, i64, i64, ptr], None)
     signatures["normals"] = ([ptr, i64, ptr, i64, i64, ptr], None)
+    signatures["spd2_f64"] = ([ptr, ptr, i64, ptr, i64, ctypes.c_double, ptr, ptr], None)
     functions = {}
     for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)

@@ -26,7 +26,7 @@ from .depth import (
     refine_deepest,
 )
 from .errors import DataError, GeometryError, MetricDepthError, NumericalError
-from .rng import NS_REFINE, derive_rng
+from .rng import NS_REFINE, derive_draw32
 from .spaces import Space
 
 WEISZFELD_GUARD = 1e-9
@@ -196,7 +196,7 @@ def mhd_median(
     start, _, start_idx = in_sample_deepest(space, sample, anchors, table=table)
     point, depth = refine_deepest(
         space, sample, anchors, start, budget,
-        derive_rng(seed, NS_REFINE).integers(2**32).item(), radius_frac, table, spread,
+        derive_draw32(seed, NS_REFINE), radius_frac, table, spread,
     )
     return EstimatorResult(
         point=point,

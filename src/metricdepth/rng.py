@@ -13,7 +13,8 @@ a stream costs a generator's construction rather than a Python-level hash
 (counter-based derivation in the sense of Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011). :func:`derive_rng` and
 :func:`derive_seed` read the same mix for one path. ``numpy.random`` is
-imported on the first derivation, not with this module.
+imported on the first derivation, not with this module; :func:`derive_draw32`
+steps PCG64 itself and never imports it.
 
 Two uses of streams have a compiled twin, which runs this mix and PCG64
 itself from the words of :func:`_entropy`: the permutation tests' orders,
@@ -57,6 +58,9 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
 
 def _words(value: int) -> list[int]:
@@ -169,6 +173,24 @@ def derive_seed(seed: int, *path: int) -> int:
     """Collapse a stream path into a single integer seed: the first uint32
     word of the stream's state."""
     return _seed_state(_entropy(seed, path))[0] & _MASK32
+
+
+def derive_draw32(seed: int, *path: int) -> int:
+    """The first ``integers(2**32)`` draw of stream ``(seed, *path)``, made
+    without ``numpy.random``: the low 32 bits of PCG64's first output.
+
+    PCG64 seeds as ``pcg_setseq_128_srandom_r`` does, the stream from the
+    last two state words and the state from the first two, high word
+    first; each output steps the LCG and takes the XSL-RR of its state, as
+    the ``pcg64`` step of ``_core.c``.
+    """
+    words = _seed_state(_entropy(seed, path))
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = inc  # one step from state 0
+    state = ((state + (words[0] << 64 | words[1])) * _PCG_MULT + inc) & _MASK128
+    state = (state * _PCG_MULT + inc) & _MASK128  # the first output's step
+    rot, x = state >> 122, (state >> 64 ^ state) & _MASK64
+    return (x >> rot | x << (64 - rot)) & _MASK32
 
 
 def derive_normals(seed: int, *prefix: int, shape: tuple, dim: int) -> np.ndarray:

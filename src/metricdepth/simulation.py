@@ -11,7 +11,6 @@ for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -244,6 +243,10 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     reps = range(config.reps)
     workers = min(config.n_jobs, config.reps, _native.threads())
     if workers > 1:
+        # Imported here: the pool's modules (multiprocessing among them)
+        # would otherwise add to every command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         worker_config = replace(config, n_jobs=1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replicate, [worker_config] * config.reps, reps,

@@ -646,13 +646,14 @@ def test_kernels_are_chosen_by_dtype_alone(native):
     # pair sorts by (count, pair), scans by (query, pair), permutation
     # depths by (code, count) dtype; no kernel takes a width flag. The
     # permutation orders and the chart normals have one dtype of each
-    # array, so one kernel each.
+    # array, so one kernel each; the spd:2 distances take float64 alone.
     assert sorted(_native.library()) == [
         "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "normals", "orders",
         "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
-        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16",
+        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "spd2_f64",
         "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
         "tally_u16", "tally_u8"]
+    assert _native.kernel("spd2", np.float64) is not None
     assert _native.kernel("table", np.uint8, np.uint16) is not None
     assert _native.kernel("ranks", np.float64, np.uint16) is not None
     assert _native.kernel("scan", np.float64, np.uint8) is None

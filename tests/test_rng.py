@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from metricdepth.rng import derive_rng, derive_rngs, derive_seed
+from metricdepth.rng import NS_REFINE, derive_draw32, derive_rng, derive_rngs, derive_seed
 
 MASK64 = 2**64 - 1
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1, -1, -(2**63)]
@@ -52,6 +52,14 @@ def test_single_stream_and_seed_equal_seed_sequence(seed, prefix):
     assert derive_seed(seed, *prefix) == expected
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("prefix", [(NS_REFINE,), *PREFIXES], ids=repr)
+def test_first_32_bit_draw_equals_generator_integers(seed, prefix):
+    # The depth median seeds its refinement with this draw of stream
+    # (seed, NS_REFINE).
+    assert derive_draw32(seed, *prefix) == reference(seed, *prefix).integers(2**32).item()
+
+
 def test_derived_generators_pickle_mid_stream():
     for gen in (derive_rng(4, 2), next(derive_rngs(4, shape=(3,)))):
         gen.standard_normal(3)
@@ -80,18 +88,35 @@ def test_one_block_of_normals_is_the_successive_draws(n, dim):
     assert block.bit_generator.state == successive.bit_generator.state
 
 
+def loads_numpy_random(command, tmp_path) -> bool:
+    """Whether running the CLI ``command`` on a 12-point euclidean:2 file
+    imports ``numpy.random``, in a fresh process."""
+    data = tmp_path / "points.csv"
+    data.write_text("".join(f"{t / 4!r},{t * t / 16!r}\n" for t in range(12)))
+    args = [command[0], "--space", "euclidean:2", "--data", str(data), *command[1:],
+            "--out", str(tmp_path / "out")]
+    code = ("import sys\nfrom metricdepth.cli import main\n"
+            f"main({args!r}, standalone_mode=False)\nprint('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
 def test_compiled_jiggled_depth_leaves_numpy_random_unloaded(tmp_path):
     from metricdepth import _native
 
     if _native.library() is None:
         pytest.skip("the compiled kernels cannot be built here")
-    data = tmp_path / "points.csv"
-    data.write_text("".join(f"{t / 4!r},{t * t / 16!r}\n" for t in range(12)))
-    code = ("import sys\nfrom metricdepth.cli import main\n"
-            f"main(['depth', '--space', 'euclidean:2', '--data', {str(data)!r}, '--self', "
-            f"'--anchors', 'jiggle:2', '--out', {str(tmp_path / 'depth.csv')!r}], "
-            "standalone_mode=False)\nprint('numpy.random' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    assert not loads_numpy_random(["depth", "--self", "--anchors", "jiggle:2"], tmp_path)
+
+
+def test_compiled_depth_median_leaves_numpy_random_unloaded(tmp_path):
+    # Jiggling, the refinement seed and the refinement steps all draw
+    # without numpy.random.
+    from metricdepth import _native
+
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    command = ["median", "--estimator", "mhd", "--jiggle", "2", "--budget", "4"]
+    assert not loads_numpy_random(command, tmp_path)

@@ -133,7 +133,10 @@ def test_run_simulation_parallel_determinism(monkeypatch):
 
 def test_run_simulation_caps_its_workers_at_the_reps_and_the_cpus(monkeypatch):
     # The pool runs its map in this process and records its size, so the
-    # test starts no process, whatever n_jobs asks for.
+    # test starts no process, whatever n_jobs asks for. run_simulation
+    # imports the pool from concurrent.futures when it starts one.
+    import concurrent.futures
+
     import metricdepth.simulation as sim
 
     sizes = []
@@ -151,7 +154,7 @@ def test_run_simulation_caps_its_workers_at_the_reps_and_the_cpus(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sim._native, "threads", lambda: 3)
     for n_jobs, reps, workers in ((100_000, 2, [2]), (100_000, 4, [3]), (2, 4, [2]),
                                   (100_000, 1, [])):
@@ -161,6 +164,21 @@ def test_run_simulation_caps_its_workers_at_the_reps_and_the_cpus(monkeypatch):
         want = run_simulation(config(reps=reps))
         for name in want.errors:
             assert np.array_equal(got.errors[name], want.errors[name])
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only simulate --threads > 1 starts a pool; its modules cost every
+    # other command start-up time.
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, metricdepth.cli\n"
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_simulation_on_a_host_without_cpu_affinity(monkeypatch):

@@ -1,15 +1,21 @@
-"""Stacked operands, batched streams and the SPD matmul kernel against
+"""Stacked operands, batched streams and the SPD distance kernels against
 test-local references.
 
 Refinement stacks its anchors and sample once and derives all its step
 streams in one batch; the intrinsic mean and median stack their sample
 once; the SPD distance kernel runs two matmuls where it ran two
-``einsum(optimize=True)`` calls, and takes its 2 x 2 eigenvalues plane by
-plane in place. None of this may move a bit, so each is checked for exact
-equality against the form it replaced: a loop that derives one stream per
-step and passes tuples, and the einsum kernel with the closed form it fed.
+``einsum(optimize=True)`` calls. None of this may move a bit, so each is
+checked for exact equality against the form it replaced: a loop that
+derives one stream per step and passes tuples, and the einsum kernel. On
+spd:2 the distances take one fixed sequence of IEEE operations per pair
+instead, so they are checked for the same bits on both bodies and at every
+call shape, an exact zero between equal matrices, and the stated error
+bound against the einsum kernel.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -36,7 +42,7 @@ from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
 from metricdepth.spaces.base import TangentVector
 from metricdepth.spaces.spd import EIG_FLOOR, _sym
 
-from conftest import random_points
+from conftest import numpy_kernels, random_points
 
 SPACES = [
     Euclidean(3),
@@ -209,9 +215,9 @@ def spd_points(k, n, rng, scale=1.0):
     return list(scale * (raw @ np.swapaxes(raw, 1, 2) + 0.5 * np.eye(k)))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_spd_kernel_equals_einsum_reference(k, rng):
-    space = SPD(k)
+def spd_cases(k, rng):
+    """Pairs of point lists that span row chunks, empty sides, and whitened
+    eigenvalues from about 1e-6 to 1e6 with some at the identity."""
     nb = 400
     chunk = max(1, int(4e6 // (nb * k * k)))
     # Row counts 1 and one past the chunk size (two chunks, the last of one
@@ -221,23 +227,119 @@ def test_spd_kernel_equals_einsum_reference(k, rng):
              (points[:nb], points[:1]), (points[:7], points[:nb]),
              (points, points[:nb]), (points[:0], points[:nb]),
              (points[:nb], points[:0]), (points[:0], points[:0])]
+    return cases + spd_scale_cases(k, rng)
+
+
+def spd_scale_cases(k, rng):
     # Each side mixes its own scale with the other's, so whitened
     # eigenvalues run from about 1e-6 to 1e6; points on both sides give
     # whitened matrices at the identity, with logs at or next to 0.
+    cases = []
     for scale in (1e-3, 1e-1, 1e1, 1e3):
         xs = spd_points(k, 9, rng, scale)
         ys = spd_points(k, 31, rng, 1.0 / scale) + xs[:4]
         cases += [(xs, ys), (ys, xs), (xs[:1], ys), (ys, xs[:1]), (xs, xs)]
-    for xs, ys in cases:
+    return cases
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5])
+def test_spd_kernel_equals_einsum_reference(k, rng):
+    space = SPD(k)
+    for xs, ys in spd_cases(k, rng):
         got = space.distance_matrix(xs, ys)
         assert got.shape == (len(xs), len(ys))
         assert np.array_equal(got, einsum_distance_matrix(space, xs, ys))
 
 
+def test_spd2_kernel_equals_its_numpy_body(rng):
+    from metricdepth import _native
+
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    space = SPD(2)
+    nan, inf = np.full((2, 2), np.nan), np.diag([np.inf, 1.0])
+    cases = spd_cases(2, rng) + [(spd_points(2, 3, rng), [nan, inf, -inf, np.zeros((2, 2))])]
+    for xs, ys in cases:
+        got = space.distance_matrix(xs, ys)
+        with numpy_kernels():
+            want = space.distance_matrix(xs, ys)
+        assert got.shape == (len(xs), len(ys))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_spd2_distances_do_not_depend_on_the_call_shape(rng):
+    space = SPD(2)
+    # 230 x 920 is a depth-jiggle table call; 2001 rows span several chunks.
+    for na, nb in ((230, 920), (2001, 40)):
+        xs, ys = spd_points(2, na, rng), spd_points(2, nb, rng)
+        full = space.distance_matrix(xs, ys)
+        ones = np.concatenate([space.distance_matrix(xs[i:i + 1], ys) for i in range(na)])
+        sevens = np.concatenate([space.distance_matrix(xs[i:i + 7], ys)
+                                 for i in range(0, na, 7)])
+        columns = rng.permutation(nb)[:nb // 3]
+        picked = space.distance_matrix(xs, [ys[j] for j in columns])
+        assert ones.tobytes() == full.tobytes()
+        assert sevens.tobytes() == full.tobytes()
+        assert picked.tobytes() == full[:, columns].tobytes()
+
+
+def test_spd2_distances_do_not_depend_on_the_blas_thread_count():
+    # A depth-jiggle table call: 230 spd:2 points against their 920 jiggled
+    # anchors. Whitening through BLAS products gave other bits at two
+    # OpenBLAS threads than at one.
+    code = """if True:
+        import hashlib
+        import numpy as np
+        from metricdepth.depth import jiggle_anchors
+        from metricdepth.spaces import SPD
+        space = SPD(2)
+        raw = np.random.default_rng(0).standard_normal((230, 2, 2))
+        sample = space.stack(raw @ np.swapaxes(raw, 1, 2) + 0.5 * np.eye(2))
+        anchors = jiggle_anchors(space, sample, 3, 0.2, seed=0)
+        dist = space.distance_matrix(sample, anchors.points)
+        print(dist.shape, hashlib.sha256(dist.tobytes()).hexdigest())
+    """
+    digests = []
+    for count in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": count}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        digests.append(out.stdout.strip())
+    assert digests[0].startswith("(230, 920) ")
+    assert digests[0] == digests[1]
+
+
+def test_spd2_distance_between_equal_matrices_is_exactly_zero(rng):
+    space = SPD(2)
+    for scale in (1e-3, 1.0, 1e3):
+        xs = spd_points(2, 50, rng, scale)
+        dist = space.distance_matrix(xs, xs)
+        assert (np.diagonal(dist) == 0.0).all()
+        # Equal matrices off the diagonal, and copies, count too.
+        dist = space.distance_matrix(xs[:5], [x.copy() for x in xs[3:8]])
+        assert dist[3, 0] == 0.0 and dist[4, 1] == 0.0
+        assert np.count_nonzero(dist == 0.0) == 2
+
+
+def test_spd2_distances_within_their_error_bound_of_einsum_reference(rng):
+    # The docstring's bound, 32 eps (cond(P) cond(Q) + d) from the exact
+    # distance, applies to the einsum reference as well, so the two differ
+    # by at most twice it.
+    space = SPD(2)
+    eps = np.finfo(float).eps
+    for xs, ys in spd_scale_cases(2, rng):
+        got = space.distance_matrix(xs, ys)
+        want = einsum_distance_matrix(space, xs, ys)
+        cond = np.linalg.cond(np.array(xs))[:, None] * np.linalg.cond(np.array(ys))[None, :]
+        assert (np.abs(got - want) <= 64 * eps * (cond + want)).all()
+
+
 def test_spd_kernel_peak_memory_is_bounded_by_its_chunk():
-    # 2000 x 2000 on spd:2 takes four row chunks of 500. The bound of five
+    # 2000 x 2000 on spd:2 took four row chunks of 500. The bound of five
     # (500, 2000, 2, 2) chunk temporaries beyond the output is the einsum
-    # kernel's measured 4.75 rounded up; the planes kernel reads 2.0.
+    # kernel's measured 4.75 rounded up; the per-pair kernel, in chunks of
+    # 16 rows, reads 0.012, and its numpy body 0.092.
     space = SPD(2)
     n, k = 2000, 2
     points = space.stack(spd_points(k, n, np.random.default_rng(0)))
