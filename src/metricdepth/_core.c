@@ -14,8 +14,13 @@
  * row-major. A kernel that needs scratch allocates it, frees it before it
  * returns, and returns -1 when it cannot allocate it.
  *
- * The depth counts alone run on several threads, which the call starts and
- * joins before it returns; every other kernel runs on the calling thread.
+ * The ranks, the table build, the scan and the depth counts run on the
+ * core's one thread runner (`run_units`): a call splits its work into
+ * units, which its threads claim one at a time, and takes as many threads
+ * as its caller allows, its units number and its estimated work pays for,
+ * starting and joining them before it returns. Units write disjoint
+ * outputs with the same arithmetic on any thread, so every output is the
+ * same at any thread count. Every other kernel runs on the calling thread.
  *
  * Two more kernels draw random streams: the permutation tests' orders
  * (`_order_batches` in inference.py) and the standard normals of
@@ -26,10 +31,12 @@
  * order and each normal is the one numpy's Generator draws for its stream,
  * and the numpy body is that Generator.
  *
- * The last kernel, spd2, takes each pair of spd:2's distance matrix
- * through one fixed sequence of IEEE operations up to its eigenvalues
- * (`_whitened_eigs` in spaces/spd.py is its numpy body), so an entry does
- * not depend on the call's shape or on a BLAS library's threads.
+ * The last two kernels take each pair of a distance matrix through one
+ * fixed sequence of IEEE operations, so an entry does not depend on the
+ * call's shape or on a BLAS library's threads: spd2 up to the eigenvalues
+ * of spd:2 distances (`_whitened_eigs` in spaces/spd.py is its numpy body)
+ * and sphere up to the two norms of sphere distances (`_norm_planes` in
+ * spaces/sphere.py).
  */
 #define _POSIX_C_SOURCE 200112L /* posix_memalign */
 #include <math.h>
@@ -43,6 +50,77 @@
 #else
 #define CLONES
 #endif
+
+/* Bytes to which each thread's scratch block is aligned and rounded, one
+ * cache line, so that no line holds two threads' blocks: with two threads'
+ * query rows in one line, two threads took 1.6 times the CPU time of one
+ * for the same groups on a 2-core x86-64 Xeon. */
+enum { ALIGN = 64 };
+
+/* The least work per thread, in nanoseconds on one thread, for which a call
+ * takes one more: starting and joining a thread takes tens of microseconds,
+ * and the new thread reads its inputs into a cold cache. Each kernel
+ * estimates its work from its shape, at a cost per step measured on one
+ * thread of a 2-core x86-64 Xeon. A call below twice the grain, such as
+ * the 100 x 300 ranks, table and self-query scan of a simulate replicate,
+ * stays on the calling thread. */
+enum { GRAIN = 400000 };
+
+/* One kernel call on the core's runner: its units of work, numbered from 0,
+ * are claimed one at a time through `next` by every thread of the call,
+ * each thread working in its own scratch block of `block_size` bytes,
+ * claimed through `thread`. `all` starts at 1; a unit that returns 0
+ * clears it. */
+struct run {
+    int (*unit)(const struct run *run, int64_t u, unsigned char *block);
+    const void *args;
+    int64_t units, block_size;
+    unsigned char *blocks;
+    int64_t next, thread;
+    int all;
+};
+
+static void *run_claim(void *arg)
+{
+    struct run *run = arg;
+    unsigned char *block = run->blocks
+        + __atomic_fetch_add(&run->thread, 1, __ATOMIC_RELAXED) * run->block_size;
+    for (int64_t u; (u = __atomic_fetch_add(&run->next, 1, __ATOMIC_RELAXED)) < run->units;)
+        if (!run->unit(run, u, block))
+            __atomic_store_n(&run->all, 0, __ATOMIC_RELAXED);
+    return NULL;
+}
+
+/* Runs every unit of a call, whose arguments `unit` reads from `args`, on
+ * min(threads, units, work / GRAIN) threads, and at least one: the calling
+ * thread and threads started here and joined before returning, so no thread
+ * outlives the call. `work` estimates the call's nanoseconds on one thread.
+ * The threads' blocks of `block` bytes are allocated back to back before any
+ * thread starts. A thread that cannot be started leaves its units to the
+ * others. Units write disjoint outputs with the same arithmetic on any
+ * thread, so no output depends on the thread count. Returns whether every
+ * unit returned nonzero, or -1 when the blocks cannot be allocated. */
+static int run_units(int (*unit)(const struct run *, int64_t, unsigned char *),
+                     const void *args, int64_t units, int64_t block, int64_t threads,
+                     int64_t work)
+{
+    threads = threads < units ? threads : units;
+    threads = threads < work / GRAIN ? threads : work / GRAIN;
+    threads = threads > 1 ? threads : 1;
+    struct run run = {unit, args, units, (block + ALIGN - 1) / ALIGN * ALIGN, NULL, 0, 0, 1};
+    if (run.block_size > 0
+        && posix_memalign((void **)&run.blocks, ALIGN, threads * run.block_size) != 0)
+        return -1;
+    pthread_t ids[threads];
+    int64_t started = 1;
+    while (started < threads && pthread_create(&ids[started], NULL, run_claim, &run) == 0)
+        started++;
+    run_claim(&run);
+    for (int64_t t = 1; t < started; t++)
+        pthread_join(ids[t], NULL);
+    free(run.blocks);
+    return run.all;
+}
 
 /* Pieces of at most SMALL values are sorted by insertion. A row is spread
  * over buckets at most LEVELS times, its own and one more for each
@@ -169,25 +247,35 @@ static void bucket_sort(double *value, uint32_t *index, int64_t len, double *spa
     insertion_sort(value, index, len);
 }
 
+/* Rows of a ranks unit, and the nanoseconds that ranking takes per entry:
+ * 15 to 23 on distances of 100 x 300 to 1000 x 1000. */
+enum { ROWS = 8, RANK_NS = 20 };
+
+struct ranks_args {
+    const double *dist;
+    int64_t n, n_anchors;
+    void *codes;
+};
+
 /* codes[i, a] = the number of distinct values below dist[i, a] in row i of
  * an (n, n_anchors) matrix, n_anchors <= 256 for uint8 codes and <= 65536
  * for uint16; returns whether no row holds two equal values. -0.0 equals
  * +0.0 and +inf equals +inf under `!=`, as in numpy. NaN has no rank;
- * callers reject it first. One row's scratch holds 2 * n_anchors values
- * and (2 + LEVELS) * (n_anchors + 1) indices. */
+ * callers reject it first. A unit ranks ROWS rows, in a scratch block of
+ * 2 * n_anchors values and (2 + LEVELS) * (n_anchors + 1) indices. */
 #define RANKS(NAME, CODE)                                                      \
-    int NAME(const double *dist, int64_t n, int64_t n_anchors, CODE *codes)    \
+    static int NAME##_rows(const struct run *run, int64_t u, unsigned char *block) \
     {                                                                          \
-        double *values = malloc(2 * n_anchors * sizeof(double)                 \
-            + (2 + LEVELS) * (n_anchors + 1) * sizeof(uint32_t));              \
-        if (!values)                                                           \
-            return -1;                                                         \
+        const struct ranks_args *args = run->args;                             \
+        int64_t n_anchors = args->n_anchors;                                   \
+        int64_t end = args->n - u * ROWS < ROWS ? args->n : u * ROWS + ROWS;   \
+        double *values = (double *)block;                                      \
         uint32_t *index = (uint32_t *)(values + 2 * n_anchors);                \
         uint32_t *spare = index + n_anchors + 1;                               \
         int distinct = 1;                                                      \
-        for (int64_t i = 0; i < n; i++) {                                      \
-            const double *row = dist + i * n_anchors;                          \
-            CODE *code = codes + i * n_anchors;                                \
+        for (int64_t i = u * ROWS; i < end; i++) {                             \
+            const double *row = args->dist + i * n_anchors;                    \
+            CODE *code = (CODE *)args->codes + i * n_anchors;                  \
             for (int64_t a = 0; a < n_anchors; a++) {                          \
                 values[a] = row[a];                                            \
                 index[a] = (uint32_t)a;                                        \
@@ -202,8 +290,17 @@ static void bucket_sort(double *value, uint32_t *index, int64_t len, double *spa
             }                                                                  \
             distinct &= rank == n_anchors - 1;                                 \
         }                                                                      \
-        free(values);                                                          \
         return distinct;                                                       \
+    }                                                                          \
+                                                                               \
+    int NAME(const double *dist, int64_t n, int64_t n_anchors, CODE *codes,    \
+             int64_t threads)                                                  \
+    {                                                                          \
+        struct ranks_args args = {dist, n, n_anchors, codes};                  \
+        return run_units(NAME##_rows, &args, (n + ROWS - 1) / ROWS,            \
+                         2 * n_anchors * (int64_t)sizeof(double)               \
+                         + (2 + LEVELS) * (n_anchors + 1) * (int64_t)sizeof(uint32_t), \
+                         threads, n * n_anchors * RANK_NS);                    \
     }
 
 RANKS(ranks_f64_u8, uint8_t)
@@ -218,52 +315,85 @@ RANKS(ranks_f64_u16, uint16_t)
  * the strip's padding are never stored. */
 enum { FIRST = 16, TILE = 512, LANES = 32 };
 
+/* Compares of codes that the table build makes per nanosecond: 18 to 21 on
+ * tables of 400 x 400 to 1000 x 1000, fewer on smaller ones. */
+enum { TABLE_PER_NS = 18 };
+
+struct table_args {
+    const void *codes;
+    int64_t n, n_anchors;
+    int distinct;
+    void *counts;
+};
+
+/* The blocks of first anchors that meet the column tile from c0: every
+ * block, or with `distinct` the blocks up to the tile's last column. */
+static int64_t table_blocks(const struct table_args *args, int64_t c0)
+{
+    int64_t end = args->distinct && args->n_anchors - c0 > TILE ? c0 + TILE : args->n_anchors;
+    return (end + FIRST - 1) / FIRST;
+}
+
 /* counts[a1, a2] = #{i : codes[i, a1] <= codes[i, a2]} for an
  * (n, n_anchors) code matrix, into an (n_anchors, n_anchors) table of
  * COUNT; n <= 65535, and n <= 255 for uint8 counts. With `distinct` no row
  * holds two equal codes, so counts[a2, a1] = n - counts[a1, a2]: each block
  * compares only the tiles that reach its own first anchor, and writes the
- * columns past the block into the mirrored rows. */
+ * columns past the block into the mirrored rows. A unit is one block of
+ * first anchors against one tile, numbered tile by tile; no two units
+ * write one entry, mirrored writes included. */
 #define TABLE(NAME, CODE, COUNT)                                               \
-    CLONES void NAME(const CODE *codes, int64_t n, int64_t n_anchors,          \
-                     int distinct, COUNT *counts)                              \
+    CLONES static int NAME##_block(const struct run *run, int64_t u,           \
+                                   unsigned char *block)                       \
     {                                                                          \
+        (void)block;                                                           \
+        const struct table_args *args = run->args;                             \
+        const CODE *codes = args->codes;                                       \
+        COUNT *counts = args->counts;                                          \
+        int64_t n = args->n, n_anchors = args->n_anchors, c0 = 0;              \
+        int distinct = args->distinct;                                         \
+        for (int64_t b; u >= (b = table_blocks(args, c0)); u -= b)             \
+            c0 += TILE;                                                        \
         uint16_t acc[FIRST][TILE] __attribute__((aligned(32)));                \
         CODE strip[TILE] __attribute__((aligned(32)));                         \
         memset(strip, 0, sizeof strip);                                        \
-        for (int64_t c0 = 0; c0 < n_anchors; c0 += TILE) {                     \
-            int64_t width = n_anchors - c0 < TILE ? n_anchors - c0 : TILE;     \
-            int64_t end = distinct ? c0 + width : n_anchors;                   \
-            for (int64_t lo = 0; lo < end; lo += FIRST) {                      \
-                int64_t hi = n_anchors - lo < FIRST ? n_anchors : lo + FIRST;  \
-                int64_t from = distinct && lo > c0 ? lo - c0 : 0;              \
-                int64_t lanes = LANES / sizeof(CODE);                          \
-                int64_t start = from / lanes * lanes;                          \
-                int64_t stop = (width + lanes - 1) / lanes * lanes;            \
-                memset(acc, 0, sizeof acc);                                    \
-                for (int64_t i = 0; i < n; i++) {                              \
-                    const CODE *row = codes + i * n_anchors;                   \
-                    memcpy(strip + start, row + c0 + start,                    \
-                           (width - start) * sizeof(CODE));                    \
-                    for (int64_t a = lo; a < hi; a++) {                        \
-                        CODE first = row[a];                                   \
-                        uint16_t *sum = acc[a - lo];                           \
-                        for (int64_t c = start; c < stop; c++)                 \
-                            sum[c] += first <= strip[c];                       \
-                    }                                                          \
-                }                                                              \
-                for (int64_t a = lo; a < hi; a++)                              \
-                    for (int64_t c = from; c < width; c++)                     \
-                        counts[a * n_anchors + c0 + c] =                       \
-                            (COUNT)acc[a - lo][c];                             \
-                if (!distinct)                                                 \
-                    continue;                                                  \
-                for (int64_t c = hi > c0 ? hi - c0 : 0; c < width; c++)        \
-                    for (int64_t a = lo; a < hi; a++)                          \
-                        counts[(c0 + c) * n_anchors + a] =                     \
-                            (COUNT)(n - acc[a - lo][c]);                       \
+        int64_t width = n_anchors - c0 < TILE ? n_anchors - c0 : TILE;         \
+        int64_t lo = u * FIRST;                                                \
+        int64_t hi = n_anchors - lo < FIRST ? n_anchors : lo + FIRST;          \
+        int64_t from = distinct && lo > c0 ? lo - c0 : 0;                      \
+        int64_t lanes = LANES / sizeof(CODE);                                  \
+        int64_t start = from / lanes * lanes;                                  \
+        int64_t stop = (width + lanes - 1) / lanes * lanes;                    \
+        memset(acc, 0, sizeof acc);                                            \
+        for (int64_t i = 0; i < n; i++) {                                      \
+            const CODE *row = codes + i * n_anchors;                           \
+            memcpy(strip + start, row + c0 + start, (width - start) * sizeof(CODE)); \
+            for (int64_t a = lo; a < hi; a++) {                                \
+                CODE first = row[a];                                           \
+                uint16_t *sum = acc[a - lo];                                   \
+                for (int64_t c = start; c < stop; c++)                         \
+                    sum[c] += first <= strip[c];                               \
             }                                                                  \
         }                                                                      \
+        for (int64_t a = lo; a < hi; a++)                                      \
+            for (int64_t c = from; c < width; c++)                             \
+                counts[a * n_anchors + c0 + c] = (COUNT)acc[a - lo][c];        \
+        if (distinct)                                                          \
+            for (int64_t c = hi > c0 ? hi - c0 : 0; c < width; c++)            \
+                for (int64_t a = lo; a < hi; a++)                              \
+                    counts[(c0 + c) * n_anchors + a] = (COUNT)(n - acc[a - lo][c]); \
+        return 1;                                                              \
+    }                                                                          \
+                                                                               \
+    void NAME(const CODE *codes, int64_t n, int64_t n_anchors, int distinct,   \
+              COUNT *counts, int64_t threads)                                  \
+    {                                                                          \
+        struct table_args args = {codes, n, n_anchors, distinct, counts};      \
+        int64_t units = 0;                                                     \
+        for (int64_t c0 = 0; c0 < n_anchors; c0 += TILE)                       \
+            units += table_blocks(&args, c0);                                  \
+        run_units(NAME##_block, &args, units, 0, threads,                      \
+                  n * n_anchors * n_anchors / (distinct ? 2 : 1) / TABLE_PER_NS); \
     }
 
 TABLE(table_u8_u8, uint8_t, uint8_t)
@@ -345,130 +475,122 @@ enum { CHUNK = 256 };
 PAIRS(pairs_u8_u16, uint8_t, uint16_t)
 PAIRS(pairs_u16_u16, uint16_t, uint16_t)
 
+/* Queries of a scan unit. A scan stops at its first hit, so a call's work
+ * is estimated from the most pairs it can read, every pair for every query:
+ * SCAN_PER_NS of those per nanosecond is what self-depth scans took on
+ * spd:2, the slowest of spd:2, sphere:2 and euclidean:5 (14 to 20 on
+ * spd:2, over 50 on the others). */
+enum { QUERIES = 4, SCAN_PER_NS = 16 };
+
+struct scan_args {
+    const void *query;
+    int64_t m, n_anchors;
+    const uint16_t *a1, *a2;
+    int64_t n_pairs;
+    int64_t *first;
+};
+
 /* first[j] = the least k < n_pairs with query[j, a1[k]] <= query[j, a2[k]],
  * or -1, for an (m, n_anchors) query matrix, one query at a time: the row
- * stays in cache for its whole scan while the pairs stream past it in order. */
+ * stays in cache for its whole scan while the pairs stream past it in order.
+ * A unit scans QUERIES queries. */
 #define SCAN(NAME, QUERY, PAIR)                                                \
-    void NAME(const QUERY *query, int64_t m, int64_t n_anchors,                \
-              const PAIR *a1, const PAIR *a2, int64_t n_pairs, int64_t *first) \
+    static int NAME##_queries(const struct run *run, int64_t u, unsigned char *block) \
     {                                                                          \
-        for (int64_t j = 0; j < m; j++) {                                      \
-            const QUERY *row = query + j * n_anchors;                          \
+        (void)block;                                                           \
+        const struct scan_args *args = run->args;                              \
+        const PAIR *a1 = args->a1, *a2 = args->a2;                             \
+        int64_t n_pairs = args->n_pairs;                                       \
+        int64_t end = args->m - u * QUERIES < QUERIES ? args->m : u * QUERIES + QUERIES; \
+        for (int64_t j = u * QUERIES; j < end; j++) {                          \
+            const QUERY *row = (const QUERY *)args->query + j * args->n_anchors; \
             int64_t k = 0;                                                     \
             while (k < n_pairs && !(row[a1[k]] <= row[a2[k]]))                 \
                 k++;                                                           \
-            first[j] = k < n_pairs ? k : -1;                                   \
+            args->first[j] = k < n_pairs ? k : -1;                             \
         }                                                                      \
+        return 1;                                                              \
+    }                                                                          \
+                                                                               \
+    void NAME(const QUERY *query, int64_t m, int64_t n_anchors,                \
+              const PAIR *a1, const PAIR *a2, int64_t n_pairs, int64_t *first, \
+              int64_t threads)                                                 \
+    {                                                                          \
+        struct scan_args args = {query, m, n_anchors, a1, a2, n_pairs, first}; \
+        run_units(NAME##_queries, &args, (m + QUERIES - 1) / QUERIES, 0, threads, \
+                  m * n_pairs / SCAN_PER_NS);                                  \
     }
 
 SCAN(scan_f64_u16, double, uint16_t)
 SCAN(scan_u8_u16, uint8_t, uint16_t)
 SCAN(scan_u16_u16, uint16_t, uint16_t)
 
-/* Bytes to which each thread's scratch block is aligned and rounded, one
- * cache line, so that no line holds two threads' blocks: with two threads'
- * query rows in one line, two threads took 1.6 times the CPU time of one
- * for the same groups on a 2-core x86-64 Xeon. */
-enum { ALIGN = 64 };
-
-/* A call of the depth counts: its reference groups are claimed one at a
- * time through `next` by every thread of the call, each working in its own
- * scratch block of `block_size` bytes, claimed through `thread`. */
-struct depths_call {
-    void (*group)(const struct depths_call *call, int64_t r, unsigned char *block);
+struct depths_args {
     const void *codes;
     const int64_t *refs;
-    int64_t total, n_refs, m, block_size;
+    int64_t total, m;
     int distinct;
     void *out;
-    void *blocks;
-    int64_t next, thread;
 };
-
-static void *depths_claim(void *arg)
-{
-    struct depths_call *call = arg;
-    unsigned char *block = (unsigned char *)call->blocks
-        + __atomic_fetch_add(&call->thread, 1, __ATOMIC_RELAXED) * call->block_size;
-    for (int64_t r; (r = __atomic_fetch_add(&call->next, 1, __ATOMIC_RELAXED)) < call->n_refs;)
-        call->group(call, r, block);
-    return NULL;
-}
-
-/* Runs the call on the calling thread and up to threads - 1 more, started
- * here and joined before returning, so no thread outlives the call. The
- * threads' blocks are allocated back to back before any thread starts. A
- * thread that cannot be started leaves its groups to the others. */
-static int depths_run(struct depths_call *call, int64_t threads)
-{
-    if (posix_memalign(&call->blocks, ALIGN, threads * call->block_size) != 0)
-        return -1;
-    pthread_t ids[threads];
-    int64_t started = 1;
-    while (started < threads && pthread_create(&ids[started], NULL, depths_claim, call) == 0)
-        started++;
-    depths_claim(call);
-    for (int64_t t = 1; t < started; t++)
-        pthread_join(ids[t], NULL);
-    free(call->blocks);
-    return 0;
-}
 
 /* out[r, y] = the least entry of reference group r's table over the anchor
  * pairs (a1, a2) that pooled observation y admits,
  * codes[y, ref[a1]] <= codes[y, ref[a2]], or m when it admits none, for a
  * (total, total) matrix of pooled codes and an (n_refs, m) array of pooled
  * indices, one group per row; counts are uint8 or uint16, and m <= 65535.
- * Each row of `out` is written by one thread with the same arithmetic, so
- * the counts do not depend on `threads` >= 1, of which one per group helps.
+ * A unit is one group, whose row of `out` one thread writes.
  *
  * A group's table is queried as depth.py queries any table: table_*, then
  * tally_* and pairs_*, then scan_* over the query, the observations' codes
- * at the members, (total, m). No count passes m, so the histogram has m + 1
- * bins and a group with no pair has bound m. A thread's block holds the
- * histogram and the first hits (int64), the pairs (uint16, m * m each),
- * the table in m * m uint16 slots whatever its count type, the query, and
- * the (m, m) copy of its member rows that table_* reads. */
+ * at the members, (total, m), each on the group's thread. No count passes
+ * m, so the histogram has m + 1 bins and a group with no pair has bound m.
+ * A thread's block holds the histogram and the first hits (int64), the
+ * pairs (uint16, m * m each), the table in m * m uint16 slots whatever its
+ * count type, the query, and the (m, m) copy of its member rows that
+ * table_* reads. A group takes about DEPTHS_NS nanoseconds per member pair,
+ * 11 to 14 for groups of 30 to 60 among 60 to 240, and a microsecond more. */
+enum { DEPTHS_NS = 13 };
+
 #define DEPTHS(C, K, CODE, COUNT)                                              \
-    static void depths_##C##_##K##_group(const struct depths_call *call,       \
-                                         int64_t r, unsigned char *block)      \
+    static int depths_##C##_##K##_group(const struct run *run, int64_t r,      \
+                                        unsigned char *block)                  \
     {                                                                          \
-        const CODE *codes = call->codes;                                       \
-        int64_t total = call->total, m = call->m;                              \
-        const int64_t *ref = call->refs + r * m;                               \
+        const struct depths_args *args = run->args;                            \
+        const CODE *codes = args->codes;                                       \
+        int64_t total = args->total, m = args->m;                              \
+        const int64_t *ref = args->refs + r * m;                               \
         int64_t *hist = (int64_t *)block, *first = hist + m + 1;               \
         uint16_t *a1 = (uint16_t *)(first + total), *a2 = a1 + m * m;          \
         COUNT *table = (COUNT *)(a2 + m * m);                                  \
         CODE *query = (CODE *)(a2 + 2 * m * m), *members = query + total * m;  \
-        COUNT *out = (COUNT *)call->out + r * total;                           \
+        COUNT *out = (COUNT *)args->out + r * total;                           \
         for (int64_t y = 0; y < total; y++)                                    \
             for (int64_t j = 0; j < m; j++)                                    \
                 query[y * m + j] = codes[y * total + ref[j]];                  \
         for (int64_t i = 0; i < m; i++)                                        \
             memcpy(members + i * m, query + ref[i] * m, m * sizeof(CODE));     \
-        table_##C##_##K(members, m, m, call->distinct, table);                 \
+        table_##C##_##K(members, m, m, args->distinct, table, 1);              \
         memset(hist, 0, (m + 1) * sizeof *hist);                               \
         int64_t bound = tally_##K(table, m, hist);                             \
         bound = bound < m ? bound : m;                                         \
         pairs_##K##_u16(table, m, bound, hist, a1, a2);                        \
-        scan_##C##_u16(query, total, m, a1, a2, hist[bound], first);           \
+        scan_##C##_u16(query, total, m, a1, a2, hist[bound], first, 1);        \
         for (int64_t y = 0; y < total; y++)                                    \
             out[y] = first[y] < 0 ? (COUNT)m                                   \
                                   : table[a1[first[y]] * m + a2[first[y]]];    \
+        return 1;                                                              \
     }                                                                          \
                                                                                \
     int depths_##C##_##K(const CODE *codes, int64_t total,                     \
                          const int64_t *refs, int64_t n_refs, int64_t m,       \
                          int distinct, int64_t threads, COUNT *out)            \
     {                                                                          \
+        struct depths_args args = {codes, refs, total, m, distinct, out};      \
         int64_t bytes = (m + 1 + total) * (int64_t)sizeof(int64_t)             \
                         + 3 * m * m * (int64_t)sizeof(uint16_t)                \
                         + (total + m) * m * (int64_t)sizeof(CODE);             \
-        struct depths_call call = {depths_##C##_##K##_group, codes, refs,      \
-                                   total, n_refs, m,                           \
-                                   (bytes + ALIGN - 1) / ALIGN * ALIGN,        \
-                                   distinct, out, NULL, 0, 0};                 \
-        return depths_run(&call, threads);                                     \
+        return run_units(depths_##C##_##K##_group, &args, n_refs, bytes, threads, \
+                         n_refs * (m * m * DEPTHS_NS + 1000));                 \
     }
 
 DEPTHS(u8, u8, uint8_t, uint8_t)
@@ -688,6 +810,37 @@ CLONES void spd2_f64(const double *p, const double *s, int64_t rows, const doubl
             hi = hi < least ? least : hi;
             small[b] = same ? 1.0 : lo;
             large[b] = same ? 1.0 : hi;
+        }
+    }
+}
+
+/* The two norms behind sphere distances, the step of Sphere.distance_matrix
+ * (spaces/sphere.py) before its arctangents. For `rows` points x[a], each a
+ * row of dim entries, and nb points y held as dim planes y[k * nb + b], it
+ * writes ||x[a] - y[b]|| into minus[a * nb + b] and ||x[a] + y[b]|| into
+ * plus[a * nb + b]: each a square root of squares summed over k in order,
+ * from zero, with no product fused into its sum (-ffp-contract=off), so
+ * each pair takes the IEEE operations of the numpy body (`_norm_planes`),
+ * whatever the call's shape. */
+CLONES void sphere_f64(const double *x, int64_t rows, const double *y, int64_t nb,
+                       int64_t dim, double *minus, double *plus)
+{
+    for (int64_t a = 0; a < rows; a++) {
+        double *lo = minus + a * nb, *hi = plus + a * nb;
+        memset(lo, 0, nb * sizeof *lo);
+        memset(hi, 0, nb * sizeof *hi);
+        for (int64_t k = 0; k < dim; k++) {
+            double xk = x[a * dim + k];
+            const double *yk = y + k * nb;
+            for (int64_t b = 0; b < nb; b++) {
+                double d = xk - yk[b], s = xk + yk[b];
+                lo[b] += d * d;
+                hi[b] += s * s;
+            }
+        }
+        for (int64_t b = 0; b < nb; b++) {
+            lo[b] = sqrt(lo[b]);
+            hi[b] = sqrt(hi[b]);
         }
     }
 }

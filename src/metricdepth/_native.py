@@ -7,9 +7,10 @@ admissible pair), ``depths`` (the permutation tests' depth counts),
 ``orders`` (the permutation tests' orders, numpy's ``Generator``
 permutations drawn in C), ``normals`` (the chart normals of
 :func:`metricdepth.rng.derive_normals`, numpy's
-``Generator.standard_normal`` drawn in C) and ``spd2`` (the whitened
+``Generator.standard_normal`` drawn in C), ``spd2`` (the whitened
 eigenvalues behind ``SPD(2).distance_matrix``, one fixed sequence of IEEE
-operations per pair).
+operations per pair) and ``sphere`` (the norms of the differences and
+sums behind ``Sphere.distance_matrix``).
 They are built with the system ``gcc`` the first time one is called,
 once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with mode
 0700, by the command :func:`command` gives. It links numpy's static
@@ -32,25 +33,36 @@ truncated one, is rebuilt rather than loaded.
 When gcc or the archive is missing, the build fails or the cache is not
 writable, :func:`library` logs one warning through this module's logger
 and returns None, and the numpy bodies of the entry points in
-:mod:`metricdepth.depth`, :mod:`metricdepth.inference` and
-:mod:`metricdepth.rng` run instead, with the same results. A
-kernel is named by its task and the dtypes of its arrays, and takes no
-flag that a dtype could state.
+:mod:`metricdepth.depth`, :mod:`metricdepth.inference`,
+:mod:`metricdepth.rng` and :mod:`metricdepth.spaces` run instead, with
+the same results. A kernel is named by its task and the dtypes of its
+arrays, and takes no flag that a dtype could state.
 
-A call passes only arrays, sizes and, to ``depths``, a thread count: each
+A call passes only arrays and sizes, and ``depths`` a thread count: each
 kernel allocates its own scratch, and a failed allocation raises
 ``MemoryError``.
 
-``depths`` spreads its reference groups over up to :func:`threads`
-threads, which it starts and joins within the one call: no thread outlives
-a kernel call, so a process forked after one inherits none, and calls made
-at once from several threads share nothing. Each group is counted by one
-thread with the same arithmetic, so the counts do not depend on the thread
+``ranks``, ``table``, ``scan`` and ``depths`` run on the core's one
+thread runner. A call splits its work into units (blocks of rows, of
+first anchors against a column tile, of queries, or one reference group)
+that its threads claim one at a time, and takes
+``min(threads(), units, work / grain)`` threads, at least one: its
+estimated single-thread time over an internal grain of work per thread,
+so small calls, such as one-query scans, stay on the calling thread.
+``depths`` is passed :func:`threads` by its caller; the loader passes
+:func:`threads` to the other three as their last argument at every call,
+so a change of the process's CPU affinity, or of the cap set by
+:func:`limit_threads`, applies to the next call. A call starts its threads
+and joins them before it returns: no thread outlives a kernel call, so a
+process forked after one inherits none, and calls made at once from
+several threads share nothing. Units write disjoint outputs with the same
+arithmetic on any thread, so every output is the same bytes at any thread
 count. The other kernels run on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import os
@@ -70,9 +82,9 @@ COMPILER = "gcc"
 # build by 32 bytes slowed its 400 x 400 uint16 build from 1.75 to 2.00 ms;
 # with loops on 32-byte boundaries, adding the threaded depth counts moved
 # it by 16 bytes and slowed its 230 x 920 build from 5.1 to 6.6 ms.
-# spd2 must round each product before its sum, as numpy does, so no
-# product fuses into a multiply-add (-ffp-contract=off); -fno-math-errno
-# lets its sqrt vectorize, still correctly rounded.
+# spd2 and sphere must round each product before its sum, as numpy does,
+# so no product fuses into a multiply-add (-ffp-contract=off);
+# -fno-math-errno lets their sqrt vectorize, still correctly rounded.
 FLAGS = ("-O3", "-falign-loops=64", "-std=c99", "-ffp-contract=off", "-fno-math-errno",
          "-shared", "-fPIC", "-pthread")
 # numpy's static library of its random distributions, and the C math
@@ -84,16 +96,33 @@ _SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.uint8): "u8", np.dtype(np.
 _DIGEST = hashlib.sha256().digest_size
 _UNSET = object()
 _kernels = _UNSET
+_limit = None
 
 
 def threads() -> int:
-    """The number of CPUs this process may run on, the most threads the
-    compiled depth counts use; restricting the process's CPU affinity (as
-    ``taskset`` does) lowers it. Hosts without ``os.sched_getaffinity``
-    (macOS, Windows) count every CPU."""
+    """The most threads a compiled kernel call may run on: the number of CPUs
+    this process may run on, or the cap of :func:`limit_threads` when that
+    is lower. Restricting the process's CPU affinity (as ``taskset`` does)
+    lowers it. Hosts without ``os.sched_getaffinity`` (macOS, Windows)
+    count every CPU."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count() or 1
+    return count if _limit is None else max(1, min(count, _limit))
+
+
+@contextlib.contextmanager
+def limit_threads(limit: int):
+    """Cap :func:`threads` at ``limit`` (at least one) within the block, as
+    the worker processes of ``simulate`` do so that they share the CPUs
+    rather than each take all of them."""
+    global _limit
+    saved, _limit = _limit, limit
+    try:
+        yield
+    finally:
+        _limit = saved
 
 
 def cache_dir() -> Path:
@@ -158,13 +187,14 @@ def _load() -> dict:
     i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     integers = ("u8", "u16")
     # name: (argument types, return type)
-    signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr], flag) for code in integers}
-    signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr], None)
+    # Each of ranks, table and scan takes the thread count last.
+    signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr, i64], flag) for code in integers}
+    signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], None)
                        for code in integers for count in integers})
     signatures.update({f"tally_{count}": ([ptr, i64, ptr], i64) for count in integers})
     signatures.update({f"pairs_{count}_u16": ([ptr, i64, i64, ptr, ptr, ptr], None)
                        for count in integers})
-    signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr], None)
+    signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr, i64], None)
                        for query in ("f64", *integers)})
     signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, i64, ptr],
                                                   flag)
@@ -172,13 +202,24 @@ def _load() -> dict:
     signatures["orders"] = ([ptr, i64, i64, i64, i64, ptr], None)
     signatures["normals"] = ([ptr, i64, ptr, i64, i64, ptr], None)
     signatures["spd2_f64"] = ([ptr, ptr, i64, ptr, i64, ctypes.c_double, ptr, ptr], None)
+    signatures["sphere_f64"] = ([ptr, i64, ptr, i64, i64, ptr, ptr], None)
     functions = {}
     for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
         if name.startswith(("ranks", "depths")):
             function.errcheck = _allocated
+        if name.startswith(("ranks", "table", "scan")):
+            functions[name] = _on_threads(function)
     return functions
+
+
+def _on_threads(function):
+    # The kernel called with threads() after its data arguments.
+    def call(*args):
+        return function(*args, threads())
+
+    return call
 
 
 def _allocated(result, function, args):

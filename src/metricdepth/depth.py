@@ -48,7 +48,10 @@ table build takes blocks of 16 first anchors against tiles of 512 columns,
 with uint16 accumulators that stay in L1 while the sample rows stream
 past; its pair sort is the counting sort above, whose only temporary is
 the histogram; its scan reads each kept pair's two indices and the
-query's two entries, and stops at the first admissible pair. Each step
+query's two entries, and stops at the first admissible pair. The ranks,
+table build and scan spread a large call over the core's threads, by
+blocks of rows, of first anchors against a tile, and of queries, to the
+same bytes at any thread count (see :mod:`metricdepth._native`). Each step
 has one entry point, :func:`_row_ranks`, :func:`_prob_counts`,
 :attr:`HalfspaceProbTable.sorted_pairs` and :func:`_min_counts`, whose
 numpy body is the reference the compiled kernel must equal in every

@@ -138,10 +138,11 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     count is the least. Uint8 or uint16 codes with groups of m < 65536 run
     in the compiled kernel when it loads: for each group it gathers every
     observation's codes at the members and runs the compiled table build,
-    counting sort and scan over them. Its threads, at most
-    :func:`_native.threads` and at most one per group, each claim the next
-    group until none is left, each in a scratch block that the kernel
-    allocates for it. Anything else builds each group's table with
+    counting sort and scan over them, on the core's thread runner: each
+    thread claims the next group until none is left, in a scratch block
+    that the kernel allocates for it, and a call takes at most
+    :func:`_native.threads`, one per group, and none more than its work
+    pays for. Anything else builds each group's table with
     :func:`depth._prob_counts` and scans it with :func:`depth._min_counts`.
     """
     n_refs, m = references.shape
@@ -160,10 +161,9 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
         return out
     codes = np.ascontiguousarray(codes)
     references = np.ascontiguousarray(references, dtype=np.int64)
-    threads = max(1, min(_native.threads(), n_refs))
     out = np.empty((n_refs, total), dtype=count)
-    kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct, threads,
-           out.ctypes.data)
+    kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct,
+           _native.threads(), out.ctypes.data)
     return out
 
 

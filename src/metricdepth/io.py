@@ -161,9 +161,11 @@ class RunManifest:
     ``kernels`` names the kernels that build halfspace tables, scan
     queries and count the permutation tests' depths in this process:
     ``"native"`` for the compiled core, ``"numpy"`` when it could not be
-    built. ``threads`` is the most threads the compiled depth counts may
-    run on (see :func:`metricdepth._native.threads`), 1 on numpy. Outputs
-    are the same bytes with both kernels and any thread count.
+    built. ``threads`` is the most threads a compiled kernel call may run
+    on (see :func:`metricdepth._native.threads`), 1 on numpy: the ranks,
+    table build, scan and permutation depth counts split a call over up to
+    that many when its work pays for them. Outputs are the same bytes with
+    both kernels and any thread count.
     """
 
     command: list

@@ -234,14 +234,22 @@ def _bootstrap_se_of_median(values: np.ndarray, rng, n_boot: int = 256) -> float
     return float(np.std(np.median(values[draws], axis=1)))
 
 
+def _run_replicate_on(config: SimulationConfig, rep: int, threads: int) -> dict:
+    # A worker's replicate, its compiled kernels on at most `threads` threads.
+    with _native.limit_threads(threads):
+        return _run_replicate(config, rep)
+
+
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Run every replicate, fit every estimator, aggregate medians with
     bootstrap standard errors. Failed replicates are excluded per estimator
     and counted in ``failures``. Replicates run in at most ``n_jobs`` worker
     processes, and never more than the replicates or the CPUs the process
-    may run on."""
+    may run on; W workers share those CPUs, each running its compiled
+    kernels on at most ``threads() // W`` threads."""
     reps = range(config.reps)
-    workers = min(config.n_jobs, config.reps, _native.threads())
+    cpus = _native.threads()
+    workers = min(config.n_jobs, config.reps, cpus)
     if workers > 1:
         # Imported here: the pool's modules (multiprocessing among them)
         # would otherwise add to every command's start-up.
@@ -249,7 +257,8 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 
         worker_config = replace(config, n_jobs=1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, [worker_config] * config.reps, reps,
+            results = list(pool.map(_run_replicate_on, [worker_config] * config.reps, reps,
+                                    [cpus // workers] * config.reps,
                                     chunksize=max(1, config.reps // (workers * 8))))
     else:
         results = [_run_replicate(config, rep) for rep in reps]

@@ -650,7 +650,7 @@ def test_kernels_are_chosen_by_dtype_alone(native):
     assert sorted(_native.library()) == [
         "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "normals", "orders",
         "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
-        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "spd2_f64",
+        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "spd2_f64", "sphere_f64",
         "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
         "tally_u16", "tally_u8"]
     assert _native.kernel("spd2", np.float64) is not None

@@ -166,6 +166,47 @@ def test_run_simulation_caps_its_workers_at_the_reps_and_the_cpus(monkeypatch):
             assert np.array_equal(got.errors[name], want.errors[name])
 
 
+def test_workers_share_the_cpus_among_their_kernel_threads(monkeypatch):
+    # W workers each run the compiled kernels on at most threads() // W
+    # threads, so that they do not oversubscribe the CPUs. The pool runs
+    # its map in this process, as in the test above, on a host of four CPUs,
+    # and each replicate records the thread count its kernels would take.
+    import concurrent.futures
+    import os
+
+    import metricdepth.simulation as sim
+    from metricdepth import _native
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    seen = []
+    replicate = sim._run_replicate
+
+    def recording(config, rep):
+        seen.append(_native.threads())
+        return replicate(config, rep)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim, "_run_replicate", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for n_jobs, threads in ((1, 4), (2, 2), (3, 1), (4, 1)):
+        seen.clear()
+        run_simulation(config(reps=4, n_jobs=n_jobs))
+        assert seen == [threads] * 4
+        assert _native.threads() == 4
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # Only simulate --threads > 1 starts a pool; its modules cost every
     # other command start-up time.
