@@ -5,7 +5,7 @@ The kernels are ``ranks`` (per-row rank codes of a distance matrix),
 counting sort of the table's anchor pairs), ``scan`` (each query's first
 admissible pair), ``depths`` (the permutation tests' depth counts),
 ``orders`` (the permutation tests' orders, numpy's ``Generator``
-permutations drawn in C), ``normals`` (the chart normals of
+permutations drawn in C), ``normals`` (the standard normals of
 :func:`metricdepth.rng.derive_normals`, numpy's
 ``Generator.standard_normal`` drawn in C), ``spd2`` (the whitened
 eigenvalues behind ``SPD(2).distance_matrix``, one fixed sequence of IEEE

@@ -81,7 +81,7 @@ import numpy as np
 
 from . import _native
 from .errors import GeometryError
-from .rng import NS_JIGGLE, NS_REFINE, derive_normals, derive_rngs
+from .rng import NS_JIGGLE, NS_REFINE, derive_normals
 from .spaces import Space
 
 # Cap on the size of transient temporaries in the vectorized kernels.
@@ -479,23 +479,12 @@ def jiggle_anchors(
         sigma = 0.0 if radius_frac == 0 else radius_frac * (
             median_pairwise_distance(space, sample) if spread is None else spread)
         bases = [x for x in sample for _ in range(k)]
-        draws, tangents = _stream_draws(space, seed, NS_JIGGLE, (len(sample), k))
-        points += space.exp_many(bases, tangents(bases, [sigma**2] * len(bases), draws))
+        normals = derive_normals(seed, NS_JIGGLE, shape=(len(sample), k),
+                                 dim=space.normal_count)
+        points += space.exp_many(
+            bases, space.normal_tangents(bases, [sigma**2] * len(bases), normals))
         provenance += [("jiggled", i) for i in range(len(sample)) for _ in range(k)]
     return AnchorSet(points=tuple(points), provenance=tuple(provenance))
-
-
-def _stream_draws(space: Space, seed: int, namespace: int, shape: tuple):
-    """What the Gaussian tangents of streams ``(seed, namespace, *idx)`` over
-    ``shape`` read, in C order, and the method of ``space`` that makes a
-    stack of tangents from them: one array of all their chart normals for
-    :meth:`Space.normal_tangents`, or, where a draw is more than its chart
-    normals (the spider's), the streams' generators for
-    :meth:`Space.random_tangents`."""
-    if space.chart_normals:
-        return (derive_normals(seed, namespace, shape=shape, dim=space.intrinsic_dim),
-                space.normal_tangents)
-    return derive_rngs(seed, namespace, shape=shape), space.random_tangents
 
 
 def _distance_sums(space: Space, sample: Sequence, queries: Sequence) -> np.ndarray:
@@ -573,9 +562,10 @@ def refine_deepest(
     radius = scale
     # A step's stream does not depend on the current point, so all are
     # derived up front.
-    draws, tangents = _stream_draws(space, seed, NS_REFINE, (budget,))
-    for draw in draws:
-        proposal = space.exp_many([current], tangents([current], [radius**2], [draw]))[0]
+    normals = derive_normals(seed, NS_REFINE, shape=(budget,), dim=space.normal_count)
+    for draw in normals:
+        proposal = space.exp_many(
+            [current], space.normal_tangents([current], [radius**2], draw[None]))[0]
         num = depth_of(proposal)
         if num > current_num:
             current, current_num = proposal, num

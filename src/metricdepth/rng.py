@@ -19,9 +19,9 @@ steps PCG64 itself and never imports it.
 Two uses of streams have a compiled twin, which runs this mix and PCG64
 itself from the words of :func:`_entropy`: the permutation tests' orders,
 streams ``(seed, NS_PERMUTATION, rep)``, which the ``orders`` kernel of
-``_core.c`` shuffles as ``Generator.shuffle`` does, and the chart normals
-of :func:`derive_normals`, which the ``normals`` kernel draws with numpy's
-own ziggurat from ``libnpyrandom.a``. Both are tested bit for bit against
+``_core.c`` shuffles as ``Generator.shuffle`` does, and the standard
+normals of :func:`derive_normals`, which the ``normals`` kernel draws with
+numpy's own ziggurat from ``libnpyrandom.a``. Both are tested bit for bit against
 numpy's ``SeedSequence``, ``PCG64`` and ``Generator``. On the compiled
 kernels the orders thus depend on the seed alone; the numpy fallback
 draws them from ``Generator``s, whose streams NEP 19 leaves free to change
@@ -199,8 +199,11 @@ def derive_normals(seed: int, *prefix: int, shape: tuple, dim: int) -> np.ndarra
     is ``standard_normal(dim)`` of the stream's :func:`derive_rngs`
     generator. Indices must stay below 2**32.
 
-    The compiled ``normals`` kernel draws all N streams in one call; its
-    numpy body, the generators themselves, is its reference.
+    Jiggling and refinement draw their Gaussian tangents on every geometry
+    from these rows, ``dim`` being the space's ``normal_count``, through
+    ``Space.normal_tangents``. The compiled ``normals`` kernel draws all N
+    streams in one call; its numpy body, the generators themselves, is its
+    reference.
     """
     shape = tuple(int(s) for s in shape)
     out = np.empty((int(np.prod(shape, dtype=np.int64)), dim))

@@ -40,16 +40,13 @@ class PopulationSpec:
 
 def _draw_points(space: Space, specs: Sequence[PopulationSpec], rng) -> list:
     """One draw exp_center(V) per entry of ``specs``, all reading ``rng`` in
-    order, as one stacked pass. Where the draws are chart normals alone,
-    they are read as one ``standard_normal((N, intrinsic_dim))``, which
-    numpy fills with the N successive draws of ``standard_normal(dim)``."""
+    order, as one stacked pass. The draws are read as one
+    ``standard_normal((N, normal_count))``, which numpy fills with the N
+    successive draws of ``standard_normal(normal_count)`` that N
+    :meth:`Space.random_tangent` calls would read."""
     centers = [spec.center for spec in specs]
-    scatters = [spec.scatter for spec in specs]
-    if space.chart_normals:
-        normals = rng.standard_normal((len(specs), space.intrinsic_dim))
-        tangents = space.normal_tangents(centers, scatters, normals)
-    else:
-        tangents = space.random_tangents(centers, scatters, [rng] * len(specs))
+    normals = rng.standard_normal((len(specs), space.normal_count))
+    tangents = space.normal_tangents(centers, [spec.scatter for spec in specs], normals)
     return space.exp_many(centers, tangents)
 
 

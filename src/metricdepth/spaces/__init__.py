@@ -8,7 +8,7 @@ Supported spellings: ``euclidean:M``, ``sphere:M`` (intrinsic dimension M),
 from __future__ import annotations
 
 from ..errors import GeometryError
-from .base import Space, TangentVector, gaussian_chart_sample
+from .base import Space, TangentVector
 from .euclidean import Euclidean
 from .product import Product
 from .sphere import Sphere
@@ -27,7 +27,6 @@ __all__ = [
     "Product",
     "BRANCHES",
     "parse_space",
-    "gaussian_chart_sample",
 ]
 
 

@@ -13,27 +13,29 @@ because every comparison ``d(X_i, a1) <= d(X_i, a2)`` sees the same float
 whichever path computed it, so no geometry overrides ``distance``.
 
 Likewise each geometry has one stacked exponential map,
-:meth:`Space.exp_many`, and one stacked chart-to-tangent map,
-:meth:`Space.tangents_from_coords`; :meth:`Space.random_tangents` draws
-through the latter. They work on N bases at once, and the one-point
-methods :meth:`Space.exp`, :meth:`Space.tangent_from_coords` and
+:meth:`Space.exp_many`, one stacked chart-to-tangent map,
+:meth:`Space.tangents_from_coords`, and one stacked Gaussian draw,
+:meth:`Space.normal_tangents`. They work on N bases at once, and the
+one-point methods :meth:`Space.exp`, :meth:`Space.tangent_from_coords` and
 :meth:`Space.random_tangent` are their N = 1 entries, so a point jiggled
 or sampled in a batch is bit-identical to the same point made alone.
 In the same way :meth:`Space.log` is the one-point entry of
 :meth:`Space.mean_log`, the weighted mean of logs that the intrinsic mean
 and median descend along.
-A Gaussian tangent's draw is its chart normals,
-``standard_normal(intrinsic_dim)`` of its stream, on every geometry but
-the spider, whose stream also picks a branch (:attr:`Space.chart_normals`
-tells which). N such draws are one (N, intrinsic_dim) array, which
+A Gaussian tangent's draw is ``standard_normal(normal_count)`` of its
+stream, and N such draws are one (N, normal_count) array, so callers can
+draw all N streams at once. On the vector and matrix geometries the
+:attr:`Space.normal_count` normals are the chart normals, which
 :meth:`Space.normal_tangents` scales (:func:`scaled_normals`, the one
-place where a scatter meets the normals) and maps to tangents, so callers
-can draw all N streams at once.
+place where a scatter meets the normals) and maps to tangents. The spider
+reads two: the first, scaled, is the step, and the second picks by
+comparisons alone the branch a step crossing the origin continues on. A
+product's components read a draw's normals in turn.
 A stack of N tangents is the geometry's tangent payload with a leading
 axis of length N: an (N, ...) array for the vector and matrix geometries,
 a tuple of N steps for the spider, and a tuple of component stacks for
 products. The defaults on :class:`Space` that touch a point or tangent
-payload (stacking and unstacking one tangent, the chart draw, scaling, and
+payload (stacking and unstacking one tangent, the Gaussian draw, scaling, and
 the CSV encoding) assume arrays; only the spider and products override
 them.
 
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -89,14 +91,17 @@ class Space(ABC):
     """Common interface of all supported geometries."""
 
     kind: str
-    # Whether a tangent's draw is its chart normals alone; see the module
-    # docstring.
-    chart_normals = True
 
     @property
     @abstractmethod
     def intrinsic_dim(self) -> int:
         """Dimension of the tangent chart at any point."""
+
+    @property
+    def normal_count(self) -> int:
+        """Standard normals one Gaussian tangent reads; see the module
+        docstring."""
+        return self.intrinsic_dim
 
     @property
     @abstractmethod
@@ -171,40 +176,22 @@ class Space(ABC):
         """``v`` stretched by ``s``."""
         return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
 
-    def random_tangents(self, bases: Sequence, scatters: Sequence, rngs: Iterable):
-        """Stack of zero-mean Gaussian tangents, one per base.
-
-        Tangent ``i`` lies in the orthonormal chart at ``bases[i]`` and reads
-        the ``i``-th generator of ``rngs`` (a sequence or an iterator) with
-        scatter ``scatters[i]``: an isotropic variance (scalar, may be 0) or
-        a full covariance matrix over the chart coordinates. Streams are read
-        in base order, so one generator passed for every base gives the
-        draws of N :meth:`random_tangent` calls.
-        """
-        draws = [self._draw(x, s, rng) for x, s, rng in zip(bases, scatters, rngs)]
-        return self._tangents_from_draws(bases, draws)
-
     def random_tangent(self, x, scatter, rng: np.random.Generator) -> TangentVector:
         """Zero-mean Gaussian tangent vector in the orthonormal chart at ``x``
-        (``scatter`` as in :meth:`random_tangents`)."""
-        return self._unstack_one(x, self.random_tangents([x], [scatter], [rng]))
+        (``scatter`` as in :meth:`normal_tangents`), from
+        ``standard_normal(normal_count)`` of ``rng``."""
+        normals = rng.standard_normal((1, self.normal_count))
+        return self._unstack_one(x, self.normal_tangents([x], [scatter], normals))
 
     def normal_tangents(self, bases: Sequence, scatters: Sequence, normals: np.ndarray):
-        """Stack of the Gaussian tangents whose draws are the rows of
-        ``normals``, (N, intrinsic_dim) standard normals: what
-        :meth:`random_tangents` makes from streams that draw them, for a
-        space whose :attr:`chart_normals` holds."""
+        """Stack of zero-mean Gaussian tangents, one per base, whose draws are
+        the rows of ``normals``, (N, normal_count) standard normals.
+
+        Tangent ``i`` lies in the orthonormal chart at ``bases[i]`` with
+        scatter ``scatters[i]``: an isotropic variance (scalar, may be 0) or
+        a full covariance matrix over the chart coordinates.
+        """
         return self.tangents_from_coords(bases, scaled_normals(scatters, normals))
-
-    def _draw(self, x, scatter, rng: np.random.Generator):
-        """What one tangent at ``x`` reads from its stream: chart normals."""
-        return gaussian_chart_sample(scatter, self.intrinsic_dim, rng)
-
-    def _tangents_from_draws(self, bases: Sequence, draws: list):
-        """Stack of tangents at ``bases`` from one :meth:`_draw` per base."""
-        return self.tangents_from_coords(
-            bases, np.array(draws, dtype=float).reshape(len(bases), self.intrinsic_dim)
-        )
 
     def _stack_one(self, coords):
         """Stack of one tangent from its payload."""
@@ -248,12 +235,6 @@ class Space(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.spec_string!r})"
-
-
-def gaussian_chart_sample(scatter, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw N(0, scatter) in an orthonormal chart of the given dimension,
-    from ``standard_normal(dim)`` of ``rng``, scaled by :func:`scaled_normals`."""
-    return scaled_normals([scatter], rng.standard_normal((1, dim)))[0]
 
 
 def scaled_normals(scatters: Sequence, normals: np.ndarray) -> np.ndarray:

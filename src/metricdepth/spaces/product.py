@@ -33,8 +33,8 @@ class Product(Space):
         return "product:" + "+".join(c.spec_string for c in self.components)
 
     @property
-    def chart_normals(self) -> bool:
-        return all(c.chart_normals for c in self.components)
+    def normal_count(self) -> int:
+        return sum(c.normal_count for c in self.components)
 
     def _by_component(self, rows, parts: str, check) -> list:
         """Points from ``rows``, each a sequence of one part per component,
@@ -105,31 +105,17 @@ class Product(Space):
         return per_comp
 
     def normal_tangents(self, bases, scatters, normals):
-        # The components read a draw's normals in turn, as in _draw.
+        # The components read a draw's normals in turn.
         per_base = [self._component_scatters(s) for s in scatters]
         normals = np.asarray(normals, dtype=float)
         parts = []
         offset = 0
         for idx, comp in enumerate(self.components):
-            block = normals[:, offset:offset + comp.intrinsic_dim]
+            block = normals[:, offset:offset + comp.normal_count]
             parts.append(comp.normal_tangents(self._component_bases(bases, idx),
                                               [sc[idx] for sc in per_base], block))
-            offset += comp.intrinsic_dim
+            offset += comp.normal_count
         return tuple(parts)
-
-    def _draw(self, x, scatter, rng: np.random.Generator) -> tuple:
-        # The components read the stream in turn, so for Gaussian components
-        # one draw of ``intrinsic_dim`` normals is split across them.
-        return tuple(
-            comp._draw(xc, sc, rng)
-            for comp, xc, sc in zip(self.components, x, self._component_scatters(scatter))
-        )
-
-    def _tangents_from_draws(self, bases, draws):
-        return tuple(
-            comp._tangents_from_draws(self._component_bases(bases, idx), [d[idx] for d in draws])
-            for idx, comp in enumerate(self.components)
-        )
 
     # A product tangent's payload is a tuple of component tangent vectors.
     def _stack_one(self, coords):

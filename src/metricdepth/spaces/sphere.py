@@ -187,11 +187,13 @@ class Sphere(Space):
         return float(np.linalg.norm(v.coords))
 
     def mean_log(self, x, points, weights=None):
+        # The angle in the atan2 form of the module docstring, so the log of
+        # x at x is exactly 0, where arccos(x . x) need not be.
         w = _normalized_weights(weights, len(points))
         x = np.asarray(x, float)
         pts = self._stack(points)
         cosines = np.clip(pts @ x, -1.0, 1.0)
-        theta = np.arccos(cosines)
+        theta = 2.0 * np.arctan2(_row_norms(pts - x), _row_norms(pts + x))
         if np.any(theta > np.pi - ANTIPODAL_TOL):
             raise UndefinedLogError(
                 "log map undefined for (nearly) antipodal points on the sphere"

@@ -20,6 +20,8 @@ from ..errors import GeometryError, PointValidationError
 from .base import Space, TangentVector, _normalized_weights
 
 BRANCHES = (1, 2, 3)
+# Phi^-1(2/3), correctly rounded: the upper tertile of N(0, 1).
+_TERTILE = 0.4307272992954575
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,15 @@ def _alternate_branch(branch: int) -> int:
 @dataclass(frozen=True, repr=False)
 class Spider3(Space):
     kind = "spider3"
-    # Each stream also picks a branch; see _draw.
-    chart_normals = False
 
     @property
     def intrinsic_dim(self) -> int:
         return 1
+
+    @property
+    def normal_count(self) -> int:
+        # The step's normal and the branch's; see normal_tangents.
+        return 2
 
     @property
     def spec_string(self) -> str:
@@ -121,9 +126,23 @@ class Spider3(Space):
             base=v.base, coords=SpiderStep(s * v.coords.delta, v.coords.cross_branch)
         )
 
-    def _draw(self, x, scatter, rng: np.random.Generator) -> SpiderStep:
-        # Each stream also picks the branch a step crossing the origin
-        # continues on, right after its normal.
+    def normal_tangents(self, bases, scatters, normals):
+        # Column 0, scaled, is the step. Column 1 picks the branch a step
+        # crossing the origin continues on: at the origin each of the three
+        # with probability 1/3, by the tertiles of N(0, 1), and elsewhere
+        # either of the other two by its sign.
+        normals = np.asarray(normals, dtype=float).reshape(len(bases), 2)
+        deltas = np.sqrt([self._variance(s) for s in scatters]) * normals[:, 0]
+        z = normals[:, 1]
+        radii, branches = self._stack(bases)
+        at_origin = 1 + (z >= -_TERTILE) + (z > _TERTILE)
+        lower = np.where(branches == 1, 2, 1)
+        higher = np.where(branches == 3, 2, 3)
+        cross = np.where(radii == 0.0, at_origin, np.where(z < 0, lower, higher))
+        return tuple(SpiderStep(float(d), int(c)) for d, c in zip(deltas, cross))
+
+    @staticmethod
+    def _variance(scatter) -> float:
         scatter = np.asarray(scatter, dtype=float)
         if scatter.shape not in ((), (1,), (1, 1)):
             raise GeometryError(
@@ -132,16 +151,7 @@ class Spider3(Space):
         var = float(scatter.reshape(-1)[0])
         if var < 0:
             raise GeometryError("scatter variance must be nonnegative")
-        delta = float(np.sqrt(var) * rng.standard_normal())
-        if x.radius == 0.0:
-            cross = int(rng.choice(BRANCHES))
-        else:
-            others = [b for b in BRANCHES if b != x.branch]
-            cross = int(others[rng.integers(2)])
-        return SpiderStep(delta, cross)
-
-    def _tangents_from_draws(self, bases, draws):
-        return tuple(draws)
+        return var
 
     def _stack_one(self, coords):
         return (coords,)

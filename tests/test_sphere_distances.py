@@ -149,3 +149,32 @@ def test_distance_matrix_chunks_its_planes(monkeypatch, kernels):
     whole = space.distance_matrix(points, points)
     monkeypatch.setattr(sphere_module, "_PLANE_ELEMS", 3 * 50 + 1)
     assert np.array_equal(space.distance_matrix(points, points), whole)
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_the_log_of_a_point_at_itself_is_exactly_zero(kernels, dim):
+    # The clipped arccos of x . x left logs of up to about 2.1e-8 here.
+    space, points = unit_rows(np.random.default_rng(10 + dim), 2000, dim)
+    for x in points:
+        assert (space.mean_log(x, [x]).coords == 0).all()
+
+
+def old_mean_log(x, points):
+    """The log map from the clipped arccos of the dot product."""
+    cosines = np.clip(points @ x, -1.0, 1.0)
+    residual = points - cosines[:, None] * x
+    rnorm = np.linalg.norm(residual, axis=1)
+    return (np.arccos(cosines) / rnorm / len(points)) @ residual
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_logs_of_well_separated_points_keep_the_arccos_values(kernels, dim):
+    space, points = unit_rows(np.random.default_rng(20 + dim), 400, dim)
+    x, rest = points[0], np.array(points[1:])
+    angles = space.distance_matrix([x], rest)[0]
+    rest = rest[(angles > 0.1) & (angles < np.pi - 0.1)]
+    assert len(rest) > 300
+    for p in rest:
+        got = space.mean_log(x, [p]).coords
+        assert np.abs(got - old_mean_log(x, p[None])).max() <= 1e-12
+    assert np.abs(space.mean_log(x, rest).coords - old_mean_log(x, rest)).max() <= 1e-12

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from metricdepth.depth import jiggle_anchors
+from metricdepth.errors import GeometryError
 from metricdepth.simulation import (
     PopulationSpec,
     SimulationConfig,
@@ -20,7 +21,15 @@ from metricdepth.simulation import (
     sample_contaminated,
     sample_population,
 )
-from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3, parse_space
+from metricdepth.spaces import (
+    BRANCHES,
+    SPD,
+    Euclidean,
+    Product,
+    Sphere,
+    Spider3,
+    parse_space,
+)
 
 from conftest import random_points
 
@@ -93,20 +102,66 @@ def test_stacked_maps_equal_one_point_calls(space, rng):
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
 @pytest.mark.parametrize("variance", [0.3, 0.0])
 def test_random_tangents_equal_one_point_draws(space, variance, rng):
+    # normal_tangents over a stacked block of normals against one
+    # random_tangent call per base.
     bases = _bases(space, rng)
     n = len(bases)
     # One stream per base, as jiggling draws them.
-    streams = [np.random.default_rng([7, i]) for i in range(n)]
-    stack = space.random_tangents(bases, [variance] * n, streams)
+    normals = np.array([np.random.default_rng([7, i]).standard_normal(space.normal_count)
+                        for i in range(n)])
+    stack = space.normal_tangents(bases, [variance] * n, normals)
     for i, x in enumerate(bases):
         v = space.random_tangent(x, variance, np.random.default_rng([7, i]))
         assert _same(_row(space, stack, i), _payload(space, v))
     # One stream shared by every base, as the samplers draw them.
-    stack = space.random_tangents(bases, [variance] * n, [np.random.default_rng(5)] * n)
+    normals = np.random.default_rng(5).standard_normal((n, space.normal_count))
+    stack = space.normal_tangents(bases, [variance] * n, normals)
     shared = np.random.default_rng(5)
     for i, x in enumerate(bases):
         v = space.random_tangent(x, variance, shared)
         assert _same(_row(space, stack, i), _payload(space, v))
+
+
+def test_spider_branch_frequencies_pass_a_chi_square_test():
+    from scipy.stats import chisquare
+
+    # A jiggled copy that crosses the origin lands on its step's cross
+    # branch: any of the three from the origin, one of the other two
+    # elsewhere, each equally likely.
+    space = Spider3()
+    sample = [space.validate_point(p) for p in ((0.0, 1), (0.05, 1), (0.05, 2), (0.05, 3))]
+    k = 3000
+    anchors = jiggle_anchors(space, sample, k, radius_frac=1.0, seed=3, spread=1.0)
+    copies = anchors.points[len(sample):]
+    for i, x in enumerate(sample):
+        landed = [p.branch for p in copies[k * i:k * (i + 1)] if p.radius > 0]
+        if x.radius > 0:
+            landed = [b for b in landed if b != x.branch]
+        targets = [b for b in BRANCHES if x.radius == 0 or b != x.branch]
+        counts = np.array([landed.count(b) for b in targets])
+        assert counts.sum() == len(landed) > k // 3
+        assert chisquare(counts).pvalue > 1e-3, (x, counts)
+
+
+@pytest.mark.parametrize("scatter,message", [
+    (np.ones(2), "spider scatter must be a scalar variance, got shape (2,)"),
+    (np.eye(2), "spider scatter must be a scalar variance, got shape (2, 2)"),
+    (-0.1, "scatter variance must be nonnegative"),
+    ([[-0.1]], "scatter variance must be nonnegative"),
+])
+def test_spider_scatter_checks(scatter, message):
+    space = Spider3()
+    bases = [space.validate_point((0.0, 1)), space.validate_point((1.0, 2))]
+    with pytest.raises(GeometryError) as raised:
+        space.random_tangent(bases[1], scatter, np.random.default_rng(0))
+    assert str(raised.value) == message
+    with pytest.raises(GeometryError) as raised:
+        space.normal_tangents(bases, [0.3, scatter], np.zeros((2, space.normal_count)))
+    assert str(raised.value) == message
+    # A scalar variance may come as a scalar, (1,) or (1, 1).
+    steps = [space.normal_tangents(bases, [s] * 2, np.full((2, 2), -0.5))
+             for s in (0.3, [0.3], [[0.3]])]
+    assert steps[0] == steps[1] == steps[2]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 11])
@@ -170,6 +225,8 @@ def _digest(space, points, mask=None) -> str:
 
 # Recorded with numpy 2.4 on x86-64 while every point was still sampled and
 # jiggled by its own one-point exp call; the stacked samplers must keep them.
+# The spider3 entries were recorded again when its draws became two normals
+# per stream, the second picking the branch.
 CONTAMINATED_DIGESTS = {
     ("spd:2", 1): "a8aab166faf37164",
     ("spd:2", 2): "ca4a2d95c0b45794",
@@ -179,7 +236,7 @@ CONTAMINATED_DIGESTS = {
     ("sphere:2", 2): "3c3ff06a43c13c95",
     ("sphere:2", 4): "cc83a12cae73db10",
     ("euclidean:3", 3): "1c8262a36452035c",
-    ("spider3", 4): "39160c97d10db654",
+    ("spider3", 4): "0012d04e5e079c9a",
     ("product:spd:2+euclidean:3", 2): "6db97930b2705b44",
 }
 POPULATION_COV2 = np.array([[0.5, 0.2], [0.2, 0.3]])
@@ -194,7 +251,7 @@ JIGGLE_DIGESTS = {
     "sphere:2": "7f51ca3ac4217284",
     "spd:2": "7c61c93340a1bee8",
     "spd:3": "327afd5c5a24b142",
-    "spider3": "37f07be117d7a8d5",
+    "spider3": "fbf7c2730ee8b523",
     "product:spd:2+euclidean:3": "d7fba1bc499e8bb1",
 }
 
