@@ -80,7 +80,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _native
-from .errors import GeometryError
+from .errors import GeometryError, MetricDepthError, NumericalError
 from .rng import NS_JIGGLE, NS_REFINE, derive_normals
 from .spaces import Space
 
@@ -481,8 +481,7 @@ def jiggle_anchors(
         bases = [x for x in sample for _ in range(k)]
         normals = derive_normals(seed, NS_JIGGLE, shape=(len(sample), k),
                                  dim=space.normal_count)
-        points += space.exp_many(
-            bases, space.normal_tangents(bases, [sigma**2] * len(bases), normals))
+        points += space.normal_steps(bases, [sigma**2] * len(bases), normals)
         provenance += [("jiggled", i) for i in range(len(sample)) for _ in range(k)]
     return AnchorSet(points=tuple(points), provenance=tuple(provenance))
 
@@ -532,6 +531,18 @@ def refine_deepest(
     proposal is accepted on a strictly larger depth count, or an equal
     count with a smaller sum of distances to the sample. Returns
     ``(point, Fraction)``; the depth never falls below the starting point's.
+
+    A step's normals do not depend on the current point, so the proposals
+    of every remaining step are drawn from it in one
+    :meth:`Space.normal_steps` call, and drawn again only after a move is
+    accepted; a stack of one base repeated gives the bits of one-row calls.
+    Each proposal then takes one one-row distance call, whose anchor
+    columns give its depth and whose sample columns give its distance sum:
+    the anchors' first n columns when the anchors begin with the sample
+    points themselves, as sample and jiggled anchors do, and n more columns
+    after the anchors otherwise. A proposal whose distances fail (an SPD
+    step that rounding leaves outside the cone) raises ``NumericalError``
+    naming its step.
     """
     sample = tuple(sample)
     if budget < 0:
@@ -540,18 +551,23 @@ def refine_deepest(
     anchor_points = _as_points(anchors)
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
-    # Every step reads the same anchors and sample, so each is stacked once.
-    anchor_stack = space.stack(anchor_points)
-    sample_stack = space.stack(sample)
+    n, n_anchors = len(sample), len(anchor_points)
+    # Every step reads the same targets, so they are stacked once.
+    if n <= n_anchors and all(a is x for a, x in zip(anchor_points, sample)):
+        targets, offset = space.stack(anchor_points), 0
+    else:
+        targets, offset = space.stack(anchor_points + sample), n_anchors
 
-    def depth_of(point):
-        return int(_min_counts(table, _query_distances(space, [point], anchor_stack))[0][0])
+    def measure(point) -> tuple[int, float]:
+        """Depth count and distance sum to the sample of one point."""
+        row = _query_distances(space, [point], targets)
+        return (int(_min_counts(table, row[:, :n_anchors])[0][0]),
+                float(row[0, offset:offset + n].sum()))
 
     current = start
-    current_num = depth_of(current)
+    current_num, current_sum = measure(current)
     if budget == 0:
         return current, Fraction(current_num, table.n)
-    current_sum = float(_distance_sums(space, sample_stack, [current])[0])
 
     if len(sample) >= 2 and radius_frac > 0:
         scale = radius_frac * (median_pairwise_distance(space, sample)
@@ -559,20 +575,23 @@ def refine_deepest(
     else:
         scale = 0.0
     decay = 0.01 ** (1.0 / budget)
-    radius = scale
-    # A step's stream does not depend on the current point, so all are
-    # derived up front.
-    normals = derive_normals(seed, NS_REFINE, shape=(budget,), dim=space.normal_count)
-    for draw in normals:
-        proposal = space.exp_many(
-            [current], space.normal_tangents([current], [radius**2], draw[None]))[0]
-        num = depth_of(proposal)
-        if num > current_num:
-            current, current_num = proposal, num
-            current_sum = float(_distance_sums(space, sample_stack, [current])[0])
-        elif num == current_num:
-            prop_sum = float(_distance_sums(space, sample_stack, [proposal])[0])
-            if prop_sum < current_sum:
-                current, current_sum = proposal, prop_sum
+    variances, radius = [], scale
+    for _ in range(budget):
+        variances.append(radius**2)
         radius *= decay
+    normals = derive_normals(seed, NS_REFINE, shape=(budget,), dim=space.normal_count)
+    step = 0
+    try:
+        while step < budget:
+            proposals = space.normal_steps([current] * (budget - step), variances[step:],
+                                           normals[step:])
+            for proposal in proposals:
+                num, prop_sum = measure(proposal)
+                step += 1
+                if num > current_num or (num == current_num and prop_sum < current_sum):
+                    current, current_num, current_sum = proposal, num, prop_sum
+                    break
+    except (MetricDepthError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"refinement step {step + 1} of {budget} failed: {exc}; "
+                             "try a smaller --radius-frac") from exc
     return current, Fraction(current_num, table.n)

@@ -61,8 +61,9 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
     which every distance call reads. ``direction`` gets the distances from
     the current point to the sample: the accepted trial's row, or None on
     the first iteration, where a direction that reads them makes a one-row
-    call of its own, since sphere and SPD entries of the n x n start matrix
-    can differ in their last bits from it."""
+    call of its own, since spd k >= 3 entries of the n x n start matrix,
+    alone or in a product, can differ in their last bits from it; every
+    other geometry's entries depend on their own pair alone."""
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
     dist = space.distance_matrix(points, points)

@@ -46,8 +46,7 @@ def _draw_points(space: Space, specs: Sequence[PopulationSpec], rng) -> list:
     :meth:`Space.random_tangent` calls would read."""
     centers = [spec.center for spec in specs]
     normals = rng.standard_normal((len(specs), space.normal_count))
-    tangents = space.normal_tangents(centers, [spec.scatter for spec in specs], normals)
-    return space.exp_many(centers, tangents)
+    return space.normal_steps(centers, [spec.scatter for spec in specs], normals)
 
 
 def sample_population(spec: PopulationSpec, n: int, seed: int = 0) -> list:

@@ -19,6 +19,9 @@ Likewise each geometry has one stacked exponential map,
 one-point methods :meth:`Space.exp`, :meth:`Space.tangent_from_coords` and
 :meth:`Space.random_tangent` are their N = 1 entries, so a point jiggled
 or sampled in a batch is bit-identical to the same point made alone.
+:meth:`Space.normal_steps` pushes a stack of Gaussian tangents through the
+exponential map in one call, so that SPD matrices decompose each base
+once for both maps.
 In the same way :meth:`Space.log` is the one-point entry of
 :meth:`Space.mean_log`, the weighted mean of logs that the intrinsic mean
 and median descend along.
@@ -192,6 +195,13 @@ class Space(ABC):
         a full covariance matrix over the chart coordinates.
         """
         return self.tangents_from_coords(bases, scaled_normals(scatters, normals))
+
+    def normal_steps(self, bases: Sequence, scatters: Sequence, normals: np.ndarray) -> list:
+        """Endpoints of the Gaussian tangents of :meth:`normal_tangents`,
+        ``exp_many(bases, normal_tangents(bases, scatters, normals))``, bit
+        for bit; a geometry whose two calls share work at the bases does it
+        once."""
+        return self.exp_many(bases, self.normal_tangents(bases, scatters, normals))
 
     def _stack_one(self, coords):
         """Stack of one tangent from its payload."""

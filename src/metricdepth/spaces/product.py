@@ -104,18 +104,26 @@ class Product(Space):
             )
         return per_comp
 
-    def normal_tangents(self, bases, scatters, normals):
-        # The components read a draw's normals in turn.
+    def _by_normals(self, method: str, bases, scatters, normals) -> list:
+        """``getattr(comp, method)(bases, scatters, normals)`` of each
+        component, on its parts of the bases and scatters; the components
+        read a draw's normals in turn."""
         per_base = [self._component_scatters(s) for s in scatters]
         normals = np.asarray(normals, dtype=float)
         parts = []
         offset = 0
         for idx, comp in enumerate(self.components):
             block = normals[:, offset:offset + comp.normal_count]
-            parts.append(comp.normal_tangents(self._component_bases(bases, idx),
-                                              [sc[idx] for sc in per_base], block))
+            parts.append(getattr(comp, method)(self._component_bases(bases, idx),
+                                               [sc[idx] for sc in per_base], block))
             offset += comp.normal_count
-        return tuple(parts)
+        return parts
+
+    def normal_tangents(self, bases, scatters, normals):
+        return tuple(self._by_normals("normal_tangents", bases, scatters, normals))
+
+    def normal_steps(self, bases, scatters, normals):
+        return list(zip(*self._by_normals("normal_steps", bases, scatters, normals)))
 
     # A product tangent's payload is a tuple of component tangent vectors.
     def _stack_one(self, coords):

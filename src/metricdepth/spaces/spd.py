@@ -41,6 +41,7 @@ from .base import (
     frozen_view,
     readonly,
     reject_flagged,
+    scaled_normals,
 )
 
 SYMMETRY_TOL = 1e-6
@@ -256,10 +257,14 @@ class SPD(Space):
         root, inv_root = self._roots(np.asarray(p, float)[None])
         return root[0], inv_root[0]
 
-    def exp_many(self, bases, tangents):
-        root, inv_root = self._roots(self._stack(bases))
+    @staticmethod
+    def _exp_at(root, inv_root, tangents) -> list:
+        """exp of ``tangents`` at the bases whose roots are given."""
         inner = inv_root @ np.asarray(tangents, float) @ inv_root
         return list(readonly(root @ _sym_apply(inner, np.exp) @ root))
+
+    def exp_many(self, bases, tangents):
+        return self._exp_at(*self._roots(self._stack(bases)), tangents)
 
     def _chart_to_sym(self, coords: np.ndarray) -> np.ndarray:
         """Orthonormal chart coords (..., d) -> symmetric matrices (..., k, k)
@@ -282,10 +287,21 @@ class SPD(Space):
         _, inv_root = self.sqrt_and_inv_sqrt(v.base)
         return self._sym_to_chart(_sym(inv_root @ np.asarray(v.coords, float) @ inv_root))
 
-    def tangents_from_coords(self, bases, coords):
-        coords = np.asarray(coords, dtype=float).reshape(len(bases), self.intrinsic_dim)
-        root, _ = self._roots(self._stack(bases))
+    def _chart_tangents(self, root, coords) -> np.ndarray:
+        """Tangents from chart coordinates at the bases whose square roots
+        are ``root``."""
+        coords = np.asarray(coords, dtype=float).reshape(len(root), self.intrinsic_dim)
         return _sym(root @ self._chart_to_sym(coords) @ root)
+
+    def tangents_from_coords(self, bases, coords):
+        root, _ = self._roots(self._stack(bases))
+        return self._chart_tangents(root, coords)
+
+    def normal_steps(self, bases, scatters, normals):
+        # One eigendecomposition of the bases serves the tangents and the exp.
+        root, inv_root = self._roots(self._stack(bases))
+        tangents = self._chart_tangents(root, scaled_normals(scatters, normals))
+        return self._exp_at(root, inv_root, tangents)
 
     def mean_log(self, x, points, weights=None):
         w = _normalized_weights(weights, len(points))

@@ -277,6 +277,24 @@ def test_cmd_median_numerical_failure_exit_code(tmp_path, runner):
     assert result.exit_code == 4
 
 
+def test_cmd_median_names_the_failed_refinement_step(tmp_path, runner):
+    # Refinement steps of ten times the median distance leave the SPD cone
+    # through rounding on this sample; no result file is written.
+    from metricdepth.simulation import SimulationConfig, sample_contaminated
+
+    space = SPD(3)
+    sample, _ = sample_contaminated(SimulationConfig(case=1, space=space, n=20), 0)
+    data, out = tmp_path / "spd3.csv", tmp_path / "median.json"
+    write_points(data, space, sample)
+    result = runner.invoke(main, ["median", "--space", "spd:3", "--data", str(data),
+                                  "--jiggle", "2", "--budget", "16", "--radius-frac", "10",
+                                  "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "numerical failure: refinement step " in result.output
+    assert "try a smaller --radius-frac" in result.output
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- cmd: test
 
 def _write_group(path, rng, shift=0.0, n=12):

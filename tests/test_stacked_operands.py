@@ -24,6 +24,7 @@ import pytest
 
 from metricdepth.depth import (
     _min_counts,
+    approx_depth,
     halfspace_prob_table,
     in_sample_deepest,
     jiggle_anchors,
@@ -36,8 +37,10 @@ from metricdepth.estimators import (
     WEISZFELD_GUARD,
     frechet_mean,
     frechet_median,
+    mhd_median,
 )
 from metricdepth.rng import NS_REFINE, derive_rng
+from metricdepth.simulation import SimulationConfig, sample_contaminated
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
 from metricdepth.spaces.base import TangentVector
 from metricdepth.spaces.spd import EIG_FLOOR, _sym
@@ -65,10 +68,14 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def reference_refine(space, sample, anchors, start, budget, seed, radius_frac, table):
-    """Refinement as one stream per step, with tuples passed to every call."""
+def reference_refine(space, sample, anchors, start, budget, seed, radius_frac, table,
+                     outcomes=None):
+    """Refinement as one stream per step, with tuples passed to every call.
+    Each step's outcome is appended to ``outcomes``: "deeper", "tie-accept",
+    "tie-reject" or "shallower"."""
     sample = tuple(sample)
-    anchor_points = tuple(anchors.points)
+    anchor_points = tuple(getattr(anchors, "points", anchors))
+    outcomes = [] if outcomes is None else outcomes
 
     def depth_of(point):
         dist = space.distance_matrix([point], anchor_points)
@@ -89,10 +96,16 @@ def reference_refine(space, sample, anchors, start, budget, seed, radius_frac, t
         num = depth_of(proposal)
         if num > current_num:
             current, current_num, current_sum = proposal, num, dist_sum(proposal)
+            outcomes.append("deeper")
         elif num == current_num:
             prop_sum = dist_sum(proposal)
             if prop_sum < current_sum:
                 current, current_sum = proposal, prop_sum
+                outcomes.append("tie-accept")
+            else:
+                outcomes.append("tie-reject")
+        else:
+            outcomes.append("shallower")
         radius *= decay
     return current, Fraction(current_num, table.n)
 
@@ -128,18 +141,93 @@ def reference_descent(space, sample, tol, max_iter, objective, direction):
     return x, current, iterations, last_update < tol
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
-@pytest.mark.parametrize("budget", [0, 1, 12])
-def test_refine_deepest_equals_per_step_stream_loop(space, budget, rng):
+def _refinement_case(space, anchor_kind, rng, start="deepest"):
+    """A sample, its anchors and table, and its deepest or shallowest point
+    as the start. "jiggled" anchors begin with the sample, so refinement
+    reads the sample's distances among the anchors'; "copies", the jiggled
+    copies alone, do not, so it reads them from columns after the anchors'."""
     sample = random_points(space, 14, rng)
     anchors = jiggle_anchors(space, sample, 2, 0.2, seed=5)
+    if anchor_kind == "copies":
+        anchors = anchors.points[len(sample):]
     table = halfspace_prob_table(space, sample, anchors)
-    start, _, _ = in_sample_deepest(space, sample, anchors, table=table)
-    got = refine_deepest(space, sample, anchors, start, budget, seed=11,
-                         radius_frac=0.3, table=table)
-    want = reference_refine(space, sample, anchors, start, budget, 11, 0.3, table)
-    assert got[1] == want[1]
-    assert _same(got[0], want[0])
+    if start == "deepest":
+        point, _, _ = in_sample_deepest(space, sample, anchors, table=table)
+    else:
+        reports = approx_depth(space, sample, anchors, sample, table=table)
+        point = sample[min(range(len(sample)), key=lambda i: reports[i].depth_num)]
+    return sample, anchors, table, point
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
+@pytest.mark.parametrize("budget", [0, 1, 12, 40])
+def test_refine_deepest_equals_per_step_stream_loop(space, budget, rng):
+    # The longest budget starts from the shallowest sample point, so that
+    # moves are accepted.
+    start_kind = "shallowest" if budget == 40 else "deepest"
+    for anchor_kind in ("jiggled", "copies"):
+        sample, anchors, table, start = _refinement_case(space, anchor_kind, rng, start_kind)
+        got = refine_deepest(space, sample, anchors, start, budget, seed=11,
+                             radius_frac=0.3, table=table)
+        outcomes = []
+        want = reference_refine(space, sample, anchors, start, budget, 11, 0.3, table,
+                                outcomes)
+        assert got[1] == want[1]
+        assert _same(got[0], want[0])
+        if budget == 40:
+            # Moves accepted before the last step make refinement draw its
+            # proposals again, and some proposal is rejected on a tie.
+            assert {"deeper", "tie-accept"} & set(outcomes[:-1])
+            assert "tie-reject" in outcomes
+
+
+@pytest.mark.parametrize("anchor_kind", ["jiggled", "copies"])
+@pytest.mark.parametrize("space,radius_frac", [(SPD(2), 0.3), (Euclidean(3), 0.0)],
+                         ids=["spd:2", "euclidean:3-zero-steps"])
+def test_refine_deepest_work_counts(anchor_kind, space, radius_frac, rng, monkeypatch):
+    # Budget B: B + 1 one-row distance calls, one per proposal and one for
+    # the start, and one normal_steps call, plus one per move accepted
+    # before the last step, each drawing the steps that remain. Zero
+    # Euclidean steps propose the current point itself, whose equal sum is
+    # no gain: every proposal is rejected on a tie.
+    budget = 40
+    sample, anchors, table, start = _refinement_case(space, anchor_kind, rng, "shallowest")
+    spread = median_pairwise_distance(space, sample)
+    outcomes = []
+    reference_refine(space, sample, anchors, start, budget, 11, radius_frac, table, outcomes)
+    if radius_frac == 0:
+        assert outcomes == ["tie-reject"] * budget
+    accepted = [step for step, outcome in enumerate(outcomes[:-1])
+                if outcome in ("deeper", "tie-accept")]
+    rows, draws = [], []
+    kind = type(space)
+    distance_matrix, normal_steps = kind.distance_matrix, kind.normal_steps
+
+    def counted_distances(self, xs, ys):
+        rows.append(len(xs))
+        return distance_matrix(self, xs, ys)
+
+    def counted_steps(self, bases, scatters, normals):
+        draws.append(len(bases))
+        return normal_steps(self, bases, scatters, normals)
+
+    monkeypatch.setattr(kind, "distance_matrix", counted_distances)
+    monkeypatch.setattr(kind, "normal_steps", counted_steps)
+    refine_deepest(space, sample, anchors, start, budget, seed=11, radius_frac=radius_frac,
+                   table=table, spread=spread)
+    assert rows == [1] * (budget + 1)
+    assert draws == [budget] + [budget - step - 1 for step in accepted]
+
+
+def test_refine_deepest_names_the_failed_step():
+    # Steps of ten times the median distance leave the SPD cone through
+    # rounding; the error names the step and the setting to lower.
+    space = SPD(3)
+    config = SimulationConfig(case=1, space=space, n=20, reps=1, seed=0)
+    sample, _ = sample_contaminated(config, 0)
+    with pytest.raises(NumericalError, match=r"^refinement step \d+ of 16 failed: matrix "
+                       r"is not positive definite; try a smaller --radius-frac$"):
+        mhd_median(space, sample, jiggle_k=2, radius_frac=10.0, budget=16, seed=0)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)

@@ -122,6 +122,40 @@ def test_random_tangents_equal_one_point_draws(space, variance, rng):
         assert _same(_row(space, stack, i), _payload(space, v))
 
 
+def _covariance(space, rng):
+    """A full covariance over the chart, per component on products; the
+    spider takes variances only."""
+    if isinstance(space, Product):
+        return [_covariance(c, rng) for c in space.components]
+    if isinstance(space, Spider3):
+        return 0.2
+    a = rng.standard_normal((space.intrinsic_dim, space.intrinsic_dim))
+    return 0.1 * (a @ a.T)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
+@pytest.mark.parametrize("scatters", ["variances", "covariances"])
+def test_normal_steps_equal_exp_of_normal_tangents(space, scatters, rng):
+    # The first base is the sphere's e1 and the spider's origin, whose
+    # steps take the origin branch; one zero variance leaves its base.
+    bases = _bases(space, rng)
+    n = len(bases)
+    normals = np.random.default_rng(3).standard_normal((n, space.normal_count))
+    scatter = [0.3 * (i + 1) / n for i in range(n)]
+    scatter[2] = 0.0
+    if scatters == "covariances":
+        scatter[4:7] = [_covariance(space, rng) for _ in range(3)]
+    steps = space.normal_steps(bases, scatter, normals)
+    assert _same(steps, space.exp_many(bases, space.normal_tangents(bases, scatter, normals)))
+    # A stack of one base repeated, as refinement draws its proposals, gives
+    # the bits of one-row calls.
+    for base in bases[:2]:
+        steps = space.normal_steps([base] * n, scatter, normals)
+        for i in range(n):
+            assert _same(steps[i], space.normal_steps([base], scatter[i:i + 1],
+                                                      normals[i:i + 1])[0])
+
+
 def test_spider_branch_frequencies_pass_a_chi_square_test():
     from scipy.stats import chisquare
 
