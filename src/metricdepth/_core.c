@@ -14,13 +14,20 @@
  * row-major. A kernel that needs scratch allocates it, frees it before it
  * returns, and returns -1 when it cannot allocate it.
  *
- * The ranks, the table build, the scan and the depth counts run on the
- * core's one thread runner (`run_units`): a call splits its work into
- * units, which its threads claim one at a time, and takes as many threads
- * as its caller allows, its units number and its estimated work pays for,
- * starting and joining them before it returns. Units write disjoint
- * outputs with the same arithmetic on any thread, so every output is the
- * same at any thread count. Every other kernel runs on the calling thread.
+ * The ranks, the table build, the pair sort, the scan and the depth counts
+ * run on the core's one thread runner (`run_units`): a call splits its
+ * work into units, which its threads claim one at a time, and takes as many
+ * threads as its caller allows, its units number and its estimated work
+ * pays for, starting and joining them before it returns. Units write
+ * disjoint outputs with the same arithmetic on any thread, so every output
+ * is the same at any thread count. Every other kernel runs on the calling
+ * thread.
+ *
+ * The table blocks, spd2 and sphere are built as target clones, chosen at
+ * load time by the CPU: x86-64-v4 (AVX-512) where gcc 11 or later can
+ * build it, AVX2, and the baseline. Every clone runs the same IEEE and
+ * integer operations, so each gives the same bytes; defining CLONES empty
+ * (-DCLONES=) builds the baseline alone.
  *
  * Two more kernels draw random streams: the permutation tests' orders
  * (`_order_batches` in inference.py) and the standard normals of
@@ -45,10 +52,14 @@
 #include <stdlib.h>
 #include <string.h>
 
-#if defined(__x86_64__) && defined(__GNUC__)
+#ifndef CLONES
+#if defined(__x86_64__) && defined(__GNUC__) && __GNUC__ >= 11
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#elif defined(__x86_64__) && defined(__GNUC__)
 #define CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define CLONES
+#endif
 #endif
 
 /* Bytes to which each thread's scratch block is aligned and rounded, one
@@ -69,11 +80,11 @@ enum { GRAIN = 400000 };
 /* One kernel call on the core's runner: its units of work, numbered from 0,
  * are claimed one at a time through `next` by every thread of the call,
  * each thread working in its own scratch block of `block_size` bytes,
- * claimed through `thread`. `all` starts at 1; a unit that returns 0
- * clears it. */
+ * claimed through `thread`. A unit reads the call's arguments from `args`.
+ * `all` starts at 1; a unit that returns 0 clears it. */
 struct run {
-    int (*unit)(const struct run *run, int64_t u, unsigned char *block);
-    const void *args;
+    int (*unit)(void *args, int64_t u, unsigned char *block);
+    void *args;
     int64_t units, block_size;
     unsigned char *blocks;
     int64_t next, thread;
@@ -86,27 +97,33 @@ static void *run_claim(void *arg)
     unsigned char *block = run->blocks
         + __atomic_fetch_add(&run->thread, 1, __ATOMIC_RELAXED) * run->block_size;
     for (int64_t u; (u = __atomic_fetch_add(&run->next, 1, __ATOMIC_RELAXED)) < run->units;)
-        if (!run->unit(run, u, block))
+        if (!run->unit(run->args, u, block))
             __atomic_store_n(&run->all, 0, __ATOMIC_RELAXED);
     return NULL;
 }
 
+/* The threads that a call of `units` units takes, of at most `threads`:
+ * min(threads, units, work / GRAIN), and at least one. `work` estimates the
+ * call's nanoseconds on one thread. */
+static int64_t run_threads(int64_t threads, int64_t units, int64_t work)
+{
+    threads = threads < units ? threads : units;
+    threads = threads < work / GRAIN ? threads : work / GRAIN;
+    return threads > 1 ? threads : 1;
+}
+
 /* Runs every unit of a call, whose arguments `unit` reads from `args`, on
- * min(threads, units, work / GRAIN) threads, and at least one: the calling
- * thread and threads started here and joined before returning, so no thread
- * outlives the call. `work` estimates the call's nanoseconds on one thread.
+ * run_threads(threads, units, work) threads: the calling thread and threads
+ * started here and joined before returning, so no thread outlives the call.
  * The threads' blocks of `block` bytes are allocated back to back before any
  * thread starts. A thread that cannot be started leaves its units to the
  * others. Units write disjoint outputs with the same arithmetic on any
  * thread, so no output depends on the thread count. Returns whether every
  * unit returned nonzero, or -1 when the blocks cannot be allocated. */
-static int run_units(int (*unit)(const struct run *, int64_t, unsigned char *),
-                     const void *args, int64_t units, int64_t block, int64_t threads,
-                     int64_t work)
+static int run_units(int (*unit)(void *, int64_t, unsigned char *), void *args, int64_t units,
+                     int64_t block, int64_t threads, int64_t work)
 {
-    threads = threads < units ? threads : units;
-    threads = threads < work / GRAIN ? threads : work / GRAIN;
-    threads = threads > 1 ? threads : 1;
+    threads = run_threads(threads, units, work);
     struct run run = {unit, args, units, (block + ALIGN - 1) / ALIGN * ALIGN, NULL, 0, 0, 1};
     if (run.block_size > 0
         && posix_memalign((void **)&run.blocks, ALIGN, threads * run.block_size) != 0)
@@ -264,9 +281,9 @@ struct ranks_args {
  * callers reject it first. A unit ranks ROWS rows, in a scratch block of
  * 2 * n_anchors values and (2 + LEVELS) * (n_anchors + 1) indices. */
 #define RANKS(NAME, CODE)                                                      \
-    static int NAME##_rows(const struct run *run, int64_t u, unsigned char *block) \
+    static int NAME##_rows(void *arg, int64_t u, unsigned char *block)         \
     {                                                                          \
-        const struct ranks_args *args = run->args;                             \
+        const struct ranks_args *args = arg;                                   \
         int64_t n_anchors = args->n_anchors;                                   \
         int64_t end = args->n - u * ROWS < ROWS ? args->n : u * ROWS + ROWS;   \
         double *values = (double *)block;                                      \
@@ -310,13 +327,16 @@ RANKS(ranks_f64_u16, uint16_t)
  * uint16 accumulators take 16 KiB and stay in L1 while every sample row
  * streams past. The tile's codes, n rows of TILE entries, stay in L2
  * across the blocks that read them. Each row's part of the tile is copied
- * into a strip that is compared in whole runs of LANES bytes, one AVX2
- * register, so no column falls to a scalar remainder loop; the sums over
- * the strip's padding are never stored. */
-enum { FIRST = 16, TILE = 512, LANES = 32 };
+ * into a strip that is compared in whole runs of LANES bytes, one AVX-512
+ * register or two AVX2 ones, so no column falls to a scalar remainder loop;
+ * the sums over the strip's padding are never stored. With runs of 32
+ * bytes, one AVX2 register, the AVX-512 clone ended about half the strips
+ * in a 32-byte tail, and 230 x 920 and 400 x 400 tables took 8 % longer. */
+enum { FIRST = 16, TILE = 512, LANES = 64 };
 
 /* Compares of codes that the table build makes per nanosecond: 18 to 21 on
- * tables of 400 x 400 to 1000 x 1000, fewer on smaller ones. */
+ * tables of 400 x 400 to 1000 x 1000 in the AVX2 clone, 21 to 27 in the
+ * AVX-512 one, fewer on smaller ones. */
 enum { TABLE_PER_NS = 18 };
 
 struct table_args {
@@ -343,19 +363,18 @@ static int64_t table_blocks(const struct table_args *args, int64_t c0)
  * first anchors against one tile, numbered tile by tile; no two units
  * write one entry, mirrored writes included. */
 #define TABLE(NAME, CODE, COUNT)                                               \
-    CLONES static int NAME##_block(const struct run *run, int64_t u,           \
-                                   unsigned char *block)                       \
+    CLONES static int NAME##_block(void *arg, int64_t u, unsigned char *block) \
     {                                                                          \
         (void)block;                                                           \
-        const struct table_args *args = run->args;                             \
+        const struct table_args *args = arg;                                   \
         const CODE *codes = args->codes;                                       \
         COUNT *counts = args->counts;                                          \
         int64_t n = args->n, n_anchors = args->n_anchors, c0 = 0;              \
         int distinct = args->distinct;                                         \
         for (int64_t b; u >= (b = table_blocks(args, c0)); u -= b)             \
             c0 += TILE;                                                        \
-        uint16_t acc[FIRST][TILE] __attribute__((aligned(32)));                \
-        CODE strip[TILE] __attribute__((aligned(32)));                         \
+        uint16_t acc[FIRST][TILE] __attribute__((aligned(LANES)));             \
+        CODE strip[TILE] __attribute__((aligned(LANES)));                      \
         memset(strip, 0, sizeof strip);                                        \
         int64_t width = n_anchors - c0 < TILE ? n_anchors - c0 : TILE;         \
         int64_t lo = u * FIRST;                                                \
@@ -405,35 +424,117 @@ TABLE(table_u16_u16, uint16_t, uint16_t)
  * and its mirror, 64 rows of 64 uint16 counts each, stay in L1. */
 enum { MIRROR = 64 };
 
-/* hist[c] += the number of off-diagonal entries equal to c in an
- * (n_anchors, n_anchors) table, whose hist has a bin for each count in it;
- * returns the least pair maximum, the least over a1 < a2 of
- * max(counts[a1, a2], counts[a2, a1]), or the COUNT maximum when there is
- * no pair. Each tile on or above the diagonal is read with its mirror. */
+/* Nanoseconds per table entry that the pair sort takes on one thread, its
+ * tally 1.0 to 1.6 and its placing 1.8 to 4.7 on tables of 200 x 200 to
+ * 1000 x 1000, more on larger ones, whose placing writes spread over more
+ * memory. A sort on more than one thread takes blocks of SORT_ROWS rows. */
+enum { SORT_NS = 4, SORT_ROWS = MIRROR };
+
+/* One counting sort of a table's pairs, by blocks of `rows` table rows,
+ * whose counts are at most `top`. Each block has its own histogram, a row of
+ * the (blocks, top + 1) `hist`. */
+struct sort_args {
+    const void *counts;
+    int64_t n_anchors, top, rows;
+    int64_t *hist;
+    int64_t bound;
+    void *a1, *a2;
+};
+
+/* The first and one past the last table row of block u. */
+static int64_t block_rows(const struct sort_args *args, int64_t u, int64_t *end)
+{
+    int64_t first = u * args->rows;
+    *end = args->n_anchors - first < args->rows ? args->n_anchors : first + args->rows;
+    return first;
+}
+
+/* The rows of each block of an (n_anchors, n_anchors) table's pair sort,
+ * each block a unit of its tally and of its placing: SORT_ROWS when the
+ * sort takes more than one of `threads` threads, else every row, one block,
+ * so that a sort on one thread reads the table once. */
+int64_t sort_rows(int64_t n_anchors, int64_t threads)
+{
+    int64_t blocks = (n_anchors + SORT_ROWS - 1) / SORT_ROWS;
+    if (run_threads(threads, blocks, n_anchors * n_anchors * SORT_NS) > 1)
+        return SORT_ROWS;
+    return n_anchors > 1 ? n_anchors : 1;
+}
+
+/* For each block of `rows` rows of an (n_anchors, n_anchors) table whose
+ * counts are at most `top`, its row of hist, (blocks, top + 1) and zeroed
+ * by the caller, gets hist[c] = the number of off-diagonal entries equal to
+ * c in those rows; returns the least pair maximum, the least over a1 < a2
+ * of max(counts[a1, a2], counts[a2, a1]), or `top` when there is no pair.
+ * A unit is one block. It reads each tile from its own rows to the columns
+ * at or past its first row with the mirror tile, which holds the other
+ * entry of each pair; a mirrored entry in the block's rows goes to its
+ * histogram, and the entries left of the block's first row are read once
+ * more, row by row. With one block the table is read once, tile by tile.
+ * The blocks' least pair maxima meet in `bound`, which starts at `top`, by
+ * an atomic minimum, the same at any thread count. */
 #define TALLY(NAME, COUNT)                                                     \
-    int64_t NAME(const COUNT *counts, int64_t n_anchors, int64_t *hist)        \
+    static int NAME##_rows(void *arg, int64_t u, unsigned char *block)         \
     {                                                                          \
-        COUNT bound = (COUNT)-1;                                               \
-        for (int64_t r0 = 0; r0 < n_anchors; r0 += MIRROR) {                   \
-            int64_t r1 = n_anchors - r0 < MIRROR ? n_anchors : r0 + MIRROR;    \
-            for (int64_t c0 = r0; c0 < n_anchors; c0 += MIRROR) {              \
-                int64_t c1 = n_anchors - c0 < MIRROR ? n_anchors : c0 + MIRROR;\
-                for (int64_t a = r0; a < r1; a++)                              \
+        (void)block;                                                           \
+        struct sort_args *args = arg;                                          \
+        const COUNT *counts = args->counts;                                    \
+        int64_t n_anchors = args->n_anchors, r1, r0 = block_rows(args, u, &r1); \
+        int64_t *hist = args->hist + u * (args->top + 1);                      \
+        COUNT bound = (COUNT)args->top;                                        \
+        for (int64_t a = r0; a < r1; a++)                                      \
+            for (int64_t b = 0; b < r0; b++)                                   \
+                hist[counts[a * n_anchors + b]]++;                             \
+        for (int64_t t0 = r0; t0 < r1; t0 += MIRROR) {                         \
+            int64_t t1 = r1 - t0 < MIRROR ? r1 : t0 + MIRROR;                  \
+            for (int64_t c0 = t0; c0 < n_anchors; c0 += MIRROR) {              \
+                int64_t c1 = n_anchors - c0 < MIRROR ? n_anchors : c0 + MIRROR; \
+                for (int64_t a = t0; a < t1; a++)                              \
                     for (int64_t b = a < c0 ? c0 : a + 1; b < c1; b++) {       \
                         COUNT x = counts[a * n_anchors + b];                   \
                         COUNT y = counts[b * n_anchors + a];                   \
                         hist[x]++;                                             \
-                        hist[y]++;                                             \
+                        if (b < r1)                                            \
+                            hist[y]++;                                         \
                         COUNT most = x > y ? x : y;                            \
                         bound = most < bound ? most : bound;                   \
                     }                                                          \
             }                                                                  \
         }                                                                      \
-        return bound;                                                          \
+        int64_t least = __atomic_load_n(&args->bound, __ATOMIC_RELAXED);       \
+        while (bound < least                                                   \
+               && !__atomic_compare_exchange_n(&args->bound, &least, bound, 0, \
+                                               __ATOMIC_RELAXED, __ATOMIC_RELAXED)) \
+            ;                                                                  \
+        return 1;                                                              \
+    }                                                                          \
+                                                                               \
+    int64_t NAME(const COUNT *counts, int64_t n_anchors, int64_t top, int64_t rows, \
+                 int64_t *hist, int64_t threads)                               \
+    {                                                                          \
+        struct sort_args args = {counts, n_anchors, top, rows, hist, top, NULL, NULL}; \
+        run_units(NAME##_rows, &args, (n_anchors + rows - 1) / rows, 0, threads, \
+                  n_anchors * n_anchors * SORT_NS);                            \
+        return args.bound;                                                     \
     }
 
 TALLY(tally_u8, uint8_t)
 TALLY(tally_u16, uint16_t)
+
+/* Turns the blocks' histograms into their first free positions: prefix sums
+ * over (count, block) up to `bound`, so that each block's pairs of a count
+ * follow every pair of a lower count and every earlier block's pairs of the
+ * same count. */
+static void pair_starts(const struct sort_args *args)
+{
+    int64_t blocks = (args->n_anchors + args->rows - 1) / args->rows, bins = args->top + 1;
+    for (int64_t c = 0, next = 0; c <= args->bound; c++)
+        for (int64_t u = 0; u < blocks; u++) {
+            int64_t size = args->hist[u * bins + c];
+            args->hist[u * bins + c] = next;
+            next += size;
+        }
+}
 
 /* Columns of a table row whose kept entries are listed before placing:
  * listing every column and advancing past the kept ones only takes no
@@ -442,18 +543,20 @@ enum { CHUNK = 256 };
 
 /* The off-diagonal pairs (a1, a2) with counts[a1, a2] <= bound, ascending
  * by count and in row-major order within a count: a distribution counting
- * sort, whose hist from TALLY becomes each count's next free position. a1
- * and a2 hold exactly the hist[0..bound] total. */
+ * sort over the blocks of `rows` rows whose histograms TALLY wrote, which
+ * pair_starts turns into each block's next free position for each count.
+ * A unit is one block, which places its own rows. a1 and a2 hold exactly
+ * the hist[.., 0..bound] total. */
 #define PAIRS(NAME, COUNT, PAIR)                                               \
-    void NAME(const COUNT *counts, int64_t n_anchors, int64_t bound,           \
-              int64_t *hist, PAIR *a1, PAIR *a2)                               \
+    static int NAME##_rows(void *arg, int64_t u, unsigned char *block)         \
     {                                                                          \
-        for (int64_t c = 0, next = 0; c <= bound; c++) {                       \
-            int64_t size = hist[c];                                            \
-            hist[c] = next;                                                    \
-            next += size;                                                      \
-        }                                                                      \
-        for (int64_t a = 0; a < n_anchors; a++) {                              \
+        (void)block;                                                           \
+        const struct sort_args *args = arg;                                    \
+        const COUNT *counts = args->counts;                                    \
+        int64_t n_anchors = args->n_anchors, bound = args->bound, r1;          \
+        int64_t *next = args->hist + u * (args->top + 1);                      \
+        PAIR *a1 = args->a1, *a2 = args->a2;                                   \
+        for (int64_t a = block_rows(args, u, &r1); a < r1; a++) {              \
             const COUNT *row = counts + a * n_anchors;                         \
             for (int64_t b0 = 0; b0 < n_anchors; b0 += CHUNK) {                \
                 int64_t b1 = n_anchors - b0 < CHUNK ? n_anchors : b0 + CHUNK;  \
@@ -464,12 +567,22 @@ enum { CHUNK = 256 };
                     m += (row[b] <= bound) & (b != a);                         \
                 }                                                              \
                 for (int64_t j = 0; j < m; j++) {                              \
-                    int64_t k = hist[row[kept[j]]]++;                          \
+                    int64_t k = next[row[kept[j]]]++;                          \
                     a1[k] = (PAIR)a;                                           \
                     a2[k] = (PAIR)kept[j];                                     \
                 }                                                              \
             }                                                                  \
         }                                                                      \
+        return 1;                                                              \
+    }                                                                          \
+                                                                               \
+    void NAME(const COUNT *counts, int64_t n_anchors, int64_t top, int64_t rows, \
+              int64_t bound, int64_t *hist, PAIR *a1, PAIR *a2, int64_t threads) \
+    {                                                                          \
+        struct sort_args args = {counts, n_anchors, top, rows, hist, bound, a1, a2}; \
+        pair_starts(&args);                                                    \
+        run_units(NAME##_rows, &args, (n_anchors + rows - 1) / rows, 0, threads, \
+                  n_anchors * n_anchors * SORT_NS);                            \
     }
 
 PAIRS(pairs_u8_u16, uint8_t, uint16_t)
@@ -495,10 +608,10 @@ struct scan_args {
  * stays in cache for its whole scan while the pairs stream past it in order.
  * A unit scans QUERIES queries. */
 #define SCAN(NAME, QUERY, PAIR)                                                \
-    static int NAME##_queries(const struct run *run, int64_t u, unsigned char *block) \
+    static int NAME##_queries(void *arg, int64_t u, unsigned char *block)      \
     {                                                                          \
         (void)block;                                                           \
-        const struct scan_args *args = run->args;                              \
+        const struct scan_args *args = arg;                                    \
         const PAIR *a1 = args->a1, *a2 = args->a2;                             \
         int64_t n_pairs = args->n_pairs;                                       \
         int64_t end = args->m - u * QUERIES < QUERIES ? args->m : u * QUERIES + QUERIES; \
@@ -541,9 +654,10 @@ struct depths_args {
  * A unit is one group, whose row of `out` one thread writes.
  *
  * A group's table is queried as depth.py queries any table: table_*, then
- * tally_* and pairs_*, then scan_* over the query, the observations' codes
- * at the members, (total, m), each on the group's thread. No count passes
- * m, so the histogram has m + 1 bins and a group with no pair has bound m.
+ * the tally and placing of the pair sort, then scan_* over the query, the
+ * observations' codes at the members, (total, m), each on the group's
+ * thread; the sort is one block of m rows, whose histogram has m + 1 bins,
+ * for no count passes m, and a group with no pair has bound m.
  * A thread's block holds the histogram and the first hits (int64), the
  * pairs (uint16, m * m each), the table in m * m uint16 slots whatever its
  * count type, the query, and the (m, m) copy of its member rows that
@@ -552,10 +666,10 @@ struct depths_args {
 enum { DEPTHS_NS = 13 };
 
 #define DEPTHS(C, K, CODE, COUNT)                                              \
-    static int depths_##C##_##K##_group(const struct run *run, int64_t r,      \
+    static int depths_##C##_##K##_group(void *arg, int64_t r,                  \
                                         unsigned char *block)                  \
     {                                                                          \
-        const struct depths_args *args = run->args;                            \
+        const struct depths_args *args = arg;                                  \
         const CODE *codes = args->codes;                                       \
         int64_t total = args->total, m = args->m;                              \
         const int64_t *ref = args->refs + r * m;                               \
@@ -571,10 +685,11 @@ enum { DEPTHS_NS = 13 };
             memcpy(members + i * m, query + ref[i] * m, m * sizeof(CODE));     \
         table_##C##_##K(members, m, m, args->distinct, table, 1);              \
         memset(hist, 0, (m + 1) * sizeof *hist);                               \
-        int64_t bound = tally_##K(table, m, hist);                             \
-        bound = bound < m ? bound : m;                                         \
-        pairs_##K##_u16(table, m, bound, hist, a1, a2);                        \
-        scan_##C##_u16(query, total, m, a1, a2, hist[bound], first, 1);        \
+        struct sort_args sort = {table, m, m, m, hist, m, a1, a2};             \
+        tally_##K##_rows(&sort, 0, NULL);                                      \
+        pair_starts(&sort);                                                    \
+        pairs_##K##_u16_rows(&sort, 0, NULL);                                  \
+        scan_##C##_u16(query, total, m, a1, a2, hist[sort.bound], first, 1);   \
         for (int64_t y = 0; y < total; y++)                                    \
             out[y] = first[y] < 0 ? (COUNT)m                                   \
                                   : table[a1[first[y]] * m + a2[first[y]]];    \

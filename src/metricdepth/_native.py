@@ -1,8 +1,9 @@
 """Loader of the compiled kernels in ``_core.c``.
 
 The kernels are ``ranks`` (per-row rank codes of a distance matrix),
-``table`` (the halfspace count table), ``tally`` and ``pairs`` (the
-counting sort of the table's anchor pairs), ``scan`` (each query's first
+``table`` (the halfspace count table), ``sort_rows``, ``tally`` and
+``pairs`` (the counting sort of the table's anchor pairs, by blocks of
+rows), ``scan`` (each query's first
 admissible pair), ``depths`` (the permutation tests' depth counts),
 ``orders`` (the permutation tests' orders, numpy's ``Generator``
 permutations drawn in C), ``normals`` (the standard normals of
@@ -42,15 +43,17 @@ A call passes only arrays and sizes, and ``depths`` a thread count: each
 kernel allocates its own scratch, and a failed allocation raises
 ``MemoryError``.
 
-``ranks``, ``table``, ``scan`` and ``depths`` run on the core's one
-thread runner. A call splits its work into units (blocks of rows, of
-first anchors against a column tile, of queries, or one reference group)
-that its threads claim one at a time, and takes
-``min(threads(), units, work / grain)`` threads, at least one: its
-estimated single-thread time over an internal grain of work per thread,
-so small calls, such as one-query scans, stay on the calling thread.
-``depths`` is passed :func:`threads` by its caller; the loader passes
-:func:`threads` to the other three as their last argument at every call,
+``ranks``, ``table``, ``tally``, ``pairs``, ``scan`` and ``depths`` run
+on the core's one thread runner. A call splits its work into units (blocks
+of rows, of first anchors against a column tile, of table rows, of
+queries, or one reference group) that its threads claim one at a time,
+and takes ``min(threads(), units, work / grain)`` threads, at least one:
+its estimated single-thread time over an internal grain of work per
+thread, so small calls, such as one-query scans, stay on the calling
+thread. ``sort_rows`` gives the table rows per block of ``tally`` and
+``pairs``: 64 when the sort takes more than one thread, else every row,
+one block. ``depths`` is passed :func:`threads` by its caller; the loader
+passes :func:`threads` to the others as their last argument at every call,
 so a change of the process's CPU affinity, or of the cap set by
 :func:`limit_threads`, applies to the next call. A call starts its threads
 and joins them before it returns: no thread outlives a kernel call, so a
@@ -75,7 +78,7 @@ logger = logging.getLogger(__name__)
 SOURCE = Path(__file__).with_name("_core.c")
 COMPILER = "gcc"
 # No -march=native: a cached library must run on any x86-64 host, and the
-# source selects its AVX2 clones at load time. No -ffast-math: the
+# source selects its AVX-512 or AVX2 clones at load time. No -ffast-math: the
 # comparisons must stay IEEE <=. Loops start on 64-byte boundaries, whole
 # cache lines, so a kernel's speed does not hang on where the code before
 # it ends. On an x86-64 Xeon, under the default alignment, moving the table
@@ -183,16 +186,26 @@ def _load() -> dict:
     target = library_path()
     if not _intact(target):
         _build(target)
-    lib = ctypes.CDLL(str(target))
+    return bind(ctypes.CDLL(str(target)))
+
+
+def bind(lib) -> dict:
+    """The kernels of a loaded build of the core, a ``ctypes.CDLL``, by name,
+    typed and wrapped as :func:`library` gives them."""
+    import ctypes
+
     i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     integers = ("u8", "u16")
     # name: (argument types, return type)
-    # Each of ranks, table and scan takes the thread count last.
+    # Each of ranks, table, sort_rows, tally, pairs and scan takes the thread
+    # count last.
     signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr, i64], flag) for code in integers}
     signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], None)
                        for code in integers for count in integers})
-    signatures.update({f"tally_{count}": ([ptr, i64, ptr], i64) for count in integers})
-    signatures.update({f"pairs_{count}_u16": ([ptr, i64, i64, ptr, ptr, ptr], None)
+    signatures["sort_rows"] = ([i64, i64], i64)
+    signatures.update({f"tally_{count}": ([ptr, i64, i64, i64, ptr, i64], i64)
+                       for count in integers})
+    signatures.update({f"pairs_{count}_u16": ([ptr, i64, i64, i64, i64, ptr, ptr, ptr, i64], None)
                        for count in integers})
     signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr, i64], None)
                        for query in ("f64", *integers)})
@@ -209,7 +222,7 @@ def _load() -> dict:
         function.argtypes, function.restype = argtypes, restype
         if name.startswith(("ranks", "depths")):
             function.errcheck = _allocated
-        if name.startswith(("ranks", "table", "scan")):
+        if name.startswith(("ranks", "table", "sort", "tally", "pairs", "scan")):
             functions[name] = _on_threads(function)
     return functions
 

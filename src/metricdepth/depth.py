@@ -46,12 +46,13 @@ take each reference group's table through the same build, sort and
 scan. Its ranks sort each row by a bucket pass and per-bucket sorts; its
 table build takes blocks of 16 first anchors against tiles of 512 columns,
 with uint16 accumulators that stay in L1 while the sample rows stream
-past; its pair sort is the counting sort above, whose only temporary is
-the histogram; its scan reads each kept pair's two indices and the
-query's two entries, and stops at the first admissible pair. The ranks,
-table build and scan spread a large call over the core's threads, by
-blocks of rows, of first anchors against a tile, and of queries, to the
-same bytes at any thread count (see :mod:`metricdepth._native`). Each step
+past; its pair sort is the counting sort above, by blocks of table rows,
+each with a histogram of its own, its only temporary; its scan reads each
+kept pair's two indices and the query's two entries, and stops at the
+first admissible pair. The ranks, table build, pair sort and scan spread
+a large call over the core's threads, by blocks of rows, of first anchors
+against a tile, of table rows and of queries, to the same bytes at any
+thread count (see :mod:`metricdepth._native`). Each step
 has one entry point, :func:`_row_ranks`, :func:`_prob_counts`,
 :attr:`HalfspaceProbTable.sorted_pairs` and :func:`_min_counts`, whose
 numpy body is the reference the compiled kernel must equal in every
@@ -169,7 +170,11 @@ class HalfspaceProbTable:
         histograms the off-diagonal counts and finds the bound, reading
         each tile of the table with its mirror, and a second writes the
         kept pairs, row-major within each count, into arrays of exactly
-        their length. The numpy body sorts everything else, a table given
+        their length. A sort large enough for more than one thread runs
+        both passes by blocks of 64 table rows, each with its own
+        histogram, and places each block's pairs of a count after the
+        earlier blocks' (prefix sums over count, then block), so the pairs
+        are the same. The numpy body sorts everything else, a table given
         wider counts to the same pairs: it reads the bound tile by tile
         (:func:`_least_pair_max`) and stable-sorts the kept entries' flat
         indices by count.
@@ -180,13 +185,15 @@ class HalfspaceProbTable:
         place = _native.kernel("pairs", self.counts.dtype, dtype)
         if tally is not None and place is not None:
             counts = np.ascontiguousarray(self.counts)
-            # A bin for every value of the dtype, so that no entry of any
-            # table indexes past the histogram.
-            hist = np.zeros(np.iinfo(counts.dtype).max + 1, dtype=np.int64)
-            bound = tally(counts.ctypes.data, n_anchors, hist.ctypes.data)
-            kept = int(hist[:bound + 1].sum())
+            rows = _native.kernel("sort_rows")(n_anchors)
+            # A bin for each count up to the greatest, n on the diagonal,
+            # so that no entry of any table indexes past its histogram.
+            top = int(counts.max()) if counts.size else 0
+            hist = np.zeros((-(-n_anchors // rows), top + 1), dtype=np.int64)
+            bound = tally(counts.ctypes.data, n_anchors, top, rows, hist.ctypes.data)
+            kept = int(hist[:, :bound + 1].sum())
             a1, a2 = np.empty(kept, dtype=dtype), np.empty(kept, dtype=dtype)
-            place(counts.ctypes.data, n_anchors, bound, hist.ctypes.data,
+            place(counts.ctypes.data, n_anchors, top, rows, bound, hist.ctypes.data,
                   a1.ctypes.data, a2.ctypes.data)
             return a1, a2
         bound = _least_pair_max(self.counts)
@@ -449,6 +456,20 @@ def _check_radius_frac(radius_frac: float) -> None:
         raise GeometryError(f"radius_frac must be finite and >= 0, got {radius_frac}")
 
 
+def _variance(radius: float) -> float:
+    """``radius**2``, the variance of a step of that radius; a square past
+    the float range raises ``NumericalError`` naming the radius, where
+    Python's float power would raise ``OverflowError``."""
+    try:
+        variance = radius**2
+    except OverflowError:
+        variance = np.inf
+    if not np.isfinite(variance):
+        raise NumericalError(f"step radius {radius:g} has no finite square; "
+                             "try a smaller --radius-frac")
+    return variance
+
+
 def jiggle_anchors(
     space: Space,
     sample: Sequence,
@@ -481,7 +502,7 @@ def jiggle_anchors(
         bases = [x for x in sample for _ in range(k)]
         normals = derive_normals(seed, NS_JIGGLE, shape=(len(sample), k),
                                  dim=space.normal_count)
-        points += space.normal_steps(bases, [sigma**2] * len(bases), normals)
+        points += space.normal_steps(bases, [_variance(sigma)] * len(bases), normals)
         provenance += [("jiggled", i) for i in range(len(sample)) for _ in range(k)]
     return AnchorSet(points=tuple(points), provenance=tuple(provenance))
 
@@ -577,7 +598,7 @@ def refine_deepest(
     decay = 0.01 ** (1.0 / budget)
     variances, radius = [], scale
     for _ in range(budget):
-        variances.append(radius**2)
+        variances.append(_variance(radius))
         radius *= decay
     normals = derive_normals(seed, NS_REFINE, shape=(budget,), dim=space.normal_count)
     step = 0

@@ -53,11 +53,18 @@ class Product(Space):
                                   lambda comp, column: comp._check_stack(column))
 
     def distance_matrix(self, xs, ys):
+        # Each component's matrix is a new array of its own, so it is squared
+        # and summed in place: the operations of sqrt(d0**2 + d1**2 + ...)
+        # with no temporary matrix.
         total = None
         for idx, comp in enumerate(self.components):
             d = comp.distance_matrix([x[idx] for x in xs], [y[idx] for y in ys])
-            total = d**2 if total is None else total + d**2
-        return np.sqrt(total)
+            np.square(d, out=d)
+            if total is None:
+                total = d
+            else:
+                total += d
+        return np.sqrt(total, out=total)
 
     def _component_bases(self, bases, idx: int) -> list:
         return [x[idx] for x in bases]

@@ -13,7 +13,7 @@ from metricdepth.depth import (
     median_pairwise_distance,
     refine_deepest,
 )
-from metricdepth.errors import GeometryError
+from metricdepth.errors import GeometryError, NumericalError
 from metricdepth.spaces import SPD, Euclidean, Sphere
 from metricdepth.tukey import tukey_depth_1d, tukey_depth_2d
 
@@ -206,6 +206,15 @@ def test_jiggle_rejects_bad_radius_frac(radius_frac):
         jiggle_anchors(space, pts, 2, radius_frac=radius_frac)
 
 
+@pytest.mark.parametrize("radius_frac", [1e200, 1e308])
+def test_jiggle_with_an_unsquarable_radius_is_a_numerical_error(radius_frac):
+    # The radius is finite but its square is not, which a float power
+    # raised as OverflowError.
+    space, pts = points_1d([1, 2, 3])
+    with pytest.raises(NumericalError, match="step radius .* has no finite square"):
+        jiggle_anchors(space, pts, 2, radius_frac=radius_frac)
+
+
 # ----------------------------------------------------------- deepest point
 
 def test_in_sample_deepest_three_points():
@@ -247,6 +256,13 @@ def test_refine_rejects_bad_radius_frac(radius_frac):
     space, pts = points_1d([1, 2, 3, 4])
     with pytest.raises(GeometryError, match="radius_frac"):
         refine_deepest(space, pts, pts, pts[1], budget=5, radius_frac=radius_frac)
+
+
+@pytest.mark.parametrize("radius_frac", [1e200, 1e308])
+def test_refine_with_an_unsquarable_radius_is_a_numerical_error(radius_frac):
+    space, pts = points_1d([1, 2, 3, 4])
+    with pytest.raises(NumericalError, match="step radius .* has no finite square"):
+        refine_deepest(space, pts, pts, pts[1], budget=4, radius_frac=radius_frac)
 
 
 def test_refine_respects_depth_ceiling():

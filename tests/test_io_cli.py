@@ -269,6 +269,24 @@ def test_cmd_bad_settings_are_usage_errors_before_writing(tmp_path, runner, args
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
+@pytest.mark.parametrize("args", [
+    ["depth", "--self", "--anchors", "jiggle:2"],
+    ["median", "--jiggle", "2", "--budget", "4"],
+    ["median", "--jiggle", "0", "--budget", "4"],
+])
+def test_cmd_unsquarable_radius_is_a_numerical_failure(tmp_path, runner, args):
+    # A finite --radius-frac whose step radius has no finite square fails in
+    # jiggling, or with --jiggle 0 in refinement: exit 4 naming the radius,
+    # with no output file or manifest.
+    data = tmp_path / "data.csv"
+    data.write_text("1\n2\n3\n5\n8\n")
+    result = runner.invoke(main, [*args, "--space", "euclidean:1", "--data", str(data),
+                                  "--radius-frac", "1e200", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 4, result.output
+    assert "numerical failure: step radius 3e+200 has no finite square" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 def test_cmd_median_numerical_failure_exit_code(tmp_path, runner):
     data = tmp_path / "data.csv"
     data.write_text("1,0,0\n-1,0,0\n")  # antipodal pair on the sphere

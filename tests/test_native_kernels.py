@@ -300,11 +300,11 @@ def test_wider_counts_sort_to_the_same_pairs(native):
 
 @pytest.mark.parametrize("n", [60, 300])
 def test_pair_sort_allocates_only_its_output(native, n):
-    # The histogram, of 256 or 65 536 int64 entries by the count dtype, is
-    # the only temporary beside the two returned arrays.
+    # The histograms, one of n + 1 int64 bins for each block of the sort,
+    # are the only temporary beside the two returned arrays.
     codes, distinct = _row_ranks(distances(np.random.default_rng(n), n, 2000, False))
     table = HalfspaceProbTable(counts=_prob_counts(codes, distinct), n=n)
-    hist = 8 * (int(np.iinfo(table.counts.dtype).max) + 1)
+    hist = 8 * -(-2000 // _native.kernel("sort_rows")(2000)) * (n + 1)
     tracemalloc.start()
     try:
         a1, a2 = table.sorted_pairs
@@ -647,11 +647,12 @@ def test_kernels_are_chosen_by_dtype_alone(native):
     # pair sorts by (count, pair), scans by (query, pair), permutation
     # depths by (code, count) dtype; no kernel takes a width flag. The
     # permutation orders and the chart normals have one dtype of each
-    # array, so one kernel each; the spd:2 distances take float64 alone.
+    # array, so one kernel each; the spd:2 distances take float64 alone,
+    # and the pair sort's block rows no array.
     assert sorted(_native.library()) == [
         "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "normals", "orders",
         "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
-        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "spd2_f64", "sphere_f64",
+        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "sort_rows", "spd2_f64", "sphere_f64",
         "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
         "tally_u16", "tally_u8"]
     assert _native.kernel("spd2", np.float64) is not None
@@ -742,6 +743,53 @@ def test_processes_building_at_once_share_one_cache(tmp_path):
     cache = tmp_path / "metricdepth"
     assert [p.suffix for p in cache.iterdir()] == [".so"]
     assert cache.stat().st_mode & 0o777 == 0o700
+
+
+@needs_gcc
+def test_target_clones_give_the_same_bytes(native, tmp_path):
+    # The table blocks, spd2 and sphere run the clone for the host's CPU
+    # (AVX-512, AVX2 or baseline x86-64). A build with CLONES defined empty
+    # has the baseline code alone, which must give the same bytes.
+    import ctypes
+
+    command = _native.command(tmp_path / "core.so")
+    command.insert(command.index("-o"), "-DCLONES=")
+    subprocess.run(command, check=True, capture_output=True)
+    builds = (_native.library(), _native.bind(ctypes.CDLL(str(tmp_path / "core.so"))))
+    rng = np.random.default_rng(11)
+    # 100 and 600 anchors take uint8 and uint16 codes, 600 two column
+    # tiles; 40 and 300 rows uint8 and uint16 counts.
+    for n, n_anchors in ((40, 100), (300, 100), (40, 600), (300, 600)):
+        for tied in (False, True):
+            codes, distinct = _row_ranks(distances(rng, n, n_anchors, tied))
+            tables = [np.empty((n_anchors, n_anchors), np.min_scalar_type(n)) for _ in builds]
+            name = "_".join(["table", *(_native._SUFFIXES[t.dtype] for t in (codes, tables[0]))])
+            for kernels, table in zip(builds, tables):
+                kernels[name](codes.ctypes.data, n, n_anchors, distinct, table.ctypes.data)
+            assert tables[0].tobytes() == tables[1].tobytes(), (name, tied)
+    # spd:2 pairs: the left matrices, their inverse square roots and the
+    # right matrices as four planes, some equal to a left one.
+    roots = rng.standard_normal((300, 2, 2))
+    spd = roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    values, vectors = np.linalg.eigh(spd[:70])
+    whiten = np.ascontiguousarray((vectors / np.sqrt(values)[:, None, :]
+                                   @ vectors.transpose(0, 2, 1)).reshape(70, 4))
+    left = np.ascontiguousarray(spd[:70].reshape(70, 4))
+    planes = np.ascontiguousarray(spd[40:].reshape(260, 4).T)
+    # Sphere pairs: 70 points against 260 held as three planes.
+    ball = rng.standard_normal((330, 3))
+    ball /= np.linalg.norm(ball, axis=1, keepdims=True)
+    x, y = ball[:70].copy(), np.ascontiguousarray(ball[70:].T)
+    got = []
+    for kernels in builds:
+        out = np.empty((4, 70, 260))
+        kernels["spd2_f64"](left.ctypes.data, whiten.ctypes.data, 70, planes.ctypes.data, 260,
+                            np.finfo(float).tiny, out[0].ctypes.data, out[1].ctypes.data)
+        kernels["sphere_f64"](x.ctypes.data, 70, y.ctypes.data, 260, 3, out[2].ctypes.data,
+                              out[3].ctypes.data)
+        got.append(out)
+    assert np.all(got[0][:2, np.arange(40, 70), np.arange(30)] == 1.0)
+    assert [o.tobytes() for o in got[0]] == [o.tobytes() for o in got[1]]
 
 
 @needs_gcc

@@ -277,6 +277,15 @@ def test_failed_replicates_recorded(monkeypatch):
     assert not np.isnan(result.medians["fm"])  # median over surviving reps
 
 
+def test_unsquarable_radius_fails_the_depth_median_replicates():
+    # A finite radius_frac passes the settings check, but its step radius has
+    # no finite square: each depth-median replicate fails, and the Frechet
+    # mean, which takes no steps, does not.
+    result = run_simulation(config(reps=2, radius_frac=1e200))
+    assert result.failures.get("mhd") == 2 and np.isnan(result.errors["mhd"]).all()
+    assert "fm" not in result.failures and not np.isnan(result.errors["fm"]).any()
+
+
 # ------------------------------------------------------------- breakdown
 
 def test_breakdown_zero_contamination_is_fixed_point():

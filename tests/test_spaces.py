@@ -63,6 +63,23 @@ def test_product_distance_is_l2_combination():
     assert space.distance(x, y) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("components", [
+    (SPD(2), Sphere(2)),
+    (SPD(2), Sphere(2), Spider3()),
+])
+def test_product_distance_matrix_is_the_root_of_summed_squares(rng, components):
+    # Squared and summed in place, the entries keep the bits of
+    # sqrt(sum of each component's matrix squared), in component order.
+    space = Product(components)
+    xs, ys = random_points(space, 23, rng), random_points(space, 37, rng)
+    parts = [comp.distance_matrix([x[k] for x in xs], [y[k] for y in ys])
+             for k, comp in enumerate(components)]
+    want = np.sqrt(sum(d**2 for d in parts))
+    got = space.distance_matrix(xs, ys)
+    assert got.dtype == want.dtype and got.shape == (23, 37)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_distance_matrix_matches_scalar(rng):
     for space in ALL_SPACES:
         pts = random_points(space, 6, rng)
