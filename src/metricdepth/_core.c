@@ -23,7 +23,7 @@
  * is the same at any thread count. Every other kernel runs on the calling
  * thread.
  *
- * The table blocks, spd2 and sphere are built as target clones, chosen at
+ * The table blocks, spd2 and norms are built as target clones, chosen at
  * load time by the CPU: x86-64-v4 (AVX-512) where gcc 11 or later can
  * build it, AVX2, and the baseline. Every clone runs the same IEEE and
  * integer operations, so each gives the same bytes; defining CLONES empty
@@ -42,8 +42,8 @@
  * fixed sequence of IEEE operations, so an entry does not depend on the
  * call's shape or on a BLAS library's threads: spd2 up to the eigenvalues
  * of spd:2 distances (`_whitened_eigs` in spaces/spd.py is its numpy body)
- * and sphere up to the two norms of sphere distances (`_norm_planes` in
- * spaces/sphere.py).
+ * and norms through the whole of a Euclidean distance and up to each of
+ * the two norms of a sphere distance (`norms` in spaces/euclidean.py).
  */
 #define _POSIX_C_SOURCE 200112L /* posix_memalign */
 #include <math.h>
@@ -698,7 +698,7 @@ enum { DEPTHS_NS = 13 };
                                                                                \
     int depths_##C##_##K(const CODE *codes, int64_t total,                     \
                          const int64_t *refs, int64_t n_refs, int64_t m,       \
-                         int distinct, int64_t threads, COUNT *out)            \
+                         int distinct, COUNT *out, int64_t threads)            \
     {                                                                          \
         struct depths_args args = {codes, refs, total, m, distinct, out};      \
         int64_t bytes = (m + 1 + total) * (int64_t)sizeof(int64_t)             \
@@ -929,33 +929,28 @@ CLONES void spd2_f64(const double *p, const double *s, int64_t rows, const doubl
     }
 }
 
-/* The two norms behind sphere distances, the step of Sphere.distance_matrix
- * (spaces/sphere.py) before its arctangents. For `rows` points x[a], each a
- * row of dim entries, and nb points y held as dim planes y[k * nb + b], it
- * writes ||x[a] - y[b]|| into minus[a * nb + b] and ||x[a] + y[b]|| into
- * plus[a * nb + b]: each a square root of squares summed over k in order,
- * from zero, with no product fused into its sum (-ffp-contract=off), so
- * each pair takes the IEEE operations of the numpy body (`_norm_planes`),
- * whatever the call's shape. */
-CLONES void sphere_f64(const double *x, int64_t rows, const double *y, int64_t nb,
-                       int64_t dim, double *minus, double *plus)
+/* The norms behind Euclidean and sphere distances (spaces/euclidean.py and
+ * spaces/sphere.py, which calls it on y and on -y). For `rows` points x[a],
+ * each a row of dim entries, and nb points y held as dim planes
+ * y[k * nb + b], it writes ||x[a] - y[b]|| into out[a * nb + b]: a square
+ * root of squares summed over k in order, from zero, with no product fused
+ * into its sum (-ffp-contract=off), so each pair takes the IEEE operations
+ * of the numpy body (`norms`), whatever the call's shape. */
+CLONES void norms_f64(const double *x, int64_t rows, const double *y, int64_t nb, int64_t dim,
+                      double *out)
 {
     for (int64_t a = 0; a < rows; a++) {
-        double *lo = minus + a * nb, *hi = plus + a * nb;
-        memset(lo, 0, nb * sizeof *lo);
-        memset(hi, 0, nb * sizeof *hi);
+        double *row = out + a * nb;
+        memset(row, 0, nb * sizeof *row);
         for (int64_t k = 0; k < dim; k++) {
             double xk = x[a * dim + k];
             const double *yk = y + k * nb;
             for (int64_t b = 0; b < nb; b++) {
-                double d = xk - yk[b], s = xk + yk[b];
-                lo[b] += d * d;
-                hi[b] += s * s;
+                double d = xk - yk[b];
+                row[b] += d * d;
             }
         }
-        for (int64_t b = 0; b < nb; b++) {
-            lo[b] = sqrt(lo[b]);
-            hi[b] = sqrt(hi[b]);
-        }
+        for (int64_t b = 0; b < nb; b++)
+            row[b] = sqrt(row[b]);
     }
 }

@@ -10,8 +10,8 @@ permutations drawn in C), ``normals`` (the standard normals of
 :func:`metricdepth.rng.derive_normals`, numpy's
 ``Generator.standard_normal`` drawn in C), ``spd2`` (the whitened
 eigenvalues behind ``SPD(2).distance_matrix``, one fixed sequence of IEEE
-operations per pair) and ``sphere`` (the norms of the differences and
-sums behind ``Sphere.distance_matrix``).
+operations per pair) and ``norms`` (the norms of differences behind
+``Euclidean.distance_matrix`` and ``Sphere.distance_matrix``).
 They are built with the system ``gcc`` the first time one is called,
 once per user, into ``$XDG_CACHE_HOME/metricdepth``, created with mode
 0700, by the command :func:`command` gives. It links numpy's static
@@ -39,9 +39,8 @@ and returns None, and the numpy bodies of the entry points in
 the same results. A kernel is named by its task and the dtypes of its
 arrays, and takes no flag that a dtype could state.
 
-A call passes only arrays and sizes, and ``depths`` a thread count: each
-kernel allocates its own scratch, and a failed allocation raises
-``MemoryError``.
+A call passes only arrays and sizes: each kernel allocates its own
+scratch, and a failed allocation raises ``MemoryError``.
 
 ``ranks``, ``table``, ``tally``, ``pairs``, ``scan`` and ``depths`` run
 on the core's one thread runner. A call splits its work into units (blocks
@@ -52,10 +51,10 @@ its estimated single-thread time over an internal grain of work per
 thread, so small calls, such as one-query scans, stay on the calling
 thread. ``sort_rows`` gives the table rows per block of ``tally`` and
 ``pairs``: 64 when the sort takes more than one thread, else every row,
-one block. ``depths`` is passed :func:`threads` by its caller; the loader
-passes :func:`threads` to the others as their last argument at every call,
-so a change of the process's CPU affinity, or of the cap set by
-:func:`limit_threads`, applies to the next call. A call starts its threads
+one block. The loader passes :func:`threads` to these kernels and to
+``sort_rows`` as their last argument at every call, so a change of the
+process's CPU affinity, or of the cap set by :func:`limit_threads`,
+applies to the next call. A call starts its threads
 and joins them before it returns: no thread outlives a kernel call, so a
 process forked after one inherits none, and calls made at once from
 several threads share nothing. Units write disjoint outputs with the same
@@ -85,7 +84,7 @@ COMPILER = "gcc"
 # build by 32 bytes slowed its 400 x 400 uint16 build from 1.75 to 2.00 ms;
 # with loops on 32-byte boundaries, adding the threaded depth counts moved
 # it by 16 bytes and slowed its 230 x 920 build from 5.1 to 6.6 ms.
-# spd2 and sphere must round each product before its sum, as numpy does,
+# spd2 and norms must round each product before its sum, as numpy does,
 # so no product fuses into a multiply-add (-ffp-contract=off);
 # -fno-math-errno lets their sqrt vectorize, still correctly rounded.
 FLAGS = ("-O3", "-falign-loops=64", "-std=c99", "-ffp-contract=off", "-fno-math-errno",
@@ -197,8 +196,8 @@ def bind(lib) -> dict:
     i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     integers = ("u8", "u16")
     # name: (argument types, return type)
-    # Each of ranks, table, sort_rows, tally, pairs and scan takes the thread
-    # count last.
+    # Each of ranks, table, sort_rows, tally, pairs, scan and depths takes the
+    # thread count last.
     signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr, i64], flag) for code in integers}
     signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], None)
                        for code in integers for count in integers})
@@ -209,20 +208,20 @@ def bind(lib) -> dict:
                        for count in integers})
     signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr, i64], None)
                        for query in ("f64", *integers)})
-    signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, i64, ptr],
+    signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, ptr, i64],
                                                   flag)
                        for code in integers for count in integers})
     signatures["orders"] = ([ptr, i64, i64, i64, i64, ptr], None)
     signatures["normals"] = ([ptr, i64, ptr, i64, i64, ptr], None)
     signatures["spd2_f64"] = ([ptr, ptr, i64, ptr, i64, ctypes.c_double, ptr, ptr], None)
-    signatures["sphere_f64"] = ([ptr, i64, ptr, i64, i64, ptr, ptr], None)
+    signatures["norms_f64"] = ([ptr, i64, ptr, i64, i64, ptr], None)
     functions = {}
     for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
         if name.startswith(("ranks", "depths")):
             function.errcheck = _allocated
-        if name.startswith(("ranks", "table", "sort", "tally", "pairs", "scan")):
+        if name.startswith(("ranks", "table", "sort", "tally", "pairs", "scan", "depths")):
             functions[name] = _on_threads(function)
     return functions
 

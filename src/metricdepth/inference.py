@@ -163,7 +163,7 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     references = np.ascontiguousarray(references, dtype=np.int64)
     out = np.empty((n_refs, total), dtype=count)
     kernel(codes.ctypes.data, total, references.ctypes.data, n_refs, m, distinct,
-           _native.threads(), out.ctypes.data)
+           out.ctypes.data)
     return out
 
 

@@ -3,19 +3,18 @@
 ``distance_matrix`` takes each pair (x, y) to ``2 atan2(||x - y||, ||x + y||)``,
 which for unit vectors is their angle, accurate at every angle (Kahan, "How
 Futile are Mindless Assessments of Roundoff in Floating-Point Computation?",
-2006), where ``arccos(x . y)`` loses half its digits near 0 and pi. Each
-norm is the square root of its squares summed over the m + 1 coordinates
-in order, with no fused multiply-add, by the compiled ``sphere`` kernel of
-``_core.c`` or its numpy body, bit for bit; numpy's ``arctan2`` and a
-doubling finish both. So an entry depends on its own pair alone, not on the
-call's shape, the other rows or columns, or a BLAS library, and the matrix
-is exactly symmetric (x - y and y - x differ only in sign) with an exact 0
-between equal points. Each norm errs by at most about (m + 5)/2 eps
-relative, eps = 2**-52, so a distance d errs from the angle between
-x / ||x|| and y / ||y|| by at most about (m + 5)/2 eps sin(d), plus numpy's
-arctan2 error of a few ulp(d), plus |(||x|| - ||y||)|, which the unit-norm
-rows of validated points keep within a few eps. The tests hold the first
-two terms at twice that.
+2006), where ``arccos(x . y)`` loses half its digits near 0 and pi. Both
+norms are Euclidean distances over the m + 1 coordinates, by
+:func:`~metricdepth.spaces.euclidean.norms` on y and on -y (x - (-y) is
+exactly x + y); numpy's ``arctan2`` and a doubling finish both. So an entry
+depends on its own pair alone, not on the call's shape, the other rows or
+columns, or a BLAS library, and the matrix is exactly symmetric (x - y and
+y - x differ only in sign) with an exact 0 between equal points. Each norm
+errs by at most about (m + 5)/2 eps relative, eps = 2**-52, so a distance d
+errs from the angle between x / ||x|| and y / ||y|| by at most about
+(m + 5)/2 eps sin(d), plus numpy's arctan2 error of a few ulp(d), plus
+|(||x|| - ||y||)|, which the unit-norm rows of validated points keep within
+a few eps. The tests hold the first two terms at twice that.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import _native
 from ..errors import GeometryError, UndefinedLogError
 from .base import (
     ANTIPODAL_TOL,
@@ -38,6 +36,7 @@ from .base import (
     readonly,
     reject_flagged,
 )
+from .euclidean import norms
 
 UNIT_NORM_TOL = 1e-6
 # Distances run in row chunks of at most this many pairs, so that a chunk's
@@ -52,27 +51,10 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def _norm_planes(x, y, minus, plus) -> None:
-    """The numpy body of the compiled ``sphere`` kernel, which ``_core.c``
-    documents: for (rows, dim) points ``x`` and (dim, nb) coordinate planes
-    ``y``, ``||x_a - y_b||`` into the (rows, nb) plane ``minus`` and
-    ``||x_a + y_b||`` into ``plus``. Each step is one elementwise IEEE
-    operation, in the kernel's order, so both bodies agree bit for bit."""
-    minus.fill(0.0)
-    plus.fill(0.0)
-    term = np.empty_like(minus)
-    for xk, yk in zip(x.T, y):
-        for combine, total in ((np.subtract, minus), (np.add, plus)):
-            combine.outer(xk, yk, out=term)
-            np.multiply(term, term, out=term)
-            np.add(total, term, out=total)
-    np.sqrt(minus, out=minus)
-    np.sqrt(plus, out=plus)
-
-
 @dataclass(frozen=True, repr=False)
 class Sphere(Space):
-    """S^m: unit vectors in R^(m+1); d(x, y) = arccos(x . y), the angle."""
+    """S^m: unit vectors in R^(m+1); d(x, y) = 2 atan2(||x - y||, ||x + y||),
+    their angle, as the module docstring computes it."""
 
     dim: int  # intrinsic dimension m
     kind = "sphere"
@@ -119,21 +101,15 @@ class Sphere(Space):
         ``_PLANE_ELEMS`` pairs."""
         x = np.ascontiguousarray(self._stack(xs))
         y = np.ascontiguousarray(self._stack(ys).T)
+        negated = np.negative(y)
         na, nb = len(x), y.shape[1]
         out = np.empty((na, nb))
         step = max(1, _PLANE_ELEMS // max(nb, 1))
         plus = np.empty((min(step, na), nb))
-        kernel = _native.kernel("sphere", np.float64)
         for lo in range(0, na, step):
             hi = min(lo + step, na)
-            minus, sums = out[lo:hi], plus[:hi - lo]
-            if kernel is None:
-                # Like the kernel, the body passes NaN and inf on without a warning.
-                with np.errstate(all="ignore"):
-                    _norm_planes(x[lo:hi], y, minus, sums)
-            else:
-                kernel(x[lo:].ctypes.data, hi - lo, y.ctypes.data, nb, self.ambient_dim,
-                       minus.ctypes.data, sums.ctypes.data)
+            minus = norms(x[lo:hi], y, out[lo:hi])
+            sums = norms(x[lo:hi], negated, plus[:hi - lo])
             np.arctan2(minus, sums, out=minus)
             np.multiply(minus, 2.0, out=minus)
         return out

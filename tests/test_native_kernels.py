@@ -589,7 +589,7 @@ def test_a_failed_scratch_allocation_raises_memory_error(native):
         ranks(None, 0, 2**54, None)
     depths = _native.kernel("depths", np.uint8, np.uint8)
     with pytest.raises(MemoryError, match="depths_u8_u8"):
-        depths(None, 0, None, 0, 2**29, True, 1, None)
+        depths(None, 0, None, 0, 2**29, True, None)
 
 
 def kw_test(seed):
@@ -647,12 +647,13 @@ def test_kernels_are_chosen_by_dtype_alone(native):
     # pair sorts by (count, pair), scans by (query, pair), permutation
     # depths by (code, count) dtype; no kernel takes a width flag. The
     # permutation orders and the chart normals have one dtype of each
-    # array, so one kernel each; the spd:2 distances take float64 alone,
-    # and the pair sort's block rows no array.
+    # array, so one kernel each; the spd:2 distances and the norms of the
+    # Euclidean and sphere distances take float64 alone, and the pair
+    # sort's block rows no array.
     assert sorted(_native.library()) == [
-        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "normals", "orders",
-        "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
-        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "sort_rows", "spd2_f64", "sphere_f64",
+        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "normals",
+        "norms_f64", "orders", "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
+        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "sort_rows", "spd2_f64",
         "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
         "tally_u16", "tally_u8"]
     assert _native.kernel("spd2", np.float64) is not None
@@ -747,7 +748,7 @@ def test_processes_building_at_once_share_one_cache(tmp_path):
 
 @needs_gcc
 def test_target_clones_give_the_same_bytes(native, tmp_path):
-    # The table blocks, spd2 and sphere run the clone for the host's CPU
+    # The table blocks, spd2 and norms run the clone for the host's CPU
     # (AVX-512, AVX2 or baseline x86-64). A build with CLONES defined empty
     # has the baseline code alone, which must give the same bytes.
     import ctypes
@@ -776,19 +777,20 @@ def test_target_clones_give_the_same_bytes(native, tmp_path):
                                    @ vectors.transpose(0, 2, 1)).reshape(70, 4))
     left = np.ascontiguousarray(spd[:70].reshape(70, 4))
     planes = np.ascontiguousarray(spd[40:].reshape(260, 4).T)
-    # Sphere pairs: 70 points against 260 held as three planes.
-    ball = rng.standard_normal((330, 3))
-    ball /= np.linalg.norm(ball, axis=1, keepdims=True)
-    x, y = ball[:70].copy(), np.ascontiguousarray(ball[70:].T)
+    # Norms: 70 points against 260 held as dim planes, some equal to a row.
+    flats = [rng.standard_normal((330, dim)) for dim in (1, 3, 5, 12)]
     got = []
     for kernels in builds:
-        out = np.empty((4, 70, 260))
+        out = np.empty((2 + len(flats), 70, 260))
         kernels["spd2_f64"](left.ctypes.data, whiten.ctypes.data, 70, planes.ctypes.data, 260,
                             np.finfo(float).tiny, out[0].ctypes.data, out[1].ctypes.data)
-        kernels["sphere_f64"](x.ctypes.data, 70, y.ctypes.data, 260, 3, out[2].ctypes.data,
-                              out[3].ctypes.data)
+        for flat, plane in zip(flats, out[2:]):
+            x, y = flat[:70].copy(), np.ascontiguousarray(flat[40:300].T)
+            kernels["norms_f64"](x.ctypes.data, 70, y.ctypes.data, 260, flat.shape[1],
+                                 plane.ctypes.data)
         got.append(out)
     assert np.all(got[0][:2, np.arange(40, 70), np.arange(30)] == 1.0)
+    assert np.all(got[0][2:, np.arange(40, 70), np.arange(30)] == 0.0)
     assert [o.tobytes() for o in got[0]] == [o.tobytes() for o in got[1]]
 
 

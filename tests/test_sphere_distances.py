@@ -1,14 +1,19 @@
-"""Sphere distances as 2 atan2(||x - y||, ||x + y||): the properties that the
-exact depth counts need, on the compiled ``sphere`` kernel and its numpy
-body alike.
+"""Sphere distances as 2 atan2(||x - y||, ||x + y||) and Euclidean distances
+as ||x - y||: the properties that the exact depth counts need, on the
+compiled ``norms`` kernel that both geometries share and on its numpy body
+alike.
 
 A matrix is exactly symmetric with an exact zero diagonal; an entry does
-not depend on the call's shape; both bodies give the same bits; a point is
-never farther from itself than from a neighbour 1e-10 away and exactly 0
-from itself, which the clipped ``arccos`` of a BLAS Gram matrix got wrong
-in 687 of the 2 000 trials below (farther in 525 of them); and every entry lies within the module docstring's error
-bound of an extended-precision reference.
+not depend on the call's shape; both bodies give the same bits, NaN and inf
+included, without a warning; and every entry lies within its module
+docstring's error bound of an extended-precision reference. On the sphere
+a point is also never farther from itself than from a neighbour 1e-10
+away and exactly 0 from itself, which the clipped ``arccos`` of a BLAS Gram
+matrix got wrong in 687 of the 2 000 trials below (farther in 525 of
+them). Euclidean entries also have the bits of scipy's ``cdist``.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricdepth import _native
-from metricdepth.spaces import Sphere
+from metricdepth.spaces import Euclidean, Sphere
 from metricdepth.spaces import sphere as sphere_module
+from metricdepth.spaces.euclidean import norms
 
 from conftest import numpy_kernels
 
@@ -88,7 +94,8 @@ def test_kernel_and_body_pass_nan_and_inf_on():
     x = np.array([[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 1.0]])
     y = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     space = Sphere(2)
-    with numpy_kernels():
+    with numpy_kernels(), warnings.catch_warnings():
+        warnings.simplefilter("error")
         want = space.distance_matrix(x, y)
     assert np.isnan(want[0]).all()
     assert np.array_equal(want[2], [0.0, np.pi / 2])
@@ -178,3 +185,136 @@ def test_logs_of_well_separated_points_keep_the_arccos_values(kernels, dim):
         got = space.mean_log(x, [p]).coords
         assert np.abs(got - old_mean_log(x, p[None])).max() <= 1e-12
     assert np.abs(space.mean_log(x, rest).coords - old_mean_log(x, rest)).max() <= 1e-12
+
+
+# ---------------------------------------------------------------- euclidean
+
+def spread_rows(rng, n, dim):
+    """Rows spanning seven orders of magnitude, 20 of them repeated."""
+    rows = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 4, (n, 1))
+    return np.concatenate([rows, rows[:20]])
+
+
+@pytest.mark.parametrize("dim", [1, 5, 12])
+def test_euclidean_self_distances_are_exactly_symmetric_with_a_zero_diagonal(kernels, dim):
+    space = Euclidean(dim)
+    points = spread_rows(np.random.default_rng(dim), 300, dim)
+    dist = space.distance_matrix(points, points)
+    assert np.array_equal(dist, dist.T)
+    assert (np.diag(dist) == 0).all()
+    assert (dist[300:, :20] == dist[:20, :20]).all() and (np.diag(dist[300:]) == 0).all()
+    assert np.array_equal(space.distance_matrix(points[:40], points[100:]),
+                          space.distance_matrix(points[100:], points[:40]).T)
+
+
+@pytest.mark.parametrize("n_cols", [1, 7, 300])
+def test_euclidean_sub_call_equals_the_same_sub_matrix(kernels, n_cols):
+    # One-row calls are what refinement makes.
+    space = Euclidean(5)
+    rng = np.random.default_rng(n_cols)
+    points, cols = rng.standard_normal((400, 5)), rng.standard_normal((n_cols, 5))
+    full = space.distance_matrix(points, cols)
+    for lo, hi in ((0, 1), (3, 4), (7, 14), (100, 333), (0, 400)):
+        assert np.array_equal(space.distance_matrix(points[lo:hi], cols), full[lo:hi])
+    assert np.array_equal(space.distance_matrix(points, cols[:1]), full[:, :1])
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_euclidean_kernel_equals_its_numpy_body(scale):
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 5, 12, 30):
+        space = Euclidean(dim)
+        points = scale * rng.standard_normal((200, dim))
+        # Near-duplicates, whose differences cancel.
+        close = points[:20] * (1 + 1e-9 * rng.standard_normal((20, dim)))
+        points = np.concatenate([points, close, -close])
+        got = space.distance_matrix(points, points[::-1])
+        with numpy_kernels():
+            want = space.distance_matrix(points, points[::-1])
+        assert np.array_equal(got, want)
+
+
+def test_euclidean_kernel_and_body_pass_nan_and_inf_on():
+    # inf - inf is NaN, and inf - 1 squares to inf, without a warning.
+    x = np.array([[np.nan, 0.0], [np.inf, 0.0], [3.0, 4.0], [1e200, 0.0]])
+    y = np.array([[0.0, 0.0], [np.inf, 1.0]])
+    space = Euclidean(2)
+    with numpy_kernels(), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = space.distance_matrix(x, y)
+    assert np.isnan(want[0]).all() and np.isnan(want[1, 1])
+    assert np.array_equal(want[1:, 0], [np.inf, 5.0, np.inf])
+    assert np.array_equal(want[2:, 1], [np.inf, np.inf])
+    if _native.library() is not None:
+        assert np.array_equal(space.distance_matrix(x, y), want, equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 5, 12, 30]),
+       scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e100]),
+       spread=st.sampled_from([1e-12, 1e-6, 1.0, 1e3]))
+def test_euclidean_distances_lie_within_their_error_bound(seed, dim, scale, spread):
+    # Near and spread pairs at scales well inside the normal range: twice
+    # the docstring's (m + 4)/2 eps relative, on both bodies.
+    if np.finfo(np.longdouble).eps >= EPS:
+        pytest.skip("no extended precision on this platform")
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((20, dim))
+    y = np.concatenate([x + scale * spread * rng.standard_normal(x.shape),
+                        scale * rng.standard_normal((5, dim))])
+    wide_x, wide_y = x.astype(np.longdouble), y.astype(np.longdouble)
+    want = np.sqrt(((wide_x[:, None] - wide_y[None]) ** 2).sum(axis=2))
+    bound = (dim + 4) * EPS * want
+    space = Euclidean(dim)
+    with numpy_kernels():
+        bodies = [space.distance_matrix(x, y)]
+    if _native.library() is not None:
+        bodies.append(space.distance_matrix(x, y))
+    for got in bodies:
+        assert (np.abs(got - want) <= bound).all()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8, 12, 30])
+def test_euclidean_distances_equal_cdist(kernels, dim):
+    # At dim >= 8 a pairwise (numpy sum) reduction would round differently
+    # from cdist's loop.
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(30 + dim)
+    a, b = spread_rows(rng, 40, dim), spread_rows(rng, 30, dim)
+    space = Euclidean(dim)
+    assert np.array_equal(space.distance_matrix(a, b), cdist(a, b))
+    assert np.array_equal(space.distance_matrix(a, a), cdist(a, a))
+
+
+def test_euclidean_and_sphere_distances_run_the_compiled_norms_kernel(monkeypatch):
+    # One call per Euclidean matrix; two per sphere chunk, on y and on -y.
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    kernel, calls = _native.library()["norms_f64"], []
+
+    def counted(x, rows, y, nb, dim, out):
+        calls.append((rows, nb, dim))
+        kernel(x, rows, y, nb, dim, out)
+
+    monkeypatch.setitem(_native.library(), "norms_f64", counted)
+    rng = np.random.default_rng(3)
+    Euclidean(3).distance_matrix(rng.standard_normal((4, 3)), rng.standard_normal((6, 3)))
+    assert calls == [(4, 6, 3)]
+    space, points = unit_rows(rng, 6, 2)
+    space.distance_matrix(points[:4], points)
+    assert calls == [(4, 6, 3)] * 3
+
+
+def test_norms_reject_operands_that_the_kernel_would_overrun(kernels):
+    x, y = np.zeros((4, 3)), np.zeros((3, 6))
+    frozen = np.empty((4, 6))
+    frozen.flags.writeable = False
+    for out in (np.empty((4, 5)), np.empty((4, 6), np.float32), np.empty((6, 4)).T, frozen):
+        with pytest.raises(ValueError, match="norms takes"):
+            norms(x, y, out)
+    with pytest.raises(ValueError, match="norms takes"):
+        norms(x, np.zeros((2, 6)))
+    assert norms(x, y).shape == (4, 6)
