@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -597,3 +598,11 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["metricdepth", "metricdepth.spaces"])
+def test_star_imports_bind_every_public_name(module):
+    # A name left in __all__ after its definition goes breaks only these.
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(importlib.import_module(module).__all__) <= set(namespace)

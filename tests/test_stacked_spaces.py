@@ -14,9 +14,11 @@ import pytest
 
 from metricdepth.depth import jiggle_anchors
 from metricdepth.errors import GeometryError
+from metricdepth.estimators import frechet_mean, frechet_median
 from metricdepth.simulation import (
     PopulationSpec,
     SimulationConfig,
+    breakdown_experiment,
     canonical_center,
     sample_contaminated,
     sample_population,
@@ -273,6 +275,28 @@ CONTAMINATED_DIGESTS = {
     ("spider3", 4): "0012d04e5e079c9a",
     ("product:spd:2+euclidean:3", 2): "6db97930b2705b44",
 }
+# The intrinsic mean and median of a case-2 sample: the encoded point, the
+# objective's repr, the iterations, converged and, for the mean, grad_norm.
+ESTIMATOR_DIGESTS = {
+    ("euclidean:3", "fm"): "360fa249f43ca3e2",
+    ("euclidean:3", "gdd"): "2bcf4609dc23885a",
+    ("sphere:2", "fm"): "c99cba5272e7747b",
+    ("sphere:2", "gdd"): "61b98eb7cd684193",
+    ("spd:2", "fm"): "9df907f849a560ab",
+    ("spd:2", "gdd"): "92a4080743bdb094",
+    ("spd:3", "fm"): "d38be9c66e2bdfbe",
+    ("spd:3", "gdd"): "5b2099efe59b21b8",
+    ("spider3", "fm"): "3d8c0ee2cfe813c1",
+    ("spider3", "gdd"): "5c40a0a4655474ab",
+    ("product:spd:2+sphere:2", "fm"): "94aa8f90973ec359",
+    ("product:spd:2+sphere:2", "gdd"): "48307af7a061204a",
+}
+# breakdown_experiment rows on a case-1 sample, adversaries planted by exp
+# of chart coordinates, displacements measured by one-pair distances.
+BREAKDOWN_DIGESTS = {
+    "spd:2": "bfabb681f1d4e53b",
+    "sphere:2": "b597dc4966b79a81",
+}
 POPULATION_COV2 = np.array([[0.5, 0.2], [0.2, 0.3]])
 POPULATION_COV3 = np.array([[0.4, 0.1, 0.0], [0.1, 0.3, -0.05], [0.0, -0.05, 0.2]])
 POPULATION_DIGESTS = {
@@ -313,6 +337,29 @@ def test_jiggled_anchor_digests(spec):
     sample, _ = sample_contaminated(config, 77)
     anchors = jiggle_anchors(space, sample, 3, radius_frac=0.2, seed=5)
     assert _digest(space, anchors.points) == JIGGLE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec,estimator", sorted(ESTIMATOR_DIGESTS))
+def test_estimator_digests(spec, estimator):
+    space = parse_space(spec)
+    config = SimulationConfig(case=2, space=space, n=30, reps=1, seed=0)
+    sample, _ = sample_contaminated(config, 4321)
+    fit = frechet_mean if estimator == "fm" else frechet_median
+    result = fit(space, sample)
+    text = (f"{space.encode_point(result.point)}|{result.objective!r}|{result.iterations}|"
+            f"{result.converged}|{result.extras.get('grad_norm')!r}")
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == ESTIMATOR_DIGESTS[(spec, estimator)]
+
+
+@pytest.mark.parametrize("spec", sorted(BREAKDOWN_DIGESTS))
+def test_breakdown_experiment_digests(spec):
+    space = parse_space(spec)
+    config = SimulationConfig(case=1, space=space, n=15, reps=1, seed=0)
+    sample, _ = sample_contaminated(config, 99)
+    rows = breakdown_experiment(space, sample, contamination_counts=[0, 4],
+                                far_distances=[0.5, 2.5], seed=4, refine_budget=4)
+    text = repr([sorted(row.items()) for row in rows])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == BREAKDOWN_DIGESTS[spec]
 
 
 def test_empty_population():
