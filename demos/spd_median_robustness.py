@@ -31,7 +31,7 @@ for case, label in [(1, "clean"), (2, "10% location outliers")]:
     sample, mask = sample_contaminated(cfg, rep_seed=42)
     print(f"\n--- {label} (n={len(sample)}, outliers={int((~mask).sum())}) ---")
     for name, result in fit_all(sample, seed=7).items():
-        err = space.distance(result.point, center)
+        err = space.distance_matrix([result.point], [center])[0, 0]
         print(f"{name:>17}: distance to true center = {err:.4f}")
 
 print("""

@@ -27,7 +27,7 @@ anchors = jiggle_anchors(space, points, k=5, radius_frac=0.1, seed=1)
 reports = approx_depth(space, points, anchors, points)
 
 depths = np.array([r.value for r in reports])
-dists = np.array([space.distance(p, center) for p in points])
+dists = space.distance_matrix(points, [center])[:, 0]
 rho = spearmanr(depths, dists).statistic
 
 deepest = points[int(np.argmax(depths))]
@@ -35,7 +35,7 @@ print(f"points: {len(points)}   anchors: {len(anchors)}")
 print(f"depth range: [{depths.min():.3f}, {depths.max():.3f}]")
 print(f"Spearman(depth, distance to center): {rho:.3f}  (strongly negative)")
 print(f"deepest point: {np.array2string(np.asarray(deepest), precision=3)}")
-print(f"distance(deepest, center): {space.distance(deepest, center):.3f}")
+print(f"distance(deepest, center): {dists[int(np.argmax(depths))]:.3f}")
 
 rows = [
     {"x": p[0], "y": p[1], "z": p[2], "depth": d, "dist_to_center": dd}

@@ -24,7 +24,6 @@ from .spaces import (  # noqa: E402
     Sphere,
     Spider3,
     SpiderPoint,
-    TangentVector,
     parse_space,
 )
 from .depth import (  # noqa: E402
@@ -32,7 +31,6 @@ from .depth import (  # noqa: E402
     DepthReport,
     HalfspaceProbTable,
     approx_depth,
-    halfspace_membership,
     halfspace_prob_table,
     in_sample_deepest,
     jiggle_anchors,
@@ -67,9 +65,9 @@ from .tukey import tukey_depth_1d, tukey_depth_2d  # noqa: E402
 __all__ = [
     "__version__",
     "Space", "Euclidean", "Sphere", "SPD", "Spider3", "SpiderPoint",
-    "Product", "TangentVector", "parse_space",
+    "Product", "parse_space",
     "AnchorSet", "HalfspaceProbTable", "DepthReport",
-    "halfspace_membership", "halfspace_prob_table", "approx_depth",
+    "halfspace_prob_table", "approx_depth",
     "jiggle_anchors", "in_sample_deepest", "refine_deepest",
     "EstimatorResult", "frechet_mean", "frechet_median",
     "geodesic_distance_depth", "mhd_median", "breakdown_lower_bound",

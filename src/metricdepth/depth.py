@@ -234,11 +234,6 @@ def _as_points(anchors) -> tuple:
     return tuple(anchors.points) if isinstance(anchors, AnchorSet) else tuple(anchors)
 
 
-def halfspace_membership(space: Space, y, x1, x2) -> bool:
-    """Whether y lies in the halfspace anchored at (x1, x2); ties belong."""
-    return space.distance(y, x1) <= space.distance(y, x2)
-
-
 def _row_ranks(dist: np.ndarray) -> tuple[np.ndarray, bool]:
     """Dense per-row ranks of an (n, n_A) matrix, as the narrowest unsigned
     integer dtype that holds n_A - 1, and whether no row holds two equal
@@ -562,8 +557,9 @@ def refine_deepest(
     the anchors' first n columns when the anchors begin with the sample
     points themselves, as sample and jiggled anchors do, and n more columns
     after the anchors otherwise. A proposal whose distances fail (an SPD
-    step that rounding leaves outside the cone) raises ``NumericalError``
-    naming its step.
+    step that rounding leaves outside the cone) is rejected like a shallower
+    one; a draw of proposals that fails raises ``NumericalError`` naming its
+    step.
     """
     sample = tuple(sample)
     if budget < 0:
@@ -602,17 +598,20 @@ def refine_deepest(
         radius *= decay
     normals = derive_normals(seed, NS_REFINE, shape=(budget,), dim=space.normal_count)
     step = 0
-    try:
-        while step < budget:
+    while step < budget:
+        try:
             proposals = space.normal_steps([current] * (budget - step), variances[step:],
                                            normals[step:])
-            for proposal in proposals:
+        except (MetricDepthError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(f"refinement step {step + 1} of {budget} failed: {exc}; "
+                                 "try a smaller --radius-frac") from exc
+        for proposal in proposals:
+            step += 1
+            try:
                 num, prop_sum = measure(proposal)
-                step += 1
-                if num > current_num or (num == current_num and prop_sum < current_sum):
-                    current, current_num, current_sum = proposal, num, prop_sum
-                    break
-    except (MetricDepthError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"refinement step {step + 1} of {budget} failed: {exc}; "
-                             "try a smaller --radius-frac") from exc
+            except (MetricDepthError, np.linalg.LinAlgError):
+                continue
+            if num > current_num or (num == current_num and prop_sum < current_sum):
+                current, current_num, current_sum = proposal, num, prop_sum
+                break
     return current, Fraction(current_num, table.n)

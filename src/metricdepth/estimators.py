@@ -88,11 +88,11 @@ def _descent(space, sample, points, tol, max_iter, objective, direction):
         if v is None:
             last_update = 0.0
             break
-        vnorm = space.tangent_norm(v)
+        vnorm = float(space.tangent_norms([x], v)[0])
         step = 1.0
         accepted = False
         for _ in range(MAX_STEP_HALVINGS):
-            trial = space.exp(x, space.scale_tangent(v, step))
+            trial = space.exp_many([x], space.scale_tangents(v, step))[0]
             trial_row = space.distance_matrix([trial], points)
             trial_obj = float(objective(trial_row)[0])
             if trial_obj <= current:
@@ -123,7 +123,7 @@ def frechet_mean(space: Space, sample: Sequence, tol: float = 1e-8,
     points = space.stack(sample)
     x, obj, iters, converged = _descent(space, sample, points, tol, max_iter, objective,
                                         direction)
-    grad_norm = space.tangent_norm(space.mean_log(x, points))
+    grad_norm = float(space.tangent_norms([x], space.mean_log(x, points))[0])
     return EstimatorResult(point=x, objective=obj, iterations=iters,
                            converged=converged, extras={"grad_norm": grad_norm})
 
@@ -151,7 +151,7 @@ def frechet_median(space: Space, sample: Sequence, tol: float = 1e-8,
         weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=far)
         v = space.mean_log(x, points, weights=weights)
         # mean_log divides the weighted sum of logs by the weights' sum.
-        pull = space.tangent_norm(v) * weights.sum()
+        pull = space.tangent_norms([x], v)[0] * weights.sum()
         return None if np.count_nonzero(~far) >= pull else v
 
     sample = tuple(sample)

@@ -42,8 +42,8 @@ def _draw_points(space: Space, specs: Sequence[PopulationSpec], rng) -> list:
     """One draw exp_center(V) per entry of ``specs``, all reading ``rng`` in
     order, as one stacked pass. The draws are read as one
     ``standard_normal((N, normal_count))``, which numpy fills with the N
-    successive draws of ``standard_normal(normal_count)`` that N
-    :meth:`Space.random_tangent` calls would read."""
+    successive draws of ``standard_normal(normal_count)`` that N draws one
+    at a time would read."""
     centers = [spec.center for spec in specs]
     normals = rng.standard_normal((len(specs), space.normal_count))
     return space.normal_steps(centers, [spec.scatter for spec in specs], normals)
@@ -146,9 +146,10 @@ def _populations(config: SimulationConfig):
     if config.case == 1:
         return inlier, None
     if config.case in (2, 4):
-        direction = np.zeros(space.intrinsic_dim)
-        direction[0] = config.resolved_offset()
-        outlier_center = space.exp(center, space.tangent_from_coords(center, direction))
+        direction = np.zeros((1, space.intrinsic_dim))
+        direction[0, 0] = config.resolved_offset()
+        tangent = space.tangents_from_coords([center], direction)
+        outlier_center = space.exp_many([center], tangent)[0]
     else:
         outlier_center = center
     scatter = config.base_variance
@@ -180,7 +181,7 @@ def _run_replicate(config: SimulationConfig, rep: int) -> dict:
         try:
             result = fit_estimator(name, config.space, sample, config.jiggle_k,
                                    config.radius_frac, config.refine_budget, mhd_seed)
-            out[name] = config.space.distance(result.point, center)
+            out[name] = float(config.space.distance_matrix([result.point], [center])[0, 0])
         except MetricDepthError as exc:
             out[name] = float("nan")
             out.setdefault("_failures", []).append((name, str(exc)))
@@ -296,23 +297,27 @@ def breakdown_experiment(
     ref_mhd = mhd_median(space, base_sample, jiggle_k=jiggle_k,
                          budget=refine_budget, seed=seed).point
     ref_fm = frechet_mean(space, base_sample).point
-    direction = np.zeros(space.intrinsic_dim)
-    direction[0] = 1.0
+    direction = np.zeros((1, space.intrinsic_dim))
+    direction[0, 0] = 1.0
+
+    def displacement(x, y) -> float:
+        return float(space.distance_matrix([x], [y])[0, 0])
+
     rows = []
     for l in contamination_counts:
         if l < 0:
             raise DataError("contamination counts must be >= 0")
         for d_idx, far in enumerate(far_distances):
-            adversaries = [
-                space.exp(ref_mhd, space.tangent_from_coords(ref_mhd, far * direction))
-            ] * int(l)
+            adversary = space.exp_many(
+                [ref_mhd], space.tangents_from_coords([ref_mhd], far * direction))[0]
+            adversaries = [adversary] * int(l)
             contaminated = base_sample + tuple(adversaries)
             est_mhd = mhd_median(space, contaminated, jiggle_k=jiggle_k,
                                  budget=refine_budget,
                                  seed=derive_seed(seed, l, d_idx)).point
             est_fm = frechet_mean(space, contaminated).point
             rows.append({"l": int(l), "distance": float(far), "estimator": "mhd",
-                         "displacement": space.distance(ref_mhd, est_mhd)})
+                         "displacement": displacement(ref_mhd, est_mhd)})
             rows.append({"l": int(l), "distance": float(far), "estimator": "fm",
-                         "displacement": space.distance(ref_fm, est_fm)})
+                         "displacement": displacement(ref_fm, est_fm)})
     return rows

@@ -8,7 +8,7 @@ Supported spellings: ``euclidean:M``, ``sphere:M`` (intrinsic dimension M),
 from __future__ import annotations
 
 from ..errors import GeometryError
-from .base import Space, TangentVector
+from .base import Space
 from .euclidean import Euclidean
 from .product import Product
 from .sphere import Sphere
@@ -17,7 +17,6 @@ from .spider import BRANCHES, Spider3, SpiderPoint, SpiderStep
 
 __all__ = [
     "Space",
-    "TangentVector",
     "Euclidean",
     "Sphere",
     "SPD",

@@ -1,30 +1,29 @@
 """Metric-space abstraction.
 
 A :class:`Space` bundles a point format with the operations every other
-module consumes: distance, exponential/logarithmic maps, geodesic
-interpolation, point validation, tangent sampling, and CSV point encoding.
+module consumes: distance matrices, stacked exponential maps and mean
+logs, tangent charts and norms, Gaussian tangent sampling, point
+validation, and CSV point encoding.
 Concrete geometries live in sibling modules; all of them are immutable and
 all operations are pure functions of their inputs (RNG state is passed in
 explicitly).
 
-Each geometry has one distance implementation, :meth:`Space.distance_matrix`;
-:meth:`Space.distance` is its single-pair entry. Depth counts are exact
-because every comparison ``d(X_i, a1) <= d(X_i, a2)`` sees the same float
-whichever path computed it, so no geometry overrides ``distance``.
+Each geometry has one distance implementation, :meth:`Space.distance_matrix`.
+Depth counts are exact because every comparison ``d(X_i, a1) <= d(X_i, a2)``
+sees the same float whichever call computed it; a single pair is the 1 x 1
+matrix ``distance_matrix([x], [y])[0, 0]``.
 
-Likewise each geometry has one stacked exponential map,
-:meth:`Space.exp_many`, one stacked chart-to-tangent map,
-:meth:`Space.tangents_from_coords`, and one stacked Gaussian draw,
-:meth:`Space.normal_tangents`. They work on N bases at once, and the
-one-point methods :meth:`Space.exp`, :meth:`Space.tangent_from_coords` and
-:meth:`Space.random_tangent` are their N = 1 entries, so a point jiggled
-or sampled in a batch is bit-identical to the same point made alone.
-:meth:`Space.normal_steps` pushes a stack of Gaussian tangents through the
-exponential map in one call, so that SPD matrices decompose each base
-once for both maps.
-In the same way :meth:`Space.log` is the one-point entry of
-:meth:`Space.mean_log`, the weighted mean of logs that the intrinsic mean
-and median descend along.
+Every tangent operation is stacked: it works on N bases at once, and a
+stack of one is the one-point call, so a point jiggled or sampled in a
+batch is bit-identical to the same point made alone. Each geometry has one
+exponential map, :meth:`Space.exp_many`, one chart-to-tangent map,
+:meth:`Space.tangents_from_coords`, and its inverse,
+:meth:`Space.tangent_coords`, whose row norms are the Riemannian norms
+(:meth:`Space.tangent_norms`). :meth:`Space.normal_tangents` draws Gaussian
+tangents, and :meth:`Space.normal_steps` pushes them through the
+exponential map in one call, so that SPD matrices decompose each base once
+for both maps. :meth:`Space.mean_log`, the weighted mean of logs that the
+intrinsic mean and median descend along, returns a stack of one tangent.
 A Gaussian tangent's draw is ``standard_normal(normal_count)`` of its
 stream, and N such draws are one (N, normal_count) array, so callers can
 draw all N streams at once. On the vector and matrix geometries the
@@ -34,13 +33,11 @@ place where a scatter meets the normals) and maps to tangents. The spider
 reads two: the first, scaled, is the step, and the second picks by
 comparisons alone the branch a step crossing the origin continues on. A
 product's components read a draw's normals in turn.
-A stack of N tangents is the geometry's tangent payload with a leading
-axis of length N: an (N, ...) array for the vector and matrix geometries,
-a tuple of N steps for the spider, and a tuple of component stacks for
-products. The defaults on :class:`Space` that touch a point or tangent
-payload (stacking and unstacking one tangent, the Gaussian draw, scaling, and
-the CSV encoding) assume arrays; only the spider and products override
-them.
+A stack of N tangents is an (N, ...) array for the vector and matrix
+geometries, a tuple of N steps for the spider, and a tuple of component
+stacks for products. The defaults on :class:`Space` that touch a tangent
+stack (the Gaussian draw, scaling, norms) or a point (the CSV encoding)
+assume arrays; only the spider and products override them.
 
 :meth:`Space.stack` turns a sequence of points into the form its
 geometry's kernels read without another copy: a read-only (N, ...) array
@@ -55,7 +52,7 @@ as one stacked check (``_check_stack``) that normalizes N raw points or
 raises at the first problem it sees. :meth:`Space.validate_points` runs
 it on the whole stack, and :meth:`Space.decode_points` parses N CSV rows
 (``_parse``) and runs it on them; :meth:`Space.validate_point` and
-:meth:`Space.decode_point` are their N = 1 entries. Only a stack that
+:meth:`Space.decode_point` read one point off them. Only a stack that
 fails is checked again, in halves, the first half first
 (:func:`checked_in_halves`), so the error raised is the one the first bad
 point gets alone, with the same message, tagged with that point's index
@@ -66,7 +63,6 @@ stacked passes and about 2 log2(N) + 1 checks.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -74,20 +70,6 @@ import numpy as np
 from ..errors import GeometryError, PointValidationError
 
 ANTIPODAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector at ``base``.
-
-    ``coords`` is the space's natural chart payload: a length-m vector in
-    Euclidean space, an ambient vector orthogonal to the base point on a
-    sphere, a symmetric matrix for SPD, a signed step for the spider, and a
-    tuple of component tangents for products.
-    """
-
-    base: Any
-    coords: Any
 
 
 class Space(ABC):
@@ -133,58 +115,30 @@ class Space(ABC):
     def distance_matrix(self, xs: Sequence, ys: Sequence) -> np.ndarray:
         """All pairwise distances, shape ``(len(xs), len(ys))``."""
 
-    def distance(self, x, y) -> float:
-        """Distance of one pair, read off :meth:`distance_matrix`."""
-        return float(self.distance_matrix([x], [y])[0, 0])
-
     @abstractmethod
     def exp_many(self, bases: Sequence, tangents) -> list:
         """Endpoints of the geodesics leaving ``bases[i]`` with initial
         vectors ``tangents[i]``, for a stack of N tangents at N bases."""
 
-    def exp(self, x, v: TangentVector):
-        """Endpoint of the geodesic leaving ``x`` with initial vector ``v``."""
-        return self.exp_many([x], self._stack_one(v.coords))[0]
-
-    def log(self, x, y) -> TangentVector:
-        """Initial vector of the geodesic from ``x`` to ``y`` (inverse of exp),
-        read off :meth:`mean_log` of the single point ``y``."""
-        return self.mean_log(x, [y])
-
-    def geodesic_point(self, x, y, t: float):
-        """Point at fraction ``t`` along the geodesic from ``x`` to ``y``."""
-        if not 0.0 <= t <= 1.0:
-            raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
-        return self.exp(x, self.scale_tangent(self.log(x, y), t))
-
     @abstractmethod
-    def tangent_coords(self, v: TangentVector) -> np.ndarray:
-        """Coordinates of ``v`` in a fixed orthonormal chart at its base."""
+    def tangent_coords(self, bases: Sequence, tangents) -> np.ndarray:
+        """(N, intrinsic_dim) coordinates of a stack of N tangents, row ``i``
+        in the orthonormal chart at ``bases[i]``; inverse of
+        :meth:`tangents_from_coords`."""
 
     @abstractmethod
     def tangents_from_coords(self, bases: Sequence, coords: np.ndarray):
         """Stack of N tangents from (N, intrinsic_dim) chart coordinates,
         row ``i`` in the chart at ``bases[i]``."""
 
-    def tangent_from_coords(self, x, coords: np.ndarray) -> TangentVector:
-        """Inverse of :meth:`tangent_coords` (deterministic conventions)."""
-        coords = np.asarray(coords, dtype=float).reshape(1, self.intrinsic_dim)
-        return self._unstack_one(x, self.tangents_from_coords([x], coords))
+    def tangent_norms(self, bases: Sequence, tangents) -> np.ndarray:
+        """Riemannian norms of a stack of N tangents; the norm of
+        ``mean_log(x, [y])`` is the distance from ``x`` to ``y``."""
+        return row_norms(self.tangent_coords(bases, tangents))
 
-    def tangent_norm(self, v: TangentVector) -> float:
-        """Riemannian norm; equals geodesic distance for ``v = log(x, y)``."""
-        return float(np.linalg.norm(self.tangent_coords(v)))
-
-    def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
-        """``v`` stretched by ``s``."""
-        return TangentVector(base=v.base, coords=s * np.asarray(v.coords, float))
-
-    def random_tangent(self, x, scatter, rng: np.random.Generator) -> TangentVector:
-        """Zero-mean Gaussian tangent vector in the orthonormal chart at ``x``
-        (``scatter`` as in :meth:`normal_tangents`), from
-        ``standard_normal(normal_count)`` of ``rng``."""
-        normals = rng.standard_normal((1, self.normal_count))
-        return self._unstack_one(x, self.normal_tangents([x], [scatter], normals))
+    def scale_tangents(self, tangents, s: float):
+        """A stack of tangents, each stretched by ``s``."""
+        return s * np.asarray(tangents, dtype=float)
 
     def normal_tangents(self, bases: Sequence, scatters: Sequence, normals: np.ndarray):
         """Stack of zero-mean Gaussian tangents, one per base, whose draws are
@@ -203,17 +157,11 @@ class Space(ABC):
         once."""
         return self.exp_many(bases, self.normal_tangents(bases, scatters, normals))
 
-    def _stack_one(self, coords):
-        """Stack of one tangent from its payload."""
-        return np.asarray(coords, dtype=float)[None]
-
-    def _unstack_one(self, x, tangents) -> TangentVector:
-        """The single tangent, at ``x``, in a stack of one."""
-        return TangentVector(base=x, coords=tangents[0])
-
     @abstractmethod
-    def mean_log(self, x, points: Sequence, weights=None) -> TangentVector:
-        """Weighted mean of ``log(x, p)`` over ``points`` (weights normalized).
+    def mean_log(self, x, points: Sequence, weights=None):
+        """Weighted mean of ``log(x, p)`` over ``points`` (weights normalized),
+        as a stack of one tangent at ``x``; ``mean_log(x, [y])`` is the
+        initial vector of the geodesic from ``x`` to ``y``.
 
         This is the update direction of intrinsic gradient-descent and
         Weiszfeld iterations.
@@ -245,6 +193,12 @@ class Space(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.spec_string!r})"
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, the same float as ``np.linalg.norm(row)``
+    (both take the BLAS dot product; an ``axis=`` norm sums in another order)."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 def scaled_normals(scatters: Sequence, normals: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from .. import _native
 from ..errors import GeometryError
 from .base import (
     Space,
-    TangentVector,
     _normalized_weights,
     float_stack,
     frozen_view,
@@ -101,8 +100,8 @@ class Euclidean(Space):
     def exp_many(self, bases, tangents):
         return list(readonly(self._stack(bases) + tangents))
 
-    def tangent_coords(self, v: TangentVector) -> np.ndarray:
-        return np.asarray(v.coords, dtype=float)
+    def tangent_coords(self, bases, tangents):
+        return np.asarray(tangents, dtype=float).reshape(len(bases), self.dim)
 
     def tangents_from_coords(self, bases, coords):
         return np.asarray(coords, dtype=float).reshape(len(bases), self.dim)
@@ -110,4 +109,4 @@ class Euclidean(Space):
     def mean_log(self, x, points, weights=None):
         w = _normalized_weights(weights, len(points))
         diff = self._stack(points) - np.asarray(x, float)
-        return TangentVector(base=x, coords=w @ diff)
+        return (w @ diff)[None]

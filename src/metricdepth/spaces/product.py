@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GeometryError, PointValidationError
-from .base import Space, TangentVector
+from .base import Space
 
 
 @dataclass(frozen=True, repr=False)
@@ -76,10 +76,11 @@ class Product(Space):
         ]
         return list(zip(*parts))
 
-    def tangent_coords(self, v: TangentVector) -> np.ndarray:
-        return np.concatenate(
-            [comp.tangent_coords(vc) for comp, vc in zip(self.components, v.coords)]
-        )
+    def tangent_coords(self, bases, tangents):
+        return np.concatenate([
+            comp.tangent_coords(self._component_bases(bases, idx), tc)
+            for idx, (comp, tc) in enumerate(zip(self.components, tangents))
+        ], axis=1)
 
     def tangents_from_coords(self, bases, coords):
         coords = np.asarray(coords, dtype=float).reshape(len(bases), self.intrinsic_dim)
@@ -91,11 +92,8 @@ class Product(Space):
             offset += comp.intrinsic_dim
         return tuple(parts)
 
-    def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
-        parts = tuple(
-            comp.scale_tangent(vc, s) for comp, vc in zip(self.components, v.coords)
-        )
-        return TangentVector(base=v.base, coords=parts)
+    def scale_tangents(self, tangents, s):
+        return tuple(comp.scale_tangents(tc, s) for comp, tc in zip(self.components, tangents))
 
     def _component_scatters(self, scatter) -> list:
         # Scatter: one scalar variance for all components, or one entry
@@ -132,22 +130,11 @@ class Product(Space):
     def normal_steps(self, bases, scatters, normals):
         return list(zip(*self._by_normals("normal_steps", bases, scatters, normals)))
 
-    # A product tangent's payload is a tuple of component tangent vectors.
-    def _stack_one(self, coords):
-        return tuple(comp._stack_one(vc.coords) for comp, vc in zip(self.components, coords))
-
-    def _unstack_one(self, x, tangents) -> TangentVector:
-        parts = tuple(
-            comp._unstack_one(xc, t) for comp, xc, t in zip(self.components, x, tangents)
-        )
-        return TangentVector(base=x, coords=parts)
-
     def mean_log(self, x, points, weights=None):
-        parts = tuple(
+        return tuple(
             comp.mean_log(xc, [p[idx] for p in points], weights)
             for idx, (comp, xc) in enumerate(zip(self.components, x))
         )
-        return TangentVector(base=x, coords=parts)
 
     def encode_point(self, x) -> str:
         return "|".join(

@@ -35,7 +35,6 @@ from .. import _native
 from ..errors import GeometryError, NumericalError
 from .base import (
     Space,
-    TangentVector,
     _normalized_weights,
     float_stack,
     frozen_view,
@@ -253,10 +252,6 @@ class SPD(Space):
         inv_root = (eigvec * (1.0 / np.sqrt(eigval))[..., None, :]) @ vt
         return root, inv_root
 
-    def sqrt_and_inv_sqrt(self, p):
-        root, inv_root = self._roots(np.asarray(p, float)[None])
-        return root[0], inv_root[0]
-
     @staticmethod
     def _exp_at(root, inv_root, tangents) -> list:
         """exp of ``tangents`` at the bases whose roots are given."""
@@ -283,9 +278,9 @@ class SPD(Space):
             [np.diagonal(s, axis1=-2, axis2=-1), np.sqrt(2.0) * s[..., iu[0], iu[1]]], axis=-1
         )
 
-    def tangent_coords(self, v: TangentVector) -> np.ndarray:
-        _, inv_root = self.sqrt_and_inv_sqrt(v.base)
-        return self._sym_to_chart(_sym(inv_root @ np.asarray(v.coords, float) @ inv_root))
+    def tangent_coords(self, bases, tangents):
+        _, inv_root = self._roots(self._stack(bases))
+        return self._sym_to_chart(_sym(inv_root @ np.asarray(tangents, float) @ inv_root))
 
     def _chart_tangents(self, root, coords) -> np.ndarray:
         """Tangents from chart coordinates at the bases whose square roots
@@ -305,11 +300,11 @@ class SPD(Space):
 
     def mean_log(self, x, points, weights=None):
         w = _normalized_weights(weights, len(points))
-        root, inv_root = self.sqrt_and_inv_sqrt(x)
+        root, inv_root = (r[0] for r in self._roots(self._stack([x])))
         whitened = _sym(np.einsum("ij,njk,kl->nil", inv_root, self._stack(points), inv_root))
         eigval, eigvec = np.linalg.eigh(whitened)
         if np.min(eigval) <= 0.0:
             raise GeometryError("log target is not positive definite")
         logs = (eigvec * np.log(eigval)[..., None, :]) @ np.swapaxes(eigvec, -1, -2)
         mean_inner = np.einsum("n,nij->ij", w, logs)
-        return TangentVector(base=x, coords=_sym(root @ mean_inner @ root))
+        return _sym(root @ mean_inner @ root)[None]

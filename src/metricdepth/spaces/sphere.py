@@ -29,12 +29,12 @@ from ..errors import GeometryError, UndefinedLogError
 from .base import (
     ANTIPODAL_TOL,
     Space,
-    TangentVector,
     _normalized_weights,
     float_stack,
     frozen_view,
     readonly,
     reject_flagged,
+    row_norms,
 )
 from .euclidean import norms
 
@@ -43,12 +43,6 @@ UNIT_NORM_TOL = 1e-6
 # two (rows, nb) float64 norm planes, 256 KB each, stay in a core's L2
 # cache, as spd:2's eigenvalue planes do.
 _PLANE_ELEMS = 1 << 15
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, the same float as ``np.linalg.norm(row)``
-    (both take the BLAS dot product; an ``axis=`` norm sums in another order)."""
-    return np.sqrt(np.vecdot(a, a))
 
 
 @dataclass(frozen=True, repr=False)
@@ -83,7 +77,7 @@ class Sphere(Space):
         )
         reject_flagged(~np.isfinite(stack).all(axis=1),
                        lambda i: "point has non-finite entries")
-        norms = _row_norms(stack)
+        norms = row_norms(stack)
         reject_flagged(np.abs(norms - 1.0) > UNIT_NORM_TOL,
                        lambda i: f"vector norm {norms[i]:.9g} is not within "
                                  f"{UNIT_NORM_TOL:g} of 1")
@@ -117,11 +111,11 @@ class Sphere(Space):
     def exp_many(self, bases, tangents):
         x = self._stack(bases)
         coords = np.asarray(tangents, dtype=float).reshape(x.shape)
-        norm = _row_norms(coords)[:, None]
+        norm = row_norms(coords)[:, None]
         still = norm == 0.0
         norm = np.where(still, 1.0, norm)
         out = np.cos(norm) * x + np.sin(norm) * coords / norm
-        out = np.where(still, x, out / _row_norms(out)[:, None])
+        out = np.where(still, x, out / row_norms(out)[:, None])
         return list(readonly(out))
 
     def _tangent_bases(self, bases) -> np.ndarray:
@@ -133,15 +127,16 @@ class Sphere(Space):
         """
         eye = np.eye(self.ambient_dim)
         w = self._stack(bases) - eye[0]
-        wnorm = _row_norms(w)[:, None]
+        wnorm = row_norms(w)[:, None]
         at_e1 = wnorm < 1e-14
         w = w / np.where(at_e1, 1.0, wnorm)
         frame = eye - 2.0 * (w[:, :, None] * w[:, None, :])
         frame = np.where(at_e1[:, :, None], eye, frame)
         return frame[:, :, 1:]
 
-    def tangent_coords(self, v: TangentVector) -> np.ndarray:
-        return self._tangent_bases([v.base])[0].T @ np.asarray(v.coords, float)
+    def tangent_coords(self, bases, tangents):
+        tangents = np.asarray(tangents, dtype=float).reshape(len(bases), self.ambient_dim)
+        return np.array([frame.T @ t for frame, t in zip(self._tangent_bases(bases), tangents)])
 
     def tangents_from_coords(self, bases, coords):
         # Each row needs its own (m+1, m+1) frame, so rows are taken in chunks
@@ -158,9 +153,9 @@ class Sphere(Space):
             out[lo:lo + step] = np.matmul(frames, coords[lo:lo + step])[:, :, 0]
         return out
 
-    def tangent_norm(self, v: TangentVector) -> float:
+    def tangent_norms(self, bases, tangents):
         # Ambient representation is already orthonormal.
-        return float(np.linalg.norm(v.coords))
+        return row_norms(np.asarray(tangents, dtype=float))
 
     def mean_log(self, x, points, weights=None):
         # The angle in the atan2 form of the module docstring, so the log of
@@ -169,7 +164,7 @@ class Sphere(Space):
         x = np.asarray(x, float)
         pts = self._stack(points)
         cosines = np.clip(pts @ x, -1.0, 1.0)
-        theta = 2.0 * np.arctan2(_row_norms(pts - x), _row_norms(pts + x))
+        theta = 2.0 * np.arctan2(row_norms(pts - x), row_norms(pts + x))
         if np.any(theta > np.pi - ANTIPODAL_TOL):
             raise UndefinedLogError(
                 "log map undefined for (nearly) antipodal points on the sphere"
@@ -177,4 +172,4 @@ class Sphere(Space):
         residual = pts - cosines[:, None] * x
         rnorm = np.linalg.norm(residual, axis=1)
         scale = np.where(rnorm > 0, theta / np.maximum(rnorm, 1e-300), 0.0)
-        return TangentVector(base=x, coords=(w * scale) @ residual)
+        return ((w * scale) @ residual)[None]

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GeometryError, PointValidationError
-from .base import Space, TangentVector, _normalized_weights
+from .base import Space, _normalized_weights
 
 BRANCHES = (1, 2, 3)
 # Phi^-1(2/3), correctly rounded: the upper tertile of N(0, 1).
@@ -109,8 +109,8 @@ class Spider3(Space):
             return self._validated((s, x.branch))
         return self._validated((-s, step.cross_branch))
 
-    def tangent_coords(self, v: TangentVector) -> np.ndarray:
-        return np.array([v.coords.delta])
+    def tangent_coords(self, bases, tangents):
+        return np.array([step.delta for step in tangents], dtype=float).reshape(len(bases), 1)
 
     def tangents_from_coords(self, bases, coords):
         deltas = np.asarray(coords, dtype=float).reshape(len(bases))
@@ -118,13 +118,11 @@ class Spider3(Space):
             SpiderStep(float(d), _alternate_branch(x.branch)) for x, d in zip(bases, deltas)
         )
 
-    def tangent_norm(self, v: TangentVector) -> float:
-        return abs(v.coords.delta)
+    def tangent_norms(self, bases, tangents):
+        return np.array([abs(step.delta) for step in tangents], dtype=float)
 
-    def scale_tangent(self, v: TangentVector, s: float) -> TangentVector:
-        return TangentVector(
-            base=v.base, coords=SpiderStep(s * v.coords.delta, v.coords.cross_branch)
-        )
+    def scale_tangents(self, tangents, s):
+        return tuple(SpiderStep(s * step.delta, step.cross_branch) for step in tangents)
 
     def normal_tangents(self, bases, scatters, normals):
         # Column 0, scaled, is the step. Column 1 picks the branch a step
@@ -153,9 +151,6 @@ class Spider3(Space):
             raise GeometryError("scatter variance must be nonnegative")
         return var
 
-    def _stack_one(self, coords):
-        return (coords,)
-
     def mean_log(self, x, points, weights=None):
         """Descent direction for intrinsic means/medians on the spider.
 
@@ -170,12 +165,12 @@ class Spider3(Space):
             best = max(BRANCHES, key=lambda b: (pull[b], -b))
             rest = sum(pull.values()) - pull[best]
             delta = max(pull[best] - rest, 0.0)
-            return TangentVector(base=x, coords=SpiderStep(delta, best))
+            return (SpiderStep(delta, best),)
         same = branches == x.branch
         deltas = np.where(same, radii - x.radius, -(x.radius + radii))
         others = [b for b in BRANCHES if b != x.branch]
         cross = max(others, key=lambda b: (pull[b], -b))
-        return TangentVector(base=x, coords=SpiderStep(float(w @ deltas), cross))
+        return (SpiderStep(float(w @ deltas), cross),)
 
     def encode_point(self, x) -> str:
         return f"{x.branch},{repr(float(x.radius))}"

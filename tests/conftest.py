@@ -15,10 +15,10 @@ def random_points(space, n, rng):
         raw = rng.standard_normal((n, space.ambient_dim))
         return [space.validate_point(row / np.linalg.norm(row)) for row in raw]
     if isinstance(space, SPD):
+        # One row of normals per point, as n one-point draws read them.
         base = space.validate_point(np.eye(space.size))
-        return [
-            space.exp(base, space.random_tangent(base, 0.5, rng)) for _ in range(n)
-        ]
+        normals = rng.standard_normal((n, space.normal_count))
+        return space.normal_steps([base] * n, [0.5] * n, normals)
     if isinstance(space, Spider3):
         return [
             space.validate_point((abs(rng.standard_normal()), rng.integers(1, 4)))

@@ -116,8 +116,8 @@ def test_criterion_3_isometry_invariance():
         # SPD(2): congruence
         space = SPD(2)
         base = space.validate_point(np.eye(2))
-        pts = [space.exp(base, space.random_tangent(base, 0.5, rng))
-               for _ in range(n)]
+        pts = space.normal_steps([base] * n, [0.5] * n,
+                                 rng.standard_normal((n, space.normal_count)))
         a = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
         moved = [space.validate_point(a @ np.asarray(p) @ a.T) for p in pts]
         before = space.distance_matrix(pts, pts)
@@ -151,7 +151,7 @@ def test_criterion_5_center_outward_pattern():
     center = canonical_center(space)
     pts = sample_population(PopulationSpec(space, center, 0.5), 100, seed=2026)
     depths = [r.value for r in approx_depth(space, pts, pts, pts)]
-    dists = [space.distance(p, center) for p in pts]
+    dists = space.distance_matrix(pts, [center])[:, 0]
     rho = float(spearmanr(depths, dists).statistic)
     assert rho <= -0.8
     _report(5, f"Spearman(depth, distance) = {rho:.3f} <= -0.8")

@@ -6,7 +6,6 @@ import pytest
 from metricdepth.depth import (
     AnchorSet,
     approx_depth,
-    halfspace_membership,
     halfspace_prob_table,
     in_sample_deepest,
     jiggle_anchors,
@@ -34,17 +33,20 @@ def depth_fractions(space, sample, anchors, queries):
 # ------------------------------------------------------------- membership
 
 def test_membership_boundary_included():
+    # counts[a1, a2] counts y when d(y, a1) <= d(y, a2): an equidistant y
+    # lies in both halfspaces of the pair.
     space, pts = points_1d([1, 2, 3])
     y, x1, x2 = pts[1], pts[0], pts[2]
-    assert halfspace_membership(space, y, x1, x2)  # equidistant
-    assert not halfspace_membership(space, points_1d([0])[1][0], pts[2], pts[0])
+    assert halfspace_prob_table(space, [y], [x1, x2]).counts.tolist() == [[1, 1], [1, 1]]
+    far = points_1d([0])[1][0]
+    assert halfspace_prob_table(space, [far], [x2, x1]).counts.tolist() == [[1, 0], [1, 1]]
 
 
 def test_membership_sphere_boundary():
     space = Sphere(2)
     y = space.validate_point(E3)
-    assert halfspace_membership(space, y, space.validate_point(E1),
-                                space.validate_point(-E1))
+    anchors = [space.validate_point(E1), space.validate_point(-E1)]
+    assert halfspace_prob_table(space, [y], anchors).counts.tolist() == [[1, 1], [1, 1]]
 
 
 # ------------------------------------------------------------ prob table
@@ -185,7 +187,7 @@ def test_jiggle_scale(rng):
     target = radius_frac * median_pairwise_distance(space, pts)
     anchors = jiggle_anchors(space, pts, 100, radius_frac=radius_frac, seed=9)
     displacements = [
-        space.distance(pts[i], p)
+        space.distance_matrix([pts[i]], [p])[0, 0]
         for p, (tag, i) in zip(anchors.points, anchors.provenance)
         if tag == "jiggled"
     ]

@@ -14,7 +14,7 @@ import metricdepth
 from metricdepth import _native
 from metricdepth.cli import main
 from metricdepth.depth import DepthReport, approx_depth
-from metricdepth.errors import DataError
+from metricdepth.errors import DataError, GeometryError
 from metricdepth.io import (
     depth_reports_to_json,
     manifest_path_for,
@@ -51,8 +51,7 @@ def test_point_files_round_trip(tmp_path, rng):
         write_points(path, space, pts)
         back = read_points(path, space)
         assert len(back) == len(pts)
-        for p, q in zip(pts, back):
-            assert space.distance(p, q) <= 1e-12
+        assert (np.diag(space.distance_matrix(pts, back)) <= 1e-12).all()
 
 
 def test_read_points_reports_row(tmp_path):
@@ -296,18 +295,39 @@ def test_cmd_median_numerical_failure_exit_code(tmp_path, runner):
     assert result.exit_code == 4
 
 
-def test_cmd_median_names_the_failed_refinement_step(tmp_path, runner):
+def test_cmd_median_rejects_proposals_outside_the_cone(tmp_path, runner):
     # Refinement steps of ten times the median distance leave the SPD cone
-    # through rounding on this sample; no result file is written.
+    # through rounding on this sample; those proposals are rejected, and the
+    # median is at least as deep as the refinement's start.
     from metricdepth.simulation import SimulationConfig, sample_contaminated
 
     space = SPD(3)
     sample, _ = sample_contaminated(SimulationConfig(case=1, space=space, n=20), 0)
-    data, out = tmp_path / "spd3.csv", tmp_path / "median.json"
+    data = tmp_path / "spd3.csv"
     write_points(data, space, sample)
-    result = runner.invoke(main, ["median", "--space", "spd:3", "--data", str(data),
-                                  "--jiggle", "2", "--budget", "16", "--radius-frac", "10",
-                                  "--out", str(out)])
+    depths = []
+    for budget in ("0", "16"):
+        out = tmp_path / f"median{budget}.json"
+        result = runner.invoke(main, ["median", "--space", "spd:3", "--data", str(data),
+                                      "--jiggle", "2", "--budget", budget,
+                                      "--radius-frac", "10", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        depths.append(json.loads(out.read_text())["depth_num"])
+    assert depths[1] >= depths[0]
+
+
+def test_cmd_median_names_the_failed_refinement_step(tmp_path, runner, monkeypatch):
+    # A draw of proposals that fails ends the median with exit 4, naming its
+    # step; no result file is written.
+    def failing_steps(self, bases, scatters, normals):
+        raise GeometryError("matrix is not positive definite")
+
+    space = SPD(2)
+    data, out = tmp_path / "spd2.csv", tmp_path / "median.json"
+    write_points(data, space, random_points(space, 12, np.random.default_rng(0)))
+    monkeypatch.setattr(SPD, "normal_steps", failing_steps)
+    result = runner.invoke(main, ["median", "--space", "spd:2", "--data", str(data),
+                                  "--jiggle", "0", "--budget", "16", "--out", str(out)])
     assert result.exit_code == 4, result.output
     assert "numerical failure: refinement step " in result.output
     assert "try a smaller --radius-frac" in result.output

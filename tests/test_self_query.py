@@ -58,8 +58,11 @@ def samples(draw):
                           max_size=4))
     points = list(base)
     for near, i in extra:
-        points.append(space.exp(base[i], space.random_tangent(base[i], 1e-22, rng))
-                      if near else base[i])
+        if near:
+            normals = rng.standard_normal((1, space.normal_count))
+            points.append(space.normal_steps([base[i]], [1e-22], normals)[0])
+        else:
+            points.append(base[i])
     order = draw(st.permutations(range(len(points))))
     return space, tuple(points[i] for i in order)
 

@@ -28,8 +28,7 @@ def test_zero_scatter_collapses_to_center():
     space = Sphere(2)
     spec = PopulationSpec(space, canonical_center(space), 0.0)
     pts = sample_population(spec, 5, seed=1)
-    for p in pts:
-        assert space.distance(p, spec.center) == 0.0
+    assert (space.distance_matrix(pts, [spec.center]) == 0.0).all()
 
 
 def test_sphere_mean_distance_matches_tangent_chi():
@@ -37,7 +36,7 @@ def test_sphere_mean_distance_matches_tangent_chi():
     var = 0.5
     spec = PopulationSpec(space, canonical_center(space), var)
     pts = sample_population(spec, 10_000, seed=2)
-    mean_dist = np.mean([space.distance(p, spec.center) for p in pts])
+    mean_dist = np.mean(space.distance_matrix(pts, [spec.center]))
     expected = np.sqrt(var) * np.sqrt(np.pi / 2)  # E chi_2 before wrapping
     assert abs(mean_dist - expected) / expected < 0.03
 
@@ -68,7 +67,7 @@ def test_case2_location_outliers_at_offset():
     cfg = config(case=2, space=Euclidean(2), n=4000, base_variance=0.25, offset=50.0)
     pts, mask = sample_contaminated(cfg, rep_seed=13)
     center = canonical_center(cfg.space)
-    dist = np.array([cfg.space.distance(p, center) for p in pts])
+    dist = cfg.space.distance_matrix(pts, [center])[:, 0]
     outliers = ~mask
     assert abs(outliers.mean() - 0.1) < 0.02
     assert np.all(dist[outliers] > 25)

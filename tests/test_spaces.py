@@ -28,22 +28,38 @@ ALL_SPACES = [
 ]
 
 
+def _pair_distance(space, x, y) -> float:
+    return float(space.distance_matrix([x], [y])[0, 0])
+
+
+def _geodesic_point(space, x, y, t: float):
+    """Point at fraction ``t`` along the geodesic from ``x`` to ``y``: the
+    exp of the log from ``x`` to ``y``, scaled by ``t``."""
+    return space.exp_many([x], space.scale_tangents(space.mean_log(x, [y]), t))[0]
+
+
+def _normal_tangents(space, bases, scatter, rng):
+    """One Gaussian tangent per base, from one row of normals each."""
+    normals = rng.standard_normal((len(bases), space.normal_count))
+    return space.normal_tangents(bases, [scatter] * len(bases), normals)
+
+
 # ---------------------------------------------------------------- distances
 
 def test_euclidean_pythagorean():
     space = Euclidean(2)
-    assert space.distance(space.validate_point([0, 0]), space.validate_point([3, 4])) == 5.0
+    assert _pair_distance(space, space.validate_point([0, 0]), space.validate_point([3, 4])) == 5.0
 
 
 def test_sphere_quarter_arc():
     space = Sphere(2)
-    d = space.distance(space.validate_point(E1), space.validate_point(E2))
+    d = _pair_distance(space, space.validate_point(E1), space.validate_point(E2))
     assert d == pytest.approx(np.pi / 2, abs=1e-15)
 
 
 def test_spd_diagonal_distance():
     space = SPD(2)
-    d = space.distance(space.validate_point(np.eye(2)),
+    d = _pair_distance(space, space.validate_point(np.eye(2)),
                        space.validate_point(np.diag([math.e**2, 1.0])))
     assert d == pytest.approx(2.0, abs=1e-12)
 
@@ -52,15 +68,15 @@ def test_spider_cross_branch_distance():
     space = Spider3()
     x = space.validate_point((2, 1))
     y = space.validate_point((3, 2))
-    assert space.distance(x, y) == 5.0
-    assert space.distance(x, space.validate_point((0.5, 1))) == 1.5
+    z = space.validate_point((0.5, 1))
+    assert space.distance_matrix([x], [y, z]).tolist() == [[5.0, 1.5]]
 
 
 def test_product_distance_is_l2_combination():
     space = Product((Euclidean(1), Euclidean(1)))
     x = space.validate_point(([0.0], [0.0]))
     y = space.validate_point(([3.0], [4.0]))
-    assert space.distance(x, y) == pytest.approx(5.0)
+    assert _pair_distance(space, x, y) == pytest.approx(5.0)
 
 
 @pytest.mark.parametrize("components", [
@@ -81,12 +97,13 @@ def test_product_distance_matrix_is_the_root_of_summed_squares(rng, components):
 
 
 def test_distance_matrix_matches_scalar(rng):
+    # Every entry has the bits of its own 1 x 1 call.
     for space in ALL_SPACES:
         pts = random_points(space, 6, rng)
         mat = space.distance_matrix(pts, pts)
         for i in range(6):
             for j in range(6):
-                assert mat[i, j] == space.distance(pts[i], pts[j])
+                assert mat[i, j] == _pair_distance(space, pts[i], pts[j])
         assert np.allclose(mat, mat.T, atol=1e-12)
         assert np.all(mat >= 0)
         assert np.allclose(np.diag(mat), 0.0, atol=1e-12)
@@ -119,33 +136,31 @@ def test_triangle_inequality(rng):
 def test_exp_examples():
     e2 = Euclidean(2)
     x = e2.validate_point([1, 1])
-    moved = e2.exp(x, e2.tangent_from_coords(x, [1, 0]))
+    moved = e2.exp_many([x], e2.tangents_from_coords([x], [[1, 0]]))[0]
     assert np.allclose(moved, [2, 1])
 
     s2 = Sphere(2)
     x = s2.validate_point(E1)
-    v = s2.log(x, s2.validate_point(E2))
-    assert np.allclose(s2.exp(x, v), E2, atol=1e-12)
+    v = s2.mean_log(x, [s2.validate_point(E2)])
+    assert np.allclose(s2.exp_many([x], v)[0], E2, atol=1e-12)
 
     spd = SPD(2)
     base = spd.validate_point(np.eye(2))
-    from metricdepth.spaces import TangentVector
-
-    out = spd.exp(base, TangentVector(base=base, coords=np.diag([1.0, 0.0])))
+    out = spd.exp_many([base], np.diag([1.0, 0.0])[None])[0]
     assert np.allclose(out, np.diag([math.e, 1.0]), atol=1e-12)
 
 
 def test_log_examples():
     e2 = Euclidean(2)
     x, y = e2.validate_point([0, 1]), e2.validate_point([2, 5])
-    assert np.allclose(e2.log(x, y).coords, [2, 4])
+    assert np.allclose(e2.mean_log(x, [y]), [[2, 4]])
 
     s2 = Sphere(2)
-    v = s2.log(s2.validate_point(E1), s2.validate_point(E2))
-    assert np.allclose(v.coords, (np.pi / 2) * E2, atol=1e-12)
+    v = s2.mean_log(s2.validate_point(E1), [s2.validate_point(E2)])
+    assert np.allclose(v, [(np.pi / 2) * E2], atol=1e-12)
 
     with pytest.raises(UndefinedLogError):
-        s2.log(s2.validate_point(E1), s2.validate_point(-E1))
+        s2.mean_log(s2.validate_point(E1), [s2.validate_point(-E1)])
 
     # Spider: from the origin the step leaves on the target's branch (branch 1
     # when the target is the origin too); a step to the origin runs down the
@@ -161,28 +176,28 @@ def test_log_examples():
         (on2, on3, SpiderStep(-3.5, 3)),
         (on3, sp.validate_point((0.5, 3)), SpiderStep(-1.5, 1)),
     ]:
-        v = sp.log(x, y)
-        assert v.base == x and v.coords == step
-        assert sp.exp(x, v) == y
+        v = sp.mean_log(x, [y])
+        assert v == (step,)
+        assert sp.exp_many([x], v) == [y]
 
     prod = Product((Euclidean(2), Spider3()))
     x = prod.validate_point(([0, 1], (1.0, 1)))
     y = prod.validate_point(([2, 5], (0.5, 2)))
-    v = prod.log(x, y)
-    assert v.coords[1].coords == SpiderStep(-1.5, 2)
-    assert np.allclose(prod.tangent_coords(v), [2, 4, -1.5])
-    assert prod.distance(prod.exp(x, v), y) <= 1e-12
+    v = prod.mean_log(x, [y])
+    assert v[1] == (SpiderStep(-1.5, 2),)
+    assert np.allclose(prod.tangent_coords([x], v), [[2, 4, -1.5]])
+    assert _pair_distance(prod, prod.exp_many([x], v)[0], y) <= 1e-12
 
 
 def test_exp_log_roundtrip(rng):
     for space in ALL_SPACES:
-        pts = random_points(space, 40, rng)
-        for x in pts[:20]:
-            v = space.random_tangent(x, 0.09, rng)  # norms well inside injectivity
-            y = space.exp(x, v)
-            back = space.log(x, y)
-            assert space.distance(space.exp(x, back), y) <= 1e-8
-            assert abs(space.tangent_norm(back) - space.distance(x, y)) <= 1e-8
+        xs = random_points(space, 40, rng)[:20]
+        # Norms well inside injectivity.
+        ys = space.exp_many(xs, _normal_tangents(space, xs, 0.09, rng))
+        for x, y in zip(xs, ys):
+            back = space.mean_log(x, [y])
+            assert _pair_distance(space, space.exp_many([x], back)[0], y) <= 1e-8
+            assert abs(space.tangent_norms([x], back)[0] - _pair_distance(space, x, y)) <= 1e-8
 
 
 def test_log_norm_equals_distance(rng):
@@ -190,26 +205,26 @@ def test_log_norm_equals_distance(rng):
         pts = random_points(space, 20, rng)
         for x, y in zip(pts[:10], pts[10:]):
             try:
-                v = space.log(x, y)
+                v = space.mean_log(x, [y])
             except UndefinedLogError:
                 continue
-            assert abs(space.tangent_norm(v) - space.distance(x, y)) <= 1e-8
+            assert abs(space.tangent_norms([x], v)[0] - _pair_distance(space, x, y)) <= 1e-8
 
 
 # ------------------------------------------------------------- geodesics
 
 def test_geodesic_examples():
     e1 = Euclidean(1)
-    mid = e1.geodesic_point(e1.validate_point([0]), e1.validate_point([4]), 0.5)
+    mid = _geodesic_point(e1, e1.validate_point([0]), e1.validate_point([4]), 0.5)
     assert np.allclose(mid, [2])
 
     spider = Spider3()
-    at_origin = spider.geodesic_point(spider.validate_point((2, 1)),
-                                      spider.validate_point((3, 2)), 0.4)
+    at_origin = _geodesic_point(spider, spider.validate_point((2, 1)),
+                                spider.validate_point((3, 2)), 0.4)
     assert at_origin == SpiderPoint(0.0, 1)
 
     s2 = Sphere(2)
-    end = s2.geodesic_point(s2.validate_point(E1), s2.validate_point(E2), 1.0)
+    end = _geodesic_point(s2, s2.validate_point(E1), s2.validate_point(E2), 1.0)
     assert np.allclose(end, E2, atol=1e-12)
 
 
@@ -217,21 +232,15 @@ def test_geodesic_speed(rng):
     for space in ALL_SPACES:
         pts = random_points(space, 20, rng)
         for x, y in zip(pts[:10], pts[10:]):
-            total = space.distance(x, y)
+            total = _pair_distance(space, x, y)
             s, t = sorted(rng.uniform(0, 1, size=2))
             try:
-                gs = space.geodesic_point(x, y, s)
-                gt = space.geodesic_point(x, y, t)
+                gs = _geodesic_point(space, x, y, s)
+                gt = _geodesic_point(space, x, y, t)
             except UndefinedLogError:
                 continue
-            assert space.distance(gs, gt) == pytest.approx((t - s) * total, abs=1e-8)
-            assert space.distance(x, gs) == pytest.approx(s * total, abs=1e-8)
-
-
-def test_geodesic_parameter_validated():
-    e1 = Euclidean(1)
-    with pytest.raises(GeometryError):
-        e1.geodesic_point(e1.validate_point([0]), e1.validate_point([1]), 1.5)
+            assert _pair_distance(space, gs, gt) == pytest.approx((t - s) * total, abs=1e-8)
+            assert _pair_distance(space, x, gs) == pytest.approx(s * total, abs=1e-8)
 
 
 # ------------------------------------------------------------- validation
@@ -279,18 +288,15 @@ def test_dimension_mismatch_rejected():
 
 def test_zero_scatter_gives_zero_vector(rng):
     for space in ALL_SPACES:
-        x = random_points(space, 1, rng)[0]
-        v = space.random_tangent(x, 0.0, rng)
-        assert space.tangent_norm(v) == 0.0
+        x = random_points(space, 1, rng)
+        assert space.tangent_norms(x, _normal_tangents(space, x, 0.0, rng)).tolist() == [0.0]
 
 
 def test_euclidean_tangent_covariance(rng):
     space = Euclidean(2)
     x = space.validate_point([0, 0])
     var = 0.7
-    draws = np.array([
-        space.random_tangent(x, var, rng).coords for _ in range(100_000)
-    ])
+    draws = _normal_tangents(space, [x] * 100_000, var, rng)
     cov = np.cov(draws.T)
     assert np.allclose(cov, var * np.eye(2), rtol=0.02, atol=0.02 * var)
 
@@ -298,30 +304,27 @@ def test_euclidean_tangent_covariance(rng):
 def test_sphere_tangents_orthogonal(rng):
     space = Sphere(2)
     pts = random_points(space, 50, rng)
-    for x in pts:
-        v = space.random_tangent(x, 0.3, rng)
-        assert abs(np.dot(v.coords, x)) <= 1e-12
+    tangents = _normal_tangents(space, pts, 0.3, rng)
+    assert np.all(np.abs(np.vecdot(tangents, pts)) <= 1e-12)
 
 
 def test_full_covariance_scatter(rng):
     space = Euclidean(2)
     x = space.validate_point([0, 0])
     cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-    draws = np.array([
-        space.random_tangent(x, cov, rng).coords for _ in range(60_000)
-    ])
+    draws = _normal_tangents(space, [x] * 60_000, cov, rng)
     assert np.allclose(np.cov(draws.T), cov, atol=0.03)
 
 
 def test_spd_tangent_norm_is_riemannian(rng):
     # Isotropic chart draws must have Riemannian norm equal to the chart norm.
     space = SPD(2)
-    base = space.exp(space.validate_point(np.eye(2)),
-                     space.random_tangent(space.validate_point(np.eye(2)), 0.4, rng))
-    coords = rng.standard_normal(3)
-    v = space.tangent_from_coords(base, coords)
-    assert space.tangent_norm(v) == pytest.approx(np.linalg.norm(coords), abs=1e-10)
-    assert np.allclose(space.tangent_coords(v), coords, atol=1e-10)
+    identity = [space.validate_point(np.eye(2))]
+    base = space.exp_many(identity, _normal_tangents(space, identity, 0.4, rng))[:1]
+    coords = rng.standard_normal((1, 3))
+    v = space.tangents_from_coords(base, coords)
+    assert space.tangent_norms(base, v)[0] == pytest.approx(np.linalg.norm(coords), abs=1e-10)
+    assert np.allclose(space.tangent_coords(base, v), coords, atol=1e-10)
 
 
 # ------------------------------------------------------------- isometries
@@ -378,4 +381,4 @@ def test_encode_decode_round_trip(rng):
     for space in ALL_SPACES:
         for p in random_points(space, 5, rng):
             q = space.decode_point(space.encode_point(p))
-            assert space.distance(p, q) <= 1e-12
+            assert _pair_distance(space, p, q) <= 1e-12

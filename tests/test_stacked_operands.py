@@ -31,7 +31,7 @@ from metricdepth.depth import (
     median_pairwise_distance,
     refine_deepest,
 )
-from metricdepth.errors import MetricDepthError, NumericalError
+from metricdepth.errors import GeometryError, MetricDepthError, NumericalError
 from metricdepth.estimators import (
     MAX_STEP_HALVINGS,
     WEISZFELD_GUARD,
@@ -42,7 +42,6 @@ from metricdepth.estimators import (
 from metricdepth.rng import NS_REFINE, derive_rng
 from metricdepth.simulation import SimulationConfig, sample_contaminated
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
-from metricdepth.spaces.base import TangentVector
 from metricdepth.spaces.spd import EIG_FLOOR, _sym
 
 from conftest import numpy_kernels, random_points
@@ -59,8 +58,6 @@ SPACES = [
 
 def _same(a, b) -> bool:
     """Bit-for-bit equality of points, tangents and their payloads."""
-    if isinstance(a, TangentVector):
-        return _same(a.base, b.base) and _same(a.coords, b.coords)
     if isinstance(a, (tuple, list)):
         return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
     if isinstance(a, np.ndarray):
@@ -91,8 +88,9 @@ def reference_refine(space, sample, anchors, start, budget, seed, radius_frac, t
     radius = radius_frac * median_pairwise_distance(space, sample)
     decay = 0.01 ** (1.0 / budget)
     for step in range(budget):
-        rng = derive_rng(seed, NS_REFINE, step)
-        proposal = space.exp(current, space.random_tangent(current, radius**2, rng))
+        normals = derive_rng(seed, NS_REFINE, step).standard_normal((1, space.normal_count))
+        proposal = space.exp_many(
+            [current], space.normal_tangents([current], [radius**2], normals))[0]
         num = depth_of(proposal)
         if num > current_num:
             current, current_num, current_sum = proposal, num, dist_sum(proposal)
@@ -125,9 +123,9 @@ def reference_descent(space, sample, tol, max_iter, objective, direction):
         if v is None:  # the current point is a minimizer
             last_update = 0.0
             break
-        vnorm, step, accepted = space.tangent_norm(v), 1.0, False
+        vnorm, step, accepted = float(space.tangent_norms([x], v)[0]), 1.0, False
         for _ in range(MAX_STEP_HALVINGS):
-            trial = space.exp(x, space.scale_tangent(v, step))
+            trial = space.exp_many([x], space.scale_tangents(v, step))[0]
             trial_obj = float(objective(space.distance_matrix([trial], sample))[0])
             if trial_obj <= current:
                 x, current, last_update, accepted = trial, trial_obj, step * vnorm, True
@@ -219,15 +217,32 @@ def test_refine_deepest_work_counts(anchor_kind, space, radius_frac, rng, monkey
     assert draws == [budget] + [budget - step - 1 for step in accepted]
 
 
-def test_refine_deepest_names_the_failed_step():
+@pytest.mark.parametrize("seed", range(10))
+def test_refine_deepest_rejects_proposals_outside_the_cone(seed):
     # Steps of ten times the median distance leave the SPD cone through
-    # rounding; the error names the step and the setting to lower.
+    # rounding on most of these seeds; such proposals are rejected, and the
+    # median is at least as deep as the refinement's start.
     space = SPD(3)
     config = SimulationConfig(case=1, space=space, n=20, reps=1, seed=0)
     sample, _ = sample_contaminated(config, 0)
-    with pytest.raises(NumericalError, match=r"^refinement step \d+ of 16 failed: matrix "
+    start = mhd_median(space, sample, jiggle_k=0, radius_frac=10.0, budget=0, seed=seed)
+    result = mhd_median(space, sample, jiggle_k=0, radius_frac=10.0, budget=16, seed=seed)
+    assert result.objective >= start.objective
+
+
+def test_refine_deepest_names_the_failed_step(monkeypatch):
+    # A draw of proposals that fails names the step and the setting to lower.
+    space = SPD(3)
+    config = SimulationConfig(case=1, space=space, n=20, reps=1, seed=0)
+    sample, _ = sample_contaminated(config, 0)
+
+    def failing_steps(self, bases, scatters, normals):
+        raise GeometryError("matrix is not positive definite")
+
+    monkeypatch.setattr(SPD, "normal_steps", failing_steps)
+    with pytest.raises(NumericalError, match=r"^refinement step 1 of 16 failed: matrix "
                        r"is not positive definite; try a smaller --radius-frac$"):
-        mhd_median(space, sample, jiggle_k=2, radius_frac=10.0, budget=16, seed=0)
+        mhd_median(space, sample, jiggle_k=0, radius_frac=10.0, budget=16, seed=0)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
@@ -250,7 +265,7 @@ def test_frechet_mean_and_median_equal_tuple_loop(space, rng):
             return None
         weights = np.where(far, 1.0 / np.where(far, dist, 1.0), 0.0)
         v = space.mean_log(x, sample, weights=weights)
-        return None if (~far).sum() >= space.tangent_norm(v) * weights.sum() else v
+        return None if (~far).sum() >= space.tangent_norms([x], v)[0] * weights.sum() else v
 
     for fit, objective, direction in ((frechet_mean, mean_objective, mean_direction),
                                       (frechet_median, median_objective, median_direction)):
@@ -264,7 +279,7 @@ def test_frechet_mean_and_median_equal_tuple_loop(space, rng):
         assert _same(got.point, want[0])
         assert (got.objective, got.iterations, got.converged) == want[1:]
         if fit is frechet_mean:
-            grad = space.tangent_norm(space.mean_log(want[0], sample))
+            grad = space.tangent_norms([want[0]], space.mean_log(want[0], sample))[0]
             assert got.extras["grad_norm"] == grad
 
 

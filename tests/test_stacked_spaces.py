@@ -1,10 +1,11 @@
-"""Stacked exp / tangent maps against their one-point entries.
+"""Stacked exp / tangent maps against one-row calls.
 
-Each geometry has one stacked ``exp_many`` and ``tangents_from_coords``;
-the one-point methods are their N = 1 entries. These tests pin what that
-promises: a point moved in a batch is bit-identical to the same point moved
-alone, jiggled anchor sets keep their per-point prefix property, and the
-samplers give the outputs they gave when every point was drawn on its own.
+Each geometry has one stacked ``exp_many``, ``tangents_from_coords`` and
+``tangent_coords``, and a stack of one is the one-point call. These tests
+pin what that promises: a point moved in a batch is bit-identical to the
+same point moved alone, jiggled anchor sets keep their per-point prefix
+property, and the samplers and estimators give the outputs they gave when
+every point was drawn and moved on its own.
 """
 
 import hashlib
@@ -63,13 +64,6 @@ def _row(space, stack, i):
     return stack[i]
 
 
-def _payload(space, v):
-    """Payload of a one-point tangent, in the form :func:`_row` returns."""
-    if isinstance(space, Product):
-        return tuple(_payload(c, vc) for c, vc in zip(space.components, v.coords))
-    return v.coords
-
-
 def _edge_point(space):
     """The sphere's e1 (identity-frame branch) and the spider's origin."""
     if isinstance(space, Sphere):
@@ -92,20 +86,23 @@ def test_stacked_maps_equal_one_point_calls(space, rng):
     coords[1] = 0.0  # zero tangent
     stack = space.tangents_from_coords(bases, coords)
     moved = space.exp_many(bases, stack)
-    for i, (x, c) in enumerate(zip(bases, coords)):
-        v = space.tangent_from_coords(x, c)
-        assert _same(_row(space, stack, i), _payload(space, v))
-        assert _same(moved[i], space.exp(x, v))
-    # A stack of one is the one-point call.
-    one = space.tangents_from_coords(bases[:1], coords[:1])
-    assert _same(space.exp_many(bases[:1], one), [moved[0]])
+    back = space.tangent_coords(bases, stack)
+    norms = space.tangent_norms(bases, stack)
+    assert np.allclose(back, coords, rtol=0, atol=1e-12)
+    assert np.allclose(norms, np.linalg.norm(coords, axis=1), rtol=0, atol=1e-12)
+    for i, x in enumerate(bases):
+        one = space.tangents_from_coords([x], coords[i:i + 1])
+        assert _same(_row(space, stack, i), _row(space, one, 0))
+        assert _same(moved[i], space.exp_many([x], one)[0])
+        assert _same(back[i], space.tangent_coords([x], one)[0])
+        assert norms[i] == space.tangent_norms([x], one)[0]
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
 @pytest.mark.parametrize("variance", [0.3, 0.0])
 def test_random_tangents_equal_one_point_draws(space, variance, rng):
-    # normal_tangents over a stacked block of normals against one
-    # random_tangent call per base.
+    # normal_tangents over a stacked block of normals against one-row calls,
+    # each reading standard_normal(normal_count) of its stream.
     bases = _bases(space, rng)
     n = len(bases)
     # One stream per base, as jiggling draws them.
@@ -113,15 +110,17 @@ def test_random_tangents_equal_one_point_draws(space, variance, rng):
                         for i in range(n)])
     stack = space.normal_tangents(bases, [variance] * n, normals)
     for i, x in enumerate(bases):
-        v = space.random_tangent(x, variance, np.random.default_rng([7, i]))
-        assert _same(_row(space, stack, i), _payload(space, v))
+        one = space.normal_tangents([x], [variance], np.random.default_rng([7, i])
+                                    .standard_normal((1, space.normal_count)))
+        assert _same(_row(space, stack, i), _row(space, one, 0))
     # One stream shared by every base, as the samplers draw them.
     normals = np.random.default_rng(5).standard_normal((n, space.normal_count))
     stack = space.normal_tangents(bases, [variance] * n, normals)
     shared = np.random.default_rng(5)
     for i, x in enumerate(bases):
-        v = space.random_tangent(x, variance, shared)
-        assert _same(_row(space, stack, i), _payload(space, v))
+        normals = shared.standard_normal((1, space.normal_count))
+        one = space.normal_tangents([x], [variance], normals)
+        assert _same(_row(space, stack, i), _row(space, one, 0))
 
 
 def _covariance(space, rng):
@@ -189,7 +188,7 @@ def test_spider_scatter_checks(scatter, message):
     space = Spider3()
     bases = [space.validate_point((0.0, 1)), space.validate_point((1.0, 2))]
     with pytest.raises(GeometryError) as raised:
-        space.random_tangent(bases[1], scatter, np.random.default_rng(0))
+        space.normal_tangents(bases[1:], [scatter], np.zeros((1, space.normal_count)))
     assert str(raised.value) == message
     with pytest.raises(GeometryError) as raised:
         space.normal_tangents(bases, [0.3, scatter], np.zeros((2, space.normal_count)))
@@ -200,14 +199,15 @@ def test_spider_scatter_checks(scatter, message):
     assert steps[0] == steps[1] == steps[2]
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5, 11])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 6, 11])
 def test_sphere_row_norms_equal_one_row_norms(dim, rng):
-    # The sphere's stacked maps rely on this: an axis= norm rounds
-    # differently and would move sampled and jiggled points.
-    from metricdepth.spaces.sphere import _row_norms
+    # The sphere's stacked maps and every tangent_norms rely on this: an
+    # axis= norm rounds differently and would move sampled and jiggled
+    # points and the intrinsic mean's grad_norm.
+    from metricdepth.spaces.base import row_norms
 
     rows = rng.standard_normal((500, dim)) * rng.uniform(0.01, 10.0, (500, 1))
-    assert np.array_equal(_row_norms(rows), [np.linalg.norm(r) for r in rows])
+    assert np.array_equal(row_norms(rows), [np.linalg.norm(r) for r in rows])
 
 
 @pytest.mark.parametrize("dim", [2, 7])
@@ -228,11 +228,12 @@ def test_product_scatter_entries_may_mix_matrices_and_scalars():
     cov = np.array([[0.4, 0.1, 0.0], [0.1, 0.3, -0.05], [0.0, -0.05, 0.2]])
     x = (space.components[0].validate_point(np.eye(2)),
          space.components[1].validate_point(np.zeros(3)))
-    v = space.random_tangent(x, [cov, 0.2], np.random.default_rng(3))
+    stack = space.normal_tangents([x], [[cov, 0.2]], np.random.default_rng(3)
+                                  .standard_normal((1, space.normal_count)))
     rng = np.random.default_rng(3)
-    expected = (space.components[0].random_tangent(x[0], cov, rng),
-                space.components[1].random_tangent(x[1], 0.2, rng))
-    assert _same(_payload(space, v), tuple(e.coords for e in expected))
+    expected = tuple(comp.normal_tangents([xc], [scatter], rng.standard_normal((1, 3)))
+                     for comp, xc, scatter in zip(space.components, x, (cov, 0.2)))
+    assert _same(stack, expected)
 
 
 @pytest.mark.parametrize("spec", [s.spec_string for s in (
