@@ -23,11 +23,11 @@
  * is the same at any thread count. Every other kernel runs on the calling
  * thread.
  *
- * The table blocks, spd2 and norms are built as target clones, chosen at
- * load time by the CPU: x86-64-v4 (AVX-512) where gcc 11 or later can
- * build it, AVX2, and the baseline. Every clone runs the same IEEE and
- * integer operations, so each gives the same bytes; defining CLONES empty
- * (-DCLONES=) builds the baseline alone.
+ * The table blocks, the depth counts' group tables, spd2 and norms are
+ * built as target clones, chosen at load time by the CPU: x86-64-v4
+ * (AVX-512) where gcc 11 or later can build it, AVX2, and the baseline.
+ * Every clone runs the same IEEE and integer operations, so each gives the
+ * same bytes; defining CLONES empty (-DCLONES=) builds the baseline alone.
  *
  * Two more kernels draw random streams: the permutation tests' orders
  * (`_order_batches` in inference.py) and the standard normals of
@@ -72,9 +72,10 @@ enum { ALIGN = 64 };
  * takes one more: starting and joining a thread takes tens of microseconds,
  * and the new thread reads its inputs into a cold cache. Each kernel
  * estimates its work from its shape, at a cost per step measured on one
- * thread of a 2-core x86-64 Xeon. A call below twice the grain, such as
- * the 100 x 300 ranks, table and self-query scan of a simulate replicate,
- * stays on the calling thread. */
+ * thread of a 2-core x86-64 Xeon, and passes its grain, GRAIN but for the
+ * depth counts (DEPTHS_GRAIN). A call below twice the grain, such as the
+ * 100 x 300 ranks, table and self-query scan of a simulate replicate, stays
+ * on the calling thread. */
 enum { GRAIN = 400000 };
 
 /* One kernel call on the core's runner: its units of work, numbered from 0,
@@ -103,27 +104,28 @@ static void *run_claim(void *arg)
 }
 
 /* The threads that a call of `units` units takes, of at most `threads`:
- * min(threads, units, work / GRAIN), and at least one. `work` estimates the
+ * min(threads, units, work / grain), and at least one. `work` estimates the
  * call's nanoseconds on one thread. */
-static int64_t run_threads(int64_t threads, int64_t units, int64_t work)
+static int64_t run_threads(int64_t threads, int64_t units, int64_t work, int64_t grain)
 {
     threads = threads < units ? threads : units;
-    threads = threads < work / GRAIN ? threads : work / GRAIN;
+    threads = threads < work / grain ? threads : work / grain;
     return threads > 1 ? threads : 1;
 }
 
 /* Runs every unit of a call, whose arguments `unit` reads from `args`, on
- * run_threads(threads, units, work) threads: the calling thread and threads
- * started here and joined before returning, so no thread outlives the call.
- * The threads' blocks of `block` bytes are allocated back to back before any
- * thread starts. A thread that cannot be started leaves its units to the
- * others. Units write disjoint outputs with the same arithmetic on any
- * thread, so no output depends on the thread count. Returns whether every
- * unit returned nonzero, or -1 when the blocks cannot be allocated. */
+ * run_threads(threads, units, work, grain) threads: the calling thread and
+ * threads started here and joined before returning, so no thread outlives
+ * the call. The threads' blocks of `block` bytes are allocated back to back
+ * before any thread starts. A thread that cannot be started leaves its
+ * units to the others. Units write disjoint outputs with the same
+ * arithmetic on any thread, so no output depends on the thread count.
+ * Returns whether every unit returned nonzero, or -1 when the blocks cannot
+ * be allocated. */
 static int run_units(int (*unit)(void *, int64_t, unsigned char *), void *args, int64_t units,
-                     int64_t block, int64_t threads, int64_t work)
+                     int64_t block, int64_t threads, int64_t work, int64_t grain)
 {
-    threads = run_threads(threads, units, work);
+    threads = run_threads(threads, units, work, grain);
     struct run run = {unit, args, units, (block + ALIGN - 1) / ALIGN * ALIGN, NULL, 0, 0, 1};
     if (run.block_size > 0
         && posix_memalign((void **)&run.blocks, ALIGN, threads * run.block_size) != 0)
@@ -317,7 +319,7 @@ struct ranks_args {
         return run_units(NAME##_rows, &args, (n + ROWS - 1) / ROWS,            \
                          2 * n_anchors * (int64_t)sizeof(double)               \
                          + (2 + LEVELS) * (n_anchors + 1) * (int64_t)sizeof(uint32_t), \
-                         threads, n * n_anchors * RANK_NS);                    \
+                         threads, n * n_anchors * RANK_NS, GRAIN);             \
     }
 
 RANKS(ranks_f64_u8, uint8_t)
@@ -412,7 +414,8 @@ static int64_t table_blocks(const struct table_args *args, int64_t c0)
         for (int64_t c0 = 0; c0 < n_anchors; c0 += TILE)                       \
             units += table_blocks(&args, c0);                                  \
         run_units(NAME##_block, &args, units, 0, threads,                      \
-                  n * n_anchors * n_anchors / (distinct ? 2 : 1) / TABLE_PER_NS); \
+                  n * n_anchors * n_anchors / (distinct ? 2 : 1) / TABLE_PER_NS, \
+                  GRAIN);                                                      \
     }
 
 TABLE(table_u8_u8, uint8_t, uint8_t)
@@ -456,7 +459,7 @@ static int64_t block_rows(const struct sort_args *args, int64_t u, int64_t *end)
 int64_t sort_rows(int64_t n_anchors, int64_t threads)
 {
     int64_t blocks = (n_anchors + SORT_ROWS - 1) / SORT_ROWS;
-    if (run_threads(threads, blocks, n_anchors * n_anchors * SORT_NS) > 1)
+    if (run_threads(threads, blocks, n_anchors * n_anchors * SORT_NS, GRAIN) > 1)
         return SORT_ROWS;
     return n_anchors > 1 ? n_anchors : 1;
 }
@@ -514,7 +517,7 @@ int64_t sort_rows(int64_t n_anchors, int64_t threads)
     {                                                                          \
         struct sort_args args = {counts, n_anchors, top, rows, hist, top, NULL, NULL}; \
         run_units(NAME##_rows, &args, (n_anchors + rows - 1) / rows, 0, threads, \
-                  n_anchors * n_anchors * SORT_NS);                            \
+                  n_anchors * n_anchors * SORT_NS, GRAIN);                     \
         return args.bound;                                                     \
     }
 
@@ -582,7 +585,7 @@ enum { CHUNK = 256 };
         struct sort_args args = {counts, n_anchors, top, rows, hist, bound, a1, a2}; \
         pair_starts(&args);                                                    \
         run_units(NAME##_rows, &args, (n_anchors + rows - 1) / rows, 0, threads, \
-                  n_anchors * n_anchors * SORT_NS);                            \
+                  n_anchors * n_anchors * SORT_NS, GRAIN);                     \
     }
 
 PAIRS(pairs_u8_u16, uint8_t, uint16_t)
@@ -631,12 +634,75 @@ struct scan_args {
     {                                                                          \
         struct scan_args args = {query, m, n_anchors, a1, a2, n_pairs, first}; \
         run_units(NAME##_queries, &args, (m + QUERIES - 1) / QUERIES, 0, threads, \
-                  m * n_pairs / SCAN_PER_NS);                                  \
+                  m * n_pairs / SCAN_PER_NS, GRAIN);                           \
     }
 
 SCAN(scan_f64_u16, double, uint16_t)
 SCAN(scan_u8_u16, uint8_t, uint16_t)
 SCAN(scan_u16_u16, uint16_t, uint16_t)
+
+/* m rounded up to whole runs of LANES bytes of codes of `size` bytes: the
+ * width of a group's strips. */
+static int64_t strip_width(int64_t m, int64_t size)
+{
+    int64_t run = LANES / size;
+    return (m + run - 1) / run * run;
+}
+
+/* First anchors whose sums share one pass over a group's member rows: each
+ * pass loads a row's run once for all of them, and their sums take four
+ * AVX-512 registers or eight AVX2 ones. Eight gave the same group times. */
+enum { FIRSTS = 4 };
+
+/* counts[a1, a2] = #{i : rows[i, a1] <= rows[i, a2]} for the (m, m) codes
+ * of a group's members at its members, into an (m, m) table of COUNT; each
+ * row is a strip of strip_width(m) codes, its padding zeros. The table is
+ * built run by run of LANES bytes of columns, with no scalar remainder: the
+ * sums of FIRSTS first anchors over one run are accumulators of the count
+ * type, (FIRSTS, LANES / sizeof(CODE)), which stay in registers while the m
+ * member rows stream past, and only the run's columns below m are stored,
+ * so the padding's sums are never read. The last pass of a run repeats its
+ * last first anchor, whose repeated sums are not stored either. With
+ * `distinct`, as in TABLE, counts[a2, a1] = m - counts[a1, a2]: a run
+ * compares only the first anchors before its last column and mirrors its
+ * columns into the rows of the anchors before its first, so a group of one
+ * run compares every pair and mirrors none. */
+#define GROUP_TABLE(NAME, CODE, COUNT)                                         \
+    CLONES static void NAME(const CODE *rows, int64_t m, int64_t width,        \
+                            int distinct, COUNT *counts)                       \
+    {                                                                          \
+        enum { RUN = LANES / sizeof(CODE) };                                   \
+        for (int64_t s0 = 0; s0 < m; s0 += RUN) {                              \
+            int64_t s1 = m - s0 < RUN ? m : s0 + RUN;                          \
+            int64_t end = distinct ? s1 : m;                                   \
+            for (int64_t a0 = 0; a0 < end; a0 += FIRSTS) {                     \
+                COUNT sum[FIRSTS][RUN] __attribute__((aligned(LANES))) = {{0}}; \
+                int64_t at[FIRSTS];                                            \
+                for (int64_t k = 0; k < FIRSTS; k++)                           \
+                    at[k] = a0 + k < end ? a0 + k : end - 1;                   \
+                for (int64_t i = 0; i < m; i++) {                              \
+                    const CODE *row = rows + i * width;                        \
+                    for (int64_t k = 0; k < FIRSTS; k++) {                     \
+                        CODE first = row[at[k]];                               \
+                        for (int64_t c = 0; c < RUN; c++)                      \
+                            sum[k][c] += first <= row[s0 + c];                 \
+                    }                                                          \
+                }                                                              \
+                for (int64_t a = a0; a < a0 + FIRSTS && a < end; a++) {        \
+                    for (int64_t c = s0; c < s1; c++)                          \
+                        counts[a * m + c] = sum[a - a0][c - s0];               \
+                    if (distinct && a < s0)                                    \
+                        for (int64_t c = s0; c < s1; c++)                      \
+                            counts[c * m + a] = (COUNT)(m - sum[a - a0][c - s0]); \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+    }
+
+GROUP_TABLE(group_table_u8_u8, uint8_t, uint8_t)
+GROUP_TABLE(group_table_u8_u16, uint8_t, uint16_t)
+GROUP_TABLE(group_table_u16_u8, uint16_t, uint8_t)
+GROUP_TABLE(group_table_u16_u16, uint16_t, uint16_t)
 
 struct depths_args {
     const void *codes;
@@ -653,17 +719,33 @@ struct depths_args {
  * indices, one group per row; counts are uint8 or uint16, and m <= 65535.
  * A unit is one group, whose row of `out` one thread writes.
  *
- * A group's table is queried as depth.py queries any table: table_*, then
- * the tally and placing of the pair sort, then scan_* over the query, the
- * observations' codes at the members, (total, m), each on the group's
- * thread; the sort is one block of m rows, whose histogram has m + 1 bins,
- * for no count passes m, and a group with no pair has bound m.
- * A thread's block holds the histogram and the first hits (int64), the
- * pairs (uint16, m * m each), the table in m * m uint16 slots whatever its
- * count type, the query, and the (m, m) copy of its member rows that
- * table_* reads. A group takes about DEPTHS_NS nanoseconds per member pair,
- * 11 to 14 for groups of 30 to 60 among 60 to 240, and a microsecond more. */
-enum { DEPTHS_NS = 13 };
+ * A group's table is queried as depth.py queries any table, each step on
+ * the group's thread: the members' rows of codes at the members are
+ * gathered into strips and group_table_* builds the table from them, the
+ * tally and placing of the pair sort order its pairs, one block of m rows
+ * whose histogram has m + 1 bins, for no count passes m (a group with no
+ * pair has bound m), and the kept pairs, mapped through ref to pooled
+ * indices, are scanned by scan_* over the pooled codes themselves, as a
+ * (total, total) query. A hit's count is read from the table at the local
+ * pair. A thread's block holds the strips, (m, strip_width(m)) codes at
+ * its start, then the histogram and the first hits (int64), the local and
+ * the pooled pairs (uint16, m * m each) and the (m, m) table of the count
+ * type: with uint8 codes and counts, 10.8 KiB for a group of 30 among 90
+ * and 37.8 KiB for 60 among 240, and 772 KiB for 256 among 257 with
+ * uint16 ones.
+ *
+ * On one thread a group takes about DEPTHS_NS nanoseconds per member pair,
+ * 6 to 9.5 for groups of 20 to 256 among 40 to 257, and up to a
+ * microsecond more (0.65 fitted over those groups).
+ * A call takes one more thread per DEPTHS_GRAIN of that work rather than
+ * per GRAIN: its inputs are the pooled codes and the references, a few
+ * kilobytes that a new thread reads at once, and two threads ran 20 groups
+ * of 30 among 90 (0.1 ms) as fast as one, 40 groups 18 % faster and 100
+ * groups 30 % faster. So the permutation tests' calls of 100 groups of 30
+ * among 90 and among 60 (est. 0.73 ms, one thread under GRAIN) and of 1000
+ * groups of 60 among 240 and among 120 (est. 26 ms) each take two threads
+ * on two CPUs; a call of one group, as depth_ranks makes, takes one. */
+enum { DEPTHS_NS = 7, DEPTHS_GRAIN = 100000 };
 
 #define DEPTHS(C, K, CODE, COUNT)                                              \
     static int depths_##C##_##K##_group(void *arg, int64_t r,                  \
@@ -672,24 +754,33 @@ enum { DEPTHS_NS = 13 };
         const struct depths_args *args = arg;                                  \
         const CODE *codes = args->codes;                                       \
         int64_t total = args->total, m = args->m;                              \
+        int64_t width = strip_width(m, sizeof(CODE));                          \
         const int64_t *ref = args->refs + r * m;                               \
-        int64_t *hist = (int64_t *)block, *first = hist + m + 1;               \
+        CODE *rows = (CODE *)block;                                            \
+        int64_t *hist = (int64_t *)(rows + m * width), *first = hist + m + 1;  \
         uint16_t *a1 = (uint16_t *)(first + total), *a2 = a1 + m * m;          \
-        COUNT *table = (COUNT *)(a2 + m * m);                                  \
-        CODE *query = (CODE *)(a2 + 2 * m * m), *members = query + total * m;  \
+        uint16_t *p1 = a2 + m * m, *p2 = p1 + m * m;                           \
+        COUNT *table = (COUNT *)(p2 + m * m);                                  \
         COUNT *out = (COUNT *)args->out + r * total;                           \
-        for (int64_t y = 0; y < total; y++)                                    \
+        for (int64_t i = 0; i < m; i++) {                                      \
+            const CODE *from = codes + ref[i] * total;                         \
+            CODE *row = rows + i * width;                                      \
             for (int64_t j = 0; j < m; j++)                                    \
-                query[y * m + j] = codes[y * total + ref[j]];                  \
-        for (int64_t i = 0; i < m; i++)                                        \
-            memcpy(members + i * m, query + ref[i] * m, m * sizeof(CODE));     \
-        table_##C##_##K(members, m, m, args->distinct, table, 1);              \
+                row[j] = from[ref[j]];                                         \
+            memset(row + m, 0, (width - m) * sizeof(CODE));                    \
+        }                                                                      \
+        group_table_##C##_##K(rows, m, width, args->distinct, table);          \
         memset(hist, 0, (m + 1) * sizeof *hist);                               \
         struct sort_args sort = {table, m, m, m, hist, m, a1, a2};             \
         tally_##K##_rows(&sort, 0, NULL);                                      \
         pair_starts(&sort);                                                    \
         pairs_##K##_u16_rows(&sort, 0, NULL);                                  \
-        scan_##C##_u16(query, total, m, a1, a2, hist[sort.bound], first, 1);   \
+        int64_t kept = hist[sort.bound];                                       \
+        for (int64_t k = 0; k < kept; k++) {                                   \
+            p1[k] = (uint16_t)ref[a1[k]];                                      \
+            p2[k] = (uint16_t)ref[a2[k]];                                      \
+        }                                                                      \
+        scan_##C##_u16(codes, total, total, p1, p2, kept, first, 1);           \
         for (int64_t y = 0; y < total; y++)                                    \
             out[y] = first[y] < 0 ? (COUNT)m                                   \
                                   : table[a1[first[y]] * m + a2[first[y]]];    \
@@ -701,11 +792,12 @@ enum { DEPTHS_NS = 13 };
                          int distinct, COUNT *out, int64_t threads)            \
     {                                                                          \
         struct depths_args args = {codes, refs, total, m, distinct, out};      \
-        int64_t bytes = (m + 1 + total) * (int64_t)sizeof(int64_t)             \
-                        + 3 * m * m * (int64_t)sizeof(uint16_t)                \
-                        + (total + m) * m * (int64_t)sizeof(CODE);             \
+        int64_t bytes = m * strip_width(m, sizeof(CODE)) * (int64_t)sizeof(CODE) \
+                        + (m + 1 + total) * (int64_t)sizeof(int64_t)           \
+                        + 4 * m * m * (int64_t)sizeof(uint16_t)                \
+                        + m * m * (int64_t)sizeof(COUNT);                      \
         return run_units(depths_##C##_##K##_group, &args, n_refs, bytes, threads, \
-                         n_refs * (m * m * DEPTHS_NS + 1000));                 \
+                         n_refs * (m * m * DEPTHS_NS + 1000), DEPTHS_GRAIN);   \
     }
 
 DEPTHS(u8, u8, uint8_t, uint8_t)

@@ -20,10 +20,12 @@ observation's depth count is the least entry of that table over the
 anchor pairs the observation admits. Each table is queried as the depth
 module queries any table: its pairs are count-sorted once, and each
 observation scans them to its first admissible pair. The compiled core
-(``_core.c``) runs these steps for the whole batch in one call, its tables
-spread over threads that start and end within the call; without it, the
-depth module's table build and scan run them one reference group at a
-time, to the same counts. Counts are ranked per row
+(``_core.c``) runs these steps for the whole batch in one call, its groups
+spread over threads that start and end within the call: each group's
+table is built from its members' codes at its members, and its kept pairs,
+mapped back to pooled indices, are scanned over the pooled codes
+themselves. Without it, the depth module's table build and scan run them
+one reference group at a time, to the same counts. Counts are ranked per row
 from a histogram, and the statistics are formed across the batch with each
 row's floating-point operations in the order of the one-order formulas, so
 the statistics and p-values do not depend on the batching. A batch of
@@ -136,13 +138,15 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     does: the table's pairs sorted by count up to the least pair maximum,
     and each observation's first admissible pair in that order, whose
     count is the least. Uint8 or uint16 codes with groups of m < 65536 run
-    in the compiled kernel when it loads: for each group it gathers every
-    observation's codes at the members and runs the compiled table build,
-    counting sort and scan over them, on the core's thread runner: each
+    in the compiled kernel when it loads, on the core's thread runner: each
     thread claims the next group until none is left, in a scratch block
     that the kernel allocates for it, and a call takes at most
     :func:`_native.threads`, one per group, and none more than its work
-    pays for. Anything else builds each group's table with
+    pays for. For each group the kernel gathers the members' codes at the
+    members, (m, m), builds the table from them, sorts its pairs with the
+    compiled counting sort, maps the kept pairs to pooled indices and runs
+    the compiled scan over ``codes`` itself, so no observation's codes are
+    copied. Anything else builds each group's table with
     :func:`depth._prob_counts` and scans it with :func:`depth._min_counts`.
     """
     n_refs, m = references.shape

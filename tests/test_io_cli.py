@@ -26,7 +26,7 @@ from metricdepth.io import (
 )
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3, parse_space
 
-from conftest import kernel_threads, random_points
+from conftest import kernel_threads, numpy_kernels, random_points
 
 
 @pytest.fixture
@@ -397,6 +397,42 @@ def test_cmd_test_writes_the_same_bytes_at_any_thread_count(tmp_path, runner, rn
         cpus = threads or len(os.sched_getaffinity(0))
         assert manifest["threads"] == (cpus if manifest["kernels"] == "native" else 1)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# One row per command, geometry and input recipe (group sizes, data seed,
+# permutations): the benchmark's three sphere:2 groups of 30, and groups of
+# 64 and 65, the edges of the compiled depth counts' 64-code strips.
+EQUIVALENCE = [
+    pytest.param(["test", "--test", "kw"], "sphere:2", (30, 30, 30), 5, 99, id="kw-sphere2-3x30"),
+    pytest.param(["test", "--test", "kw"], "sphere:2", (64, 65), 6, 99, id="kw-sphere2-64-65"),
+]
+# Each row writes the same bytes under every condition: the compiled
+# kernels on every CPU, on one thread, and the numpy bodies.
+CONDITIONS = {"native": nullcontext, "one-thread": lambda: kernel_threads(1),
+              "numpy": numpy_kernels}
+
+
+@pytest.mark.parametrize("command, spec, sizes, seed, permutations", EQUIVALENCE)
+def test_cli_writes_the_same_bytes_under_every_kernel_condition(tmp_path, runner, command, spec,
+                                                                sizes, seed, permutations):
+    if _native.library() is None:
+        pytest.skip("the compiled core does not load, so there is nothing to compare with numpy")
+    space = parse_space(spec)
+    rng = np.random.default_rng(seed)
+    args = [*command, "--space", spec, "--permutations", str(permutations), "--seed", str(seed)]
+    for g, size in enumerate(sizes):
+        path = tmp_path / f"g{g}.csv"
+        write_points(path, space, random_points(space, size, rng))
+        args += ["--groups", str(path)]
+    outputs = {}
+    for name, condition in CONDITIONS.items():
+        out = tmp_path / f"{name}.json"
+        with condition():
+            invoke(runner, [*args, "--out", str(out)])
+        assert json.loads(manifest_path_for(out).read_text())["kernels"] == (
+            "numpy" if name == "numpy" else "native")
+        outputs[name] = out.read_bytes()
+    assert outputs["native"] == outputs["one-thread"] == outputs["numpy"]
 
 
 def test_cmd_test_small_group_is_data_error(tmp_path, runner):

@@ -11,10 +11,12 @@ same dtype and length, and the same ``(count, a1, a2)`` per query.
 Sizes straddle the uint8/uint16 switches of the codes (n_A = 256, 257)
 and of the counts (n = 255, 256), and the compiled build's tiles of 512
 columns and blocks of 16 first anchors; reference groups straddle the
-count switch (m = 255, 256) and include the paper's groups of 60 among
-240. The permutation depth counts run the numpy fallback's algorithm, each
-group's table, count-sorted pairs and first-hit scan, with the compiled
-kernels of those steps; they are checked against it at 1, 2 and 3
+count switch (m = 255, 256) and the group table's runs of 64 uint8 codes
+(m = 63, 64, 65), fill a uint8 count to its ceiling of 255, and include
+the paper's groups of 60 among 240. The permutation depth counts run the
+numpy fallback's algorithm, each group's table, count-sorted pairs and
+first-hit scan, with the compiled pair sort and scan and a table build of
+their own; they are checked against it at 1, 2 and 3
 threads, whatever the host's CPU count, with calls made at once and in a
 forked child, and against a dense masked minimum in
 ``test_batched_kernel.py``.
@@ -402,15 +404,28 @@ def same_depths(codes, references, distinct):
 
 
 @pytest.mark.parametrize("total", [256, 257])
-@pytest.mark.parametrize("m", [1, 2, 33, 255, 256])
+@pytest.mark.parametrize("m", [1, 2, 33, 63, 64, 65, 255, 256])
 @pytest.mark.parametrize("tied", [False, True])
 def test_depths_equal_numpy(native, total, m, tied):
     # 256 pooled points take uint8 codes and 257 uint16; groups of 255 take
     # uint8 counts and 256 uint16, and groups of 33 put an odd number of
     # uint8 counts before 257 points' uint16 codes in the kernel's scratch.
+    # A group's table is built in runs of 64 uint8 or 32 uint16 codes, so
+    # groups of 63, 64 and 65 end a run one short, on its edge and one past.
     got = depths_of_three_orders(total, m, tied)
     if m == 1:
         assert (got == 1).all()
+
+
+@pytest.mark.parametrize("total, m", [(256, 255), (257, 255), (257, 256)])
+def test_depths_of_fully_tied_rows_reach_the_count_ceiling(native, total, m):
+    # Every row ties all its codes, so every table entry is m, 255 being the
+    # most that a uint8 sum holds, and every observation admits every pair.
+    codes, distinct = _row_ranks(np.ones((total, total)))
+    assert not distinct and not codes.any()
+    rng = np.random.default_rng(m)
+    orders = np.stack([rng.permutation(total) for _ in range(3)])
+    assert (same_depths(codes, orders[:, :m], distinct) == m).all()
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -748,9 +763,10 @@ def test_processes_building_at_once_share_one_cache(tmp_path):
 
 @needs_gcc
 def test_target_clones_give_the_same_bytes(native, tmp_path):
-    # The table blocks, spd2 and norms run the clone for the host's CPU
-    # (AVX-512, AVX2 or baseline x86-64). A build with CLONES defined empty
-    # has the baseline code alone, which must give the same bytes.
+    # The table blocks, the depth counts' group tables, spd2 and norms run
+    # the clone for the host's CPU (AVX-512, AVX2 or baseline x86-64). A
+    # build with CLONES defined empty has the baseline code alone, which
+    # must give the same bytes.
     import ctypes
 
     command = _native.command(tmp_path / "core.so")
@@ -768,6 +784,18 @@ def test_target_clones_give_the_same_bytes(native, tmp_path):
             for kernels, table in zip(builds, tables):
                 kernels[name](codes.ctypes.data, n, n_anchors, distinct, table.ctypes.data)
             assert tables[0].tobytes() == tables[1].tobytes(), (name, tied)
+    # Groups of 30 among 90 fill one run of uint8 codes, and of 65 and 256
+    # among 257 three and eight runs of uint16 codes, into both count types.
+    for total, m in ((90, 30), (257, 65), (257, 256)):
+        for tied in (False, True):
+            codes, distinct = _row_ranks(distances(rng, total, total, tied))
+            refs = np.stack([rng.permutation(total)[:m] for _ in range(4)])
+            outs = [np.empty((4, total), np.min_scalar_type(m)) for _ in builds]
+            name = "_".join(["depths", *(_native._SUFFIXES[t.dtype] for t in (codes, outs[0]))])
+            for kernels, out in zip(builds, outs):
+                kernels[name](codes.ctypes.data, total, refs.ctypes.data, 4, m, distinct,
+                              out.ctypes.data)
+            assert outs[0].tobytes() == outs[1].tobytes(), (name, tied)
     # spd:2 pairs: the left matrices, their inverse square roots and the
     # right matrices as four planes, some equal to a left one.
     roots = rng.standard_normal((300, 2, 2))
