@@ -23,9 +23,10 @@
  * is the same at any thread count. Every other kernel runs on the calling
  * thread.
  *
- * The table blocks, the depth counts' group tables, spd2 and norms are
- * built as target clones, chosen at load time by the CPU: x86-64-v4
- * (AVX-512) where gcc 11 or later can build it, AVX2, and the baseline.
+ * The table's one run body, which the depth counts' groups call too, spd2
+ * and norms are built as target clones, chosen at load time by the CPU:
+ * x86-64-v4 (AVX-512) where gcc 11 or later can build it, AVX2, and the
+ * baseline.
  * Every clone runs the same IEEE and integer operations, so each gives the
  * same bytes; defining CLONES empty (-DCLONES=) builds the baseline alone.
  *
@@ -325,21 +326,19 @@ struct ranks_args {
 RANKS(ranks_f64_u8, uint8_t)
 RANKS(ranks_f64_u16, uint16_t)
 
-/* A block of FIRST first anchors against a tile of TILE columns: its
- * uint16 accumulators take 16 KiB and stay in L1 while every sample row
- * streams past. The tile's codes, n rows of TILE entries, stay in L2
- * across the blocks that read them. Each row's part of the tile is copied
- * into a strip that is compared in whole runs of LANES bytes, one AVX-512
- * register or two AVX2 ones, so no column falls to a scalar remainder loop;
- * the sums over the strip's padding are never stored. With runs of 32
- * bytes, one AVX2 register, the AVX-512 clone ended about half the strips
- * in a 32-byte tail, and 230 x 920 and 400 x 400 tables took 8 % longer. */
-enum { FIRST = 16, TILE = 512, LANES = 64 };
+/* The table is built run by run of LANES bytes of columns, one AVX-512
+ * register or two AVX2 ones, so no column falls to a scalar remainder loop:
+ * each run's codes of every sample row are copied into a strip padded with
+ * zeros, and the sums over the padding are never stored. The sums of FIRSTS
+ * first anchors over one run stay in registers while the sample rows
+ * stream past; eight gave the permutation tests' groups the same times. */
+enum { LANES = 64, FIRSTS = 4 };
 
-/* Compares of codes that the table build makes per nanosecond: 18 to 21 on
- * tables of 400 x 400 to 1000 x 1000 in the AVX2 clone, 21 to 27 in the
- * AVX-512 one, fewer on smaller ones. */
-enum { TABLE_PER_NS = 18 };
+/* Compares of codes that the table build makes per nanosecond on one
+ * thread, counted as n * n_anchors^2, or half that without ties: 25 to 35
+ * on tables of 100 x 300 to 1000 x 1000, tied and tie-free, 28.6 fitted
+ * by least squares over them (AVX-512 clone). */
+enum { TABLE_PER_NS = 28 };
 
 struct table_args {
     const void *codes;
@@ -348,80 +347,88 @@ struct table_args {
     void *counts;
 };
 
-/* The blocks of first anchors that meet the column tile from c0: every
- * block, or with `distinct` the blocks up to the tile's last column. */
-static int64_t table_blocks(const struct table_args *args, int64_t c0)
-{
-    int64_t end = args->distinct && args->n_anchors - c0 > TILE ? c0 + TILE : args->n_anchors;
-    return (end + FIRST - 1) / FIRST;
-}
-
 /* counts[a1, a2] = #{i : codes[i, a1] <= codes[i, a2]} for an
  * (n, n_anchors) code matrix, into an (n_anchors, n_anchors) table of
  * COUNT; n <= 65535, and n <= 255 for uint8 counts. With `distinct` no row
- * holds two equal codes, so counts[a2, a1] = n - counts[a1, a2]: each block
- * compares only the tiles that reach its own first anchor, and writes the
- * columns past the block into the mirrored rows. A unit is one block of
- * first anchors against one tile, numbered tile by tile; no two units
- * write one entry, mirrored writes included. */
-#define TABLE(NAME, CODE, COUNT)                                               \
-    CLONES static int NAME##_block(void *arg, int64_t u, unsigned char *block) \
+ * holds two equal codes, so counts[a2, a1] = n - counts[a1, a2].
+ *
+ * NAME_run builds the columns of the run from s0 in a strip of n * LANES
+ * bytes. A row whose LANES bytes from s0 lie inside the matrix is read
+ * whole and masked, so the copy takes whole registers in every clone (a
+ * conditional read vectorizes only in the AVX-512 one); memcpy and memset
+ * copy the few rows at its end, and on every row cost the groups 3 to 6 %.
+ * The sums are SUM, the wider of the code and count types (uint8 sums of
+ * uint16 codes took 1.5 times as long). The last pass of a run repeats its
+ * last first anchor, whose sums are not stored. With `distinct` a run
+ * compares only the first anchors before its last column and mirrors its
+ * columns into the rows of those before its first, all FIRSTS of a pass or
+ * none, for a run starts at a multiple of FIRSTS; a table of one run
+ * mirrors nothing. A unit is one run, the widest first, so that with
+ * `distinct` the last units claimed are the narrowest; no two runs write
+ * one entry, mirrored writes included. */
+#define TABLE(NAME, CODE, COUNT, SUM)                                          \
+    CLONES static void NAME##_run(const CODE *codes, int64_t n, int64_t n_anchors, \
+                                  int distinct, int64_t s0, CODE *strip, COUNT *counts) \
     {                                                                          \
-        (void)block;                                                           \
-        const struct table_args *args = arg;                                   \
-        const CODE *codes = args->codes;                                       \
-        COUNT *counts = args->counts;                                          \
-        int64_t n = args->n, n_anchors = args->n_anchors, c0 = 0;              \
-        int distinct = args->distinct;                                         \
-        for (int64_t b; u >= (b = table_blocks(args, c0)); u -= b)             \
-            c0 += TILE;                                                        \
-        uint16_t acc[FIRST][TILE] __attribute__((aligned(LANES)));             \
-        CODE strip[TILE] __attribute__((aligned(LANES)));                      \
-        memset(strip, 0, sizeof strip);                                        \
-        int64_t width = n_anchors - c0 < TILE ? n_anchors - c0 : TILE;         \
-        int64_t lo = u * FIRST;                                                \
-        int64_t hi = n_anchors - lo < FIRST ? n_anchors : lo + FIRST;          \
-        int64_t from = distinct && lo > c0 ? lo - c0 : 0;                      \
-        int64_t lanes = LANES / sizeof(CODE);                                  \
-        int64_t start = from / lanes * lanes;                                  \
-        int64_t stop = (width + lanes - 1) / lanes * lanes;                    \
-        memset(acc, 0, sizeof acc);                                            \
+        enum { RUN = LANES / sizeof(CODE) };                                   \
+        int64_t s1 = n_anchors - s0 < RUN ? n_anchors : s0 + RUN;              \
+        int64_t end = distinct ? s1 : n_anchors;                               \
         for (int64_t i = 0; i < n; i++) {                                      \
-            const CODE *row = codes + i * n_anchors;                           \
-            memcpy(strip + start, row + c0 + start, (width - start) * sizeof(CODE)); \
-            for (int64_t a = lo; a < hi; a++) {                                \
-                CODE first = row[a];                                           \
-                uint16_t *sum = acc[a - lo];                                   \
-                for (int64_t c = start; c < stop; c++)                         \
-                    sum[c] += first <= strip[c];                               \
+            const CODE *from = codes + i * n_anchors + s0;                     \
+            if ((n - i) * n_anchors - s0 >= RUN)                               \
+                for (int64_t c = 0; c < RUN; c++)                              \
+                    strip[i * RUN + c] = from[c] & (c < s1 - s0 ? (CODE)-1 : 0); \
+            else {                                                             \
+                memcpy(strip + i * RUN, from, (s1 - s0) * sizeof(CODE));       \
+                memset(strip + i * RUN + s1 - s0, 0, (RUN - s1 + s0) * sizeof(CODE)); \
             }                                                                  \
         }                                                                      \
-        for (int64_t a = lo; a < hi; a++)                                      \
-            for (int64_t c = from; c < width; c++)                             \
-                counts[a * n_anchors + c0 + c] = (COUNT)acc[a - lo][c];        \
-        if (distinct)                                                          \
-            for (int64_t c = hi > c0 ? hi - c0 : 0; c < width; c++)            \
-                for (int64_t a = lo; a < hi; a++)                              \
-                    counts[(c0 + c) * n_anchors + a] = (COUNT)(n - acc[a - lo][c]); \
+        for (int64_t a0 = 0; a0 < end; a0 += FIRSTS) {                         \
+            SUM sum[FIRSTS][RUN] __attribute__((aligned(LANES))) = {{0}};      \
+            int64_t at[FIRSTS];                                                \
+            for (int64_t k = 0; k < FIRSTS; k++)                               \
+                at[k] = a0 + k < end ? a0 + k : end - 1;                       \
+            for (int64_t i = 0; i < n; i++) {                                  \
+                const CODE *row = codes + i * n_anchors, *run = strip + i * RUN; \
+                for (int64_t k = 0; k < FIRSTS; k++) {                         \
+                    CODE first = row[at[k]];                                   \
+                    for (int64_t c = 0; c < RUN; c++)                          \
+                        sum[k][c] += first <= run[c];                          \
+                }                                                              \
+            }                                                                  \
+            for (int64_t a = a0; a < a0 + FIRSTS && a < end; a++)              \
+                for (int64_t c = s0; c < s1; c++)                              \
+                    counts[a * n_anchors + c] = (COUNT)sum[a - a0][c - s0];    \
+            if (distinct && a0 < s0)                                           \
+                for (int64_t c = s0; c < s1; c++)                              \
+                    for (int64_t k = 0; k < FIRSTS; k++)                       \
+                        counts[c * n_anchors + a0 + k] = (COUNT)(n - sum[k][c - s0]); \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
+    static int NAME##_unit(void *arg, int64_t u, unsigned char *block)         \
+    {                                                                          \
+        const struct table_args *args = arg;                                   \
+        int64_t run = LANES / sizeof(CODE);                                    \
+        NAME##_run(args->codes, args->n, args->n_anchors, args->distinct,      \
+                   ((args->n_anchors - 1) / run - u) * run, (CODE *)block, args->counts); \
         return 1;                                                              \
     }                                                                          \
                                                                                \
-    void NAME(const CODE *codes, int64_t n, int64_t n_anchors, int distinct,   \
-              COUNT *counts, int64_t threads)                                  \
+    int NAME(const CODE *codes, int64_t n, int64_t n_anchors, int distinct,    \
+             COUNT *counts, int64_t threads)                                   \
     {                                                                          \
         struct table_args args = {codes, n, n_anchors, distinct, counts};      \
-        int64_t units = 0;                                                     \
-        for (int64_t c0 = 0; c0 < n_anchors; c0 += TILE)                       \
-            units += table_blocks(&args, c0);                                  \
-        run_units(NAME##_block, &args, units, 0, threads,                      \
-                  n * n_anchors * n_anchors / (distinct ? 2 : 1) / TABLE_PER_NS, \
-                  GRAIN);                                                      \
+        int64_t run = LANES / sizeof(CODE);                                    \
+        return run_units(NAME##_unit, &args, (n_anchors + run - 1) / run, n * LANES, \
+                         threads, n * n_anchors * n_anchors / (distinct ? 2 : 1) \
+                                      / TABLE_PER_NS, GRAIN);                  \
     }
 
-TABLE(table_u8_u8, uint8_t, uint8_t)
-TABLE(table_u8_u16, uint8_t, uint16_t)
-TABLE(table_u16_u8, uint16_t, uint8_t)
-TABLE(table_u16_u16, uint16_t, uint16_t)
+TABLE(table_u8_u8, uint8_t, uint8_t, uint8_t)
+TABLE(table_u8_u16, uint8_t, uint16_t, uint16_t)
+TABLE(table_u16_u8, uint16_t, uint8_t, uint16_t)
+TABLE(table_u16_u16, uint16_t, uint16_t, uint16_t)
 
 /* Side of the square tiles in which a table meets its transpose: a tile
  * and its mirror, 64 rows of 64 uint16 counts each, stay in L1. */
@@ -641,69 +648,6 @@ SCAN(scan_f64_u16, double, uint16_t)
 SCAN(scan_u8_u16, uint8_t, uint16_t)
 SCAN(scan_u16_u16, uint16_t, uint16_t)
 
-/* m rounded up to whole runs of LANES bytes of codes of `size` bytes: the
- * width of a group's strips. */
-static int64_t strip_width(int64_t m, int64_t size)
-{
-    int64_t run = LANES / size;
-    return (m + run - 1) / run * run;
-}
-
-/* First anchors whose sums share one pass over a group's member rows: each
- * pass loads a row's run once for all of them, and their sums take four
- * AVX-512 registers or eight AVX2 ones. Eight gave the same group times. */
-enum { FIRSTS = 4 };
-
-/* counts[a1, a2] = #{i : rows[i, a1] <= rows[i, a2]} for the (m, m) codes
- * of a group's members at its members, into an (m, m) table of COUNT; each
- * row is a strip of strip_width(m) codes, its padding zeros. The table is
- * built run by run of LANES bytes of columns, with no scalar remainder: the
- * sums of FIRSTS first anchors over one run are accumulators of the count
- * type, (FIRSTS, LANES / sizeof(CODE)), which stay in registers while the m
- * member rows stream past, and only the run's columns below m are stored,
- * so the padding's sums are never read. The last pass of a run repeats its
- * last first anchor, whose repeated sums are not stored either. With
- * `distinct`, as in TABLE, counts[a2, a1] = m - counts[a1, a2]: a run
- * compares only the first anchors before its last column and mirrors its
- * columns into the rows of the anchors before its first, so a group of one
- * run compares every pair and mirrors none. */
-#define GROUP_TABLE(NAME, CODE, COUNT)                                         \
-    CLONES static void NAME(const CODE *rows, int64_t m, int64_t width,        \
-                            int distinct, COUNT *counts)                       \
-    {                                                                          \
-        enum { RUN = LANES / sizeof(CODE) };                                   \
-        for (int64_t s0 = 0; s0 < m; s0 += RUN) {                              \
-            int64_t s1 = m - s0 < RUN ? m : s0 + RUN;                          \
-            int64_t end = distinct ? s1 : m;                                   \
-            for (int64_t a0 = 0; a0 < end; a0 += FIRSTS) {                     \
-                COUNT sum[FIRSTS][RUN] __attribute__((aligned(LANES))) = {{0}}; \
-                int64_t at[FIRSTS];                                            \
-                for (int64_t k = 0; k < FIRSTS; k++)                           \
-                    at[k] = a0 + k < end ? a0 + k : end - 1;                   \
-                for (int64_t i = 0; i < m; i++) {                              \
-                    const CODE *row = rows + i * width;                        \
-                    for (int64_t k = 0; k < FIRSTS; k++) {                     \
-                        CODE first = row[at[k]];                               \
-                        for (int64_t c = 0; c < RUN; c++)                      \
-                            sum[k][c] += first <= row[s0 + c];                 \
-                    }                                                          \
-                }                                                              \
-                for (int64_t a = a0; a < a0 + FIRSTS && a < end; a++) {        \
-                    for (int64_t c = s0; c < s1; c++)                          \
-                        counts[a * m + c] = sum[a - a0][c - s0];               \
-                    if (distinct && a < s0)                                    \
-                        for (int64_t c = s0; c < s1; c++)                      \
-                            counts[c * m + a] = (COUNT)(m - sum[a - a0][c - s0]); \
-                }                                                              \
-            }                                                                  \
-        }                                                                      \
-    }
-
-GROUP_TABLE(group_table_u8_u8, uint8_t, uint8_t)
-GROUP_TABLE(group_table_u8_u16, uint8_t, uint16_t)
-GROUP_TABLE(group_table_u16_u8, uint16_t, uint8_t)
-GROUP_TABLE(group_table_u16_u16, uint16_t, uint16_t)
-
 struct depths_args {
     const void *codes;
     const int64_t *refs;
@@ -720,19 +664,19 @@ struct depths_args {
  * A unit is one group, whose row of `out` one thread writes.
  *
  * A group's table is queried as depth.py queries any table, each step on
- * the group's thread: the members' rows of codes at the members are
- * gathered into strips and group_table_* builds the table from them, the
- * tally and placing of the pair sort order its pairs, one block of m rows
- * whose histogram has m + 1 bins, for no count passes m (a group with no
- * pair has bound m), and the kept pairs, mapped through ref to pooled
- * indices, are scanned by scan_* over the pooled codes themselves, as a
- * (total, total) query. A hit's count is read from the table at the local
- * pair. A thread's block holds the strips, (m, strip_width(m)) codes at
- * its start, then the histogram and the first hits (int64), the local and
- * the pooled pairs (uint16, m * m each) and the (m, m) table of the count
- * type: with uint8 codes and counts, 10.8 KiB for a group of 30 among 90
- * and 37.8 KiB for 60 among 240, and 772 KiB for 256 among 257 with
- * uint16 ones.
+ * the group's thread: table_*_run builds it run by run from the members'
+ * codes at the members, gathered into an (m, m) matrix, the tally and
+ * placing of the pair sort order its pairs, one block of m rows whose
+ * histogram has m + 1 bins, for no count passes m (a group with no pair has
+ * bound m), and the kept pairs, mapped through ref to pooled indices, are
+ * scanned by scan_* over the pooled codes themselves, as a (total, total)
+ * query. A hit's count is read from the table at the local pair. A
+ * thread's block holds the run's strip (m * LANES bytes), the histogram and
+ * the first hits (int64), the local and the pooled pairs (uint16, m * m
+ * each), the (m, m) table, its entries rounded up to an even number so the
+ * uint16 codes after it stay aligned, and the member codes: 11.6 KiB for a
+ * group of 30 among 90 and 41.3 KiB for 60 among 240 with uint8 codes and
+ * counts, and 788 KiB for 256 among 257 with uint16 ones.
  *
  * On one thread a group takes about DEPTHS_NS nanoseconds per member pair,
  * 6 to 9.5 for groups of 20 to 256 among 40 to 257, and up to a
@@ -754,22 +698,18 @@ enum { DEPTHS_NS = 7, DEPTHS_GRAIN = 100000 };
         const struct depths_args *args = arg;                                  \
         const CODE *codes = args->codes;                                       \
         int64_t total = args->total, m = args->m;                              \
-        int64_t width = strip_width(m, sizeof(CODE));                          \
         const int64_t *ref = args->refs + r * m;                               \
-        CODE *rows = (CODE *)block;                                            \
-        int64_t *hist = (int64_t *)(rows + m * width), *first = hist + m + 1;  \
+        int64_t *hist = (int64_t *)(block + m * LANES), *first = hist + m + 1; \
         uint16_t *a1 = (uint16_t *)(first + total), *a2 = a1 + m * m;          \
         uint16_t *p1 = a2 + m * m, *p2 = p1 + m * m;                           \
         COUNT *table = (COUNT *)(p2 + m * m);                                  \
+        CODE *members = (CODE *)(table + m * m + m % 2);                       \
         COUNT *out = (COUNT *)args->out + r * total;                           \
-        for (int64_t i = 0; i < m; i++) {                                      \
-            const CODE *from = codes + ref[i] * total;                         \
-            CODE *row = rows + i * width;                                      \
+        for (int64_t i = 0; i < m; i++)                                        \
             for (int64_t j = 0; j < m; j++)                                    \
-                row[j] = from[ref[j]];                                         \
-            memset(row + m, 0, (width - m) * sizeof(CODE));                    \
-        }                                                                      \
-        group_table_##C##_##K(rows, m, width, args->distinct, table);          \
+                members[i * m + j] = codes[ref[i] * total + ref[j]];           \
+        for (int64_t s0 = 0; s0 < m; s0 += LANES / sizeof(CODE))               \
+            table_##C##_##K##_run(members, m, m, args->distinct, s0, (CODE *)block, table); \
         memset(hist, 0, (m + 1) * sizeof *hist);                               \
         struct sort_args sort = {table, m, m, m, hist, m, a1, a2};             \
         tally_##K##_rows(&sort, 0, NULL);                                      \
@@ -792,10 +732,10 @@ enum { DEPTHS_NS = 7, DEPTHS_GRAIN = 100000 };
                          int distinct, COUNT *out, int64_t threads)            \
     {                                                                          \
         struct depths_args args = {codes, refs, total, m, distinct, out};      \
-        int64_t bytes = m * strip_width(m, sizeof(CODE)) * (int64_t)sizeof(CODE) \
-                        + (m + 1 + total) * (int64_t)sizeof(int64_t)           \
+        int64_t bytes = m * LANES + (m + 1 + total) * (int64_t)sizeof(int64_t) \
                         + 4 * m * m * (int64_t)sizeof(uint16_t)                \
-                        + m * m * (int64_t)sizeof(COUNT);                      \
+                        + (m * m + m % 2) * (int64_t)sizeof(COUNT)             \
+                        + m * m * (int64_t)sizeof(CODE);                       \
         return run_units(depths_##C##_##K##_group, &args, n_refs, bytes, threads, \
                          n_refs * (m * m * DEPTHS_NS + 1000), DEPTHS_GRAIN);   \
     }

@@ -44,7 +44,7 @@ scratch, and a failed allocation raises ``MemoryError``.
 
 ``ranks``, ``table``, ``tally``, ``pairs``, ``scan`` and ``depths`` run
 on the core's one thread runner. A call splits its work into units (blocks
-of rows, of first anchors against a column tile, of table rows, of
+of rows, runs of 64 bytes of table columns, blocks of table rows, of
 queries, or one reference group) that its threads claim one at a time,
 and takes ``min(threads(), units, work / grain)`` threads, at least one:
 its estimated single-thread time over an internal grain of work per
@@ -199,7 +199,7 @@ def bind(lib) -> dict:
     # Each of ranks, table, sort_rows, tally, pairs, scan and depths takes the
     # thread count last.
     signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr, i64], flag) for code in integers}
-    signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], None)
+    signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], flag)
                        for code in integers for count in integers})
     signatures["sort_rows"] = ([i64, i64], i64)
     signatures.update({f"tally_{count}": ([ptr, i64, i64, i64, ptr, i64], i64)
@@ -219,7 +219,7 @@ def bind(lib) -> dict:
     for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
-        if name.startswith(("ranks", "depths")):
+        if name.startswith(("ranks", "table", "depths")):
             function.errcheck = _allocated
         if name.startswith(("ranks", "table", "sort", "tally", "pairs", "scan", "depths")):
             functions[name] = _on_threads(function)

@@ -44,15 +44,16 @@ by :mod:`metricdepth._native`) when it can be built, and so do the
 permutation tests' depth counts (:mod:`metricdepth.inference`), which
 take each reference group's table through the same build, sort and
 scan. Its ranks sort each row by a bucket pass and per-bucket sorts; its
-table build takes blocks of 16 first anchors against tiles of 512 columns,
-with uint16 accumulators that stay in L1 while the sample rows stream
-past; its pair sort is the counting sort above, by blocks of table rows,
-each with a histogram of its own, its only temporary; its scan reads each
-kept pair's two indices and the query's two entries, and stops at the
-first admissible pair. The ranks, table build, pair sort and scan spread
-a large call over the core's threads, by blocks of rows, of first anchors
-against a tile, of table rows and of queries, to the same bytes at any
-thread count (see :mod:`metricdepth._native`). Each step
+table build, one run body for every table, takes the columns in runs of
+64 bytes, padded with zeros, and sums four first anchors at a time over
+a run in registers while the sample rows stream past; its pair sort is
+the counting sort above, by blocks of table rows, each with a histogram
+of its own, its only temporary; its scan reads each kept pair's two
+indices and the query's two entries, and stops at the first admissible
+pair. The ranks, table build, pair sort and scan spread a large call
+over the core's threads, by blocks of rows, by runs of columns, by blocks
+of table rows and of queries, to the same bytes at any thread count (see
+:mod:`metricdepth._native`). Each step
 has one entry point, :func:`_row_ranks`, :func:`_prob_counts`,
 :attr:`HalfspaceProbTable.sorted_pairs` and :func:`_min_counts`, whose
 numpy body is the reference the compiled kernel must equal in every

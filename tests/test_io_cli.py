@@ -401,7 +401,7 @@ def test_cmd_test_writes_the_same_bytes_at_any_thread_count(tmp_path, runner, rn
 
 # One row per command, geometry and input recipe (group sizes, data seed,
 # permutations): the benchmark's three sphere:2 groups of 30, and groups of
-# 64 and 65, the edges of the compiled depth counts' 64-code strips.
+# 64 and 65, the edges of the compiled table's runs of 64 uint8 codes.
 EQUIVALENCE = [
     pytest.param(["test", "--test", "kw"], "sphere:2", (30, 30, 30), 5, 99, id="kw-sphere2-3x30"),
     pytest.param(["test", "--test", "kw"], "sphere:2", (64, 65), 6, 99, id="kw-sphere2-64-65"),

@@ -9,14 +9,15 @@ The numpy bodies are the oracle, run by the same entry points under
 same counts, in the same dtype and layout, the same sorted pairs, in the
 same dtype and length, and the same ``(count, a1, a2)`` per query.
 Sizes straddle the uint8/uint16 switches of the codes (n_A = 256, 257)
-and of the counts (n = 255, 256), and the compiled build's tiles of 512
-columns and blocks of 16 first anchors; reference groups straddle the
-count switch (m = 255, 256) and the group table's runs of 64 uint8 codes
+and of the counts (n = 255, 256), and the compiled build's runs of 64
+bytes of columns, 64 uint8 codes (n_A = 63, 64, 65) or 32 uint16 ones
+(n_A = 288, 289), whose first anchors it takes four at a time; reference
+groups straddle the count switch (m = 255, 256) and the same runs
 (m = 63, 64, 65), fill a uint8 count to its ceiling of 255, and include
 the paper's groups of 60 among 240. The permutation depth counts run the
 numpy fallback's algorithm, each group's table, count-sorted pairs and
-first-hit scan, with the compiled pair sort and scan and a table build of
-their own; they are checked against it at 1, 2 and 3
+first-hit scan, with the compiled table build, pair sort and scan; they
+are checked against it at 1, 2 and 3
 threads, whatever the host's CPU count, with calls made at once and in a
 forked child, and against a dense masked minimum in
 ``test_batched_kernel.py``.
@@ -200,7 +201,7 @@ def test_ranks_equal_numpy_on_tied_floats(data):
 # ------------------------------------------------------------------ table
 
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 300])
-@pytest.mark.parametrize("n_anchors", [1, 17, 256, 257])
+@pytest.mark.parametrize("n_anchors", [1, 17, 63, 64, 65, 256, 257, 288, 289])
 @pytest.mark.parametrize("tied", [False, True])
 def test_table_equals_numpy(native, n, n_anchors, tied):
     codes, distinct = _row_ranks(
@@ -216,8 +217,7 @@ def test_table_equals_numpy(native, n, n_anchors, tied):
 
 @pytest.mark.parametrize("tied", [False, True])
 def test_table_across_column_tiles(native, tied):
-    # 1100 anchors span three tiles, the last one partial, and end in a
-    # partial block of first anchors.
+    # 1100 anchors span 35 runs of uint16 codes, the last one partial.
     codes, distinct = _row_ranks(distances(np.random.default_rng(3), 40, 1100, tied))
     assert distinct == distinct_rows(codes)
     same_table(codes, distinct)
@@ -602,6 +602,9 @@ def test_a_failed_scratch_allocation_raises_memory_error(native):
     ranks = _native.kernel("ranks", np.float64, np.uint8)
     with pytest.raises(MemoryError, match="ranks_f64_u8"):
         ranks(None, 0, 2**54, None)
+    table = _native.kernel("table", np.uint8, np.uint8)
+    with pytest.raises(MemoryError, match="table_u8_u8"):
+        table(None, 2**52, 1, True, None)
     depths = _native.kernel("depths", np.uint8, np.uint8)
     with pytest.raises(MemoryError, match="depths_u8_u8"):
         depths(None, 0, None, 0, 2**29, True, None)
@@ -763,20 +766,24 @@ def test_processes_building_at_once_share_one_cache(tmp_path):
 
 @needs_gcc
 def test_target_clones_give_the_same_bytes(native, tmp_path):
-    # The table blocks, the depth counts' group tables, spd2 and norms run
-    # the clone for the host's CPU (AVX-512, AVX2 or baseline x86-64). A
-    # build with CLONES defined empty has the baseline code alone, which
-    # must give the same bytes.
+    # The table's runs, which the depth counts' groups build too, spd2 and
+    # norms run the clone for the host's CPU (AVX-512, AVX2 or baseline
+    # x86-64). A build with CLONES defined empty has the baseline code
+    # alone, which must give the same bytes. It is built with every warning
+    # an error, so code outside the clones is checked too.
     import ctypes
 
     command = _native.command(tmp_path / "core.so")
-    command.insert(command.index("-o"), "-DCLONES=")
-    subprocess.run(command, check=True, capture_output=True)
+    command[command.index("-o"):command.index("-o")] = ["-DCLONES=", "-Wall", "-Wextra", "-Werror"]
+    built = subprocess.run(command, capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
     builds = (_native.library(), _native.bind(ctypes.CDLL(str(tmp_path / "core.so"))))
     rng = np.random.default_rng(11)
-    # 100 and 600 anchors take uint8 and uint16 codes, 600 two column
-    # tiles; 40 and 300 rows uint8 and uint16 counts.
-    for n, n_anchors in ((40, 100), (300, 100), (40, 600), (300, 600)):
+    # 100 and 101 anchors take uint8 codes, 600 and 603 uint16 ones, each
+    # ending in a partial run, and 101 and 603 first anchors end in a
+    # partial pass of four; 40 and 300 rows uint8 and uint16 counts.
+    for n, n_anchors in ((40, 100), (300, 100), (40, 600), (300, 600), (40, 101),
+                         (300, 603)):
         for tied in (False, True):
             codes, distinct = _row_ranks(distances(rng, n, n_anchors, tied))
             tables = [np.empty((n_anchors, n_anchors), np.min_scalar_type(n)) for _ in builds]

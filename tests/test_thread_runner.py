@@ -6,13 +6,13 @@ must give the same codes and tie flag, the same counts in the same dtype,
 the same sorted pairs and the same first-hit pairs at every count, equal
 to the numpy bodies of their entry points. Shapes cross the work threshold
 below which a call stays on the calling thread (a 200 x 17 ranking stays
-there; 600 x 920 runs on every thread it is given), the table's tiles of
-512 columns and blocks of 16 first anchors (n_A = 17, 513, 920), the
-uint8/uint16 switch of the codes (n_A = 300) and of the counts (n = 200,
-600), and rows with and without ties, including a single tied row, whose
-flag every unit's rows must clear. The pair sort is also run by blocks of
-any number of rows, whatever its size, since a sort small enough for one
-thread takes one block.
+there; 600 x 920 runs on every thread it is given), the table's runs of
+64 bytes of columns, whole and partial, with first anchors four at a time
+(n_A = 17, 289, 513, 920), the uint8/uint16 switch of the codes
+(n_A = 300) and of the counts (n = 200, 600), and rows with and without
+ties, including a single tied row, whose flag every unit's rows must
+clear. The pair sort is also run by blocks of any number of rows, whatever
+its size, since a sort small enough for one thread takes one block.
 """
 
 import os
@@ -34,7 +34,7 @@ from metricdepth.spaces import SPD
 
 from conftest import kernel_threads, numpy_kernels, random_points
 
-ANCHORS = [1, 17, 300, 513, 920]
+ANCHORS = [1, 17, 289, 300, 513, 920]
 THREADS = (1, 2, 3)
 
 
