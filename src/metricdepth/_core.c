@@ -1,12 +1,14 @@
 /* Kernels of the anchored halfspace depth: the per-row rank codes of a
  * distance matrix, the table build over them, the counting sort of the
- * table's anchor pairs, the first-hit scan over those pairs, and the
- * permutation tests' depth counts, which take the last three for each of
- * many small reference groups.
+ * table's anchor pairs, the first-hit scan over those pairs, the
+ * least-count pass that a few queries take over the table in place of the
+ * sort and scan, and the permutation tests' depth counts, which take the
+ * build, sort and scan for each of many small reference groups.
  *
  * Each computes exactly what the numpy body of its entry point computes
  * (`_row_ranks`, `_prob_counts`, `HalfspaceProbTable.sorted_pairs` and
- * `_min_counts` in depth.py, `_batched_depth_counts` in inference.py):
+ * `_min_counts` in depth.py, whose sort and scan the least-count pass must
+ * equal too, `_batched_depth_counts` in inference.py):
  * every comparison is an IEEE comparison between two entries of one row,
  * and the ranks' bucket map needs IEEE rounding to keep the order, so the
  * build must never run under -ffast-math. Kernels are chosen by the dtypes
@@ -14,19 +16,19 @@
  * row-major. A kernel that needs scratch allocates it, frees it before it
  * returns, and returns -1 when it cannot allocate it.
  *
- * The ranks, the table build, the pair sort, the scan and the depth counts
- * run on the core's one thread runner (`run_units`): a call splits its
- * work into units, which its threads claim one at a time, and takes as many
- * threads as its caller allows, its units number and its estimated work
- * pays for, starting and joining them before it returns. Units write
- * disjoint outputs with the same arithmetic on any thread, so every output
- * is the same at any thread count. Every other kernel runs on the calling
- * thread.
+ * The ranks, the table build, the pair sort, the scan, the least-count pass
+ * and the depth counts run on the core's one thread runner (`run_units`):
+ * a call splits its work into units, which its threads claim one at a
+ * time, and takes as many threads as its caller allows, its units number
+ * and its estimated work pays for, starting and joining them before it
+ * returns. Units write disjoint outputs with the same arithmetic on any
+ * thread, so every output is the same at any thread count. Every other
+ * kernel runs on the calling thread.
  *
- * The table's one run body, which the depth counts' groups call too, spd2
- * and norms are built as target clones, chosen at load time by the CPU:
- * x86-64-v4 (AVX-512) where gcc 11 or later can build it, AVX2, and the
- * baseline.
+ * The table's one run body, which the depth counts' groups call too, the
+ * least-count pass, spd2 and norms are built as target clones, chosen at
+ * load time by the CPU: x86-64-v4 (AVX-512) where gcc 11 or later can
+ * build it, AVX2, and the baseline.
  * Every clone runs the same IEEE and integer operations, so each gives the
  * same bytes; defining CLONES empty (-DCLONES=) builds the baseline alone.
  *
@@ -647,6 +649,104 @@ struct scan_args {
 SCAN(scan_f64_u16, double, uint16_t)
 SCAN(scan_u8_u16, uint8_t, uint16_t)
 SCAN(scan_u16_u16, uint16_t, uint16_t)
+
+/* Table entries that the least-count pass reads per nanosecond on one
+ * thread, counted as m * n_anchors^2: about 5 on spd:2 tables of 300
+ * anchors, whose short rows pay more per entry, and 10 on 920 (AVX-512
+ * clone). So a refinement step's 1 x 300 call (est. 11 us) stays on the
+ * calling thread, and 10 queries against 920 anchors (est. 1.06 ms) take
+ * two. */
+enum { LEAST_PER_NS = 8 };
+
+struct least_args {
+    const void *query, *counts;
+    int64_t n_anchors;
+    int64_t *at;
+};
+
+/* at[j] = a1 * n_anchors + a2 for the least counts[a1, a2] over the pairs
+ * that query j admits, a1 != a2 and query[j, a1] <= query[j, a2], the
+ * first in row-major order among equal counts, or -1 when it admits none;
+ * for an (m, n_anchors) code matrix and an (n_anchors, n_anchors) table.
+ * This is the pair that the first-hit scan over the count-sorted pairs
+ * finds, read without the sort: a unit is one query, which passes over the
+ * table once, row by row.
+ *
+ * NAME_query takes each row a1 in runs of LANES columns, the last run
+ * ending at the row's end (so it may repeat columns, which a minimum
+ * allows), and keeps per lane the least count that q[a1] <= q[a2] admits,
+ * the diagonal included, or the greatest LANE where none is; LANE is the
+ * wider of the code and count types. `best` starts above every count, and
+ * only a row whose least lane lies below it is read again, entry by entry,
+ * without the diagonal: that read finds the row's first pair of a count
+ * below `best`, if any, and a row whose lanes all reach `best` holds none.
+ * A row shorter than a run is read entry by entry alone. NAME_lanes loads
+ * the counts whether or not they are admitted, so that the AVX2 and
+ * baseline clones vectorize the choice too: with the load under the
+ * condition, only the AVX-512 clone did, and the AVX2 one took 12 times as
+ * long. */
+#define LEAST(NAME, CODE, COUNT, LANE)                                         \
+    static inline void NAME##_lanes(LANE *restrict lane, CODE first,           \
+                                    const CODE *restrict q, const COUNT *restrict row) \
+    {                                                                          \
+        for (int64_t c = 0; c < LANES; c++) {                                  \
+            LANE count = row[c], x = first <= q[c] ? count : (LANE)-1;         \
+            lane[c] = x < lane[c] ? x : lane[c];                               \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
+    CLONES static int64_t NAME##_query(const CODE *q, int64_t n_anchors,       \
+                                       const COUNT *counts)                    \
+    {                                                                          \
+        int64_t best = (int64_t)(COUNT)-1 + 1, at = -1;                        \
+        for (int64_t a = 0; a < n_anchors; a++) {                              \
+            const COUNT *row = counts + a * n_anchors;                         \
+            CODE first = q[a];                                                 \
+            LANE low = 0;                                                      \
+            if (n_anchors >= LANES) {                                          \
+                LANE lane[LANES] __attribute__((aligned(LANES)));              \
+                for (int64_t c = 0; c < LANES; c++)                            \
+                    lane[c] = (LANE)-1;                                        \
+                int64_t s = 0;                                                 \
+                for (; s + LANES <= n_anchors; s += LANES)                     \
+                    NAME##_lanes(lane, first, q + s, row + s);                 \
+                if (s < n_anchors)                                             \
+                    NAME##_lanes(lane, first, q + n_anchors - LANES, row + n_anchors - LANES); \
+                low = lane[0];                                                 \
+                for (int64_t c = 1; c < LANES; c++)                            \
+                    low = lane[c] < low ? lane[c] : low;                       \
+            }                                                                  \
+            if (low < best)                                                    \
+                for (int64_t b = 0; b < n_anchors; b++)                        \
+                    if (b != a && first <= q[b] && row[b] < best) {            \
+                        best = row[b];                                         \
+                        at = a * n_anchors + b;                                \
+                    }                                                          \
+        }                                                                      \
+        return at;                                                             \
+    }                                                                          \
+                                                                               \
+    static int NAME##_unit(void *arg, int64_t j, unsigned char *block)         \
+    {                                                                          \
+        (void)block;                                                           \
+        const struct least_args *args = arg;                                   \
+        args->at[j] = NAME##_query((const CODE *)args->query + j * args->n_anchors, \
+                                   args->n_anchors, args->counts);             \
+        return 1;                                                              \
+    }                                                                          \
+                                                                               \
+    void NAME(const CODE *query, int64_t m, int64_t n_anchors, const COUNT *counts, \
+              int64_t *at, int64_t threads)                                    \
+    {                                                                          \
+        struct least_args args = {query, counts, n_anchors, at};               \
+        run_units(NAME##_unit, &args, m, 0, threads,                           \
+                  m * n_anchors * n_anchors / LEAST_PER_NS, GRAIN);            \
+    }
+
+LEAST(least_u8_u8, uint8_t, uint8_t, uint8_t)
+LEAST(least_u8_u16, uint8_t, uint16_t, uint16_t)
+LEAST(least_u16_u8, uint16_t, uint8_t, uint16_t)
+LEAST(least_u16_u16, uint16_t, uint16_t, uint16_t)
 
 struct depths_args {
     const void *codes;

@@ -3,11 +3,12 @@
 The kernels are ``ranks`` (per-row rank codes of a distance matrix),
 ``table`` (the halfspace count table), ``sort_rows``, ``tally`` and
 ``pairs`` (the counting sort of the table's anchor pairs, by blocks of
-rows), ``scan`` (each query's first
-admissible pair), ``depths`` (the permutation tests' depth counts),
-``orders`` (the permutation tests' orders, numpy's ``Generator``
-permutations drawn in C), ``normals`` (the standard normals of
-:func:`metricdepth.rng.derive_normals`, numpy's
+rows), ``scan`` (each query's first admissible pair), ``least`` (each
+query's least admissible pair by one pass over the table, which a few
+queries take in place of the sort and scan), ``depths`` (the permutation
+tests' depth counts), ``orders`` (the permutation tests' orders, numpy's
+``Generator`` permutations drawn in C), ``normals`` (the standard normals
+of :func:`metricdepth.rng.derive_normals`, numpy's
 ``Generator.standard_normal`` drawn in C), ``spd2`` (the whitened
 eigenvalues behind ``SPD(2).distance_matrix``, one fixed sequence of IEEE
 operations per pair) and ``norms`` (the norms of differences behind
@@ -42,14 +43,14 @@ arrays, and takes no flag that a dtype could state.
 A call passes only arrays and sizes: each kernel allocates its own
 scratch, and a failed allocation raises ``MemoryError``.
 
-``ranks``, ``table``, ``tally``, ``pairs``, ``scan`` and ``depths`` run
-on the core's one thread runner. A call splits its work into units (blocks
-of rows, runs of 64 bytes of table columns, blocks of table rows, of
-queries, or one reference group) that its threads claim one at a time,
-and takes ``min(threads(), units, work / grain)`` threads, at least one:
-its estimated single-thread time over an internal grain of work per
-thread, so small calls, such as one-query scans, stay on the calling
-thread. ``sort_rows`` gives the table rows per block of ``tally`` and
+``ranks``, ``table``, ``tally``, ``pairs``, ``scan``, ``least`` and
+``depths`` run on the core's one thread runner. A call splits its work into
+units (blocks of rows, runs of 64 bytes of table columns, blocks of table
+rows, blocks of queries or one query, or one reference group) that its
+threads claim one at a time, and takes ``min(threads(), units, work /
+grain)`` threads, at least one: its estimated single-thread time over an
+internal grain of work per thread, so small calls, such as one-query
+scans, stay on the calling thread. ``sort_rows`` gives the table rows per block of ``tally`` and
 ``pairs``: 64 when the sort takes more than one thread, else every row,
 one block. The loader passes :func:`threads` to these kernels and to
 ``sort_rows`` as their last argument at every call, so a change of the
@@ -196,8 +197,8 @@ def bind(lib) -> dict:
     i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     integers = ("u8", "u16")
     # name: (argument types, return type)
-    # Each of ranks, table, sort_rows, tally, pairs, scan and depths takes the
-    # thread count last.
+    # Each of ranks, table, sort_rows, tally, pairs, scan, least and depths
+    # takes the thread count last.
     signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr, i64], flag) for code in integers}
     signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], flag)
                        for code in integers for count in integers})
@@ -208,6 +209,8 @@ def bind(lib) -> dict:
                        for count in integers})
     signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr, i64], None)
                        for query in ("f64", *integers)})
+    signatures.update({f"least_{code}_{count}": ([ptr, i64, i64, ptr, ptr, i64], None)
+                       for code in integers for count in integers})
     signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, ptr, i64],
                                                   flag)
                        for code in integers for count in integers})
@@ -221,7 +224,8 @@ def bind(lib) -> dict:
         function.argtypes, function.restype = argtypes, restype
         if name.startswith(("ranks", "table", "depths")):
             function.errcheck = _allocated
-        if name.startswith(("ranks", "table", "sort", "tally", "pairs", "scan", "depths")):
+        if name.startswith(("ranks", "table", "sort", "tally", "pairs", "scan", "least",
+                            "depths")):
             functions[name] = _on_threads(function)
     return functions
 

@@ -39,6 +39,19 @@ vol. 3, section 5.2): one pass over the table histograms the counts and
 finds the bound, and a second places each kept pair, row by row, at its
 count's next free position.
 
+A few queries need not pay for that sort. Fewer than ``_FEW_QUERIES``
+queries against a table whose pairs are not sorted yet, such as a new
+subject's depth against a diagnostic group, each take one pass over the
+whole table instead, and keep the least count among the pairs they admit,
+the first such pair in row-major order: the pair the scan would find.
+That is m n_A^2 reads against the sort's passes over n_A^2 and the
+scans; both grow with n_A^2, so the choice is a query count, fitted from
+one-thread timings of both, and it is made from the input alone, in
+:func:`_min_counts`. Self-depth, the depth median's scan of its sample and
+the permutation tests' groups query many points and sort; the median's
+refinement steps query one point at a time against a table already
+sorted, or sorted up front for a budget that long.
+
 Every step runs in a small compiled core (``_core.c``, built and loaded
 by :mod:`metricdepth._native`) when it can be built, and so do the
 permutation tests' depth counts (:mod:`metricdepth.inference`), which
@@ -50,16 +63,23 @@ a run in registers while the sample rows stream past; its pair sort is
 the counting sort above, by blocks of table rows, each with a histogram
 of its own, its only temporary; its scan reads each kept pair's two
 indices and the query's two entries, and stops at the first admissible
-pair. The ranks, table build, pair sort and scan spread a large call
-over the core's threads, by blocks of rows, by runs of columns, by blocks
-of table rows and of queries, to the same bytes at any thread count (see
-:mod:`metricdepth._native`). Each step
-has one entry point, :func:`_row_ranks`, :func:`_prob_counts`,
+pair; its least-count pass reads the query's rank codes, ranking float64
+rows first, and each table row in runs of 64 lanes, each lane keeping the
+least count admitted, and reads a row again entry by entry only when a
+lane holds a count below the best so far. The ranks, table build, pair
+sort, scan and least-count pass spread a large call over the core's
+threads, by blocks of rows, by runs of columns, by blocks of table rows,
+by blocks of queries and by query, to the same bytes at any thread count
+(see :mod:`metricdepth._native`). Each step has one entry point,
+:func:`_row_ranks`, :func:`_prob_counts`,
 :attr:`HalfspaceProbTable.sorted_pairs` and :func:`_min_counts`, whose
 numpy body is the reference the compiled kernel must equal in every
-code, count, pair, dtype, layout and first-hit position. The numpy body
-runs everything else: other dtypes, and every call where no compiler is
-found.
+code, count, pair, dtype, layout and first-hit position; the least-count
+pass must give the pair that the sort and scan, compiled or numpy, give.
+The numpy body runs everything else: other dtypes, and every call where
+no compiler is found. It has no least-count pass: a masked minimum over
+the table took 51.8 ms against 13.5 ms for its sort and scan (10 queries,
+230 x 920, spd:2).
 
 The table keeps its rank codes. When the queries are the sample itself
 (the same object), the scan reads those codes in place of a second
@@ -90,6 +110,14 @@ from .spaces import Space
 _CHUNK_ELEMS = 8_000_000
 # Side of the square tiles that the sorted-pairs bound reads a table in.
 _BOUND_TILE = 256
+# Fewest queries for which sorting a table's pairs and scanning them costs
+# less than one least-count pass over the table per query (_least_pairs).
+# Both grow with n_A^2, so the crossover is a query count: on one thread of
+# a 2-core x86-64 Xeon it lay between 11 (spd:2 and euclidean:5 tables of
+# 300-400 anchors, where the pass is slower per entry) and 126 (spd:2,
+# 600 x 3000, where the sort's placing is memory-bound); the geometric
+# mean over 11 tables of 300 to 3000 anchors was 37.5 and 45.7 in two runs.
+_FEW_QUERIES = 40
 
 
 @dataclass(frozen=True)
@@ -114,20 +142,27 @@ class AnchorSet:
 
 
 def _least_pair_max(key: np.ndarray) -> np.generic:
-    """``np.maximum(key, key.T).min()`` of a square table, read tile by tile.
+    """The least ``max(key[a1, a2], key[a2, a1])`` over a1 != a2 of a square
+    integer table, read tile by tile; the dtype's greatest value without a
+    pair.
 
     Each tile on or above the diagonal meets its mirror tile, so the
     transposed read stays inside two cache-sized tiles instead of striding
-    across the whole table. The diagonal holds n, the largest count, so it
-    leaves the bound alone; with one anchor the bound is n.
+    across the whole table. A tile on the diagonal skips its diagonal
+    entries, as the compiled tally does: a table built from a sample holds
+    n, the largest count, there, but one given by its counts alone may hold
+    less.
     """
     n_anchors = len(key)
-    return min(
-        np.maximum(key[lo:lo + _BOUND_TILE, col:col + _BOUND_TILE],
-                   key[col:col + _BOUND_TILE, lo:lo + _BOUND_TILE].T).min()
-        for lo in range(0, n_anchors, _BOUND_TILE)
-        for col in range(lo, n_anchors, _BOUND_TILE)
-    )
+    least = np.iinfo(key.dtype).max
+    for lo in range(0, n_anchors, _BOUND_TILE):
+        for col in range(lo, n_anchors, _BOUND_TILE):
+            pair = np.maximum(key[lo:lo + _BOUND_TILE, col:col + _BOUND_TILE],
+                              key[col:col + _BOUND_TILE, lo:lo + _BOUND_TILE].T)
+            if col == lo:
+                np.fill_diagonal(pair, least)
+            least = min(least, pair.min())
+    return least
 
 
 @dataclass(frozen=True)
@@ -164,9 +199,10 @@ class HalfspaceProbTable:
         pairs they form a prefix, and every scan stops inside it.
 
         Sorted once per table and shared by every query against it, and
-        read from ``counts`` as built, with no copy. Indices are uint16 up
-        to 65 536 anchors, the one pair dtype the compiled scan takes, and
-        uint32 beyond. Uint8 or uint16 counts of up to 65 536 anchors are
+        read from ``counts`` as built, with no copy; a few queries against
+        a table not sorted yet pass over its counts instead (see
+        :func:`_min_counts`). Indices are uint16 up to 65 536 anchors, the
+        one pair dtype the compiled scan takes, and uint32 beyond. Uint8 or uint16 counts of up to 65 536 anchors are
         sorted by the compiled counting sort when it loads: one pass
         histograms the off-diagonal counts and finds the bound, reading
         each tile of the table with its mirror, and a second writes the
@@ -318,34 +354,52 @@ def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
     return counts
 
 
-def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
-    """Per-query least table count over admissible ordered anchor pairs.
+def _least_pairs(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
+    """Each query's least admissible pair by one compiled pass over the
+    table, as flat indices ``a1 * n_A + a2``, -1 where it admits none; or
+    None where :func:`_min_counts` sorts and scans instead.
 
-    A pair (a1, a2) is admissible for query y when d(y, a1) <= d(y, a2) and
-    a1 != a2. ``dist_query_anchors`` holds distances or any per-row
-    order-preserving codes of them, since only entries of one row are
-    compared. Each query scans ``table.sorted_pairs`` in order and stops at
-    its first admissible pair: the least count, and among equal counts the
-    first pair in row-major order, which is the pair an argmin over the
-    masked, flattened table would return. An empty admissible set yields
-    count n (depth 1 by convention) and indices -1. Returns
-    ``(counts, a1, a2)``, one entry per query.
-
-    Either body finds each query's first-hit position in the sorted pairs,
-    or -1. Float64 distances and uint8 or uint16 codes in rows of all n_A
-    entries are scanned by the compiled kernel when it loads; it indexes
-    each row by the pairs unchecked, so other shapes go to the numpy body,
-    which raises on a short row. The numpy body scans in blocks that double
-    in length, with its queries held anchor-major, as an (n_A, active)
-    array, so gathering a block's anchors copies whole rows of all active
-    queries rather than one 1- or 2-byte code at a time; the admissible
-    flags come out as (block, active) and each query's first hit is read
-    down its column. Rows are gathered with ``np.take``: fancy indexing
-    gives the same pairs but took about 44 against 35 us per one-query scan
-    (spd:2, n = 100, n_A = 300), a cost every refinement step pays.
+    The pass is taken only where it costs less than the sort: fewer than
+    ``_FEW_QUERIES`` queries against a table whose pairs are not sorted
+    yet, in rows of all n_A entries, with a ``least`` kernel for their
+    codes and the table's counts. Uint8 and uint16 rows are codes already;
+    float64 rows are ranked first (:func:`_row_ranks`), which keeps each
+    row's order and ties. NaN has no rank; callers reject it first.
     """
-    a1s, a2s = table.sorted_pairs
     n_anchors = len(table.counts)
+    if (len(dist_query_anchors) >= _FEW_QUERIES or "sorted_pairs" in vars(table)
+            or dist_query_anchors.shape[1:] != (n_anchors,)):
+        return None
+    distances = dist_query_anchors.dtype == np.float64
+    code = np.min_scalar_type(n_anchors - 1) if distances else dist_query_anchors.dtype
+    kernel = _native.kernel("least", code, table.counts.dtype)
+    if kernel is None:
+        return None
+    query = _row_ranks(dist_query_anchors)[0] if distances else dist_query_anchors
+    query = np.ascontiguousarray(query)
+    counts = np.ascontiguousarray(table.counts)
+    at = np.empty(len(query), dtype=np.int64)
+    kernel(query.ctypes.data, len(query), n_anchors, counts.ctypes.data, at.ctypes.data)
+    return at
+
+
+def _first_hits(a1s: np.ndarray, a2s: np.ndarray, n_anchors: int,
+                dist_query_anchors: np.ndarray) -> np.ndarray:
+    """Each query's first admissible position in the sorted pairs
+    ``(a1s, a2s)`` of a table of ``n_anchors`` anchors, or -1.
+
+    Float64 distances and uint8 or uint16 codes in rows of all n_A entries
+    are scanned by the compiled kernel when it loads; it indexes each row
+    by the pairs unchecked, so other shapes go to the numpy body, which
+    raises on a short row. The numpy body scans in blocks that double in
+    length, with its queries held anchor-major, as an (n_A, active) array,
+    so gathering a block's anchors copies whole rows of all active queries
+    rather than one 1- or 2-byte code at a time; the admissible flags come
+    out as (block, active) and each query's first hit is read down its
+    column. Rows are gathered with ``np.take``: fancy indexing gives the
+    same pairs but took about 44 against 35 us per one-query scan (spd:2,
+    n = 100, n_A = 300), a cost every refinement step pays.
+    """
     n_queries = len(dist_query_anchors)
     kernel = _native.kernel("scan", dist_query_anchors.dtype, a1s.dtype)
     if kernel is not None and dist_query_anchors.shape[1:] == (n_anchors,):
@@ -353,27 +407,62 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
         first = np.empty(n_queries, dtype=np.int64)
         kernel(query.ctypes.data, n_queries, n_anchors, a1s.ctypes.data, a2s.ctypes.data,
                len(a1s), first.ctypes.data)
+        return first
+    first = np.full(n_queries, -1, dtype=np.int64)
+    active = np.arange(n_queries)
+    dist = np.ascontiguousarray(dist_query_anchors.T)
+    lo, block = 0, n_anchors
+    while len(active) and lo < len(a1s):
+        # Each gather, float64 at widest, stays under _CHUNK_ELEMS bytes.
+        step = max(1, min(block, _CHUNK_ELEMS // 8 // len(active)))
+        hi = min(lo + step, len(a1s))
+        admissible = np.take(dist, a1s[lo:hi], axis=0) <= np.take(dist, a2s[lo:hi], axis=0)
+        hit = admissible.any(axis=0)
+        if hit.any():
+            first[active[hit]] = lo + admissible.T[hit].argmax(axis=1)
+            active, dist = active[~hit], dist[:, ~hit]
+        lo, block = hi, 2 * block
+    return first
+
+
+def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
+    """Per-query least table count over admissible ordered anchor pairs.
+
+    A pair (a1, a2) is admissible for query y when d(y, a1) <= d(y, a2) and
+    a1 != a2. ``dist_query_anchors`` holds distances, none NaN, or any
+    per-row order-preserving codes of them, since only entries of one row
+    are compared. Each query gets the least count, and among equal counts the
+    first pair in row-major order, which is the pair an argmin over the
+    masked, flattened table would return. An empty admissible set yields
+    count n (depth 1 by convention) and indices -1. Returns
+    ``(counts, a1, a2)``, one entry per query.
+
+    One of two paths finds that pair, decided here from the input alone.
+    A few queries against a table not sorted yet take one compiled pass
+    each over the whole table (:func:`_least_pairs`), m n_A^2 reads; any
+    other call sorts the table's pairs once
+    (:attr:`HalfspaceProbTable.sorted_pairs`), O(n_A^2), and each query
+    scans them in order and stops at its first admissible pair
+    (:func:`_first_hits`). Both costs grow with n_A^2, so the crossover is
+    a query count, ``_FEW_QUERIES``. The sort and scan, compiled or numpy,
+    are the pass's oracle: they give the same ``(count, a1, a2)`` for
+    every query.
+    """
+    n_anchors = len(table.counts)
+    at = _least_pairs(table, dist_query_anchors)
+    if at is not None:
+        hit = at >= 0
+        pair_a1, pair_a2 = np.divmod(at[hit], n_anchors)
     else:
-        first = np.full(n_queries, -1, dtype=np.int64)
-        active = np.arange(n_queries)
-        dist = np.ascontiguousarray(dist_query_anchors.T)
-        lo, block = 0, n_anchors
-        while len(active) and lo < len(a1s):
-            # Each gather, float64 at widest, stays under _CHUNK_ELEMS bytes.
-            step = max(1, min(block, _CHUNK_ELEMS // 8 // len(active)))
-            hi = min(lo + step, len(a1s))
-            admissible = np.take(dist, a1s[lo:hi], axis=0) <= np.take(dist, a2s[lo:hi], axis=0)
-            hit = admissible.any(axis=0)
-            if hit.any():
-                first[active[hit]] = lo + admissible.T[hit].argmax(axis=1)
-                active, dist = active[~hit], dist[:, ~hit]
-            lo, block = hi, 2 * block
-    hit = first >= 0
-    best = np.full(n_queries, table.n, dtype=np.int64)
-    best_a1 = np.full(n_queries, -1, dtype=np.int64)
-    best_a2 = np.full(n_queries, -1, dtype=np.int64)
-    best_a1[hit] = a1s[first[hit]]
-    best_a2[hit] = a2s[first[hit]]
+        a1s, a2s = table.sorted_pairs
+        first = _first_hits(a1s, a2s, n_anchors, dist_query_anchors)
+        hit = first >= 0
+        pair_a1, pair_a2 = a1s[first[hit]], a2s[first[hit]]
+    best = np.full(len(hit), table.n, dtype=np.int64)
+    best_a1 = np.full(len(hit), -1, dtype=np.int64)
+    best_a2 = np.full(len(hit), -1, dtype=np.int64)
+    best_a1[hit] = pair_a1
+    best_a2[hit] = pair_a2
     best[hit] = table.counts[best_a1[hit], best_a2[hit]]
     return best, best_a1, best_a2
 
@@ -569,6 +658,11 @@ def refine_deepest(
     anchor_points = _as_points(anchors)
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
+    if budget + 1 >= _FEW_QUERIES:
+        # The budget + 1 one-query calls below scan the sorted pairs rather
+        # than each pass over the whole table, as that many queries at once
+        # would.
+        table.sorted_pairs
     n, n_anchors = len(sample), len(anchor_points)
     # Every step reads the same targets, so they are stacked once.
     if n <= n_anchors and all(a is x for a, x in zip(anchor_points, sample)):

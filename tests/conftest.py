@@ -1,3 +1,5 @@
+import shutil
+import subprocess
 from contextlib import contextmanager
 
 import numpy as np
@@ -64,3 +66,41 @@ def kernel_threads(count):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+# Counts the threads that the core's runner starts: the baseline build
+# below links every pthread_create call of the core through this wrapper.
+THREAD_COUNTER = r"""
+#include <pthread.h>
+#include <stdint.h>
+int64_t threads_started;
+int __real_pthread_create(pthread_t *, const pthread_attr_t *, void *(*)(void *), void *);
+int __wrap_pthread_create(pthread_t *id, const pthread_attr_t *attr, void *(*start)(void *),
+                          void *arg)
+{
+    __atomic_fetch_add(&threads_started, 1, __ATOMIC_RELAXED);
+    return __real_pthread_create(id, attr, start, arg);
+}
+"""
+
+
+@pytest.fixture(scope="session")
+def baseline_core(tmp_path_factory):
+    """The core built with CLONES defined empty, so the baseline code alone,
+    with every warning an error, as ``(library, kernels)``: the
+    ``ctypes.CDLL`` and its kernels as :func:`_native.bind` gives them. Its
+    ``threads_started`` counts the threads that its kernel calls start."""
+    import ctypes
+
+    if shutil.which(_native.COMPILER) is None or not _native.ARCHIVE.is_file():
+        pytest.skip("no compiler or no numpy random library to build the kernels")
+    directory = tmp_path_factory.mktemp("baseline-core")
+    counter = directory / "counter.c"
+    counter.write_text(THREAD_COUNTER)
+    command = _native.command(directory / "core.so")
+    command[command.index("-o"):command.index("-o")] = [
+        "-DCLONES=", "-Wall", "-Wextra", "-Werror", "-Wl,--wrap=pthread_create", str(counter)]
+    built = subprocess.run(command, capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    library = ctypes.CDLL(str(directory / "core.so"))
+    return library, _native.bind(library)

@@ -399,12 +399,23 @@ def test_cmd_test_writes_the_same_bytes_at_any_thread_count(tmp_path, runner, rn
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-# One row per command, geometry and input recipe (group sizes, data seed,
-# permutations): the benchmark's three sphere:2 groups of 30, and groups of
-# 64 and 65, the edges of the compiled table's runs of 64 uint8 codes.
+# One row per command, geometry and input recipe: the command's own
+# options, then each input file's option and point count, drawn in order
+# from one generator of the row's seed, which is also the command's seed.
+# `test` rows take the benchmark's three sphere:2 groups of 30, and groups
+# of 64 and 65, the edges of the compiled table's runs of 64 uint8 codes.
+# `depth --query` rows take spd:2 samples of 100 points with jiggle:9
+# anchors (n_A = 1000): 10 queries take the least-count pass, on two
+# threads where two CPUs are allowed, and 60 the pair sort and scan.
 EQUIVALENCE = [
-    pytest.param(["test", "--test", "kw"], "sphere:2", (30, 30, 30), 5, 99, id="kw-sphere2-3x30"),
-    pytest.param(["test", "--test", "kw"], "sphere:2", (64, 65), 6, 99, id="kw-sphere2-64-65"),
+    pytest.param(["test", "--test", "kw", "--permutations", "99"], "sphere:2",
+                 (("--groups", 30), ("--groups", 30), ("--groups", 30)), 5, id="kw-sphere2-3x30"),
+    pytest.param(["test", "--test", "kw", "--permutations", "99"], "sphere:2",
+                 (("--groups", 64), ("--groups", 65)), 6, id="kw-sphere2-64-65"),
+    pytest.param(["depth", "--anchors", "jiggle:9"], "spd:2", (("--data", 100), ("--query", 10)),
+                 7, id="depth-spd2-10-queries"),
+    pytest.param(["depth", "--anchors", "jiggle:9"], "spd:2", (("--data", 100), ("--query", 60)),
+                 8, id="depth-spd2-60-queries"),
 ]
 # Each row writes the same bytes under every condition: the compiled
 # kernels on every CPU, on one thread, and the numpy bodies.
@@ -412,21 +423,21 @@ CONDITIONS = {"native": nullcontext, "one-thread": lambda: kernel_threads(1),
               "numpy": numpy_kernels}
 
 
-@pytest.mark.parametrize("command, spec, sizes, seed, permutations", EQUIVALENCE)
+@pytest.mark.parametrize("command, spec, inputs, seed", EQUIVALENCE)
 def test_cli_writes_the_same_bytes_under_every_kernel_condition(tmp_path, runner, command, spec,
-                                                                sizes, seed, permutations):
+                                                                inputs, seed):
     if _native.library() is None:
         pytest.skip("the compiled core does not load, so there is nothing to compare with numpy")
     space = parse_space(spec)
     rng = np.random.default_rng(seed)
-    args = [*command, "--space", spec, "--permutations", str(permutations), "--seed", str(seed)]
-    for g, size in enumerate(sizes):
-        path = tmp_path / f"g{g}.csv"
+    args = [*command, "--space", spec, "--seed", str(seed)]
+    for i, (option, size) in enumerate(inputs):
+        path = tmp_path / f"input{i}.csv"
         write_points(path, space, random_points(space, size, rng))
-        args += ["--groups", str(path)]
+        args += [option, str(path)]
     outputs = {}
     for name, condition in CONDITIONS.items():
-        out = tmp_path / f"{name}.json"
+        out = tmp_path / f"{name}.out"
         with condition():
             invoke(runner, [*args, "--out", str(out)])
         assert json.loads(manifest_path_for(out).read_text())["kernels"] == (

@@ -1,8 +1,8 @@
-"""The compiled rank, table, pair-sort, scan and permutation depth-count
-kernels against the numpy bodies of their entry points, the compiled
-permutation orders against numpy's ``Generator.permutation``, the compiled
-chart normals against ``Generator.standard_normal``, and the loader that
-builds them.
+"""The compiled rank, table, pair-sort, scan, least-count and permutation
+depth-count kernels against the numpy bodies of their entry points, the
+compiled permutation orders against numpy's ``Generator.permutation``, the
+compiled chart normals against ``Generator.standard_normal``, and the
+loader that builds them.
 
 The numpy bodies are the oracle, run by the same entry points under
 ``numpy_kernels()``: every check demands the same codes and tie flag, the
@@ -14,13 +14,17 @@ bytes of columns, 64 uint8 codes (n_A = 63, 64, 65) or 32 uint16 ones
 (n_A = 288, 289), whose first anchors it takes four at a time; reference
 groups straddle the count switch (m = 255, 256) and the same runs
 (m = 63, 64, 65), fill a uint8 count to its ceiling of 255, and include
-the paper's groups of 60 among 240. The permutation depth counts run the
-numpy fallback's algorithm, each group's table, count-sorted pairs and
-first-hit scan, with the compiled table build, pair sort and scan; they
-are checked against it at 1, 2 and 3
-threads, whatever the host's CPU count, with calls made at once and in a
-forked child, and against a dense masked minimum in
-``test_batched_kernel.py``.
+the paper's groups of 60 among 240. The least-count pass, which a few
+queries against a table not sorted yet take in place of the sort and
+scan, must give the pair that both sort-and-scan bodies give, on rows
+shorter than its runs of 64 lanes, filling them and overlapping them
+(n_A = 1, 2, 63, 64, 65, 257, 300), at the ceiling of each count type,
+and on tables whose diagonal holds a row's least count. The permutation
+depth counts run the numpy fallback's algorithm, each group's table,
+count-sorted pairs and first-hit scan, with the compiled table build, pair
+sort and scan; they are checked against it at 1, 2 and 3 threads,
+whatever the host's CPU count, with calls made at once and in a forked
+child, and against a dense masked minimum in ``test_batched_kernel.py``.
 """
 
 import contextlib
@@ -44,7 +48,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from metricdepth import _native
+from metricdepth import _native, depth
 from metricdepth.cli import main
 from metricdepth.depth import (
     HalfspaceProbTable,
@@ -114,7 +118,9 @@ def same_table(codes, distinct):
 
 
 def same_scan(table, query):
-    """The compiled scan's ``(count, a1, a2)``, checked against numpy's."""
+    """The compiled scan's ``(count, a1, a2)``, checked against numpy's. The
+    table's pairs are sorted first, so that a few queries scan them too
+    rather than take the least-count pass."""
     assert _native.kernel("scan", query.dtype, table.sorted_pairs[0].dtype) is not None
     got = _min_counts(table, query)
     with numpy_kernels():
@@ -296,6 +302,11 @@ def test_wider_counts_sort_to_the_same_pairs(native):
     counts = _prob_counts(codes, distinct)
     want = same_pairs(counts, 30)
     assert _native.kernel("tally", np.uint32) is None
+    # The least-count pass reads codes: float64 rows are ranked first, and
+    # codes past 65 536 anchors stay with the sort and scan.
+    assert _native.kernel("least", np.uint16, np.uint8) is not None
+    assert _native.kernel("least", np.float64, np.uint8) is None
+    assert _native.kernel("least", np.uint32, np.uint16) is None
     got = HalfspaceProbTable(counts=counts.astype(np.uint32), n=30).sorted_pairs
     assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
@@ -384,6 +395,109 @@ def test_scan_leaves_rows_of_another_width_to_numpy(native):
     with numpy_kernels():
         want = _min_counts(table, wide)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# ------------------------------------------------------ least-count pass
+
+def same_least(counts, n, query):
+    """The least-count pass's ``(count, a1, a2)``, checked against the
+    compiled and the numpy sort and scan over the same table and query."""
+    code = np.min_scalar_type(len(counts) - 1) if query.dtype == np.float64 else query.dtype
+    assert _native.kernel("least", code, counts.dtype) is not None
+    assert len(query) < depth._FEW_QUERIES
+    table = HalfspaceProbTable(counts=counts, n=n)
+    got = _min_counts(table, query)
+    assert "sorted_pairs" not in vars(table)
+    table.sorted_pairs
+    want = _min_counts(table, query)
+    with numpy_kernels():
+        oracle = _min_counts(HalfspaceProbTable(counts=counts, n=n), query)
+    for g, w, o in zip(got, want, oracle):
+        assert g.dtype == w.dtype == o.dtype and np.array_equal(g, w) and np.array_equal(g, o)
+    return got
+
+
+def query_rows(rng, n_anchors, kind):
+    """Nine float64 query rows: tie-free, all tied (every entry equal), tied
+    in one row only, or holding +inf in some entries, tied among them."""
+    rows = rng.standard_normal((9, n_anchors))
+    if kind == "all tied":
+        rows[:] = 1.0
+    elif kind == "one row tied" and n_anchors > 1:
+        rows[4, -1] = rows[4, 0]
+    elif kind == "inf":
+        rows[rng.random(rows.shape) < 0.2] = np.inf
+    return rows
+
+
+@pytest.mark.parametrize("n_anchors", [1, 2, 63, 64, 65, 257, 300])
+@pytest.mark.parametrize("n", [40, 300])
+@pytest.mark.parametrize("tied", [False, True])
+def test_least_equals_sort_and_scan(native, n_anchors, n, tied):
+    # 40 sample rows take uint8 counts and 300 uint16 ones; each query is
+    # passed as float64 distances, ranked to the table's code dtype, and as
+    # uint8 and uint16 codes of them (halved past 256 anchors, which keeps
+    # each row's order and adds ties), so every (code, count) pair runs. A
+    # tied table repeats anchor columns, so the sample ties every row.
+    rng = np.random.default_rng([n_anchors, n, tied])
+    codes, distinct = _row_ranks(distances(rng, n, n_anchors, tied))
+    counts = _prob_counts(codes, distinct)
+    assert counts.dtype == (np.uint8 if n == 40 else np.uint16)
+    for kind in ("tie-free", "all tied", "one row tied", "inf"):
+        rows = query_rows(rng, n_anchors, kind)
+        ranks = _row_ranks(rows)[0].astype(np.uint16)
+        small = (ranks if n_anchors <= 256 else ranks // 2).astype(np.uint8)
+        for query in (rows, small, ranks):
+            same_least(counts, n, query)
+            same_least(counts, n, query[3:4])
+
+
+@pytest.mark.parametrize("count, n_anchors", [(np.uint8, 5), (np.uint8, 65), (np.uint16, 5),
+                                              (np.uint16, 65)])
+def test_least_reaches_the_count_ceiling(native, count, n_anchors):
+    # n = 255 with uint8 counts (and 65 535 with uint16 ones): every pair a
+    # query admits holds the type's greatest count and every other pair
+    # less, so the least admissible count is the ceiling, at the first
+    # admitted pair, (0, 1) for an ascending row and (1, 0) for a
+    # descending one.
+    top = np.iinfo(count).max
+    rng = np.random.default_rng(n_anchors)
+    for query in (np.arange(n_anchors, dtype=np.uint8)[None],
+                  np.arange(n_anchors, dtype=np.uint8)[None, ::-1].copy()):
+        admits = query[0][:, None] <= query[0][None, :]
+        counts = np.where(admits, top, rng.integers(0, top, (n_anchors, n_anchors))).astype(count)
+        got = same_least(counts, int(top), query)
+        first = (0, 1) if query[0, 0] == 0 else (1, 0)
+        assert [int(a[0]) for a in got] == [top, *first]
+
+
+@pytest.mark.parametrize("n_anchors", [3, 65, 130])
+def test_least_skips_a_diagonal_that_holds_the_row_minimum(native, n_anchors):
+    # A table given by its counts alone may hold any diagonal: here each
+    # row's only minimum lies on it, so a pass that kept the diagonal would
+    # return (a, a). The least off-diagonal count is 1, first admitted at
+    # the pair the oracle gives.
+    rng = np.random.default_rng(n_anchors)
+    counts = rng.integers(1, 5, (n_anchors, n_anchors)).astype(np.uint8)
+    np.fill_diagonal(counts, 0)
+    query = rng.integers(0, 4, (6, n_anchors)).astype(np.uint8)
+    nums, a1, a2 = same_least(counts, 10, query)
+    assert (a1 != a2).all() and (nums >= 1).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_anchors=st.integers(1, 140), m=st.integers(1, 5),
+       count=st.sampled_from([np.uint8, np.uint16]), code=st.sampled_from([np.uint8, np.uint16]))
+def test_least_equals_dense_minimum_on_small_tied_tables(data, n_anchors, m, count, code):
+    # Few distinct counts and codes tie both the table and the rows; the
+    # pass must give the masked argmin's least count and first pair.
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    counts = data.draw(hnp.arrays(count, (n_anchors, n_anchors), elements=st.integers(0, 3)))
+    query = data.draw(hnp.arrays(code, (m, n_anchors), elements=st.integers(0, 2)))
+    got = same_least(counts, 3, query)
+    for g, w in zip(got, dense_min_counts(counts, 3, query)):
+        assert np.array_equal(g, w)
 
 
 # ----------------------------------------------------- permutation depths
@@ -662,14 +776,16 @@ def test_no_thread_outlives_a_call_so_a_forked_child_runs_a_test(native):
 
 def test_kernels_are_chosen_by_dtype_alone(native):
     # Ranks by (distance, code), tables by (code, count), tallies by count,
-    # pair sorts by (count, pair), scans by (query, pair), permutation
-    # depths by (code, count) dtype; no kernel takes a width flag. The
+    # pair sorts by (count, pair), scans by (query, pair), least-count
+    # passes and permutation depths by (code, count) dtype; no kernel takes
+    # a width flag. The
     # permutation orders and the chart normals have one dtype of each
     # array, so one kernel each; the spd:2 distances and the norms of the
     # Euclidean and sphere distances take float64 alone, and the pair
     # sort's block rows no array.
     assert sorted(_native.library()) == [
-        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8", "normals",
+        "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8",
+        "least_u16_u16", "least_u16_u8", "least_u8_u16", "least_u8_u8", "normals",
         "norms_f64", "orders", "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
         "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "sort_rows", "spd2_f64",
         "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
@@ -685,6 +801,11 @@ def test_kernels_are_chosen_by_dtype_alone(native):
     assert _native.kernel("ranks", np.int64, np.uint8) is None
     assert _native.kernel("pairs", np.uint8, np.uint32) is None
     assert _native.kernel("tally", np.uint32) is None
+    # The least-count pass reads codes: float64 rows are ranked first, and
+    # codes past 65 536 anchors stay with the sort and scan.
+    assert _native.kernel("least", np.uint16, np.uint8) is not None
+    assert _native.kernel("least", np.float64, np.uint8) is None
+    assert _native.kernel("least", np.uint32, np.uint16) is None
 
 
 @pytest.mark.parametrize("value", ["", "relcache", "./relcache"])
@@ -764,20 +885,14 @@ def test_processes_building_at_once_share_one_cache(tmp_path):
     assert cache.stat().st_mode & 0o777 == 0o700
 
 
-@needs_gcc
-def test_target_clones_give_the_same_bytes(native, tmp_path):
-    # The table's runs, which the depth counts' groups build too, spd2 and
-    # norms run the clone for the host's CPU (AVX-512, AVX2 or baseline
-    # x86-64). A build with CLONES defined empty has the baseline code
-    # alone, which must give the same bytes. It is built with every warning
-    # an error, so code outside the clones is checked too.
-    import ctypes
-
-    command = _native.command(tmp_path / "core.so")
-    command[command.index("-o"):command.index("-o")] = ["-DCLONES=", "-Wall", "-Wextra", "-Werror"]
-    built = subprocess.run(command, capture_output=True, text=True)
-    assert built.returncode == 0, built.stderr
-    builds = (_native.library(), _native.bind(ctypes.CDLL(str(tmp_path / "core.so"))))
+def test_target_clones_give_the_same_bytes(native, baseline_core):
+    # The table's runs, which the depth counts' groups build too, the
+    # least-count pass, spd2 and norms run the clone for the host's CPU
+    # (AVX-512, AVX2 or baseline x86-64). A build with CLONES defined empty
+    # has the baseline code alone, which must give the same bytes. It is
+    # built with every warning an error, so code outside the clones is
+    # checked too.
+    builds = (_native.library(), baseline_core[1])
     rng = np.random.default_rng(11)
     # 100 and 101 anchors take uint8 codes, 600 and 603 uint16 ones, each
     # ending in a partial run, and 101 and 603 first anchors end in a
@@ -803,6 +918,23 @@ def test_target_clones_give_the_same_bytes(native, tmp_path):
                 kernels[name](codes.ctypes.data, total, refs.ctypes.data, 4, m, distinct,
                               out.ctypes.data)
             assert outs[0].tobytes() == outs[1].tobytes(), (name, tied)
+    # Least-count passes of 20 queries, uint8 and uint16 codes into both
+    # count types: 63 anchors read each row entry by entry, 65 in one run of
+    # 64 lanes and a last run that overlaps it, and 300 in four runs and an
+    # overlapping one. The codes tie within rows, and tied tables repeat
+    # anchors.
+    for n, n_anchors in ((40, 63), (300, 65), (40, 300), (300, 300)):
+        for tied in (False, True):
+            codes, distinct = _row_ranks(distances(rng, n, n_anchors, tied))
+            counts = _prob_counts(codes, distinct)
+            for code in (np.uint8, np.uint16):
+                query = rng.integers(0, 200, (20, n_anchors)).astype(code)
+                ats = [np.empty(20, np.int64) for _ in builds]
+                name = "_".join(["least", *(_native._SUFFIXES[t.dtype] for t in (query, counts))])
+                for kernels, at in zip(builds, ats):
+                    kernels[name](query.ctypes.data, 20, n_anchors, counts.ctypes.data,
+                                  at.ctypes.data)
+                assert ats[0].tobytes() == ats[1].tobytes(), (name, tied)
     # spd:2 pairs: the left matrices, their inverse square roots and the
     # right matrices as four planes, some equal to a left one.
     roots = rng.standard_normal((300, 2, 2))

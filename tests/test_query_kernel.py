@@ -260,6 +260,20 @@ def test_refine_deepest_matches_dense_reference(rng, monkeypatch):
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
+def test_refinement_sorts_the_pairs_only_for_a_long_budget(rng):
+    # A budget of _FEW_QUERIES - 1 steps queries the table _FEW_QUERIES
+    # times, one query at a time: the pairs are sorted up front, as for
+    # that many queries at once. A short budget leaves a compiled table
+    # unsorted, each step taking the least-count pass.
+    space = Euclidean(2)
+    sample = random_points(space, 20, rng)
+    for budget, sorted_up_front in ((depth._FEW_QUERIES - 1, True), (3, False)):
+        table = halfspace_prob_table(space, sample, sample)
+        refine_deepest(space, sample, sample, sample[0], budget=budget, seed=1, table=table)
+        compiled = depth._native.library() is not None
+        assert ("sorted_pairs" in vars(table)) == (sorted_up_front or not compiled)
+
+
 def test_permutation_depth_counts_match_dense_reference(rng):
     space = Sphere(2)
     pool = random_points(space, 24, rng)

@@ -1,5 +1,5 @@
-"""The compiled ranks, table build, pair sort and scan on the core's thread
-runner.
+"""The compiled ranks, table build, pair sort, scan and least-count pass on
+the core's thread runner.
 
 Each call runs at 1, 2 and 3 threads, whatever the host's CPU count, and
 must give the same codes and tie flag, the same counts in the same dtype,
@@ -12,9 +12,13 @@ there; 600 x 920 runs on every thread it is given), the table's runs of
 (n_A = 300) and of the counts (n = 200, 600), and rows with and without
 ties, including a single tied row, whose flag every unit's rows must
 clear. The pair sort is also run by blocks of any number of rows, whatever
-its size, since a sort small enough for one thread takes one block.
+its size, since a sort small enough for one thread takes one block. The
+least-count pass, which a few queries against a table not sorted yet
+take, runs one query per unit, and a build that counts the threads it
+starts checks where it takes a second one.
 """
 
+import ctypes
 import os
 
 import numpy as np
@@ -96,6 +100,40 @@ def test_scan_at_every_thread_count(n, n_anchors, tied):
     table = HalfspaceProbTable(_prob_counts(codes, distinct), n=n, codes=codes)
     for query in (codes, rows(n + 7, n_anchors, tied, 2)):
         at_every_thread_count(lambda: _min_counts(table, query))
+
+
+@pytest.mark.parametrize("n_anchors", ANCHORS)
+@pytest.mark.parametrize("tied", ["none", "all", "one"])
+def test_least_at_every_thread_count(n_anchors, tied):
+    # 20 queries against a fresh table take the least-count pass: as
+    # float64 distances, as codes, and one query alone. Against 920
+    # anchors they are work enough for three threads.
+    dist = rows(200, n_anchors, tied, 5)
+    codes, distinct = _row_ranks(dist)
+    counts = _prob_counts(codes, distinct)
+    queries = rows(20, n_anchors, tied, 6)
+    table = HalfspaceProbTable(counts, n=200)
+    _min_counts(table, queries)
+    assert "sorted_pairs" not in vars(table)
+    for query in (queries, _row_ranks(queries)[0], queries[:1]):
+        at_every_thread_count(lambda: _min_counts(HalfspaceProbTable(counts, n=200), query))
+
+
+def test_least_takes_a_second_thread_only_when_its_work_pays(baseline_core):
+    # A refinement step's one query against 300 anchors stays on the calling
+    # thread; the 10 queries of a depth-jiggle op against 920 anchors take a
+    # second when two CPUs are allowed, and no third when three are.
+    library, kernels = baseline_core
+    started = ctypes.c_int64.in_dll(library, "threads_started")
+    for m, n_anchors, threads, more in ((1, 300, 2, 0), (10, 920, 2, 1), (10, 920, 3, 1)):
+        query = np.zeros((m, n_anchors), np.uint16)
+        counts = np.zeros((n_anchors, n_anchors), np.uint8)
+        at = np.empty(m, np.int64)
+        started.value = 0
+        with kernel_threads(threads):
+            kernels["least_u16_u8"](query.ctypes.data, m, n_anchors, counts.ctypes.data,
+                                    at.ctypes.data)
+        assert started.value == more, (m, n_anchors, threads)
 
 
 def numpy_pairs(counts, n):
