@@ -39,6 +39,23 @@ def distinct_rows(values):
     return bool((ordered[..., 1:] != ordered[..., :-1]).all())
 
 
+def dense_min_counts(counts, n, dist_query_anchors):
+    """Least count over admissible off-diagonal pairs by a masked argmin;
+    count n and anchors -1 when no pair is admissible. Counts are widened
+    first: a uint8 table cannot hold the sentinel n + 1 at n = 255."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n_queries, n_anchors = dist_query_anchors.shape
+    dq = dist_query_anchors
+    admissible = dq[:, :, None] <= dq[:, None, :]
+    admissible &= ~np.eye(n_anchors, dtype=bool)
+    flat = np.where(admissible, counts[None, :, :], n + 1).reshape(n_queries, n_anchors**2)
+    arg = flat.argmin(axis=1)
+    best = flat[np.arange(n_queries), arg].astype(np.int64)
+    a1, a2 = np.unravel_index(arg, (n_anchors, n_anchors))
+    empty = best == n + 1
+    return np.where(empty, n, best), np.where(empty, -1, a1), np.where(empty, -1, a2)
+
+
 @contextmanager
 def numpy_kernels():
     """Run the numpy bodies of the kernel entry points, as where the compiled
@@ -53,8 +70,10 @@ def numpy_kernels():
 
 @contextmanager
 def kernel_threads(count):
-    """Run the compiled depth counts on ``count`` threads, as in a process
-    that may run on ``count`` CPUs, whatever this host has."""
+    """Run every kernel of the core's thread runner (the ranks, table, pair
+    sort, tally, pairs, scan, least-count pass and permutation depth counts)
+    on at most ``count`` threads, as in a process that may run on ``count``
+    CPUs, whatever this host has."""
     saved = _native.threads
     _native.threads = lambda: count
     try:

@@ -26,7 +26,7 @@ from metricdepth.io import (
 )
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3, parse_space
 
-from conftest import kernel_threads, numpy_kernels, random_points
+from conftest import dense_min_counts, kernel_threads, numpy_kernels, random_points
 
 
 @pytest.fixture
@@ -38,6 +38,29 @@ def invoke(runner, args, expect_exit=0):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == expect_exit, result.output
     return result
+
+
+def child_env(**extra):
+    """This process's environment and ``extra``, with the tested package's
+    source first on PYTHONPATH, for a child Python."""
+    src = str(Path(metricdepth.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def write_inputs(directory, space, inputs, seed):
+    """Writes a row's input files, as its recipe says, and returns their
+    options and paths."""
+    rng = np.random.default_rng(seed)
+    args = []
+    for i, (option, size, *repeats) in enumerate(inputs):
+        points = random_points(space, size, rng)
+        if repeats:
+            points += [points[j] for j in rng.permutation(size)[:repeats[0]]]
+        path = directory / f"input{i}.csv"
+        write_points(path, space, points)
+        args += [option, str(path)]
+    return args
 
 
 # ------------------------------------------------------------------ file IO
@@ -118,7 +141,7 @@ def test_cmd_depth_json_and_reproducibility(tmp_path, runner):
     assert json.loads(out1.read_text())[0]["depth_den"] == 9
 
 
-@pytest.mark.parametrize("spec", ["euclidean:3", "sphere:2", "spd:2", "spider3",
+@pytest.mark.parametrize("spec", ["euclidean:3", "sphere:2", "spd:2", "spd:3", "spider3",
                                   "product:sphere:2+euclidean:1"])
 @pytest.mark.parametrize("anchors", ["sample", "jiggle:2"])
 def test_cmd_depth_self_equals_query_of_the_data(tmp_path, runner, rng, spec, anchors):
@@ -181,6 +204,28 @@ def test_cmd_depth_spider_demo_center_branch(tmp_path, runner):
     reports = read_depth_reports_csv(out)
     deepest = max(reports, key=lambda r: r.fraction)
     assert pts[deepest.query_index].branch == 2
+
+
+@pytest.mark.parametrize("inputs", [(("--data", 300),), (("--data", 300, 20),)],
+                         ids=["untied", "tied"])
+def test_cmd_depth_self_is_the_dense_least_count(tmp_path, runner, inputs):
+    # 300 euclidean:2 points span several anchor blocks: untied they take
+    # the upper-triangle table, with 20 repeated rows the full square. Every
+    # row must be the masked argmin over the row-major table.
+    space = Euclidean(2)
+    args = write_inputs(tmp_path, space, inputs, 14)
+    out = tmp_path / "depths.csv"
+    invoke(runner, ["depth", "--space", "euclidean:2", *args, "--self", "--out", str(out)])
+    points = read_points(args[1], space)
+    dist = space.distance_matrix(points, points)
+    n = len(dist)
+    counts = (dist[:, :, None] <= dist[:, None, :]).sum(axis=0)
+    got = np.array([(r.depth_num, r.anchor1, r.anchor2)
+                    for r in read_depth_reports_csv(out)])
+    assert len(got) == n
+    for start in range(0, n, 40):
+        want = dense_min_counts(counts, n, dist[start:start + 40])
+        assert np.array_equal(got[start:start + 40], np.stack(want, axis=1)), start
 
 
 # -------------------------------------------------------------- cmd: median
@@ -381,69 +426,108 @@ def test_cmd_test_kw_pairwise_matrix(tmp_path, runner, rng):
     assert len(payload["pairwise_wilcoxon"]) == 6  # upper triangle of 4x4
 
 
-def test_cmd_test_writes_the_same_bytes_at_any_thread_count(tmp_path, runner, rng):
-    files = []
-    for i in range(3):
-        files += ["--groups", str(tmp_path / f"g{i}.csv")]
-        _write_group(tmp_path / f"g{i}.csv", rng, n=10)
-    outputs = []
-    for threads in (1, 3, None):
-        out = tmp_path / f"kw-{threads}.json"
-        with kernel_threads(threads) if threads else nullcontext():
-            invoke(runner, ["test", "--space", "euclidean:1", "--test", "kw", *files,
-                            "--permutations", "199", "--out", str(out)])
-        outputs.append(out.read_bytes())
-        manifest = json.loads(manifest_path_for(out).read_text())
-        cpus = threads or len(os.sched_getaffinity(0))
-        assert manifest["threads"] == (cpus if manifest["kernels"] == "native" else 1)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 # One row per command, geometry and input recipe: the command's own
-# options, then each input file's option and point count, drawn in order
-# from one generator of the row's seed, which is also the command's seed.
+# options, then each input file's option, point count and, if given, how
+# many of those points it repeats at its end, drawn in order from one
+# generator of the row's seed. The command takes its own --seed, if any.
 # `test` rows take the benchmark's three sphere:2 groups of 30, and groups
 # of 64 and 65, the edges of the compiled table's runs of 64 uint8 codes.
-# `depth --query` rows take spd:2 samples of 100 points with jiggle:9
-# anchors (n_A = 1000): 10 queries take the least-count pass, on two
-# threads where two CPUs are allowed, and 60 the pair sort and scan.
+# The spd:2 query rows with jiggle:9 anchors (n_A = 1000) take 10 queries
+# to the least-count pass, on two threads where two CPUs are allowed, and
+# 60 to the pair sort and scan. jiggle:3 on 300 points gives 1200 anchors
+# and uint16 counts, on 200 points 800 anchors and uint8 counts: enough
+# that the ranks, table, pair sort and scan spread over every CPU. The
+# tied euclidean:2 file takes the full-square table. Each median's budget
+# accepts moves, after which refinement draws again from the new point;
+# spider3's streams read two normals, the second picking a branch.
+# spd:k for k >= 3 has no row: its distances take LAPACK's eigvalsh, whose
+# last bits depend on the BLAS thread count.
+SELF, QUERY = ["depth", "--self", "--anchors", "jiggle:3"], ["depth", "--anchors", "jiggle:3"]
+JIGGLED = (("sphere:2", 300, 200), ("spd:2", 300, 200), ("euclidean:5", 300, 200),
+           ("product:spd:2+sphere:2", 300, 200), ("sphere:2", 200, 100), ("spd:2", 200, 100))
+KW = ["test", "--test", "kw", "--permutations"]
+MHD = ["median", "--estimator", "mhd", "--jiggle"]
+SIMULATE = ["simulate", "--case", "2", "--n", "30", "--reps", "2", "--estimators", "mhd,fm",
+            "--jiggle", "2", "--budget", "8"]
 EQUIVALENCE = [
-    pytest.param(["test", "--test", "kw", "--permutations", "99"], "sphere:2",
-                 (("--groups", 30), ("--groups", 30), ("--groups", 30)), 5, id="kw-sphere2-3x30"),
-    pytest.param(["test", "--test", "kw", "--permutations", "99"], "sphere:2",
-                 (("--groups", 64), ("--groups", 65)), 6, id="kw-sphere2-64-65"),
-    pytest.param(["depth", "--anchors", "jiggle:9"], "spd:2", (("--data", 100), ("--query", 10)),
-                 7, id="depth-spd2-10-queries"),
-    pytest.param(["depth", "--anchors", "jiggle:9"], "spd:2", (("--data", 100), ("--query", 60)),
-                 8, id="depth-spd2-60-queries"),
+    pytest.param([*KW, "99", "--seed", "5"], "sphere:2", (("--groups", 30),) * 3, 5,
+                 id="kw-sphere2-3x30"),
+    pytest.param([*KW, "99", "--seed", "6"], "sphere:2", (("--groups", 64), ("--groups", 65)), 6,
+                 id="kw-sphere2-64-65"),
+    pytest.param([*KW, "199"], "euclidean:1", (("--groups", 10),) * 3, 9, id="kw-euclidean1-3x10"),
+    *(pytest.param([*KW, "999", "--seed", seed], "sphere:2", (("--groups", 40),) * 3, 10,
+                   id=f"kw-sphere2-3x40-seed{seed}") for seed in ("0", "4294967301", "-1")),
+    pytest.param(["test", "--test", "wilcoxon", "--permutations", "999"], "sphere:2",
+                 (("--groups", 60),) * 2, 11, id="wilcoxon-sphere2-2x60"),
+    pytest.param(["depth", "--anchors", "jiggle:9", "--seed", "7"], "spd:2",
+                 (("--data", 100), ("--query", 10)), 7, id="depth-spd2-10-queries"),
+    pytest.param(["depth", "--anchors", "jiggle:9", "--seed", "8"], "spd:2",
+                 (("--data", 100), ("--query", 60)), 8, id="depth-spd2-60-queries"),
+    pytest.param(["depth", "--anchors", "jiggle:2", "--seed", "1"], "product:spd:2+sphere:2",
+                 (("--data", 20), ("--query", 10)), 12, id="query-product-20-10"),
+    pytest.param(SELF, "spd:2", (("--data", 30),), 13, id="self-spd2-30"),
+    pytest.param(SELF, "euclidean:2", (("--data", 300, 20),), 14, id="self-euclidean2-300-tied"),
+    *(pytest.param(SELF, spec, (("--data", n),), 15, id=f"self-{spec.replace(':', '')}-{n}")
+      for spec, n, _ in JIGGLED),
+    *(pytest.param(QUERY, spec, (("--data", n), ("--query", m)), 15,
+                   id=f"query-{spec.replace(':', '')}-{n}-{m}") for spec, n, m in JIGGLED),
+    *(pytest.param([*MHD, "2", "--budget", "32"], spec, (("--data", 30),), 16,
+                   id=f"median-{spec.replace(':', '')}")
+      for spec in ("euclidean:3", "sphere:2", "spd:2")),
+    pytest.param([*MHD, "3", "--budget", "16"], "spider3", (("--data", 40),), 17,
+                 id="median-spider3"),
+    pytest.param([*MHD, "3", "--budget", "16"], "product:spider3+euclidean:2",
+                 (("--data", 40),), 17, id="median-product-spider3"),
+    pytest.param(SIMULATE, "spd:2", (), 0, id="simulate-spd2"),
+    pytest.param(SIMULATE, "sphere:2", (), 0, id="simulate-sphere2"),
 ]
+
+
+def in_process(condition):
+    def run(args):
+        with condition():
+            invoke(CliRunner(), args)
+
+    return run
+
+
+def on_one_cpu(args):
+    # A child process on one of the CPUs this one may run on, with OpenBLAS
+    # on one thread, as `taskset -c 0` and OPENBLAS_NUM_THREADS=1 run it.
+    cpu = min(os.sched_getaffinity(0))
+    ran = subprocess.run([sys.executable, "-m", "metricdepth.cli", *args], capture_output=True,
+                         text=True, env=child_env(OPENBLAS_NUM_THREADS="1"),
+                         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert ran.returncode == 0, ran.stderr
+
+
 # Each row writes the same bytes under every condition: the compiled
-# kernels on every CPU, on one thread, and the numpy bodies.
-CONDITIONS = {"native": nullcontext, "one-thread": lambda: kernel_threads(1),
-              "numpy": numpy_kernels}
+# kernels on every CPU, on one thread, in a child on one CPU, and the numpy
+# bodies. Each condition's manifest names its kernels and thread count.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+CONDITIONS = {"native": (in_process(nullcontext), "native", CPUS),
+              "one-thread": (in_process(lambda: kernel_threads(1)), "native", 1),
+              "numpy": (in_process(numpy_kernels), "numpy", 1)}
+if hasattr(os, "sched_setaffinity"):
+    CONDITIONS["one-cpu"] = (on_one_cpu, "native", 1)
 
 
 @pytest.mark.parametrize("command, spec, inputs, seed", EQUIVALENCE)
-def test_cli_writes_the_same_bytes_under_every_kernel_condition(tmp_path, runner, command, spec,
-                                                                inputs, seed):
+def test_cli_writes_the_same_bytes_under_every_kernel_condition(tmp_path, command, spec, inputs,
+                                                                seed):
     if _native.library() is None:
         pytest.skip("the compiled core does not load, so there is nothing to compare with numpy")
-    space = parse_space(spec)
-    rng = np.random.default_rng(seed)
-    args = [*command, "--space", spec, "--seed", str(seed)]
-    for i, (option, size) in enumerate(inputs):
-        path = tmp_path / f"input{i}.csv"
-        write_points(path, space, random_points(space, size, rng))
-        args += [option, str(path)]
+    args = [*command, "--space", spec, *write_inputs(tmp_path, parse_space(spec), inputs, seed)]
     outputs = {}
-    for name, condition in CONDITIONS.items():
-        out = tmp_path / f"{name}.out"
-        with condition():
-            invoke(runner, [*args, "--out", str(out)])
-        assert json.loads(manifest_path_for(out).read_text())["kernels"] == (
-            "numpy" if name == "numpy" else "native")
-        outputs[name] = out.read_bytes()
-    assert outputs["native"] == outputs["one-thread"] == outputs["numpy"]
+    for name, (run, kernels, threads) in CONDITIONS.items():
+        out = tmp_path / name
+        run([*args, "--out-dir" if command[0] == "simulate" else "--out", str(out)])
+        manifest = json.loads(manifest_path_for(out).read_text())
+        assert (name, manifest["kernels"], manifest["threads"]) == (name, kernels, threads)
+        files = [out / "errors_long.csv", out / "summary.csv"] if out.is_dir() else [out]
+        outputs[name] = [path.read_bytes() for path in files]
+    differ = [name for name in outputs if outputs[name] != outputs["native"]]
+    assert not differ, f"{differ} wrote other bytes than native"
 
 
 def test_cmd_test_small_group_is_data_error(tmp_path, runner):
@@ -597,11 +681,12 @@ def test_manifest_records_the_invoked_arguments(tmp_path, runner, monkeypatch):
                   "--out", str(out)]
     simulate_args = ["simulate", "--space", "euclidean:1", "--case", "1", "--n", "5",
                      "--reps", "2", "--estimators", "fm", "--out-dir", str(tmp_path / "sim")]
-    invoke(runner, depth_args)
-    invoke(runner, simulate_args)
-    assert json.loads(manifest_path_for(out).read_text())["command"] == depth_args
-    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
-    assert manifest["command"] == simulate_args
+    plotdata_args = ["plotdata", "--space", "euclidean:1", "--data", str(data), "--depths",
+                     str(out), "--out", str(tmp_path / "plot.csv")]
+    for args, written in ((depth_args, out), (simulate_args, tmp_path / "sim"),
+                          (plotdata_args, tmp_path / "plot.csv")):
+        invoke(runner, args)
+        assert json.loads(manifest_path_for(written).read_text())["command"] == args
 
 
 def test_exit_codes_via_subprocess(tmp_path):
@@ -644,12 +729,9 @@ def test_cli_test_leaves_numpy_random_unloaded(tmp_path, rng):
     out = tmp_path / "kw.json"
     code = ("import sys; from metricdepth.cli import main; "
             "main(sys.argv[1:], standalone_mode=False); print('numpy.random' in sys.modules)")
-    src = str(Path(metricdepth.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     ran = subprocess.run([sys.executable, "-c", code, "test", "--space", "sphere:2", *groups,
                           "--test", "kw", "--permutations", "99", "--out", str(out)],
-                         capture_output=True, text=True, env=env, check=True)
+                         capture_output=True, text=True, env=child_env(), check=True)
     assert json.loads(manifest_path_for(out).read_text())["kernels"] == "native"
     assert ran.stdout.strip().splitlines()[-1] == "False"
 
@@ -659,11 +741,8 @@ def test_import_leaves_scipy_unloaded():
     # on numpy and click alone.
     code = ("import sys, metricdepth, metricdepth.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(metricdepth.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
+                         text=True, env=child_env(), check=True)
     assert out.stdout.strip() == "[]"
 
 

@@ -24,24 +24,7 @@ from metricdepth.depth import (
 )
 from metricdepth.spaces import Euclidean, Sphere
 
-from conftest import distinct_rows, numpy_kernels, random_points
-
-
-def dense_min_counts(counts, n, dist_query_anchors):
-    """Least count over admissible off-diagonal pairs by a masked argmin;
-    count n and anchors -1 when no pair is admissible. Counts are widened
-    first: a uint8 table cannot hold the sentinel n + 1 at n = 255."""
-    counts = np.asarray(counts, dtype=np.int64)
-    n_queries, n_anchors = dist_query_anchors.shape
-    dq = dist_query_anchors
-    admissible = dq[:, :, None] <= dq[:, None, :]
-    admissible &= ~np.eye(n_anchors, dtype=bool)
-    flat = np.where(admissible, counts[None, :, :], n + 1).reshape(n_queries, n_anchors**2)
-    arg = flat.argmin(axis=1)
-    best = flat[np.arange(n_queries), arg].astype(np.int64)
-    a1, a2 = np.unravel_index(arg, (n_anchors, n_anchors))
-    empty = best == n + 1
-    return np.where(empty, n, best), np.where(empty, -1, a1), np.where(empty, -1, a2)
+from conftest import dense_min_counts, distinct_rows, numpy_kernels, random_points
 
 
 def assert_same(got, want):
