@@ -24,9 +24,9 @@ points = sample_population(spec, n=100, seed=2026)
 # Anchors: the sample plus 5 perturbed copies of each point. Extra anchors
 # can only sharpen the depth values (they add candidate halfspaces).
 anchors = jiggle_anchors(space, points, k=5, radius_frac=0.1, seed=1)
-reports = approx_depth(space, points, anchors, points)
+records = approx_depth(space, points, anchors, points)
 
-depths = np.array([r.value for r in reports])
+depths = records.depth_num / records.depth_den
 dists = space.distance_matrix(points, [center])[:, 0]
 rho = spearmanr(depths, dists).statistic
 

@@ -25,23 +25,24 @@ spec = PopulationSpec(space, center, scatter=0.35)
 trees = sample_population(spec, n=120, seed=8)
 print("branch occupancy:", dict(sorted(Counter(t.branch for t in trees).items())))
 
-reports = approx_depth(space, trees, trees, trees)
+records = approx_depth(space, trees, trees, trees)
+depths = (records.depth_num / records.depth_den).tolist()
 deepest, depth, idx = in_sample_deepest(space, trees, trees)
 print(f"deepest tree: branch {deepest.branch}, radius {deepest.radius:.3f}, "
       f"depth {depth}")
 assert deepest.branch == center.branch
 
 by_branch = {}
-for t, r in zip(trees, reports):
-    by_branch.setdefault(t.branch, []).append(r.value)
+for t, d in zip(trees, depths):
+    by_branch.setdefault(t.branch, []).append(d)
 for branch in sorted(by_branch):
     vals = by_branch[branch]
     marker = " (center)" if branch == center.branch else ""
     print(f"branch {branch}: n={len(vals):3d}  mean depth {np.mean(vals):.3f}{marker}")
 
 rows = [
-    {"branch": t.branch, "radius": t.radius, "depth": r.value}
-    for t, r in zip(trees, reports)
+    {"branch": t.branch, "radius": t.radius, "depth": d}
+    for t, d in zip(trees, depths)
 ]
 write_csv_rows("spider_depth.csv", ["branch", "radius", "depth"], rows)
 print("wrote spider_depth.csv; trees off the center branch all rank shallow")

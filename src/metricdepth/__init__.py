@@ -28,7 +28,6 @@ from .spaces import (  # noqa: E402
 )
 from .depth import (  # noqa: E402
     AnchorSet,
-    DepthReport,
     HalfspaceProbTable,
     approx_depth,
     halfspace_prob_table,
@@ -66,7 +65,7 @@ __all__ = [
     "__version__",
     "Space", "Euclidean", "Sphere", "SPD", "Spider3", "SpiderPoint",
     "Product", "parse_space",
-    "AnchorSet", "HalfspaceProbTable", "DepthReport",
+    "AnchorSet", "HalfspaceProbTable",
     "halfspace_prob_table", "approx_depth",
     "jiggle_anchors", "in_sample_deepest", "refine_deepest",
     "EstimatorResult", "frechet_mean", "frechet_median",

@@ -29,9 +29,11 @@ from .io import (
     estimator_result_to_json,
     read_depth_reports_csv,
     read_points,
+    read_text,
     test_result_to_json,
     write_csv_rows,
     write_depth_reports_csv,
+    write_plot_csv,
 )
 from .simulation import SimulationConfig, run_simulation
 from .spaces import parse_space
@@ -142,13 +144,13 @@ def cmd_depth(space, data, query, self_query, anchors, radius_frac, seed, out, f
     sample = _read_input(timer, data, space)
     queries = sample if self_query else _read_input(timer, query, space)
     anchor_set = jiggle_anchors(space, sample, jiggles, radius_frac, seed)
-    reports = approx_depth(space, sample, anchor_set, queries)
+    depths = approx_depth(space, sample, anchor_set, queries)
     if fmt == "csv":
-        write_depth_reports_csv(out, reports)
+        write_depth_reports_csv(out, depths)
     else:
-        out.write_text(json.dumps(depth_reports_to_json(reports), indent=2) + "\n")
+        out.write_text(json.dumps(depth_reports_to_json(depths), indent=2) + "\n")
     timer.finish(out)
-    click.echo(f"wrote {len(reports)} depth rows to {out}")
+    click.echo(f"wrote {len(depths)} depth rows to {out}")
 
 
 @main.command("median")
@@ -224,7 +226,7 @@ def cmd_test(space, group_files, test_name, permutations, seed, out):
 def _read_config_file(path: Path) -> dict:
     """key = value lines; '#' comments; values parsed as JSON when possible."""
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         row = line.split("#", 1)[0].strip()
         if not row:
             continue
@@ -333,28 +335,16 @@ def cmd_plotdata(space, data, depths, out):
     """Join point coordinates with depth values into a plot-ready CSV."""
     timer = _manifest_timer({"space": space.spec_string}, None)
     points = _read_input(timer, data, space)
-    reports = sorted(read_depth_reports_csv(depths), key=lambda r: r.query_index)
+    rows = read_depth_reports_csv(depths)
     timer.add_input(depths)
-    if len(points) != len(reports):
+    if len(points) != len(rows):
         raise DataError(
-            f"row count mismatch: {len(points)} points vs {len(reports)} depths"
+            f"row count mismatch: {len(points)} points vs {len(rows)} depths"
         )
-    if [r.query_index for r in reports] != list(range(len(points))):
+    rows = rows[rows.query_index.argsort(kind="stable")]
+    if (rows.query_index != range(len(points))).any():
         raise DataError(f"{depths}: query indices must be 0..{len(points) - 1}, each once")
-    if space.spec_string == "spider3":
-        coord_names = ["branch", "radius"]
-    else:
-        width = len(space.encode_point(points[0]).replace("|", ",").split(","))
-        coord_names = [f"c{i + 1}" for i in range(width)]
-    columns = coord_names + ["depth_num", "depth_den", "depth"]
-    rows = []
-    for point, report in zip(points, reports):
-        coords = space.encode_point(point).replace("|", ",").split(",")
-        row = dict(zip(coord_names, coords))
-        row.update(depth_num=report.depth_num, depth_den=report.depth_den,
-                   depth=report.value)
-        rows.append(row)
-    write_csv_rows(out, columns, rows)
+    write_plot_csv(out, space, points, rows)
     timer.finish(out)
     click.echo(f"wrote {len(rows)} plot rows to {out}")
 

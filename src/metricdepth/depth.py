@@ -90,6 +90,11 @@ and a self-depth run computes each sample-to-anchor distance once.
 Depth values are kept as exact integer counts over n; ties on the
 equidistance boundary are counted on both sides (membership uses <=), so
 counts[a1, a2] + counts[a2, a1] = n + #ties >= n always holds.
+:func:`approx_depth` returns them as one record array of ``DEPTH_DTYPE``,
+one row per query with five int64 fields: ``query_index``, the depth
+``depth_num / depth_den`` (den = n), and the minimizing ordered pair
+``anchor1, anchor2``, both -1 when no pair is admissible (possible only
+for a single anchor; the empty infimum is 1 by convention).
 """
 
 from __future__ import annotations
@@ -118,6 +123,8 @@ _BOUND_TILE = 256
 # 600 x 3000, where the sort's placing is memory-bound); the geometric
 # mean over 11 tables of 300 to 3000 anchors was 37.5 and 45.7 in two runs.
 _FEW_QUERIES = 40
+DEPTH_DTYPE = np.dtype([(name, np.int64) for name in
+                        ("query_index", "depth_num", "depth_den", "anchor1", "anchor2")])
 
 
 @dataclass(frozen=True)
@@ -242,29 +249,6 @@ class HalfspaceProbTable:
         order = order.astype(np.min_scalar_type(key.size))
         a1, a2 = np.divmod(order, n_anchors)
         return a1.astype(dtype), a2.astype(dtype)
-
-
-@dataclass(frozen=True)
-class DepthReport:
-    """Depth of one query: exact count over n plus the minimizing pair.
-
-    Anchor indices are ``-1`` when no ordered pair is admissible (possible
-    only for a single anchor; the empty infimum is 1 by convention).
-    """
-
-    query_index: int
-    depth_num: int
-    depth_den: int
-    anchor1: int
-    anchor2: int
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.depth_num, self.depth_den)
-
-    @property
-    def value(self) -> float:
-        return self.depth_num / self.depth_den
 
 
 def _as_points(anchors) -> tuple:
@@ -496,8 +480,9 @@ def approx_depth(
     anchors,
     queries: Sequence,
     table: HalfspaceProbTable | None = None,
-) -> list[DepthReport]:
-    """Anchored halfspace depth of each query with respect to the sample.
+) -> np.recarray:
+    """Anchored halfspace depth of each query with respect to the sample,
+    as a ``DEPTH_DTYPE`` record array in query order.
 
     ``table`` may carry a precomputed :func:`halfspace_prob_table` for these
     (sample, anchors); passing it skips the O(n n_A^2) rebuild. When
@@ -509,7 +494,7 @@ def approx_depth(
     queries = sample if self_query else tuple(queries)
     anchor_points = _as_points(anchors)
     if len(queries) == 0:
-        return []
+        return np.recarray(0, dtype=DEPTH_DTYPE)
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
     if self_query and table.codes is not None:
@@ -517,12 +502,11 @@ def approx_depth(
     else:
         query_codes = _query_distances(space, queries, anchor_points)
     nums, a1, a2 = _min_counts(table, query_codes)
-    n = table.n
-    return [
-        DepthReport(query_index=j, depth_num=int(nums[j]), depth_den=n,
-                    anchor1=int(a1[j]), anchor2=int(a2[j]))
-        for j in range(len(queries))
-    ]
+    depths = np.recarray(len(queries), dtype=DEPTH_DTYPE)
+    depths.query_index = np.arange(len(queries))
+    depths.depth_num, depths.depth_den = nums, table.n
+    depths.anchor1, depths.anchor2 = a1, a2
+    return depths
 
 
 def median_pairwise_distance(space: Space, sample: Sequence) -> float:
@@ -607,15 +591,15 @@ def in_sample_deepest(
     Returns ``(point, depth: Fraction, index)``.
     """
     sample = tuple(sample)
-    reports = approx_depth(space, sample, anchors, sample, table=table)
-    nums = np.array([r.depth_num for r in reports])
+    depths = approx_depth(space, sample, anchors, sample, table=table)
+    nums = depths.depth_num
     top = nums.max()
     tied = np.flatnonzero(nums == top)
     if len(tied) > 1:
         sums = _distance_sums(space, sample, [sample[i] for i in tied])
         tied = tied[np.lexsort((tied, sums))]
     idx = int(tied[0])
-    return sample[idx], reports[idx].fraction, idx
+    return sample[idx], Fraction(int(nums[idx]), int(depths.depth_den[idx])), idx
 
 
 def refine_deepest(

@@ -2,9 +2,10 @@
 
 Point files hold one encoded point per row in the active space's encoding
 (vectors as comma-separated coordinates, matrices row-major flattened,
-spider points as ``branch,radius``, products joined with ``|``). Depth
-values travel as exact numerator/denominator integers; JSON adds a
-convenience float.
+spider points as ``branch,radius``, products joined with ``|``). Depths
+are :data:`metricdepth.depth.DEPTH_DTYPE` record arrays, written one CSV
+row or JSON object per record as exact numerator/denominator integers;
+JSON adds a convenience float. Text files are read as UTF-8.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _native
-from .depth import DepthReport
+from .depth import DEPTH_DTYPE
 from .errors import DataError, PointValidationError
 from .estimators import EstimatorResult
 from .inference import TestResult
@@ -40,10 +41,7 @@ def read_points(path, space: Space) -> list:
     line of the first bad row, the one a row-by-row read would stop at.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
     rows, linenos = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         row = line.strip()
@@ -58,58 +56,80 @@ def read_points(path, space: Space) -> list:
         raise DataError(f"{path}: row {linenos[exc.row]}: {exc}") from exc
 
 
+def read_text(path: Path) -> str:
+    """The file's text; an unreadable file or one that is not UTF-8 is a
+    ``DataError`` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def write_points(path, space: Space, points) -> None:
     Path(path).write_text("".join(space.encode_point(p) + "\n" for p in points))
 
 
-def write_depth_reports_csv(path, reports: list[DepthReport]) -> None:
+def _write_csv_lines(path, columns, lines) -> None:
+    # The bytes csv.writer writes for fields that need no quoting.
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(DEPTH_CSV_COLUMNS)
-        for r in reports:
-            writer.writerow([r.query_index, r.depth_num, r.depth_den, r.anchor1, r.anchor2])
+        handle.write("\r\n".join([",".join(columns), *lines]) + "\r\n")
 
 
-def read_depth_reports_csv(path) -> list[DepthReport]:
+def write_depth_reports_csv(path, depths: np.recarray) -> None:
+    _write_csv_lines(path, DEPTH_CSV_COLUMNS,
+                     [f"{q},{num},{den},{a1},{a2}" for q, num, den, a1, a2 in depths.tolist()])
+
+
+def read_depth_reports_csv(path) -> np.recarray:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    rows = list(csv.reader(read_text(path).splitlines()))
     if not rows:
         raise DataError(f"{path}: empty depth file")
     if tuple(rows[0]) != DEPTH_CSV_COLUMNS:
         raise DataError(f"{path}: row 1: expected header {','.join(DEPTH_CSV_COLUMNS)}")
-    reports = []
+    records = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         try:
-            q, num, den, a1, a2 = (int(v) for v in row)
+            q, num, den, a1, a2 = values = tuple(int(v) for v in row)
         except ValueError as exc:
             raise DataError(f"{path}: row {lineno}: bad depth row {row!r}") from exc
         if den < 1 or not 0 <= num <= den:
             raise DataError(f"{path}: row {lineno}: depth {num}/{den} needs "
                             "depth_den >= 1 and 0 <= depth_num <= depth_den")
-        reports.append(DepthReport(q, num, den, a1, a2))
-    if not reports:
+        if not all(-(1 << 63) <= v < 1 << 63 for v in values):
+            raise DataError(f"{path}: row {lineno}: values must fit in int64, got {row!r}")
+        records.append(values)
+    if not records:
         raise DataError(f"{path}: no depth rows found")
-    return reports
+    return np.array(records, dtype=DEPTH_DTYPE).view(np.recarray)
 
 
-def depth_reports_to_json(reports: list[DepthReport]) -> list[dict]:
+def depth_reports_to_json(depths: np.recarray) -> list[dict]:
     return [
         {
-            "query_index": r.query_index,
-            "depth_num": r.depth_num,
-            "depth_den": r.depth_den,
-            "depth": r.value,
-            "anchor1_index": r.anchor1,
-            "anchor2_index": r.anchor2,
+            "query_index": q,
+            "depth_num": num,
+            "depth_den": den,
+            "depth": num / den,
+            "anchor1_index": a1,
+            "anchor2_index": a2,
         }
-        for r in reports
+        for q, num, den, a1, a2 in depths.tolist()
     ]
+
+
+def write_plot_csv(path, space: Space, points, depths: np.recarray) -> None:
+    """Each point's coordinates, then its depth as count, n and float."""
+    coords = [space.encode_point(p).replace("|", ",") for p in points]
+    if space.spec_string == "spider3":
+        names = ["branch", "radius"]
+    else:
+        names = [f"c{i + 1}" for i in range(coords[0].count(",") + 1)]
+    _write_csv_lines(path, [*names, "depth_num", "depth_den", "depth"],
+                     [f"{c},{num},{den},{num / den}" for c, num, den in
+                      zip(coords, depths.depth_num.tolist(), depths.depth_den.tolist())])
 
 
 def estimator_result_to_json(space: Space, result: EstimatorResult) -> dict:

@@ -35,6 +35,12 @@ def _report(criterion, detail):
     print(f"\nACCEPTANCE {criterion}: PASS ({detail})")
 
 
+def fractions(depths):
+    """Each record's exact depth."""
+    return [Fraction(num, den)
+            for num, den in zip(depths.depth_num.tolist(), depths.depth_den.tolist())]
+
+
 def test_criterion_1_r1_exactness():
     """Anchored depth equals exact rank depth at every sample point in R^1."""
     space = Euclidean(1)
@@ -47,8 +53,8 @@ def test_criterion_1_r1_exactness():
         while np.unique(values).size < n:  # distinct reals
             values = rng.standard_normal(n)
         pts = [np.array([v]) for v in values]
-        for r in approx_depth(space, pts, pts, pts):
-            assert r.fraction == tukey_depth_1d(values, values[r.query_index])
+        for j, fraction in enumerate(fractions(approx_depth(space, pts, pts, pts))):
+            assert fraction == tukey_depth_1d(values, values[j])
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s exceeds 30s"
@@ -64,18 +70,17 @@ def test_criterion_2_r2_upper_bound_and_anchor_trend():
     for _ in range(1000):
         pts = list(rng.standard_normal((50, 2)))
         queries = pts[:3] + list(rng.standard_normal((2, 2)))
-        for r in approx_depth(space, pts, pts, queries):
-            oracle = tukey_depth_2d(np.asarray(pts), queries[r.query_index])
-            assert r.fraction >= oracle
+        for j, fraction in enumerate(fractions(approx_depth(space, pts, pts, queries))):
+            oracle = tukey_depth_2d(np.asarray(pts), queries[j])
+            assert fraction >= oracle
 
     fixed = list(np.random.default_rng(303).standard_normal((100, 2)))
     oracle = [tukey_depth_2d(np.asarray(fixed), p) for p in fixed]
     gaps = []
     for k in (0, 5, 10):
         anchors = jiggle_anchors(space, fixed, k, seed=99)
-        reports = approx_depth(space, fixed, anchors, fixed)
-        gaps.append(float(np.mean([float(r.fraction - o)
-                                   for r, o in zip(reports, oracle)])))
+        depths = fractions(approx_depth(space, fixed, anchors, fixed))
+        gaps.append(float(np.mean([float(d - o) for d, o in zip(depths, oracle)])))
     assert gaps[0] >= gaps[1] >= gaps[2] >= 0.0
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"runtime {elapsed:.1f}s exceeds 5min"
@@ -150,7 +155,8 @@ def test_criterion_5_center_outward_pattern():
     space = Sphere(2)
     center = canonical_center(space)
     pts = sample_population(PopulationSpec(space, center, 0.5), 100, seed=2026)
-    depths = [r.value for r in approx_depth(space, pts, pts, pts)]
+    records = approx_depth(space, pts, pts, pts)
+    depths = records.depth_num / records.depth_den
     dists = space.distance_matrix(pts, [center])[:, 0]
     rho = float(spearmanr(depths, dists).statistic)
     assert rho <= -0.8

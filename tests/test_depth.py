@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metricdepth.depth import (
+    DEPTH_DTYPE,
     AnchorSet,
     approx_depth,
     halfspace_prob_table,
@@ -27,7 +28,9 @@ def points_1d(values):
 
 
 def depth_fractions(space, sample, anchors, queries):
-    return [r.fraction for r in approx_depth(space, sample, anchors, queries)]
+    depths = approx_depth(space, sample, anchors, queries)
+    return [Fraction(num, den)
+            for num, den in zip(depths.depth_num.tolist(), depths.depth_den.tolist())]
 
 
 # ------------------------------------------------------------- membership
@@ -93,27 +96,27 @@ def test_depth_far_query_hits_floor():
     space, pts = points_1d([1, 2, 3])
     far = space.validate_point([100.0])
     report = approx_depth(space, pts, pts, [far])[0]
-    assert report.fraction == Fraction(1, 3)
+    assert (report.depth_num, report.depth_den) == (1, 3)
     assert (report.anchor1, report.anchor2) == (2, 1)  # backed by pair (3, 2)
 
 
 def test_depth_sphere_four_anchor_example():
     space = Sphere(2)
     pts = [space.validate_point(p) for p in (E1, -E1, E2, -E2)]
-    report = approx_depth(space, pts, pts, [space.validate_point(E3)])[0]
-    assert report.fraction == Fraction(1, 2)
+    assert depth_fractions(space, pts, pts, [space.validate_point(E3)]) == [Fraction(1, 2)]
 
 
 def test_depth_single_anchor_convention():
     space, pts = points_1d([5])
     report = approx_depth(space, pts, pts, [space.validate_point([7.0])])[0]
-    assert report.fraction == Fraction(1, 1)
+    assert (report.depth_num, report.depth_den) == (1, 1)
     assert report.anchor1 == -1 and report.anchor2 == -1
 
 
 def test_depth_empty_queries():
     space, pts = points_1d([1, 2])
-    assert approx_depth(space, pts, pts, []) == []
+    depths = approx_depth(space, pts, pts, [])
+    assert len(depths) == 0 and depths.dtype == DEPTH_DTYPE
 
 
 def test_depth_floor_with_sample_anchors(rng):
@@ -121,8 +124,8 @@ def test_depth_floor_with_sample_anchors(rng):
     space = Euclidean(2)
     pts = random_points(space, 20, rng)
     queries = random_points(space, 10, rng)
-    for r in approx_depth(space, pts, pts, queries):
-        assert r.fraction >= Fraction(1, 20)
+    for fraction in depth_fractions(space, pts, pts, queries):
+        assert fraction >= Fraction(1, 20)
 
 
 def test_more_anchors_never_increase_depth(rng):
@@ -146,9 +149,9 @@ def test_depth_upper_bounds_exact_tukey(rng):
         pts = random_points(space, 20, rng)
         arr = np.asarray(pts)
         queries = pts[:3] + random_points(space, 2, rng)
-        for r in approx_depth(space, pts, pts, queries):
-            oracle = tukey_depth_2d(arr, np.asarray(queries[r.query_index]))
-            assert r.fraction >= oracle
+        for j, fraction in enumerate(depth_fractions(space, pts, pts, queries)):
+            oracle = tukey_depth_2d(arr, np.asarray(queries[j]))
+            assert fraction >= oracle
 
 
 def test_r1_exactness_matches_rank_oracle(rng):
@@ -156,8 +159,8 @@ def test_r1_exactness_matches_rank_oracle(rng):
         n = int(rng.integers(3, 30))
         values = rng.standard_normal(n)
         space, pts = points_1d(values)
-        for r in approx_depth(space, pts, pts, pts):
-            assert r.fraction == tukey_depth_1d(values, values[r.query_index])
+        for j, fraction in enumerate(depth_fractions(space, pts, pts, pts)):
+            assert fraction == tukey_depth_1d(values, values[j])
 
 
 # ---------------------------------------------------------------- jiggling

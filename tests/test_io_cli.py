@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import metricdepth
 from metricdepth import _native
 from metricdepth.cli import main
-from metricdepth.depth import DepthReport, approx_depth
+from metricdepth.depth import DEPTH_DTYPE, approx_depth, jiggle_anchors
 from metricdepth.errors import DataError, GeometryError
 from metricdepth.io import (
     depth_reports_to_json,
@@ -96,13 +96,21 @@ def test_read_points_names_the_geometry_of_a_bad_token(tmp_path, space, good):
         read_points(path, space)
 
 
-def test_depth_report_round_trip(tmp_path):
-    reports = [DepthReport(0, 1, 3, 0, 1), DepthReport(1, 2, 3, 0, 2)]
+def test_depth_report_round_trip(tmp_path, rng):
+    # The records' five names are what the benchmark reads of each row; the
+    # CSV reads back to an equal array, and JSON's depth is Python's num / den.
+    space = Sphere(2)
+    points = random_points(space, 30, rng)
+    depths = approx_depth(space, points, jiggle_anchors(space, points, 2, seed=1), points)
+    assert depths.dtype == DEPTH_DTYPE and len(depths) == 30
+    assert [(r.query_index, r.depth_num, r.depth_den, r.anchor1, r.anchor2)
+            for r in depths] == depths.tolist()
     path = tmp_path / "depths.csv"
-    write_depth_reports_csv(path, reports)
-    assert read_depth_reports_csv(path) == reports
-    payload = depth_reports_to_json(reports)
-    assert payload[1]["depth"] == pytest.approx(2 / 3)
+    write_depth_reports_csv(path, depths)
+    back = read_depth_reports_csv(path)
+    assert back.dtype == DEPTH_DTYPE and np.array_equal(back, depths)
+    assert [row["depth"] for row in depth_reports_to_json(depths)] == [
+        num / den for num, den in zip(depths.depth_num.tolist(), depths.depth_den.tolist())]
 
 
 def test_depth_report_reader_rejects_junk(tmp_path):
@@ -201,9 +209,9 @@ def test_cmd_depth_spider_demo_center_branch(tmp_path, runner):
     out = tmp_path / "depths.csv"
     invoke(runner, ["depth", "--space", "spider3", "--data", str(data), "--self",
                     "--out", str(out)])
-    reports = read_depth_reports_csv(out)
-    deepest = max(reports, key=lambda r: r.fraction)
-    assert pts[deepest.query_index].branch == 2
+    depths = read_depth_reports_csv(out)
+    deepest = depths.query_index[np.argmax(depths.depth_num / depths.depth_den)]
+    assert pts[deepest].branch == 2
 
 
 @pytest.mark.parametrize("inputs", [(("--data", 300),), (("--data", 300, 20),)],
@@ -642,7 +650,7 @@ def test_cmd_plotdata_row_mismatch(tmp_path, runner):
     data = tmp_path / "data.csv"
     data.write_text("1\n2\n3\n")
     depths = tmp_path / "depths.csv"
-    write_depth_reports_csv(depths, [DepthReport(0, 1, 3, 0, 1)])
+    write_depth_reports_csv(depths, np.rec.array([(0, 1, 3, 0, 1)], dtype=DEPTH_DTYPE))
     result = runner.invoke(main, ["plotdata", "--space", "euclidean:1", "--data",
                                   str(data), "--depths", str(depths),
                                   "--out", str(tmp_path / "x.csv")])
@@ -654,7 +662,9 @@ def test_cmd_plotdata_row_mismatch(tmp_path, runner):
     (["0,1,3,0,1", "1,0,0,0,1", "2,1,3,0,1"], "row 3: depth 0/0"),
     (["0,1,3,0,1", "1,4,3,0,1", "2,1,3,0,1"], "row 3: depth 4/3"),
     (["0,1,3,0,1", "0,2,3,0,1", "2,1,3,0,1"], "query indices must be 0..2"),
-], ids=["zero-denominator", "count-above-denominator", "repeated-query-index"])
+    (["0,1,3,0,1", f"{10**30},1,3,0,1", "2,1,3,0,1"], "row 3: values must fit in int64"),
+], ids=["zero-denominator", "count-above-denominator", "repeated-query-index",
+        "index-beyond-int64"])
 def test_cmd_plotdata_rejects_bad_depth_rows(tmp_path, runner, rows, cause):
     data = tmp_path / "data.csv"
     data.write_text("1\n2\n3\n")
@@ -667,6 +677,46 @@ def test_cmd_plotdata_rejects_bad_depth_rows(tmp_path, runner, rows, cause):
     assert result.exit_code == 3, result.output
     assert cause in result.output and "Traceback" not in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "depths.csv"]
+
+
+# ------------------------------------------------------------- output bytes
+
+# Command, geometry, input recipe and seed as in EQUIVALENCE, then the
+# SHA-256 prefix of the file the command writes, as recorded with numpy 2.4
+# on x86-64. A plotdata row first writes the self-depths of its data. The
+# one-point sample has no admissible pair: anchors -1 and depth 1/1.
+OUTPUT_DIGESTS = [
+    pytest.param(["depth", "--self"], "spd:2", (("--data", 40, 5),), 21,
+                 "5a3383d184fcc36e", id="depth-csv-sample"),
+    pytest.param(["depth", "--self", "--format", "json"], "spd:2", (("--data", 40, 5),), 21,
+                 "ddd839c2929fff7c", id="depth-json-sample"),
+    pytest.param(["depth", "--anchors", "jiggle:3", "--seed", "4"], "sphere:2",
+                 (("--data", 30), ("--query", 12)), 22, "9ec6cd53d30b8acc",
+                 id="depth-csv-jiggle3"),
+    pytest.param(["depth", "--anchors", "jiggle:3", "--seed", "4", "--format", "json"],
+                 "sphere:2", (("--data", 30), ("--query", 12)), 22, "dc1a61c9558c9b7d",
+                 id="depth-json-jiggle3"),
+    pytest.param(["depth", "--self"], "euclidean:2", (("--data", 1),), 23,
+                 "70dbef6f14ebfa28", id="depth-csv-one-point"),
+    pytest.param(["depth", "--self", "--format", "json"], "euclidean:2", (("--data", 1),), 23,
+                 "9c764f6247ef6729", id="depth-json-one-point"),
+    pytest.param(["plotdata"], "spider3", (("--data", 30),), 24, "17d3787c139a16e2",
+                 id="plotdata-spider3"),
+    pytest.param(["plotdata"], "product:spd:2+euclidean:2", (("--data", 30),), 25,
+                 "31865c25ca311913", id="plotdata-product-spd2-euclidean2"),
+]
+
+
+@pytest.mark.parametrize("command, spec, inputs, seed, digest", OUTPUT_DIGESTS)
+def test_cli_outputs_keep_their_bytes(tmp_path, runner, command, spec, inputs, seed, digest):
+    args = ["--space", spec, *write_inputs(tmp_path, parse_space(spec), inputs, seed)]
+    if command == ["plotdata"]:
+        depths = tmp_path / "depths.csv"
+        invoke(runner, ["depth", "--self", *args, "--out", str(depths)])
+        args += ["--depths", str(depths)]
+    out = tmp_path / "out"
+    invoke(runner, [*command, *args, "--out", str(out)])
+    assert sha256_file(out)[:16] == digest
 
 
 # ----------------------------------------------------------- exit codes e2e
@@ -715,6 +765,22 @@ def test_exit_codes_via_subprocess(tmp_path):
                   "--estimator", "fm", "--out", str(tmp_path / "m.json"))
     assert failure.returncode == 4 and "numerical failure" in failure.stderr
     assert "Traceback" not in unparseable.stderr + failure.stderr
+    # Every input file is read as UTF-8; one that is not is bad data.
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes(b"1\n\xff\n3\n")
+    out = tmp_path / "never"
+    for args in (["depth", "--data", str(undecodable), "--self", "--out", str(out)],
+                 ["depth", "--data", str(data), "--query", str(undecodable), "--out", str(out)],
+                 ["test", "--groups", str(data), "--groups", str(undecodable), "--out", str(out)],
+                 ["plotdata", "--data", str(data), "--depths", str(undecodable),
+                  "--out", str(out)],
+                 ["simulate", "--config", str(undecodable), "--out-dir", str(out)]):
+        if args[0] != "simulate":
+            args[1:1] = ["--space", "euclidean:1"]
+        ran = run(*args)
+        assert ran.returncode == 3 and str(undecodable) in ran.stderr, (args, ran.stderr)
+        assert "Traceback" not in ran.stderr
+        assert not list(tmp_path.glob("never*")), args
 
 
 def test_cli_test_leaves_numpy_random_unloaded(tmp_path, rng):
