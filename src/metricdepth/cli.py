@@ -25,7 +25,6 @@ from .io import (
     LONG_CSV_COLUMNS,
     SUMMARY_CSV_COLUMNS,
     ManifestTimer,
-    depth_reports_to_json,
     estimator_result_to_json,
     read_depth_reports_csv,
     read_points,
@@ -33,6 +32,7 @@ from .io import (
     test_result_to_json,
     write_csv_rows,
     write_depth_reports_csv,
+    write_depth_reports_json,
     write_plot_csv,
 )
 from .simulation import SimulationConfig, run_simulation
@@ -108,9 +108,7 @@ def _manifest_timer(config: dict, seed) -> ManifestTimer:
 
 
 def _read_input(timer: ManifestTimer, path: Path, space) -> list:
-    points = read_points(path, space)
-    timer.add_input(path)
-    return points
+    return read_points(path, space, timer.manifest.inputs)
 
 
 @click.group(cls=CommandGroup)
@@ -141,14 +139,11 @@ def cmd_depth(space, data, query, self_query, anchors, radius_frac, seed, out, f
     timer = _manifest_timer({"space": space.spec_string, "anchors": anchors,
                              "radius_frac": radius_frac, "format": fmt, "self": self_query},
                             seed)
-    sample = _read_input(timer, data, space)
+    sample = space.stack(_read_input(timer, data, space))
     queries = sample if self_query else _read_input(timer, query, space)
     anchor_set = jiggle_anchors(space, sample, jiggles, radius_frac, seed)
     depths = approx_depth(space, sample, anchor_set, queries)
-    if fmt == "csv":
-        write_depth_reports_csv(out, depths)
-    else:
-        out.write_text(json.dumps(depth_reports_to_json(depths), indent=2) + "\n")
+    (write_depth_reports_csv if fmt == "csv" else write_depth_reports_json)(out, depths)
     timer.finish(out)
     click.echo(f"wrote {len(depths)} depth rows to {out}")
 
@@ -223,10 +218,10 @@ def cmd_test(space, group_files, test_name, permutations, seed, out):
     click.echo(f"{payload['test']} p-value: {payload['p_value']:.4g}")
 
 
-def _read_config_file(path: Path) -> dict:
+def _read_config_file(path: Path, digests: dict) -> dict:
     """key = value lines; '#' comments; values parsed as JSON when possible."""
     values = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, digests).splitlines(), start=1):
         row = line.split("#", 1)[0].strip()
         if not row:
             continue
@@ -291,7 +286,8 @@ _SIMULATE_FIELDS = {
 @click.option("--out-dir", type=click.Path(file_okay=False, path_type=Path), required=True)
 def cmd_simulate(config_file, out_dir, **flags):
     """Run the Monte Carlo comparison and write long + summary CSVs."""
-    settings = _read_config_file(config_file) if config_file else {}
+    inputs = {}
+    settings = _read_config_file(config_file, inputs) if config_file else {}
     unknown = sorted(set(settings) - set(_SIMULATE_FIELDS))
     if unknown:
         raise DataError(f"{config_file}: unknown simulate settings: {', '.join(unknown)}")
@@ -311,8 +307,7 @@ def cmd_simulate(config_file, out_dir, **flags):
     config = SimulationConfig(**fields)
     timer = _manifest_timer({**settings, "resolved_offset": config.resolved_offset(),
                              "space": config.space.spec_string}, config.seed)
-    if config_file:
-        timer.add_input(config_file)
+    timer.manifest.inputs.update(inputs)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_simulation(config)
     write_csv_rows(out_dir / "errors_long.csv", LONG_CSV_COLUMNS, result.long_rows())
@@ -335,8 +330,7 @@ def cmd_plotdata(space, data, depths, out):
     """Join point coordinates with depth values into a plot-ready CSV."""
     timer = _manifest_timer({"space": space.spec_string}, None)
     points = _read_input(timer, data, space)
-    rows = read_depth_reports_csv(depths)
-    timer.add_input(depths)
+    rows = read_depth_reports_csv(depths, timer.manifest.inputs)
     if len(points) != len(rows):
         raise DataError(
             f"row count mismatch: {len(points)} points vs {len(rows)} depths"

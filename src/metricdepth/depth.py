@@ -123,6 +123,8 @@ _BOUND_TILE = 256
 # 600 x 3000, where the sort's placing is memory-bound); the geometric
 # mean over 11 tables of 300 to 3000 anchors was 37.5 and 45.7 in two runs.
 _FEW_QUERIES = 40
+# Most refinement steps drawn in one normal_steps call (refine_deepest).
+_DRAW_BLOCK = 8
 DEPTH_DTYPE = np.dtype([(name, np.int64) for name in
                         ("query_index", "depth_num", "depth_den", "anchor1", "anchor2")])
 
@@ -131,11 +133,13 @@ DEPTH_DTYPE = np.dtype([(name, np.int64) for name in
 class AnchorSet:
     """Ordered anchor points with provenance tags.
 
-    Provenance entries are ``("sample", i)`` for sample points carried over
-    verbatim and ``("jiggled", i)`` for perturbed copies of sample point i.
+    ``points`` is one :meth:`Space.stack` of the anchors, as distance calls
+    read it. Provenance entries are ``("sample", i)`` for sample points
+    carried over verbatim and ``("jiggled", i)`` for perturbed copies of
+    sample point i.
     """
 
-    points: tuple
+    points: Sequence
     provenance: tuple
 
     def __post_init__(self):
@@ -251,8 +255,24 @@ class HalfspaceProbTable:
         return a1.astype(dtype), a2.astype(dtype)
 
 
-def _as_points(anchors) -> tuple:
-    return tuple(anchors.points) if isinstance(anchors, AnchorSet) else tuple(anchors)
+def _as_points(space: Space, anchors) -> Sequence:
+    return space.stack(anchors.points if isinstance(anchors, AnchorSet) else anchors)
+
+
+def _joined(space: Space, head: Sequence, tail: Sequence) -> Sequence:
+    """One stack of the points of the stack ``head``, then of ``tail``."""
+    if isinstance(head, np.ndarray):
+        return space.stack(np.concatenate((head, tail)))
+    return space.stack((*head, *tail))
+
+
+def _same_points(a, b) -> bool:
+    """Whether two stacks, or two points, hold the same values bit for bit."""
+    if isinstance(a, np.ndarray):
+        return a.shape == np.shape(b) and a.tobytes() == np.asarray(b, a.dtype).tobytes()
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(x is y or _same_points(x, y) for x, y in zip(a, b))
+    return a == b
 
 
 def _row_ranks(dist: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -453,10 +473,10 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
 
 def halfspace_prob_table(space: Space, sample: Sequence, anchors) -> HalfspaceProbTable:
     """Empirical mass of every anchored halfspace over the sample."""
-    sample = tuple(sample)
+    sample = space.stack(sample)
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
-    anchor_points = _as_points(anchors)
+    anchor_points = _as_points(space, anchors)
     dist = space.distance_matrix(sample, anchor_points)
     if np.isnan(dist).any():
         raise GeometryError("sample-anchor distance matrix contains NaN")
@@ -465,7 +485,7 @@ def halfspace_prob_table(space: Space, sample: Sequence, anchors) -> HalfspacePr
     return HalfspaceProbTable(counts=counts, n=len(sample), codes=codes)
 
 
-def _query_distances(space: Space, queries: Sequence, anchor_points: tuple) -> np.ndarray:
+def _query_distances(space: Space, queries: Sequence, anchor_points: Sequence) -> np.ndarray:
     # A NaN distance would read as never admissible, so the query would
     # silently get depth 1 with no minimizing pair.
     dist = space.distance_matrix(queries, anchor_points)
@@ -490,9 +510,9 @@ def approx_depth(
     stand in for the query distances, which are then not computed again.
     """
     self_query = queries is sample
-    sample = tuple(sample)
-    queries = sample if self_query else tuple(queries)
-    anchor_points = _as_points(anchors)
+    sample = space.stack(sample)
+    queries = sample if self_query else space.stack(queries)
+    anchor_points = _as_points(space, anchors)
     if len(queries) == 0:
         return np.recarray(0, dtype=DEPTH_DTYPE)
     if table is None:
@@ -510,12 +530,20 @@ def approx_depth(
 
 
 def median_pairwise_distance(space: Space, sample: Sequence) -> float:
-    pts = tuple(sample)
+    """``np.median`` of the distances above the diagonal, bit for bit: NaN if
+    any is NaN, else the mean of the same middle entries, placed by one
+    partition (numpy's partition at two indices costs several)."""
+    pts = space.stack(sample)
     if len(pts) < 2:
         raise GeometryError("need at least 2 points for a distance scale")
-    dist = space.distance_matrix(pts, pts)
-    iu = np.triu_indices(len(pts), 1)
-    return float(np.median(dist[iu]))
+    index = np.arange(len(pts))
+    upper = space.distance_matrix(pts, pts)[index[:, None] < index]
+    if np.isnan(upper).any():
+        return float("nan")
+    half = len(upper) // 2
+    upper.partition(half)
+    middle = [upper[half]] if len(upper) % 2 else [upper[:half].max(), upper[half]]
+    return float(np.mean(middle))
 
 
 def _check_radius_frac(radius_frac: float) -> None:
@@ -553,27 +581,31 @@ def jiggle_anchors(
     deviation ``radius_frac`` times ``spread``, the median pairwise
     distance (computed when None), pushed through the exponential map.
     Each copy draws from its own (seed, point, copy) stream, so anchor sets
-    for smaller k are prefixes (per point) of those for larger k.
+    for smaller k are prefixes (per point) of those for larger k. The sample
+    is stacked once and its rows, each repeated k times, are the steps'
+    bases; the anchors are one stack, the sample rows then the jiggled rows.
     """
-    sample = tuple(sample)
+    sample = space.stack(sample)
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
     if k < 0:
         raise GeometryError("jiggle count must be >= 0")
     _check_radius_frac(radius_frac)
-    points = list(sample)
+    points = sample
     provenance = [("sample", i) for i in range(len(sample))]
     if k > 0:
         if radius_frac > 0 and len(sample) < 2:
             raise GeometryError("jiggling needs >= 2 points to set a distance scale")
         sigma = 0.0 if radius_frac == 0 else radius_frac * (
             median_pairwise_distance(space, sample) if spread is None else spread)
-        bases = [x for x in sample for _ in range(k)]
+        bases = (np.repeat(sample, k, axis=0) if isinstance(sample, np.ndarray)
+                 else [x for x in sample for _ in range(k)])
         normals = derive_normals(seed, NS_JIGGLE, shape=(len(sample), k),
                                  dim=space.normal_count)
-        points += space.normal_steps(bases, [_variance(sigma)] * len(bases), normals)
+        points = _joined(space, sample,
+                         space.normal_steps(bases, [_variance(sigma)] * len(bases), normals))
         provenance += [("jiggled", i) for i in range(len(sample)) for _ in range(k)]
-    return AnchorSet(points=tuple(points), provenance=tuple(provenance))
+    return AnchorSet(points=points, provenance=tuple(provenance))
 
 
 def _distance_sums(space: Space, sample: Sequence, queries: Sequence) -> np.ndarray:
@@ -590,7 +622,7 @@ def in_sample_deepest(
 
     Returns ``(point, depth: Fraction, index)``.
     """
-    sample = tuple(sample)
+    sample = space.stack(sample)
     depths = approx_depth(space, sample, anchors, sample, table=table)
     nums = depths.depth_num
     top = nums.max()
@@ -623,23 +655,23 @@ def refine_deepest(
     ``(point, Fraction)``; the depth never falls below the starting point's.
 
     A step's normals do not depend on the current point, so the proposals
-    of every remaining step are drawn from it in one
-    :meth:`Space.normal_steps` call, and drawn again only after a move is
-    accepted; a stack of one base repeated gives the bits of one-row calls.
-    Each proposal then takes one one-row distance call, whose anchor
-    columns give its depth and whose sample columns give its distance sum:
-    the anchors' first n columns when the anchors begin with the sample
-    points themselves, as sample and jiggled anchors do, and n more columns
-    after the anchors otherwise. A proposal whose distances fail (an SPD
-    step that rounding leaves outside the cone) is rejected like a shallower
-    one; a draw of proposals that fails raises ``NumericalError`` naming its
-    step.
+    of the next ``_DRAW_BLOCK`` steps are drawn from it in one
+    :meth:`Space.normal_steps` call, and drawn again after a move is
+    accepted or the block is read; a stack of one base repeated gives the
+    bits of one-row calls. Each proposal then takes one one-row distance
+    call, whose anchor columns give its depth and whose sample columns give
+    its distance sum: the anchors' first n columns when the anchors begin
+    with the sample points, bit for bit (:func:`_same_points` on the two
+    stacks), as sample and jiggled anchors do, and n more columns after the
+    anchors otherwise. A proposal whose distances fail (an SPD step that
+    rounding leaves outside the cone) is rejected like a shallower one; a
+    draw of proposals that fails raises ``NumericalError`` naming its step.
     """
-    sample = tuple(sample)
+    sample = space.stack(sample)
     if budget < 0:
         raise GeometryError("budget must be >= 0")
     _check_radius_frac(radius_frac)
-    anchor_points = _as_points(anchors)
+    anchor_points = _as_points(space, anchors)
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
     if budget + 1 >= _FEW_QUERIES:
@@ -649,10 +681,10 @@ def refine_deepest(
         table.sorted_pairs
     n, n_anchors = len(sample), len(anchor_points)
     # Every step reads the same targets, so they are stacked once.
-    if n <= n_anchors and all(a is x for a, x in zip(anchor_points, sample)):
-        targets, offset = space.stack(anchor_points), 0
+    if n <= n_anchors and _same_points(anchor_points[:n], sample):
+        targets, offset = anchor_points, 0
     else:
-        targets, offset = space.stack(anchor_points + sample), n_anchors
+        targets, offset = _joined(space, anchor_points, sample), n_anchors
 
     def measure(point) -> tuple[int, float]:
         """Depth count and distance sum to the sample of one point."""
@@ -678,9 +710,10 @@ def refine_deepest(
     normals = derive_normals(seed, NS_REFINE, shape=(budget,), dim=space.normal_count)
     step = 0
     while step < budget:
+        block = slice(step, min(step + _DRAW_BLOCK, budget))
         try:
-            proposals = space.normal_steps([current] * (budget - step), variances[step:],
-                                           normals[step:])
+            proposals = space.normal_steps([current] * (block.stop - step), variances[block],
+                                           normals[block])
         except (MetricDepthError, np.linalg.LinAlgError) as exc:
             raise NumericalError(f"refinement step {step + 1} of {budget} failed: {exc}; "
                                  "try a smaller --radius-frac") from exc

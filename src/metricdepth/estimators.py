@@ -182,7 +182,7 @@ def mhd_median(
     then local stochastic refinement. ``objective`` is the final
     approximate depth; extras carry the exact count and the contamination
     breakdown lower bound."""
-    sample = tuple(sample)
+    sample = space.stack(sample)
     if len(sample) == 0:
         raise GeometryError("sample must be non-empty")
     effective_k = jiggle_k if len(sample) >= 2 else 0

@@ -34,14 +34,15 @@ LONG_CSV_COLUMNS = ("estimator", "case", "space", "k", "n", "rep", "error")
 SUMMARY_CSV_COLUMNS = ("estimator", "case", "space", "k", "n", "median_error", "se")
 
 
-def read_points(path, space: Space) -> list:
+def read_points(path, space: Space, digests: dict | None = None) -> list:
     """Parse one point per non-empty row, reporting row numbers on failure.
 
     The rows are decoded and validated as one stack; a failure names the
     line of the first bad row, the one a row-by-row read would stop at.
+    ``digests`` is passed to :func:`read_text`.
     """
     path = Path(path)
-    text = read_text(path)
+    text = read_text(path, digests)
     rows, linenos = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         row = line.strip()
@@ -56,13 +57,18 @@ def read_points(path, space: Space) -> list:
         raise DataError(f"{path}: row {linenos[exc.row]}: {exc}") from exc
 
 
-def read_text(path: Path) -> str:
+def read_text(path: Path, digests: dict | None = None) -> str:
     """The file's text; an unreadable file or one that is not UTF-8 is a
-    ``DataError`` naming it."""
+    ``DataError`` naming it. The bytes are read once: ``digests``, when
+    given, records their SHA-256 under ``str(path)`` for the manifest."""
     try:
-        return path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return text
 
 
 def write_points(path, space: Space, points) -> None:
@@ -80,9 +86,9 @@ def write_depth_reports_csv(path, depths: np.recarray) -> None:
                      [f"{q},{num},{den},{a1},{a2}" for q, num, den, a1, a2 in depths.tolist()])
 
 
-def read_depth_reports_csv(path) -> np.recarray:
+def read_depth_reports_csv(path, digests: dict | None = None) -> np.recarray:
     path = Path(path)
-    rows = list(csv.reader(read_text(path).splitlines()))
+    rows = list(csv.reader(read_text(path, digests).splitlines()))
     if not rows:
         raise DataError(f"{path}: empty depth file")
     if tuple(rows[0]) != DEPTH_CSV_COLUMNS:
@@ -106,18 +112,15 @@ def read_depth_reports_csv(path) -> np.recarray:
     return np.array(records, dtype=DEPTH_DTYPE).view(np.recarray)
 
 
-def depth_reports_to_json(depths: np.recarray) -> list[dict]:
-    return [
-        {
-            "query_index": q,
-            "depth_num": num,
-            "depth_den": den,
-            "depth": num / den,
-            "anchor1_index": a1,
-            "anchor2_index": a2,
-        }
-        for q, num, den, a1, a2 in depths.tolist()
-    ]
+def write_depth_reports_json(path, depths: np.recarray) -> None:
+    """The bytes of ``json.dumps(objects, indent=2)`` and a newline, where
+    each record's object adds ``depth``, ``num / den`` as json writes a
+    float (its ``repr``), to the CSV's fields."""
+    objects = [f'  {{\n    "query_index": {q},\n    "depth_num": {num},\n'
+               f'    "depth_den": {den},\n    "depth": {num / den!r},\n'
+               f'    "anchor1_index": {a1},\n    "anchor2_index": {a2}\n  }}'
+               for q, num, den, a1, a2 in depths.tolist()]
+    Path(path).write_text("[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n")
 
 
 def write_plot_csv(path, space: Space, points, depths: np.recarray) -> None:
@@ -166,14 +169,6 @@ def write_csv_rows(path, columns, rows) -> None:
             writer.writerow(row)
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 @dataclass
 class RunManifest:
     """Reproducibility record written alongside every command output.
@@ -212,14 +207,11 @@ def manifest_path_for(output_path) -> Path:
 
 
 class ManifestTimer:
-    """Times a command body and records input digests for the manifest."""
+    """Times a command body; :func:`read_text` records input digests."""
 
     def __init__(self, command: list, config: dict, seed=None):
         self.manifest = RunManifest(command=list(command), config=dict(config), seed=seed)
         self._start = time.perf_counter()
-
-    def add_input(self, path) -> None:
-        self.manifest.inputs[str(path)] = sha256_file(path)
 
     def finish(self, output_path) -> Path:
         self.manifest.wall_time_s = round(time.perf_counter() - self._start, 6)

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -16,12 +18,11 @@ from metricdepth.cli import main
 from metricdepth.depth import DEPTH_DTYPE, approx_depth, jiggle_anchors
 from metricdepth.errors import DataError, GeometryError
 from metricdepth.io import (
-    depth_reports_to_json,
     manifest_path_for,
     read_depth_reports_csv,
     read_points,
-    sha256_file,
     write_depth_reports_csv,
+    write_depth_reports_json,
     write_points,
 )
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3, parse_space
@@ -32,6 +33,10 @@ from conftest import dense_min_counts, kernel_threads, numpy_kernels, random_poi
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def invoke(runner, args, expect_exit=0):
@@ -98,7 +103,8 @@ def test_read_points_names_the_geometry_of_a_bad_token(tmp_path, space, good):
 
 def test_depth_report_round_trip(tmp_path, rng):
     # The records' five names are what the benchmark reads of each row; the
-    # CSV reads back to an equal array, and JSON's depth is Python's num / den.
+    # CSV reads back to an equal array, and the JSON writer writes the bytes
+    # of json.dumps, whose depth is Python's num / den.
     space = Sphere(2)
     points = random_points(space, 30, rng)
     depths = approx_depth(space, points, jiggle_anchors(space, points, 2, seed=1), points)
@@ -109,8 +115,12 @@ def test_depth_report_round_trip(tmp_path, rng):
     write_depth_reports_csv(path, depths)
     back = read_depth_reports_csv(path)
     assert back.dtype == DEPTH_DTYPE and np.array_equal(back, depths)
-    assert [row["depth"] for row in depth_reports_to_json(depths)] == [
-        num / den for num, den in zip(depths.depth_num.tolist(), depths.depth_den.tolist())]
+    objects = [{"query_index": q, "depth_num": num, "depth_den": den, "depth": num / den,
+                "anchor1_index": a1, "anchor2_index": a2}
+               for q, num, den, a1, a2 in depths.tolist()]
+    for records, want in ((depths, objects), (depths[:1], objects[:1]), (depths[:0], [])):
+        write_depth_reports_json(path, records)
+        assert path.read_text() == json.dumps(want, indent=2) + "\n"
 
 
 def test_depth_report_reader_rejects_junk(tmp_path):
@@ -135,6 +145,39 @@ def test_cmd_depth_self(tmp_path, runner):
     assert [(r.depth_num, r.depth_den) for r in reports] == [(1, 3), (2, 3), (1, 3)]
     manifest = json.loads(manifest_path_for(out).read_text())
     assert manifest["seed"] == 0 and str(data) in manifest["inputs"]
+
+
+def test_cli_reads_each_input_once_and_records_its_digest(tmp_path, runner, monkeypatch):
+    data, other = tmp_path / "data.csv", tmp_path / "other.csv"
+    data.write_text("1\n2\n3\n4\n")
+    other.write_text("2.5\n0\n7\n")
+    config = tmp_path / "sim.cfg"
+    config.write_text("space = euclidean:1\ncase = 1\nn = 5\nreps = 1\nestimators = fm\n")
+    depths = tmp_path / "depths.csv"
+    invoke(runner, ["depth", "--space", "euclidean:1", "--data", str(data), "--self",
+                    "--out", str(depths)])
+    reads, real_open = [], io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "w" not in mode:
+            reads.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    space = ["--space", "euclidean:1"]
+    for args, inputs, out in (
+            (["depth", *space, "--data", str(data), "--query", str(other)], (data, other),
+             tmp_path / "d.csv"),
+            (["test", *space, "--groups", str(data), "--groups", str(other),
+              "--permutations", "99"], (data, other), tmp_path / "t.json"),
+            (["plotdata", *space, "--data", str(data), "--depths", str(depths)],
+             (data, depths), tmp_path / "p.csv"),
+            (["simulate", "--config", str(config)], (config,), tmp_path / "sim")):
+        reads.clear()
+        invoke(runner, [*args, "--out-dir" if args[0] == "simulate" else "--out", str(out)])
+        assert sorted(reads) == sorted(map(str, inputs))
+        manifest = json.loads(manifest_path_for(out).read_text())
+        assert manifest["inputs"] == {str(path): sha256_file(path) for path in inputs}
 
 
 def test_cmd_depth_json_and_reproducibility(tmp_path, runner):

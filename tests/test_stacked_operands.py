@@ -1,6 +1,11 @@
 """Stacked operands, batched streams and the SPD distance kernels against
 test-local references.
 
+Jiggling stacks the sample once and returns its anchors as one stack; the
+depth calls stack each operand once, whatever sequence it comes as; the
+median pairwise distance partitions the upper triangle where it took
+``np.median``. Each must give the bits of the tuple-built form.
+
 Refinement stacks its anchors and sample once and derives all its step
 streams in one batch; the intrinsic mean and median stack their sample
 once; the SPD distance kernel runs two matmuls where it ran two
@@ -39,7 +44,7 @@ from metricdepth.estimators import (
     frechet_median,
     mhd_median,
 )
-from metricdepth.rng import NS_REFINE, derive_rng
+from metricdepth.rng import NS_JIGGLE, NS_REFINE, derive_normals, derive_rng
 from metricdepth.simulation import SimulationConfig, sample_contaminated
 from metricdepth.spaces import SPD, Euclidean, Product, Sphere, Spider3
 from metricdepth.spaces.spd import EIG_FLOOR, _sym
@@ -184,10 +189,11 @@ def test_refine_deepest_equals_per_step_stream_loop(space, budget, rng):
                          ids=["spd:2", "euclidean:3-zero-steps"])
 def test_refine_deepest_work_counts(anchor_kind, space, radius_frac, rng, monkeypatch):
     # Budget B: B + 1 one-row distance calls, one per proposal and one for
-    # the start, and one normal_steps call, plus one per move accepted
-    # before the last step, each drawing the steps that remain. Zero
-    # Euclidean steps propose the current point itself, whose equal sum is
-    # no gain: every proposal is rejected on a tie.
+    # the start. Each normal_steps call draws the next 8 steps, or the steps
+    # that remain, from the step after the last move accepted or after the
+    # last block read. Zero Euclidean steps propose the current
+    # point itself, whose equal sum is no gain: every proposal is rejected
+    # on a tie.
     budget = 40
     sample, anchors, table, start = _refinement_case(space, anchor_kind, rng, "shallowest")
     spread = median_pairwise_distance(space, sample)
@@ -195,8 +201,15 @@ def test_refine_deepest_work_counts(anchor_kind, space, radius_frac, rng, monkey
     reference_refine(space, sample, anchors, start, budget, 11, radius_frac, table, outcomes)
     if radius_frac == 0:
         assert outcomes == ["tie-reject"] * budget
-    accepted = [step for step, outcome in enumerate(outcomes[:-1])
+    accepted = [step for step, outcome in enumerate(outcomes)
                 if outcome in ("deeper", "tie-accept")]
+    want, step = [], 0
+    while step < budget:
+        want.append(min(8, budget - step))
+        moves = [s for s in accepted if step <= s < step + want[-1]]
+        step = moves[0] + 1 if moves else step + want[-1]
+    # Some move inside a block makes refinement draw before the block ends.
+    assert radius_frac == 0 or len(want) > budget // 8
     rows, draws = [], []
     kind = type(space)
     distance_matrix, normal_steps = kind.distance_matrix, kind.normal_steps
@@ -214,7 +227,7 @@ def test_refine_deepest_work_counts(anchor_kind, space, radius_frac, rng, monkey
     refine_deepest(space, sample, anchors, start, budget, seed=11, radius_frac=radius_frac,
                    table=table, spread=spread)
     assert rows == [1] * (budget + 1)
-    assert draws == [budget] + [budget - step - 1 for step in accepted]
+    assert draws == want
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -481,3 +494,87 @@ def test_stack_leaves_a_caller_array_writeable(rng):
     stacked = space.stack(raw)
     assert not stacked.flags.writeable
     assert raw.flags.writeable
+
+
+class NaNDistances(Euclidean):
+    """A geometry whose distance between the first and last point is NaN."""
+
+    def distance_matrix(self, xs, ys):
+        dist = super().distance_matrix(xs, ys)
+        dist[0, -1] = np.nan
+        return dist
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
+def test_median_pairwise_distance_is_numpy_median_of_the_upper_triangle(space, rng):
+    # n = 2-9 gives odd and even counts of pairs; repeated points tie.
+    for n in [*range(2, 10), 40]:
+        sample = random_points(space, n, rng)
+        for points in (sample, [sample[i % 3 if n > 3 else 0] for i in range(n)]):
+            dist = space.distance_matrix(points, points)
+            want = float(np.median(dist[np.triu_indices(n, 1)]))
+            got = median_pairwise_distance(space, points)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    space = NaNDistances(2)
+    for n in range(2, 7):
+        assert np.isnan(median_pairwise_distance(space, random_points(space, n, rng)))
+
+
+def reference_jiggle(space, sample, k, radius_frac, seed):
+    """Jiggled anchors as a tuple of the sample points and their copies."""
+    sample = tuple(sample)
+    sigma = radius_frac * median_pairwise_distance(space, sample)
+    bases = [x for x in sample for _ in range(k)]
+    normals = derive_normals(seed, NS_JIGGLE, shape=(len(sample), k), dim=space.normal_count)
+    return sample + tuple(space.normal_steps(bases, [sigma**2] * len(bases), normals))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
+def test_jiggled_anchors_are_one_stack_of_the_tuple_built_points(space, rng):
+    sample = random_points(space, 7, rng)
+    n = len(sample)
+    anchors = {k: jiggle_anchors(space, sample, k, 0.3, seed=8) for k in (2, 5)}
+    for k, anchor_set in anchors.items():
+        points = anchor_set.points
+        assert type(points) is type(space.stack(sample))
+        assert not isinstance(points, np.ndarray) or not points.flags.writeable
+        assert len(points) == n * (k + 1)
+        assert all(map(_same, points, reference_jiggle(space, sample, k, 0.3, 8)))
+    small, large = anchors[2].points, anchors[5].points
+    assert all(map(_same, small[:n], large[:n]))
+    for i in range(n):
+        assert all(map(_same, small[n + 2 * i: n + 2 * i + 2], large[n + 5 * i: n + 5 * i + 2]))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
+def test_depth_calls_read_tuples_lists_and_stacks_alike(space, rng, monkeypatch):
+    # Anchors that begin with the sample, in any of these forms, give
+    # refinement the sample's distance sums from their first n columns.
+    sample = random_points(space, 12, rng)
+    queries = random_points(space, 4, rng)
+    anchor_set = jiggle_anchors(space, sample, 2, 0.3, seed=3)
+    spread = median_pairwise_distance(space, sample)
+    table = halfspace_prob_table(space, sample, anchor_set)
+    widths = []
+    distance_matrix = type(space).distance_matrix
+
+    def counted(self, xs, ys):
+        widths.append(len(ys))
+        return distance_matrix(self, xs, ys)
+
+    results = []
+    for form in (tuple, list, space.stack):
+        s = form(sample)
+        for anchors in (anchor_set, anchor_set.points, form(list(anchor_set.points))):
+            start, depth, index = in_sample_deepest(space, s, anchors)
+            monkeypatch.setattr(type(space), "distance_matrix", counted)
+            refined = refine_deepest(space, s, anchors, start, 12, seed=4, radius_frac=0.3,
+                                     table=table, spread=spread)
+            monkeypatch.undo()
+            fit = mhd_median(space, s, 2, 0.3, 12, seed=4)
+            results.append((approx_depth(space, s, anchors, form(queries)).tobytes(),
+                            approx_depth(space, s, anchors, s).tobytes(),
+                            start, depth, index, *refined,
+                            fit.point, fit.objective, fit.extras))
+    assert set(widths) == {len(anchor_set)}
+    assert all(_same(got, results[0]) for got in results[1:])

@@ -108,6 +108,9 @@ class FixedDistances:
     def __init__(self, dist):
         self.dist = np.asarray(dist, dtype=float)
 
+    def stack(self, points):
+        return tuple(points)
+
     def distance_matrix(self, xs, ys):
         return self.dist[:len(xs), :len(ys)]
 
