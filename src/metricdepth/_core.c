@@ -2,13 +2,14 @@
  * distance matrix, the table build over them, the counting sort of the
  * table's anchor pairs, the first-hit scan over those pairs, the
  * least-count pass that a few queries take over the table in place of the
- * sort and scan, and the permutation tests' depth counts, which take the
- * build, sort and scan for each of many small reference groups.
+ * sort and scan, and the permutation tests' depth counts, which build the
+ * table of each of many small reference groups and take every pooled
+ * observation's least admissible count in one pass over its pairs.
  *
  * Each computes exactly what the numpy body of its entry point computes
  * (`_row_ranks`, `_prob_counts`, `HalfspaceProbTable.sorted_pairs` and
- * `_min_counts` in depth.py, whose sort and scan the least-count pass must
- * equal too, `_batched_depth_counts` in inference.py):
+ * `_min_counts` in depth.py, whose sort and scan the least-count pass and
+ * the depth counts must equal too, `_batched_depth_counts` in inference.py):
  * every comparison is an IEEE comparison between two entries of one row,
  * and the ranks' bucket map needs IEEE rounding to keep the order, so the
  * build must never run under -ffast-math. Kernels are chosen by the dtypes
@@ -26,9 +27,9 @@
  * kernel runs on the calling thread.
  *
  * The table's one run body, which the depth counts' groups call too, the
- * least-count pass, spd2 and norms are built as target clones, chosen at
- * load time by the CPU: x86-64-v4 (AVX-512) where gcc 11 or later can
- * build it, AVX2, and the baseline.
+ * least-count pass, the depth counts' pass, spd2 and norms are built as
+ * target clones, chosen at load time by the CPU: x86-64-v4 (AVX-512) where
+ * gcc 11 or later can build it, AVX2, and the baseline.
  * Every clone runs the same IEEE and integer operations, so each gives the
  * same bytes; defining CLONES empty (-DCLONES=) builds the baseline alone.
  *
@@ -749,81 +750,133 @@ LEAST(least_u16_u8, uint16_t, uint8_t, uint16_t)
 LEAST(least_u16_u16, uint16_t, uint16_t, uint16_t)
 
 struct depths_args {
-    const void *codes;
+    const void *cols;
     const int64_t *refs;
-    int64_t total, m;
+    int64_t total, stride, m;
     int distinct;
     void *out;
 };
 
 /* out[r, y] = the least entry of reference group r's table over the anchor
- * pairs (a1, a2) that pooled observation y admits,
+ * pairs (a1, a2), a1 != a2, that pooled observation y admits,
  * codes[y, ref[a1]] <= codes[y, ref[a2]], or m when it admits none, for a
  * (total, total) matrix of pooled codes and an (n_refs, m) array of pooled
- * indices, one group per row; counts are uint8 or uint16, and m <= 65535.
- * A unit is one group, whose row of `out` one thread writes.
+ * indices, one group per row, distinct within a group; counts are uint8 or
+ * uint16, and m <= 65535. This is the count at the first hit of depth.py's
+ * scan over the table's count-sorted pairs, read without the sort.
  *
- * A group's table is queried as depth.py queries any table, each step on
- * the group's thread: table_*_run builds it run by run from the members'
- * codes at the members, gathered into an (m, m) matrix, the tally and
- * placing of the pair sort order its pairs, one block of m rows whose
- * histogram has m + 1 bins, for no count passes m (a group with no pair has
- * bound m), and the kept pairs, mapped through ref to pooled indices, are
- * scanned by scan_* over the pooled codes themselves, as a (total, total)
- * query. A hit's count is read from the table at the local pair. A
- * thread's block holds the run's strip (m * LANES bytes), the histogram and
- * the first hits (int64), the local and the pooled pairs (uint16, m * m
- * each), the (m, m) table, its entries rounded up to an even number so the
- * uint16 codes after it stay aligned, and the member codes: 11.6 KiB for a
- * group of 30 among 90 and 41.3 KiB for 60 among 240 with uint8 codes and
- * counts, and 788 KiB for 256 among 257 with uint16 ones.
+ * A call first transposes the pooled codes, once for all its groups, by
+ * blocks of LANES of their rows: cols[x, y] = codes[y, x], zeros from total
+ * up to `width`, total rounded up to whole runs of LANES lanes. A row of
+ * cols spans an odd number of cache lines, so that the rows written and
+ * read at once fall in different cache sets: with rows of 4 KiB, a call of
+ * 100 groups of 40 among 2000 took 30 ms rather than 10.7 ms. A unit is one
+ * group, whose row of `out` one thread writes. It reads its (m, m) member
+ * codes codes[ref[i], ref[j]] from its members' rows of cols,
+ * table_*_run builds its table from them run by run, and depths_*_pass
+ * gives every pooled observation its least admissible count in one pass
+ * over the table's pairs, with the observations in lanes. A thread's block
+ * holds pointers to the members' rows, the run's strip (m * LANES bytes),
+ * the (m, m) table, its entries rounded up to an even number so the uint16
+ * codes after it stay aligned, and the member codes: 3.9 KiB for a group of
+ * 30 among 90 with uint8 codes and counts, 11.3 KiB for 60 among 240, and
+ * 274 KiB for 256 among 257 with uint16 ones.
  *
- * On one thread a group takes about DEPTHS_NS nanoseconds per member pair,
- * 6 to 9.5 for groups of 20 to 256 among 40 to 257, and up to a
- * microsecond more (0.65 fitted over those groups).
- * A call takes one more thread per DEPTHS_GRAIN of that work rather than
- * per GRAIN: its inputs are the pooled codes and the references, a few
- * kilobytes that a new thread reads at once, and two threads ran 20 groups
- * of 30 among 90 (0.1 ms) as fast as one, 40 groups 18 % faster and 100
- * groups 30 % faster. So the permutation tests' calls of 100 groups of 30
- * among 90 and among 60 (est. 0.73 ms, one thread under GRAIN) and of 1000
- * groups of 60 among 240 and among 120 (est. 26 ms) each take two threads
- * on two CPUs; a call of one group, as depth_ranks makes, takes one. */
-enum { DEPTHS_NS = 7, DEPTHS_GRAIN = 100000 };
+ * On one thread a group takes about DEPTHS_RUN_PS picoseconds per member
+ * pair and run of LANES bytes of lanes, DEPTHS_PAIR_PS per member pair for
+ * its member codes and table, and DEPTHS_BASE_NS more: a least-squares fit
+ * of relative error over groups of 20 to 256 among 40 to 257, tied and
+ * tie-free, within 0.51 to 1.31 times each group's time (AVX-512 clone).
+ * The transpose is left out; a call of 100 groups of 40 among 2000 took
+ * 1.8 to 3 times the estimate. A call takes one more thread per
+ * DEPTHS_GRAIN of that work rather than per GRAIN: its inputs are the
+ * pooled codes and the references, a few kilobytes that a new thread reads
+ * at once, and two threads ran 100 groups of 30 among 60 (0.19 ms) 27 %
+ * faster than one, 50 groups 11 % faster and 20 groups 26 % slower. So the
+ * permutation tests' calls of 100 groups of 30 among 90 and among 60 (est.
+ * 0.27 and 0.21 ms) take two threads on two or more CPUs, and those of 1000
+ * groups of 60 among 240 (est. 15 ms) one per CPU; a call of one group, as
+ * depth_ranks makes, takes one. */
+enum { DEPTHS_RUN_PS = 680, DEPTHS_PAIR_PS = 1370, DEPTHS_BASE_NS = 260, DEPTHS_GRAIN = 100000 };
 
-#define DEPTHS(C, K, CODE, COUNT)                                              \
+/* One pair's step of the pass for one run of LANES observations, whose
+ * least admissible counts so far are `lane`: qa and qb are members a and
+ * b's codes in those observations, ab = table[a, b] and ba = table[b, a],
+ * and LANE is the wider of the code and count types. On a table without
+ * ties each observation admits exactly one of (a, b) and (b, a), so a pair
+ * a < b takes one compare per lane; on a tied one, each ordered pair takes
+ * one, and a pair not admitted reads LANE's greatest value. The diagonal,
+ * m, is where every lane starts, so it changes no lane.
+ *
+ * NAME_pass takes one run of observations at a time, so that its lanes
+ * stay in registers while every pair streams past. gcc's unroll-and-jam
+ * fused two pairs' steps into one loop that it left scalar, in every
+ * clone, and groups of 30 among 90 took about 30 times as long; the pass is
+ * built without it. */
+#define DEPTHS(C, K, CODE, COUNT, LANE)                                        \
+    static inline void depths_##C##_##K##_untied(LANE *restrict lane,          \
+                                                 const CODE *restrict qa,      \
+                                                 const CODE *restrict qb, LANE ab, LANE ba) \
+    {                                                                          \
+        for (int64_t c = 0; c < LANES; c++) {                                  \
+            LANE x = qa[c] <= qb[c] ? ab : ba;                                 \
+            lane[c] = x < lane[c] ? x : lane[c];                               \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
+    static inline void depths_##C##_##K##_tied(LANE *restrict lane,            \
+                                               const CODE *restrict qa,        \
+                                               const CODE *restrict qb, LANE ab) \
+    {                                                                          \
+        for (int64_t c = 0; c < LANES; c++) {                                  \
+            LANE x = qa[c] <= qb[c] ? ab : (LANE)-1;                           \
+            lane[c] = x < lane[c] ? x : lane[c];                               \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
+    CLONES __attribute__((optimize("no-loop-unroll-and-jam")))                 \
+    static void depths_##C##_##K##_pass(const CODE *const *col, int64_t total, int64_t m, \
+                                        const COUNT *table, int distinct, COUNT *out) \
+    {                                                                          \
+        for (int64_t y0 = 0; y0 < total; y0 += LANES) {                        \
+            LANE lane[LANES] __attribute__((aligned(LANES)));                  \
+            for (int64_t c = 0; c < LANES; c++)                                \
+                lane[c] = (LANE)m;                                             \
+            for (int64_t a = 0; a < m; a++) {                                  \
+                const CODE *qa = col[a] + y0;                                  \
+                const COUNT *row = table + a * m;                              \
+                if (distinct)                                                  \
+                    for (int64_t b = a + 1; b < m; b++)                        \
+                        depths_##C##_##K##_untied(lane, qa, col[b] + y0, row[b], \
+                                                  table[b * m + a]);           \
+                else                                                           \
+                    for (int64_t b = 0; b < m; b++)                            \
+                        depths_##C##_##K##_tied(lane, qa, col[b] + y0, row[b]); \
+            }                                                                  \
+            for (int64_t c = 0; c < LANES && y0 + c < total; c++)              \
+                out[y0 + c] = (COUNT)lane[c];                                  \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
     static int depths_##C##_##K##_group(void *arg, int64_t r,                  \
                                         unsigned char *block)                  \
     {                                                                          \
         const struct depths_args *args = arg;                                  \
-        const CODE *codes = args->codes;                                       \
-        int64_t total = args->total, m = args->m;                              \
+        int64_t m = args->m;                                                   \
         const int64_t *ref = args->refs + r * m;                               \
-        int64_t *hist = (int64_t *)(block + m * LANES), *first = hist + m + 1; \
-        uint16_t *a1 = (uint16_t *)(first + total), *a2 = a1 + m * m;          \
-        uint16_t *p1 = a2 + m * m, *p2 = p1 + m * m;                           \
-        COUNT *table = (COUNT *)(p2 + m * m);                                  \
+        const CODE **col = (const CODE **)block;                               \
+        CODE *strip = (CODE *)(block + (m * (int64_t)sizeof *col + LANES - 1) / LANES * LANES); \
+        COUNT *table = (COUNT *)(strip + m * LANES / sizeof(CODE));            \
         CODE *members = (CODE *)(table + m * m + m % 2);                       \
-        COUNT *out = (COUNT *)args->out + r * total;                           \
+        for (int64_t a = 0; a < m; a++)                                        \
+            col[a] = (const CODE *)args->cols + ref[a] * args->stride;         \
         for (int64_t i = 0; i < m; i++)                                        \
             for (int64_t j = 0; j < m; j++)                                    \
-                members[i * m + j] = codes[ref[i] * total + ref[j]];           \
+                members[i * m + j] = col[j][ref[i]];                           \
         for (int64_t s0 = 0; s0 < m; s0 += LANES / sizeof(CODE))               \
-            table_##C##_##K##_run(members, m, m, args->distinct, s0, (CODE *)block, table); \
-        memset(hist, 0, (m + 1) * sizeof *hist);                               \
-        struct sort_args sort = {table, m, m, m, hist, m, a1, a2};             \
-        tally_##K##_rows(&sort, 0, NULL);                                      \
-        pair_starts(&sort);                                                    \
-        pairs_##K##_u16_rows(&sort, 0, NULL);                                  \
-        int64_t kept = hist[sort.bound];                                       \
-        for (int64_t k = 0; k < kept; k++) {                                   \
-            p1[k] = (uint16_t)ref[a1[k]];                                      \
-            p2[k] = (uint16_t)ref[a2[k]];                                      \
-        }                                                                      \
-        scan_##C##_u16(codes, total, total, p1, p2, kept, first, 1);           \
-        for (int64_t y = 0; y < total; y++)                                    \
-            out[y] = first[y] < 0 ? (COUNT)m                                   \
-                                  : table[a1[first[y]] * m + a2[first[y]]];    \
+            table_##C##_##K##_run(members, m, m, args->distinct, s0, strip, table); \
+        depths_##C##_##K##_pass(col, args->total, m, table, args->distinct,    \
+                                (COUNT *)args->out + r * args->total);         \
         return 1;                                                              \
     }                                                                          \
                                                                                \
@@ -831,19 +884,34 @@ enum { DEPTHS_NS = 7, DEPTHS_GRAIN = 100000 };
                          const int64_t *refs, int64_t n_refs, int64_t m,       \
                          int distinct, COUNT *out, int64_t threads)            \
     {                                                                          \
-        struct depths_args args = {codes, refs, total, m, distinct, out};      \
-        int64_t bytes = m * LANES + (m + 1 + total) * (int64_t)sizeof(int64_t) \
-                        + 4 * m * m * (int64_t)sizeof(uint16_t)                \
-                        + (m * m + m % 2) * (int64_t)sizeof(COUNT)             \
+        int64_t width = (total + LANES - 1) / LANES * LANES;                   \
+        int64_t stride = (width * (int64_t)sizeof(CODE) / LANES | 1) * LANES / sizeof(CODE); \
+        CODE *cols;                                                            \
+        if (posix_memalign((void **)&cols, ALIGN, total * stride * sizeof(CODE)) != 0) \
+            return -1;                                                         \
+        for (int64_t y0 = 0; y0 < total; y0 += LANES)                          \
+            for (int64_t x = 0; x < total; x++)                                \
+                for (int64_t y = y0; y < total && y < y0 + LANES; y++)         \
+                    cols[x * stride + y] = codes[y * total + x];               \
+        for (int64_t x = 0; x < total; x++)                                    \
+            memset(cols + x * stride + total, 0, (width - total) * sizeof(CODE)); \
+        struct depths_args args = {cols, refs, total, stride, m, distinct, out}; \
+        int64_t bytes = (m * (int64_t)sizeof(CODE *) + LANES - 1) / LANES * LANES \
+                        + m * LANES + (m * m + m % 2) * (int64_t)sizeof(COUNT) \
                         + m * m * (int64_t)sizeof(CODE);                       \
-        return run_units(depths_##C##_##K##_group, &args, n_refs, bytes, threads, \
-                         n_refs * (m * m * DEPTHS_NS + 1000), DEPTHS_GRAIN);   \
+        int64_t runs = width * (int64_t)sizeof(CODE) / LANES;                  \
+        int done = run_units(depths_##C##_##K##_group, &args, n_refs, bytes, threads, \
+                             n_refs * (m * m * (runs * DEPTHS_RUN_PS + DEPTHS_PAIR_PS) / 1000 \
+                                       + DEPTHS_BASE_NS),                      \
+                             DEPTHS_GRAIN);                                    \
+        free(cols);                                                            \
+        return done;                                                           \
     }
 
-DEPTHS(u8, u8, uint8_t, uint8_t)
-DEPTHS(u8, u16, uint8_t, uint16_t)
-DEPTHS(u16, u8, uint16_t, uint8_t)
-DEPTHS(u16, u16, uint16_t, uint16_t)
+DEPTHS(u8, u8, uint8_t, uint8_t, uint8_t)
+DEPTHS(u8, u16, uint8_t, uint16_t, uint16_t)
+DEPTHS(u16, u8, uint16_t, uint8_t, uint16_t)
+DEPTHS(u16, u16, uint16_t, uint16_t, uint16_t)
 
 /* PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
  * Statistically Good Algorithms for Random Number Generation", 2014) as

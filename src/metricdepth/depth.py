@@ -47,17 +47,19 @@ the first such pair in row-major order: the pair the scan would find.
 That is m n_A^2 reads against the sort's passes over n_A^2 and the
 scans; both grow with n_A^2, so the choice is a query count, fitted from
 one-thread timings of both, and it is made from the input alone, in
-:func:`_min_counts`. Self-depth, the depth median's scan of its sample and
-the permutation tests' groups query many points and sort; the median's
-refinement steps query one point at a time against a table already
-sorted, or sorted up front for a budget that long.
+:func:`_min_counts`. Self-depth, the depth median's scan of its sample
+and, in numpy, the permutation tests' groups query many points and sort;
+the median's refinement steps query one point at a time against a table
+already sorted, or sorted up front for a budget that long.
 
 Every step runs in a small compiled core (``_core.c``, built and loaded
 by :mod:`metricdepth._native`) when it can be built, and so do the
 permutation tests' depth counts (:mod:`metricdepth.inference`), which
-take each reference group's table through the same build, sort and
-scan. Its ranks sort each row by a bucket pass and per-bucket sorts; its
-table build, one run body for every table, takes the columns in runs of
+build each reference group's table with the same run body and take each
+pooled point's least admissible count in one pass over the table's
+pairs, the points in lanes, where the numpy body sorts and scans. Its
+ranks sort each row by a bucket pass and per-bucket sorts; its table
+build, one run body for every table, takes the columns in runs of
 64 bytes, padded with zeros, and sums four first anchors at a time over
 a run in registers while the sample rows stream past; its pair sort is
 the counting sort above, by blocks of table rows, each with a histogram

@@ -17,18 +17,19 @@ same orders. The pooled distance matrix is ranked once per test; for a
 batch of orders, each permuted reference
 group's block of those codes yields its halfspace table, and every pooled
 observation's depth count is the least entry of that table over the
-anchor pairs the observation admits. Each table is queried as the depth
-module queries any table: its pairs are count-sorted once, and each
-observation scans them to its first admissible pair. The compiled core
-(``_core.c``) runs these steps for the whole batch in one call, its groups
-spread over threads that start and end within the call: each group's
-table is built from its members' codes at its members, and its kept pairs,
-mapped back to pooled indices, are scanned over the pooled codes
-themselves. Without it, the depth module's table build and scan run them
-one reference group at a time, to the same counts. Counts are ranked per row
-from a histogram, and the statistics are formed across the batch with each
-row's floating-point operations in the order of the one-order formulas, so
-the statistics and p-values do not depend on the batching. A batch of
+anchor pairs the observation admits. The compiled core (``_core.c``) runs
+these steps for the whole batch in one call, its groups spread over
+threads that start and end within the call: it transposes the pooled
+codes once, builds each group's table from its members' codes at its
+members, and takes every observation's least admissible count in one
+pass over the table's pairs, the observations side by side. Without it,
+each group's table is queried as the depth module queries any table, one
+reference group at a time: its pairs are count-sorted once, and each
+observation scans them to its first admissible pair, whose count is the
+same least count. Counts are ranked per row from a histogram, and the
+statistics are formed across the batch with each row's floating-point
+operations in the order of the one-order formulas, so the statistics and
+p-values do not depend on the batching. A batch of
 orders holds at most ``depth._CHUNK_ELEMS // 8`` pooled indices.
 """
 
@@ -134,20 +135,20 @@ def _batched_depth_counts(codes: np.ndarray, references: np.ndarray,
     with code[a1] <= code[a2] in the observation's row, or m (depth 1) for
     a single-member group, which admits no pair.
 
-    Both bodies query each group's table as :func:`depth.approx_depth`
-    does: the table's pairs sorted by count up to the least pair maximum,
-    and each observation's first admissible pair in that order, whose
-    count is the least. Uint8 or uint16 codes with groups of m < 65536 run
-    in the compiled kernel when it loads, on the core's thread runner: each
-    thread claims the next group until none is left, in a scratch block
-    that the kernel allocates for it, and a call takes at most
-    :func:`_native.threads`, one per group, and none more than its work
-    pays for. For each group the kernel gathers the members' codes at the
-    members, (m, m), builds the table from them, sorts its pairs with the
-    compiled counting sort, maps the kept pairs to pooled indices and runs
-    the compiled scan over ``codes`` itself, so no observation's codes are
-    copied. Anything else builds each group's table with
-    :func:`depth._prob_counts` and scans it with :func:`depth._min_counts`.
+    Uint8 or uint16 codes with groups of m < 65536 run in the compiled
+    kernel when it loads, on the core's thread runner: each thread claims
+    the next group until none is left, in a scratch block that the kernel
+    allocates for it, and a call takes at most :func:`_native.threads`, one
+    per group, and none more than its work pays for. The kernel first
+    transposes ``codes`` once for the call. For each group it reads the
+    members' codes at the members, (m, m), from their transposed rows,
+    builds the table from them, and passes once over the table's pairs
+    with the observations in lanes, each keeping the least count among the
+    pairs it admits. Anything else queries each group's table as
+    :func:`depth.approx_depth` does, the oracle of the kernel: it builds the
+    table with :func:`depth._prob_counts`, and :func:`depth._min_counts`
+    sorts its pairs by count up to the least pair maximum and scans them to
+    each observation's first admissible pair, whose count is the least.
     """
     n_refs, m = references.shape
     total = len(codes)

@@ -3,10 +3,11 @@ brute-force reference, one reference group at a time.
 
 ``dense_min_counts`` takes a table built by comparing the codes directly
 (``brute_counts``), so each check covers the table build and the depth
-count together, on the compiled kernel or the numpy fallback. Both run
-one algorithm, the table's count-sorted pairs scanned to the first hit,
+count together, on the compiled kernel or the numpy fallback. The numpy
+fallback scans the table's count-sorted pairs to the first hit, and the
+kernel passes once over the table's pairs with the observations in lanes,
 so this masked minimum over the whole table is the oracle that shares no
-code with them. Codes come from a small palette so rows tie heavily;
+code with either. Codes come from a small palette so rows tie heavily;
 group sizes cover the smallest groups, the paper's shapes and the switch
 of the count dtype from uint8 to uint16, and a lowered element cap forces
 every chunk boundary of the numpy table build and scan. The compiled

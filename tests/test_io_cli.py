@@ -482,7 +482,10 @@ def test_cmd_test_kw_pairwise_matrix(tmp_path, runner, rng):
 # many of those points it repeats at its end, drawn in order from one
 # generator of the row's seed. The command takes its own --seed, if any.
 # `test` rows take the benchmark's three sphere:2 groups of 30, and groups
-# of 64 and 65, the edges of the compiled table's runs of 64 uint8 codes.
+# of 64 and 65, the edges of the compiled table's runs of 64 uint8 codes;
+# three groups of 30 that each repeat 6 of their points, so the pooled
+# codes tie; and two groups of 130, whose 260 pooled points take uint16
+# codes and five runs of the depth counts' 64 lanes.
 # The spd:2 query rows with jiggle:9 anchors (n_A = 1000) take 10 queries
 # to the least-count pass, on two threads where two CPUs are allowed, and
 # 60 to the pair sort and scan. jiggle:3 on 300 points gives 1200 anchors
@@ -510,6 +513,10 @@ EQUIVALENCE = [
                    id=f"kw-sphere2-3x40-seed{seed}") for seed in ("0", "4294967301", "-1")),
     pytest.param(["test", "--test", "wilcoxon", "--permutations", "999"], "sphere:2",
                  (("--groups", 60),) * 2, 11, id="wilcoxon-sphere2-2x60"),
+    pytest.param([*KW, "99", "--seed", "2"], "sphere:2", (("--groups", 30, 6),) * 3, 19,
+                 id="kw-sphere2-3x36-tied"),
+    pytest.param(["test", "--test", "wilcoxon", "--permutations", "99"], "sphere:2",
+                 (("--groups", 130),) * 2, 20, id="wilcoxon-sphere2-2x130"),
     pytest.param(["depth", "--anchors", "jiggle:9", "--seed", "7"], "spd:2",
                  (("--data", 100), ("--query", 10)), 7, id="depth-spd2-10-queries"),
     pytest.param(["depth", "--anchors", "jiggle:9", "--seed", "8"], "spd:2",

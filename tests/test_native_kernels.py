@@ -20,11 +20,14 @@ scan, must give the pair that both sort-and-scan bodies give, on rows
 shorter than its runs of 64 lanes, filling them and overlapping them
 (n_A = 1, 2, 63, 64, 65, 257, 300), at the ceiling of each count type,
 and on tables whose diagonal holds a row's least count. The permutation
-depth counts run the numpy fallback's algorithm, each group's table,
-count-sorted pairs and first-hit scan, with the compiled table build, pair
-sort and scan; they are checked against it at 1, 2 and 3 threads,
-whatever the host's CPU count, with calls made at once and in a forked
-child, and against a dense masked minimum in ``test_batched_kernel.py``.
+depth counts build each group's table with the compiled run body and take
+every pooled observation's least admissible count in one pass over the
+table's pairs, the observations 64 to a run of lanes; they are checked
+against the numpy fallback's count-sorted pairs and first-hit scan at 1,
+2 and 3 threads, whatever the host's CPU count, on pooled totals that
+leave, fill and pass a run of lanes (63, 64, 65, 128, 129, 257), with
+calls made at once and in a forked child, and against a dense masked
+minimum here and in ``test_batched_kernel.py``.
 """
 
 import contextlib
@@ -504,8 +507,10 @@ def test_least_equals_dense_minimum_on_small_tied_tables(data, n_anchors, m, cou
 
 def same_depths(codes, references, distinct):
     """The compiled depth counts at 1, 2 and 3 threads, each checked against
-    the numpy fallback's, which builds and scans one table per reference
-    group."""
+    the numpy fallback's, which builds one table per reference group, sorts
+    its pairs by count and scans them to each observation's first
+    admissible pair; the kernel takes the least admissible count in one pass
+    over each table's pairs instead."""
     count = np.min_scalar_type(references.shape[1])
     assert _native.kernel("depths", codes.dtype, count) is not None
     with numpy_kernels():
@@ -585,6 +590,43 @@ def test_depths_leave_references_outside_the_pool_to_numpy(native):
     with numpy_kernels():
         want = _batched_depth_counts(codes, np.array([[5, 2]]), True)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("total", [63, 64, 65, 128, 129, 257])
+@pytest.mark.parametrize("tied", [False, True])
+def test_depths_at_the_edges_of_the_lanes(native, total, tied):
+    # The pass takes the pooled points 64 at a time as lanes: 63 leave the
+    # last lane of the run empty, 64 fill it, 65 and 129 start a run with
+    # one point and 128 fill two; 257 points take uint16 codes. A group of
+    # one member admits no pair, one of two a pair each way, and one of
+    # every pooled point fills the table and every lane.
+    rng = np.random.default_rng(total)
+    dist = rng.integers(0, 4, size=(total, total)) if tied else rng.random((total, total))
+    codes, distinct = _row_ranks(dist)
+    assert distinct == (not tied)
+    for m in (1, 2, total):
+        orders = np.stack([rng.permutation(total) for _ in range(3)])
+        got = same_depths(codes, orders[:, :m], distinct)
+        if m == 1:
+            assert (got == 1).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), total=st.integers(1, 140), code=st.sampled_from([np.uint8, np.uint16]))
+def test_depths_equal_dense_minimum_on_small_tied_codes(data, total, code):
+    # Codes of three values tie both the groups' tables and the pooled
+    # rows; each group's counts must be the masked minimum over its table,
+    # built by comparing the member codes directly.
+    if _native.library() is None:
+        pytest.skip("the compiled kernels cannot be built here")
+    m = data.draw(st.integers(1, total))
+    codes = data.draw(hnp.arrays(code, (total, total), elements=st.integers(0, 2)))
+    refs = np.array([data.draw(st.permutations(range(total)))[:m] for _ in range(2)])
+    got = _batched_depth_counts(codes, refs, False)
+    assert got.dtype == np.min_scalar_type(m)
+    for row, ref in zip(got, refs):
+        table = brute_counts(codes[np.ix_(ref, ref)])
+        assert np.array_equal(row, dense_min_counts(table, m, codes[:, ref])[0])
 
 
 # ----------------------------------------------------- permutation orders
@@ -908,7 +950,9 @@ def test_target_clones_give_the_same_bytes(native, baseline_core):
             assert tables[0].tobytes() == tables[1].tobytes(), (name, tied)
     # Groups of 30 among 90 fill one run of uint8 codes, and of 65 and 256
     # among 257 three and eight runs of uint16 codes, into both count types.
-    for total, m in ((90, 30), (257, 65), (257, 256)):
+    # The pass takes the pooled points 64 at a time: 64 fill one run of
+    # lanes, and 129 start a third with one point.
+    for total, m in ((90, 30), (257, 65), (257, 256), (64, 64), (129, 40)):
         for tied in (False, True):
             codes, distinct = _row_ranks(distances(rng, total, total, tied))
             refs = np.stack([rng.permutation(total)[:m] for _ in range(4)])

@@ -15,7 +15,8 @@ clear. The pair sort is also run by blocks of any number of rows, whatever
 its size, since a sort small enough for one thread takes one block. The
 least-count pass, which a few queries against a table not sorted yet
 take, runs one query per unit, and a build that counts the threads it
-starts checks where it takes a second one.
+starts checks where it and the permutation tests' depth counts take a
+second one.
 """
 
 import ctypes
@@ -134,6 +135,29 @@ def test_least_takes_a_second_thread_only_when_its_work_pays(baseline_core):
             kernels["least_u16_u8"](query.ctypes.data, m, n_anchors, counts.ctypes.data,
                                     at.ctypes.data)
         assert started.value == more, (m, n_anchors, threads)
+
+
+def test_depths_take_a_second_thread_only_when_their_work_pays(baseline_core):
+    # A call of one group, as depth_ranks makes, stays on the calling thread
+    # however many CPUs are allowed, even one of 200 among 240, whose work
+    # alone would pay for more. The permutation tests' calls of 100 groups
+    # of 30, among 90 (a Kruskal-Wallis test of three groups of 30) and
+    # among 60 (a pairwise Wilcoxon test), take a second thread when two
+    # CPUs are allowed, and no third when three are.
+    library, kernels = baseline_core
+    started = ctypes.c_int64.in_dll(library, "threads_started")
+    rng = np.random.default_rng(2)
+    for n_refs, m, total, threads, more in ((1, 30, 90, 3, 0), (1, 200, 240, 3, 0),
+                                            (100, 30, 90, 2, 1), (100, 30, 90, 3, 1),
+                                            (100, 30, 60, 2, 1), (100, 30, 60, 3, 1)):
+        codes = np.argsort(rng.random((total, total)), axis=1).astype(np.uint8)
+        refs = np.stack([rng.permutation(total)[:m] for _ in range(n_refs)])
+        out = np.empty((n_refs, total), np.uint8)
+        started.value = 0
+        with kernel_threads(threads):
+            kernels["depths_u8_u8"](codes.ctypes.data, total, refs.ctypes.data, n_refs, m, True,
+                                    out.ctypes.data)
+        assert started.value == more, (n_refs, m, total, threads)
 
 
 def numpy_pairs(counts, n):
