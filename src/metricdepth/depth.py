@@ -49,7 +49,8 @@ scans; both grow with n_A^2, so the choice is a query count, fitted from
 one-thread timings of both, and it is made from the input alone, in
 :func:`_min_counts`. Self-depth, the depth median's scan of its sample
 and, in numpy, the permutation tests' groups query many points and sort;
-the median's refinement steps query one point at a time against a table
+the median's refinement scans the proposals that no earlier scan's pair
+rules out (:func:`refine_deepest`), one point at a time, against a table
 already sorted, or sorted up front for a budget that long.
 
 Every step runs in a small compiled core (``_core.c``, built and loaded
@@ -101,6 +102,7 @@ for a single anchor; the empty infimum is 1 by convention).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -660,14 +662,28 @@ def refine_deepest(
     of the next ``_DRAW_BLOCK`` steps are drawn from it in one
     :meth:`Space.normal_steps` call, and drawn again after a move is
     accepted or the block is read; a stack of one base repeated gives the
-    bits of one-row calls. Each proposal then takes one one-row distance
-    call, whose anchor columns give its depth and whose sample columns give
-    its distance sum: the anchors' first n columns when the anchors begin
-    with the sample points, bit for bit (:func:`_same_points` on the two
-    stacks), as sample and jiggled anchors do, and n more columns after the
-    anchors otherwise. A proposal whose distances fail (an SPD step that
-    rounding leaves outside the cone) is rejected like a shallower one; a
-    draw of proposals that fails raises ``NumericalError`` naming its step.
+    bits of one-row calls. A proposal's distance row has anchor columns,
+    which give its depth, and sample columns, which give its distance sum:
+    the anchors' first n columns when the anchors begin with the sample
+    points, bit for bit (:func:`_same_points` on the two stacks), as sample
+    and jiggled anchors do, and n more columns after the anchors otherwise.
+    A geometry that declares :attr:`Space.pairwise_entries` measures a
+    drawn block in one call, with the bits of one-row calls; spd:k for
+    k != 2 takes one one-row call per proposal read. A proposal whose
+    distances fail (an SPD step that rounding leaves outside the cone) is
+    rejected like a shallower one, a block call that fails is made again
+    row by row, and a draw of proposals that fails raises
+    ``NumericalError`` naming its step.
+
+    A proposal is accepted exactly when its count reaches ``t``: the
+    current count if its sum is smaller, one more otherwise (a NaN sum is
+    not smaller). Each scan (:func:`_min_counts`) yields a count c and its
+    pair (a1, a2), and any point that admits the pair,
+    ``d(y, a1) <= d(y, a2)``, has a count of at most c. So the scanned
+    pairs are kept as witnesses, at most ``budget + 1``, and a proposal
+    that admits one with ``c < t`` is rejected without a scan. The others
+    are scanned, so every decision, point and depth is that of a scan of
+    every proposal.
     """
     sample = space.stack(sample)
     if budget < 0:
@@ -677,9 +693,9 @@ def refine_deepest(
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
     if budget + 1 >= _FEW_QUERIES:
-        # The budget + 1 one-query calls below scan the sorted pairs rather
-        # than each pass over the whole table, as that many queries at once
-        # would.
+        # The one-query calls below, at most budget + 1, scan the sorted
+        # pairs rather than each pass over the whole table, as that many
+        # queries at once would.
         table.sorted_pairs
     n, n_anchors = len(sample), len(anchor_points)
     # Every step reads the same targets, so they are stacked once.
@@ -687,15 +703,19 @@ def refine_deepest(
         targets, offset = anchor_points, 0
     else:
         targets, offset = _joined(space, anchor_points, sample), n_anchors
+    witnesses = np.empty((0, 3), dtype=np.int64)  # rows of (count, a1, a2)
 
-    def measure(point) -> tuple[int, float]:
-        """Depth count and distance sum to the sample of one point."""
-        row = _query_distances(space, [point], targets)
-        return (int(_min_counts(table, row[:, :n_anchors])[0][0]),
-                float(row[0, offset:offset + n].sum()))
+    def scan(row) -> int:
+        """Depth count of one distance row, its pair kept as a witness."""
+        nonlocal witnesses
+        found = np.column_stack(_min_counts(table, row[None, :n_anchors]))
+        if found[0, 1] >= 0:
+            witnesses = np.concatenate([witnesses, found])
+        return int(found[0, 0])
 
     current = start
-    current_num, current_sum = measure(current)
+    row = _query_distances(space, [current], targets)[0]
+    current_num, current_sum = scan(row), float(row[offset:offset + n].sum())
     if budget == 0:
         return current, Fraction(current_num, table.n)
 
@@ -710,22 +730,34 @@ def refine_deepest(
         variances.append(_variance(radius))
         radius *= decay
     normals = derive_normals(seed, NS_REFINE, shape=(budget,), dim=space.normal_count)
+    failed = (MetricDepthError, np.linalg.LinAlgError)
     step = 0
     while step < budget:
         block = slice(step, min(step + _DRAW_BLOCK, budget))
         try:
             proposals = space.normal_steps([current] * (block.stop - step), variances[block],
                                            normals[block])
-        except (MetricDepthError, np.linalg.LinAlgError) as exc:
+        except failed as exc:
             raise NumericalError(f"refinement step {step + 1} of {budget} failed: {exc}; "
                                  "try a smaller --radius-frac") from exc
-        for proposal in proposals:
+        rows = None
+        if space.pairwise_entries:
+            with suppress(*failed):
+                rows = _query_distances(space, proposals, targets)
+        for i, proposal in enumerate(proposals):
             step += 1
             try:
-                num, prop_sum = measure(proposal)
-            except (MetricDepthError, np.linalg.LinAlgError):
+                row = rows[i] if rows is not None else _query_distances(
+                    space, [proposal], targets)[0]
+            except failed:
                 continue
-            if num > current_num or (num == current_num and prop_sum < current_sum):
+            prop_sum = float(row[offset:offset + n].sum())
+            threshold = current_num if prop_sum < current_sum else current_num + 1
+            below = witnesses[witnesses[:, 0] < threshold]
+            if (row[below[:, 1]] <= row[below[:, 2]]).any():
+                continue
+            num = scan(row)
+            if num >= threshold:
                 current, current_num, current_sum = proposal, num, prop_sum
                 break
     return current, Fraction(current_num, table.n)

@@ -11,7 +11,12 @@ explicitly).
 Each geometry has one distance implementation, :meth:`Space.distance_matrix`.
 Depth counts are exact because every comparison ``d(X_i, a1) <= d(X_i, a2)``
 sees the same float whichever call computed it; a single pair is the 1 x 1
-matrix ``distance_matrix([x], [y])[0, 0]``.
+matrix ``distance_matrix([x], [y])[0, 0]``. A geometry whose entries
+depend on their own pair alone, not on the call's shape or on the other
+rows and columns, declares :attr:`Space.pairwise_entries`; any sub-call
+of it, such as a block of rows or one row, then gives the bits of the same
+sub-matrix of a larger call, and callers may measure several points in
+one call where they would make one call per point.
 
 Every tangent operation is stacked: it works on N bases at once, and a
 stack of one is the one-point call, so a point jiggled or sampled in a
@@ -76,6 +81,9 @@ class Space(ABC):
     """Common interface of all supported geometries."""
 
     kind: str
+    # Whether each distance depends on its own pair alone; see the module
+    # docstring. A class property of each geometry, false unless declared.
+    pairwise_entries = False
 
     @property
     @abstractmethod

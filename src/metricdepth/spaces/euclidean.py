@@ -66,6 +66,7 @@ def norms(x, y, out=None) -> np.ndarray:
 class Euclidean(Space):
     dim: int
     kind = "euclidean"
+    pairwise_entries = True
 
     def __post_init__(self):
         if self.dim < 1:

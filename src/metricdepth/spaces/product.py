@@ -36,6 +36,10 @@ class Product(Space):
     def normal_count(self) -> int:
         return sum(c.normal_count for c in self.components)
 
+    @property
+    def pairwise_entries(self) -> bool:
+        return all(c.pairwise_entries for c in self.components)
+
     def _by_component(self, rows, parts: str, check) -> list:
         """Points from ``rows``, each a sequence of one part per component,
         with the parts of each component checked as one column by

@@ -164,6 +164,12 @@ class SPD(Space):
     def spec_string(self) -> str:
         return f"spd:{self.size}"
 
+    @property
+    def pairwise_entries(self) -> bool:
+        # Only spd:2 takes one fixed sequence of operations per pair; other
+        # sizes whiten by BLAS products over the whole call.
+        return self.size == 2
+
     def _check_stack(self, rows):
         k = self.size
         stack = float_stack(

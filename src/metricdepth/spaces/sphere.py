@@ -52,6 +52,7 @@ class Sphere(Space):
 
     dim: int  # intrinsic dimension m
     kind = "sphere"
+    pairwise_entries = True
 
     def __post_init__(self):
         if self.dim < 1:

@@ -50,6 +50,7 @@ def _alternate_branch(branch: int) -> int:
 @dataclass(frozen=True, repr=False)
 class Spider3(Space):
     kind = "spider3"
+    pairwise_entries = True
 
     @property
     def intrinsic_dim(self) -> int:

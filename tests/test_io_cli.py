@@ -493,7 +493,10 @@ def test_cmd_test_kw_pairwise_matrix(tmp_path, runner, rng):
 # that the ranks, table, pair sort and scan spread over every CPU. The
 # tied euclidean:2 file takes the full-square table. Each median's budget
 # accepts moves, after which refinement draws again from the new point;
-# spider3's streams read two normals, the second picking a branch.
+# spider3's streams read two normals, the second picking a branch. The
+# spd:2 median at budget 64 rejects most of its proposals by a witness
+# pair without a scan (44 of 64 here), and the spd:2+sphere:2 median
+# measures its blocks of proposals in one product distance call.
 # spd:k for k >= 3 has no row: its distances take LAPACK's eigvalsh, whose
 # last bits depend on the BLAS thread count.
 SELF, QUERY = ["depth", "--self", "--anchors", "jiggle:3"], ["depth", "--anchors", "jiggle:3"]
@@ -532,6 +535,10 @@ EQUIVALENCE = [
     *(pytest.param([*MHD, "2", "--budget", "32"], spec, (("--data", 30),), 16,
                    id=f"median-{spec.replace(':', '')}")
       for spec in ("euclidean:3", "sphere:2", "spd:2")),
+    pytest.param([*MHD, "3", "--budget", "64"], "spd:2", (("--data", 60),), 26,
+                 id="median-spd2-60-budget64"),
+    pytest.param([*MHD, "2", "--budget", "32"], "product:spd:2+sphere:2", (("--data", 40),), 27,
+                 id="median-product-spd2-sphere2"),
     pytest.param([*MHD, "3", "--budget", "16"], "spider3", (("--data", 40),), 17,
                  id="median-spider3"),
     pytest.param([*MHD, "3", "--budget", "16"], "product:spider3+euclidean:2",

@@ -6,16 +6,18 @@ depth calls stack each operand once, whatever sequence it comes as; the
 median pairwise distance partitions the upper triangle where it took
 ``np.median``. Each must give the bits of the tuple-built form.
 
-Refinement stacks its anchors and sample once and derives all its step
-streams in one batch; the intrinsic mean and median stack their sample
-once; the SPD distance kernel runs two matmuls where it ran two
-``einsum(optimize=True)`` calls. None of this may move a bit, so each is
-checked for exact equality against the form it replaced: a loop that
-derives one stream per step and passes tuples, and the einsum kernel. On
-spd:2 the distances take one fixed sequence of IEEE operations per pair
-instead, so they are checked for the same bits on both bodies and at every
-call shape, an exact zero between equal matrices, and the stated error
-bound against the einsum kernel.
+Refinement stacks its anchors and sample once, derives all its step
+streams in one batch, measures a block of proposals in one distance call
+and rejects most of them by a witness pair without a scan; the intrinsic
+mean and median stack their sample once; the SPD distance kernel runs two
+matmuls where it ran two ``einsum(optimize=True)`` calls. None of this may
+move a bit, so each is checked for exact equality against the form it
+replaced: a loop that derives one stream per step, passes tuples and scans
+every proposal, and the einsum kernel. On spd:2 the distances take one
+fixed sequence of IEEE operations per pair instead, so they are checked
+for the same bits on both bodies and at every call shape, an exact zero
+between equal matrices, and the stated error bound against the einsum
+kernel.
 """
 
 import os
@@ -27,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from metricdepth import depth as depth_module
 from metricdepth.depth import (
     _min_counts,
     approx_depth,
@@ -71,13 +74,15 @@ def _same(a, b) -> bool:
 
 
 def reference_refine(space, sample, anchors, start, budget, seed, radius_frac, table,
-                     outcomes=None):
-    """Refinement as one stream per step, with tuples passed to every call.
-    Each step's outcome is appended to ``outcomes``: "deeper", "tie-accept",
-    "tie-reject" or "shallower"."""
+                     outcomes=None, proposals=None):
+    """Refinement as one stream per step, with tuples passed to every call,
+    and a scan of every proposal. Each step's outcome is appended to
+    ``outcomes``: "deeper", "tie-accept", "tie-reject", "shallower" or
+    "failed" (its distances raised), and its proposal to ``proposals``."""
     sample = tuple(sample)
     anchor_points = tuple(getattr(anchors, "points", anchors))
     outcomes = [] if outcomes is None else outcomes
+    proposals = [] if proposals is None else proposals
 
     def depth_of(point):
         dist = space.distance_matrix([point], anchor_points)
@@ -96,7 +101,13 @@ def reference_refine(space, sample, anchors, start, budget, seed, radius_frac, t
         normals = derive_rng(seed, NS_REFINE, step).standard_normal((1, space.normal_count))
         proposal = space.exp_many(
             [current], space.normal_tangents([current], [radius**2], normals))[0]
-        num = depth_of(proposal)
+        proposals.append(proposal)
+        radius *= decay
+        try:
+            num = depth_of(proposal)
+        except MetricDepthError:
+            outcomes.append("failed")
+            continue
         if num > current_num:
             current, current_num, current_sum = proposal, num, dist_sum(proposal)
             outcomes.append("deeper")
@@ -109,7 +120,6 @@ def reference_refine(space, sample, anchors, start, budget, seed, radius_frac, t
                 outcomes.append("tie-reject")
         else:
             outcomes.append("shallower")
-        radius *= decay
     return current, Fraction(current_num, table.n)
 
 
@@ -162,14 +172,29 @@ def _refinement_case(space, anchor_kind, rng, start="deepest"):
     return sample, anchors, table, point
 
 
+def counted_scans(monkeypatch) -> list:
+    """The query count of each table scan refinement makes from now on."""
+    scans = []
+
+    def counted(table, dist):
+        scans.append(len(dist))
+        return _min_counts(table, dist)
+
+    monkeypatch.setattr(depth_module, "_min_counts", counted)
+    return scans
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.spec_string)
-@pytest.mark.parametrize("budget", [0, 1, 12, 40])
-def test_refine_deepest_equals_per_step_stream_loop(space, budget, rng):
-    # The longest budget starts from the shallowest sample point, so that
-    # moves are accepted.
-    start_kind = "shallowest" if budget == 40 else "deepest"
+@pytest.mark.parametrize("budget", [0, 1, 12, 40, 64])
+def test_refine_deepest_equals_per_step_stream_loop(space, budget, rng, monkeypatch):
+    # The longest budgets start from the shallowest sample point, so that
+    # moves are accepted. The reference scans every proposal; refinement
+    # scans only those that no witness pair rejects.
+    start_kind = "shallowest" if budget >= 40 else "deepest"
+    scans = counted_scans(monkeypatch)
     for anchor_kind in ("jiggled", "copies"):
         sample, anchors, table, start = _refinement_case(space, anchor_kind, rng, start_kind)
+        scans.clear()
         got = refine_deepest(space, sample, anchors, start, budget, seed=11,
                              radius_frac=0.3, table=table)
         outcomes = []
@@ -177,23 +202,31 @@ def test_refine_deepest_equals_per_step_stream_loop(space, budget, rng):
                                 outcomes)
         assert got[1] == want[1]
         assert _same(got[0], want[0])
-        if budget == 40:
+        if budget >= 40:
             # Moves accepted before the last step make refinement draw its
             # proposals again, and some proposal is rejected on a tie.
             assert {"deeper", "tie-accept"} & set(outcomes[:-1])
             assert "tie-reject" in outcomes
+        if budget == 64:
+            # One one-query scan for the start and one for each proposal
+            # that no witness rejects: fewer than the proposals.
+            assert scans == [1] * len(scans)
+            assert len(scans) - 1 < budget - outcomes.count("failed")
 
 
 @pytest.mark.parametrize("anchor_kind", ["jiggled", "copies"])
-@pytest.mark.parametrize("space,radius_frac", [(SPD(2), 0.3), (Euclidean(3), 0.0)],
-                         ids=["spd:2", "euclidean:3-zero-steps"])
-def test_refine_deepest_work_counts(anchor_kind, space, radius_frac, rng, monkeypatch):
-    # Budget B: B + 1 one-row distance calls, one per proposal and one for
-    # the start. Each normal_steps call draws the next 8 steps, or the steps
-    # that remain, from the step after the last move accepted or after the
-    # last block read. Zero Euclidean steps propose the current
-    # point itself, whose equal sum is no gain: every proposal is rejected
-    # on a tie.
+@pytest.mark.parametrize("space,radius_frac,block_rows",
+                         [(SPD(2), 0.3, True), (SPD(3), 0.3, False), (Euclidean(3), 0.0, True)],
+                         ids=["spd:2", "spd:3", "euclidean:3-zero-steps"])
+def test_refine_deepest_work_counts(anchor_kind, space, radius_frac, block_rows, rng,
+                                    monkeypatch):
+    # Each normal_steps call draws the next 8 steps, or the steps that
+    # remain, from the step after the last move accepted or after the last
+    # block read. The start takes a one-row distance call; then a geometry
+    # whose entries are pairwise takes one call per draw, of the draw's
+    # length, and spd:3 one one-row call per proposal read. Zero Euclidean
+    # steps propose the current point itself, whose equal sum is no gain:
+    # the start's own pair rejects every proposal without a scan.
     budget = 40
     sample, anchors, table, start = _refinement_case(space, anchor_kind, rng, "shallowest")
     spread = median_pairwise_distance(space, sample)
@@ -224,10 +257,48 @@ def test_refine_deepest_work_counts(anchor_kind, space, radius_frac, rng, monkey
 
     monkeypatch.setattr(kind, "distance_matrix", counted_distances)
     monkeypatch.setattr(kind, "normal_steps", counted_steps)
+    scans = counted_scans(monkeypatch)
     refine_deepest(space, sample, anchors, start, budget, seed=11, radius_frac=radius_frac,
                    table=table, spread=spread)
-    assert rows == [1] * (budget + 1)
+    assert rows == ([1] + want if block_rows else [1] * (budget + 1))
     assert draws == want
+    if radius_frac == 0:
+        assert scans == [1]
+
+
+def test_refine_deepest_measures_a_failed_block_one_row_at_a_time(rng, monkeypatch):
+    # A block call that fails is made again one row at a time: only the
+    # proposal whose distances fail is rejected, and the rest of its block
+    # is measured and decided as the reference loop decides it.
+    space, budget = SPD(2), 40
+    sample, anchors, table, start = _refinement_case(space, "jiggled", rng, "shallowest")
+    outcomes, proposals = [], []
+    reference_refine(space, sample, anchors, start, budget, 11, 0.3, table, outcomes,
+                     proposals)
+    # The first move accepted, before the last step of its block: blocks
+    # start every 8 steps until a move is accepted.
+    step = next(i for i, outcome in enumerate(outcomes) if outcome in ("deeper", "tie-accept"))
+    assert step % 8 != 7
+    marked, calls = proposals[step], []
+    distance_matrix = SPD.distance_matrix
+
+    def failing_distances(self, xs, ys):
+        hit = [i for i, x in enumerate(xs) if _same(x, marked)]
+        if hit:
+            calls.append((len(xs), hit[0]))
+            raise GeometryError("matrix is not positive definite")
+        return distance_matrix(self, xs, ys)
+
+    monkeypatch.setattr(SPD, "distance_matrix", failing_distances)
+    got = refine_deepest(space, sample, anchors, start, budget, seed=11, radius_frac=0.3,
+                         table=table)
+    assert calls == [(min(8, budget - step // 8 * 8), step % 8), (1, 0)]
+    outcomes = []
+    want = reference_refine(space, sample, anchors, start, budget, 11, 0.3, table, outcomes)
+    assert outcomes[step] == "failed"
+    assert {"deeper", "tie-accept"} & set(outcomes[step + 1:])
+    assert got[1] == want[1]
+    assert _same(got[0], want[0])
 
 
 @pytest.mark.parametrize("seed", range(10))
