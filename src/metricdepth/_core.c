@@ -1,21 +1,24 @@
 /* Kernels of the anchored halfspace depth: the per-row rank codes of a
- * distance matrix, the table build over them, the counting sort of the
- * table's anchor pairs, the first-hit scan over those pairs, the
- * least-count pass that a few queries take over the table in place of the
- * sort and scan, and the permutation tests' depth counts, which build the
- * table of each of many small reference groups and take every pooled
- * observation's least admissible count in one pass over its pairs.
+ * distance matrix, the table build over them, each query's least admissible
+ * pair by one of two calls of one signature, and the permutation tests'
+ * depth counts, which build the table of each of many small reference
+ * groups and take every pooled observation's least admissible count in one
+ * pass over its pairs. Of the two query calls, `first` counting-sorts the
+ * table's anchor pairs and scans each query to its first admissible pair,
+ * and `least` passes over the whole table once per query; the caller
+ * chooses between them by the query count alone.
  *
  * Each computes exactly what the numpy body of its entry point computes
- * (`_row_ranks`, `_prob_counts`, `HalfspaceProbTable.sorted_pairs` and
- * `_min_counts` in depth.py, whose sort and scan the least-count pass and
- * the depth counts must equal too, `_batched_depth_counts` in inference.py):
- * every comparison is an IEEE comparison between two entries of one row,
- * and the ranks' bucket map needs IEEE rounding to keep the order, so the
- * build must never run under -ffast-math. Kernels are chosen by the dtypes
- * of their arrays alone, named by those dtypes. Arrays are C-contiguous and
- * row-major. A kernel that needs scratch allocates it, frees it before it
- * returns, and returns -1 when it cannot allocate it.
+ * (`_row_ranks`, `_prob_counts` and `_min_counts` in depth.py, whose numpy
+ * sort and scan both query calls and the depth counts must equal,
+ * `_batched_depth_counts` in inference.py): every comparison is an IEEE
+ * comparison between two entries of one row, and the ranks' bucket map
+ * needs IEEE rounding to keep the order, so the build must never run under
+ * -ffast-math. Kernels are chosen by the dtypes of their arrays alone,
+ * named by those dtypes. Arrays are C-contiguous and row-major. A kernel
+ * that needs scratch, such as the histograms and kept pairs of `first`,
+ * allocates it, frees it before it returns, and returns -1 when it cannot
+ * allocate it.
  *
  * The ranks, the table build, the pair sort, the scan, the least-count pass
  * and the depth counts run on the core's one thread runner (`run_units`):
@@ -451,7 +454,7 @@ struct sort_args {
     int64_t n_anchors, top, rows;
     int64_t *hist;
     int64_t bound;
-    void *a1, *a2;
+    uint16_t *a1, *a2;
 };
 
 /* The first and one past the last table row of block u. */
@@ -466,7 +469,7 @@ static int64_t block_rows(const struct sort_args *args, int64_t u, int64_t *end)
  * each block a unit of its tally and of its placing: SORT_ROWS when the
  * sort takes more than one of `threads` threads, else every row, one block,
  * so that a sort on one thread reads the table once. */
-int64_t sort_rows(int64_t n_anchors, int64_t threads)
+static int64_t sort_rows(int64_t n_anchors, int64_t threads)
 {
     int64_t blocks = (n_anchors + SORT_ROWS - 1) / SORT_ROWS;
     if (run_threads(threads, blocks, n_anchors * n_anchors * SORT_NS, GRAIN) > 1)
@@ -522,8 +525,8 @@ int64_t sort_rows(int64_t n_anchors, int64_t threads)
         return 1;                                                              \
     }                                                                          \
                                                                                \
-    int64_t NAME(const COUNT *counts, int64_t n_anchors, int64_t top, int64_t rows, \
-                 int64_t *hist, int64_t threads)                               \
+    static int64_t NAME(const COUNT *counts, int64_t n_anchors, int64_t top,  \
+                        int64_t rows, int64_t *hist, int64_t threads)          \
     {                                                                          \
         struct sort_args args = {counts, n_anchors, top, rows, hist, top, NULL, NULL}; \
         run_units(NAME##_rows, &args, (n_anchors + rows - 1) / rows, 0, threads, \
@@ -560,7 +563,7 @@ enum { CHUNK = 256 };
  * pair_starts turns into each block's next free position for each count.
  * A unit is one block, which places its own rows. a1 and a2 hold exactly
  * the hist[.., 0..bound] total. */
-#define PAIRS(NAME, COUNT, PAIR)                                               \
+#define PAIRS(NAME, COUNT)                                                     \
     static int NAME##_rows(void *arg, int64_t u, unsigned char *block)         \
     {                                                                          \
         (void)block;                                                           \
@@ -568,7 +571,7 @@ enum { CHUNK = 256 };
         const COUNT *counts = args->counts;                                    \
         int64_t n_anchors = args->n_anchors, bound = args->bound, r1;          \
         int64_t *next = args->hist + u * (args->top + 1);                      \
-        PAIR *a1 = args->a1, *a2 = args->a2;                                   \
+        uint16_t *a1 = args->a1, *a2 = args->a2;                               \
         for (int64_t a = block_rows(args, u, &r1); a < r1; a++) {              \
             const COUNT *row = counts + a * n_anchors;                         \
             for (int64_t b0 = 0; b0 < n_anchors; b0 += CHUNK) {                \
@@ -581,16 +584,17 @@ enum { CHUNK = 256 };
                 }                                                              \
                 for (int64_t j = 0; j < m; j++) {                              \
                     int64_t k = next[row[kept[j]]]++;                          \
-                    a1[k] = (PAIR)a;                                           \
-                    a2[k] = (PAIR)kept[j];                                     \
+                    a1[k] = (uint16_t)a;                                       \
+                    a2[k] = (uint16_t)kept[j];                                 \
                 }                                                              \
             }                                                                  \
         }                                                                      \
         return 1;                                                              \
     }                                                                          \
                                                                                \
-    void NAME(const COUNT *counts, int64_t n_anchors, int64_t top, int64_t rows, \
-              int64_t bound, int64_t *hist, PAIR *a1, PAIR *a2, int64_t threads) \
+    static void NAME(const COUNT *counts, int64_t n_anchors, int64_t top,     \
+                     int64_t rows, int64_t bound, int64_t *hist, uint16_t *a1, \
+                     uint16_t *a2, int64_t threads)                            \
     {                                                                          \
         struct sort_args args = {counts, n_anchors, top, rows, hist, bound, a1, a2}; \
         pair_starts(&args);                                                    \
@@ -598,8 +602,8 @@ enum { CHUNK = 256 };
                   n_anchors * n_anchors * SORT_NS, GRAIN);                     \
     }
 
-PAIRS(pairs_u8_u16, uint8_t, uint16_t)
-PAIRS(pairs_u16_u16, uint16_t, uint16_t)
+PAIRS(pairs_u8, uint8_t)
+PAIRS(pairs_u16, uint16_t)
 
 /* Queries of a scan unit. A scan stops at its first hit, so a call's work
  * is estimated from the most pairs it can read, every pair for every query:
@@ -613,19 +617,19 @@ struct scan_args {
     int64_t m, n_anchors;
     const uint16_t *a1, *a2;
     int64_t n_pairs;
-    int64_t *first;
+    int64_t *at;
 };
 
-/* first[j] = the least k < n_pairs with query[j, a1[k]] <= query[j, a2[k]],
- * or -1, for an (m, n_anchors) query matrix, one query at a time: the row
- * stays in cache for its whole scan while the pairs stream past it in order.
- * A unit scans QUERIES queries. */
-#define SCAN(NAME, QUERY, PAIR)                                                \
+/* at[j] = a1[k] * n_anchors + a2[k] for the least k < n_pairs with
+ * query[j, a1[k]] <= query[j, a2[k]], or -1, for an (m, n_anchors) query
+ * matrix, one query at a time: the row stays in cache for its whole scan
+ * while the pairs stream past it in order. A unit scans QUERIES queries. */
+#define SCAN(NAME, QUERY)                                                      \
     static int NAME##_queries(void *arg, int64_t u, unsigned char *block)      \
     {                                                                          \
         (void)block;                                                           \
         const struct scan_args *args = arg;                                    \
-        const PAIR *a1 = args->a1, *a2 = args->a2;                             \
+        const uint16_t *a1 = args->a1, *a2 = args->a2;                         \
         int64_t n_pairs = args->n_pairs;                                       \
         int64_t end = args->m - u * QUERIES < QUERIES ? args->m : u * QUERIES + QUERIES; \
         for (int64_t j = u * QUERIES; j < end; j++) {                          \
@@ -633,23 +637,66 @@ struct scan_args {
             int64_t k = 0;                                                     \
             while (k < n_pairs && !(row[a1[k]] <= row[a2[k]]))                 \
                 k++;                                                           \
-            args->first[j] = k < n_pairs ? k : -1;                             \
+            args->at[j] = k < n_pairs ? a1[k] * args->n_anchors + a2[k] : -1;  \
         }                                                                      \
         return 1;                                                              \
     }                                                                          \
                                                                                \
-    void NAME(const QUERY *query, int64_t m, int64_t n_anchors,                \
-              const PAIR *a1, const PAIR *a2, int64_t n_pairs, int64_t *first, \
-              int64_t threads)                                                 \
+    static void NAME(const QUERY *query, int64_t m, int64_t n_anchors,         \
+                     const uint16_t *a1, const uint16_t *a2, int64_t n_pairs,  \
+                     int64_t *at, int64_t threads)                             \
     {                                                                          \
-        struct scan_args args = {query, m, n_anchors, a1, a2, n_pairs, first}; \
+        struct scan_args args = {query, m, n_anchors, a1, a2, n_pairs, at};    \
         run_units(NAME##_queries, &args, (m + QUERIES - 1) / QUERIES, 0, threads, \
                   m * n_pairs / SCAN_PER_NS, GRAIN);                           \
     }
 
-SCAN(scan_f64_u16, double, uint16_t)
-SCAN(scan_u8_u16, uint8_t, uint16_t)
-SCAN(scan_u16_u16, uint16_t, uint16_t)
+SCAN(scan_f64, double)
+SCAN(scan_u8, uint8_t)
+SCAN(scan_u16, uint16_t)
+
+/* at[j] as the least-count pass gives it, for an (m, n_anchors) matrix of
+ * query distances or codes and an (n_anchors, n_anchors) table,
+ * n_anchors <= 65536: the table's pairs are counting-sorted up to the least
+ * pair maximum, by the tally into histograms sized by the greatest count
+ * and the placing into uint16 indices, and each query is scanned to its
+ * first admissible pair. The histograms and the kept pairs are allocated
+ * here and freed before returning; returns -1 when they cannot be. */
+#define FIRST(Q, QUERY, C, COUNT)                                              \
+    int first_##Q##_##C(const QUERY *query, int64_t m, int64_t n_anchors,     \
+                        const COUNT *counts, int64_t *at, int64_t threads)     \
+    {                                                                          \
+        COUNT top = 0;                                                         \
+        for (int64_t k = 0; k < n_anchors * n_anchors; k++)                    \
+            top = counts[k] > top ? counts[k] : top;                           \
+        int64_t rows = sort_rows(n_anchors, threads), bins = (int64_t)top + 1; \
+        int64_t blocks = (n_anchors + rows - 1) / rows, kept = 0;              \
+        int64_t *hist = calloc(blocks * bins + 1, sizeof *hist);               \
+        if (hist == NULL)                                                      \
+            return -1;                                                         \
+        int64_t bound = tally_##C(counts, n_anchors, top, rows, hist, threads); \
+        for (int64_t u = 0; u < blocks; u++)                                   \
+            for (int64_t c = 0; c <= bound; c++)                               \
+                kept += hist[u * bins + c];                                    \
+        uint16_t *a1 = malloc((kept + 1) * sizeof *a1);                        \
+        uint16_t *a2 = malloc((kept + 1) * sizeof *a2);                        \
+        int done = a1 != NULL && a2 != NULL;                                   \
+        if (done) {                                                            \
+            pairs_##C(counts, n_anchors, top, rows, bound, hist, a1, a2, threads); \
+            scan_##Q(query, m, n_anchors, a1, a2, kept, at, threads);          \
+        }                                                                      \
+        free(a1);                                                              \
+        free(a2);                                                              \
+        free(hist);                                                            \
+        return done ? 1 : -1;                                                  \
+    }
+
+FIRST(f64, double, u8, uint8_t)
+FIRST(f64, double, u16, uint16_t)
+FIRST(u8, uint8_t, u8, uint8_t)
+FIRST(u8, uint8_t, u16, uint16_t)
+FIRST(u16, uint16_t, u8, uint8_t)
+FIRST(u16, uint16_t, u16, uint16_t)
 
 /* Table entries that the least-count pass reads per nanosecond on one
  * thread, counted as m * n_anchors^2: about 5 on spd:2 tables of 300
@@ -669,9 +716,9 @@ struct least_args {
  * that query j admits, a1 != a2 and query[j, a1] <= query[j, a2], the
  * first in row-major order among equal counts, or -1 when it admits none;
  * for an (m, n_anchors) code matrix and an (n_anchors, n_anchors) table.
- * This is the pair that the first-hit scan over the count-sorted pairs
- * finds, read without the sort: a unit is one query, which passes over the
- * table once, row by row.
+ * This is the pair that first_* finds by its sort and scan, read without
+ * the sort: a unit is one query, which passes over the table once, row by
+ * row. Returns 1, as first_* does when it can allocate its scratch.
  *
  * NAME_query takes each row a1 in runs of LANES columns, the last run
  * ending at the row's end (so it may repeat columns, which a minimum
@@ -736,12 +783,12 @@ struct least_args {
         return 1;                                                              \
     }                                                                          \
                                                                                \
-    void NAME(const CODE *query, int64_t m, int64_t n_anchors, const COUNT *counts, \
-              int64_t *at, int64_t threads)                                    \
+    int NAME(const CODE *query, int64_t m, int64_t n_anchors, const COUNT *counts, \
+             int64_t *at, int64_t threads)                                     \
     {                                                                          \
         struct least_args args = {query, counts, n_anchors, at};               \
-        run_units(NAME##_unit, &args, m, 0, threads,                           \
-                  m * n_anchors * n_anchors / LEAST_PER_NS, GRAIN);            \
+        return run_units(NAME##_unit, &args, m, 0, threads,                    \
+                         m * n_anchors * n_anchors / LEAST_PER_NS, GRAIN);     \
     }
 
 LEAST(least_u8_u8, uint8_t, uint8_t, uint8_t)

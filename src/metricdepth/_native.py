@@ -1,11 +1,11 @@
 """Loader of the compiled kernels in ``_core.c``.
 
 The kernels are ``ranks`` (per-row rank codes of a distance matrix),
-``table`` (the halfspace count table), ``sort_rows``, ``tally`` and
-``pairs`` (the counting sort of the table's anchor pairs, by blocks of
-rows), ``scan`` (each query's first admissible pair), ``least`` (each
-query's least admissible pair by one pass over the table, which a few
-queries take in place of the sort and scan), ``depths`` (the permutation
+``table`` (the halfspace count table), ``first`` and ``least`` (each
+query's least admissible pair, one signature and output: ``first``
+counting-sorts the table's anchor pairs and scans each query to its first
+admissible pair, ``least`` passes over the whole table once per query, and
+the query count alone chooses between them), ``depths`` (the permutation
 tests' depth counts), ``orders`` (the permutation tests' orders, numpy's
 ``Generator`` permutations drawn in C), ``normals`` (the standard normals
 of :func:`metricdepth.rng.derive_normals`, numpy's
@@ -41,26 +41,25 @@ the same results. A kernel is named by its task and the dtypes of its
 arrays, and takes no flag that a dtype could state.
 
 A call passes only arrays and sizes: each kernel allocates its own
-scratch, and a failed allocation raises ``MemoryError``.
+scratch, such as the histograms and kept pairs of ``first``, frees it
+before it returns, and a failed allocation raises ``MemoryError``.
 
-``ranks``, ``table``, ``tally``, ``pairs``, ``scan``, ``least`` and
-``depths`` run on the core's one thread runner. A call splits its work into
-units (blocks of rows, runs of 64 bytes of table columns, blocks of table
-rows, blocks of queries or one query, or one reference group) that its
-threads claim one at a time, and takes ``min(threads(), units, work /
-grain)`` threads, at least one: its estimated single-thread time over an
-internal grain of work per thread, so small calls, such as one-query
-scans, stay on the calling thread. ``sort_rows`` gives the table rows per block of ``tally`` and
-``pairs``: 64 when the sort takes more than one thread, else every row,
-one block. The loader passes :func:`threads` to these kernels and to
-``sort_rows`` as their last argument at every call, so a change of the
-process's CPU affinity, or of the cap set by :func:`limit_threads`,
-applies to the next call. A call starts its threads
-and joins them before it returns: no thread outlives a kernel call, so a
-process forked after one inherits none, and calls made at once from
-several threads share nothing. Units write disjoint outputs with the same
-arithmetic on any thread, so every output is the same bytes at any thread
-count. The other kernels run on the calling thread.
+``ranks``, ``table``, ``first``, ``least`` and ``depths`` run on the
+core's one thread runner. A call splits its work into units (blocks of
+rows, runs of 64 bytes of table columns, blocks of table rows, blocks of
+queries or one query, or one reference group) that its threads claim one
+at a time, and takes ``min(threads(), units, work / grain)`` threads, at
+least one: its estimated single-thread time over an internal grain of
+work per thread, so small calls, such as one-query passes, stay on the
+calling thread. The loader passes :func:`threads` to these kernels as
+their last argument at every call, so a change of the process's CPU
+affinity, or of the cap set by :func:`limit_threads`, applies to the next
+call. A call starts its threads and joins them before it returns: no
+thread outlives a kernel call, so a process forked after one inherits
+none, and calls made at once from several threads share nothing. Units
+write disjoint outputs with the same arithmetic on any thread, so every
+output is the same bytes at any thread count. The other kernels run on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -197,19 +196,14 @@ def bind(lib) -> dict:
     i64, ptr, flag = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     integers = ("u8", "u16")
     # name: (argument types, return type)
-    # Each of ranks, table, sort_rows, tally, pairs, scan, least and depths
-    # takes the thread count last.
+    # Each of ranks, table, first, least and depths takes the thread count
+    # last. first and least share one signature and output.
     signatures = {f"ranks_f64_{code}": ([ptr, i64, i64, ptr, i64], flag) for code in integers}
     signatures.update({f"table_{code}_{count}": ([ptr, i64, i64, flag, ptr, i64], flag)
                        for code in integers for count in integers})
-    signatures["sort_rows"] = ([i64, i64], i64)
-    signatures.update({f"tally_{count}": ([ptr, i64, i64, i64, ptr, i64], i64)
-                       for count in integers})
-    signatures.update({f"pairs_{count}_u16": ([ptr, i64, i64, i64, i64, ptr, ptr, ptr, i64], None)
-                       for count in integers})
-    signatures.update({f"scan_{query}_u16": ([ptr, i64, i64, ptr, ptr, i64, ptr, i64], None)
-                       for query in ("f64", *integers)})
-    signatures.update({f"least_{code}_{count}": ([ptr, i64, i64, ptr, ptr, i64], None)
+    signatures.update({f"first_{query}_{count}": ([ptr, i64, i64, ptr, ptr, i64], flag)
+                       for query in ("f64", *integers) for count in integers})
+    signatures.update({f"least_{code}_{count}": ([ptr, i64, i64, ptr, ptr, i64], flag)
                        for code in integers for count in integers})
     signatures.update({f"depths_{code}_{count}": ([ptr, i64, ptr, i64, i64, flag, ptr, i64],
                                                   flag)
@@ -222,10 +216,8 @@ def bind(lib) -> dict:
     for name, (argtypes, restype) in signatures.items():
         function = functions[name] = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
-        if name.startswith(("ranks", "table", "depths")):
+        if name.startswith(("ranks", "table", "first", "least", "depths")):
             function.errcheck = _allocated
-        if name.startswith(("ranks", "table", "sort", "tally", "pairs", "scan", "least",
-                            "depths")):
             functions[name] = _on_threads(function)
     return functions
 

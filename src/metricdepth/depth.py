@@ -25,10 +25,10 @@ only the upper triangle is compared; the lower one is n minus its
 transpose. One duplicate anchor ties every row, so whether a table may
 take this path is decided once per table, from its codes, and a tied
 table counts both halves.
-The table's off-diagonal ordered pairs are sorted once by (count,
-row-major index); each query scans them in that order and stops at its
-first admissible pair, so its work grows with the number of pairs whose
-count lies below its depth rather than with n_A^2. That order keeps the
+Many queries sort the table's off-diagonal ordered pairs by (count,
+row-major index) and scan them in that order, each stopping at its first
+admissible pair, so its work grows with the number of pairs whose count
+lies below its depth rather than with n_A^2. That order keeps the
 tie-break of a masked minimum over the row-major table: the least count,
 and among equal counts the first pair in row-major order. A query admits
 one of (a1, a2) and (a2, a1) for every pair, so no scan passes the least
@@ -40,18 +40,18 @@ finds the bound, and a second places each kept pair, row by row, at its
 count's next free position.
 
 A few queries need not pay for that sort. Fewer than ``_FEW_QUERIES``
-queries against a table whose pairs are not sorted yet, such as a new
-subject's depth against a diagnostic group, each take one pass over the
-whole table instead, and keep the least count among the pairs they admit,
-the first such pair in row-major order: the pair the scan would find.
-That is m n_A^2 reads against the sort's passes over n_A^2 and the
-scans; both grow with n_A^2, so the choice is a query count, fitted from
-one-thread timings of both, and it is made from the input alone, in
-:func:`_min_counts`. Self-depth, the depth median's scan of its sample
-and, in numpy, the permutation tests' groups query many points and sort;
-the median's refinement scans the proposals that no earlier scan's pair
-rules out (:func:`refine_deepest`), one point at a time, against a table
-already sorted, or sorted up front for a budget that long.
+queries, such as a new subject's depth against a diagnostic group, each
+take one pass over the whole table instead, and keep the least count
+among the pairs they admit, the first such pair in row-major order: the
+pair the scan would find. That is m n_A^2 reads against the sort's passes
+over n_A^2 and the scans; both grow with n_A^2, so the choice is a query
+count, fitted from one-thread timings of both. It is made in
+:func:`_min_counts` from the query count alone, and no state of the table
+enters it. Self-depth and the depth median's scan of its sample query
+many points and sort; the median's refinement scans the proposals that
+no earlier scan's pair rules out (:func:`refine_deepest`), one point at a
+time, each by the least-count pass: for the deepest point that pass costs
+less than a scan of the sorted pairs, which reaches most of them.
 
 Every step runs in a small compiled core (``_core.c``, built and loaded
 by :mod:`metricdepth._native`) when it can be built, and so do the
@@ -62,27 +62,30 @@ pairs, the points in lanes, where the numpy body sorts and scans. Its
 ranks sort each row by a bucket pass and per-bucket sorts; its table
 build, one run body for every table, takes the columns in runs of
 64 bytes, padded with zeros, and sums four first anchors at a time over
-a run in registers while the sample rows stream past; its pair sort is
-the counting sort above, by blocks of table rows, each with a histogram
-of its own, its only temporary; its scan reads each kept pair's two
-indices and the query's two entries, and stops at the first admissible
-pair; its least-count pass reads the query's rank codes, ranking float64
-rows first, and each table row in runs of 64 lanes, each lane keeping the
-least count admitted, and reads a row again entry by entry only when a
-lane holds a count below the best so far. The ranks, table build, pair
-sort, scan and least-count pass spread a large call over the core's
-threads, by blocks of rows, by runs of columns, by blocks of table rows,
-by blocks of queries and by query, to the same bytes at any thread count
-(see :mod:`metricdepth._native`). Each step has one entry point,
-:func:`_row_ranks`, :func:`_prob_counts`,
-:attr:`HalfspaceProbTable.sorted_pairs` and :func:`_min_counts`, whose
-numpy body is the reference the compiled kernel must equal in every
-code, count, pair, dtype, layout and first-hit position; the least-count
-pass must give the pair that the sort and scan, compiled or numpy, give.
-The numpy body runs everything else: other dtypes, and every call where
-no compiler is found. It has no least-count pass: a masked minimum over
-the table took 51.8 ms against 13.5 ms for its sort and scan (10 queries,
-230 x 920, spd:2).
+a run in registers while the sample rows stream past; its sort and scan
+are one call, ``first``: the counting sort above, by blocks of table
+rows, each with a histogram of its own, then a scan that reads each kept
+pair's two indices and the query's two entries and stops at the first
+admissible pair. The call allocates its histograms and kept pairs and
+frees them before it returns, so a table holds no sorted pairs between
+calls. Its least-count pass, ``least``, reads the query's rank codes,
+ranking float64 rows first, and each table row in runs of 64 lanes, each
+lane keeping the least count admitted, and reads a row again entry by
+entry only when a lane holds a count below the best so far. The two
+calls share one signature and output. The ranks, table build, pair sort,
+scan and least-count pass spread a large call over the core's threads,
+by blocks of rows, by runs of columns, by blocks of table rows, by blocks
+of queries and by query, to the same bytes at any thread count (see
+:mod:`metricdepth._native`). Each step has one entry point,
+:func:`_row_ranks`, :func:`_prob_counts` and :func:`_min_counts`, whose
+numpy body is the reference the compiled kernels must equal in every
+code, count, pair, dtype and layout; for the queries that body is
+:attr:`HalfspaceProbTable.sorted_pairs` and :func:`_first_hits`, and
+``first`` and ``least`` must each give its ``(count, a1, a2)``. The numpy
+body runs everything else: other dtypes, and every call where no compiler
+is found. It has no least-count pass: a masked minimum over the table
+took 51.8 ms against 13.5 ms for its sort and scan (10 queries, 230 x
+920, spd:2).
 
 The table keeps its rank codes. When the queries are the sample itself
 (the same object), the scan reads those codes in place of a second
@@ -119,13 +122,14 @@ from .spaces import Space
 _CHUNK_ELEMS = 8_000_000
 # Side of the square tiles that the sorted-pairs bound reads a table in.
 _BOUND_TILE = 256
-# Fewest queries for which sorting a table's pairs and scanning them costs
-# less than one least-count pass over the table per query (_least_pairs).
-# Both grow with n_A^2, so the crossover is a query count: on one thread of
-# a 2-core x86-64 Xeon it lay between 11 (spd:2 and euclidean:5 tables of
-# 300-400 anchors, where the pass is slower per entry) and 126 (spd:2,
-# 600 x 3000, where the sort's placing is memory-bound); the geometric
-# mean over 11 tables of 300 to 3000 anchors was 37.5 and 45.7 in two runs.
+# Fewest queries for which the compiled sort and scan (first) cost less than
+# one least-count pass over the table per query (least); _min_counts chooses
+# between them by this alone. Both grow with n_A^2, so the crossover is a
+# query count: on one thread of a 2-core x86-64 Xeon it lay between 11
+# (spd:2 and euclidean:5 tables of 300-400 anchors, where the pass is slower
+# per entry) and 126 (spd:2, 600 x 3000, where the sort's placing is
+# memory-bound); the geometric mean over 11 tables of 300 to 3000 anchors
+# was 37.5 and 45.7 in two runs.
 _FEW_QUERIES = 40
 # Most refinement steps drawn in one normal_steps call (refine_deepest).
 _DRAW_BLOCK = 8
@@ -194,6 +198,9 @@ class HalfspaceProbTable:
     the queries are the sample. Neither ``counts`` nor ``codes`` may be
     modified: queries trust the codes to match the counts, and
     :attr:`sorted_pairs` caches the order of the counts when first read.
+    The table holds no other state: which pass a query takes reads the
+    query count alone (:func:`_min_counts`), and a compiled sort of its
+    pairs lives only within one call.
     """
 
     counts: np.ndarray
@@ -204,7 +211,8 @@ class HalfspaceProbTable:
     def sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Off-diagonal ordered pairs ``(a1, a2)`` that a query can reach,
         as two index arrays, ascending by count, equal counts in row-major
-        order.
+        order: the numpy body of the queries' sort, the reference of the
+        compiled ``first`` call, which sorts the same pairs within each call.
 
         Every query admits (a1, a2) or (a2, a1) for each pair of distinct
         anchors, so its least admissible count is at most
@@ -213,41 +221,13 @@ class HalfspaceProbTable:
         ``count <= bound`` are kept: in the order of all off-diagonal
         pairs they form a prefix, and every scan stops inside it.
 
-        Sorted once per table and shared by every query against it, and
-        read from ``counts`` as built, with no copy; a few queries against
-        a table not sorted yet pass over its counts instead (see
-        :func:`_min_counts`). Indices are uint16 up to 65 536 anchors, the
-        one pair dtype the compiled scan takes, and uint32 beyond. Uint8 or uint16 counts of up to 65 536 anchors are
-        sorted by the compiled counting sort when it loads: one pass
-        histograms the off-diagonal counts and finds the bound, reading
-        each tile of the table with its mirror, and a second writes the
-        kept pairs, row-major within each count, into arrays of exactly
-        their length. A sort large enough for more than one thread runs
-        both passes by blocks of 64 table rows, each with its own
-        histogram, and places each block's pairs of a count after the
-        earlier blocks' (prefix sums over count, then block), so the pairs
-        are the same. The numpy body sorts everything else, a table given
-        wider counts to the same pairs: it reads the bound tile by tile
-        (:func:`_least_pair_max`) and stable-sorts the kept entries' flat
-        indices by count.
+        Sorted once per table, when first read, and shared by every numpy
+        scan against it. Indices are uint16 up to 65 536 anchors and uint32
+        beyond. The bound is read tile by tile (:func:`_least_pair_max`),
+        and the kept entries' flat indices are stable-sorted by count.
         """
         n_anchors = len(self.counts)
         dtype = np.uint16 if n_anchors <= 1 << 16 else np.uint32
-        tally = _native.kernel("tally", self.counts.dtype)
-        place = _native.kernel("pairs", self.counts.dtype, dtype)
-        if tally is not None and place is not None:
-            counts = np.ascontiguousarray(self.counts)
-            rows = _native.kernel("sort_rows")(n_anchors)
-            # A bin for each count up to the greatest, n on the diagonal,
-            # so that no entry of any table indexes past its histogram.
-            top = int(counts.max()) if counts.size else 0
-            hist = np.zeros((-(-n_anchors // rows), top + 1), dtype=np.int64)
-            bound = tally(counts.ctypes.data, n_anchors, top, rows, hist.ctypes.data)
-            kept = int(hist[:, :bound + 1].sum())
-            a1, a2 = np.empty(kept, dtype=dtype), np.empty(kept, dtype=dtype)
-            place(counts.ctypes.data, n_anchors, top, rows, bound, hist.ctypes.data,
-                  a1.ctypes.data, a2.ctypes.data)
-            return a1, a2
         bound = _least_pair_max(self.counts)
         key = self.counts.ravel()
         keep = key <= bound
@@ -362,60 +342,21 @@ def _prob_counts(codes: np.ndarray, distinct: bool) -> np.ndarray:
     return counts
 
 
-def _least_pairs(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
-    """Each query's least admissible pair by one compiled pass over the
-    table, as flat indices ``a1 * n_A + a2``, -1 where it admits none; or
-    None where :func:`_min_counts` sorts and scans instead.
-
-    The pass is taken only where it costs less than the sort: fewer than
-    ``_FEW_QUERIES`` queries against a table whose pairs are not sorted
-    yet, in rows of all n_A entries, with a ``least`` kernel for their
-    codes and the table's counts. Uint8 and uint16 rows are codes already;
-    float64 rows are ranked first (:func:`_row_ranks`), which keeps each
-    row's order and ties. NaN has no rank; callers reject it first.
-    """
-    n_anchors = len(table.counts)
-    if (len(dist_query_anchors) >= _FEW_QUERIES or "sorted_pairs" in vars(table)
-            or dist_query_anchors.shape[1:] != (n_anchors,)):
-        return None
-    distances = dist_query_anchors.dtype == np.float64
-    code = np.min_scalar_type(n_anchors - 1) if distances else dist_query_anchors.dtype
-    kernel = _native.kernel("least", code, table.counts.dtype)
-    if kernel is None:
-        return None
-    query = _row_ranks(dist_query_anchors)[0] if distances else dist_query_anchors
-    query = np.ascontiguousarray(query)
-    counts = np.ascontiguousarray(table.counts)
-    at = np.empty(len(query), dtype=np.int64)
-    kernel(query.ctypes.data, len(query), n_anchors, counts.ctypes.data, at.ctypes.data)
-    return at
-
-
-def _first_hits(a1s: np.ndarray, a2s: np.ndarray, n_anchors: int,
-                dist_query_anchors: np.ndarray) -> np.ndarray:
+def _first_hits(a1s: np.ndarray, a2s: np.ndarray, dist_query_anchors: np.ndarray) -> np.ndarray:
     """Each query's first admissible position in the sorted pairs
-    ``(a1s, a2s)`` of a table of ``n_anchors`` anchors, or -1.
+    ``(a1s, a2s)``, or -1: the numpy scan, which raises on a row too short
+    for the pairs.
 
-    Float64 distances and uint8 or uint16 codes in rows of all n_A entries
-    are scanned by the compiled kernel when it loads; it indexes each row
-    by the pairs unchecked, so other shapes go to the numpy body, which
-    raises on a short row. The numpy body scans in blocks that double in
-    length, with its queries held anchor-major, as an (n_A, active) array,
-    so gathering a block's anchors copies whole rows of all active queries
-    rather than one 1- or 2-byte code at a time; the admissible flags come
-    out as (block, active) and each query's first hit is read down its
-    column. Rows are gathered with ``np.take``: fancy indexing gives the
-    same pairs but took about 44 against 35 us per one-query scan (spd:2,
-    n = 100, n_A = 300), a cost every refinement step pays.
+    It scans in blocks that double in length, with its queries held
+    anchor-major, as an (n_A, active) array, so gathering a block's anchors
+    copies whole rows of all active queries rather than one 1- or 2-byte
+    code at a time; the admissible flags come out as (block, active) and
+    each query's first hit is read down its column. Rows are gathered with
+    ``np.take``: fancy indexing gives the same pairs but took about 44
+    against 35 us per one-query scan (spd:2, n = 100, n_A = 300), a cost
+    every refinement step pays.
     """
-    n_queries = len(dist_query_anchors)
-    kernel = _native.kernel("scan", dist_query_anchors.dtype, a1s.dtype)
-    if kernel is not None and dist_query_anchors.shape[1:] == (n_anchors,):
-        query = np.ascontiguousarray(dist_query_anchors)
-        first = np.empty(n_queries, dtype=np.int64)
-        kernel(query.ctypes.data, n_queries, n_anchors, a1s.ctypes.data, a2s.ctypes.data,
-               len(a1s), first.ctypes.data)
-        return first
+    n_queries, n_anchors = dist_query_anchors.shape
     first = np.full(n_queries, -1, dtype=np.int64)
     active = np.arange(n_queries)
     dist = np.ascontiguousarray(dist_query_anchors.T)
@@ -445,25 +386,30 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
     count n (depth 1 by convention) and indices -1. Returns
     ``(counts, a1, a2)``, one entry per query.
 
-    One of two paths finds that pair, decided here from the input alone.
-    A few queries against a table not sorted yet take one compiled pass
-    each over the whole table (:func:`_least_pairs`), m n_A^2 reads; any
-    other call sorts the table's pairs once
-    (:attr:`HalfspaceProbTable.sorted_pairs`), O(n_A^2), and each query
-    scans them in order and stops at its first admissible pair
-    (:func:`_first_hits`). Both costs grow with n_A^2, so the crossover is
-    a query count, ``_FEW_QUERIES``. The sort and scan, compiled or numpy,
-    are the pass's oracle: they give the same ``(count, a1, a2)`` for
-    every query.
+    This is the one place that chooses how, from the query count alone.
+    Rows of all n_A entries, n_A <= 65 536, with a compiled kernel for their
+    dtype and the table's take one call that returns each query's flat
+    index ``a1 * n_A + a2``, or -1: fewer than ``_FEW_QUERIES`` queries the
+    least-count pass (``least``), which reads codes, so float64 rows are
+    ranked first (:func:`_row_ranks`), keeping each row's order and ties;
+    ``_FEW_QUERIES`` or more the sort and scan (``first``). Everything else
+    sorts the pairs in numpy (:attr:`HalfspaceProbTable.sorted_pairs`) and
+    scans them (:func:`_first_hits`), the reference of both calls.
     """
-    n_anchors = len(table.counts)
-    at = _least_pairs(table, dist_query_anchors)
-    if at is not None:
+    counts, query = np.ascontiguousarray(table.counts), dist_query_anchors
+    n_anchors = len(counts)
+    few = len(query) < _FEW_QUERIES
+    code = np.min_scalar_type(n_anchors - 1) if few and query.dtype == np.float64 else query.dtype
+    kernel = _native.kernel("least" if few else "first", code, counts.dtype)
+    if kernel is not None and query.shape[1:] == (n_anchors,) and n_anchors <= 1 << 16:
+        query = np.ascontiguousarray(query if code == query.dtype else _row_ranks(query)[0])
+        at = np.empty(len(query), dtype=np.int64)
+        kernel(query.ctypes.data, len(query), n_anchors, counts.ctypes.data, at.ctypes.data)
         hit = at >= 0
         pair_a1, pair_a2 = np.divmod(at[hit], n_anchors)
     else:
         a1s, a2s = table.sorted_pairs
-        first = _first_hits(a1s, a2s, n_anchors, dist_query_anchors)
+        first = _first_hits(a1s, a2s, query)
         hit = first >= 0
         pair_a1, pair_a2 = a1s[first[hit]], a2s[first[hit]]
     best = np.full(len(hit), table.n, dtype=np.int64)
@@ -471,7 +417,7 @@ def _min_counts(table: HalfspaceProbTable, dist_query_anchors: np.ndarray):
     best_a2 = np.full(len(hit), -1, dtype=np.int64)
     best_a1[hit] = pair_a1
     best_a2[hit] = pair_a2
-    best[hit] = table.counts[best_a1[hit], best_a2[hit]]
+    best[hit] = counts[best_a1[hit], best_a2[hit]]
     return best, best_a1, best_a2
 
 
@@ -677,10 +623,10 @@ def refine_deepest(
 
     A proposal is accepted exactly when its count reaches ``t``: the
     current count if its sum is smaller, one more otherwise (a NaN sum is
-    not smaller). Each scan (:func:`_min_counts`) yields a count c and its
-    pair (a1, a2), and any point that admits the pair,
-    ``d(y, a1) <= d(y, a2)``, has a count of at most c. So the scanned
-    pairs are kept as witnesses, at most ``budget + 1``, and a proposal
+    not smaller). Each scan (:func:`_min_counts` of one row, the least-count
+    pass when compiled) yields a count c and its pair (a1, a2), and any
+    point that admits the pair, ``d(y, a1) <= d(y, a2)``, has a count of at
+    most c. So the scanned pairs are kept as witnesses, at most ``budget + 1``, and a proposal
     that admits one with ``c < t`` is rejected without a scan. The others
     are scanned, so every decision, point and depth is that of a scan of
     every proposal.
@@ -692,11 +638,6 @@ def refine_deepest(
     anchor_points = _as_points(space, anchors)
     if table is None:
         table = halfspace_prob_table(space, sample, anchor_points)
-    if budget + 1 >= _FEW_QUERIES:
-        # The one-query calls below, at most budget + 1, scan the sorted
-        # pairs rather than each pass over the whole table, as that many
-        # queries at once would.
-        table.sorted_pairs
     n, n_anchors = len(sample), len(anchor_points)
     # Every step reads the same targets, so they are stacked once.
     if n <= n_anchors and _same_points(anchor_points[:n], sample):

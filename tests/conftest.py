@@ -70,9 +70,9 @@ def numpy_kernels():
 
 @contextmanager
 def kernel_threads(count):
-    """Run every kernel of the core's thread runner (the ranks, table, pair
-    sort, tally, pairs, scan, least-count pass and permutation depth counts)
-    on at most ``count`` threads, as in a process that may run on ``count``
+    """Run every kernel of the core's thread runner (the ranks, table, sort
+    and scan, least-count pass and permutation depth counts) on at most
+    ``count`` threads, as in a process that may run on ``count``
     CPUs, whatever this host has."""
     saved = _native.threads
     _native.threads = lambda: count

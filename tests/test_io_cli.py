@@ -741,7 +741,9 @@ def test_cmd_plotdata_rejects_bad_depth_rows(tmp_path, runner, rows, cause):
 # Command, geometry, input recipe and seed as in EQUIVALENCE, then the
 # SHA-256 prefix of the file the command writes, as recorded with numpy 2.4
 # on x86-64. A plotdata row first writes the self-depths of its data. The
-# one-point sample has no admissible pair: anchors -1 and depth 1/1.
+# one-point sample has no admissible pair: anchors -1 and depth 1/1. The
+# median rows pin the depth median's JSON: its in-sample step takes the
+# sort and scan, and each refinement scan the least-count pass.
 OUTPUT_DIGESTS = [
     pytest.param(["depth", "--self"], "spd:2", (("--data", 40, 5),), 21,
                  "5a3383d184fcc36e", id="depth-csv-sample"),
@@ -761,6 +763,10 @@ OUTPUT_DIGESTS = [
                  id="plotdata-spider3"),
     pytest.param(["plotdata"], "product:spd:2+euclidean:2", (("--data", 30),), 25,
                  "31865c25ca311913", id="plotdata-product-spd2-euclidean2"),
+    pytest.param(["median", "--estimator", "mhd", "--jiggle", "3", "--budget", "64"], "spd:2",
+                 (("--data", 60),), 26, "06516db11f9c9612", id="median-mhd-spd2"),
+    pytest.param(["median", "--estimator", "mhd", "--jiggle", "3", "--budget", "64"],
+                 "sphere:2", (("--data", 60),), 27, "addaa61976080ba6", id="median-mhd-sphere2"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""The compiled rank, table, pair-sort, scan, least-count and permutation
+"""The compiled rank, table, sort-and-scan, least-count and permutation
 depth-count kernels against the numpy bodies of their entry points, the
 compiled permutation orders against numpy's ``Generator.permutation``, the
 compiled chart normals against ``Generator.standard_normal``, and the
@@ -14,10 +14,13 @@ bytes of columns, 64 uint8 codes (n_A = 63, 64, 65) or 32 uint16 ones
 (n_A = 288, 289), whose first anchors it takes four at a time; reference
 groups straddle the count switch (m = 255, 256) and the same runs
 (m = 63, 64, 65), fill a uint8 count to its ceiling of 255, and include
-the paper's groups of 60 among 240. The least-count pass, which a few
-queries against a table not sorted yet take in place of the sort and
-scan, must give the pair that both sort-and-scan bodies give, on rows
-shorter than its runs of 64 lanes, filling them and overlapping them
+the paper's groups of 60 among 240. Each query check runs the same rows
+through both compiled passes, the sort and scan (``first``, at least
+``_FEW_QUERIES`` rows) and the least-count pass (``least``, fewer), at 1
+and 2 threads, and demands the numpy sort and scan's ``(count, a1, a2)``:
+on tied and untied tables, uint8 and uint16 counts, float64, uint8 and
+uint16 query rows, the deepest sample points among them, rows shorter
+than the pass's runs of 64 lanes, filling them and overlapping them
 (n_A = 1, 2, 63, 64, 65, 257, 300), at the ceiling of each count type,
 and on tables whose diagonal holds a row's least count. The permutation
 depth counts build each group's table with the compiled run body and take
@@ -97,18 +100,6 @@ def same_ranks(dist):
     return got
 
 
-def same_pairs(counts, n):
-    """The counting-sorted pairs of a table, checked against numpy's."""
-    assert _native.kernel("pairs", counts.dtype, np.uint16) is not None
-    got = HalfspaceProbTable(counts=counts, n=n).sorted_pairs
-    with numpy_kernels():
-        want = HalfspaceProbTable(counts=counts, n=n).sorted_pairs
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype == np.uint16 and g.shape == w.shape
-        assert np.array_equal(g, w)
-    return got
-
-
 def same_table(codes, distinct):
     """The compiled build's table, checked against the numpy body's."""
     assert _native.kernel("table", codes.dtype, np.min_scalar_type(len(codes))) is not None
@@ -120,17 +111,26 @@ def same_table(codes, distinct):
     return got
 
 
-def same_scan(table, query):
-    """The compiled scan's ``(count, a1, a2)``, checked against numpy's. The
-    table's pairs are sorted first, so that a few queries scan them too
-    rather than take the least-count pass."""
-    assert _native.kernel("scan", query.dtype, table.sorted_pairs[0].dtype) is not None
-    got = _min_counts(table, query)
+def same_min_counts(table, query):
+    """``_min_counts``'s ``(count, a1, a2)`` for ``query`` at 1 and 2
+    threads, checked against the numpy sort and scan of the same table and
+    query, and returned. The rows, repeated to at least ``_FEW_QUERIES``,
+    take the compiled sort and scan (``first``), and the first
+    ``_FEW_QUERIES - 1`` of them the least-count pass (``least``)."""
+    counts = table.counts
+    few = depth._FEW_QUERIES - 1
+    code = np.min_scalar_type(len(counts) - 1) if query.dtype == np.float64 else query.dtype
+    assert _native.kernel("first", query.dtype, counts.dtype) is not None
+    assert _native.kernel("least", code, counts.dtype) is not None
+    many = query[np.arange(max(len(query), few + 1)) % len(query)]
     with numpy_kernels():
-        want = _min_counts(table, query)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    return got
+        want = _min_counts(HalfspaceProbTable(counts=counts, n=table.n), many)
+    for threads in (1, 2):
+        with kernel_threads(threads):
+            for rows in (many, many[:few]):
+                for g, w in zip(_min_counts(table, rows), want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w[:len(rows)])
+    return tuple(w[:len(query)] for w in want)
 
 
 def distances(rng, n, n_anchors, tied):
@@ -275,60 +275,75 @@ def test_public_table_uses_the_compiled_build(native, rng):
 @pytest.mark.parametrize("tied", [False, True])
 def test_pairs_equal_numpy(native, n, tied):
     # 255 sample rows take uint8 counts and 256 uint16 ones; 150 anchors
-    # span three tiles of the mirrored bound.
-    codes, distinct = _row_ranks(distances(np.random.default_rng(n), n, 150, tied))
-    counts = _prob_counts(codes, distinct)
-    a1, a2 = same_pairs(counts, n)
+    # span three tiles of the mirrored bound. The sample queries its own
+    # codes, the deepest points among them, and fresh points float64
+    # distances.
+    dist = distances(np.random.default_rng(n), n + 20, 150, tied)
+    codes, distinct = _row_ranks(dist[:n])
+    table = HalfspaceProbTable(counts=_prob_counts(codes, distinct), n=n, codes=codes)
+    for query in (codes, dist[n:]):
+        _, a1, a2 = same_min_counts(table, query)
+        assert not np.any(a1 == a2)
     if distinct:
         # The counts of a tie-free table sum to n across each pair, so at
         # least one of (a1, a2) and (a2, a1) is kept for every pair.
-        assert len(a1) >= 150 * 149 // 2
-    assert not np.any(a1 == a2)
+        assert len(table.sorted_pairs[0]) >= 150 * 149 // 2
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 def test_pairs_of_one_anchor_and_of_one_count(native, dtype):
     # One anchor keeps no pair. Every count equal to n: the bound is n, the
     # diagonal's count, and every off-diagonal pair is kept in row-major
-    # order.
-    a1, a2 = same_pairs(np.array([[3]], dtype=dtype), 3)
-    assert len(a1) == len(a2) == 0
-    a1, a2 = same_pairs(np.full((5, 5), 4, dtype=dtype), 4)
-    assert [(int(i), int(j)) for i, j in zip(a1, a2)] == [
-        (i, j) for i in range(5) for j in range(5) if i != j]
+    # order, so each query gets its first admissible pair in that order.
+    table = HalfspaceProbTable(counts=np.array([[3]], dtype=dtype), n=3)
+    got = same_min_counts(table, np.zeros((2, 1), dtype=np.uint8))
+    assert [a.tolist() for a in got] == [[3, 3], [-1, -1], [-1, -1]]
+    table = HalfspaceProbTable(counts=np.full((5, 5), 4, dtype=dtype), n=4)
+    query = np.random.default_rng(5).integers(0, 3, (10, 5)).astype(np.uint8)
+    got = same_min_counts(table, query)
+    assert all(np.array_equal(g, w) for g, w in zip(got, dense_min_counts(table.counts, 4, query)))
 
 
 def test_wider_counts_sort_to_the_same_pairs(native):
-    # Counts wider than uint16 have no compiled sort; the numpy body gives
-    # the same pairs.
+    # Counts wider than uint16 have no compiled sort or pass; the numpy body
+    # gives the same pairs and the same least admissible pairs.
     codes, distinct = _row_ranks(distances(np.random.default_rng(4), 30, 60, True))
     counts = _prob_counts(codes, distinct)
-    want = same_pairs(counts, 30)
-    assert _native.kernel("tally", np.uint32) is None
+    want = same_min_counts(HalfspaceProbTable(counts=counts, n=30), codes)
+    assert _native.kernel("first", np.uint8, np.uint32) is None
     # The least-count pass reads codes: float64 rows are ranked first, and
-    # codes past 65 536 anchors stay with the sort and scan.
+    # codes past 65 536 anchors stay with numpy.
     assert _native.kernel("least", np.uint16, np.uint8) is not None
     assert _native.kernel("least", np.float64, np.uint8) is None
     assert _native.kernel("least", np.uint32, np.uint16) is None
-    got = HalfspaceProbTable(counts=counts.astype(np.uint32), n=30).sorted_pairs
-    assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+    wide = HalfspaceProbTable(counts=counts.astype(np.uint32), n=30)
+    for rows in (codes, codes[:3]):
+        got = _min_counts(wide, rows)
+        assert all(np.array_equal(g, w[:len(rows)]) and g.dtype == w.dtype
+                   for g, w in zip(got, want))
+    with numpy_kernels():
+        narrow = HalfspaceProbTable(counts=counts, n=30).sorted_pairs
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype
+               for g, w in zip(wide.sorted_pairs, narrow))
 
 
 @pytest.mark.parametrize("n", [60, 300])
 def test_pair_sort_allocates_only_its_output(native, n):
-    # The histograms, one of n + 1 int64 bins for each block of the sort,
-    # are the only temporary beside the two returned arrays.
+    # The compiled sort and scan allocate their histograms and kept pairs
+    # in C and free them before returning: the Python side allocates only
+    # each query's flat index and the three returned arrays, where the
+    # numpy sort of the same table allocates its 1.9 M kept pairs.
     codes, distinct = _row_ranks(distances(np.random.default_rng(n), n, 2000, False))
-    table = HalfspaceProbTable(counts=_prob_counts(codes, distinct), n=n)
-    hist = 8 * -(-2000 // _native.kernel("sort_rows")(2000)) * (n + 1)
+    table = HalfspaceProbTable(counts=_prob_counts(codes, distinct), n=n, codes=codes)
+    assert n >= depth._FEW_QUERIES
     tracemalloc.start()
     try:
-        a1, a2 = table.sorted_pairs
+        _min_counts(table, codes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(a1) > 1_900_000
-    assert peak <= a1.nbytes + a2.nbytes + hist + 64 * 1024
+    assert peak <= 8 * 8 * n + 64 * 1024
+    assert len(table.sorted_pairs[0]) > 1_900_000
 
 
 # ------------------------------------------------------------------- scan
@@ -337,42 +352,60 @@ def test_pair_sort_allocates_only_its_output(native, n):
 @pytest.mark.parametrize("tied", [False, True])
 def test_scan_equals_numpy_on_codes_and_distances(native, n_anchors, tied):
     # 40 and 256 anchors take uint8 codes and 257 uint16 ones; pair
-    # indices are uint16 throughout. The sample queries its own
-    # codes; fresh points query float64 distances, many at once and one
-    # at a time.
+    # indices are uint16 throughout. The sample queries its own codes;
+    # fresh points query float64 distances, many at once and one at a
+    # time.
     rng = np.random.default_rng(n_anchors)
     n = 70
     dist = distances(rng, n + 9, n_anchors, tied)
     codes, distinct = _row_ranks(dist[:n])
     assert distinct == distinct_rows(codes) == (not tied)
     table = HalfspaceProbTable(counts=_prob_counts(codes, distinct), n=n, codes=codes)
-    same_scan(table, table.codes)
-    batch = same_scan(table, dist[n:])
+    same_min_counts(table, table.codes)
+    batch = same_min_counts(table, dist[n:])
     for j in range(9):
-        alone = same_scan(table, dist[n + j:n + j + 1])
+        alone = same_min_counts(table, dist[n + j:n + j + 1])
         assert [int(a[0]) for a in alone] == [int(b[j]) for b in batch]
     want = dense_min_counts(table.counts, n, dist)
-    assert all(np.array_equal(g, w) for g, w in zip(same_scan(table, dist), want))
+    assert all(np.array_equal(g, w) for g, w in zip(same_min_counts(table, dist), want))
 
 
-def test_scan_past_the_first_span_of_pairs(native, rng):
-    # 150 anchors keep about 11 000 pairs, so deep queries scan more than
-    # 4096 pairs before their first hit; the counts must still equal the
-    # dense minimum.
-    space = Sphere(2)
-    sample = random_points(space, 150, rng)
-    table = halfspace_prob_table(space, sample, sample)
-    assert len(table.sorted_pairs[0]) > 2 * 4096
-    nums = same_scan(table, table.codes)[0]
-    dist = space.distance_matrix(sample, sample)
-    same_scan(table, dist)
-    assert np.array_equal(nums, dense_min_counts(table.counts, table.n, dist)[0])
+def test_scan_past_the_first_span_of_pairs(native):
+    # 150 anchors keep about 11 000 pairs, and the counts must equal the
+    # dense minimum however far a first hit lies. Uniform points on the
+    # sphere are all about as shallow, and hit within the first 600 pairs;
+    # the deepest of Gaussian points in the plane scan more than 2 * 4096.
+    for space in (Sphere(2), Euclidean(2)):
+        sample = random_points(space, 150, np.random.default_rng(20260809))
+        table = halfspace_prob_table(space, sample, sample)
+        nums, a1, a2 = same_min_counts(table, table.codes)
+        dist = space.distance_matrix(sample, sample)
+        same_min_counts(table, dist)
+        assert np.array_equal(nums, dense_min_counts(table.counts, table.n, dist)[0])
+    # Kept pairs ascend by (count, flat index), so that key places a hit.
+    a1s, a2s = (a.astype(np.int64) for a in table.sorted_pairs)
+    key = table.counts[a1s, a2s].astype(np.int64) * 150**2 + a1s * 150 + a2s
+    assert np.searchsorted(key, nums * 150**2 + a1 * 150 + a2).max() > 2 * 4096
+
+
+def test_a_table_in_column_order_is_read_as_its_contiguous_copy(native):
+    # The kernels read a C-contiguous table, so a table held in column
+    # order is copied for the call, and that copy must outlive it: at 600
+    # anchors the copy is large enough to be unmapped when freed.
+    codes, distinct = _row_ranks(distances(np.random.default_rng(6), 50, 600, False))
+    counts = _prob_counts(codes, distinct)
+    want = same_min_counts(HalfspaceProbTable(counts=counts, n=50), codes)
+    columns = HalfspaceProbTable(counts=np.asfortranarray(counts), n=50)
+    assert not columns.counts.flags.c_contiguous
+    for rows in (codes, codes[:3]):
+        got = _min_counts(columns, rows)
+        assert all(np.array_equal(g, w[:len(rows)]) for g, w in zip(got, want))
 
 
 def test_single_anchor_has_no_pair(native):
     table = HalfspaceProbTable(counts=np.array([[3]], dtype=np.uint8), n=3)
     for query in (np.array([[0.5], [2.0]]), np.zeros((2, 1), dtype=np.uint8)):
-        got = same_scan(table, query)
+        got = same_min_counts(table, query)
         assert [a.tolist() for a in got] == [[3, 3], [-1, -1], [-1, -1]]
 
 
@@ -384,7 +417,7 @@ def test_query_admitting_only_the_last_kept_pair(native):
     table = HalfspaceProbTable(counts=counts, n=4)
     assert [a.tolist() for a in table.sorted_pairs] == [[0, 1, 0, 2], [1, 2, 2, 0]]
     for query in (np.array([[3.0, 2.0, 1.0]]), np.array([[2, 1, 0]], dtype=np.uint8)):
-        assert [a.tolist() for a in same_scan(table, query)] == [[2], [2], [0]]
+        assert [a.tolist() for a in same_min_counts(table, query)] == [[2], [2], [0]]
 
 
 def test_scan_leaves_rows_of_another_width_to_numpy(native):
@@ -401,24 +434,6 @@ def test_scan_leaves_rows_of_another_width_to_numpy(native):
 
 
 # ------------------------------------------------------ least-count pass
-
-def same_least(counts, n, query):
-    """The least-count pass's ``(count, a1, a2)``, checked against the
-    compiled and the numpy sort and scan over the same table and query."""
-    code = np.min_scalar_type(len(counts) - 1) if query.dtype == np.float64 else query.dtype
-    assert _native.kernel("least", code, counts.dtype) is not None
-    assert len(query) < depth._FEW_QUERIES
-    table = HalfspaceProbTable(counts=counts, n=n)
-    got = _min_counts(table, query)
-    assert "sorted_pairs" not in vars(table)
-    table.sorted_pairs
-    want = _min_counts(table, query)
-    with numpy_kernels():
-        oracle = _min_counts(HalfspaceProbTable(counts=counts, n=n), query)
-    for g, w, o in zip(got, want, oracle):
-        assert g.dtype == w.dtype == o.dtype and np.array_equal(g, w) and np.array_equal(g, o)
-    return got
-
 
 def query_rows(rng, n_anchors, kind):
     """Nine float64 query rows: tie-free, all tied (every entry equal), tied
@@ -451,8 +466,8 @@ def test_least_equals_sort_and_scan(native, n_anchors, n, tied):
         ranks = _row_ranks(rows)[0].astype(np.uint16)
         small = (ranks if n_anchors <= 256 else ranks // 2).astype(np.uint8)
         for query in (rows, small, ranks):
-            same_least(counts, n, query)
-            same_least(counts, n, query[3:4])
+            same_min_counts(HalfspaceProbTable(counts=counts, n=n), query)
+            same_min_counts(HalfspaceProbTable(counts=counts, n=n), query[3:4])
 
 
 @pytest.mark.parametrize("count, n_anchors", [(np.uint8, 5), (np.uint8, 65), (np.uint16, 5),
@@ -469,7 +484,7 @@ def test_least_reaches_the_count_ceiling(native, count, n_anchors):
                   np.arange(n_anchors, dtype=np.uint8)[None, ::-1].copy()):
         admits = query[0][:, None] <= query[0][None, :]
         counts = np.where(admits, top, rng.integers(0, top, (n_anchors, n_anchors))).astype(count)
-        got = same_least(counts, int(top), query)
+        got = same_min_counts(HalfspaceProbTable(counts=counts, n=int(top)), query)
         first = (0, 1) if query[0, 0] == 0 else (1, 0)
         assert [int(a[0]) for a in got] == [top, *first]
 
@@ -484,7 +499,7 @@ def test_least_skips_a_diagonal_that_holds_the_row_minimum(native, n_anchors):
     counts = rng.integers(1, 5, (n_anchors, n_anchors)).astype(np.uint8)
     np.fill_diagonal(counts, 0)
     query = rng.integers(0, 4, (6, n_anchors)).astype(np.uint8)
-    nums, a1, a2 = same_least(counts, 10, query)
+    nums, a1, a2 = same_min_counts(HalfspaceProbTable(counts=counts, n=10), query)
     assert (a1 != a2).all() and (nums >= 1).all()
 
 
@@ -498,7 +513,7 @@ def test_least_equals_dense_minimum_on_small_tied_tables(data, n_anchors, m, cou
         pytest.skip("the compiled kernels cannot be built here")
     counts = data.draw(hnp.arrays(count, (n_anchors, n_anchors), elements=st.integers(0, 3)))
     query = data.draw(hnp.arrays(code, (m, n_anchors), elements=st.integers(0, 2)))
-    got = same_least(counts, 3, query)
+    got = same_min_counts(HalfspaceProbTable(counts=counts, n=3), query)
     for g, w in zip(got, dense_min_counts(counts, 3, query)):
         assert np.array_equal(g, w)
 
@@ -766,6 +781,38 @@ def test_a_failed_scratch_allocation_raises_memory_error(native):
         depths(None, 0, None, 0, 2**29, True, None)
 
 
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_a_failed_pair_allocation_raises_memory_error(native):
+    # The sort and scan size their kept pairs by reading the table, so the
+    # failure is forced by an address-space limit, in a child: a 36 MB
+    # table of 6000 anchors and one count keeps every off-diagonal pair,
+    # 144 MB of uint16 indices, with 100 MB of address space left. The call
+    # frees what it did allocate and raises; a 600-anchor call then fits.
+    code = """if True:
+        import os, resource
+        import numpy as np
+        from metricdepth import _native
+        first = _native.kernel("first", np.uint16, np.uint8)
+        def call(n_anchors):
+            query, at = np.zeros((40, n_anchors), np.uint16), np.empty(40, np.int64)
+            counts = np.full((n_anchors, n_anchors), 7, np.uint8)
+            first(query.ctypes.data, 40, n_anchors, counts.ctypes.data, at.ctypes.data)
+            return at
+        size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        resource.setrlimit(resource.RLIMIT_AS, (size + (100 << 20), resource.RLIM_INFINITY))
+        with _native.limit_threads(1):
+            try:
+                call(6000)
+            except MemoryError as exc:
+                print(exc)
+            print(call(600)[0])
+    """
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["first_u16_u8: cannot allocate its scratch", "1"]
+
+
 def kw_test(seed):
     """A Kruskal-Wallis test on three sphere:2 groups of 20; 199
     permutations make several batches of orders, so several calls of the
@@ -817,34 +864,31 @@ def test_no_thread_outlives_a_call_so_a_forked_child_runs_a_test(native):
 # ------------------------------------------------------- fallback and cache
 
 def test_kernels_are_chosen_by_dtype_alone(native):
-    # Ranks by (distance, code), tables by (code, count), tallies by count,
-    # pair sorts by (count, pair), scans by (query, pair), least-count
-    # passes and permutation depths by (code, count) dtype; no kernel takes
-    # a width flag. The
-    # permutation orders and the chart normals have one dtype of each
-    # array, so one kernel each; the spd:2 distances and the norms of the
-    # Euclidean and sphere distances take float64 alone, and the pair
-    # sort's block rows no array.
+    # Ranks by (distance, code), tables by (code, count), the sort and scan
+    # by (query, count), least-count passes and permutation depths by
+    # (code, count) dtype; no kernel takes a width flag. The permutation
+    # orders and the chart normals have one dtype of each array, so one
+    # kernel each; the spd:2 distances and the norms of the Euclidean and
+    # sphere distances take float64 alone.
     assert sorted(_native.library()) == [
         "depths_u16_u16", "depths_u16_u8", "depths_u8_u16", "depths_u8_u8",
-        "least_u16_u16", "least_u16_u8", "least_u8_u16", "least_u8_u8", "normals",
-        "norms_f64", "orders", "pairs_u16_u16", "pairs_u8_u16", "ranks_f64_u16", "ranks_f64_u8",
-        "scan_f64_u16", "scan_u16_u16", "scan_u8_u16", "sort_rows", "spd2_f64",
-        "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8",
-        "tally_u16", "tally_u8"]
+        "first_f64_u16", "first_f64_u8", "first_u16_u16", "first_u16_u8", "first_u8_u16",
+        "first_u8_u8", "least_u16_u16", "least_u16_u8", "least_u8_u16", "least_u8_u8",
+        "normals", "norms_f64", "orders", "ranks_f64_u16", "ranks_f64_u8", "spd2_f64",
+        "table_u16_u16", "table_u16_u8", "table_u8_u16", "table_u8_u8"]
     assert _native.kernel("spd2", np.float64) is not None
     assert _native.kernel("table", np.uint8, np.uint16) is not None
     assert _native.kernel("ranks", np.float64, np.uint16) is not None
-    assert _native.kernel("scan", np.float64, np.uint8) is None
+    assert _native.kernel("first", np.float64, np.uint16) is not None
     assert _native.kernel("table", np.uint16, np.uint32) is None
-    # Codes past 65 536 anchors, integer distances, pair indices past
-    # 65 536 anchors and counts wider than uint16 stay with numpy.
+    # Codes past 65 536 anchors, integer distances and counts wider than
+    # uint16 stay with numpy.
     assert _native.kernel("ranks", np.float64, np.uint32) is None
     assert _native.kernel("ranks", np.int64, np.uint8) is None
-    assert _native.kernel("pairs", np.uint8, np.uint32) is None
-    assert _native.kernel("tally", np.uint32) is None
+    assert _native.kernel("first", np.uint32, np.uint8) is None
+    assert _native.kernel("first", np.uint8, np.uint32) is None
     # The least-count pass reads codes: float64 rows are ranked first, and
-    # codes past 65 536 anchors stay with the sort and scan.
+    # codes past 65 536 anchors stay with numpy.
     assert _native.kernel("least", np.uint16, np.uint8) is not None
     assert _native.kernel("least", np.float64, np.uint8) is None
     assert _native.kernel("least", np.uint32, np.uint16) is None
@@ -1025,7 +1069,7 @@ def test_unusable_cache_falls_back(fresh_loader, caplog):
     with caplog.at_level(logging.WARNING, logger=_native.logger.name):
         assert _native.library() is None
         assert _native.kernels() == "numpy"
-        assert _native.kernel("scan", np.float64, np.uint16) is None
+        assert _native.kernel("first", np.float64, np.uint16) is None
     assert len(caplog.records) == 1
     dist = distances(np.random.default_rng(0), 30, 50, False)
     assert np.array_equal(_prob_counts(_row_ranks(dist)[0], True), brute_counts(dist))

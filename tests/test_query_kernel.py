@@ -1,8 +1,9 @@
-"""The sorted early-exit query kernel against a dense brute-force reference.
+"""The query kernels against a dense brute-force reference.
 
 ``dense_min_counts`` is the masked argmin over the row-major flattened
-table that the kernel replaces; every check demands equal counts and
-equal minimizing anchor pairs, tie-break included.
+table that the sorted early-exit scan and the least-count pass replace;
+every check demands equal counts and equal minimizing anchor pairs,
+tie-break included. The query count alone chooses between the two passes.
 """
 
 import numpy as np
@@ -243,18 +244,57 @@ def test_refine_deepest_matches_dense_reference(rng, monkeypatch):
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
-def test_refinement_sorts_the_pairs_only_for_a_long_budget(rng):
-    # A budget of _FEW_QUERIES - 1 steps queries the table _FEW_QUERIES
-    # times, one query at a time: the pairs are sorted up front, as for
-    # that many queries at once. A short budget leaves a compiled table
-    # unsorted, each step taking the least-count pass.
+def requested_passes(monkeypatch):
+    """The query passes, ``first`` or ``least``, that _min_counts asks the
+    loader for, in order."""
+    names = []
+    kernel = depth._native.kernel
+
+    def recorded(name, *dtypes):
+        if name in ("first", "least"):
+            names.append(name)
+        return kernel(name, *dtypes)
+
+    monkeypatch.setattr(depth._native, "kernel", recorded)
+    return names
+
+
+def test_query_count_alone_chooses_the_pass(monkeypatch):
+    # Fewer than _FEW_QUERIES rows take the least-count pass, more the sort
+    # and scan, for distances and codes alike, whether or not the table's
+    # pairs were sorted in numpy before: no state of the table enters it.
+    table, dist = scan_case(ties=False, seed=3)
+    dist = np.concatenate([dist, dist])
+    names = requested_passes(monkeypatch)
+    for sorted_before in (False, True):
+        if sorted_before:
+            table.sorted_pairs
+        for m, name in ((1, "least"), (depth._FEW_QUERIES - 1, "least"),
+                        (depth._FEW_QUERIES, "first"), (len(dist), "first")):
+            for query in (dist[:m], table.codes[np.arange(m) % len(table.codes)]):
+                del names[:]
+                got = _min_counts(table, query)
+                assert names == [name], (m, query.dtype)
+                assert_same(got, dense_min_counts(table.counts, table.n, dist[:m]))
+
+
+def test_refinement_takes_the_least_count_pass_for_any_budget(rng, monkeypatch):
+    # Every scan of a refinement is one row, so a budget of _FEW_QUERIES - 1
+    # steps takes the least-count pass as a budget of 3 does, to the point
+    # and depth that the numpy sort and scan give.
     space = Euclidean(2)
     sample = random_points(space, 20, rng)
-    for budget, sorted_up_front in ((depth._FEW_QUERIES - 1, True), (3, False)):
-        table = halfspace_prob_table(space, sample, sample)
-        refine_deepest(space, sample, sample, sample[0], budget=budget, seed=1, table=table)
-        compiled = depth._native.library() is not None
-        assert ("sorted_pairs" in vars(table)) == (sorted_up_front or not compiled)
+    table = halfspace_prob_table(space, sample, sample)
+    names = requested_passes(monkeypatch)
+    for budget in (depth._FEW_QUERIES - 1, 3):
+        del names[:]
+        got = refine_deepest(space, sample, sample, sample[0], budget=budget, seed=1,
+                             table=table)
+        assert names and set(names) == {"least"}
+        with numpy_kernels():
+            want = refine_deepest(space, sample, sample, sample[0], budget=budget, seed=1,
+                                  table=table)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_permutation_depth_counts_match_dense_reference(rng):

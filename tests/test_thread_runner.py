@@ -1,22 +1,21 @@
-"""The compiled ranks, table build, pair sort, scan and least-count pass on
+"""The compiled ranks, table build, sort and scan and least-count pass on
 the core's thread runner.
 
 Each call runs at 1, 2 and 3 threads, whatever the host's CPU count, and
-must give the same codes and tie flag, the same counts in the same dtype,
-the same sorted pairs and the same first-hit pairs at every count, equal
-to the numpy bodies of their entry points. Shapes cross the work threshold
+must give the same codes and tie flag, the same counts in the same dtype
+and the same ``(count, a1, a2)`` per query at every count, equal to the
+numpy bodies of their entry points. Shapes cross the work threshold
 below which a call stays on the calling thread (a 200 x 17 ranking stays
 there; 600 x 920 runs on every thread it is given), the table's runs of
 64 bytes of columns, whole and partial, with first anchors four at a time
 (n_A = 17, 289, 513, 920), the uint8/uint16 switch of the codes
 (n_A = 300) and of the counts (n = 200, 600), and rows with and without
 ties, including a single tied row, whose flag every unit's rows must
-clear. The pair sort is also run by blocks of any number of rows, whatever
-its size, since a sort small enough for one thread takes one block. The
-least-count pass, which a few queries against a table not sorted yet
-take, runs one query per unit, and a build that counts the threads it
-starts checks where it and the permutation tests' depth counts take a
-second one.
+clear. The sort and scan sorts by blocks of 64 table rows when it takes
+more than one thread (n_A = 513, 920), and as one block otherwise. The
+least-count pass, which fewer than ``_FEW_QUERIES`` queries take, runs
+one query per unit, and a build that counts the threads it starts checks
+where it and the permutation tests' depth counts take a second one.
 """
 
 import ctypes
@@ -27,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricdepth import _native
+from metricdepth import _native, depth
 from metricdepth.depth import (
     HalfspaceProbTable,
     _min_counts,
@@ -106,18 +105,16 @@ def test_scan_at_every_thread_count(n, n_anchors, tied):
 @pytest.mark.parametrize("n_anchors", ANCHORS)
 @pytest.mark.parametrize("tied", ["none", "all", "one"])
 def test_least_at_every_thread_count(n_anchors, tied):
-    # 20 queries against a fresh table take the least-count pass: as
-    # float64 distances, as codes, and one query alone. Against 920
-    # anchors they are work enough for three threads.
+    # 20 queries take the least-count pass: as float64 distances, as codes,
+    # and one query alone. Against 920 anchors they are work enough for
+    # three threads.
     dist = rows(200, n_anchors, tied, 5)
     codes, distinct = _row_ranks(dist)
     counts = _prob_counts(codes, distinct)
     queries = rows(20, n_anchors, tied, 6)
     table = HalfspaceProbTable(counts, n=200)
-    _min_counts(table, queries)
-    assert "sorted_pairs" not in vars(table)
     for query in (queries, _row_ranks(queries)[0], queries[:1]):
-        at_every_thread_count(lambda: _min_counts(HalfspaceProbTable(counts, n=200), query))
+        at_every_thread_count(lambda: _min_counts(table, query))
 
 
 def test_least_takes_a_second_thread_only_when_its_work_pays(baseline_core):
@@ -160,79 +157,47 @@ def test_depths_take_a_second_thread_only_when_their_work_pays(baseline_core):
         assert started.value == more, (n_refs, m, total, threads)
 
 
-def numpy_pairs(counts, n):
-    with numpy_kernels():
-        return HalfspaceProbTable(counts, n=n).sorted_pairs
-
-
-def pairs_by_blocks(counts, rows, threads):
-    """The compiled tally and placing of a table's pairs by blocks of
-    ``rows`` rows on up to ``threads`` threads, as ``sorted_pairs`` calls
-    them with the rows that ``sort_rows`` picks."""
-    n_anchors = len(counts)
-    top = int(counts.max())
-    hist = np.zeros((-(-n_anchors // rows), top + 1), dtype=np.int64)
-    with kernel_threads(threads):
-        bound = _native.kernel("tally", counts.dtype)(counts.ctypes.data, n_anchors, top, rows,
-                                                      hist.ctypes.data)
-        kept = int(hist[:, :bound + 1].sum())
-        a1, a2 = np.empty(kept, dtype=np.uint16), np.empty(kept, dtype=np.uint16)
-        _native.kernel("pairs", counts.dtype, np.uint16)(
-            counts.ctypes.data, n_anchors, top, rows, bound, hist.ctypes.data, a1.ctypes.data,
-            a2.ctypes.data)
-    return a1, a2
-
-
-def assert_same_pairs(got, want):
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype == np.uint16 and np.array_equal(g, w)
+def sort_queries(n_anchors, seed):
+    """Queries enough for the sort and scan: the float64 rows of
+    ``_FEW_QUERIES`` fresh points and their codes."""
+    dist = np.random.default_rng(seed).random((depth._FEW_QUERIES, n_anchors))
+    return dist, _row_ranks(dist)[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(n_anchors=st.sampled_from([1, 2, 63, 64, 65, 255, 256, 257]),
-       n=st.sampled_from([40, 260]), tied=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       rows=st.sampled_from([1, 7, 64, 100]), threads=st.sampled_from([1, 2]))
-def test_pair_sort_equals_numpy(n_anchors, n, tied, seed, rows, threads):
-    # 40 sample rows take uint8 counts and 260 uint16 ones. By any block
-    # rows, including blocks that end inside a 64-row tile, the pairs are
-    # the numpy body's; so are those of sorted_pairs at 1 thread and at 2.
+       n=st.sampled_from([40, 260]), tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pair_sort_equals_numpy(n_anchors, n, tied, seed):
+    # 40 sample rows take uint8 counts and 260 uint16 ones. The sample's own
+    # codes, the deepest points among them, and fresh points take the sort
+    # and scan, to the numpy body's pairs at 1, 2 and 3 threads.
     dist = np.random.default_rng(seed).random((n, n_anchors))
     if tied and n_anchors > 1:
         dist[:, n_anchors // 2:] = dist[:, :n_anchors - n_anchors // 2]
     codes, distinct = _row_ranks(dist)
     counts = _prob_counts(codes, distinct)
     assert counts.dtype == (np.uint8 if n == 40 else np.uint16)
-    want = numpy_pairs(counts, n)
-    assert_same_pairs(pairs_by_blocks(counts, rows, threads), want)
-    with _native.limit_threads(1):
-        assert_same_pairs(HalfspaceProbTable(counts, n=n).sorted_pairs, want)
-    with kernel_threads(2):
-        assert_same_pairs(HalfspaceProbTable(counts, n=n).sorted_pairs, want)
+    table = HalfspaceProbTable(counts, n=n, codes=codes)
+    for query in (codes, *sort_queries(n_anchors, seed)):
+        at_every_thread_count(lambda: _min_counts(table, query))
 
 
 def test_jiggled_table_sorts_by_blocks_on_two_threads():
     # A 230 x 920 jiggled spd:2 table, as in a jiggle:3 query depth, takes
-    # uint8 counts and is large enough for blocks on two threads; one
-    # thread sorts it as one block. Each gives the numpy body's pairs.
+    # uint8 counts and is large enough for the sort to take blocks of 64
+    # rows, the last one partial, on two threads; one thread sorts it as one
+    # block. Three threads, more than the reference host's cores, meet their
+    # blocks' least pair maxima in one atomic minimum. Each gives the numpy
+    # body's pairs to the sample's codes and to fresh points.
     space = SPD(2)
     sample = random_points(space, 230, np.random.default_rng(7))
     anchors = jiggle_anchors(space, sample, 3, seed=7).points
     codes, distinct = _row_ranks(space.distance_matrix(sample, anchors))
     counts = _prob_counts(codes, distinct)
     assert counts.shape == (920, 920) and counts.dtype == np.uint8
-    sort_rows = _native.kernel("sort_rows")
-    with kernel_threads(2):
-        assert sort_rows(920) == 64
-    with _native.limit_threads(1):
-        assert sort_rows(920) == 920
-    want = numpy_pairs(counts, 230)
-    with _native.limit_threads(1):
-        assert_same_pairs(HalfspaceProbTable(counts, n=230).sorted_pairs, want)
-    # Three threads, more than the reference host's cores, meet their
-    # blocks' least pair maxima in one atomic minimum.
-    for threads in THREADS[1:]:
-        with kernel_threads(threads):
-            assert_same_pairs(HalfspaceProbTable(counts, n=230).sorted_pairs, want)
+    table = HalfspaceProbTable(counts, n=230, codes=codes)
+    for query in (codes, *sort_queries(920, 7)):
+        at_every_thread_count(lambda: _min_counts(table, query))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
@@ -241,11 +206,9 @@ def test_pair_sort_bins_every_count_of_a_table_past_n(dtype):
     # histograms are sized by the greatest count, so the compiled sort
     # still reads none past its bins and gives the numpy body's pairs.
     counts = np.random.default_rng(3).integers(0, 200, size=(300, 300)).astype(dtype)
-    want = numpy_pairs(counts, 5)
-    for threads in THREADS:
-        with kernel_threads(threads):
-            assert_same_pairs(HalfspaceProbTable(counts, n=5).sorted_pairs, want)
-    assert_same_pairs(pairs_by_blocks(counts, 64, 2), want)
+    table = HalfspaceProbTable(counts, n=5)
+    for query in sort_queries(300, 3):
+        at_every_thread_count(lambda: _min_counts(table, query))
 
 
 def test_many_one_query_scans_agree_with_one_batch():
