@@ -7,8 +7,6 @@ intrinsic (Frechet) mean, and the intrinsic median. The depth median and
 intrinsic median shrug off the contamination; the mean is dragged.
 """
 
-import numpy as np
-
 from metricdepth.estimators import frechet_mean, frechet_median, mhd_median
 from metricdepth.simulation import SimulationConfig, canonical_center, sample_contaminated
 from metricdepth.spaces import SPD

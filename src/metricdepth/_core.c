@@ -23,11 +23,11 @@
  * The ranks, the table build, the pair sort, the scan, the least-count pass
  * and the depth counts run on the core's one thread runner (`run_units`):
  * a call splits its work into units, which its threads claim one at a
- * time, and takes as many threads as its caller allows, its units number
- * and its estimated work pays for, starting and joining them before it
- * returns. Units write disjoint outputs with the same arithmetic on any
- * thread, so every output is the same at any thread count. Every other
- * kernel runs on the calling thread.
+ * time, and takes as many threads as its caller allows and its units
+ * number, but no more than one per GRAIN of its estimated work, starting
+ * and joining them before it returns. Units write disjoint outputs with the
+ * same arithmetic on any thread, so every output is the same at any thread
+ * count. Every other kernel runs on the calling thread.
  *
  * The table's one run body, which the depth counts' groups call too, the
  * least-count pass, the depth counts' pass, spd2 and norms are built as
@@ -69,21 +69,29 @@
 #endif
 #endif
 
+/* The thread runner's cost model. A call takes one thread per GRAIN
+ * nanoseconds of its estimated work on one thread, up to its units and the
+ * threads its caller allows: starting and joining a thread takes tens of
+ * microseconds, and the new thread reads its inputs into a cold cache. Each
+ * kernel estimates its work from its shape at these costs per step, fitted
+ * on one thread of a 2-core x86-64 Xeon (AVX-512 clone). */
+enum {
+    GRAIN = 100000,        /* every kernel: the least work, in ns, per thread */
+    RANK_NS = 20,          /* ranks: ns per distance entry */
+    TABLE_PER_NS = 28,     /* table: code compares per ns, n * n_A^2, half that without ties */
+    SORT_NS = 4,           /* pair sort: ns per table entry, of its tally and of its placing */
+    SCAN_PER_NS = 16,      /* scan: pairs per ns, every kept pair for every query */
+    LEAST_PER_NS = 8,      /* least-count pass: table entries per ns, m * n_A^2 */
+    DEPTHS_RUN_PS = 680,   /* depth counts: ps per member pair and run of LANES lanes */
+    DEPTHS_PAIR_PS = 1370, /* depth counts: ps per member pair, its member codes and table */
+    DEPTHS_BASE_NS = 260,  /* depth counts: ns per group */
+};
+
 /* Bytes to which each thread's scratch block is aligned and rounded, one
  * cache line, so that no line holds two threads' blocks: with two threads'
  * query rows in one line, two threads took 1.6 times the CPU time of one
  * for the same groups on a 2-core x86-64 Xeon. */
 enum { ALIGN = 64 };
-
-/* The least work per thread, in nanoseconds on one thread, for which a call
- * takes one more: starting and joining a thread takes tens of microseconds,
- * and the new thread reads its inputs into a cold cache. Each kernel
- * estimates its work from its shape, at a cost per step measured on one
- * thread of a 2-core x86-64 Xeon, and passes its grain, GRAIN but for the
- * depth counts (DEPTHS_GRAIN). A call below twice the grain, such as the
- * 100 x 300 ranks, table and self-query scan of a simulate replicate, stays
- * on the calling thread. */
-enum { GRAIN = 400000 };
 
 /* One kernel call on the core's runner: its units of work, numbered from 0,
  * are claimed one at a time through `next` by every thread of the call,
@@ -111,17 +119,17 @@ static void *run_claim(void *arg)
 }
 
 /* The threads that a call of `units` units takes, of at most `threads`:
- * min(threads, units, work / grain), and at least one. `work` estimates the
+ * min(threads, units, work / GRAIN), and at least one. `work` estimates the
  * call's nanoseconds on one thread. */
-static int64_t run_threads(int64_t threads, int64_t units, int64_t work, int64_t grain)
+static int64_t run_threads(int64_t threads, int64_t units, int64_t work)
 {
     threads = threads < units ? threads : units;
-    threads = threads < work / grain ? threads : work / grain;
+    threads = threads < work / GRAIN ? threads : work / GRAIN;
     return threads > 1 ? threads : 1;
 }
 
 /* Runs every unit of a call, whose arguments `unit` reads from `args`, on
- * run_threads(threads, units, work, grain) threads: the calling thread and
+ * run_threads(threads, units, work) threads: the calling thread and
  * threads started here and joined before returning, so no thread outlives
  * the call. The threads' blocks of `block` bytes are allocated back to back
  * before any thread starts. A thread that cannot be started leaves its
@@ -130,9 +138,9 @@ static int64_t run_threads(int64_t threads, int64_t units, int64_t work, int64_t
  * Returns whether every unit returned nonzero, or -1 when the blocks cannot
  * be allocated. */
 static int run_units(int (*unit)(void *, int64_t, unsigned char *), void *args, int64_t units,
-                     int64_t block, int64_t threads, int64_t work, int64_t grain)
+                     int64_t block, int64_t threads, int64_t work)
 {
-    threads = run_threads(threads, units, work, grain);
+    threads = run_threads(threads, units, work);
     struct run run = {unit, args, units, (block + ALIGN - 1) / ALIGN * ALIGN, NULL, 0, 0, 1};
     if (run.block_size > 0
         && posix_memalign((void **)&run.blocks, ALIGN, threads * run.block_size) != 0)
@@ -273,9 +281,8 @@ static void bucket_sort(double *value, uint32_t *index, int64_t len, double *spa
     insertion_sort(value, index, len);
 }
 
-/* Rows of a ranks unit, and the nanoseconds that ranking takes per entry:
- * 15 to 23 on distances of 100 x 300 to 1000 x 1000. */
-enum { ROWS = 8, RANK_NS = 20 };
+/* Rows of a ranks unit. */
+enum { ROWS = 8 };
 
 struct ranks_args {
     const double *dist;
@@ -326,7 +333,7 @@ struct ranks_args {
         return run_units(NAME##_rows, &args, (n + ROWS - 1) / ROWS,            \
                          2 * n_anchors * (int64_t)sizeof(double)               \
                          + (2 + LEVELS) * (n_anchors + 1) * (int64_t)sizeof(uint32_t), \
-                         threads, n * n_anchors * RANK_NS, GRAIN);             \
+                         threads, n * n_anchors * RANK_NS);                    \
     }
 
 RANKS(ranks_f64_u8, uint8_t)
@@ -339,12 +346,6 @@ RANKS(ranks_f64_u16, uint16_t)
  * first anchors over one run stay in registers while the sample rows
  * stream past; eight gave the permutation tests' groups the same times. */
 enum { LANES = 64, FIRSTS = 4 };
-
-/* Compares of codes that the table build makes per nanosecond on one
- * thread, counted as n * n_anchors^2, or half that without ties: 25 to 35
- * on tables of 100 x 300 to 1000 x 1000, tied and tie-free, 28.6 fitted
- * by least squares over them (AVX-512 clone). */
-enum { TABLE_PER_NS = 28 };
 
 struct table_args {
     const void *codes;
@@ -428,7 +429,7 @@ struct table_args {
         int64_t run = LANES / sizeof(CODE);                                    \
         return run_units(NAME##_unit, &args, (n_anchors + run - 1) / run, n * LANES, \
                          threads, n * n_anchors * n_anchors / (distinct ? 2 : 1) \
-                                      / TABLE_PER_NS, GRAIN);                  \
+                                      / TABLE_PER_NS);                         \
     }
 
 TABLE(table_u8_u8, uint8_t, uint8_t, uint8_t)
@@ -440,11 +441,8 @@ TABLE(table_u16_u16, uint16_t, uint16_t, uint16_t)
  * and its mirror, 64 rows of 64 uint16 counts each, stay in L1. */
 enum { MIRROR = 64 };
 
-/* Nanoseconds per table entry that the pair sort takes on one thread, its
- * tally 1.0 to 1.6 and its placing 1.8 to 4.7 on tables of 200 x 200 to
- * 1000 x 1000, more on larger ones, whose placing writes spread over more
- * memory. A sort on more than one thread takes blocks of SORT_ROWS rows. */
-enum { SORT_NS = 4, SORT_ROWS = MIRROR };
+/* Rows of a block of the pair sort on more than one thread. */
+enum { SORT_ROWS = MIRROR };
 
 /* One counting sort of a table's pairs, by blocks of `rows` table rows,
  * whose counts are at most `top`. Each block has its own histogram, a row of
@@ -472,7 +470,7 @@ static int64_t block_rows(const struct sort_args *args, int64_t u, int64_t *end)
 static int64_t sort_rows(int64_t n_anchors, int64_t threads)
 {
     int64_t blocks = (n_anchors + SORT_ROWS - 1) / SORT_ROWS;
-    if (run_threads(threads, blocks, n_anchors * n_anchors * SORT_NS, GRAIN) > 1)
+    if (run_threads(threads, blocks, n_anchors * n_anchors * SORT_NS) > 1)
         return SORT_ROWS;
     return n_anchors > 1 ? n_anchors : 1;
 }
@@ -530,7 +528,7 @@ static int64_t sort_rows(int64_t n_anchors, int64_t threads)
     {                                                                          \
         struct sort_args args = {counts, n_anchors, top, rows, hist, top, NULL, NULL}; \
         run_units(NAME##_rows, &args, (n_anchors + rows - 1) / rows, 0, threads, \
-                  n_anchors * n_anchors * SORT_NS, GRAIN);                     \
+                  n_anchors * n_anchors * SORT_NS);                            \
         return args.bound;                                                     \
     }
 
@@ -599,18 +597,15 @@ enum { CHUNK = 256 };
         struct sort_args args = {counts, n_anchors, top, rows, hist, bound, a1, a2}; \
         pair_starts(&args);                                                    \
         run_units(NAME##_rows, &args, (n_anchors + rows - 1) / rows, 0, threads, \
-                  n_anchors * n_anchors * SORT_NS, GRAIN);                     \
+                  n_anchors * n_anchors * SORT_NS);                            \
     }
 
 PAIRS(pairs_u8, uint8_t)
 PAIRS(pairs_u16, uint16_t)
 
 /* Queries of a scan unit. A scan stops at its first hit, so a call's work
- * is estimated from the most pairs it can read, every pair for every query:
- * SCAN_PER_NS of those per nanosecond is what self-depth scans took on
- * spd:2, the slowest of spd:2, sphere:2 and euclidean:5 (14 to 20 on
- * spd:2, over 50 on the others). */
-enum { QUERIES = 4, SCAN_PER_NS = 16 };
+ * is estimated from the most pairs it can read, every pair for every query. */
+enum { QUERIES = 4 };
 
 struct scan_args {
     const void *query;
@@ -648,7 +643,7 @@ struct scan_args {
     {                                                                          \
         struct scan_args args = {query, m, n_anchors, a1, a2, n_pairs, at};    \
         run_units(NAME##_queries, &args, (m + QUERIES - 1) / QUERIES, 0, threads, \
-                  m * n_pairs / SCAN_PER_NS, GRAIN);                           \
+                  m * n_pairs / SCAN_PER_NS);                                  \
     }
 
 SCAN(scan_f64, double)
@@ -697,14 +692,6 @@ FIRST(u8, uint8_t, u8, uint8_t)
 FIRST(u8, uint8_t, u16, uint16_t)
 FIRST(u16, uint16_t, u8, uint8_t)
 FIRST(u16, uint16_t, u16, uint16_t)
-
-/* Table entries that the least-count pass reads per nanosecond on one
- * thread, counted as m * n_anchors^2: about 5 on spd:2 tables of 300
- * anchors, whose short rows pay more per entry, and 10 on 920 (AVX-512
- * clone). So a refinement step's 1 x 300 call (est. 11 us) stays on the
- * calling thread, and 10 queries against 920 anchors (est. 1.06 ms) take
- * two. */
-enum { LEAST_PER_NS = 8 };
 
 struct least_args {
     const void *query, *counts;
@@ -788,7 +775,7 @@ struct least_args {
     {                                                                          \
         struct least_args args = {query, counts, n_anchors, at};               \
         return run_units(NAME##_unit, &args, m, 0, threads,                    \
-                         m * n_anchors * n_anchors / LEAST_PER_NS, GRAIN);     \
+                         m * n_anchors * n_anchors / LEAST_PER_NS);            \
     }
 
 LEAST(least_u8_u8, uint8_t, uint8_t, uint8_t)
@@ -827,24 +814,9 @@ struct depths_args {
  * the (m, m) table, its entries rounded up to an even number so the uint16
  * codes after it stay aligned, and the member codes: 3.9 KiB for a group of
  * 30 among 90 with uint8 codes and counts, 11.3 KiB for 60 among 240, and
- * 274 KiB for 256 among 257 with uint16 ones.
- *
- * On one thread a group takes about DEPTHS_RUN_PS picoseconds per member
- * pair and run of LANES bytes of lanes, DEPTHS_PAIR_PS per member pair for
- * its member codes and table, and DEPTHS_BASE_NS more: a least-squares fit
- * of relative error over groups of 20 to 256 among 40 to 257, tied and
- * tie-free, within 0.51 to 1.31 times each group's time (AVX-512 clone).
- * The transpose is left out; a call of 100 groups of 40 among 2000 took
- * 1.8 to 3 times the estimate. A call takes one more thread per
- * DEPTHS_GRAIN of that work rather than per GRAIN: its inputs are the
- * pooled codes and the references, a few kilobytes that a new thread reads
- * at once, and two threads ran 100 groups of 30 among 60 (0.19 ms) 27 %
- * faster than one, 50 groups 11 % faster and 20 groups 26 % slower. So the
- * permutation tests' calls of 100 groups of 30 among 90 and among 60 (est.
- * 0.27 and 0.21 ms) take two threads on two or more CPUs, and those of 1000
- * groups of 60 among 240 (est. 15 ms) one per CPU; a call of one group, as
- * depth_ranks makes, takes one. */
-enum { DEPTHS_RUN_PS = 680, DEPTHS_PAIR_PS = 1370, DEPTHS_BASE_NS = 260, DEPTHS_GRAIN = 100000 };
+ * 274 KiB for 256 among 257 with uint16 ones. A call's work is estimated
+ * per group from its member pairs and runs of lanes; the transpose is left
+ * out. */
 
 /* One pair's step of the pass for one run of LANES observations, whose
  * least admissible counts so far are `lane`: qa and qb are members a and
@@ -949,8 +921,7 @@ enum { DEPTHS_RUN_PS = 680, DEPTHS_PAIR_PS = 1370, DEPTHS_BASE_NS = 260, DEPTHS_
         int64_t runs = width * (int64_t)sizeof(CODE) / LANES;                  \
         int done = run_units(depths_##C##_##K##_group, &args, n_refs, bytes, threads, \
                              n_refs * (m * m * (runs * DEPTHS_RUN_PS + DEPTHS_PAIR_PS) / 1000 \
-                                       + DEPTHS_BASE_NS),                      \
-                             DEPTHS_GRAIN);                                    \
+                                       + DEPTHS_BASE_NS));                     \
         free(cols);                                                            \
         return done;                                                           \
     }

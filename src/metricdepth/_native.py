@@ -48,13 +48,13 @@ before it returns, and a failed allocation raises ``MemoryError``.
 core's one thread runner. A call splits its work into units (blocks of
 rows, runs of 64 bytes of table columns, blocks of table rows, blocks of
 queries or one query, or one reference group) that its threads claim one
-at a time, and takes ``min(threads(), units, work / grain)`` threads, at
-least one: its estimated single-thread time over an internal grain of
-work per thread, so small calls, such as one-query passes, stay on the
-calling thread. The loader passes :func:`threads` to these kernels as
-their last argument at every call, so a change of the process's CPU
-affinity, or of the cap set by :func:`limit_threads`, applies to the next
-call. A call starts its threads and joins them before it returns: no
+at a time, and takes ``min(threads(), units, work / GRAIN)`` threads, at
+least one: its estimated single-thread time over one grain of 0.1 ms per
+thread, the same for every kernel, so small calls, such as one-query
+passes, stay on the calling thread. The loader passes :func:`threads` to
+these kernels as their last argument at every call, so a change of the
+process's CPU affinity, or of the cap set by :func:`limit_threads`,
+applies to the next call. A call starts its threads and joins them before it returns: no
 thread outlives a kernel call, so a process forked after one inherits
 none, and calls made at once from several threads share nothing. Units
 write disjoint outputs with the same arithmetic on any thread, so every

@@ -162,11 +162,8 @@ def test_result_to_json(result: TestResult) -> dict:
 
 
 def write_csv_rows(path, columns, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(columns))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    """Each row, a dict keyed by ``columns``, as one line of its values."""
+    _write_csv_lines(path, columns, [",".join(str(row[c]) for c in columns) for row in rows])
 
 
 @dataclass
@@ -178,9 +175,9 @@ class RunManifest:
     ``"native"`` for the compiled core, ``"numpy"`` when it could not be
     built. ``threads`` is the most threads a compiled kernel call may run
     on (see :func:`metricdepth._native.threads`), 1 on numpy: the ranks,
-    table build, scan and permutation depth counts split a call over up to
-    that many when its work pays for them. Outputs are the same bytes with
-    both kernels and any thread count.
+    table build, pair sort, scan, least-count pass and permutation depth
+    counts split a call over up to that many when its work pays for them.
+    Outputs are the same bytes with both kernels and any thread count.
     """
 
     command: list

@@ -103,6 +103,161 @@ int __wrap_pthread_create(pthread_t *id, const pthread_attr_t *attr, void *(*sta
 """
 
 
+# Calls every kernel of the core's thread runner at 1, 2 and 3 threads, on
+# tied and untied inputs, and exits 1 unless each output at 2 and 3 threads
+# is the bytes of the call at 1; built with ThreadSanitizer, it also shows
+# whether any two threads of a call touch one byte without ordering.
+TSAN_DRIVER = r"""
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* A 64-bit LCG, so every run reads the same inputs. */
+static uint64_t state = 1;
+
+static uint32_t draw(void)
+{
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (uint32_t)(state >> 33);
+}
+
+/* Exits 1 unless the output of a call at 2 or 3 threads equals it at 1. */
+static void same(const void *one, const void *other, size_t bytes, const char *what,
+                 int64_t n, int64_t n_anchors, int threads)
+{
+    if (memcmp(one, other, bytes) != 0) {
+        fprintf(stderr, "%s of %lld x %lld differs at %d threads\n", what, (long long)n,
+                (long long)n_anchors, threads);
+        exit(1);
+    }
+}
+
+static void done(int result, const char *what)
+{
+    if (result < 0) {
+        fprintf(stderr, "%s cannot allocate its scratch\n", what);
+        exit(1);
+    }
+}
+
+/* Ranks an (n, n_anchors) distance matrix, tied or not, builds its table,
+ * scans the sample's own codes by `first` and passes the first `few` of
+ * them by `least`, at 1, 2 and 3 threads. */
+#define CHECK(CS, CODE, KS, COUNT)                                             \
+    int ranks_f64_##CS(const double *, int64_t, int64_t, CODE *, int64_t);     \
+    int table_##CS##_##KS(const CODE *, int64_t, int64_t, int, COUNT *, int64_t); \
+    int first_##CS##_##KS(const CODE *, int64_t, int64_t, const COUNT *, int64_t *, int64_t); \
+    int least_##CS##_##KS(const CODE *, int64_t, int64_t, const COUNT *, int64_t *, int64_t); \
+                                                                               \
+    static void check_##CS##_##KS(int64_t n, int64_t n_anchors, int64_t few, int tied) \
+    {                                                                          \
+        double *dist = malloc(n * n_anchors * sizeof *dist);                   \
+        for (int64_t k = 0; k < n * n_anchors; k++)                            \
+            dist[k] = tied ? (double)(draw() % (n_anchors / 4 + 1)) : draw() / 2147483648.0; \
+        CODE *codes[3];                                                        \
+        COUNT *counts[3];                                                      \
+        int64_t *first[3], *least[3];                                          \
+        int distinct[3];                                                       \
+        for (int t = 0; t < 3; t++) {                                          \
+            codes[t] = malloc(n * n_anchors * sizeof(CODE));                   \
+            counts[t] = malloc(n_anchors * n_anchors * sizeof(COUNT));         \
+            first[t] = malloc(n * sizeof(int64_t));                            \
+            least[t] = malloc(few * sizeof(int64_t));                          \
+            done(distinct[t] = ranks_f64_##CS(dist, n, n_anchors, codes[t], t + 1), "ranks"); \
+            done(table_##CS##_##KS(codes[t], n, n_anchors, distinct[t], counts[t], t + 1), \
+                 "table");                                                     \
+            done(first_##CS##_##KS(codes[t], n, n_anchors, counts[t], first[t], t + 1), \
+                 "first");                                                     \
+            done(least_##CS##_##KS(codes[t], few, n_anchors, counts[t], least[t], t + 1), \
+                 "least");                                                     \
+        }                                                                      \
+        for (int t = 1; t < 3; t++) {                                          \
+            same(codes[0], codes[t], n * n_anchors * sizeof(CODE), "ranks", n, n_anchors, t + 1); \
+            same(&distinct[0], &distinct[t], sizeof(int), "tie flag", n, n_anchors, t + 1); \
+            same(counts[0], counts[t], n_anchors * n_anchors * sizeof(COUNT), "table", n, \
+                 n_anchors, t + 1);                                            \
+            same(first[0], first[t], n * sizeof(int64_t), "first", n, n_anchors, t + 1); \
+            same(least[0], least[t], few * sizeof(int64_t), "least", n, n_anchors, t + 1); \
+        }                                                                      \
+        for (int t = 0; t < 3; t++) {                                          \
+            free(codes[t]);                                                    \
+            free(counts[t]);                                                   \
+            free(first[t]);                                                    \
+            free(least[t]);                                                    \
+        }                                                                      \
+        free(dist);                                                            \
+    }
+
+CHECK(u8, uint8_t, u16, uint16_t)
+CHECK(u16, uint16_t, u8, uint8_t)
+
+int depths_u8_u8(const uint8_t *, int64_t, const int64_t *, int64_t, int64_t, int, uint8_t *,
+                 int64_t);
+
+/* The depth counts of n_refs groups of m among `total` pooled points, whose
+ * codes are tied or each row a permutation, at 1, 2 and 3 threads. */
+static void check_depths(int64_t n_refs, int64_t m, int64_t total, int tied)
+{
+    uint8_t *codes = malloc(total * total), *out[3];
+    int64_t *refs = malloc(n_refs * m * sizeof *refs), *order = malloc(total * sizeof *order);
+    for (int64_t y = 0; y < total; y++) {
+        uint8_t *row = codes + y * total;
+        for (int64_t x = 0; x < total; x++)
+            row[x] = tied ? (uint8_t)(draw() % 8) : (uint8_t)x;
+        for (int64_t x = total - 1; x > 0 && !tied; x--) {
+            int64_t k = draw() % (x + 1);
+            uint8_t swap = row[x];
+            row[x] = row[k];
+            row[k] = swap;
+        }
+    }
+    for (int64_t r = 0; r < n_refs; r++) {
+        for (int64_t x = 0; x < total; x++)
+            order[x] = x;
+        for (int64_t i = 0; i < m; i++) {
+            int64_t k = i + draw() % (total - i), swap = order[i];
+            order[i] = order[k];
+            order[k] = swap;
+            refs[r * m + i] = order[i];
+        }
+    }
+    for (int t = 0; t < 3; t++) {
+        out[t] = malloc(n_refs * total);
+        done(depths_u8_u8(codes, total, refs, n_refs, m, !tied, out[t], t + 1), "depths");
+    }
+    for (int t = 1; t < 3; t++)
+        same(out[0], out[t], n_refs * total, "depths", n_refs, total, t + 1);
+    for (int t = 0; t < 3; t++)
+        free(out[t]);
+    free(codes);
+    free(refs);
+    free(order);
+}
+
+int main(void)
+{
+    for (int tied = 0; tied < 2; tied++) {
+        /* A simulate replicate: its ranks and in-sample pair sort and scan
+         * take two threads, its table and a refinement step's pass one. */
+        check_u16_u8(100, 300, 1, tied);
+        /* depth-self's pair sort of 400 anchors on every thread, and a
+         * pass of 10 queries on two. */
+        check_u16_u8(60, 400, 10, tied);
+        /* Ranks of two units on two of three threads. */
+        check_u16_u8(16, 640, 2, tied);
+        /* Counts past 255. */
+        check_u8_u16(256, 40, 10, tied);
+        /* Batches of 800 groups of 2 among 60 on every thread, and one
+         * group of 30 among 90. */
+        check_depths(800, 2, 60, tied);
+        check_depths(1, 30, 90, tied);
+    }
+    return 0;
+}
+"""
+
+
 @pytest.fixture(scope="session")
 def baseline_core(tmp_path_factory):
     """The core built with CLONES defined empty, so the baseline code alone,

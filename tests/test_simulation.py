@@ -12,7 +12,7 @@ from metricdepth.simulation import (
     sample_contaminated,
     sample_population,
 )
-from metricdepth.spaces import SPD, Euclidean, Sphere, Spider3, parse_space
+from metricdepth.spaces import SPD, Euclidean, Sphere, Spider3
 
 
 def config(**overrides):

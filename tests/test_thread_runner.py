@@ -1,25 +1,27 @@
-"""The compiled ranks, table build, sort and scan and least-count pass on
-the core's thread runner.
+"""The compiled ranks, table build, sort and scan, least-count pass and
+permutation depth counts on the core's thread runner.
 
 Each call runs at 1, 2 and 3 threads, whatever the host's CPU count, and
 must give the same codes and tie flag, the same counts in the same dtype
 and the same ``(count, a1, a2)`` per query at every count, equal to the
-numpy bodies of their entry points. Shapes cross the work threshold
-below which a call stays on the calling thread (a 200 x 17 ranking stays
-there; 600 x 920 runs on every thread it is given), the table's runs of
-64 bytes of columns, whole and partial, with first anchors four at a time
+numpy bodies of their entry points. Shapes cross the grain of work below
+which a call stays on the calling thread (a 200 x 17 ranking stays there;
+600 x 920 runs on every thread it is given), the table's runs of 64 bytes
+of columns, whole and partial, with first anchors four at a time
 (n_A = 17, 289, 513, 920), the uint8/uint16 switch of the codes
 (n_A = 300) and of the counts (n = 200, 600), and rows with and without
 ties, including a single tied row, whose flag every unit's rows must
 clear. The sort and scan sorts by blocks of 64 table rows when it takes
-more than one thread (n_A = 513, 920), and as one block otherwise. The
-least-count pass, which fewer than ``_FEW_QUERIES`` queries take, runs
-one query per unit, and a build that counts the threads it starts checks
-where it and the permutation tests' depth counts take a second one.
-"""
+more than one thread (from n_A = 289 at two or three threads), and as one
+block otherwise. The least-count pass, which fewer than ``_FEW_QUERIES``
+queries take, runs one query per unit. A build that counts the threads it
+starts checks, in one decision table, how many threads each kernel takes
+on the shapes that the paper's commands give it, and that a refinement's
+proposals start none."""
 
 import ctypes
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -32,11 +34,13 @@ from metricdepth.depth import (
     _min_counts,
     _prob_counts,
     _row_ranks,
+    halfspace_prob_table,
     jiggle_anchors,
+    refine_deepest,
 )
 from metricdepth.spaces import SPD
 
-from conftest import kernel_threads, numpy_kernels, random_points
+from conftest import TSAN_DRIVER, kernel_threads, numpy_kernels, random_points
 
 ANCHORS = [1, 17, 289, 300, 513, 920]
 THREADS = (1, 2, 3)
@@ -117,44 +121,160 @@ def test_least_at_every_thread_count(n_anchors, tied):
         at_every_thread_count(lambda: _min_counts(table, query))
 
 
-def test_least_takes_a_second_thread_only_when_its_work_pays(baseline_core):
-    # A refinement step's one query against 300 anchors stays on the calling
-    # thread; the 10 queries of a depth-jiggle op against 920 anchors take a
-    # second when two CPUs are allowed, and no third when three are.
-    library, kernels = baseline_core
-    started = ctypes.c_int64.in_dll(library, "threads_started")
-    for m, n_anchors, threads, more in ((1, 300, 2, 0), (10, 920, 2, 1), (10, 920, 3, 1)):
-        query = np.zeros((m, n_anchors), np.uint16)
-        counts = np.zeros((n_anchors, n_anchors), np.uint8)
-        at = np.empty(m, np.int64)
-        started.value = 0
-        with kernel_threads(threads):
-            kernels["least_u16_u8"](query.ctypes.data, m, n_anchors, counts.ctypes.data,
-                                    at.ctypes.data)
-        assert started.value == more, (m, n_anchors, threads)
+def named(kernels, task, *arrays):
+    """The baseline build's kernel ``task`` for the dtypes of ``arrays``."""
+    return kernels["_".join([task, *(_native._SUFFIXES[a.dtype] for a in arrays)])]
 
 
-def test_depths_take_a_second_thread_only_when_their_work_pays(baseline_core):
-    # A call of one group, as depth_ranks makes, stays on the calling thread
-    # however many CPUs are allowed, even one of 200 among 240, whose work
-    # alone would pay for more. The permutation tests' calls of 100 groups
-    # of 30, among 90 (a Kruskal-Wallis test of three groups of 30) and
-    # among 60 (a pairwise Wilcoxon test), take a second thread when two
-    # CPUs are allowed, and no third when three are.
-    library, kernels = baseline_core
-    started = ctypes.c_int64.in_dll(library, "threads_started")
+def code_rows(n, n_anchors):
+    """Tie-free codes of an (n, n_A) matrix, each row a permutation."""
+    dtype = np.uint8 if n_anchors <= 256 else np.uint16
+    return np.argsort(np.random.default_rng(0).random((n, n_anchors)), axis=1).astype(dtype)
+
+
+def ranks_call(kernels, n, n_anchors):
+    dist = np.random.default_rng(0).random((n, n_anchors))
+    codes = np.empty(dist.shape, np.uint8 if n_anchors <= 256 else np.uint16)
+    kernel = named(kernels, "ranks", dist, codes)
+    return lambda: kernel(dist.ctypes.data, n, n_anchors, codes.ctypes.data)
+
+
+def table_call(kernels, n, n_anchors):
+    codes = code_rows(n, n_anchors)
+    counts = np.empty((n_anchors, n_anchors), np.uint8 if n <= 255 else np.uint16)
+    kernel = named(kernels, "table", codes, counts)
+    return lambda: kernel(codes.ctypes.data, n, n_anchors, True, counts.ctypes.data)
+
+
+def least_call(kernels, m, n_anchors):
+    query = np.zeros((m, n_anchors), np.uint16)
+    counts = np.zeros((n_anchors, n_anchors), np.uint8)
+    at = np.empty(m, np.int64)
+    kernel = named(kernels, "least", query, counts)
+    return lambda: kernel(query.ctypes.data, m, n_anchors, counts.ctypes.data, at.ctypes.data)
+
+
+def first_call(kernels, n, n_anchors):
+    # The sample's own codes against its table, as self-depth scans them.
+    codes = code_rows(n, n_anchors)
+    counts = _prob_counts(codes, True)
+    at = np.empty(n, np.int64)
+    kernel = named(kernels, "first", codes, counts)
+    return lambda: kernel(codes.ctypes.data, n, n_anchors, counts.ctypes.data, at.ctypes.data)
+
+
+def depths_call(kernels, n_refs, m, total):
     rng = np.random.default_rng(2)
-    for n_refs, m, total, threads, more in ((1, 30, 90, 3, 0), (1, 200, 240, 3, 0),
-                                            (100, 30, 90, 2, 1), (100, 30, 90, 3, 1),
-                                            (100, 30, 60, 2, 1), (100, 30, 60, 3, 1)):
-        codes = np.argsort(rng.random((total, total)), axis=1).astype(np.uint8)
-        refs = np.stack([rng.permutation(total)[:m] for _ in range(n_refs)])
-        out = np.empty((n_refs, total), np.uint8)
-        started.value = 0
-        with kernel_threads(threads):
-            kernels["depths_u8_u8"](codes.ctypes.data, total, refs.ctypes.data, n_refs, m, True,
-                                    out.ctypes.data)
-        assert started.value == more, (n_refs, m, total, threads)
+    codes = np.argsort(rng.random((total, total)), axis=1).astype(np.uint8)
+    refs = np.stack([rng.permutation(total)[:m] for _ in range(n_refs)])
+    out = np.empty((n_refs, total), np.uint8)
+    kernel = named(kernels, "depths", codes, out)
+    return lambda: kernel(codes.ctypes.data, total, refs.ctypes.data, n_refs, m, True,
+                          out.ctypes.data)
+
+
+CALLS = {"ranks": ranks_call, "table": table_call, "least": least_call, "first": first_call,
+         "depths": depths_call}
+
+# (kernel, shape, threads allowed, threads started). A call takes one thread
+# per 0.1 ms of estimated work, up to its units and the threads allowed.
+DECISIONS = [
+    # A simulate replicate's 100 x 300 ranking takes a second thread; the
+    # 10 x 920 float64 query rows of a depth-jiggle op, the permutation
+    # tests' 60 x 60 and 90 x 90 pooled rankings and a 200 x 17 ranking
+    # stay on the calling thread, and 600 x 920 takes every thread.
+    ("ranks", (100, 300), 2, 1),
+    ("ranks", (10, 920), 3, 0),
+    ("ranks", (60, 60), 3, 0),
+    ("ranks", (90, 90), 3, 0),
+    ("ranks", (200, 17), 3, 0),
+    ("ranks", (600, 920), 3, 2),
+    # A simulate replicate's tie-free table stays; a jiggle:3 table of 230
+    # points takes two threads.
+    ("table", (100, 300), 2, 0),
+    ("table", (230, 920), 2, 1),
+    # A refinement step's one query stays; the 10 queries of a depth-jiggle
+    # op take every thread allowed, up to three.
+    ("least", (1, 300), 2, 0),
+    ("least", (10, 920), 2, 1),
+    ("least", (10, 920), 3, 2),
+    # A 400-point self-depth takes a second thread for the tally, the
+    # placing and the scan of its pair sort.
+    ("first", (400, 400), 2, 3),
+    # (groups, members, pooled points): a call of one group, as depth_ranks
+    # makes, stays, even one of 200 among 240, whose work alone would pay
+    # for more; the permutation tests' calls of 100 groups of 30, among 90
+    # (a Kruskal-Wallis test of three groups of 30) and among 60 (a
+    # pairwise Wilcoxon test), take a second thread and no third; 20 such
+    # groups stay.
+    ("depths", (1, 30, 90), 3, 0),
+    ("depths", (1, 200, 240), 3, 0),
+    ("depths", (100, 30, 90), 2, 1),
+    ("depths", (100, 30, 90), 3, 1),
+    ("depths", (100, 30, 60), 2, 1),
+    ("depths", (100, 30, 60), 3, 1),
+    ("depths", (20, 30, 60), 2, 0),
+]
+
+
+@pytest.mark.parametrize("kernel, shape, threads, started", DECISIONS,
+                         ids=[f"{k}-{'x'.join(map(str, s))}-T{t}" for k, s, t, _ in DECISIONS])
+def test_threads_each_call_starts(baseline_core, kernel, shape, threads, started):
+    library, kernels = baseline_core
+    call = CALLS[kernel](kernels, *shape)
+    counter = ctypes.c_int64.in_dll(library, "threads_started")
+    counter.value = 0
+    with kernel_threads(threads):
+        call()
+    assert counter.value == started
+
+
+def test_refinement_proposals_stay_on_the_calling_thread(baseline_core, monkeypatch):
+    # Each proposal of a simulate replicate's refinement (spd:2, n = 100,
+    # jiggle 2, budget 32) ranks one row and passes over its prebuilt
+    # 100 x 300 table once, far less work than one thread's grain.
+    library, kernels = baseline_core
+    space = SPD(2)
+    sample = random_points(space, 100, np.random.default_rng(11))
+    anchors = jiggle_anchors(space, sample, 2, seed=11).points
+    table = halfspace_prob_table(space, sample, anchors)
+    assert table.counts.shape == (300, 300)
+    used = []
+
+    def counted(name):
+        def call(*args):
+            used.append(name)
+            return kernels[name](*args)
+        return call
+
+    monkeypatch.setattr(_native, "_kernels", {name: counted(name) for name in kernels})
+    counter = ctypes.c_int64.in_dll(library, "threads_started")
+    counter.value = 0
+    with kernel_threads(2):
+        refine_deepest(space, sample, anchors, sample[0], 32, seed=11, table=table)
+    assert counter.value == 0
+    assert any(name.startswith("ranks") for name in used)
+    assert any(name.startswith("least") for name in used)
+
+
+def test_thread_runner_has_no_data_race(tmp_path):
+    # ThreadSanitizer reports any two threads of a kernel call that touch
+    # one byte without ordering, and halts on the first report. A build
+    # with it cannot be loaded into Python, so a C driver runs the kernels.
+    libtsan = subprocess.run([_native.COMPILER, "-print-file-name=libtsan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isfile(libtsan) or not _native.ARCHIVE.is_file():
+        pytest.skip("no ThreadSanitizer runtime or no numpy random library")
+    driver = tmp_path / "driver.c"
+    driver.write_text(TSAN_DRIVER)
+    built = subprocess.run(
+        [_native.COMPILER, "-O1", "-g", "-fsanitize=thread", "-DCLONES=", "-std=gnu99",
+         "-pthread", "-o", str(tmp_path / "driver"), str(driver), str(_native.SOURCE),
+         str(_native.ARCHIVE), *_native.LIBS], capture_output=True, text=True, timeout=300)
+    assert built.returncode == 0, built.stderr
+    ran = subprocess.run([str(tmp_path / "driver")], capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "TSAN_OPTIONS": "halt_on_error=1"})
+    assert ran.returncode == 0 and "ThreadSanitizer" not in ran.stderr, ran.stderr
 
 
 def sort_queries(n_anchors, seed):
